@@ -259,13 +259,16 @@ class ExtGroup:
         self.t_elems = [int(self.gen_perms[i][0]) for i in range(nt)]
 
     def _bfs_words(self):
-        words: list[tuple[int, ...]] = [()]
         order = self.order
         seen = [False] * order
         seen[0] = True
         queue = [0]
         words_by = {0: ()}
+        parent = np.zeros(order, dtype=np.int64)
+        last = np.zeros(order, dtype=np.int64)
+        levels = []
         while queue:
+            levels.append(np.array(queue, dtype=np.int64))
             nxt = []
             for c in queue:
                 for g in range(self.ngens):
@@ -273,11 +276,20 @@ class ExtGroup:
                     if not seen[d]:
                         seen[d] = True
                         words_by[d] = words_by[c] + (g,)
+                        parent[d], last[d] = c, g
                         nxt.append(d)
             queue = nxt
         if not all(seen):
             raise AssertionError("generators do not act transitively")
         self.words = [words_by[c] for c in range(order)]
+        # BFS tree steps (gen, elems, parents) with elems = parents * gen,
+        # level by level: a value set at the identity and extended along
+        # the steps in order is its value along the BFS words
+        self.tree = []
+        for level in levels[1:]:
+            for g in range(self.ngens):
+                elems = level[last[level] == g]
+                self.tree.append((g, elems, parent[elems]))
 
     def apply_word(self, c: int, word) -> int:
         for g in word:
@@ -289,26 +301,26 @@ class ExtGroup:
 
     def mult_table(self) -> np.ndarray:
         if self._mult is None:
+            # left multiplication by each generator, g (p h) = (g p) h,
+            # then the table row by row: (p h) b = p (h b)
             n = self.order
+            L = np.empty((self.ngens, n), dtype=np.int32)
+            L[:, 0] = [int(pm[0]) for pm in self.gen_perms]
+            for h, elems, parents in self.tree:
+                L[:, elems] = self.gen_perms[h][L[:, parents]]
             M = np.empty((n, n), dtype=np.int32)
-            M[:, 0] = np.arange(n, dtype=np.int32)
-            done = {(): 0}
-            # element ids are coset numbers, so order columns by word
-            for b in sorted(range(n), key=lambda c: (len(self.words[c]),
-                                                     self.words[c])):
-                w = self.words[b]
-                if not w:
-                    continue
-                M[:, b] = self.gen_perms[w[-1]][M[:, done[w[:-1]]]]
-                done[w] = b
+            M[0] = np.arange(n, dtype=np.int32)
+            for h, elems, parents in self.tree:
+                M[elems] = M[parents[:, None], L[h]]
             self._mult = M
         return self._mult
 
     def inv_table(self) -> np.ndarray:
-        # every generator is an involution, so the reversed word inverts
-        inv = np.empty(self.order, dtype=np.int32)
-        for c in range(self.order):
-            inv[c] = self.apply_word(0, tuple(reversed(self.words[c])))
+        # every generator is an involution: (p h)^-1 = h p^-1
+        M = self.mult_table()
+        inv = np.zeros(self.order, dtype=np.int32)
+        for h, elems, parents in self.tree:
+            inv[elems] = M[self.gen_perms[h][0], inv[parents]]
         return inv
 
     def conj(self, a: int, b: int) -> int:
@@ -320,9 +332,8 @@ class ExtGroup:
     def finalize(self):
         self._inv = self.inv_table()
         M = self.mult_table()
-        for c in range(self.order):
-            if M[c, self._inv[c]] != 0:
-                raise AssertionError("inverse table is wrong")
+        if M[np.arange(self.order), self._inv].any():
+            raise AssertionError("inverse table is wrong")
         return self
 
 
@@ -352,19 +363,13 @@ def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
             raise AssertionError("z fails to commute with a generator")
 
     # projection pi: t_i -> s_i, z -> identity, along BFS words
-    pi = np.empty(ext.order, dtype=np.int32)
-    for c in range(ext.order):
-        x = 0
-        for gen in ext.words[c]:
-            if gen < ext.nt:
-                x = int(g.rmult[x][gen])
-        pi[c] = x
-    for c in range(ext.order):
-        for gen in range(ext.ngens):
-            d = int(ext.gen_perms[gen][c])
-            want = int(g.rmult[pi[c]][gen]) if gen < ext.nt else int(pi[c])
-            if pi[d] != want:
-                raise AssertionError("projection to W is not a homomorphism")
+    pi = np.zeros(ext.order, dtype=np.int32)
+    for gen, elems, parents in ext.tree:
+        pi[elems] = g.rmult[pi[parents], gen] if gen < ext.nt else pi[parents]
+    for gen in range(ext.ngens):
+        want = g.rmult[pi, gen] if gen < ext.nt else pi
+        if not np.array_equal(pi[ext.gen_perms[gen]], want):
+            raise AssertionError("projection to W is not a homomorphism")
     kernel = np.nonzero(pi == 0)[0].tolist()
     if sorted(kernel) != sorted({0, z}):
         raise AssertionError(f"projection kernel is {kernel}, expected {{1, z}}")
@@ -514,12 +519,44 @@ def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     return None
 
 
+def cocycle_identity_witness(mult: np.ndarray, table: np.ndarray, middles):
+    """First (x, y, w) with phi(xy,w) + phi(x,y) != phi(x,yw) + phi(y,w).
+
+    Checks every x and w but only the middle elements y in `middles`,
+    and returns None when all of those triples hold.  With middles the
+    simple reflections this accepts exactly the tables that satisfy the
+    identity on all of W x W x W, normalized or not (Light's
+    associativity test):
+
+    The identity at (x, y, w) is associativity of (x,a), (y,b), (w,c)
+    under (x,a)(y,b) = (xy, a + b + phi(x,y)) on W x Z2, whatever the
+    bits.  Let S be the set of g with (u g) v = u (g v) for all u, v.
+    For g, h in S,
+    (u (g h)) v = ((u g) h) v = (u g)(h v) = u (g (h v)) = u ((g h) v),
+    so S is closed under the product.  As the bits do not matter, S is
+    (the y that pass) x Z2, so the y that pass are closed under the
+    product of W.  Every element of W is a product of simple
+    reflections (the identity too: s s = 1), so once they pass, all
+    of W passes.
+    """
+    for y in middles:
+        lhs = table[mult[:, y]] ^ table[:, y][:, None]
+        rhs = table[:, mult[y]] ^ table[y][None, :]
+        if not np.array_equal(lhs, rhs):
+            x, w = np.argwhere(lhs != rhs)[0]
+            return (int(x), int(y), int(w))
+    return None
+
+
 def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     """Extract the z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1.
 
     Verifies that every value lies in the kernel, the group 2-cocycle
     identity, and the conjugation identity
-    phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W.
+    phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W.  The
+    2-cocycle identity is checked with the middle element restricted to
+    the simple reflections, which is equivalent to the full W x W x W
+    check (see cocycle_identity_witness).
     """
     MW = g.mult_table()
     ME = ext.mult_table()
@@ -539,13 +576,10 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     table = (vals == z).astype(np.uint8)
 
     # group 2-cocycle identity phi(xy, w) phi(x, y) = phi(x, yw) phi(y, w)
-    for x in range(n):
-        lhs = table[MW[x]] ^ table[x][:, None]
-        rhs = table[x][MW] ^ table
-        if not np.array_equal(lhs, rhs):
-            y, w = np.argwhere(lhs != rhs)[0]
-            raise CertificationError("phi-cocycle-identity",
-                                     [int(x), int(y), int(w)])
+    simples = [g.simple_reflection(i) for i in range(g.rank)]
+    witness = cocycle_identity_witness(MW, table, simples)
+    if witness is not None:
+        raise CertificationError("phi-cocycle-identity", list(witness))
 
     # conjugation identity, over all of W x W
     inv_w = g.inv_arr
@@ -586,14 +620,41 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
 # ---------------------------------------------------------------------------
 
 
+CHECKSUM_BLOCK_BYTES = 1 << 22   # bytes hashed per update in phi_checksum
+
+
 def phi_checksum(phi: GroupCocycle2) -> str:
-    """Order-independent digest: sha256 over the sorted (x, y, bit) lines."""
+    """Order-independent digest: sha256 over the sorted (x, y, bit) lines.
+
+    The byte stream is the concatenation of f"{x},{y},{bit}\\n" over x,
+    then y.  It is built a block of rows at a time: rows whose x has the
+    same number of digits share one template, in which only the digits
+    of x and the bits change.
+    """
+    table = phi.table
     h = hashlib.sha256()
-    n = phi.table.shape[0]
-    for x in range(n):
-        row = phi.table[x]
-        for y in range(n):
-            h.update(f"{x},{y},{int(row[y])}\n".encode())
+    n = table.shape[0]
+    ylen = np.array([len(str(y)) for y in range(n)], dtype=np.int64)
+    x0 = 0
+    while x0 < n:
+        dx = len(str(x0))
+        x_end = min(n, 10 ** dx)
+        template = np.frombuffer(
+            "".join(f"{'0' * dx},{y},0\n" for y in range(n)).encode(),
+            dtype=np.uint8)
+        line_len = dx + ylen + 4           # "x,y,b\n"
+        ends = np.cumsum(line_len)
+        starts = ends - line_len
+        rows = max(1, CHECKSUM_BLOCK_BYTES // len(template))
+        for b0 in range(x0, x_end, rows):
+            xs = np.arange(b0, min(b0 + rows, x_end))
+            block = np.tile(template, (len(xs), 1))
+            for k in range(dx):
+                digit = xs // 10 ** (dx - 1 - k) % 10 + ord("0")
+                block[:, starts + k] = digit[:, None]
+            block[:, ends - 2] = table[xs] + ord("0")
+            h.update(block)
+        x0 = x_end
     return h.hexdigest()
 
 

@@ -426,20 +426,24 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular",
         for n in range(dmax + 1):
             vals = [ranks[n] for ranks, _ in runs]
             agreed = len(set(vals)) == 1
+            # a rank mod p never exceeds the rank over the field, so the
+            # largest value is the best lower bound
+            rank = max(vals)
             secs = sum(ts[n] for _, ts in runs)
             reports.append(SymmetrizerReport(
-                degree=n, ambient_dim=d ** n, rank=vals[0],
-                nullity=d ** n - vals[0], mode="modular", primes=primes,
+                degree=n, ambient_dim=d ** n, rank=rank,
+                nullity=d ** n - rank, mode="modular", primes=primes,
                 agreed=agreed, seconds=secs))
         return reports
     if mode == "exact":
         budget = EXACT_BUDGET if budget is None else budget
+        # d^n grows with n, so checking dmax refuses before any work
+        if d ** dmax > budget:
+            raise DegreeTooLargeError(
+                f"degree {dmax} needs {d ** dmax} columns, budget {budget}")
         reports = []
         for n in range(dmax + 1):
             N = d ** n
-            if N > budget:
-                raise DegreeTooLargeError(
-                    f"degree {n} needs {N} columns, budget {budget}")
             t0 = time.perf_counter()
             if n == 0:
                 rank = 1

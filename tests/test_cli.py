@@ -115,6 +115,14 @@ def test_hilbert_exact_mode(capsys):
     assert [r["rank_plus"] for r in data["rows"]] == [1, 3, 4, 3]
 
 
+def test_hilbert_disagreeing_primes_exit_2(capsys, undercounting_ladder):
+    code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "3", "--json")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert [r["rank_plus"] for r in rows] == [1, 3, 4, 3]
+    assert [r["agreed"] for r in rows] == [True, True, False, True]
+
+
 def test_dihedral_report(capsys):
     code, out, _ = run(capsys, "dihedral", "5", "--json")
     assert code == 0

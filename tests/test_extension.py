@@ -1,17 +1,23 @@
 """Central extension: enumeration, section, certificates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from coxrack import extension
 from coxrack.coxeter import build_group, preset_matrix
 from coxrack.extension import (
     EnumerationOverflow,
+    GroupCocycle2,
     Presentation,
     build_section,
     build_wtilde,
+    certificate_json,
     certify_twist,
     check_global,
     check_vendramin,
+    cocycle_identity_witness,
     coset_enumeration,
     is_split,
     phi_checksum,
@@ -200,3 +206,165 @@ def test_cohomologous_cross_module(setups):
         gamma = cohomologous_solve(q_plus(g), q_minus(g), rack)
         assert (gamma is not None) == (is_split(g.matrix) is not None)
         assert (gamma is not None) == g.matrix.all_odd()
+
+
+# -- oracles for the cheap checks in phi_rho and phi_checksum -----------------
+
+BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
+           "H3", "D4"]
+
+
+def full_cocycle_witness(mult, table):
+    """Oracle: the 2-cocycle identity over all of W x W x W."""
+    for x in range(len(table)):
+        lhs = table[mult[x]] ^ table[x][:, None]
+        rhs = table[x][mult] ^ table
+        if not np.array_equal(lhs, rhs):
+            y, w = np.argwhere(lhs != rhs)[0]
+            return (int(x), int(y), int(w))
+    return None
+
+
+def line_checksum(table):
+    """Oracle: sha256 over the lines f"{x},{y},{bit}\\n", one update each."""
+    h = hashlib.sha256()
+    n = table.shape[0]
+    for x in range(n):
+        for y in range(n):
+            h.update(f"{x},{y},{int(table[x, y])}\n".encode())
+    return h.hexdigest()
+
+
+def simples(g):
+    return [g.simple_reflection(i) for i in range(g.rank)]
+
+
+def partial_cocycle_space(mult, ys):
+    """GF(2) basis (rows) of the tables satisfying the identity for y in ys."""
+    n = len(mult)
+    x, w = np.divmod(np.arange(n * n), n)
+    rows = np.arange(n * n)
+    blocks = []
+    for y in ys:
+        E = np.zeros((n * n, n * n), dtype=np.uint8)
+        for var in (mult[x, y] * n + w, x * n + y, x * n + mult[y, w],
+                    y * n + w):
+            np.add.at(E, (rows, var), 1)
+        blocks.append(E % 2 == 1)
+    E = np.concatenate(blocks)
+    pivots = []
+    for c in range(n * n):
+        r = len(pivots)
+        hits = np.nonzero(E[r:, c])[0]
+        if len(hits) == 0:
+            continue
+        E[[r, r + hits[0]]] = E[[r + hits[0], r]]
+        mask = E[:, c].copy()
+        mask[r] = False
+        E[mask] ^= E[r]
+        pivots.append(c)
+    free = sorted(set(range(n * n)) - set(pivots))
+    basis = np.zeros((len(free), n * n), dtype=np.uint8)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        basis[k, pivots] = E[:len(pivots), f]
+    return basis.reshape(len(free), n, n)
+
+
+def identity_holds(mult, table, x, y, w):
+    return (table[mult[x, y], w] ^ table[x, y]) == (table[x, mult[y, w]]
+                                                    ^ table[y, w])
+
+
+def test_phi_passes_full_cocycle_oracle_on_battery(setups):
+    for name in BATTERY:
+        g, ext, sec = setups(name)
+        phi = phi_rho(g, ext, sec)
+        assert full_cocycle_witness(g.mult_table(), phi.table) is None, name
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_reduced_cocycle_check_agrees_with_full(setups, name):
+    g, ext, sec = setups(name)
+    mult = g.mult_table()
+    true = phi_rho(g, ext, sec).table
+    rng = np.random.default_rng(20240712)
+    f = rng.integers(0, 2, g.order, dtype=np.uint8)
+    coboundary = true ^ f[:, None] ^ f[None, :] ^ f[mult]
+    cocycles = [true, true ^ 1, coboundary]
+    tables = list(cocycles)
+    for k in range(60):
+        bad = cocycles[k % 3].copy()
+        for _ in range(rng.integers(1, 4)):
+            x, y = rng.integers(0, g.order, 2)
+            bad[x, y] ^= 1
+        tables.append(bad)
+    rejected = 0
+    for i, table in enumerate(tables):
+        reduced = cocycle_identity_witness(mult, table, simples(g))
+        full = full_cocycle_witness(mult, table)
+        assert (reduced is None) == (full is None), i
+        if i < len(cocycles):
+            assert reduced is None
+        if reduced is not None:
+            rejected += 1
+            x, y, w = reduced
+            assert y in simples(g)
+            assert not identity_holds(mult, table, x, y, w)
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "A3"])
+def test_reduced_cocycle_check_needs_every_simple_reflection(name):
+    # Every table that passes the reduced check is a 2-cocycle: the
+    # solutions form a space, and each of its basis vectors passes the
+    # full check.  Leaving out any one simple reflection admits tables
+    # that are not 2-cocycles, and the reduced check rejects them.
+    g = build_group(preset_matrix(name))
+    mult = g.mult_table()
+    cocycles = partial_cocycle_space(mult, simples(g))
+    for table in cocycles:
+        assert full_cocycle_witness(mult, table) is None
+    for k in range(g.rank):
+        fewer = simples(g)[:k] + simples(g)[k + 1:]
+        wider = partial_cocycle_space(mult, fewer)
+        assert len(wider) > len(cocycles)
+        rejected = 0
+        for table in wider:
+            reduced = cocycle_identity_witness(mult, table, simples(g))
+            assert (reduced is None) == (full_cocycle_witness(mult, table)
+                                         is None)
+            rejected += reduced is not None
+        assert rejected > 0
+
+
+def test_phi_rho_checks_every_simple_reflection(setups, monkeypatch):
+    g, ext, sec = setups("B3")
+    seen = []
+    check = extension.cocycle_identity_witness
+    monkeypatch.setattr(extension, "cocycle_identity_witness",
+                        lambda mult, table, ys: seen.append(list(ys))
+                        or check(mult, table, ys))
+    phi_rho(g, ext, sec)
+    assert seen == [simples(g)]
+
+
+@pytest.mark.parametrize("n", [6, 120, 1152])
+def test_phi_checksum_matches_line_oracle(n):
+    rng = np.random.default_rng(n)
+    table = rng.integers(0, 2, (n, n), dtype=np.uint8)
+    assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
+
+
+def test_phi_checksum_one_row_blocks(monkeypatch):
+    table = np.random.default_rng(7).integers(0, 2, (120, 120),
+                                              dtype=np.uint8)
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
+    assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
+
+
+def test_f4_certificate_pinned():
+    g = build_group(preset_matrix("F4"))
+    text = certificate_json(twist_certificate(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2f67bec673a9205e2bee27e71f0dc7a5d4de501c6e548360454c7fb9eaa3f55d")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coxrack import nichols
 from coxrack.coxeter import build_group, preset_matrix
 from coxrack.modlin import primes_one_mod, rank_mod, root_of_unity_mod
 from coxrack.nichols import (
@@ -257,6 +258,23 @@ def test_budget_guard(spaces):
         hilbert_coeffs(V, 8, budget=10_000)
     with pytest.raises(DegreeTooLargeError):
         hilbert_coeffs(V, 5, mode="exact")
+
+
+def test_exact_budget_refused_before_any_work(spaces, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("exact assembly ran before the budget check")
+
+    monkeypatch.setattr(nichols, "symmetrizer_factorized_exact", no_work)
+    with pytest.raises(DegreeTooLargeError):
+        hilbert_coeffs(spaces("A3"), 5, mode="exact")
+
+
+def test_disagreeing_primes_report_largest_rank(spaces,
+                                                undercounting_ladder):
+    reports = hilbert_coeffs(spaces("A2"), 3)
+    assert [r.rank for r in reports] == [1, 3, 4, 3]
+    assert [r.nullity for r in reports] == [0, 0, 5, 24]
+    assert [r.agreed for r in reports] == [True, True, False, True]
 
 
 def test_exact_mode_matches_modular(spaces):
