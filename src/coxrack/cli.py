@@ -222,6 +222,12 @@ def cmd_dihedral(args, json_out: bool) -> int:
             total, reports = total_dimension(space, budget=args.budget)
             data["computed_total"] = total
             data["ranks"] = [rep.rank for rep in reports]
+            disagree = [rep.degree for rep in reports if not rep.agreed]
+            if disagree:
+                primes = list(reports[0].primes)
+                print(f"error: ranks disagree across primes {primes} in "
+                      f"degrees {disagree}", file=sys.stderr)
+                return 2
             if compat and total != 2 ** space.dim:
                 print("error: computed total contradicts the prediction",
                       file=sys.stderr)
@@ -307,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil.add_argument("--mode", choices=("modular", "exact"),
                        default="modular")
     p_hil.add_argument("--budget", type=int, default=None,
-                       help="max ambient columns per degree")
+                       help="modular mode: max image coordinate vectors "
+                            "memoized per degree (default 20000); exact "
+                            "mode: max ambient columns d^n (default 2000)")
     p_hil.add_argument("--subrack", default=None,
                        help="restrict to a reflection class (T1, T2, ...)")
 
@@ -321,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="copies of the one-dimensional summand")
     p_dih.add_argument("--check", action="store_true",
                        help="cross-check the prediction by symmetrizer ranks")
-    p_dih.add_argument("--budget", type=int, default=None)
+    p_dih.add_argument("--budget", type=int, default=None,
+                       help="max image coordinate vectors memoized per "
+                            "degree (default 20000)")
     p_dih.add_argument("--json", action="store_true")
     return parser
 

@@ -27,6 +27,7 @@ from .cyclo import CycloNumber, cos_of_pi_over
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 REDEXPR_ORDER_CAP = 10_080  # reduced-word enumeration allowed up to |S6| * 2
+MULT_BLOCK_CELLS = 1 << 22  # index cells gathered per block of mult_table rows
 
 
 class InvalidMatrixError(ValueError):
@@ -560,14 +561,27 @@ class GroupTable:
         return x
 
     def mult_table(self) -> np.ndarray:
-        """Dense |W| x |W| multiplication table (built on first use)."""
+        """Dense |W| x |W| multiplication table (built on first use).
+
+        Built row by row along the BFS tree: an element a = c s (c its
+        BFS parent) has a b = c (s b), so row a is row c read at the left
+        translates s b = (b^-1 s)^-1, one length level at a time.
+        """
         if self._mult is None:
-            n = self.order
+            n, l = self.order, self.rank
+            # the BFS creates each element at its first appearance in rmult
+            _, first = np.unique(self.rmult.ravel(), return_index=True)
+            parent, last = first // l, first % l
+            left = self.inv_arr[self.rmult[self.inv_arr]].T  # [s, b]: s b
             M = np.empty((n, n), dtype=np.int32)
-            M[:, 0] = np.arange(n, dtype=np.int32)
-            for b in range(1, n):
-                w = self.words[b]
-                M[:, b] = self.rmult[M[:, self.elem_of_word(w[:-1])], w[-1]]
+            M[0] = np.arange(n, dtype=np.int32)
+            bounds = np.searchsorted(self.length_arr,
+                                     np.arange(self.length_arr[-1] + 2))
+            step = max(1, MULT_BLOCK_CELLS // n)
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                for a in range(lo, hi, step):
+                    rows = np.arange(a, min(a + step, hi))
+                    M[rows] = M[parent[rows, None], left[last[rows]]]
             self._mult = M
         return self._mult
 

@@ -15,6 +15,8 @@ from .cyclo import CycloNumber
 
 PRIME_LOWER = 1 << 30
 PRIME_UPPER = (1 << 31) - 1  # keeps products inside int64 during elimination
+LIMB_BITS = 8                # matmul_mod splits its right factor into these
+MATMUL_CHUNK = 1 << 13       # inner terms summed per float64 product
 
 
 class PrimeGenerationError(RuntimeError):
@@ -152,6 +154,43 @@ def solve_in_span_mod(d: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     if len(pivots) > r:
         raise ValueError("right-hand side not in the span of the left block")
     return aug[:r, r:]
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact a @ b mod p on float64 BLAS, for residues of a prime p < 2^31.
+
+    numpy's int64 product has no BLAS kernel.  Here b is split into 8-bit
+    limbs, b = sum_l b_l 2^(8l), and each a @ b_l runs in float64 over at
+    most 2^13 inner terms.  A term is below 2^31 * 2^8 = 2^39, so every
+    partial sum is an integer below 2^52 and float64 holds it exactly,
+    whatever order BLAS adds in.  The limb products are recombined in
+    int64 by Horner's rule, reducing mod p between steps, and the chunks
+    are summed mod p.
+    """
+    if p > PRIME_UPPER:
+        raise ValueError(f"modulus {p} is above {PRIME_UPPER}")
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    nlimbs = -(-(p - 1).bit_length() // LIMB_BITS)
+    mask = (1 << LIMB_BITS) - 1
+    for lo in range(0, a.shape[1], MATMUL_CHUNK):
+        af = a[:, lo:lo + MATMUL_CHUNK].astype(np.float64)
+        bc = b[lo:lo + MATMUL_CHUNK]
+        # from the top limb down: acc < p * 2^8 + 2^52 stays exact in int64
+        acc = None
+        for limb in reversed(range(nlimbs)):
+            bl = ((bc >> (LIMB_BITS * limb)) & mask).astype(np.float64)
+            part = (af @ bl).astype(np.int64)
+            if acc is None:
+                acc = part
+            else:
+                acc %= p
+                acc <<= LIMB_BITS
+                acc += part
+        acc %= p
+        out = acc if lo == 0 else (out + acc) % p
+    return out
 
 
 def rank_exact_cyclo(rows, level: int) -> int:

@@ -29,3 +29,20 @@ def undercounting_ladder(monkeypatch):
         return ranks, [0.0] * len(ranks)
 
     monkeypatch.setattr(nichols, "hilbert_ladder_mod", ladder)
+
+
+@pytest.fixture
+def undercounting_ladder_iter(monkeypatch):
+    """Installs, for a given degree, a ladder that reports that degree one
+    rank short at the smaller prime (a modular rank can only undercount)."""
+    real = nichols.ladder_ranks_iter
+
+    def install(degree):
+        def ladder(V, p, omega, budget=nichols.MODULAR_BUDGET):
+            short = p == min(primes_one_mod(V.k, count=2))
+            for n, rank, secs in real(V, p, omega, budget):
+                yield n, rank - (short and n == degree), secs
+
+        monkeypatch.setattr(nichols, "ladder_ranks_iter", ladder)
+
+    return install

@@ -137,6 +137,29 @@ def test_dihedral_report(capsys):
     assert data["computed_total"] == 16
 
 
+def test_hilbert_a3_degree_7(capsys):
+    # 6^6 = 46656 words in degree 6, over the default budget of 20000;
+    # the spanning-column ladder builds at most 6 * 106 columns a degree
+    code, out, _ = run(capsys, "hilbert", "A3", "--dmax", "7", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    want = [1, 6, 19, 42, 71, 96, 106, 96]
+    assert [r["rank_plus"] for r in rows] == want
+    assert [r["rank_minus"] for r in rows] == want
+    assert all(r["agreed"] for r in rows)
+
+
+def test_dihedral_disagreeing_primes_exit_2(capsys,
+                                            undercounting_ladder_iter):
+    undercounting_ladder_iter(2)
+    code, out, err = run(capsys, "dihedral", "5", "--summands", "5,1;5,3",
+                         "--check", "--json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "disagree" in err and "[2]" in err
+
+
 def test_dihedral_refuses_small_r(capsys):
     code, _, err = run(capsys, "dihedral", "3")
     assert code == 1

@@ -157,6 +157,27 @@ def test_mult_table_matches_mul(groups):
         assert M[a, b] == g.mul(int(a), int(b))
 
 
+def mult_table_by_columns(g):
+    """Oracle: column b of the table is column parent(b) moved by the last
+    letter of b's word, the parent found by walking the word."""
+    n = g.order
+    M = np.empty((n, n), dtype=np.int32)
+    M[:, 0] = np.arange(n, dtype=np.int32)
+    for b in range(1, n):
+        w = g.words[b]
+        M[:, b] = g.rmult[M[:, g.elem_of_word(w[:-1])], w[-1]]
+    return M
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "F4"])
+def test_mult_table_matches_column_oracle(groups, name):
+    g = groups(name)
+    M = g.mult_table()
+    assert M.dtype == np.int32
+    assert np.array_equal(M, mult_table_by_columns(g))
+
+
 def test_acts_negatively_examples_and_agreement(groups):
     a2 = groups("A2")
     # w = y = simple reflection: s(alpha_s) = -alpha_s

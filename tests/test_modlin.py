@@ -5,7 +5,9 @@ import pytest
 
 from coxrack.cyclo import CycloNumber
 from coxrack.modlin import (
+    MATMUL_CHUNK,
     is_prime,
+    matmul_mod,
     nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
@@ -93,6 +95,28 @@ def test_solve_in_span():
     assert np.array_equal(x, x_true % p)
     with pytest.raises(ValueError):
         solve_in_span_mod(d, np.array([[1], [0], [0]]), p)
+
+
+@pytest.mark.parametrize("k", [2, 6])
+@pytest.mark.parametrize("inner", [1, MATMUL_CHUNK, MATMUL_CHUNK + 1])
+def test_matmul_mod_exact(k, inner):
+    rng = np.random.default_rng(inner + k)
+    for p in primes_one_mod(k, count=2):
+        top = np.full((3, inner), p - 1, dtype=np.int64)
+        a = np.vstack([top, rng.integers(0, p, (2, inner))])
+        b = np.hstack([np.full((inner, 2), p - 1, dtype=np.int64),
+                       rng.integers(0, p, (inner, 2))])
+        want = (a.astype(object) @ b.astype(object)) % p
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64))
+
+
+def test_matmul_mod_empty_inner_dimension():
+    p = primes_one_mod(2, count=1)[0]
+    out = matmul_mod(np.zeros((2, 0), dtype=np.int64),
+                     np.zeros((0, 3), dtype=np.int64), p)
+    assert out.shape == (2, 3) and not out.any()
 
 
 def test_row_reduce_full_rref():

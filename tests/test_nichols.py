@@ -7,7 +7,20 @@ import pytest
 
 from coxrack import nichols
 from coxrack.coxeter import build_group, preset_matrix
-from coxrack.modlin import primes_one_mod, rank_mod, root_of_unity_mod
+from coxrack.dihedral import (
+    braided_from_graded,
+    dihedral_yd,
+    direct_sum,
+    u_module,
+    v31_module,
+)
+from coxrack.modlin import (
+    primes_one_mod,
+    rank_mod,
+    root_of_unity_mod,
+    row_reduce_mod,
+    solve_in_span_mod,
+)
 from coxrack.nichols import (
     BraidEquationError,
     BraidedSpace,
@@ -15,9 +28,11 @@ from coxrack.nichols import (
     MonomialOp,
     all_reduced_words,
     braiding_from_rack,
+    coset_ops,
     hilbert_coeffs,
     hilbert_equal,
     is_quadratic_through,
+    ladder_ranks_iter,
     matsumoto_word,
     perm_operator,
     quadratic_relations,
@@ -250,6 +265,152 @@ def test_subrack_monotonicity(spaces):
     amb_ranks = [r.rank for r in hilbert_coeffs(amb, 3)]
     sub_ranks = [r.rank for r in hilbert_coeffs(sub, 3)]
     assert all(s <= a for s, a in zip(sub_ranks, amb_ranks))
+
+
+# -- spanning-column ladder against the dense d^n assembly --------------------
+
+
+def dense_ladder_ranks(V, p, omega, dmax):
+    """Oracle: ranks 0..dmax from all d^n columns of each degree, in
+    coordinates of the previous image (the ladder before spanning columns)."""
+    d = V.dim
+    ranks = [1, d][:dmax + 1]
+    gamma = np.eye(d, dtype=np.int64)
+    r_prev = d
+    zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
+    for n in range(2, dmax + 1):
+        if r_prev == 0:
+            ranks.append(0)
+            continue
+        N = d ** n
+        C = np.zeros((r_prev * d, N), dtype=np.int64)
+        Cr = C.reshape(r_prev, d, N)
+        cols = np.arange(N)
+        for op in coset_ops(V, n):
+            a, b = op.perm // d, op.perm % d
+            Cr[:, b, cols] = (Cr[:, b, cols]
+                              + gamma[:, a] * zpow[op.expo][None, :]) % p
+        _, pivots = row_reduce_mod(C.copy(), p)
+        r_prev = len(pivots)
+        if r_prev > 0:
+            gamma = solve_in_span_mod(C[:, pivots], C, p)
+        ranks.append(r_prev)
+    return ranks
+
+
+def spanning_ladder_ranks(V, p, omega, dmax, budget=nichols.MODULAR_BUDGET):
+    ranks = []
+    for n, rank, _ in ladder_ranks_iter(V, p, omega, budget):
+        ranks.append(rank)
+        if n == dmax:
+            return ranks
+
+
+def b3_small_class_space(which):
+    g = build_group(preset_matrix("B3"))
+    small = min(g.reflection_classes(), key=len)
+    rack = rack_from_class(g, [g.reflections[i].elem for i in small])
+    q = q_plus(g) if which == "plus" else q_minus(g)
+    return braiding_from_rack(rack, q.restrict(small))
+
+
+def i26_sum_space(j):
+    g = build_group(preset_matrix("I2(6)"))
+    return braided_from_graded(direct_sum(u_module(g, j), v31_module(g)))
+
+
+ORACLE_CASES = (
+    [(name, which) for name in ("A2", "B2", "A3", "I2(4)", "I2(5)")
+     for which in ("plus", "minus")]
+    + [("B3 small class", "plus"), ("B3 small class", "minus"),
+       ("I2(6) U(0)+V(3,1)", 0), ("I2(6) U(1)+V(3,1)", 1),
+       ("dihedral 5", None)])
+
+
+@pytest.mark.parametrize("name,which", ORACLE_CASES)
+def test_spanning_ladder_matches_dense_oracle(spaces, name, which):
+    if name.startswith("B3"):
+        V = b3_small_class_space(which)
+    elif name.startswith("I2(6)"):
+        V = i26_sum_space(which)
+    elif name == "dihedral 5":
+        V = dihedral_yd(5, [(5, 1), (5, 3)])
+    else:
+        V = spaces(name, which)
+    for p in primes_one_mod(V.k, count=2):
+        omega = root_of_unity_mod(p, V.k)
+        assert (spanning_ladder_ranks(V, p, omega, 5)
+                == dense_ladder_ranks(V, p, omega, 5))
+
+
+def test_column_outside_pivot_span_raises(spaces, monkeypatch):
+    # dropping a pivot of degree 2 leaves a basis that does not span the
+    # image; the degree-3 step must refuse instead of reporting a rank
+    calls = []
+
+    def short_first_reduction(a, p, full=False):
+        out, pivots = row_reduce_mod(a, p, full)
+        calls.append(len(pivots))
+        return out, pivots[:-1] if len(calls) == 1 else pivots
+
+    monkeypatch.setattr(nichols, "row_reduce_mod", short_first_reduction)
+    V = spaces("A2")
+    p = primes_one_mod(V.k, count=1)[0]
+    with pytest.raises(ValueError, match="not in the span"):
+        spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 3)
+    assert calls[0] == 4
+
+
+def test_a3_full_series(spaces):
+    # the 576-dimensional Nichols algebra, out of reach of the d^n assembly
+    V = spaces("A3", "minus")
+    p = primes_one_mod(V.k, count=1)[0]
+    ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13,
+                                  budget=200_000)
+    assert ranks == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
+    assert sum(ranks) == 576
+
+
+def test_memo_budget_caps_every_degree(spaces, monkeypatch):
+    # A3 degree 5 needs a degree-4 memo of 861 words
+    V = spaces("A3")
+    p = primes_one_mod(V.k, count=1)[0]
+    sizes = []
+    real = nichols._SpanLadder._memoize
+
+    def watched(self, m, words):
+        real(self, m, words)
+        sizes.append(self.levels[m].words.size)
+
+    monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
+    ranks = []
+    with pytest.raises(DegreeTooLargeError, match="budget 500"):
+        for n, rank, _ in ladder_ranks_iter(V, p, root_of_unity_mod(p, V.k),
+                                            budget=500):
+            ranks.append(rank)
+    assert ranks == [1, 6, 19, 42, 71]
+    assert 0 < max(sizes) <= 500
+
+
+def test_total_dimension_disagreeing_primes(undercounting_ladder_iter):
+    V = dihedral_yd(5, [(5, 1), (5, 3)])
+    undercounting_ladder_iter(2)
+    total, reports = total_dimension(V)
+    assert total == 16
+    assert [r.rank for r in reports] == [1, 4, 6, 4, 1, 0]
+    assert [r.agreed for r in reports] == [True, True, False, True, True,
+                                           True]
+
+
+def test_total_dimension_primes_vanish_at_different_degrees(
+        undercounting_ladder_iter):
+    # the smaller prime reaches zero one degree early
+    V = dihedral_yd(5, [(5, 1), (5, 3)])
+    undercounting_ladder_iter(4)
+    total, reports = total_dimension(V)
+    assert total == 16
+    assert [r.rank for r in reports] == [1, 4, 6, 4, 1, 0]
+    assert [r.agreed for r in reports] == [True] * 4 + [False, True]
 
 
 def test_budget_guard(spaces):
