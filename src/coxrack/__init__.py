@@ -7,6 +7,13 @@ cocycles), and Hilbert-series coefficients of the associated Nichols
 algebras via quantum symmetrizer ranks.
 """
 
+import os
+
+# numpy reads this when it is first imported.  On the products of
+# modlin.matmul_mod a second OpenBLAS thread about doubles CPU time and
+# does not lower wall time.  An explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .cyclo import CycloNumber, cos_of_pi_over

@@ -13,9 +13,7 @@ a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import pickle
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +45,6 @@ from .nichols import (
 )
 from .racks import q_minus, q_plus, rack_from_class, reflection_rack
 
-CACHE_VERSION = 1
-
 
 @dataclass
 class RunConfig:
@@ -56,36 +52,11 @@ class RunConfig:
 
     matrix: CoxeterMatrix
     json_out: bool
-    cache_dir: Path | None
     dmax: int = 4
     nprimes: int = 2
     mode: str = "modular"
     budget: int | None = None
     subrack: str | None = None
-
-
-def _matrix_digest(matrix: CoxeterMatrix) -> str:
-    payload = repr(matrix.rows).encode()
-    return hashlib.sha256(payload).hexdigest()[:24]
-
-
-def load_or_build(matrix: CoxeterMatrix, cache_dir: Path | None) -> GroupTable:
-    """Build a group table, using the on-disk cache when enabled."""
-    if cache_dir is None:
-        return build_group(matrix)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"group-{_matrix_digest(matrix)}.pkl"
-    if path.exists():
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("version") == CACHE_VERSION and \
-                payload.get("matrix") == matrix.rows:
-            return payload["table"]
-    table = build_group(matrix)
-    with open(path, "wb") as fh:
-        pickle.dump({"version": CACHE_VERSION, "matrix": matrix.rows,
-                     "table": table}, fh)
-    return table
 
 
 def _class_indices(g: GroupTable, name: str | None):
@@ -109,7 +80,7 @@ def _class_indices(g: GroupTable, name: str | None):
 
 
 def cmd_info(cfg: RunConfig) -> int:
-    g = load_or_build(cfg.matrix, cfg.cache_dir)
+    g = build_group(cfg.matrix)
     classes = g.reflection_classes()
     data = {
         "schema": "group_info.v1",
@@ -135,7 +106,7 @@ def cmd_info(cfg: RunConfig) -> int:
 
 
 def cmd_certify(cfg: RunConfig, out: Path | None = None) -> int:
-    g = load_or_build(cfg.matrix, cfg.cache_dir)
+    g = build_group(cfg.matrix)
     cert = twist_certificate(g)
     text = certificate_json(cert)
     if out is not None:
@@ -148,7 +119,7 @@ def cmd_certify(cfg: RunConfig, out: Path | None = None) -> int:
 
 
 def cmd_hilbert(cfg: RunConfig) -> int:
-    g = load_or_build(cfg.matrix, cfg.cache_dir)
+    g = build_group(cfg.matrix)
     indices = _class_indices(g, cfg.subrack)
     if indices is None:
         rack = reflection_rack(g)
@@ -276,8 +247,6 @@ def _add_matrix_args(sub):
                      help="preset name (A3, B2, I2(7), ...) or matrix file")
     sub.add_argument("--preset", help="preset name (alternative to target)")
     sub.add_argument("--input", help="matrix file path (alternative to target)")
-    sub.add_argument("--cache-dir", type=Path, default=None,
-                     help="cache directory for group tables")
     sub.add_argument("--json", action="store_true", help="JSON output")
 
 
@@ -346,8 +315,7 @@ def main(argv=None) -> int:
         if args.command == "dihedral":
             return cmd_dihedral(args, args.json)
         matrix = _resolve(args)
-        cfg = RunConfig(matrix=matrix, json_out=args.json,
-                        cache_dir=args.cache_dir)
+        cfg = RunConfig(matrix=matrix, json_out=args.json)
         if args.command == "info":
             return cmd_info(cfg)
         if args.command == "certify":
@@ -368,6 +336,10 @@ def main(argv=None) -> int:
     except (InvalidMatrixError, InvalidSummandError, NotFiniteError,
             DegreeTooLargeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
 
 

@@ -3,10 +3,12 @@
 A group is built in two passes.  First the positive roots are enumerated
 by closing the simple basis under the simple reflections, with exact
 cyclotomic coordinates so that positivity of a root is an exact sign
-decision.  Then the group elements are enumerated breadth-first as
-permutations of the signed roots, which makes the length function, the
-reflection/positive-root bijection and all conjugation questions cheap
-table lookups.
+decision; each (root, generator) pair is reflected once.  Then the
+elements are enumerated as permutations of the signed roots, one length
+level at a time with whole-array operations, each keyed on its images
+of the simple roots (GroupTable._build_elements).  The permutations make
+the length function, the reflection/positive-root bijection and all
+conjugation questions cheap table lookups.
 
 Everything downstream (cocycles, the central extension, symmetrizers)
 consumes the tables built here.  A GroupTable is immutable after
@@ -342,57 +344,55 @@ class GroupTable:
         index = {key(v): i for i, v in enumerate(pos)}
         parent: list[tuple[int, int] | None] = [None] * l
         base_simple = list(range(l))
+        images: list[list[int]] = []  # [r][i]: s_i(beta_r), ~index if negative
         head = 0
         while head < len(pos):
             beta = pos[head]
+            scal = [self.inner_simple(i, beta) for i in range(l)]
+            # (beta, beta) = sum_k beta_k (alpha_k, beta)
+            norm = sum((c * sc for c, sc in zip(beta, scal) if not c.is_zero()),
+                       CycloNumber.zero(lev))
+            if norm != 1:
+                raise AssertionError("root does not have unit norm")
+            row = []
             for i in range(l):
-                image = self._reflect_simple(i, beta)
-                k = key(image)
-                if k in index:
+                if head == i:  # s_i(alpha_i) = -alpha_i, the only negative image
+                    row.append(~i)
                     continue
-                if key(tuple(-c for c in image)) in index:
-                    continue  # only -alpha_i arises, and it is never new
-                index[k] = len(pos)
-                pos.append(image)
-                parent.append((i, head))
-                base_simple.append(base_simple[head])
-                if len(pos) > cap:
-                    raise NotFiniteError(
-                        "root closure exceeded the element cap; "
-                        "the group is infinite or the cap is too small")
+                image = beta[:i] + (beta[i] - 2 * scal[i],) + beta[i + 1:]
+                k = key(image)
+                if k not in index:
+                    index[k] = len(pos)
+                    pos.append(image)
+                    parent.append((i, head))
+                    base_simple.append(base_simple[head])
+                    if len(pos) > cap:
+                        raise NotFiniteError(
+                            "root closure exceeded the element cap; "
+                            "the group is infinite or the cap is too small")
+                row.append(index[k])
+            images.append(row)
             head += 1
 
-        # exact consistency checks on the root system
+        # exact positivity; the sign of each distinct coordinate value once
+        distinct = {c.coeffs: c for beta in pos for c in beta}
+        sign = {k: c.sign() for k, c in distinct.items()}
         for beta in pos:
-            signs = [c.sign() for c in beta]
+            signs = [sign[c.coeffs] for c in beta]
             if any(s < 0 for s in signs) or all(s == 0 for s in signs):
                 raise AssertionError("enumerated root is not positive")
-            if self.inner(beta, beta) != 1:
-                raise AssertionError("root does not have unit norm")
 
         self.pos_roots = pos
-        self.nroots = len(pos)
+        self.nroots = R = len(pos)
         self._root_index = index
         self._root_parent = parent
         self._root_base_simple = base_simple
 
-        # generator action on signed roots
-        R = self.nroots
-        perms = []
-        for i in range(l):
-            perm = [0] * (2 * R)
-            for r in range(R):
-                image = self._reflect_simple(i, pos[r])
-                k = key(image)
-                if k in index:
-                    perm[r] = index[k]
-                    perm[r + R] = index[k] + R
-                else:
-                    nk = key(tuple(-c for c in image))
-                    perm[r] = index[nk] + R
-                    perm[r + R] = index[nk]
-            perms.append(tuple(perm))
-        self.gen_root_perm = tuple(perms)
+        # generator action on signed roots: r -> s_i(r), r + R -> -s_i(r)
+        img = np.array(images, dtype=np.int64).T
+        img = np.where(img < 0, ~img + R, img)
+        perm = np.concatenate([img, (img + R) % (2 * R)], axis=1)
+        self.gen_root_perm = tuple(map(tuple, perm.tolist()))
 
     def _reflect_simple(self, i: int, vec):
         """s_i(v) = v - 2 (v, alpha_i) alpha_i; only coordinate i moves."""
@@ -409,75 +409,95 @@ class GroupTable:
                 acc = acc + c * self._gram[i][k]
         return acc
 
-    def inner(self, u, v) -> CycloNumber:
-        """(u, v) for coordinate vectors over the simple basis."""
-        acc = CycloNumber.zero(self.level)
-        for i, ci in enumerate(u):
-            if not ci.is_zero():
-                acc = acc + ci * self.inner_simple(i, v)
-        return acc
-
     def _build_elements(self, cap: int):
-        R = self.nroots
-        ident = tuple(range(2 * R))
-        perms = [ident]
-        words: list[tuple[int, ...]] = [()]
-        index = {ident: 0}
-        rmult_rows = [[0] * self.rank]
-        head = 0
-        while head < len(perms):
-            perm = perms[head]
-            for i in range(self.rank):
-                gen = self.gen_root_perm[i]
-                new = tuple(perm[gen[r]] for r in range(2 * R))
-                eid = index.get(new)
-                if eid is None:
-                    eid = len(perms)
-                    if eid >= cap:
-                        raise NotFiniteError(
-                            "element enumeration exceeded the cap; "
-                            "the group is infinite or the cap is too small")
-                    index[new] = eid
-                    perms.append(new)
-                    words.append(words[head] + (i,))
-                    rmult_rows.append([0] * self.rank)
-                rmult_rows[head][i] = eid
-            head += 1
+        """Enumerate W breadth-first, one length level at a time.
 
-        self.order = len(perms)
+        An element acts linearly, so its images of the l simple roots fix
+        it: perms[:, :l] is its key.  Only up-moves create elements:
+        w(alpha_i) > 0 iff l(w s_i) = l(w) + 1.  A level's candidates are
+        numbered by first appearance, parent-major and generator-minor,
+        which is ShortLex order of the reduced words; each down-move is an
+        up edge reversed, (w s_i) s_i = w.  Inverses walk the reversed
+        words through rmult and are checked on the simple roots only,
+        w^-1(w(alpha_j)) = alpha_j: an element fixing every simple root is
+        the identity, so this n x l check is complete.
+        """
+        l, R = self.rank, self.nroots
+        gen = np.array(self.gen_root_perm, dtype=np.int32)
+        level = np.arange(2 * R, dtype=np.int32)[None, :]
+        levels = [level]
+        ident = np.zeros(1, dtype=np.int64)  # the identity's parent and letter
+        parents, lasts = [ident], [ident]
+        edges = []  # up-moves (w, i, w s_i)
+        lo = 0
+        while True:
+            hi = lo + len(level)
+            p, i = np.nonzero(level[:, :l] < R)
+            if len(p) == 0:
+                break
+            keys = level[p[:, None], gen[i, :l]]  # w(s_i(alpha_j))
+            # rows as opaque bytes: equality is all that matters here
+            _, first, inverse = np.unique(keys.view(f"V{4 * l}").ravel(),
+                                          return_index=True, return_inverse=True)
+            if hi + len(first) > cap:
+                raise NotFiniteError(
+                    "element enumeration exceeded the cap; "
+                    "the group is infinite or the cap is too small")
+            seen = first[inverse.ravel()]  # first candidate with the same key
+            first = np.sort(first)
+            edges.append((lo + p, i, hi + np.searchsorted(first, seen)))
+            level = level[p[first, None], gen[i[first]]]
+            levels.append(level)
+            parents.append(lo + p[first])
+            lasts.append(i[first])
+            lo = hi
+
+        n = self.order = hi
+        self.perms = np.concatenate(levels)
+        self.length_arr = np.repeat(np.arange(len(levels), dtype=np.int32),
+                                    [len(lev) for lev in levels])
+        parent, last = np.concatenate(parents), np.concatenate(lasts)
+        self._parent, self._last = parent, last
+        words: list[tuple[int, ...]] = [()]
+        for a, s in zip(parent[1:].tolist(), last[1:].tolist()):
+            words.append(words[a] + (s,))
         self.words = words
-        self.perms = np.array(perms, dtype=np.int32)
-        self.rmult = np.array(rmult_rows, dtype=np.int32)
-        self.length_arr = np.array([len(w) for w in words], dtype=np.int32)
-        self._perm_index = index
+
+        src, gens, dst = map(np.concatenate, zip(*edges))
+        rmult = self.rmult = np.full((n, l), -1, dtype=np.int32)
+        rmult[src, gens] = dst
+        rmult[dst, gens] = src
+        if (rmult < 0).any():
+            raise AssertionError("a right multiple is not an up- or down-move")
 
         # length via the root system must agree with the BFS word length
         neg_counts = (self.perms[:, :R] >= R).sum(axis=1)
         if not np.array_equal(neg_counts, self.length_arr):
             raise AssertionError("root-counting length disagrees with BFS length")
 
-        inv = np.empty(self.order, dtype=np.int32)
-        for e in range(self.order):
-            p = perms[e]
-            q = [0] * (2 * R)
-            for r in range(2 * R):
-                q[p[r]] = r
-            inv[e] = index[tuple(q)]
+        inv = np.zeros(n, dtype=np.int32)
+        cur = np.arange(n)
+        for b in np.cumsum([len(lev) for lev in levels[:-1]]):
+            # ids from b on are longer than the steps taken: one more letter
+            inv[b:] = rmult[inv[b:], last[cur[b:]]]
+            cur[b:] = parent[cur[b:]]
+        if not (self.perms[inv[:, None], self.perms[:, :l]] == np.arange(l)).all():
+            raise AssertionError("inverse table fails on the simple roots")
         self.inv_arr = inv
 
     def _build_reflections(self):
         R = self.nroots
+        rmult, inv = self.rmult, self.inv_arr
         refl_elem_of_root = [0] * R
         for r in range(R):
             par = self._root_parent[r]
             if par is None:
                 refl_elem_of_root[r] = 1 + r  # generator ids are 1..l
             else:
+                # s_beta = s_i s_beta' s_i, left factor by s_i y = (y^-1 s_i)^-1
                 i, pr = par
-                gen = self.gen_root_perm[i]
-                base = self.perms[refl_elem_of_root[pr]]
-                conj = tuple(int(gen[base[gen[k]]]) for k in range(2 * R))
-                refl_elem_of_root[r] = self._perm_index[conj]
+                y = rmult[refl_elem_of_root[pr], i]
+                refl_elem_of_root[r] = int(inv[rmult[inv[y], i]])
         if len(set(refl_elem_of_root)) != R:
             raise AssertionError("reflection/positive-root map is not injective")
 
@@ -568,10 +588,8 @@ class GroupTable:
         translates s b = (b^-1 s)^-1, one length level at a time.
         """
         if self._mult is None:
-            n, l = self.order, self.rank
-            # the BFS creates each element at its first appearance in rmult
-            _, first = np.unique(self.rmult.ravel(), return_index=True)
-            parent, last = first // l, first % l
+            n = self.order
+            parent, last = self._parent, self._last
             left = self.inv_arr[self.rmult[self.inv_arr]].T  # [s, b]: s b
             M = np.empty((n, n), dtype=np.int32)
             M[0] = np.arange(n, dtype=np.int32)
@@ -586,16 +604,15 @@ class GroupTable:
         return self._mult
 
     def conj_refl_table(self) -> np.ndarray:
-        """(|W|, |T|) table of w > y as reflection indices."""
+        """(|W|, |T|) table of w > y as reflection indices.
+
+        w s_beta w^-1 = s_(w(beta)), and s_(-gamma) = s_gamma, so column y
+        is the reflection of the root perms[w, root(y)] up to sign.
+        """
         if self._conj_refl is None:
-            M = self.mult_table()
-            refl_elems = np.array([t.elem for t in self.reflections], dtype=np.int32)
-            out = np.empty((self.order, len(refl_elems)), dtype=np.int32)
-            for w in range(self.order):
-                out[w] = self.refl_index_of_elem[M[M[w, refl_elems], self.inv_arr[w]]]
-            if (out < 0).any():
-                raise AssertionError("conjugate of a reflection is not a reflection")
-            self._conj_refl = out
+            roots = np.array([t.root for t in self.reflections], dtype=np.int64)
+            refl_of_root = np.array(self.refl_of_root, dtype=np.int32)
+            self._conj_refl = refl_of_root[self.perms[:, roots] % self.nroots]
         return self._conj_refl
 
     # -- reflection-level operations ----------------------------------------

@@ -164,14 +164,17 @@ def q_plus_table(g: GroupTable) -> np.ndarray:
 
     Entry (w, y) is 1 exactly when w sends the positive root of y into
     the negative roots; the exact root criterion and the length-drop
-    criterion are both evaluated and must agree.
+    criterion are both evaluated and must agree.  The products w y are
+    formed for all w at once by walking the word of y through rmult.
     """
     roots = np.array([t.root for t in g.reflections], dtype=np.int64)
     by_root = (g.perms[:, roots] >= g.nroots).astype(np.uint8)
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
-    M = g.mult_table()
-    by_length = (g.length_arr[M[:, refl_elems]]
-                 < g.length_arr[:, None]).astype(np.uint8)
+    by_length = np.empty_like(by_root)
+    for k, t in enumerate(g.reflections):
+        wy = np.arange(g.order)
+        for i in g.words[t.elem]:
+            wy = g.rmult[wy, i]
+        by_length[:, k] = g.length_arr[wy] < g.length_arr
     if not np.array_equal(by_root, by_length):
         raise AssertionError("root-sign and length criteria disagree")
     return by_root

@@ -1,10 +1,11 @@
-"""Command-line interface: outputs, exit codes, cache round trip."""
+"""Command-line interface: outputs and exit codes."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+from coxrack import nichols
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -185,14 +186,24 @@ def test_usage_errors(capsys):
     assert run(capsys, "info")[0] == 1
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    code, out1, _ = run(capsys, "certify", "B3", "--cache-dir", str(cache))
+def test_hilbert_e6_degree_2(capsys):
+    # E6 has |W| = 51840: the hilbert path builds no |W| x |W| table
+    code, out, _ = run(capsys, "hilbert", "E6", "--dmax", "2", "--json")
     assert code == 0
-    assert any(cache.iterdir())
-    code, out2, _ = run(capsys, "certify", "B3", "--cache-dir", str(cache))
-    assert code == 0
-    assert out1 == out2
-    # and identical to an uncached run
-    code, out3, _ = run(capsys, "certify", "B3")
-    assert out3 == out1
+    rows = json.loads(out)["rows"]
+    assert [r["rank_plus"] for r in rows] == [1, 36, 750]
+    assert [r["rank_minus"] for r in rows] == [1, 36, 750]
+    assert all(r["agreed"] for r in rows)
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    def assemble(self, *args):
+        raise MemoryError("Unable to allocate 5.37 GiB for an array with "
+                          "shape (27000, 36, 750) and data type int64")
+
+    monkeypatch.setattr(nichols._SpanLadder, "_assemble", assemble)
+    code, out, err = run(capsys, "hilbert", "A2", "--dmax", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: out of memory: Unable to allocate 5.37 GiB")
+    assert err.count("\n") == 1

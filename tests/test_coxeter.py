@@ -11,11 +11,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from coxrack.cyclo import CycloNumber
 from coxrack.coxeter import (
     CoxeterMatrix,
+    GroupTable,
     InvalidMatrixError,
     NotFiniteError,
     PreconditionFailed,
+    Reflection,
     Trichotomy,
     build_group,
     chebyshev_U,
@@ -30,7 +33,7 @@ KNOWN_ORDERS = {
     "B2": 8, "B3": 48, "B4": 384,
     "D4": 192,
     "H3": 120,
-    "F4": 1152,
+    "F4": 1152, "H4": 14400, "E6": 51840,
     "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(7)": 14, "I2(15)": 30,
 }
 
@@ -124,6 +127,154 @@ def test_infinite_matrix_hits_cap():
         build_group(CoxeterMatrix.from_rows(rows), element_cap=500)
 
 
+def test_element_bfs_hits_cap():
+    # E6 has 36 positive roots, so the root closure passes the cap and
+    # the element enumeration is the one that stops
+    with pytest.raises(NotFiniteError, match="element enumeration"):
+        build_group(preset_matrix("E6"), element_cap=1000)
+
+
+def test_e6_order_reflections_and_classes(groups):
+    g = groups("E6")
+    assert g.order == KNOWN_ORDERS["E6"]
+    assert len(g.reflections) == g.nroots == 36
+    assert [len(c) for c in g.reflection_classes()] == [36]
+
+
+class LegacyGroupTable(GroupTable):
+    """Oracle: the per-element builder.  Roots are reflected twice (closure,
+    then each generator's permutation), elements are 2R-entry tuples found
+    through a perm -> id dict, inverses by inverting each permutation."""
+
+    def _build_roots(self, cap):
+        l = self.rank
+        zero, one = CycloNumber.zero(self.level), CycloNumber.one(self.level)
+        simples = [tuple(one if k == i else zero for k in range(l))
+                   for i in range(l)]
+
+        def key(vec):
+            return tuple(c.coeffs for c in vec)
+
+        def inner(u, v):
+            acc = CycloNumber.zero(self.level)
+            for i, ci in enumerate(u):
+                if not ci.is_zero():
+                    acc = acc + ci * self.inner_simple(i, v)
+            return acc
+
+        pos = list(simples)
+        index = {key(v): i for i, v in enumerate(pos)}
+        parent = [None] * l
+        base_simple = list(range(l))
+        head = 0
+        while head < len(pos):
+            beta = pos[head]
+            for i in range(l):
+                image = self._reflect_simple(i, beta)
+                k = key(image)
+                if k in index or key(tuple(-c for c in image)) in index:
+                    continue
+                index[k] = len(pos)
+                pos.append(image)
+                parent.append((i, head))
+                base_simple.append(base_simple[head])
+            head += 1
+        for beta in pos:
+            signs = [c.sign() for c in beta]
+            assert not any(s < 0 for s in signs)
+            assert not all(s == 0 for s in signs)
+            assert inner(beta, beta) == 1
+        self.pos_roots = pos
+        self.nroots = R = len(pos)
+        self._root_index = index
+        self._root_parent = parent
+        self._root_base_simple = base_simple
+        perms = []
+        for i in range(l):
+            perm = [0] * (2 * R)
+            for r in range(R):
+                image = self._reflect_simple(i, pos[r])
+                k = key(image)
+                if k in index:
+                    perm[r], perm[r + R] = index[k], index[k] + R
+                else:
+                    nk = key(tuple(-c for c in image))
+                    perm[r], perm[r + R] = index[nk] + R, index[nk]
+            perms.append(tuple(perm))
+        self.gen_root_perm = tuple(perms)
+
+    def _build_elements(self, cap):
+        R = self.nroots
+        ident = tuple(range(2 * R))
+        perms, words, index = [ident], [()], {ident: 0}
+        rmult_rows = [[0] * self.rank]
+        head = 0
+        while head < len(perms):
+            perm = perms[head]
+            for i in range(self.rank):
+                gen = self.gen_root_perm[i]
+                new = tuple(perm[gen[r]] for r in range(2 * R))
+                eid = index.get(new)
+                if eid is None:
+                    eid = index[new] = len(perms)
+                    perms.append(new)
+                    words.append(words[head] + (i,))
+                    rmult_rows.append([0] * self.rank)
+                rmult_rows[head][i] = eid
+            head += 1
+        self.order = len(perms)
+        self.words = words
+        self.perms = np.array(perms, dtype=np.int32)
+        self.rmult = np.array(rmult_rows, dtype=np.int32)
+        self.length_arr = np.array([len(w) for w in words], dtype=np.int32)
+        self._perm_index = index
+        inv = np.empty(self.order, dtype=np.int32)
+        for e in range(self.order):
+            q = [0] * (2 * R)
+            for r in range(2 * R):
+                q[perms[e][r]] = r
+            inv[e] = index[tuple(q)]
+        self.inv_arr = inv
+        self._parent = self._last = None  # mult_table is not an oracle here
+
+    def _build_reflections(self):
+        R = self.nroots
+        refl_elem_of_root = [0] * R
+        for r in range(R):
+            par = self._root_parent[r]
+            if par is None:
+                refl_elem_of_root[r] = 1 + r
+            else:
+                i, pr = par
+                gen = self.gen_root_perm[i]
+                base = self.perms[refl_elem_of_root[pr]]
+                conj = tuple(int(gen[base[gen[k]]]) for k in range(2 * R))
+                refl_elem_of_root[r] = self._perm_index[conj]
+        order = sorted(range(R), key=lambda r: refl_elem_of_root[r])
+        self.reflections = tuple(
+            Reflection(index=k, elem=refl_elem_of_root[r], root=r)
+            for k, r in enumerate(order))
+        self.refl_of_root = [0] * R
+        for refl in self.reflections:
+            self.refl_of_root[refl.root] = refl.index
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "F4", "H4"])
+def test_tables_match_legacy_builder(groups, name):
+    g = groups(name)
+    old = LegacyGroupTable(g.matrix)
+    assert g.gen_root_perm == old.gen_root_perm
+    for attr in ("perms", "rmult", "length_arr", "inv_arr"):
+        new_arr, old_arr = getattr(g, attr), getattr(old, attr)
+        assert new_arr.dtype == old_arr.dtype, attr
+        assert np.array_equal(new_arr, old_arr), attr
+    assert g.words == old.words
+    assert g.reflections == old.reflections
+    assert g.refl_of_root == old.refl_of_root
+    assert g.classes == old.classes
+
+
 def test_lengths_and_det(groups):
     a2 = groups("A2")
     assert a2.length(0) == 0 and a2.det(0) == 1
@@ -176,6 +327,24 @@ def test_mult_table_matches_column_oracle(groups, name):
     M = g.mult_table()
     assert M.dtype == np.int32
     assert np.array_equal(M, mult_table_by_columns(g))
+
+
+def conj_refl_table_by_mult(g):
+    """Oracle: w > y = w y w^-1 read off the |W| x |W| table."""
+    M = g.mult_table()
+    refl_elems = np.array([t.elem for t in g.reflections])
+    out = g.refl_index_of_elem[M[M[:, refl_elems], g.inv_arr[:, None]]]
+    assert (out >= 0).all(), "conjugate of a reflection is not a reflection"
+    return out
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4"])
+def test_conj_refl_table_matches_mult_oracle(groups, name):
+    g = groups(name)
+    C = g.conj_refl_table()
+    assert C.dtype == np.int32
+    assert np.array_equal(C, conj_refl_table_by_mult(g))
 
 
 def test_acts_negatively_examples_and_agreement(groups):

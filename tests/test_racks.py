@@ -1,5 +1,6 @@
 """Racks, sign cocycles, equivariance, the GF(2) cohomology solver."""
 
+import numpy as np
 import pytest
 
 from coxrack.coxeter import build_group, preset_matrix
@@ -16,6 +17,7 @@ from coxrack.racks import (
     is_cocycle,
     q_minus,
     q_plus,
+    q_plus_table,
     rack_from_class,
     rack_isomorphic,
     reflection_rack,
@@ -179,3 +181,19 @@ def test_rack_isomorphic_negative():
                     act=tuple(tuple(range(5)) for _ in range(5)))
     assert not rack_isomorphic(r5, trivial5)
     assert rack_isomorphic(r5, r5)
+
+
+def q_plus_table_by_mult(g):
+    """Oracle: the length-drop criterion l(w y) < l(w) with the products
+    w y read off the |W| x |W| table."""
+    refl_elems = np.array([t.elem for t in g.reflections])
+    M = g.mult_table()
+    return (g.length_arr[M[:, refl_elems]]
+            < g.length_arr[:, None]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4"])
+def test_q_plus_table_matches_mult_oracle(groups, name):
+    g = groups(name)
+    assert np.array_equal(q_plus_table(g), q_plus_table_by_mult(g))
