@@ -278,13 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-degree symmetrizer ranks, both cocycles")
     _add_matrix_args(p_hil)
     p_hil.add_argument("--dmax", type=int, default=4)
-    p_hil.add_argument("--primes", type=int, default=2, dest="nprimes")
+    p_hil.add_argument("--primes", type=int, default=2, dest="nprimes",
+                       help="primes p = 1 mod k to rank at (default 2); "
+                            "exact mode adds primes until their product "
+                            "proves the ranks")
     p_hil.add_argument("--mode", choices=("modular", "exact"),
                        default="modular")
     p_hil.add_argument("--budget", type=int, default=None,
                        help="modular mode: max image coordinate vectors "
-                            "memoized per degree (default 20000); exact "
-                            "mode: max ambient columns d^n (default 2000)")
+                            "memoized per degree (default 20000), each "
+                            "d*r(n-1) int64 values in degree n, r(n-1) the "
+                            "rank of degree n-1; exact mode: max ambient "
+                            "columns d^n (default 2000)")
     p_hil.add_argument("--subrack", default=None,
                        help="restrict to a reflection class (T1, T2, ...)")
 

@@ -358,7 +358,7 @@ class CycloNumber:
                         * mpmath.expjpi(mpmath.mpf(2 * k) / self.level)
             return complex(z)
 
-    # -- text form (debug dumps only) -------------------------------------
+    # -- text form (repr, and a round trip in the tests) ------------------
 
     def __str__(self) -> str:
         parts = []

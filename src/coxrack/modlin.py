@@ -1,10 +1,10 @@
 """Rank engines: dense linear algebra over GF(p) and over cyclotomic fields.
 
 Symmetrizer ranks are computed over word-size prime fields chosen so a
-fixed primitive k-th root of unity has an exact image; agreement of two
-such primes is the practical-certainty bar, with the exact cyclotomic
-eliminator as the small-case cross-check.  Rank over GF(p) can only
-undercount the characteristic-zero rank, never overcount.
+fixed primitive k-th root of unity has an exact image.  Rank over GF(p)
+can only undercount the characteristic-zero rank, never overcount;
+exact ranks come from enough such primes (nichols.hilbert_coeffs).  The
+exact cyclotomic eliminator rank_exact_cyclo is a test oracle.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def rank_exact_cyclo(rows, level: int) -> int:
     """Rank over Q(zeta_level) by straightforward field elimination.
 
-    Accepts a list of rows of CycloNumbers (small matrices; the modular
-    path is the volume engine, this is the exact cross-check).
+    Accepts a list of rows of CycloNumbers (small matrices).  Test oracle
+    for the exact ranks of nichols.hilbert_coeffs.
     """
     work = [list(r) for r in rows]
     nrows = len(work)

@@ -17,14 +17,18 @@ the d^n columns of a degree: the columns at the words x_i w, w running
 over the pivot words of the previous degree, already span the image
 (proof in ladder_ranks_iter), so a degree costs d * rank(previous)
 columns.  The image coordinates of the other words those columns need
-are computed on demand and memoized per degree.  The factorization is
-pinned against the literal factorial-term sum, and the modular ladder
-against the dense d^n assembly, in the test suite.
+are computed on demand and memoized per degree.  Exact ranks come from
+the same ladder at enough primes (proof in hilbert_coeffs).  Tests pin
+the factorization against the literal sum, and the ladder against the
+dense d^n assembly and dense CycloNumber elimination (oracles kept here).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import os
+import resource
 import time
 from dataclasses import dataclass
 
@@ -34,13 +38,12 @@ from .modlin import (
     matmul_mod,
     nullspace_mod,
     primes_one_mod,
-    rank_exact_cyclo,
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
     zeta_reduction_matrix,
 )
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, euler_phi
 from .racks import Rack, RackCocycle
 
 MODULAR_BUDGET = 20_000   # max memoized coordinates per degree, modular mode
@@ -259,23 +262,13 @@ def coset_ops(V: BraidedSpace, n: int) -> list[MonomialOp]:
             for t in range(n)]
 
 
-def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
-    """Sum over all n! permutations, as integer counts per zeta power.
-
-    Returns an (N, N, k) array over Z[x]/(x^k - 1); reduce with
-    reduce_zeta_array for canonical comparisons.  Oracle path: O(n! N).
-    """
-    N = V.dim ** n
-    acc = np.zeros((N, N, V.k), dtype=np.int64)
-    cols = np.arange(N)
-    for sigma in itertools.permutations(range(n)):
-        op = perm_operator(V, n, sigma)
-        np.add.at(acc, (op.perm, cols, op.expo), 1)
-    return acc
-
-
 def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
-    """Same array as the literal sum, assembled by the coset factorization."""
+    """Counts per zeta power, as an (N, N, k) array over Z[x]/(x^k - 1),
+    of the symmetrizer assembled by the coset factorization; reduce with
+    reduce_zeta_array for canonical comparisons.
+
+    Test oracle, with exact_matrix_as_cyclo and modlin.rank_exact_cyclo,
+    for the exact ranks of hilbert_coeffs."""
     d = V.dim
     k = V.k
     if n == 0:
@@ -324,6 +317,7 @@ def symmetrizer_dense_mod(V: BraidedSpace, n: int, p: int, omega: int) -> np.nda
 
 
 def exact_matrix_as_cyclo(arr: np.ndarray, k: int) -> list[list[CycloNumber]]:
+    """CycloNumber rows of a count array over Z[x]/(x^k - 1) (test oracle)."""
     reduced = reduce_zeta_array(arr, k)
     return [[CycloNumber(k, [int(c) for c in reduced[i, j]])
              for j in range(reduced.shape[1])] for i in range(reduced.shape[0])]
@@ -359,6 +353,13 @@ class SymmetrizerReport:
             "agreed": self.agreed,
             "seconds": round(self.seconds, 6),
         }
+
+
+def _memory_limit_bytes() -> int:
+    """Physical memory, or the soft address-space limit if that is lower."""
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return phys if soft == resource.RLIM_INFINITY else min(phys, soft)
 
 
 class _ImageLevel:
@@ -413,7 +414,15 @@ class _SpanLadder:
             prev.inv = solve_in_span_mod(prev.basis[prev.sel],
                                          np.eye(prev.rank, dtype=np.int64),
                                          self.p)
-        self._check_budget(n, self.d * prev.rank)
+        size = self.d * prev.rank
+        self._check_budget(n, size)
+        # the size x size int64 candidate block and the transposed copy
+        # that elimination works on must fit in memory
+        need, limit = 16 * size * size, _memory_limit_bytes()
+        if need > limit:
+            raise DegreeTooLargeError(
+                f"degree {n} needs {need} bytes for two copies of its "
+                f"{size} x {size} candidate block, memory limit {limit}")
         cand = (np.arange(self.d, dtype=np.int64)[:, None] * self.d ** (n - 1)
                 + prev.pivots[None, :]).ravel()
         terms = self._coset_terms(n, cand)
@@ -457,7 +466,8 @@ class _SpanLadder:
         for t in range(m):
             g = prev.gam[np.searchsorted(prev.words, prefix[t])]
             out[at, last[t]] += g * self.zpow[expo[t]][:, None] % self.p
-        return out.reshape(size, -1) % self.p
+        out %= self.p
+        return out.reshape(size, -1)
 
     def _check_budget(self, m: int, count: int):
         """Refuse, before allocating, a batch that could bring degree m past
@@ -528,7 +538,8 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int,
     column is checked to lie in the pivot span (ValueError otherwise).
     `budget` caps the coordinate vectors of one degree: its candidate
     columns, and its memo plus each batch of words requested from it.
-    DegreeTooLargeError is raised before such a batch is allocated.
+    DegreeTooLargeError is raised before such a batch is allocated, and
+    before a degree whose candidate block would not fit in memory.
     """
     d = V.dim
     yield 0, 1, 0.0
@@ -560,53 +571,64 @@ def hilbert_ladder_mod(V: BraidedSpace, dmax: int, p: int, omega: int,
 def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular",
                    nprimes: int = 2, budget: int | None = None
                    ) -> list[SymmetrizerReport]:
-    """Per-degree symmetrizer ranks for degrees 0..dmax."""
+    """Per-degree symmetrizer ranks for degrees 0..dmax.
+
+    Both modes run the ladder over GF(p), p = 1 (mod k), and report the
+    largest rank per degree (a rank mod p never exceeds the rank over
+    the field).  Modular mode uses `nprimes` primes, `agreed` saying
+    whether they gave the same ranks.
+
+    Exact mode adds primes until the ranks are proved.  In degree n each
+    column of S_n is a sum of n! monomial vectors over Z[zeta_k], of
+    norm at most n! under every complex embedding.  The ladder at p
+    gives exactly the rank of S_n mod P = (p, zeta - omega), a prime of
+    norm p (its spanning proof holds over any field).  Let r be the
+    largest such rank.  A nonzero (r+1)-minor D would vanish mod every
+    P_i, so prod p_i would divide N(D), while Hadamard's bound gives
+    0 < |N(D)| <= (n!)^((r+1) phi(k)).  So once prod p_i exceeds that
+    bound, the rank over Q(zeta_k) is r, even if some prime undercounts.
+    The reports list those primes, `agreed` True.  d^dmax over `budget`
+    is refused before any work; within it the ladder's memo budget
+    (memo plus batch at most 2 d^n) cannot trigger.
+    """
     d = V.dim
     if mode == "modular":
         if nprimes < 2:
             raise ValueError("modular mode needs at least two primes")
         budget = MODULAR_BUDGET if budget is None else budget
         primes = primes_one_mod(V.k, count=nprimes)
-        runs = []
-        for p in primes:
-            omega = root_of_unity_mod(p, V.k)
-            runs.append(hilbert_ladder_mod(V, dmax, p, omega, budget))
-        reports = []
-        for n in range(dmax + 1):
-            vals = [ranks[n] for ranks, _ in runs]
-            agreed = len(set(vals)) == 1
-            # a rank mod p never exceeds the rank over the field, so the
-            # largest value is the best lower bound
-            rank = max(vals)
-            secs = sum(ts[n] for _, ts in runs)
-            reports.append(SymmetrizerReport(
-                degree=n, ambient_dim=d ** n, rank=rank,
-                nullity=d ** n - rank, mode="modular", primes=primes,
-                agreed=agreed, seconds=secs))
-        return reports
-    if mode == "exact":
+        runs = [_ladder_run(V, dmax, p, budget) for p in primes]
+    elif mode == "exact":
         budget = EXACT_BUDGET if budget is None else budget
         # d^n grows with n, so checking dmax refuses before any work
         if d ** dmax > budget:
             raise DegreeTooLargeError(
                 f"degree {dmax} needs {d ** dmax} columns, budget {budget}")
-        reports = []
-        for n in range(dmax + 1):
-            N = d ** n
-            t0 = time.perf_counter()
-            if n == 0:
-                rank = 1
-            elif n == 1:
-                rank = d
-            else:
-                arr = symmetrizer_factorized_exact(V, n)
-                rank = rank_exact_cyclo(exact_matrix_as_cyclo(arr, V.k), V.k)
-            reports.append(SymmetrizerReport(
-                degree=n, ambient_dim=N, rank=rank, nullity=N - rank,
-                mode="exact", primes=(), agreed=True,
-                seconds=time.perf_counter() - t0))
-        return reports
-    raise ValueError(f"unknown mode {mode!r}")
+        phi, primes, runs, bound = euler_phi(V.k), (), [], 0
+        while len(runs) < max(nprimes, 2) or math.prod(primes) <= bound:
+            primes = primes_one_mod(V.k, count=len(runs) + 1)
+            runs.append(_ladder_run(V, dmax, primes[-1], 2 * d ** dmax))
+            # Hadamard's bound on |N(D)|, r the largest rank so far
+            top = [max(r[n] for r, _ in runs) for n in range(dmax + 1)]
+            bound = max(math.factorial(n) ** ((r + 1) * phi)
+                        for n, r in enumerate(top))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    reports = []
+    for n in range(dmax + 1):
+        vals = [r[n] for r, _ in runs]
+        rank = max(vals)
+        reports.append(SymmetrizerReport(
+            degree=n, ambient_dim=d ** n, rank=rank, nullity=d ** n - rank,
+            mode=mode, primes=primes,
+            agreed=mode == "exact" or len(set(vals)) == 1,
+            seconds=sum(ts[n] for _, ts in runs)))
+    return reports
+
+
+def _ladder_run(V: BraidedSpace, dmax: int, p: int, budget: int):
+    """hilbert_ladder_mod at p, zeta_k sent to root_of_unity_mod(p, k)."""
+    return hilbert_ladder_mod(V, dmax, p, root_of_unity_mod(p, V.k), budget)
 
 
 def symmetrizer_rank(V: BraidedSpace, n: int, mode: str = "modular",
@@ -751,24 +773,3 @@ def reports_jsonl(reports) -> str:
 
     return "\n".join(json.dumps(r.to_dict(), sort_keys=True)
                      for r in reports) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Debug dumps (documented sparse triplet text format)
-# ---------------------------------------------------------------------------
-
-
-def dump_operator_triplets(op: MonomialOp, path):
-    """One 'row col exponent' line per nonzero of a monomial operator."""
-    with open(path, "w") as fh:
-        for col in range(op.perm.shape[0]):
-            fh.write(f"{int(op.perm[col])} {col} {int(op.expo[col])}\n")
-
-
-def dump_symmetrizer_triplets(V: BraidedSpace, n: int, p: int, path):
-    """One 'row col residue' line per nonzero of the modular symmetrizer."""
-    omega = root_of_unity_mod(p, V.k)
-    mat = symmetrizer_dense_mod(V, n, p, omega)
-    with open(path, "w") as fh:
-        for r, c in zip(*np.nonzero(mat)):
-            fh.write(f"{int(r)} {int(c)} {int(mat[r, c])}\n")

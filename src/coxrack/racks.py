@@ -63,13 +63,6 @@ class Rack:
     def size(self) -> int:
         return len(self.labels)
 
-    def apply(self, i: int, j: int) -> int:
-        return self.act[i][j]
-
-    def inverse_apply(self, i: int, j: int) -> int:
-        """The unique y with x_i > y = x_j."""
-        return self.act[i].index(j)
-
     def is_trivial(self) -> bool:
         """Whether every element acts as the identity (abelian rack)."""
         n = self.size

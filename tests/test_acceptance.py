@@ -35,7 +35,6 @@ from coxrack.nichols import (
     is_quadratic_through,
     reduce_zeta_array,
     symmetrizer_factorized_exact,
-    symmetrizer_literal_exact,
     total_dimension,
     verify_matsumoto_invariance,
 )
@@ -48,6 +47,7 @@ from coxrack.racks import (
     rack_from_class,
     reflection_rack,
 )
+from oracles import symmetrizer_literal_exact
 
 BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
            "H3", "D4"]

@@ -116,6 +116,17 @@ def test_hilbert_exact_mode(capsys):
     assert [r["rank_plus"] for r in data["rows"]] == [1, 3, 4, 3]
 
 
+def test_hilbert_a3_exact_degree_4(capsys):
+    # 6^4 = 1296 columns, within the exact budget; 12 primes certify it
+    code, out, _ = run(capsys, "hilbert", "A3", "--dmax", "4",
+                       "--mode", "exact", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert [r["rank_plus"] for r in data["rows"]] == [1, 6, 19, 42, 71]
+    assert [r["rank_minus"] for r in data["rows"]] == [1, 6, 19, 42, 71]
+    assert all(r["agreed"] for r in data["rows"])
+
+
 def test_hilbert_disagreeing_primes_exit_2(capsys, undercounting_ladder):
     code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "3", "--json")
     assert code == 2
@@ -207,3 +218,12 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory: Unable to allocate 5.37 GiB")
     assert err.count("\n") == 1
+
+
+def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 200_000)
+    code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: degree 3 needs 207936 bytes for two copies of "
+                   "its 114 x 114 candidate block, memory limit 200000\n")

@@ -1,6 +1,7 @@
 """Braidings, Matsumoto section, symmetrizer ranks, quadraticity."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coxrack.dihedral import (
 )
 from coxrack.modlin import (
     primes_one_mod,
+    rank_exact_cyclo,
     rank_mod,
     root_of_unity_mod,
     row_reduce_mod,
@@ -29,6 +31,7 @@ from coxrack.nichols import (
     all_reduced_words,
     braiding_from_rack,
     coset_ops,
+    exact_matrix_as_cyclo,
     hilbert_coeffs,
     hilbert_equal,
     is_quadratic_through,
@@ -39,7 +42,6 @@ from coxrack.nichols import (
     reduce_zeta_array,
     symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
-    symmetrizer_literal_exact,
     symmetrizer_rank,
     total_dimension,
     verify_matsumoto_invariance,
@@ -52,6 +54,7 @@ from coxrack.racks import (
     rack_from_class,
     reflection_rack,
 )
+from oracles import symmetrizer_literal_exact
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +429,7 @@ def test_exact_budget_refused_before_any_work(spaces, monkeypatch):
         raise AssertionError("exact assembly ran before the budget check")
 
     monkeypatch.setattr(nichols, "symmetrizer_factorized_exact", no_work)
+    monkeypatch.setattr(nichols, "hilbert_ladder_mod", no_work)
     with pytest.raises(DegreeTooLargeError):
         hilbert_coeffs(spaces("A3"), 5, mode="exact")
 
@@ -445,6 +449,70 @@ def test_exact_mode_matches_modular(spaces):
         modular = hilbert_coeffs(V, 3)
         assert [r.rank for r in exact] == [r.rank for r in modular]
         assert all(r.mode == "exact" for r in exact)
+
+
+# -- exact ranks certified on the ladder --------------------------------------
+
+
+def dense_exact_rank(V, n):
+    """Oracle: rank of S_n over Q(zeta_k) by dense CycloNumber elimination,
+    zero rows and columns dropped first (they do not change the rank)."""
+    arr = symmetrizer_factorized_exact(V, n)
+    nonzero = reduce_zeta_array(arr, V.k).any(axis=2)
+    arr = arr[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
+    return rank_exact_cyclo(exact_matrix_as_cyclo(arr, V.k), V.k)
+
+
+EXACT_CASES = [("A2", "plus"), ("A2", "minus"), ("B2", "plus"),
+               ("B2", "minus"), ("I2(4)", "plus"), ("B3 small class", "plus"),
+               ("B3 small class", "minus"), ("dihedral 5", None)]
+
+
+def exact_case_space(spaces, name, which):
+    if name.startswith("B3"):
+        return b3_small_class_space(which)
+    if name == "dihedral 5":
+        return dihedral_yd(5, [(5, 1), (5, 3)])
+    return spaces(name, which)
+
+
+@pytest.mark.parametrize("name,which", EXACT_CASES)
+def test_exact_mode_matches_dense_cyclo_oracle(spaces, name, which):
+    V = exact_case_space(spaces, name, which)
+    assert V.dim ** 4 <= 256
+    reports = hilbert_coeffs(V, 4, mode="exact")
+    assert [r.rank for r in reports[2:]] == [dense_exact_rank(V, n)
+                                            for n in range(2, 5)]
+    assert all(r.mode == "exact" and r.agreed for r in reports)
+
+
+@pytest.mark.parametrize("name,which", EXACT_CASES)
+def test_exact_primes_exceed_hadamard_bound(spaces, name, which):
+    V = exact_case_space(spaces, name, which)
+    phi = sum(math.gcd(j, V.k) == 1 for j in range(1, V.k + 1))
+    for r in hilbert_coeffs(V, 4, mode="exact"):
+        assert len(r.primes) >= 2
+        assert all(p % V.k == 1 for p in r.primes)
+        assert (math.prod(r.primes)
+                > math.factorial(r.degree) ** ((r.rank + 1) * phi))
+
+
+def test_exact_mode_certifies_despite_undercounting_prime(
+        spaces, undercounting_ladder):
+    reports = hilbert_coeffs(spaces("A2"), 3, mode="exact")
+    assert [r.rank for r in reports] == [1, 3, 4, 3]
+    assert all(r.agreed for r in reports)
+
+
+def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
+    # A3 degree 3 has a 6 * 19 = 114 candidate block: two int64 copies
+    # need 16 * 114^2 = 207936 bytes
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 200_000)
+    with pytest.raises(DegreeTooLargeError,
+                       match="degree 3 needs 207936 bytes"):
+        hilbert_coeffs(spaces("A3"), 3)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 207_936)
+    assert [r.rank for r in hilbert_coeffs(spaces("A3"), 3)] == [1, 6, 19, 42]
 
 
 def test_report_serialization(spaces):
@@ -494,24 +562,3 @@ def test_one_dim_space_quadratic():
 def test_fk3_quadratic_through_4(spaces):
     assert is_quadratic_through(spaces("A2"), 4)
     assert is_quadratic_through(spaces("A2", "minus"), 4)
-
-
-# -- dumps -------------------------------------------------------------------
-
-
-def test_dump_formats(tmp_path, spaces):
-    from coxrack.nichols import dump_operator_triplets, dump_symmetrizer_triplets
-
-    V = spaces("A2")
-    op = V.braid_letter(2, 1)
-    path = tmp_path / "op.txt"
-    dump_operator_triplets(op, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 9
-    row, col, e = map(int, lines[0].split())
-    assert row == int(op.perm[col]) and e == int(op.expo[col])
-
-    p = primes_one_mod(V.k, 1)[0]
-    path2 = tmp_path / "sym.txt"
-    dump_symmetrizer_triplets(V, 2, p, path2)
-    assert len(path2.read_text().strip().splitlines()) > 0
