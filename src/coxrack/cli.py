@@ -285,11 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hil.add_argument("--mode", choices=("modular", "exact"),
                        default="modular")
     p_hil.add_argument("--budget", type=int, default=None,
-                       help="modular mode: max image coordinate vectors "
-                            "memoized per degree (default 20000), each "
-                            "d*r(n-1) int64 values in degree n, r(n-1) the "
-                            "rank of degree n-1; exact mode: max ambient "
-                            "columns d^n (default 2000)")
+                       help="max image coordinate vectors memoized per "
+                            "degree (default 20000), each d*r(n-1) int64 "
+                            "values in degree n, r(n-1) the rank of degree "
+                            "n-1")
     p_hil.add_argument("--subrack", default=None,
                        help="restrict to a reflection class (T1, T2, ...)")
 

@@ -10,6 +10,12 @@ well-defined by recomputing it along every path.  The resulting group
 certificate that the two sign cocycles on reflections are twist
 equivalent.
 
+No product table is built.  Every product the certificate checks is
+walked down W's BFS tree from the generator permutations of the
+extension and W's right multiplication `rmult`, one length level at a
+time (as in Casselman, "Machine calculations in Weyl groups", 1994):
+the largest table held is phi itself, |W|^2 bytes.
+
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
 a serialized counterexample instead of returning False.
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coxeter import ConjGraph, CoxeterMatrix, GroupTable
+from .nichols import _memory_limit_bytes
 from .racks import (
     cohomologous_solve,
     q_minus,
@@ -31,6 +38,9 @@ from .racks import (
     q_plus_table,
     reflection_rack,
 )
+
+
+BLOCK_CELLS = 1 << 22  # table cells gathered per block of the cocycle check
 
 
 class EnumerationOverflow(RuntimeError):
@@ -219,20 +229,14 @@ def coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
             raise AssertionError("generator action is not a permutation")
         perms.append(perm)
     # final verification: every relator closes at every live coset
-    letter_act = []
-    for g in range(pres.ngens):
-        letter_act.append(perms[g])
-        inv_perm = [0] * len(alive)
-        for c, img in enumerate(perms[g]):
-            inv_perm[img] = c
-        letter_act.append(inv_perm)
-    for c in range(len(alive)):
-        for w in pres.relators:
-            x = c
-            for letter in w:
-                x = letter_act[letter][x]
-            if x != c:
-                raise AssertionError("relator does not close on the coset table")
+    letter_act = [a for pm in np.array(perms) for a in (pm, np.argsort(pm))]
+    cosets = np.arange(len(alive))
+    for w in pres.relators:
+        x = cosets
+        for letter in w:
+            x = letter_act[letter][x]
+        if not np.array_equal(x, cosets):
+            raise AssertionError("relator does not close on the coset table")
     return perms
 
 
@@ -242,111 +246,69 @@ def coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
 
 
 class ExtGroup:
-    """Regular permutation representation of the extension.
+    """The extension as the right action of its generators on itself.
 
-    Element 0 is the identity; generator ids follow t_0..t_(l-1), z.
-    Immutable after construction.
+    Element 0 is the identity; gen_perms[g, c] is c times generator g,
+    generators t_0..t_(l-1), then z.  `tree` lists the BFS steps
+    (gen, elems, parents), elems = parents * gen, level by level: a value
+    set at the identity and extended along the steps in order is its
+    value along the BFS words.  tconj[i, c] = t_i c t_i.  build_wtilde
+    adds `pi`, the projection to W.
     """
 
     def __init__(self, gen_perms: list[list[int]], nt: int):
-        self.ngens = len(gen_perms)
+        self.gen_perms = np.array(gen_perms, dtype=np.int32)
+        self.ngens, self.order = self.gen_perms.shape
         self.nt = nt                       # number of t-generators
-        self.order = len(gen_perms[0])
-        self.gen_perms = [np.array(pm, dtype=np.int32) for pm in gen_perms]
-        self._bfs_words()
-        self._mult = None
-        self.z_elem = int(self.gen_perms[nt][0])
-        self.t_elems = [int(self.gen_perms[i][0]) for i in range(nt)]
-
-    def _bfs_words(self):
-        order = self.order
-        seen = [False] * order
-        seen[0] = True
-        queue = [0]
-        words_by = {0: ()}
-        parent = np.zeros(order, dtype=np.int64)
-        last = np.zeros(order, dtype=np.int64)
-        levels = []
-        while queue:
-            levels.append(np.array(queue, dtype=np.int64))
-            nxt = []
-            for c in queue:
-                for g in range(self.ngens):
-                    d = int(self.gen_perms[g][c])
-                    if not seen[d]:
-                        seen[d] = True
-                        words_by[d] = words_by[c] + (g,)
-                        parent[d], last[d] = c, g
-                        nxt.append(d)
-            queue = nxt
-        if not all(seen):
-            raise AssertionError("generators do not act transitively")
-        self.words = [words_by[c] for c in range(order)]
-        # BFS tree steps (gen, elems, parents) with elems = parents * gen,
-        # level by level: a value set at the identity and extended along
-        # the steps in order is its value along the BFS words
-        self.tree = []
-        for level in levels[1:]:
-            for g in range(self.ngens):
-                elems = level[last[level] == g]
-                self.tree.append((g, elems, parent[elems]))
-
-    def apply_word(self, c: int, word) -> int:
-        for g in word:
-            c = int(self.gen_perms[g][c])
-        return c
-
-    def mul(self, a: int, b: int) -> int:
-        return self.apply_word(a, self.words[b])
-
-    def mult_table(self) -> np.ndarray:
-        if self._mult is None:
-            # left multiplication by each generator, g (p h) = (g p) h,
-            # then the table row by row: (p h) b = p (h b)
-            n = self.order
-            L = np.empty((self.ngens, n), dtype=np.int32)
-            L[:, 0] = [int(pm[0]) for pm in self.gen_perms]
-            for h, elems, parents in self.tree:
-                L[:, elems] = self.gen_perms[h][L[:, parents]]
-            M = np.empty((n, n), dtype=np.int32)
-            M[0] = np.arange(n, dtype=np.int32)
-            for h, elems, parents in self.tree:
-                M[elems] = M[parents[:, None], L[h]]
-            self._mult = M
-        return self._mult
-
-    def inv_table(self) -> np.ndarray:
-        # every generator is an involution: (p h)^-1 = h p^-1
-        M = self.mult_table()
-        inv = np.zeros(self.order, dtype=np.int32)
+        self.z_elem = int(self.gen_perms[nt, 0])
+        self.t_elems = [int(e) for e in self.gen_perms[:nt, 0]]
+        self._bfs_tree()
+        # left multiplication by each t_i, t_i (p h) = (t_i p) h, then
+        # t_i c t_i = (t_i c) t_i
+        left = np.empty((nt, self.order), dtype=np.int32)
+        left[:, 0] = self.t_elems
         for h, elems, parents in self.tree:
-            inv[elems] = M[self.gen_perms[h][0], inv[parents]]
-        return inv
+            left[:, elems] = self.gen_perms[h][left[:, parents]]
+        self.tconj = np.take_along_axis(self.gen_perms[:nt], left, axis=1)
 
-    def conj(self, a: int, b: int) -> int:
-        """a > b = a b a^-1."""
-        M = self.mult_table()
-        inv = self._inv
-        return int(M[M[a, b], inv[a]])
+    def _bfs_tree(self):
+        seen = np.zeros(self.order, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        self.tree = []
+        while frontier.size:
+            level = []
+            for g in range(self.ngens):
+                elems, first = np.unique(self.gen_perms[g, frontier],
+                                         return_index=True)
+                new = ~seen[elems]
+                elems, parents = elems[new], frontier[first[new]]
+                seen[elems] = True
+                self.tree.append((g, elems, parents))
+                level.append(elems)
+            frontier = np.concatenate(level)
+        if not seen.all():
+            raise AssertionError("generators do not act transitively")
 
-    def finalize(self):
-        self._inv = self.inv_table()
-        M = self.mult_table()
-        if M[np.arange(self.order), self._inv].any():
-            raise AssertionError("inverse table is wrong")
-        return self
+    def lift(self, word) -> int:
+        """The product of the generators in `word`."""
+        c = 0
+        for g in word:
+            c = int(self.gen_perms[g, c])
+        return c
 
 
 def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
     """Enumerate the extension and verify its structural contract.
 
-    Asserts order 2|W|, z central of order two, and that t_i -> s_i,
-    z -> 1 is a well-defined surjection with kernel {1, z}.
+    Asserts order 2|W|, every generator an involution, z central, and
+    that t_i -> s_i, z -> 1 is a well-defined surjection with kernel
+    {1, z}.
     """
     pres = Presentation.wtilde(matrix)
     cap = 4 * g.order + 16
     perms = coset_enumeration(pres, cap)
-    ext = ExtGroup(perms, nt=matrix.rank).finalize()
+    ext = ExtGroup(perms, nt=matrix.rank)
 
     if ext.order != 2 * g.order:
         raise AssertionError(
@@ -354,12 +316,12 @@ def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
     z = ext.z_elem
     if z == 0:
         raise PresentationCollapse("z collapsed to the identity")
-    zp = ext.gen_perms[ext.nt]
-    if int(zp[z]) != 0:
-        raise AssertionError("z is not an involution")
+    gp = ext.gen_perms
+    if gp[np.arange(ext.ngens), gp[:, 0]].any():
+        raise AssertionError("a generator is not an involution")
+    zp = gp[ext.nt]
     for i in range(ext.nt):
-        tp = ext.gen_perms[i]
-        if not np.array_equal(tp[zp], zp[tp]):
+        if not np.array_equal(gp[i][zp], zp[gp[i]]):
             raise AssertionError("z fails to commute with a generator")
 
     # projection pi: t_i -> s_i, z -> identity, along BFS words
@@ -368,7 +330,7 @@ def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
         pi[elems] = g.rmult[pi[parents], gen] if gen < ext.nt else pi[parents]
     for gen in range(ext.ngens):
         want = g.rmult[pi, gen] if gen < ext.nt else pi
-        if not np.array_equal(pi[ext.gen_perms[gen]], want):
+        if not np.array_equal(pi[gp[gen]], want):
             raise AssertionError("projection to W is not a homomorphism")
     kernel = np.nonzero(pi == 0)[0].tolist()
     if sorted(kernel) != sorted({0, z}):
@@ -415,11 +377,43 @@ class GroupCocycle2:
     table: np.ndarray  # (|W|, |W|) uint8
 
 
-def _lift_word(ext: ExtGroup, word) -> int:
-    c = 0
-    for i in word:
-        c = int(ext.gen_perms[i][c])
-    return c
+def _tree_walk(g: GroupTable, start: np.ndarray, step):
+    """Carry a row of values down W's BFS tree, one length level at a time.
+
+    Yields (lo, hi, block) per level, block[k] the row at element lo + k:
+    `start` at the identity, then step(parent rows, last letters as a
+    column) for the elements u = parent * s_i.  Only one level is held.
+    """
+    bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
+    block = start[None]
+    yield 0, 1, block
+    for prev, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
+        block = step(block[g._parent[lo:hi] - prev], g._last[lo:hi, None])
+        yield lo, hi, block
+
+
+def _lifts(g: GroupTable, ext: ExtGroup) -> np.ndarray:
+    """The lifts of the ShortLex words of W (t_i for s_i, no z)."""
+    walk = _tree_walk(g, np.zeros(1, dtype=np.int32),
+                      lambda c, s: ext.gen_perms[s, c])
+    return np.concatenate([block[:, 0] for _, _, block in walk])
+
+
+def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
+    """Yield (xs, block), block[k] = rho(x) values rho(x)^-1 for x = xs[k],
+    one length level of x^-1 at a time, for any section rho.
+
+    Conjugation by e depends only on pi(e): e' = e k with k in
+    ker pi = {1, z}, and z is central, so e' c e'^-1 = e c e^-1.  The
+    walk visits u = u' s_i, so x = u^-1 = s_i x' with x' = u'^-1, and
+    t_i rho(x') projects to x: conjugation by rho(x) is t_i (conjugation
+    by rho(x')) t_i^-1 = tconj[i] of the parent's block.  build_wtilde
+    verifies the kernel, that z is central and that t_i = t_i^-1;
+    build_section verifies that rho is a section.
+    """
+    for lo, hi, block in _tree_walk(g, values,
+                                    lambda c, s: ext.tconj[s, c]):
+        yield g.inv_arr[lo:hi], block
 
 
 def build_section(g: GroupTable, ext: ExtGroup,
@@ -431,98 +425,78 @@ def build_section(g: GroupTable, ext: ExtGroup,
     word with z-exponent zero (so rho(identity) = 1).
     """
     graph = graph or g.conjugacy_graph()
-    z = ext.z_elem
-    rho = np.empty(g.order, dtype=np.int32)
-    for w in range(g.order):
-        rho[w] = _lift_word(ext, g.words[w])
+    zp = ext.gen_perms[ext.nt]
+    rho = _lifts(g, ext)
 
-    refl_by_length = sorted(g.reflections, key=lambda t: g.length(t.elem))
-    rho_refl: dict[int, int] = {}
-    for refl in refl_by_length:
-        if g.length(refl.elem) == 1:
-            rho_refl[refl.index] = ext.t_elems[refl.elem - 1]
-            continue
-        gen, target = graph.out_edges(refl.index)[0]
-        t_i = ext.t_elems[gen]
-        val = ext.mul(ext.mul(t_i, rho_refl[target]), t_i)
-        rho_refl[refl.index] = int(ext.gen_perms[ext.nt][val])  # append z
-    for refl in g.reflections:
-        rho[refl.elem] = rho_refl[refl.index]
+    # rho(s_i) = t_i is already the lift of its word
+    for refl in sorted(g.reflections, key=lambda t: g.length(t.elem)):
+        if g.length(refl.elem) > 1:
+            gen, target = graph.out_edges(refl.index)[0]
+            rho[refl.elem] = zp[ext.tconj[gen, rho[g.reflections[target].elem]]]
 
     # certification: every path (equivalently every palindromic reduced
     # expression) must produce the same element
     for refl in g.reflections:
-        words = graph.path_words(refl.index)
         values = []
-        for word in words:
-            r = len(word) // 2
-            val = _lift_word(ext, word)
-            for _ in range(r % 2):
-                val = int(ext.gen_perms[ext.nt][val])
-            values.append((val, word))
+        for word in graph.path_words(refl.index):
+            val = ext.lift(word)
+            values.append((int(zp[val]) if len(word) // 2 % 2 else val, word))
         baseline, base_word = values[0]
-        if baseline != rho_refl[refl.index]:
+        if baseline != rho[refl.elem]:
             raise PathMismatchError(refl.elem, base_word, g.words[refl.elem])
         for val, word in values[1:]:
             if val != baseline:
                 raise PathMismatchError(refl.elem, base_word, word)
 
-    section = Section(rho=rho)
-    pi = ext.pi
-    if any(pi[rho[w]] != w for w in range(g.order)):
+    if not np.array_equal(ext.pi[rho], np.arange(g.order)):
         raise AssertionError("rho is not a section of the projection")
-    return section
+    return Section(rho=rho)
 
 
 def check_vendramin(g: GroupTable, ext: ExtGroup, sec: Section):
     """Verify rho(s) > rho(y) = rho(s > y) z^[s != y] over S x T.
 
+    rho(s_i) and t_i both project to s_i, so conjugating by either is
+    the same (see _conjugates): one gather of tconj[i] per generator.
     Returns None on success, else the witness pair (s, y) as element ids.
     """
-    M = ext.mult_table()
-    inv = ext._inv
-    z = ext.z_elem
+    zp = ext.gen_perms[ext.nt]
+    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    conj_refl = g.conj_refl_table()
     for i in range(g.rank):
         s = g.simple_reflection(i)
-        rs = sec(s)
-        for refl in g.reflections:
-            y = refl.elem
-            lhs = int(M[M[rs, sec(y)], inv[rs]])
-            rhs = sec(g.conj(s, y))
-            if s != y:
-                rhs = int(M[rhs, z])
-            if lhs != rhs:
-                return (s, y)
+        lhs = ext.tconj[i, sec.rho[refl_elems]]
+        rhs = sec.rho[refl_elems[conj_refl[s]]]
+        rhs = np.where(refl_elems != s, zp[rhs], rhs)
+        if not np.array_equal(lhs, rhs):
+            t = int(np.nonzero(lhs != rhs)[0][0])
+            return (s, int(refl_elems[t]))
     return None
 
 
 def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     """Verify rho(w) > rho(y) = (q+/q-)(w, y) rho(w > y) over all W x T."""
-    M = ext.mult_table()
-    inv = ext._inv
-    z = ext.z_elem
-    eplus = q_plus_table(g)
-    parity = (g.length_arr % 2).astype(np.uint8)
-    conj_refl = g.conj_refl_table()
+    zp = ext.gen_perms[ext.nt]
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
     rho = sec.rho
-    zmul = M[:, z]
-    for w in range(g.order):
-        rw = int(rho[w])
-        lhs = M[M[rw, rho[refl_elems]], inv[rw]]
-        rhs = rho[refl_elems[conj_refl[w]]]
-        bits = eplus[w] ^ parity[w]
-        rhs = np.where(bits, zmul[rhs], rhs)
-        if not np.array_equal(lhs, rhs):
-            t = int(np.nonzero(lhs != rhs)[0][0])
-            return (w, int(refl_elems[t]))
+    lhs = np.empty((g.order, len(refl_elems)), dtype=np.int32)
+    for xs, block in _conjugates(g, ext, rho[refl_elems]):
+        lhs[xs] = block
+    rhs = rho[refl_elems[g.conj_refl_table()]]
+    bits = q_plus_table(g) ^ (g.length_arr % 2).astype(np.uint8)[:, None]
+    rhs = np.where(bits, zp[rhs], rhs)
+    if not np.array_equal(lhs, rhs):
+        w, t = np.argwhere(lhs != rhs)[0]
+        return (int(w), int(refl_elems[t]))
     return None
 
 
-def cocycle_identity_witness(mult: np.ndarray, table: np.ndarray, middles):
+def cocycle_identity_witness(table: np.ndarray, middles, right: np.ndarray,
+                             left: np.ndarray):
     """First (x, y, w) with phi(xy,w) + phi(x,y) != phi(x,yw) + phi(y,w).
 
-    Checks every x and w but only the middle elements y in `middles`,
+    Checks every x and w but only the middle elements y = middles[k],
+    given right[:, k] = x y over all x and left[:, k] = y w over all w,
     and returns None when all of those triples hold.  With middles the
     simple reflections this accepts exactly the tables that satisfy the
     identity on all of W x W x W, normalized or not (Light's
@@ -539,60 +513,79 @@ def cocycle_identity_witness(mult: np.ndarray, table: np.ndarray, middles):
     reflections (the identity too: s s = 1), so once they pass, all
     of W passes.
     """
-    for y in middles:
-        lhs = table[mult[:, y]] ^ table[:, y][:, None]
-        rhs = table[:, mult[y]] ^ table[y][None, :]
-        if not np.array_equal(lhs, rhs):
-            x, w = np.argwhere(lhs != rhs)[0]
-            return (int(x), int(y), int(w))
+    n = len(table)
+    rows = max(1, BLOCK_CELLS // n)
+    for k, y in enumerate(middles):
+        for x0 in range(0, n, rows):
+            xs = slice(x0, x0 + rows)
+            lhs = table[right[xs, k]] ^ table[xs, y][:, None]
+            rhs = table[xs][:, left[:, k]] ^ table[y][None, :]
+            if not np.array_equal(lhs, rhs):
+                x, w = np.argwhere(lhs != rhs)[0]
+                return (int(x0 + x), int(y), int(w))
     return None
 
 
 def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     """Extract the z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1.
 
+    phi is built one column y at a time, walking y down W's BFS tree.
+    rho(y) = lift(y) z^f(y), lift(y) the product of the t_i along y's
+    ShortLex word, so the column rho(x) lift(y) over all x is the
+    parent's column pushed through gen_perms[last letter of y], and the
+    column xy is the parent's pushed through rmult.  Then
+    rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y) is f(y) plus whether
+    rho(x) lift(y) differs from rho(xy).
+
     Verifies that every value lies in the kernel, the group 2-cocycle
     identity, and the conjugation identity
-    phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W.  The
-    2-cocycle identity is checked with the middle element restricted to
-    the simple reflections, which is equivalent to the full W x W x W
-    check (see cocycle_identity_witness).
+    phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W, where
+    rho(x) > rho(W) comes from the walk of _conjugates and x > W from the
+    same walk in W.  The 2-cocycle identity is checked with the middle
+    element restricted to the simple reflections, which is equivalent to
+    the full W x W x W check (see cocycle_identity_witness).  A failing
+    check reports its first (x, y) in row-major order.
     """
-    MW = g.mult_table()
-    ME = ext.mult_table()
-    inv = ext._inv
-    z = ext.z_elem
-    rho = sec.rho
-    rho_inv = inv[rho]
-
-    n = g.order
-    vals = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        vals[x] = ME[ME[rho[MW[x]], rho_inv], rho_inv[x]]
-    in_kernel = (vals == 0) | (vals == z)
-    if not in_kernel.all():
-        bad = np.argwhere(~in_kernel)[0]
-        raise CertificationError("phi-kernel", [int(bad[0]), int(bad[1])])
-    table = (vals == z).astype(np.uint8)
+    n, rho = g.order, sec.rho
+    zp = ext.gen_perms[ext.nt]
+    flip = rho != _lifts(g, ext)
+    ident = np.arange(n, dtype=np.int32)
+    table = np.empty((n, n), dtype=np.uint8)
+    misses = []
+    products = _tree_walk(g, rho, lambda c, s: ext.gen_perms[s, c])
+    xys = _tree_walk(g, ident, lambda c, s: g.rmult[c, s])
+    for (lo, hi, prod), (_, _, xy) in zip(products, xys):
+        # prod[k, x] = rho(x) lift(y), xy[k, x] = x y for y = lo + k
+        r = rho[xy]
+        differ = prod != r
+        miss = differ & (prod != zp[r])
+        if miss.any():
+            k, x = np.nonzero(miss)
+            misses.append(min(zip(x.tolist(), (lo + k).tolist())))
+        table[:, lo:hi] = (differ ^ flip[lo:hi, None]).T
+    if misses:
+        raise CertificationError("phi-kernel", list(min(misses)))
 
     # group 2-cocycle identity phi(xy, w) phi(x, y) = phi(x, yw) phi(y, w)
-    simples = [g.simple_reflection(i) for i in range(g.rank)]
-    witness = cocycle_identity_witness(MW, table, simples)
+    left = g.inv_arr[g.rmult[g.inv_arr]]  # [w, i] = s_i w
+    witness = cocycle_identity_witness(table, g.rmult[0], g.rmult, left)
     if witness is not None:
         raise CertificationError("phi-cocycle-identity", list(witness))
 
     # conjugation identity, over all of W x W
-    inv_w = g.inv_arr
-    zmul = ME[:, z]
-    for x in range(n):
-        conj_x = MW[MW[x], inv_w[x]]  # x > y for all y
-        lhs = ME[ME[rho[x], rho], rho_inv[x]]
-        lhs = np.where(table[x], zmul[lhs], lhs)
-        rhs = rho[conj_x]
-        rhs = np.where(table[conj_x, x], zmul[rhs], rhs)
-        if not np.array_equal(lhs, rhs):
-            y = int(np.nonzero(lhs != rhs)[0][0])
-            raise CertificationError("phi-conjugation-identity", [int(x), y])
+    wconj = left[g.rmult, np.arange(g.rank)].T  # [i, y] = s_i y s_i
+    w_walk = _tree_walk(g, ident, lambda c, s: wconj[s, c])
+    for (xs, lhs), (_, _, conj_x) in zip(_conjugates(g, ext, rho), w_walk):
+        # row k: rho(x) rho(W) rho(x)^-1 and x W x^-1 for x = xs[k]
+        r = rho[conj_x]
+        at_x = np.take_along_axis(np.ascontiguousarray(table[:, xs].T),
+                                  conj_x, axis=1)  # phi(x > y, x)
+        ok = np.where(table[xs] ^ at_x, lhs == zp[r], lhs == r)
+        if not ok.all():
+            k, y = np.nonzero(~ok)
+            misses.append(min(zip(xs[k].tolist(), y.tolist())))
+    if misses:
+        raise CertificationError("phi-conjugation-identity", list(min(misses)))
 
     return GroupCocycle2(table=table)
 
@@ -662,8 +655,20 @@ def twist_certificate(g: GroupTable) -> dict:
     """Run the full pipeline and assemble the certificate dictionary.
 
     Raises CertificationError / PathMismatchError on mathematical
-    falsification; those are never expected states.
+    falsification; those are never expected states.  Raises MemoryError
+    before any work when phi and the walks that fill and check it would
+    not fit in memory.
     """
+    # phi is a |W|^2 uint8 table; at their peak the walks hold about 32
+    # bytes per pair of an element of W and one of its largest length
+    # level (measured on H4)
+    n = g.order
+    need = n * n + 32 * n * int(np.bincount(g.length_arr).max())
+    limit = _memory_limit_bytes()
+    if need > limit:
+        raise MemoryError(
+            f"certifying |W| = {n} needs about {need} bytes, {n * n} of "
+            f"them for phi, memory limit {limit}")
     matrix = g.matrix
     ext = build_wtilde(matrix, g)
     sec = build_section(g, ext)
@@ -713,26 +718,18 @@ def twist_certificate(g: GroupTable) -> dict:
 
 def _verify_split_witness(g: GroupTable, ext: ExtGroup, bits):
     """The lifted generators generate a complement of the kernel."""
-    z = ext.z_elem
-    gens = []
-    for i, b in enumerate(bits):
-        e = ext.t_elems[i]
-        if b:
-            e = int(ext.gen_perms[ext.nt][e])
-        gens.append(e)
-    seen = {0}
-    frontier = [0]
-    M = ext.mult_table()
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for e in gens:
-                d = int(M[c, e])
-                if d not in seen:
-                    seen.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    if len(seen) != g.order or z in seen:
+    zp = ext.gen_perms[ext.nt]
+    # right multiplication by the lifts t_i z^b_i
+    gens = [zp[ext.gen_perms[i]] if b else ext.gen_perms[i]
+            for i, b in enumerate(bits)]
+    seen = np.zeros(ext.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(np.concatenate([p[frontier] for p in gens]))
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    if seen.sum() != g.order or seen[ext.z_elem]:
         raise CertificationError("split-witness", list(bits))
 
 

@@ -82,6 +82,8 @@ def root_of_unity_mod(p: int, k: int) -> int:
     """Smallest residue of multiplicative order exactly k modulo p."""
     if (p - 1) % k != 0:
         raise ValueError(f"{k} does not divide {p} - 1")
+    if k == 1:
+        return 1
     primes = _factorize(k)
     for g in range(2, p):
         x = pow(g, (p - 1) // k, p)

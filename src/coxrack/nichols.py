@@ -46,8 +46,7 @@ from .modlin import (
 from .cyclo import CycloNumber, euler_phi
 from .racks import Rack, RackCocycle
 
-MODULAR_BUDGET = 20_000   # max memoized coordinates per degree, modular mode
-EXACT_BUDGET = 2_000      # max d^n columns in exact mode
+MODULAR_BUDGET = 20_000   # max memoized coordinates per degree
 MAX_TOTAL_DEGREE = 64     # give up searching for the top degree here
 MEMO_CHUNK_CELLS = 1 << 20  # int64 cells of one batch of memoized columns
 INT64_MAX = (1 << 63) - 1
@@ -587,27 +586,21 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular",
     P_i, so prod p_i would divide N(D), while Hadamard's bound gives
     0 < |N(D)| <= (n!)^((r+1) phi(k)).  So once prod p_i exceeds that
     bound, the rank over Q(zeta_k) is r, even if some prime undercounts.
-    The reports list those primes, `agreed` True.  d^dmax over `budget`
-    is refused before any work; within it the ladder's memo budget
-    (memo plus batch at most 2 d^n) cannot trigger.
+    The reports list those primes, `agreed` True.  Both modes give each
+    ladder the same memo `budget` (see ladder_ranks_iter).
     """
     d = V.dim
+    budget = MODULAR_BUDGET if budget is None else budget
     if mode == "modular":
         if nprimes < 2:
             raise ValueError("modular mode needs at least two primes")
-        budget = MODULAR_BUDGET if budget is None else budget
         primes = primes_one_mod(V.k, count=nprimes)
         runs = [_ladder_run(V, dmax, p, budget) for p in primes]
     elif mode == "exact":
-        budget = EXACT_BUDGET if budget is None else budget
-        # d^n grows with n, so checking dmax refuses before any work
-        if d ** dmax > budget:
-            raise DegreeTooLargeError(
-                f"degree {dmax} needs {d ** dmax} columns, budget {budget}")
         phi, primes, runs, bound = euler_phi(V.k), (), [], 0
         while len(runs) < max(nprimes, 2) or math.prod(primes) <= bound:
             primes = primes_one_mod(V.k, count=len(runs) + 1)
-            runs.append(_ladder_run(V, dmax, primes[-1], 2 * d ** dmax))
+            runs.append(_ladder_run(V, dmax, primes[-1], budget))
             # Hadamard's bound on |N(D)|, r the largest rank so far
             top = [max(r[n] for r, _ in runs) for n in range(dmax + 1)]
             bound = max(math.factorial(n) ** ((r + 1) * phi)

@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
+from coxrack.extension import CertificationError, ExtGroup, GroupCocycle2
 from coxrack.nichols import BraidedSpace, perm_operator
+from coxrack.racks import q_plus_table
 
 
 def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
@@ -20,3 +22,127 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
         op = perm_operator(V, n, sigma)
         np.add.at(acc, (op.perm, cols, op.expo), 1)
     return acc
+
+
+# -- dense product tables of the extension and the checks that read them ------
+
+
+def ext_mult_table(ext: ExtGroup) -> np.ndarray:
+    """Dense (2|W|)^2 product table of the extension.
+
+    Left multiplication by each generator, g (p h) = (g p) h, then the
+    table row by row: (p h) b = p (h b).
+    """
+    n = ext.order
+    L = np.empty((ext.ngens, n), dtype=np.int32)
+    L[:, 0] = ext.gen_perms[:, 0]
+    for h, elems, parents in ext.tree:
+        L[:, elems] = ext.gen_perms[h][L[:, parents]]
+    M = np.empty((n, n), dtype=np.int32)
+    M[0] = np.arange(n, dtype=np.int32)
+    for h, elems, parents in ext.tree:
+        M[elems] = M[parents[:, None], L[h]]
+    return M
+
+
+def ext_inv_table(ext: ExtGroup, M: np.ndarray) -> np.ndarray:
+    """Inverses from M; every generator is an involution: (p h)^-1 = h p^-1."""
+    inv = np.zeros(ext.order, dtype=np.int32)
+    for h, elems, parents in ext.tree:
+        inv[elems] = M[ext.gen_perms[h][0], inv[parents]]
+    if M[np.arange(ext.order), inv].any():
+        raise AssertionError("inverse table is wrong")
+    return inv
+
+
+def dense_check_vendramin(g, ext, sec):
+    """check_vendramin, conjugating by rho(s) through the dense tables."""
+    M = ext_mult_table(ext)
+    inv = ext_inv_table(ext, M)
+    z = ext.z_elem
+    for i in range(g.rank):
+        s = g.simple_reflection(i)
+        rs = sec(s)
+        for refl in g.reflections:
+            y = refl.elem
+            lhs = int(M[M[rs, sec(y)], inv[rs]])
+            rhs = sec(g.conj(s, y))
+            if s != y:
+                rhs = int(M[rhs, z])
+            if lhs != rhs:
+                return (s, y)
+    return None
+
+
+def dense_check_global(g, ext, sec):
+    """check_global, conjugating by rho(w) through the dense tables."""
+    M = ext_mult_table(ext)
+    inv = ext_inv_table(ext, M)
+    z = ext.z_elem
+    eplus = q_plus_table(g)
+    parity = (g.length_arr % 2).astype(np.uint8)
+    conj_refl = g.conj_refl_table()
+    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    rho = sec.rho
+    zmul = M[:, z]
+    for w in range(g.order):
+        rw = int(rho[w])
+        lhs = M[M[rw, rho[refl_elems]], inv[rw]]
+        rhs = rho[refl_elems[conj_refl[w]]]
+        bits = eplus[w] ^ parity[w]
+        rhs = np.where(bits, zmul[rhs], rhs)
+        if not np.array_equal(lhs, rhs):
+            t = int(np.nonzero(lhs != rhs)[0][0])
+            return (w, int(refl_elems[t]))
+    return None
+
+
+def dense_cocycle_identity_witness(mult, table, middles):
+    """cocycle_identity_witness reading x y and y w from the dense mult."""
+    for y in middles:
+        lhs = table[mult[:, y]] ^ table[:, y][:, None]
+        rhs = table[:, mult[y]] ^ table[y][None, :]
+        if not np.array_equal(lhs, rhs):
+            x, w = np.argwhere(lhs != rhs)[0]
+            return (int(x), int(y), int(w))
+    return None
+
+
+def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
+    """phi_rho from the dense tables: a |W|^2 array of
+    rho(xy) rho(y)^-1 rho(x)^-1, then the same three checks."""
+    MW = g.mult_table()
+    ME = ext_mult_table(ext)
+    inv = ext_inv_table(ext, ME)
+    z = ext.z_elem
+    rho = sec.rho
+    rho_inv = inv[rho]
+
+    n = g.order
+    vals = np.empty((n, n), dtype=np.int32)
+    for x in range(n):
+        vals[x] = ME[ME[rho[MW[x]], rho_inv], rho_inv[x]]
+    in_kernel = (vals == 0) | (vals == z)
+    if not in_kernel.all():
+        bad = np.argwhere(~in_kernel)[0]
+        raise CertificationError("phi-kernel", [int(bad[0]), int(bad[1])])
+    table = (vals == z).astype(np.uint8)
+
+    simples = [g.simple_reflection(i) for i in range(g.rank)]
+    witness = dense_cocycle_identity_witness(MW, table, simples)
+    if witness is not None:
+        raise CertificationError("phi-cocycle-identity", list(witness))
+
+    inv_w = g.inv_arr
+    zmul = ME[:, z]
+    for x in range(n):
+        conj_x = MW[MW[x], inv_w[x]]  # x > y for all y
+        lhs = ME[ME[rho[x], rho], rho_inv[x]]
+        lhs = np.where(table[x], zmul[lhs], lhs)
+        rhs = rho[conj_x]
+        rhs = np.where(table[conj_x, x], zmul[rhs], rhs)
+        if not np.array_equal(lhs, rhs):
+            y = int(np.nonzero(lhs != rhs)[0][0])
+            raise CertificationError("phi-conjugation-identity", [int(x), y])
+
+    return GroupCocycle2(table=table)

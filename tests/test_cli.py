@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from coxrack import nichols
+from coxrack import extension, nichols
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -117,7 +117,7 @@ def test_hilbert_exact_mode(capsys):
 
 
 def test_hilbert_a3_exact_degree_4(capsys):
-    # 6^4 = 1296 columns, within the exact budget; 12 primes certify it
+    # 12 primes certify it
     code, out, _ = run(capsys, "hilbert", "A3", "--dmax", "4",
                        "--mode", "exact", "--json")
     assert code == 0
@@ -125,6 +125,19 @@ def test_hilbert_a3_exact_degree_4(capsys):
     assert [r["rank_plus"] for r in data["rows"]] == [1, 6, 19, 42, 71]
     assert [r["rank_minus"] for r in data["rows"]] == [1, 6, 19, 42, 71]
     assert all(r["agreed"] for r in data["rows"])
+
+
+def test_hilbert_b2_exact_full_series(capsys):
+    # 4^8 = 65536 words in degree 8; exact mode runs the ladder under the
+    # memo budget, not a cap on d^n
+    code, out, _ = run(capsys, "hilbert", "B2", "--mode", "exact",
+                       "--dmax", "8", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    want = [1, 4, 8, 12, 14, 12, 8, 4, 1]
+    assert [r["rank_plus"] for r in rows] == want
+    assert [r["rank_minus"] for r in rows] == want
+    assert sum(want) == 64
 
 
 def test_hilbert_disagreeing_primes_exit_2(capsys, undercounting_ladder):
@@ -227,3 +240,13 @@ def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: degree 3 needs 207936 bytes for two copies of "
                    "its 114 x 114 candidate block, memory limit 200000\n")
+
+
+def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 2_000)
+    code, out, err = run(capsys, "certify", "A3")
+    assert code == 1
+    assert out == ""
+    # 24^2 bytes for phi, 32 * 24 * 6 for the walks over its widest level
+    assert err == ("error: out of memory: certifying |W| = 24 needs about "
+                   "5184 bytes, 576 of them for phi, memory limit 2000\n")

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from coxrack import extension
-from coxrack.coxeter import build_group, preset_matrix
+from coxrack.coxeter import GroupTable, build_group, preset_matrix
 from coxrack.extension import (
+    CertificationError,
     EnumerationOverflow,
+    ExtGroup,
     GroupCocycle2,
     Presentation,
+    Section,
     build_section,
     build_wtilde,
     certificate_json,
@@ -25,6 +28,14 @@ from coxrack.extension import (
     twist_certificate,
 )
 from coxrack.racks import cohomologous_solve, q_minus, q_plus, reflection_rack
+from oracles import (
+    dense_check_global,
+    dense_check_vendramin,
+    dense_cocycle_identity_witness,
+    dense_phi_rho,
+    ext_inv_table,
+    ext_mult_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +86,7 @@ def test_z_is_central_involution(setups):
     g, ext, _ = setups("B3")
     z = ext.z_elem
     assert z != 0
-    M = ext.mult_table()
+    M = ext_mult_table(ext)
     assert M[z, z] == 0
     for c in range(ext.order):
         assert M[c, z] == M[z, c]
@@ -101,7 +112,7 @@ def test_is_split_matches_all_odd():
 def test_split_group_is_direct_product(setups):
     # I2(3): subgroup generated by the t_i has order |W| and misses z
     g, ext, _ = setups("I2(3)")
-    M = ext.mult_table()
+    M = ext_mult_table(ext)
     gens = ext.t_elems
     seen = {0}
     frontier = [0]
@@ -125,7 +136,7 @@ def test_section_on_simples_and_depth_one(setups):
     # A2: rho(s1 > s2) = t1 t2 t1 z
     x = g.conj(g.simple_reflection(0), g.simple_reflection(1))
     t0, t1 = ext.t_elems
-    M = ext.mult_table()
+    M = ext_mult_table(ext)
     expect = M[M[M[t0, t1], t0], ext.z_elem]
     assert sec(x) == expect
     # rho(identity) = identity, by the ShortLex lift convention
@@ -148,8 +159,8 @@ def test_vendramin_and_global(setups):
 
 def test_vendramin_fixed_point_case(setups):
     g, ext, sec = setups("B3")
-    M = ext.mult_table()
-    inv = ext._inv
+    M = ext_mult_table(ext)
+    inv = ext_inv_table(ext, M)
     for i in range(g.rank):
         s = g.simple_reflection(i)
         rs = sec(s)
@@ -271,6 +282,13 @@ def partial_cocycle_space(mult, ys):
     return basis.reshape(len(free), n, n)
 
 
+def reduced_witness(mult, table, ys):
+    """cocycle_identity_witness with its x y columns and y w rows read
+    from the dense mult."""
+    ys = list(ys)
+    return cocycle_identity_witness(table, ys, mult[:, ys], mult[ys].T)
+
+
 def identity_holds(mult, table, x, y, w):
     return (table[mult[x, y], w] ^ table[x, y]) == (table[x, mult[y, w]]
                                                     ^ table[y, w])
@@ -301,7 +319,7 @@ def test_reduced_cocycle_check_agrees_with_full(setups, name):
         tables.append(bad)
     rejected = 0
     for i, table in enumerate(tables):
-        reduced = cocycle_identity_witness(mult, table, simples(g))
+        reduced = reduced_witness(mult, table, simples(g))
         full = full_cocycle_witness(mult, table)
         assert (reduced is None) == (full is None), i
         if i < len(cocycles):
@@ -312,6 +330,19 @@ def test_reduced_cocycle_check_agrees_with_full(setups, name):
             assert y in simples(g)
             assert not identity_holds(mult, table, x, y, w)
     assert rejected > 0
+
+
+def test_reduced_cocycle_check_in_row_blocks(setups, monkeypatch):
+    # one row x per block gives the same first witness as one block
+    g, ext, sec = setups("B3")
+    mult = g.mult_table()
+    table = phi_rho(g, ext, sec).table.copy()
+    table[40, 7] ^= 1
+    whole = reduced_witness(mult, table, simples(g))
+    assert whole is not None and whole[0] > 0
+    assert whole == dense_cocycle_identity_witness(mult, table, simples(g))
+    monkeypatch.setattr(extension, "BLOCK_CELLS", 1)
+    assert reduced_witness(mult, table, simples(g)) == whole
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "A3"])
@@ -331,7 +362,7 @@ def test_reduced_cocycle_check_needs_every_simple_reflection(name):
         assert len(wider) > len(cocycles)
         rejected = 0
         for table in wider:
-            reduced = cocycle_identity_witness(mult, table, simples(g))
+            reduced = reduced_witness(mult, table, simples(g))
             assert (reduced is None) == (full_cocycle_witness(mult, table)
                                          is None)
             rejected += reduced is not None
@@ -343,8 +374,8 @@ def test_phi_rho_checks_every_simple_reflection(setups, monkeypatch):
     seen = []
     check = extension.cocycle_identity_witness
     monkeypatch.setattr(extension, "cocycle_identity_witness",
-                        lambda mult, table, ys: seen.append(list(ys))
-                        or check(mult, table, ys))
+                        lambda table, ys, right, left: seen.append(list(ys))
+                        or check(table, ys, right, left))
     phi_rho(g, ext, sec)
     assert seen == [simples(g)]
 
@@ -363,8 +394,117 @@ def test_phi_checksum_one_row_blocks(monkeypatch):
     assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
 
 
-def test_f4_certificate_pinned():
+@pytest.fixture
+def no_dense_tables(monkeypatch):
+    def refuse(self):
+        raise AssertionError("certify built a dense |W| x |W| table")
+
+    monkeypatch.setattr(GroupTable, "mult_table", refuse)
+
+
+def test_extension_keeps_no_product_table():
+    assert not hasattr(ExtGroup, "mult_table")
+    assert not hasattr(ExtGroup, "inv_table")
+
+
+def test_f4_certificate_pinned(no_dense_tables):
     g = build_group(preset_matrix("F4"))
     text = certificate_json(twist_certificate(g))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2f67bec673a9205e2bee27e71f0dc7a5d4de501c6e548360454c7fb9eaa3f55d")
+
+
+CERT_SHA256 = {
+    "A1": "d928c18ac587a423343ff24398fd8165afaf64f70d64a0df1894a422f039b106",
+    "A2": "3683a71377b59047a05615f1ef114dcb11dc0541381b936fdca6ab0f91396bfe",
+    "A3": "ca22c68d2ba190a7e347ad103cbc4db9013ab7424bf5e37d80bfcc947ffeb5a7",
+    "A4": "93a2e152174ade718ee00ad64058de602668848da4d9848fb027b8c70168e406",
+    "B2": "f98793c304c836af8884e4cb38c6d5992faeae5ebc10b7b58da3a1ed37083503",
+    "B3": "a1b0ec029b9e22ceb4d955cd13e19056ca0f04d15f899af3ffd78b52c2c147d0",
+    "I2(5)":
+        "9106005fa20ffa428e4c3a69a46c31e386ba9e695b7b52c60fba3b8350094a7a",
+    "I2(6)":
+        "0806e7d9f3999fa9ec52a0b00832f2cca2ae2e1b8f9d2d910bc38f7de2ae4529",
+    "I2(7)":
+        "ab408a24682daa7c43ecd407c3352b7deff56631316f60e957d8c5743a69ef86",
+    "H3": "01fb09b6063ef70dd25864fe9a349d0e67cb72097d1603e5ebe02462155e0036",
+    "D4": "2a3510c2862df5ea51450c14a1ab8323f1b23ff49e29d148171a65703db515a7",
+}
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_battery_certificate_pinned(name, no_dense_tables):
+    g = build_group(preset_matrix(name))
+    text = certificate_json(twist_certificate(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[name]
+
+
+# -- the walked checks against the dense-table oracles -------------------------
+
+
+@pytest.mark.parametrize("name", BATTERY + ["F4"])
+def test_walked_checks_agree_with_dense_oracles(setups, name):
+    g, ext, sec = setups(name)
+    assert check_vendramin(g, ext, sec) is None
+    assert dense_check_vendramin(g, ext, sec) is None
+    assert check_global(g, ext, sec) is None
+    assert dense_check_global(g, ext, sec) is None
+    assert np.array_equal(phi_rho(g, ext, sec).table,
+                          dense_phi_rho(g, ext, sec).table)
+
+
+def first_failure(g, ext, sec, vendramin, global_, phi):
+    """(stage, witness, phi table) of the first check that rejects sec."""
+    witness = vendramin(g, ext, sec)
+    if witness is not None:
+        return "vendramin", witness, None
+    witness = global_(g, ext, sec)
+    if witness is not None:
+        return "global", witness, None
+    try:
+        table = phi(g, ext, sec).table
+    except CertificationError as exc:
+        return exc.details["stage"], exc.details["witness"], None
+    witness = certify_twist(g, GroupCocycle2(table=table), q_plus(g),
+                            q_minus(g))
+    return ("twist" if witness else None), witness, table
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
+def test_corrupted_section_rejected_at_same_stage(setups, name):
+    # A z flipped on a reflection breaks the section's conjugation rule.
+    # Off the reflections the section is free: the flip changes phi by a
+    # coboundary, and every check holds in both versions.
+    g, ext, sec = setups(name)
+    zp = ext.gen_perms[ext.nt]
+    rng = np.random.default_rng(20240712)
+    refl = [t.elem for t in g.reflections]
+    other = sorted(set(range(g.order)) - set(refl))
+    for w, rejected in ((rng.choice(refl), True), (rng.choice(other), False)):
+        rho = sec.rho.copy()
+        rho[w] = zp[rho[w]]
+        bad = Section(rho=rho)
+        new = first_failure(g, ext, bad, check_vendramin, check_global,
+                            phi_rho)
+        old = first_failure(g, ext, bad, dense_check_vendramin,
+                            dense_check_global, dense_phi_rho)
+        assert new[:2] == old[:2], (name, w)
+        assert (new[0] is not None) == rejected, (name, w, new)
+        if not rejected:
+            assert np.array_equal(new[2], old[2])
+            assert not np.array_equal(new[2], phi_rho(g, ext, sec).table)
+
+
+def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
+        monkeypatch):
+    def no_work(*args):
+        raise AssertionError("coset enumeration ran before the memory check")
+
+    monkeypatch.setattr(extension, "coset_enumeration", no_work)
+    monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 90_000)
+    g = build_group(preset_matrix("A4"))
+    # 120^2 bytes for phi, 32 * 120 * 22 for the walks over its widest
+    # length level
+    with pytest.raises(MemoryError, match="needs about 98880 bytes, 14400 of "
+                                          "them for phi, memory limit 90000"):
+        twist_certificate(g)

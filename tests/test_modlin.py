@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coxrack import modlin
 from coxrack.cyclo import CycloNumber
 from coxrack.modlin import (
     MATMUL_CHUNK,
@@ -45,6 +46,18 @@ def test_root_of_unity_mod():
         for d in range(1, k):
             if k % d == 0:
                 assert pow(w, d, p) != 1
+
+
+def test_root_of_unity_mod_order_one(monkeypatch):
+    assert root_of_unity_mod(7, 1) == 1
+
+    # at a word-size prime, 1 comes back without a scan of the residues
+    def no_scan(k):
+        raise AssertionError("root_of_unity_mod scanned for k = 1")
+
+    monkeypatch.setattr(modlin, "_factorize", no_scan)
+    (p,) = primes_one_mod(1, count=1)
+    assert root_of_unity_mod(p, 1) == 1
 
 
 def test_rank_mod_against_rational_oracle():

@@ -420,18 +420,23 @@ def test_budget_guard(spaces):
     V = spaces("A3")
     with pytest.raises(DegreeTooLargeError):
         hilbert_coeffs(V, 8, budget=10_000)
-    with pytest.raises(DegreeTooLargeError):
-        hilbert_coeffs(V, 5, mode="exact")
 
 
-def test_exact_budget_refused_before_any_work(spaces, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("exact assembly ran before the budget check")
+def test_exact_mode_memo_budget_refuses_before_memo_passes_it(spaces,
+                                                              monkeypatch):
+    # exact mode gives its ladders the memo budget, as modular mode does:
+    # A3 degree 5 needs a degree-4 memo of 861 words
+    sizes = []
+    real = nichols._SpanLadder._memoize
 
-    monkeypatch.setattr(nichols, "symmetrizer_factorized_exact", no_work)
-    monkeypatch.setattr(nichols, "hilbert_ladder_mod", no_work)
-    with pytest.raises(DegreeTooLargeError):
-        hilbert_coeffs(spaces("A3"), 5, mode="exact")
+    def watched(self, m, words):
+        real(self, m, words)
+        sizes.append(self.levels[m].words.size)
+
+    monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
+    with pytest.raises(DegreeTooLargeError, match="budget 500"):
+        hilbert_coeffs(spaces("A3"), 5, mode="exact", budget=500)
+    assert 0 < max(sizes) <= 500
 
 
 def test_disagreeing_primes_report_largest_rank(spaces,
