@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .coxeter import (
-    CoxeterMatrix,
     GroupTable,
     InvalidMatrixError,
     NotFiniteError,
@@ -46,19 +44,6 @@ from .nichols import (
 from .racks import q_minus, q_plus, rack_from_class, reflection_rack
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    matrix: CoxeterMatrix
-    json_out: bool
-    dmax: int = 4
-    nprimes: int = 2
-    mode: str = "modular"
-    budget: int | None = None
-    subrack: str | None = None
-
-
 def _class_indices(g: GroupTable, name: str | None):
     """Resolve --subrack T1/T2/... to reflection indices (None = all of T)."""
     if name is None:
@@ -79,22 +64,23 @@ def _class_indices(g: GroupTable, name: str | None):
 # ---------------------------------------------------------------------------
 
 
-def cmd_info(cfg: RunConfig) -> int:
-    g = build_group(cfg.matrix)
+def cmd_info(args) -> int:
+    matrix = resolve_matrix(args.target)
+    g = build_group(matrix)
     classes = g.reflection_classes()
     data = {
         "schema": "group_info.v1",
-        "matrix": [list(r) for r in cfg.matrix.rows],
+        "matrix": [list(r) for r in matrix.rows],
         "rank": g.rank,
         "order": g.order,
         "positive_roots": g.nroots,
         "reflections": len(g.reflections),
         "class_sizes": [len(c) for c in classes],
-        "odd_components": cfg.matrix.odd_components(),
-        "all_odd": cfg.matrix.all_odd(),
+        "odd_components": matrix.odd_components(),
+        "all_odd": matrix.all_odd(),
         "cyclotomic_level": g.level,
     }
-    if cfg.json_out:
+    if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         print(f"|W| = {g.order}   |Phi+| = {g.nroots}   |T| = {len(g.reflections)}")
@@ -105,22 +91,23 @@ def cmd_info(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_certify(cfg: RunConfig, out: Path | None = None) -> int:
-    g = build_group(cfg.matrix)
+def cmd_certify(args) -> int:
+    g = build_group(resolve_matrix(args.target))
     cert = twist_certificate(g)
     text = certificate_json(cert)
-    if out is not None:
-        out.write_text(text)
-    if cfg.json_out or out is None:
+    if args.out is not None:
+        args.out.write_text(text)
+    if args.json or args.out is None:
         sys.stdout.write(text)
     ok = (cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
           and cert["split"] == cert["cohomologous"] == cert["all_odd"])
     return 0 if ok else 2
 
 
-def cmd_hilbert(cfg: RunConfig) -> int:
-    g = build_group(cfg.matrix)
-    indices = _class_indices(g, cfg.subrack)
+def cmd_hilbert(args) -> int:
+    matrix = resolve_matrix(args.target)
+    g = build_group(matrix)
+    indices = _class_indices(g, args.subrack)
     if indices is None:
         rack = reflection_rack(g)
         qp, qm = q_plus(g), q_minus(g)
@@ -129,10 +116,8 @@ def cmd_hilbert(cfg: RunConfig) -> int:
         qp, qm = q_plus(g).restrict(indices), q_minus(g).restrict(indices)
     vp = braiding_from_rack(rack, qp)
     vm = braiding_from_rack(rack, qm)
-    rep_p = hilbert_coeffs(vp, cfg.dmax, mode=cfg.mode, nprimes=cfg.nprimes,
-                           budget=cfg.budget)
-    rep_m = hilbert_coeffs(vm, cfg.dmax, mode=cfg.mode, nprimes=cfg.nprimes,
-                           budget=cfg.budget)
+    rep_p = hilbert_coeffs(vp, args.dmax, mode=args.mode)
+    rep_m = hilbert_coeffs(vm, args.dmax, mode=args.mode)
     rows = []
     for a, b in zip(rep_p, rep_m):
         rows.append({"degree": a.degree, "ambient_dim": a.ambient_dim,
@@ -141,15 +126,15 @@ def cmd_hilbert(cfg: RunConfig) -> int:
                      "agreed": a.agreed and b.agreed})
     data = {
         "schema": "hilbert_table.v1",
-        "matrix": [list(r) for r in cfg.matrix.rows],
-        "subrack": cfg.subrack,
-        "mode": cfg.mode,
+        "matrix": [list(r) for r in matrix.rows],
+        "subrack": args.subrack,
+        "mode": args.mode,
         "primes": list(rep_p[0].primes),
         "rows": rows,
         "total_plus": sum(r.rank for r in rep_p),
         "total_minus": sum(r.rank for r in rep_m),
     }
-    if cfg.json_out:
+    if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         print(f"deg   dim      rank(q+)  rank(q-)  equal")
@@ -157,12 +142,12 @@ def cmd_hilbert(cfg: RunConfig) -> int:
             print(f"{row['degree']:>3} {row['ambient_dim']:>6} "
                   f"{row['rank_plus']:>9} {row['rank_minus']:>9}  "
                   f"{'yes' if row['equal'] else 'NO'}")
-        print(f"totals through degree {cfg.dmax}: "
+        print(f"totals through degree {args.dmax}: "
               f"{data['total_plus']} / {data['total_minus']}")
     return 0 if all(r["equal"] and r["agreed"] for r in rows) else 2
 
 
-def cmd_dihedral(args, json_out: bool) -> int:
+def cmd_dihedral(args) -> int:
     r = args.r
     if r <= 3 or r % 2 == 0:
         print(f"error: the even-dihedral analysis requires r > 3 and odd; "
@@ -190,7 +175,7 @@ def cmd_dihedral(args, json_out: bool) -> int:
             "edges": {f"{i},{j}": e for (i, j), e in sorted(dd.edges.items())},
         }
         if args.check:
-            total, reports = total_dimension(space, budget=args.budget)
+            total, reports = total_dimension(space)
             data["computed_total"] = total
             data["ranks"] = [rep.rank for rep in reports]
             disagree = [rep.degree for rep in reports if not rep.agreed]
@@ -208,7 +193,7 @@ def cmd_dihedral(args, json_out: bool) -> int:
                 print("error: ranks are not the exterior binomials",
                       file=sys.stderr)
                 return 2
-    if json_out:
+    if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         print(f"r = {r}: admissible two-dimensional summands {pairs}")
@@ -243,18 +228,9 @@ def _parse_summands(text: str) -> list[tuple[int, int]]:
 
 
 def _add_matrix_args(sub):
-    sub.add_argument("target", nargs="?",
+    sub.add_argument("target",
                      help="preset name (A3, B2, I2(7), ...) or matrix file")
-    sub.add_argument("--preset", help="preset name (alternative to target)")
-    sub.add_argument("--input", help="matrix file path (alternative to target)")
     sub.add_argument("--json", action="store_true", help="JSON output")
-
-
-def _resolve(args) -> CoxeterMatrix:
-    spec = args.preset or args.input or args.target
-    if spec is None:
-        raise InvalidMatrixError("no preset or matrix file given")
-    return resolve_matrix(str(spec))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,17 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="per-degree symmetrizer ranks, both cocycles")
     _add_matrix_args(p_hil)
     p_hil.add_argument("--dmax", type=int, default=4)
-    p_hil.add_argument("--primes", type=int, default=2, dest="nprimes",
-                       help="primes p = 1 mod k to rank at (default 2); "
-                            "exact mode adds primes until their product "
-                            "proves the ranks")
     p_hil.add_argument("--mode", choices=("modular", "exact"),
                        default="modular")
-    p_hil.add_argument("--budget", type=int, default=None,
-                       help="max image coordinate vectors memoized per "
-                            "degree (default 20000), each d*r(n-1) int64 "
-                            "values in degree n, r(n-1) the rank of degree "
-                            "n-1")
     p_hil.add_argument("--subrack", default=None,
                        help="restrict to a reflection class (T1, T2, ...)")
 
@@ -302,11 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="copies of the one-dimensional summand")
     p_dih.add_argument("--check", action="store_true",
                        help="cross-check the prediction by symmetrizer ranks")
-    p_dih.add_argument("--budget", type=int, default=None,
-                       help="max image coordinate vectors memoized per "
-                            "degree (default 20000)")
     p_dih.add_argument("--json", action="store_true")
     return parser
+
+
+COMMANDS = {"info": cmd_info, "certify": cmd_certify, "hilbert": cmd_hilbert,
+            "dihedral": cmd_dihedral}
 
 
 def main(argv=None) -> int:
@@ -316,23 +284,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.command == "dihedral":
-            return cmd_dihedral(args, args.json)
-        matrix = _resolve(args)
-        cfg = RunConfig(matrix=matrix, json_out=args.json)
-        if args.command == "info":
-            return cmd_info(cfg)
-        if args.command == "certify":
-            return cmd_certify(cfg, out=args.out)
-        if args.command == "hilbert":
-            cfg.dmax = args.dmax
-            cfg.nprimes = args.nprimes
-            cfg.mode = args.mode
-            cfg.budget = args.budget
-            cfg.subrack = args.subrack
-            return cmd_hilbert(cfg)
-        parser.error(f"unknown command {args.command}")
-        return 1
+        return COMMANDS[args.command](args)
     except (PathMismatchError, CertificationError) as exc:
         print(json.dumps({"falsification": exc.details}, sort_keys=True),
               file=sys.stderr)

@@ -79,6 +79,9 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
     """
     if r < 3 or r % 2 == 0:
         raise InvalidSummandError("r must be odd and at least 3")
+    if v0_copies < 0:
+        raise InvalidSummandError(
+            f"v0 copies must be at least 0, got {v0_copies}")
     k = 2 * r
     degrees: list[int] = []
     chars: list[int] = []
@@ -92,6 +95,10 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
     for entry in pairs:
         h, j, mult = entry if len(entry) == 3 else (*entry, 1)
         validate_summand(r, h, j)
+        if mult < 1:
+            raise InvalidSummandError(
+                f"summand ({h}, {j}) multiplicity must be at least 1, "
+                f"got {mult}")
         if (h, j) in seen:
             raise InvalidSummandError(f"duplicate summand ({h}, {j})")
         seen.add((h, j))

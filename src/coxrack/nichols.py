@@ -17,8 +17,13 @@ the d^n columns of a degree: the columns at the words x_i w, w running
 over the pivot words of the previous degree, already span the image
 (proof in ladder_ranks_iter), so a degree costs d * rank(previous)
 columns.  The image coordinates of the other words those columns need
-are computed on demand and memoized per degree.  Exact ranks come from
-the same ladder at enough primes (proof in hilbert_coeffs).  Tests pin
+are computed on demand and memoized per degree.  The only limit is the
+memory limit in bytes: a degree or a memo batch that would pass it is
+refused with DegreeTooLargeError before it is built.  Every rank query
+(hilbert_coeffs, total_dimension, the quadraticity probe) runs the
+ladder once per prime through _ladder_runs, which stops each run at the
+requested degree or its first zero rank.  Exact ranks come from the
+same ladder at enough primes (proof in hilbert_coeffs).  Tests pin
 the factorization against the literal sum, and the ladder against the
 dense d^n assembly and dense CycloNumber elimination (oracles kept here).
 """
@@ -46,7 +51,7 @@ from .modlin import (
 from .cyclo import CycloNumber, euler_phi
 from .racks import Rack, RackCocycle
 
-MODULAR_BUDGET = 20_000   # max memoized coordinates per degree
+PRIME_COUNT = 2           # primes of a modular run
 MAX_TOTAL_DEGREE = 64     # give up searching for the top degree here
 MEMO_CHUNK_CELLS = 1 << 20  # int64 cells of one batch of memoized columns
 INT64_MAX = (1 << 63) - 1
@@ -61,7 +66,7 @@ class BraidEquationError(ValueError):
 
 
 class DegreeTooLargeError(RuntimeError):
-    """Requested degree exceeds the configured column budget."""
+    """A degree does not fit in int64 word indices or in memory."""
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +391,10 @@ class _SpanLadder:
     """Ranks of S_2, S_3, ... over GF(p) from spanning columns (see
     ladder_ranks_iter)."""
 
-    def __init__(self, V: BraidedSpace, p: int, omega: int, budget: int):
+    def __init__(self, V: BraidedSpace, p: int, omega: int):
         d = V.dim
-        self.d, self.k, self.p, self.budget = d, V.k, p, budget
+        self.d, self.k, self.p = d, V.k, p
+        self.limit = _memory_limit_bytes()
         self.tgt = np.array(V.target, dtype=np.int64).reshape(d, d)
         self.expo = np.array(V.expo, dtype=np.int64).reshape(d, d)
         self.zpow = np.array([pow(omega, e, p) for e in range(V.k)],
@@ -414,14 +420,13 @@ class _SpanLadder:
                                          np.eye(prev.rank, dtype=np.int64),
                                          self.p)
         size = self.d * prev.rank
-        self._check_budget(n, size)
         # the size x size int64 candidate block and the transposed copy
         # that elimination works on must fit in memory
-        need, limit = 16 * size * size, _memory_limit_bytes()
-        if need > limit:
+        need = 16 * size * size
+        if need > self.limit:
             raise DegreeTooLargeError(
                 f"degree {n} needs {need} bytes for two copies of its "
-                f"{size} x {size} candidate block, memory limit {limit}")
+                f"{size} x {size} candidate block, memory limit {self.limit}")
         cand = (np.arange(self.d, dtype=np.int64)[:, None] * self.d ** (n - 1)
                 + prev.pivots[None, :]).ravel()
         terms = self._coset_terms(n, cand)
@@ -468,14 +473,6 @@ class _SpanLadder:
         out %= self.p
         return out.reshape(size, -1)
 
-    def _check_budget(self, m: int, count: int):
-        """Refuse, before allocating, a batch that could bring degree m past
-        `budget` coordinate vectors (the memo plus the batch bounds it)."""
-        if count > self.budget:
-            raise DegreeTooLargeError(
-                f"degree {m} needs up to {count} image coordinate vectors, "
-                f"budget {self.budget}")
-
     def _memoize(self, m: int, words: np.ndarray):
         """Add gamma_m of the sorted distinct `words` to the level-m memo.
 
@@ -486,14 +483,14 @@ class _SpanLadder:
         if m == 1:
             return                      # degree 1 is complete
         level = self.levels[m]
-        self._check_budget(m, level.words.size + words.size)
         new = np.setdiff1d(words, level.words, assume_unique=True)
         if new.size == 0:
             return
+        step = max(1, MEMO_CHUNK_CELLS // level.basis.shape[0])
+        self._check_memory(m, new.size, min(new.size, step))
         prefix, last, expo = self._coset_terms(m, new)
         self._memoize(m - 1, np.unique(prefix))
         gam = np.empty((new.size, level.rank), dtype=np.int64)
-        step = max(1, MEMO_CHUNK_CELLS // level.basis.shape[0])
         for lo in range(0, new.size, step):
             part = slice(lo, lo + step)
             cols = self._assemble(m, prefix[:, part], last[:, part],
@@ -506,15 +503,38 @@ class _SpanLadder:
                     f"degree {m} column of word {int(new[lo + bad[0]])} is "
                     "not in the span of the pivot columns")
             gam[part] = g
-        words = np.concatenate([level.words, new])
-        order = np.argsort(words)
-        level.words = words[order]
-        level.gam = np.concatenate([level.gam, gam])[order]
+        at = np.searchsorted(level.words, new)
+        level.words = np.insert(level.words, at, new)
+        level.gam = np.insert(level.gam, at, gam, axis=0)
+
+    def _check_memory(self, m: int, count: int, chunk: int):
+        """Refuse a batch of `count` new degree-m words, assembled `chunk`
+        at a time, before it is built, when the memo of every degree plus
+        the batch's peak would pass the memory limit.
+
+        The peak was measured with tracemalloc on the A3 and I2(6) ladders
+        through degrees 10 and 11: about 4m int64 per word for its digits
+        and coset terms, 2(r + 1) for its coordinates and their merged
+        copy (r the rank of degree m), 7 int64 per cell of one chunk of
+        columns in assembly and the span check, and one copy of the
+        degree-m memo while the batch is merged into it.
+        """
+        level = self.levels[m]
+        held = sum(lvl.words.nbytes + lvl.gam.nbytes
+                   for lvl in self.levels[1:])
+        cells = chunk * level.basis.shape[0]
+        batch = (8 * (count * (4 * m + 2 * (level.rank + 1)) + 7 * cells)
+                 + level.words.nbytes + level.gam.nbytes)
+        if held + batch > self.limit:
+            raise DegreeTooLargeError(
+                f"degree {m} memo batch of {count} words needs about {batch} "
+                f"bytes on top of the {held} bytes memoized, memory limit "
+                f"{self.limit}")
 
 
-def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int,
-                      budget: int = MODULAR_BUDGET):
+def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
     """Yield (degree, rank, seconds) over GF(p) for degrees 0, 1, 2, ...
+    through the first degree of rank zero.
 
     Spanning columns.  The length-additive lift factors the symmetrizer
     as S_n = (sum_c lift(c)) (id (x) S_(n-1)), c over the minimal coset
@@ -526,7 +546,7 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int,
     d * r_(n-1) columns at the words x_i w therefore span im S_n, and one
     elimination of them gives r_n and the pivot words of degree n.  The
     algebra is generated in degree one, so a zero rank stays zero and
-    later degrees are reported zero without work.
+    the ladder ends there.
 
     Columns are built as before, in coordinates basis(im S_(n-1)) (x) V,
     through S_n = (S_(n-1) (x) id) sum_t T_t with the coset operators
@@ -535,47 +555,80 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int,
     (R the inverse of a square block of pivot rows) are computed lazily,
     recursively and in batches, memoized per degree, and each memoized
     column is checked to lie in the pivot span (ValueError otherwise).
-    `budget` caps the coordinate vectors of one degree: its candidate
-    columns, and its memo plus each batch of words requested from it.
-    DegreeTooLargeError is raised before such a batch is allocated, and
-    before a degree whose candidate block would not fit in memory.
+
+    The only limit is memory, in bytes (_memory_limit_bytes, read once).
+    DegreeTooLargeError is raised before a degree whose two copies of
+    its candidate block would pass it, and before a memo batch whose
+    measured peak, added to the memo already held at every degree, would
+    pass it; the message names both byte counts and the limit.
     """
     d = V.dim
     yield 0, 1, 0.0
     yield 1, d, 0.0
-    ladder = _SpanLadder(V, p, omega, budget)
+    ladder = _SpanLadder(V, p, omega)
     n, rank = 1, d
-    while True:
+    while rank:
         n += 1
-        if rank == 0:
-            yield n, 0, 0.0
-            continue
         t0 = time.perf_counter()
         rank = ladder.extend()
         yield n, rank, time.perf_counter() - t0
 
 
-def hilbert_ladder_mod(V: BraidedSpace, dmax: int, p: int, omega: int,
-                       budget: int = MODULAR_BUDGET):
-    """Ranks + per-degree times of the symmetrizers for degrees 0..dmax."""
-    ranks, times = [], []
-    for n, rank, secs in ladder_ranks_iter(V, p, omega, budget):
-        ranks.append(rank)
-        times.append(secs)
-        if n == dmax:
-            break
-    return ranks, times
+def _ladder_runs(V: BraidedSpace, dmax: int, exact: bool = False):
+    """Ladder runs (p, omega, ranks, seconds) at primes p = 1 (mod k), each
+    through degree dmax or its first zero rank, whichever comes first.
+
+    PRIME_COUNT primes; exact mode adds primes until their product passes
+    the Hadamard bound of hilbert_coeffs.
+    """
+    phi, runs, bound = euler_phi(V.k), [], 0
+    while len(runs) < PRIME_COUNT or exact and math.prod(
+            run[0] for run in runs) <= bound:
+        p = primes_one_mod(V.k, count=len(runs) + 1)[-1]
+        omega = root_of_unity_mod(p, V.k)
+        ranks, seconds = [], []
+        for n, rank, secs in ladder_ranks_iter(V, p, omega):
+            ranks.append(rank)
+            seconds.append(secs)
+            if n == dmax:
+                break
+        runs.append((p, omega, ranks, seconds))
+        if exact:   # Hadamard's bound on |N(D)|, r the largest rank so far
+            bound = max(
+                math.factorial(n) ** ((max(_ranks_at(runs, n)) + 1) * phi)
+                for n in range(dmax + 1))
+    return runs
 
 
-def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular",
-                   nprimes: int = 2, budget: int | None = None
+def _ranks_at(runs, n: int) -> list[int]:
+    """Degree-n rank of each run; a run that stopped at zero reads zero."""
+    return [ranks[n] if n < len(ranks) else 0 for _, _, ranks, _ in runs]
+
+
+def _reports(V: BraidedSpace, runs, depth: int, mode: str):
+    """Reports of degrees 0..depth-1: the largest rank over the runs (a
+    rank mod p never exceeds the rank over the field), `agreed` saying
+    whether the runs gave the same rank (always True in exact mode)."""
+    primes = tuple(run[0] for run in runs)
+    reports = []
+    for n in range(depth):
+        vals = _ranks_at(runs, n)
+        rank = max(vals)
+        reports.append(SymmetrizerReport(
+            degree=n, ambient_dim=V.dim ** n, rank=rank,
+            nullity=V.dim ** n - rank, mode=mode, primes=primes,
+            agreed=mode == "exact" or len(set(vals)) == 1,
+            seconds=sum(secs[n] for *_, secs in runs if n < len(secs))))
+    return reports
+
+
+def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
                    ) -> list[SymmetrizerReport]:
     """Per-degree symmetrizer ranks for degrees 0..dmax.
 
     Both modes run the ladder over GF(p), p = 1 (mod k), and report the
-    largest rank per degree (a rank mod p never exceeds the rank over
-    the field).  Modular mode uses `nprimes` primes, `agreed` saying
-    whether they gave the same ranks.
+    largest rank per degree.  Modular mode uses PRIME_COUNT primes,
+    `agreed` saying whether they gave the same ranks.
 
     Exact mode adds primes until the ranks are proved.  In degree n each
     column of S_n is a sum of n! monomial vectors over Z[zeta_k], of
@@ -586,98 +639,30 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular",
     P_i, so prod p_i would divide N(D), while Hadamard's bound gives
     0 < |N(D)| <= (n!)^((r+1) phi(k)).  So once prod p_i exceeds that
     bound, the rank over Q(zeta_k) is r, even if some prime undercounts.
-    The reports list those primes, `agreed` True.  Both modes give each
-    ladder the same memo `budget` (see ladder_ranks_iter).
+    The reports list those primes, `agreed` True.
     """
-    d = V.dim
-    budget = MODULAR_BUDGET if budget is None else budget
-    if mode == "modular":
-        if nprimes < 2:
-            raise ValueError("modular mode needs at least two primes")
-        primes = primes_one_mod(V.k, count=nprimes)
-        runs = [_ladder_run(V, dmax, p, budget) for p in primes]
-    elif mode == "exact":
-        phi, primes, runs, bound = euler_phi(V.k), (), [], 0
-        while len(runs) < max(nprimes, 2) or math.prod(primes) <= bound:
-            primes = primes_one_mod(V.k, count=len(runs) + 1)
-            runs.append(_ladder_run(V, dmax, primes[-1], budget))
-            # Hadamard's bound on |N(D)|, r the largest rank so far
-            top = [max(r[n] for r, _ in runs) for n in range(dmax + 1)]
-            bound = max(math.factorial(n) ** ((r + 1) * phi)
-                        for n, r in enumerate(top))
-    else:
+    if dmax < 0:
+        raise ValueError(f"dmax must be at least 0, got {dmax}")
+    if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    reports = []
-    for n in range(dmax + 1):
-        vals = [r[n] for r, _ in runs]
-        rank = max(vals)
-        reports.append(SymmetrizerReport(
-            degree=n, ambient_dim=d ** n, rank=rank, nullity=d ** n - rank,
-            mode=mode, primes=primes,
-            agreed=mode == "exact" or len(set(vals)) == 1,
-            seconds=sum(ts[n] for _, ts in runs)))
-    return reports
+    runs = _ladder_runs(V, dmax, exact=mode == "exact")
+    return _reports(V, runs, dmax + 1, mode)
 
 
-def _ladder_run(V: BraidedSpace, dmax: int, p: int, budget: int):
-    """hilbert_ladder_mod at p, zeta_k sent to root_of_unity_mod(p, k)."""
-    return hilbert_ladder_mod(V, dmax, p, root_of_unity_mod(p, V.k), budget)
-
-
-def symmetrizer_rank(V: BraidedSpace, n: int, mode: str = "modular",
-                     nprimes: int = 2, budget: int | None = None
-                     ) -> SymmetrizerReport:
-    """Rank/nullity of the degree-n symmetrizer."""
-    return hilbert_coeffs(V, n, mode=mode, nprimes=nprimes, budget=budget)[n]
-
-
-def hilbert_equal(V1: BraidedSpace, V2: BraidedSpace, dmax: int,
-                  mode: str = "modular", nprimes: int = 2,
-                  budget: int | None = None) -> bool:
-    """Degreewise equality of rank sequences (spaces of equal dimension)."""
-    if V1.dim != V2.dim:
-        raise ValueError("spaces must have the same dimension")
-    a = hilbert_coeffs(V1, dmax, mode=mode, nprimes=nprimes, budget=budget)
-    b = hilbert_coeffs(V2, dmax, mode=mode, nprimes=nprimes, budget=budget)
-    return all(x.rank == y.rank for x, y in zip(a, b))
-
-
-def total_dimension(V: BraidedSpace, nprimes: int = 2,
-                    budget: int | None = None,
-                    max_degree: int = MAX_TOTAL_DEGREE):
+def total_dimension(V: BraidedSpace):
     """(total dimension, reports) by summing ranks until one vanishes.
 
     A graded algebra generated in degree one dies for good once a degree
     vanishes, so the first zero rank certifies termination.  Modular
-    mode only; single incremental pass per prime.  When the primes
-    disagree, each degree reports the largest rank (a rank mod p never
-    exceeds the rank over the field) with `agreed` False, as
-    hilbert_coeffs does; a prime whose ladder vanished earlier counts as
-    zero in the later degrees.
+    mode; each degree reports the largest rank over the primes, `agreed`
+    False where they differ, and a prime whose ladder vanished earlier
+    counts as zero in the later degrees.
     """
-    budget = MODULAR_BUDGET if budget is None else budget
-    primes = primes_one_mod(V.k, count=max(nprimes, 2))
-    runs = []
-    for p in primes:
-        omega = root_of_unity_mod(p, V.k)
-        rows = []
-        for n, rank, secs in ladder_ranks_iter(V, p, omega, budget):
-            rows.append((rank, secs))
-            if rank == 0:
-                break
-            if n >= max_degree:
-                raise DegreeTooLargeError(
-                    f"no vanishing degree found below {max_degree}")
-        runs.append(rows)
-    reports = []
-    for n in range(max(len(rows) for rows in runs)):
-        vals = [rows[n][0] if n < len(rows) else 0 for rows in runs]
-        rank = max(vals)
-        reports.append(SymmetrizerReport(
-            degree=n, ambient_dim=V.dim ** n, rank=rank,
-            nullity=V.dim ** n - rank, mode="modular", primes=primes,
-            agreed=len(set(vals)) == 1,
-            seconds=sum(rows[n][1] for rows in runs if n < len(rows))))
+    runs = _ladder_runs(V, MAX_TOTAL_DEGREE)
+    if any(ranks[-1] for _, _, ranks, _ in runs):
+        raise DegreeTooLargeError(
+            f"no vanishing degree found below {MAX_TOTAL_DEGREE}")
+    reports = _reports(V, runs, max(len(run[2]) for run in runs), "modular")
     return sum(r.rank for r in reports), reports
 
 
@@ -686,24 +671,18 @@ def total_dimension(V: BraidedSpace, nprimes: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def quadratic_relations(V: BraidedSpace, nprimes: int = 2):
+def quadratic_relations(V: BraidedSpace):
     """Nullspace basis of the degree-2 symmetrizer over GF(p).
 
-    Returns (prime, omega, basis); the dimension is double-checked
-    against a second prime.
+    Returns (prime, omega, basis) at the first prime; the dimension is
+    double-checked against the ladder's degree-2 rank at every prime.
     """
-    primes = primes_one_mod(V.k, count=nprimes)
-    dims = []
-    first = None
-    for p in primes:
-        omega = root_of_unity_mod(p, V.k)
-        basis = nullspace_mod(symmetrizer_dense_mod(V, 2, p, omega), p)
-        dims.append(basis.shape[0])
-        if first is None:
-            first = (p, omega, basis)
-    if len(set(dims)) != 1:
+    runs = _ladder_runs(V, 2)
+    p, omega = runs[0][:2]
+    basis = nullspace_mod(symmetrizer_dense_mod(V, 2, p, omega), p)
+    if any(V.dim ** 2 - r != basis.shape[0] for r in _ranks_at(runs, 2)):
         raise AssertionError("kernel dimension disagrees across primes")
-    return first
+    return p, omega, basis
 
 
 def _ideal_degree_rank(V: BraidedSpace, n: int, p: int, omega: int,
@@ -729,32 +708,26 @@ def _ideal_degree_rank(V: BraidedSpace, n: int, p: int, omega: int,
     return len(pivots)
 
 
-def is_quadratic_through(V: BraidedSpace, n: int, nprimes: int = 2,
-                         budget: int | None = None) -> bool:
+def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
     """Whether relations up to degree n are generated in degree two.
 
-    Compares, in each degree 3..n, the symmetrizer nullity with the
-    dimension of the degree slice of the ideal generated by the
+    Compares, at each prime, in each degree 3..n, the symmetrizer nullity
+    with the dimension of the degree slice of the ideal generated by the
     degree-2 kernel; the slice can never exceed the nullity.
     """
     if n < 3:
         raise ValueError("the probe starts at degree 3")
-    primes = primes_one_mod(V.k, count=nprimes)
     verdicts = []
-    for p in primes:
-        omega = root_of_unity_mod(p, V.k)
+    for p, omega, ranks, _ in _ladder_runs(V, n):
         kernel = nullspace_mod(symmetrizer_dense_mod(V, 2, p, omega), p)
-        ranks, _ = hilbert_ladder_mod(V, n, p, omega,
-                                      MODULAR_BUDGET if budget is None else budget)
-        ok = True
-        for deg in range(3, n + 1):
-            nullity = V.dim ** deg - ranks[deg]
-            ideal_dim = _ideal_degree_rank(V, deg, p, omega, kernel)
-            if ideal_dim > nullity:
-                raise AssertionError("ideal slice exceeds the relation space")
-            if ideal_dim != nullity:
-                ok = False
-        verdicts.append(ok)
+        ranks = ranks + [0] * (n + 1 - len(ranks))
+        # nullity minus the dimension of the ideal slice, per degree
+        slack = [V.dim ** deg - ranks[deg]
+                 - _ideal_degree_rank(V, deg, p, omega, kernel)
+                 for deg in range(3, n + 1)]
+        if min(slack) < 0:
+            raise AssertionError("ideal slice exceeds the relation space")
+        verdicts.append(not any(slack))
     if len(set(verdicts)) != 1:
         raise AssertionError("quadraticity verdict disagrees across primes")
     return verdicts[0]

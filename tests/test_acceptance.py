@@ -131,11 +131,10 @@ def test_criterion_4_pinned_dimensions(group_cache, capsys):
         total, _ = total_dimension(reflection_braiding(group_cache("A2"),
                                                        which))
         assert total == 12
-    # square dihedral group: total 64 for both cocycles; note the series
-    # runs to degree 8, so the column allowance is raised accordingly
+    # square dihedral group: total 64 for both cocycles, through degree 8
     for which in ("plus", "minus"):
         total, reports = total_dimension(
-            reflection_braiding(group_cache("B2"), which), budget=300_000)
+            reflection_braiding(group_cache("B2"), which))
         assert total == 64
     # abelian class of the rank-3 hyperoctahedral group: 1, 3, 3, 1
     g = group_cache("B3")

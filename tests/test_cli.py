@@ -1,6 +1,9 @@
 """Command-line interface: outputs and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,11 +76,12 @@ def test_certificate_schema(capsys):
 @pytest.mark.skipif(not HAS_JSONSCHEMA, reason="jsonschema not installed")
 def test_symmetrizer_report_schema():
     from coxrack.coxeter import build_group, preset_matrix
-    from coxrack.nichols import braiding_from_rack, symmetrizer_rank
+    from coxrack.nichols import braiding_from_rack, hilbert_coeffs
     from coxrack.racks import q_plus, reflection_rack
 
     g = build_group(preset_matrix("A2"))
-    rep = symmetrizer_rank(braiding_from_rack(reflection_rack(g), q_plus(g)), 2)
+    V = braiding_from_rack(reflection_rack(g), q_plus(g))
+    rep = hilbert_coeffs(V, 2)[2]
     schema = json.loads(
         (SCHEMA_DIR / "symmetrizer_report.v1.json").read_text())
     jsonschema.validate(rep.to_dict(), schema)
@@ -129,7 +133,7 @@ def test_hilbert_a3_exact_degree_4(capsys):
 
 def test_hilbert_b2_exact_full_series(capsys):
     # 4^8 = 65536 words in degree 8; exact mode runs the ladder under the
-    # memo budget, not a cap on d^n
+    # memory limit, not a cap on d^n
     code, out, _ = run(capsys, "hilbert", "B2", "--mode", "exact",
                        "--dmax", "8", "--json")
     assert code == 0
@@ -140,7 +144,9 @@ def test_hilbert_b2_exact_full_series(capsys):
     assert sum(want) == 64
 
 
-def test_hilbert_disagreeing_primes_exit_2(capsys, undercounting_ladder):
+def test_hilbert_disagreeing_primes_exit_2(capsys,
+                                           undercounting_ladder_iter):
+    undercounting_ladder_iter(2)
     code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "3", "--json")
     assert code == 2
     rows = json.loads(out)["rows"]
@@ -163,8 +169,8 @@ def test_dihedral_report(capsys):
 
 
 def test_hilbert_a3_degree_7(capsys):
-    # 6^6 = 46656 words in degree 6, over the default budget of 20000;
-    # the spanning-column ladder builds at most 6 * 106 columns a degree
+    # 6^6 = 46656 words in degree 6; the spanning-column ladder builds at
+    # most 6 * 106 columns a degree
     code, out, _ = run(capsys, "hilbert", "A3", "--dmax", "7", "--json")
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -197,9 +203,6 @@ def test_matrix_file_input(tmp_path, capsys):
     path = tmp_path / "i25.txt"
     path.write_text("2\n1 5\n5 1\n")
     code, out, _ = run(capsys, "info", str(path), "--json")
-    assert code == 0
-    assert json.loads(out)["order"] == 10
-    code, out, _ = run(capsys, "info", "--input", str(path), "--json")
     assert code == 0
     assert json.loads(out)["order"] == 10
 
@@ -240,6 +243,37 @@ def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err == ("error: degree 3 needs 207936 bytes for two copies of "
                    "its 114 x 114 candidate block, memory limit 200000\n")
+
+
+def test_memo_refusal_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_200_000)
+    code, out, err = run(capsys, "hilbert", "A3", "--dmax", "4")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: degree 3 memo batch of 210 words needs about "
+                   "1505280 bytes on top of the 6096 bytes memoized, memory "
+                   "limit 1200000\n")
+
+
+def test_negative_dmax_exits_1():
+    # in a child with a timeout, so that a ladder which never reaches dmax
+    # fails the test instead of stalling the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxrack.cli", "hilbert", "A2", "--dmax", "-1"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: dmax must be at least 0, got -1\n"
+
+
+def test_dihedral_negative_v0_exits_1(capsys):
+    code, out, err = run(capsys, "dihedral", "5", "--summands", "5,1",
+                         "--v0", "-2", "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: v0 copies must be at least 0, got -2\n"
 
 
 def test_certify_memory_refusal_exits_1(capsys, monkeypatch):

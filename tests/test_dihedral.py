@@ -62,6 +62,16 @@ def test_invalid_summands():
         dihedral_yd(5, [])                # empty sum
 
 
+def test_negative_copies_refused():
+    with pytest.raises(InvalidSummandError, match="v0 copies"):
+        dihedral_yd(5, [(5, 1)], v0_copies=-2)
+    with pytest.raises(InvalidSummandError, match="multiplicity"):
+        dihedral_yd(5, [(5, 1, 0)])
+    with pytest.raises(InvalidSummandError, match="multiplicity"):
+        dihedral_yd(5, [(5, 1, -1)], v0_copies=1)
+    assert dihedral_yd(5, [(5, 1)], v0_copies=0).dim == 2
+
+
 # -- diagonal braidings -------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from coxrack.nichols import (
     coset_ops,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
-    hilbert_equal,
     is_quadratic_through,
     ladder_ranks_iter,
     matsumoto_word,
@@ -42,7 +42,6 @@ from coxrack.nichols import (
     reduce_zeta_array,
     symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
-    symmetrizer_rank,
     total_dimension,
     verify_matsumoto_invariance,
     word_operator,
@@ -207,8 +206,7 @@ def test_dense_mod_matches_exact_reduction(spaces):
 
 def test_trivial_degrees(spaces):
     V = spaces("A3")
-    r0 = symmetrizer_rank(V, 0)
-    r1 = symmetrizer_rank(V, 1)
+    r0, r1 = hilbert_coeffs(V, 1)
     assert (r0.rank, r1.rank) == (1, V.dim)
     assert r0.ambient_dim == 1 and r1.ambient_dim == V.dim
 
@@ -229,6 +227,9 @@ def test_fk3_per_degree_ranks(spaces):
             acc[op.perm, cols] = (acc[op.perm, cols] + zpow[op.expo]) % p
         oracle.append(rank_mod(acc, p))
     assert oracle == [1, 3, 4, 3, 1, 0]
+    # the ladder ends at its first zero rank
+    steps = itertools.islice(ladder_ranks_iter(V, p, omega), len(oracle) + 1)
+    assert [rank for _, rank, _ in steps] == oracle
     reports = hilbert_coeffs(V, 5)
     assert [r.rank for r in reports] == oracle
     assert all(r.agreed for r in reports)
@@ -237,14 +238,19 @@ def test_fk3_per_degree_ranks(spaces):
 
 def test_i24_total_dimension(spaces):
     V = spaces("I2(4)")
-    total, reports = total_dimension(V, budget=300_000)
+    total, reports = total_dimension(V)
     assert total == 64
     assert [r.rank for r in reports] == [1, 4, 8, 12, 14, 12, 8, 4, 1, 0]
 
 
+def same_ranks(V1, V2, dmax):
+    return ([r.rank for r in hilbert_coeffs(V1, dmax)]
+            == [r.rank for r in hilbert_coeffs(V2, dmax)])
+
+
 def test_hilbert_equalities(spaces):
-    assert hilbert_equal(spaces("A2"), spaces("A2", "minus"), 4)
-    assert hilbert_equal(spaces("I2(5)"), spaces("I2(5)", "minus"), 3)
+    assert same_ranks(spaces("A2"), spaces("A2", "minus"), 4)
+    assert same_ranks(spaces("I2(5)"), spaces("I2(5)", "minus"), 3)
 
 
 def test_b3_abelian_class_exterior(spaces):
@@ -301,12 +307,11 @@ def dense_ladder_ranks(V, p, omega, dmax):
     return ranks
 
 
-def spanning_ladder_ranks(V, p, omega, dmax, budget=nichols.MODULAR_BUDGET):
-    ranks = []
-    for n, rank, _ in ladder_ranks_iter(V, p, omega, budget):
-        ranks.append(rank)
-        if n == dmax:
-            return ranks
+def spanning_ladder_ranks(V, p, omega, dmax):
+    """Ranks through dmax, zero past the degree where the ladder ends."""
+    steps = itertools.islice(ladder_ranks_iter(V, p, omega), dmax + 1)
+    ranks = [rank for _, rank, _ in steps]
+    return ranks + [0] * (dmax + 1 - len(ranks))
 
 
 def b3_small_class_space(which):
@@ -368,31 +373,53 @@ def test_a3_full_series(spaces):
     # the 576-dimensional Nichols algebra, out of reach of the d^n assembly
     V = spaces("A3", "minus")
     p = primes_one_mod(V.k, count=1)[0]
-    ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13,
-                                  budget=200_000)
+    ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13)
     assert ranks == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
     assert sum(ranks) == 576
 
 
-def test_memo_budget_caps_every_degree(spaces, monkeypatch):
-    # A3 degree 5 needs a degree-4 memo of 861 words
-    V = spaces("A3")
-    p = primes_one_mod(V.k, count=1)[0]
-    sizes = []
+@pytest.fixture
+def memo_limit(monkeypatch):
+    """Sets the memory limit to `limit` bytes and returns the memo bytes
+    held after each memo batch."""
+    held = []
     real = nichols._SpanLadder._memoize
 
     def watched(self, m, words):
         real(self, m, words)
-        sizes.append(self.levels[m].words.size)
+        held.append(sum(level.words.nbytes + level.gam.nbytes
+                        for level in self.levels[1:]))
 
-    monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
+    def install(limit):
+        monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
+        monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
+        return held
+
+    return install
+
+
+def refused_memo_bytes(exc) -> tuple[int, int, int]:
+    """(batch, held, limit) bytes named by a memo refusal."""
+    m = re.search(r"needs about (\d+) bytes on top of the (\d+) bytes "
+                  r"memoized, memory limit (\d+)", str(exc.value))
+    return tuple(int(v) for v in m.groups())
+
+
+def test_memo_refused_before_it_passes_memory_limit(spaces, memo_limit):
+    # A3: the degree-6 memo batch of 3391 words is the first over 60 MB
+    limit = 60_000_000
+    held = memo_limit(limit)
+    V = spaces("A3")
+    p = primes_one_mod(V.k, count=1)[0]
     ranks = []
-    with pytest.raises(DegreeTooLargeError, match="budget 500"):
-        for n, rank, _ in ladder_ranks_iter(V, p, root_of_unity_mod(p, V.k),
-                                            budget=500):
+    with pytest.raises(DegreeTooLargeError, match="degree 6 memo batch") \
+            as exc:
+        for n, rank, _ in ladder_ranks_iter(V, p, root_of_unity_mod(p, V.k)):
             ranks.append(rank)
-    assert ranks == [1, 6, 19, 42, 71]
-    assert 0 < max(sizes) <= 500
+    assert ranks == [1, 6, 19, 42, 71, 96, 106]
+    batch, before, _ = refused_memo_bytes(exc)
+    assert before == held[-1] and before + batch > limit
+    assert 0 < max(held) <= limit
 
 
 def test_total_dimension_disagreeing_primes(undercounting_ladder_iter):
@@ -416,31 +443,36 @@ def test_total_dimension_primes_vanish_at_different_degrees(
     assert [r.agreed for r in reports] == [True] * 4 + [False, True]
 
 
-def test_budget_guard(spaces):
-    V = spaces("A3")
-    with pytest.raises(DegreeTooLargeError):
-        hilbert_coeffs(V, 8, budget=10_000)
+def test_memory_limit_guard(spaces, memo_limit):
+    held = memo_limit(20_000_000)
+    with pytest.raises(DegreeTooLargeError, match="memo batch") as exc:
+        hilbert_coeffs(spaces("A3"), 8)
+    batch, before, limit = refused_memo_bytes(exc)
+    assert limit == 20_000_000 and before + batch > limit
+    assert 0 < max(held) <= limit
 
 
-def test_exact_mode_memo_budget_refuses_before_memo_passes_it(spaces,
-                                                              monkeypatch):
-    # exact mode gives its ladders the memo budget, as modular mode does:
-    # A3 degree 5 needs a degree-4 memo of 861 words
-    sizes = []
-    real = nichols._SpanLadder._memoize
+def test_exact_mode_memo_refused_before_it_passes_memory_limit(
+        spaces, memo_limit):
+    # exact mode runs its ladders under the same limit: A3's degree-3 memo
+    # batch of 210 words needs about 1505280 bytes
+    held = memo_limit(1_200_000)
+    with pytest.raises(DegreeTooLargeError,
+                       match="degree 3 memo batch of 210 words") as exc:
+        hilbert_coeffs(spaces("A3"), 5, mode="exact")
+    batch, before, limit = refused_memo_bytes(exc)
+    assert (batch, before, limit) == (1505280, held[-1], 1_200_000)
+    assert 0 < max(held) <= limit
 
-    def watched(self, m, words):
-        real(self, m, words)
-        sizes.append(self.levels[m].words.size)
 
-    monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
-    with pytest.raises(DegreeTooLargeError, match="budget 500"):
-        hilbert_coeffs(spaces("A3"), 5, mode="exact", budget=500)
-    assert 0 < max(sizes) <= 500
+def test_negative_dmax_refused(spaces):
+    with pytest.raises(ValueError, match="dmax must be at least 0"):
+        hilbert_coeffs(spaces("A2"), -1)
 
 
 def test_disagreeing_primes_report_largest_rank(spaces,
-                                                undercounting_ladder):
+                                                undercounting_ladder_iter):
+    undercounting_ladder_iter(2)
     reports = hilbert_coeffs(spaces("A2"), 3)
     assert [r.rank for r in reports] == [1, 3, 4, 3]
     assert [r.nullity for r in reports] == [0, 0, 5, 24]
@@ -503,7 +535,8 @@ def test_exact_primes_exceed_hadamard_bound(spaces, name, which):
 
 
 def test_exact_mode_certifies_despite_undercounting_prime(
-        spaces, undercounting_ladder):
+        spaces, undercounting_ladder_iter):
+    undercounting_ladder_iter(2)
     reports = hilbert_coeffs(spaces("A2"), 3, mode="exact")
     assert [r.rank for r in reports] == [1, 3, 4, 3]
     assert all(r.agreed for r in reports)
@@ -521,7 +554,7 @@ def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
 
 
 def test_report_serialization(spaces):
-    rep = symmetrizer_rank(spaces("A2"), 2)
+    rep = hilbert_coeffs(spaces("A2"), 2)[2]
     d = rep.to_dict()
     assert d["schema"] == "symmetrizer_report.v1"
     assert d["rank"] + d["nullity"] == d["ambient_dim"] == 9
@@ -545,7 +578,7 @@ def test_twist_pairs_equal_ranks_battery(spaces):
     # jobs elsewhere)
     for name in ("A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)",
                  "I2(7)", "H3", "D4"):
-        assert hilbert_equal(spaces(name), spaces(name, "minus"), 2)
+        assert same_ranks(spaces(name), spaces(name, "minus"), 2)
 
 
 # -- quadraticity ------------------------------------------------------------
