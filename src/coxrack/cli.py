@@ -104,6 +104,14 @@ def cmd_certify(args) -> int:
     return 0 if ok else 2
 
 
+def _rank_at(reports, n: int) -> tuple[int, bool]:
+    """(rank, agreed) in degree n.  Reports end at the first degree of
+    rank 0, and every later rank is 0 too."""
+    if n < len(reports):
+        return reports[n].rank, reports[n].agreed
+    return 0, True
+
+
 def cmd_hilbert(args) -> int:
     matrix = resolve_matrix(args.target)
     g = build_group(matrix)
@@ -119,11 +127,11 @@ def cmd_hilbert(args) -> int:
     rep_p = hilbert_coeffs(vp, args.dmax, mode=args.mode)
     rep_m = hilbert_coeffs(vm, args.dmax, mode=args.mode)
     rows = []
-    for a, b in zip(rep_p, rep_m):
-        rows.append({"degree": a.degree, "ambient_dim": a.ambient_dim,
-                     "rank_plus": a.rank, "rank_minus": b.rank,
-                     "equal": a.rank == b.rank,
-                     "agreed": a.agreed and b.agreed})
+    for n in range(max(len(rep_p), len(rep_m))):
+        (rp, ap), (rm, am) = _rank_at(rep_p, n), _rank_at(rep_m, n)
+        rows.append({"degree": n, "ambient_dim": vp.dim ** n,
+                     "rank_plus": rp, "rank_minus": rm,
+                     "equal": rp == rm, "agreed": ap and am})
     data = {
         "schema": "hilbert_table.v1",
         "matrix": [list(r) for r in matrix.rows],

@@ -8,7 +8,8 @@ testing are plain coefficient comparisons.
 
 Signs of real elements are decided exactly: the zero test is the
 coefficient comparison, and a nonzero value is separated from zero by
-interval arithmetic at doubling precision.  A nonzero element of the
+rational enclosures of the cosines it sums, or, when those are too wide,
+by interval arithmetic at doubling precision.  A nonzero element of the
 field cannot vanish at the standard embedding (its degree is below
 phi(N)), so the loop terminates; the hard precision cap only exists to
 turn logic errors into loud failures.
@@ -21,13 +22,16 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import iv
-
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
 SIGN_PREC_START = 64
 SIGN_PREC_CAP = 4096
+
+# pi cut after 37 decimals: 0 <= pi - _PI_LO < 10^-37
+_PI_LO = Fraction(31415926535897932384626433832795028841, 10 ** 37)
+_COS_BITS = 64   # cosine enclosures are rounded outward to multiples of 2^-64
+_COS_TERMS = 22  # for 0 <= x <= pi the first term left out, x^46/46!, < 2^-110
 
 
 class NotRealError(ValueError):
@@ -73,6 +77,34 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=None)
+def _cos_enclosures(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(lo, hi) with lo <= cos(2 pi k / n) <= hi for k < phi(n), rounded
+    outward to multiples of 2^-_COS_BITS.
+
+    With a = min(k, n - k) / n, the angle x = 2 pi a lies in [0, pi], and
+    x0 = 2 a _PI_LO is within 10^-37 of it, so |cos x - cos x0| < 10^-37.
+    The Taylor terms t_j = (-1)^j x0^(2j) / (2j)! alternate in sign and,
+    from j = 1 on, shrink: |t_(j+1) / t_j| = x0^2 / ((2j+1)(2j+2)) < 1.
+    So the partial sum S through j = _COS_TERMS is within 2^-110 of
+    cos x0, and cos x lies in [S - 2^-72, S + 2^-72].  S is summed
+    exactly, by Horner's rule in integers: with y = x0^2,
+    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).
+    """
+    scale, err, out = 2 ** _COS_BITS, Fraction(1, 2 ** 72), []
+    for k in range(euler_phi(n)):
+        x0 = Fraction(2 * min(k, n - k), n) * _PI_LO
+        p2, q2 = x0.numerator ** 2, x0.denominator ** 2
+        num = den = 1
+        for j in range(_COS_TERMS, 0, -1):
+            m = (2 * j - 1) * (2 * j) * q2
+            num, den = den * m - p2 * num, den * m
+        s = Fraction(num, den)
+        out.append((Fraction(math.floor((s - err) * scale), scale),
+                    Fraction(math.ceil((s + err) * scale), scale)))
+    return tuple(out)
 
 
 def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
@@ -311,6 +343,8 @@ class CycloNumber:
         A conjugation-fixed element equals sum_k c_k cos(2 pi k / N) at
         the standard embedding, which is evaluated with outward rounding.
         """
+        from mpmath import iv   # only here: most signs never need it
+
         old = iv.prec
         try:
             iv.prec = prec
@@ -325,16 +359,35 @@ class CycloNumber:
         finally:
             iv.prec = old
 
+    def _enclosure(self) -> tuple[Fraction, Fraction]:
+        """Rationals lo <= value <= hi; requires a conjugation-fixed value.
+
+        The value is sum_k c_k cos(2 pi k / N); each cosine is replaced by
+        its cached enclosure, so hi - lo is about sum_k |c_k| 2^-63.
+        """
+        lo = hi = _Q0
+        for c, (clo, chi) in zip(self.coeffs, _cos_enclosures(self.level)):
+            lo += c * (clo if c > 0 else chi)
+            hi += c * (chi if c > 0 else clo)
+        return lo, hi
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1} of a real element.
 
-        Zero is decided by the canonical form; nonzero values by interval
-        evaluation with doubling precision (start 64 bits, cap 4096).
+        Zero is decided by the canonical form.  A nonzero value is
+        decided by its rational enclosure when that excludes 0, and
+        otherwise by interval evaluation with doubling precision (start
+        64 bits, cap 4096).
         """
         if self.is_zero():
             return 0
         if not self.is_real():
             raise NotRealError("sign requested for a non-real value")
+        lo, hi = self._enclosure()
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         prec = SIGN_PREC_START
         while prec <= SIGN_PREC_CAP:
             box = self._real_interval(prec)
@@ -345,18 +398,6 @@ class CycloNumber:
             prec *= 2
         raise SignUndecidedError(
             f"interval evaluation did not separate {self!r} from zero")
-
-    def approx(self, dps: int = 30) -> complex:
-        """Floating approximation at the standard embedding (debug/tests)."""
-        import mpmath
-
-        with mpmath.workdps(dps):
-            z = mpmath.mpc(0)
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    z += mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator) \
-                        * mpmath.expjpi(mpmath.mpf(2 * k) / self.level)
-            return complex(z)
 
     # -- text form (repr, and a round trip in the tests) ------------------
 

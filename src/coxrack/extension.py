@@ -1,9 +1,10 @@
 """The index-two central extension of W and its canonical section.
 
 The extension is presented on generators t_1..t_l, z with relations
-z^2 = (t_i z)^2 = 1 and (t_i t_j)^m_ij = z^(m_ij + 1); coset enumeration
-over the trivial subgroup produces its regular permutation
-representation.  The section of the projection to W is defined on
+z^2 = (t_i z)^2 = 1 and (t_i t_j)^m_ij = z^(m_ij + 1).  Its regular
+permutation representation, the coset table of the trivial subgroup, is
+read off W's Cayley graph, one bit per edge, and checked against every
+relator.  The section of the projection to W is defined on
 reflections by walking the reflection conjugacy graph and certified
 well-defined by recomputing it along every path.  The resulting group
 2-cocycle (the z-exponent of rho(xy) rho(y)^-1 rho(x)^-1) is the machine
@@ -43,10 +44,6 @@ from .racks import (
 BLOCK_CELLS = 1 << 22  # table cells gathered per block of the cocycle check
 
 
-class EnumerationOverflow(RuntimeError):
-    """Coset enumeration exceeded its live-coset cap."""
-
-
 class PresentationCollapse(RuntimeError):
     """The central generator z collapsed to the identity (a bug signal)."""
 
@@ -69,7 +66,7 @@ class CertificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Presentation and Todd-Coxeter enumeration
+# Presentation and coset table
 # ---------------------------------------------------------------------------
 
 
@@ -106,138 +103,68 @@ class Presentation:
         return cls(ngens=l + 1, relators=tuple(relators))
 
 
-def coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
-    """HLT enumeration over the trivial subgroup.
+def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
+    """The coset table of the trivial subgroup of the presented extension.
 
-    Returns, per generator, its right-multiplication permutation of the
-    live cosets (renumbered 0..n-1 in discovery order).
+    Returns, per generator t_0..t_(l-1), z, its right-multiplication
+    permutation of the 2|W| elements, (w, eps) numbered w + eps |W|.
+
+    The table is read off W's Cayley graph instead of enumerated.  Let
+    (w, 0) be the lift of w's ShortLex word.  Then t_i maps (w, eps) to
+    (w s_i, eps + c[w, i]) and z flips eps, for bits c on the edges
+    {w, w s_i}, so c[w, i] = c[w s_i, i].  ShortLex tree edges get c = 0.
+    The relator (t_i t_j)^m z^-(m+1) closes around the 2m-gon w<s_i, s_j>
+    exactly when the bits on its edges sum to m + 1 (mod 2).  An edge off
+    the tree joins some v to v s_i one length level lower, where i and
+    j, the last ShortLex letter of v, are both descents of v.  Then v is
+    the top of its (i, j) coset, and every edge of that 2m-gon but
+    (v, v s_i) is the tree edge (v s_j, v) or lies below v's level.  So,
+    one length level at a time, c[v, i] is set to the bit that closes
+    the 2m-gon.
+
+    Every relator is then checked at every point.  That makes this the
+    regular representation of the presented group P, the table that
+    coset enumeration returns up to numbering: P maps onto W with kernel
+    <z> (z is central), so |P| <= 2|W|.  The permutations satisfy the
+    relators, so P acts through them, and the action is transitive on
+    the 2|W| points (ExtGroup checks it).  A transitive action of a group
+    of order at most 2|W| on 2|W| points is regular.
     """
-    nl = 2 * pres.ngens
-    table: list[list[int | None]] = [[None] * nl]
-    p = [0]
-    live = 1
-
-    def rep(k: int) -> int:
-        r = k
-        while p[r] != r:
-            r = p[r]
-        while p[k] != r:
-            p[k], k = r, p[k]
-        return r
-
-    def define(a: int, x: int):
-        nonlocal live
-        n = len(table)
-        if live + 1 > live_cap:
-            raise EnumerationOverflow(
-                f"live coset count would exceed the cap {live_cap}")
-        table.append([None] * nl)
-        p.append(n)
-        live += 1
-        table[a][x] = n
-        table[n][x ^ 1] = a
-
-    def merge(k: int, l_: int, queue: list[int]):
-        nonlocal live
-        k, l_ = rep(k), rep(l_)
-        if k != l_:
-            if k > l_:
-                k, l_ = l_, k
-            p[l_] = k
-            live -= 1
-            queue.append(l_)
-
-    def coincidence(a: int, b: int):
-        queue: list[int] = []
-        merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi]
-            qi += 1
-            for x in range(nl):
-                d = table[y][x]
-                if d is None:
+    n, l = g.order, g.rank
+    rmult, length = g.rmult, g.length_arr
+    descent = length[rmult] < length[:, None]    # [v, i]: l(v s_i) < l(v)
+    c = np.zeros((n, l), dtype=np.uint8)
+    bounds = np.searchsorted(length, np.arange(length[-1] + 2))
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        tops = np.arange(lo, hi)
+        for j in range(l):
+            for i in range(l):
+                if i == j:
                     continue
-                table[d][x ^ 1] = None
-                mu, nu = rep(y), rep(d)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
-                else:
-                    table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                top = tops[(g._last[lo:hi] == j) & descent[lo:hi, i]]
+                m = g.matrix.entry(i, j)
+                bit = np.full(top.size, (m + 1) % 2, dtype=np.uint8)
+                x = rmult[top, i]
+                for k in range(2 * m - 2):     # v s_i around to v s_j
+                    s = (j, i)[k % 2]
+                    bit ^= c[x, s]
+                    x = rmult[x, s]
+                c[top, i] = c[rmult[top, i], i] = bit
 
-    def scan_and_fill(a: int, w: tuple[int, ...]):
-        f, b = a, a
-        i, j = 0, len(w) - 1
-        while True:
-            while i <= j and table[f][w[i]] is not None:
-                f = table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][w[j] ^ 1] is not None:
-                b = table[b][w[j] ^ 1]
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][w[i]] = b
-                table[b][w[i] ^ 1] = f
-                return
-            define(f, w[i])
-
-    # Sweep until a full pass neither defines nor merges anything; a
-    # coincidence can clear entries of live cosets already swept, so one
-    # pass is not enough in general.
-    for _ in range(10_000):
-        before = (len(table), live)
-        a = 0
-        while a < len(table):
-            if rep(a) != a:
-                a += 1
-                continue
-            for w in pres.relators:
-                scan_and_fill(a, w)
-                if rep(a) != a:
-                    break
-            if rep(a) == a:
-                for x in range(nl):
-                    if table[a][x] is None:
-                        define(a, x)
-            a += 1
-        if (len(table), live) == before:
-            break
-    else:
-        raise EnumerationOverflow("enumeration failed to stabilize")
-
-    alive = [c for c in range(len(table)) if rep(c) == c]
-    renum = {c: i for i, c in enumerate(alive)}
-    perms = []
-    for g in range(pres.ngens):
-        perm = []
-        for c in alive:
-            img = table[c][2 * g]
-            if img is None:
-                raise AssertionError("incomplete coset table after enumeration")
-            perm.append(renum[rep(img)])
-        if sorted(perm) != list(range(len(alive))):
-            raise AssertionError("generator action is not a permutation")
-        perms.append(perm)
-    # final verification: every relator closes at every live coset
-    letter_act = [a for pm in np.array(perms) for a in (pm, np.argsort(pm))]
-    cosets = np.arange(len(alive))
-    for w in pres.relators:
-        x = cosets
-        for letter in w:
+    perms = np.empty((l + 1, 2 * n), dtype=np.int32)
+    for i in range(l):
+        img = np.where(c[:, i], rmult[:, i] + n, rmult[:, i])
+        perms[i] = np.concatenate([img, (img + n) % (2 * n)])
+    perms[l] = np.roll(np.arange(2 * n, dtype=np.int32), -n)
+    letter_act = [a for pm in perms for a in (pm, np.argsort(pm))]
+    points = np.arange(2 * n)
+    for word in Presentation.wtilde(g.matrix).relators:
+        x = points
+        for letter in word:
             x = letter_act[letter][x]
-        if not np.array_equal(x, cosets):
+        if not np.array_equal(x, points):
             raise AssertionError("relator does not close on the coset table")
-    return perms
+    return list(perms)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +232,7 @@ def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
     that t_i -> s_i, z -> 1 is a well-defined surjection with kernel
     {1, z}.
     """
-    pres = Presentation.wtilde(matrix)
-    cap = 4 * g.order + 16
-    perms = coset_enumeration(pres, cap)
-    ext = ExtGroup(perms, nt=matrix.rank)
+    ext = ExtGroup(coset_enumeration(g), nt=matrix.rank)
 
     if ext.order != 2 * g.order:
         raise AssertionError(

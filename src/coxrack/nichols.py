@@ -605,13 +605,14 @@ def _ranks_at(runs, n: int) -> list[int]:
     return [ranks[n] if n < len(ranks) else 0 for _, _, ranks, _ in runs]
 
 
-def _reports(V: BraidedSpace, runs, depth: int, mode: str):
-    """Reports of degrees 0..depth-1: the largest rank over the runs (a
-    rank mod p never exceeds the rank over the field), `agreed` saying
-    whether the runs gave the same rank (always True in exact mode)."""
+def _reports(V: BraidedSpace, runs, mode: str):
+    """Reports of the degrees the longest run reached (its first zero
+    rank, or dmax): the largest rank over the runs (a rank mod p never
+    exceeds the rank over the field), `agreed` saying whether the runs
+    gave the same rank (always True in exact mode)."""
     primes = tuple(run[0] for run in runs)
     reports = []
-    for n in range(depth):
+    for n in range(max(len(ranks) for _, _, ranks, _ in runs)):
         vals = _ranks_at(runs, n)
         rank = max(vals)
         reports.append(SymmetrizerReport(
@@ -624,7 +625,8 @@ def _reports(V: BraidedSpace, runs, depth: int, mode: str):
 
 def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
                    ) -> list[SymmetrizerReport]:
-    """Per-degree symmetrizer ranks for degrees 0..dmax.
+    """Per-degree symmetrizer ranks for degrees 0..dmax, or through the
+    first degree where they are all 0 if that comes first.
 
     Both modes run the ladder over GF(p), p = 1 (mod k), and report the
     largest rank per degree.  Modular mode uses PRIME_COUNT primes,
@@ -646,7 +648,7 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     runs = _ladder_runs(V, dmax, exact=mode == "exact")
-    return _reports(V, runs, dmax + 1, mode)
+    return _reports(V, runs, mode)
 
 
 def total_dimension(V: BraidedSpace):
@@ -662,7 +664,7 @@ def total_dimension(V: BraidedSpace):
     if any(ranks[-1] for _, _, ranks, _ in runs):
         raise DegreeTooLargeError(
             f"no vanishing degree found below {MAX_TOTAL_DEGREE}")
-    reports = _reports(V, runs, max(len(run[2]) for run in runs), "modular")
+    reports = _reports(V, runs, "modular")
     return sum(r.rank for r in reports), reports
 
 

@@ -4,7 +4,12 @@ import itertools
 
 import numpy as np
 
-from coxrack.extension import CertificationError, ExtGroup, GroupCocycle2
+from coxrack.extension import (
+    CertificationError,
+    ExtGroup,
+    GroupCocycle2,
+    Presentation,
+)
 from coxrack.nichols import BraidedSpace, perm_operator
 from coxrack.racks import q_plus_table
 
@@ -22,6 +27,148 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
         op = perm_operator(V, n, sigma)
         np.add.at(acc, (op.perm, cols, op.expo), 1)
     return acc
+
+
+# -- the extension by Todd-Coxeter enumeration ---------------------------------
+
+
+class EnumerationOverflow(RuntimeError):
+    """Coset enumeration exceeded its live-coset cap."""
+
+
+def hlt_coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
+    """HLT coset enumeration over the trivial subgroup (Holt, Eick and
+    O'Brien, *Handbook of computational group theory*, 2005).
+
+    Returns, per generator, its right-multiplication permutation of the
+    live cosets (renumbered 0..n-1 in discovery order).
+    """
+    nl = 2 * pres.ngens
+    table: list[list[int | None]] = [[None] * nl]
+    p = [0]
+    live = 1
+
+    def rep(k: int) -> int:
+        r = k
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
+        return r
+
+    def define(a: int, x: int):
+        nonlocal live
+        n = len(table)
+        if live + 1 > live_cap:
+            raise EnumerationOverflow(
+                f"live coset count would exceed the cap {live_cap}")
+        table.append([None] * nl)
+        p.append(n)
+        live += 1
+        table[a][x] = n
+        table[n][x ^ 1] = a
+
+    def merge(k: int, l_: int, queue: list[int]):
+        nonlocal live
+        k, l_ = rep(k), rep(l_)
+        if k != l_:
+            if k > l_:
+                k, l_ = l_, k
+            p[l_] = k
+            live -= 1
+            queue.append(l_)
+
+    def coincidence(a: int, b: int):
+        queue: list[int] = []
+        merge(a, b, queue)
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            for x in range(nl):
+                d = table[y][x]
+                if d is None:
+                    continue
+                table[d][x ^ 1] = None
+                mu, nu = rep(y), rep(d)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+
+    def scan_and_fill(a: int, w: tuple[int, ...]):
+        f, b = a, a
+        i, j = 0, len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] is not None:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] is not None:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    # Sweep until a full pass neither defines nor merges anything; a
+    # coincidence can clear entries of live cosets already swept, so one
+    # pass is not enough in general.
+    for _ in range(10_000):
+        before = (len(table), live)
+        a = 0
+        while a < len(table):
+            if rep(a) != a:
+                a += 1
+                continue
+            for w in pres.relators:
+                scan_and_fill(a, w)
+                if rep(a) != a:
+                    break
+            if rep(a) == a:
+                for x in range(nl):
+                    if table[a][x] is None:
+                        define(a, x)
+            a += 1
+        if (len(table), live) == before:
+            break
+    else:
+        raise EnumerationOverflow("enumeration failed to stabilize")
+
+    alive = [c for c in range(len(table)) if rep(c) == c]
+    renum = {c: i for i, c in enumerate(alive)}
+    perms = []
+    for g in range(pres.ngens):
+        perm = []
+        for c in alive:
+            img = table[c][2 * g]
+            if img is None:
+                raise AssertionError("incomplete coset table after enumeration")
+            perm.append(renum[rep(img)])
+        if sorted(perm) != list(range(len(alive))):
+            raise AssertionError("generator action is not a permutation")
+        perms.append(perm)
+    # final verification: every relator closes at every live coset
+    letter_act = [a for pm in np.array(perms) for a in (pm, np.argsort(pm))]
+    cosets = np.arange(len(alive))
+    for w in pres.relators:
+        x = cosets
+        for letter in w:
+            x = letter_act[letter][x]
+        if not np.array_equal(x, cosets):
+            raise AssertionError("relator does not close on the coset table")
+    return perms
 
 
 # -- dense product tables of the extension and the checks that read them ------
@@ -146,3 +293,15 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
             raise CertificationError("phi-conjugation-identity", [int(x), y])
 
     return GroupCocycle2(table=table)
+
+
+def dense_check_equivariance(g, table) -> bool:
+    """check_equivariance over every w2, reading w1 w2 from the dense mult."""
+    M = g.mult_table()
+    C = g.conj_refl_table()
+    for w2 in range(g.order):
+        lhs = table[M[:, w2], :]
+        rhs = table[:, C[w2]] ^ table[w2][None, :]
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True

@@ -1,5 +1,6 @@
 """Command-line interface: outputs and exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxrack import extension, nichols
+from coxrack import cli, extension, nichols
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -101,6 +102,44 @@ def test_hilbert_table(capsys):
     assert data["total_plus"] == data["total_minus"] == 12
     assert [r["rank_plus"] for r in data["rows"]] == [1, 3, 4, 3, 1, 0]
     assert all(r["equal"] and r["agreed"] for r in data["rows"])
+
+
+def test_hilbert_stops_where_every_ladder_ends(capsys):
+    # A2 vanishes from degree 5 on: no zero rows past it, whatever dmax
+    want = run(capsys, "hilbert", "A2", "--dmax", "5", "--json")
+    for dmax in ("300", "20000"):
+        assert run(capsys, "hilbert", "A2", "--dmax", dmax, "--json") == want
+    assert len(json.loads(want[1])["rows"]) == 6
+
+
+def test_hilbert_pads_the_shorter_table(capsys, monkeypatch):
+    # a q- table that ends early reads rank 0 past its end, not fewer rows
+    calls = []
+
+    def short_minus(V, dmax, mode):
+        calls.append(V)
+        reports = nichols.hilbert_coeffs(V, dmax, mode)
+        return reports[:3] if len(calls) == 2 else reports
+
+    monkeypatch.setattr(cli, "hilbert_coeffs", short_minus)
+    code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "5", "--json")
+    rows = json.loads(out)["rows"]
+    assert code == 2
+    assert [r["rank_plus"] for r in rows] == [1, 3, 4, 3, 1, 0]
+    assert [r["rank_minus"] for r in rows] == [1, 3, 4, 0, 0, 0]
+    assert [r["equal"] for r in rows] == [True] * 3 + [False] * 2 + [True]
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (("hilbert", "A3", "--dmax", "5", "--json"),
+     "13126228ec581eb1fd5fa3d7be92922227dc8188911beb039e1d7bbb27ecacf8"),
+    (("hilbert", "B2", "--mode", "exact", "--dmax", "4", "--json"),
+     "a35e37cf33121b01607d8c86d6a68b309177d65e442a3dedbe3fa200d116266c"),
+])
+def test_hilbert_output_pinned(capsys, argv, sha256):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_hilbert_subrack(capsys):
@@ -266,6 +305,20 @@ def test_negative_dmax_exits_1():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: dmax must be at least 0, got -1\n"
+
+
+def test_certify_f4_does_not_import_mpmath():
+    # a fresh process: the cosine enclosures decide every root sign
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import contextlib, io, sys\n"
+            "from coxrack.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['certify', 'F4'])\n"
+            "print(rc, 'mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 def test_dihedral_negative_v0_exits_1(capsys):

@@ -5,10 +5,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from coxrack.coxeter import build_group, preset_matrix
 from coxrack.cyclo import (
     CycloNumber,
     LevelError,
     NotRealError,
+    _cos_enclosures,
     cos_of_pi_over,
     cyclotomic_poly,
     euler_phi,
@@ -119,6 +121,57 @@ def test_sign_is_multiplicative():
     for a in values:
         for b in values:
             assert (a * b).sign() == a.sign() * b.sign()
+
+
+@pytest.mark.parametrize("n", list(range(1, 25)) + [60])
+def test_cos_enclosures_contain_cosines(n):
+    with mpmath.workdps(100):
+        for k, (lo, hi) in enumerate(_cos_enclosures(n)):
+            cos = mpmath.cos(2 * mpmath.pi * k / n)
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= cos
+            assert cos <= mpmath.mpf(hi.numerator) / hi.denominator
+            assert 0 <= hi - lo < Fraction(1, 2 ** 62)
+
+
+SIGN_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4",
+                "E6", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(12)"]
+
+
+@pytest.mark.parametrize("name", SIGN_PRESETS)
+def test_enclosure_decides_root_coordinates(name):
+    # every distinct root coordinate and every difference of two of them
+    g = build_group(preset_matrix(name))
+    coords = list({c.coeffs: c for beta in g.pos_roots for c in beta}.values())
+    values = coords + [a - b for a in coords for b in coords if a != b]
+    for v in values:
+        if v.is_zero():
+            continue
+        lo, hi = v._enclosure()
+        box = v._real_interval(256)
+        assert lo > 0 or hi < 0, v
+        assert (lo > 0) == (box > 0) and (hi < 0) == (box < 0), v
+
+
+def test_sign_within_1e_25_of_zero_falls_back_to_intervals(monkeypatch):
+    cos_2pi_7 = (CycloNumber.zeta(7) + CycloNumber.zeta(7, 6)) * Fraction(1, 2)
+    close = Fraction(2738920419207, 4392887279057)
+    with mpmath.workdps(80):
+        gap = mpmath.cos(2 * mpmath.pi / 7) - mpmath.mpf(close.numerator) \
+            / close.denominator
+        assert -1e-25 < gap < 0
+    calls = []
+    real_interval = CycloNumber._real_interval
+
+    def spy(self, prec):
+        calls.append(prec)
+        return real_interval(self, prec)
+
+    monkeypatch.setattr(CycloNumber, "_real_interval", spy)
+    v = cos_2pi_7 - close
+    lo, hi = v._enclosure()
+    assert lo < 0 < hi
+    assert v.sign() == -1 and (-v).sign() == 1
+    assert calls and max(calls) > 64
 
 
 def test_embed_round_trip():

@@ -9,7 +9,6 @@ from coxrack import extension
 from coxrack.coxeter import GroupTable, build_group, preset_matrix
 from coxrack.extension import (
     CertificationError,
-    EnumerationOverflow,
     ExtGroup,
     GroupCocycle2,
     Presentation,
@@ -21,7 +20,6 @@ from coxrack.extension import (
     check_global,
     check_vendramin,
     cocycle_identity_witness,
-    coset_enumeration,
     is_split,
     phi_checksum,
     phi_rho,
@@ -29,12 +27,14 @@ from coxrack.extension import (
 )
 from coxrack.racks import cohomologous_solve, q_minus, q_plus, reflection_rack
 from oracles import (
+    EnumerationOverflow,
     dense_check_global,
     dense_check_vendramin,
     dense_cocycle_identity_witness,
     dense_phi_rho,
     ext_inv_table,
     ext_mult_table,
+    hlt_coset_enumeration,
 )
 
 
@@ -79,7 +79,21 @@ def test_extension_orders(setups):
 def test_enumeration_overflow():
     pres = Presentation.wtilde(preset_matrix("B3"))
     with pytest.raises(EnumerationOverflow):
-        coset_enumeration(pres, live_cap=10)
+        hlt_coset_enumeration(pres, live_cap=10)
+
+
+@pytest.mark.parametrize("name, order", [("H4", 28800), ("E6", 103680)])
+def test_big_extensions_close_every_relator(name, order):
+    g = build_group(preset_matrix(name))
+    ext = build_wtilde(g.matrix, g)
+    assert ext.order == order
+    letters = [a for pm in ext.gen_perms for a in (pm, np.argsort(pm))]
+    points = np.arange(order)
+    for word in Presentation.wtilde(g.matrix).relators:
+        x = points
+        for letter in word:
+            x = letters[letter][x]
+        assert np.array_equal(x, points), word
 
 
 def test_z_is_central_involution(setups):
@@ -451,6 +465,37 @@ def test_walked_checks_agree_with_dense_oracles(setups, name):
     assert dense_check_global(g, ext, sec) is None
     assert np.array_equal(phi_rho(g, ext, sec).table,
                           dense_phi_rho(g, ext, sec).table)
+
+
+def hlt_perms(g):
+    """The extension's generator permutations by Todd-Coxeter."""
+    return hlt_coset_enumeration(Presentation.wtilde(g.matrix),
+                                 live_cap=4 * g.order + 16)
+
+
+@pytest.mark.parametrize("name", BATTERY + ["I2(4)"])
+def test_cayley_table_matches_todd_coxeter(setups, monkeypatch, name):
+    g, ext, _ = setups(name)
+    hlt = ExtGroup(hlt_perms(g), nt=g.rank)
+
+    def elements(e):
+        # (w, eps) -> the lift of w's ShortLex word times z^eps
+        lifts = extension._lifts(g, e)
+        return np.concatenate([lifts, e.gen_perms[e.nt][lifts]])
+
+    new, old = elements(ext), elements(hlt)
+    points = np.arange(2 * g.order)
+    assert np.array_equal(np.sort(new), points)
+    assert np.array_equal(np.sort(old), points)
+    to_old = np.empty_like(old)
+    to_old[new] = old
+    for gen in range(ext.ngens):
+        assert np.array_equal(to_old[ext.gen_perms[gen]],
+                              hlt.gen_perms[gen][to_old])
+
+    want = certificate_json(twist_certificate(g))
+    monkeypatch.setattr(extension, "coset_enumeration", hlt_perms)
+    assert certificate_json(twist_certificate(g)) == want
 
 
 def first_failure(g, ext, sec, vendramin, global_, phi):

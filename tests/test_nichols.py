@@ -151,7 +151,8 @@ def test_one_point_rack_braiding():
     V = one_point_space()
     assert V.dim == 1 and V.expo == ((1,),)
     reports = hilbert_coeffs(V, 3)
-    assert [r.rank for r in reports] == [1, 1, 0, 0]
+    # the reports end at the first zero rank, before dmax
+    assert [r.rank for r in reports] == [1, 1, 0]
 
 
 def test_braiding_from_rack_validates(spaces):

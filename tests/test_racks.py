@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coxrack import racks
 from coxrack.coxeter import build_group, preset_matrix
 from coxrack.racks import (
     NotClosedError,
@@ -17,11 +18,13 @@ from coxrack.racks import (
     is_cocycle,
     q_minus,
     q_plus,
+    q_minus_table,
     q_plus_table,
     rack_from_class,
     rack_isomorphic,
     reflection_rack,
 )
+from oracles import dense_check_equivariance
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,25 @@ def test_equivariance(groups):
         g = groups(name)
         assert check_equivariance(g, "plus")
         assert check_equivariance(g, "minus")
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4"])
+def test_equivariance_agrees_with_dense_oracle(groups, monkeypatch, name):
+    g = groups(name)
+    rng = np.random.default_rng(len(name) + g.order)
+    for which, make in (("plus", q_plus_table), ("minus", q_minus_table)):
+        table = make(g)
+        assert check_equivariance(g, which)
+        assert dense_check_equivariance(g, table)
+        # one bit flipped at (w, x), w != 1: with rank >= 2 some s_j != w,
+        # and the identity at (w1, w2, x) = (w s_j, s_j, x) fails
+        bad = table.copy()
+        bad[rng.integers(1, g.order), rng.integers(len(g.reflections))] ^= 1
+        monkeypatch.setattr(racks, f"q_{which}_table", lambda g: bad)
+        got = check_equivariance(g, which)
+        assert got == dense_check_equivariance(g, bad)
+        assert got == (g.rank == 1)
 
 
 def test_cohomologous_solver(groups):
