@@ -194,25 +194,8 @@ def resolve_matrix(spec: str) -> CoxeterMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Element / root / reflection views
+# Reflection views
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Element:
-    """One group element: dense id, ShortLex reduced word, length."""
-
-    id: int
-    word: tuple[int, ...]
-    length: int
-
-
-@dataclass(frozen=True)
-class Root:
-    """A root with exact coordinates over the simple basis."""
-
-    coeffs: tuple[CycloNumber, ...]
-    positive: bool
 
 
 @dataclass(frozen=True)
@@ -538,15 +521,6 @@ class GroupTable:
             tuple(sorted(c)) for c in ordered)
 
     # -- elementary operations ---------------------------------------------
-
-    def element(self, e: int) -> Element:
-        return Element(id=e, word=self.words[e], length=int(self.length_arr[e]))
-
-    def root(self, r: int) -> Root:
-        R = self.nroots
-        if r < R:
-            return Root(coeffs=self.pos_roots[r], positive=True)
-        return Root(coeffs=tuple(-c for c in self.pos_roots[r - R]), positive=False)
 
     def simple_reflection(self, i: int) -> int:
         return int(self.rmult[0][i])

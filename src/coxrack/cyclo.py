@@ -210,12 +210,6 @@ class CycloNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction if it is rational, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
     def embed(self, level: int) -> "CycloNumber":
         """Re-embed into Q(zeta_level); current level must divide level."""
         if level == self.level:

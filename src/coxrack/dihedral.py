@@ -60,17 +60,6 @@ def validate_summand(r: int, h: int, j: int):
         raise InvalidSummandError(f"r = {r} must divide h j = {h * j}")
 
 
-@dataclass(frozen=True)
-class DihedralSummandData:
-    """Bookkeeping for one constructed diagonal space."""
-
-    r: int
-    v0_copies: int
-    pairs: tuple[tuple[int, int, int], ...]   # (h, j, multiplicity)
-    degrees: tuple[int, ...]                  # exponent of the rotation
-    characters: tuple[int, ...]               # rotation eigenvalue exponent
-
-
 def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
     """Diagonal braided space of a sum of admissible summands.
 
@@ -86,7 +75,6 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
     degrees: list[int] = []
     chars: list[int] = []
     labels: list[str] = []
-    norm_pairs: list[tuple[int, int, int]] = []
     for c in range(v0_copies):
         degrees.append(r)
         chars.append(r)
@@ -102,7 +90,6 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
         if (h, j) in seen:
             raise InvalidSummandError(f"duplicate summand ({h}, {j})")
         seen.add((h, j))
-        norm_pairs.append((h, j, mult))
         for c in range(mult):
             tag = f";{c}" if mult > 1 else ""
             degrees.append(h % k)
@@ -115,11 +102,7 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
         raise InvalidSummandError("empty sum")
     d = len(degrees)
     qexp = [[degrees[x] * chars[y] % k for y in range(d)] for x in range(d)]
-    space = DiagonalBraidedSpace(k, qexp, labels)
-    space.summands = DihedralSummandData(
-        r=r, v0_copies=v0_copies, pairs=tuple(norm_pairs),
-        degrees=tuple(degrees), characters=tuple(chars))
-    return space
+    return DiagonalBraidedSpace(k, qexp, labels)
 
 
 def compatible(r: int, pairs) -> bool:
@@ -139,9 +122,6 @@ class DynkinDiagram:
     k: int
     vertices: tuple[int, ...]
     edges: dict[tuple[int, int], int]
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
 
 def dynkin_diagram(V: DiagonalBraidedSpace) -> DynkinDiagram:

@@ -4,18 +4,20 @@ The extension is presented on generators t_1..t_l, z with relations
 z^2 = (t_i z)^2 = 1 and (t_i t_j)^m_ij = z^(m_ij + 1).  Its regular
 permutation representation, the coset table of the trivial subgroup, is
 read off W's Cayley graph, one bit per edge, and checked against every
-relator.  The section of the projection to W is defined on
-reflections by walking the reflection conjugacy graph and certified
-well-defined by recomputing it along every path.  The resulting group
-2-cocycle (the z-exponent of rho(xy) rho(y)^-1 rho(x)^-1) is the machine
-certificate that the two sign cocycles on reflections are twist
-equivalent.
+relator.  Its elements are numbered (w, eps) = w + eps |W|: element w
+is the lift of w's ShortLex word (t_i for s_i, no z), and the
+projection to W is the number mod |W|.  The section of the projection
+is defined on reflections by walking the reflection conjugacy graph and
+certified well-defined by recomputing it along every path.  The
+resulting group 2-cocycle (the z-exponent of rho(xy) rho(y)^-1
+rho(x)^-1) is the machine certificate that the two sign cocycles on
+reflections are twist equivalent.
 
 No product table is built.  Every product the certificate checks is
 walked down W's BFS tree from the generator permutations of the
-extension and W's right multiplication `rmult`, one length level at a
-time (as in Casselman, "Machine calculations in Weyl groups", 1994):
-the largest table held is phi itself, |W|^2 bytes.
+extension, one length level at a time (as in Casselman, "Machine
+calculations in Weyl groups", 1994), and projected to W by the
+numbering: the largest table held is phi itself, |W|^2 bytes.
 
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
@@ -127,8 +129,10 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
     coset enumeration returns up to numbering: P maps onto W with kernel
     <z> (z is central), so |P| <= 2|W|.  The permutations satisfy the
     relators, so P acts through them, and the action is transitive on
-    the 2|W| points (ExtGroup checks it).  A transitive action of a group
-    of order at most 2|W| on 2|W| points is regular.
+    the 2|W| points: ExtGroup checks that the tree edges reach every
+    (w, 0) from the identity and that z maps (w, 0) to (w, 1).  A
+    transitive action of a group of order at most 2|W| on 2|W| points
+    is regular.
     """
     n, l = g.order, g.rank
     rmult, length = g.rmult, g.length_arr
@@ -175,47 +179,38 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
 class ExtGroup:
     """The extension as the right action of its generators on itself.
 
-    Element 0 is the identity; gen_perms[g, c] is c times generator g,
-    generators t_0..t_(l-1), then z.  `tree` lists the BFS steps
-    (gen, elems, parents), elems = parents * gen, level by level: a value
-    set at the identity and extended along the steps in order is its
-    value along the BFS words.  tconj[i, c] = t_i c t_i.  build_wtilde
-    adds `pi`, the projection to W.
+    gen_perms[h, c] is c times generator h, generators t_0..t_(l-1),
+    then z.  The elements are numbered (w, eps) = w + eps |W| for w in
+    W, eps in {0, 1}: element w is the lift of w's ShortLex word and
+    w + |W| is w z.  The constructor checks that numbering: the order is
+    2|W|, z adds |W| mod 2|W|, and every ShortLex tree edge u = v s_i
+    of W maps v to u by t_i, with no z.  tconj[i, c] = t_i c t_i.
+    build_wtilde adds `pi`, the projection to W.
     """
 
-    def __init__(self, gen_perms: list[list[int]], nt: int):
+    def __init__(self, gen_perms: list[list[int]], g: GroupTable):
         self.gen_perms = np.array(gen_perms, dtype=np.int32)
         self.ngens, self.order = self.gen_perms.shape
-        self.nt = nt                       # number of t-generators
-        self.z_elem = int(self.gen_perms[nt, 0])
-        self.t_elems = [int(e) for e in self.gen_perms[:nt, 0]]
-        self._bfs_tree()
-        # left multiplication by each t_i, t_i (p h) = (t_i p) h, then
-        # t_i c t_i = (t_i c) t_i
-        left = np.empty((nt, self.order), dtype=np.int32)
-        left[:, 0] = self.t_elems
-        for h, elems, parents in self.tree:
-            left[:, elems] = self.gen_perms[h][left[:, parents]]
-        self.tconj = np.take_along_axis(self.gen_perms[:nt], left, axis=1)
-
-    def _bfs_tree(self):
-        seen = np.zeros(self.order, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        self.tree = []
-        while frontier.size:
-            level = []
-            for g in range(self.ngens):
-                elems, first = np.unique(self.gen_perms[g, frontier],
-                                         return_index=True)
-                new = ~seen[elems]
-                elems, parents = elems[new], frontier[first[new]]
-                seen[elems] = True
-                self.tree.append((g, elems, parents))
-                level.append(elems)
-            frontier = np.concatenate(level)
-        if not seen.all():
-            raise AssertionError("generators do not act transitively")
+        self.nt = g.rank                   # number of t-generators
+        n = g.order
+        if self.order != 2 * n:
+            raise AssertionError(
+                f"extension has order {self.order}, expected {2 * n}")
+        points = np.arange(2 * n)
+        if not np.array_equal(self.gen_perms[self.nt], (points + n) % (2 * n)):
+            raise AssertionError("z is not numbered (w, eps) -> (w, eps + 1)")
+        if not np.array_equal(self.gen_perms[g._last[1:], g._parent[1:]],
+                              points[1:n]):
+            raise AssertionError("a ShortLex tree edge is not numbered (w, 0)")
+        self.z_elem = n
+        self.t_elems = [int(e) for e in self.gen_perms[:self.nt, 0]]
+        # left multiplication by each t_i: t_i (v s) = (t_i v) t_s and
+        # t_i (w z) = (t_i w) z; then t_i c t_i = (t_i c) t_i
+        walk = _tree_walk(g, self.gen_perms[:self.nt, 0],
+                          lambda c, s: self.gen_perms[s, c])
+        left = np.concatenate([block for _, _, block in walk]).T
+        left = np.concatenate([left, self.gen_perms[self.nt][left]], axis=1)
+        self.tconj = np.take_along_axis(self.gen_perms[:self.nt], left, axis=1)
 
     def lift(self, word) -> int:
         """The product of the generators in `word`."""
@@ -225,18 +220,31 @@ class ExtGroup:
         return c
 
 
+def _tree_walk(g: GroupTable, start: np.ndarray, step):
+    """Carry a row of values down W's BFS tree, one length level at a time.
+
+    Yields (lo, hi, block) per level, block[k] the row at element lo + k:
+    `start` at the identity, then step(parent rows, last letters as a
+    column) for the elements u = parent * s_i.  Only one level is held.
+    """
+    bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
+    block = start[None]
+    yield 0, 1, block
+    for prev, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
+        block = step(block[g._parent[lo:hi] - prev], g._last[lo:hi, None])
+        yield lo, hi, block
+
+
 def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
     """Enumerate the extension and verify its structural contract.
 
-    Asserts order 2|W|, every generator an involution, z central, and
-    that t_i -> s_i, z -> 1 is a well-defined surjection with kernel
-    {1, z}.
+    ExtGroup checks the order 2|W| and the (w, eps) numbering.  Asserts
+    z != 1, every generator an involution, z central, and that
+    t_i -> s_i, z -> 1, which is w + eps |W| -> w, is a well-defined
+    surjection with kernel {1, z}.
     """
-    ext = ExtGroup(coset_enumeration(g), nt=matrix.rank)
+    ext = ExtGroup(coset_enumeration(g), g)
 
-    if ext.order != 2 * g.order:
-        raise AssertionError(
-            f"extension has order {ext.order}, expected {2 * g.order}")
     z = ext.z_elem
     if z == 0:
         raise PresentationCollapse("z collapsed to the identity")
@@ -248,10 +256,7 @@ def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
         if not np.array_equal(gp[i][zp], zp[gp[i]]):
             raise AssertionError("z fails to commute with a generator")
 
-    # projection pi: t_i -> s_i, z -> identity, along BFS words
-    pi = np.zeros(ext.order, dtype=np.int32)
-    for gen, elems, parents in ext.tree:
-        pi[elems] = g.rmult[pi[parents], gen] if gen < ext.nt else pi[parents]
+    pi = np.arange(ext.order, dtype=np.int32) % g.order
     for gen in range(ext.ngens):
         want = g.rmult[pi, gen] if gen < ext.nt else pi
         if not np.array_equal(pi[gp[gen]], want):
@@ -301,28 +306,6 @@ class GroupCocycle2:
     table: np.ndarray  # (|W|, |W|) uint8
 
 
-def _tree_walk(g: GroupTable, start: np.ndarray, step):
-    """Carry a row of values down W's BFS tree, one length level at a time.
-
-    Yields (lo, hi, block) per level, block[k] the row at element lo + k:
-    `start` at the identity, then step(parent rows, last letters as a
-    column) for the elements u = parent * s_i.  Only one level is held.
-    """
-    bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
-    block = start[None]
-    yield 0, 1, block
-    for prev, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
-        block = step(block[g._parent[lo:hi] - prev], g._last[lo:hi, None])
-        yield lo, hi, block
-
-
-def _lifts(g: GroupTable, ext: ExtGroup) -> np.ndarray:
-    """The lifts of the ShortLex words of W (t_i for s_i, no z)."""
-    walk = _tree_walk(g, np.zeros(1, dtype=np.int32),
-                      lambda c, s: ext.gen_perms[s, c])
-    return np.concatenate([block[:, 0] for _, _, block in walk])
-
-
 def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
     """Yield (xs, block), block[k] = rho(x) values rho(x)^-1 for x = xs[k],
     one length level of x^-1 at a time, for any section rho.
@@ -346,11 +329,12 @@ def build_section(g: GroupTable, ext: ExtGroup,
 
     rho(s_i) = t_i; for a deeper reflection the first graph edge gives
     rho(x) = t_i rho(y) t_i z; off the reflections rho lifts the ShortLex
-    word with z-exponent zero (so rho(identity) = 1).
+    word with z-exponent zero, which is element w itself (so
+    rho(identity) = 1).
     """
     graph = graph or g.conjugacy_graph()
     zp = ext.gen_perms[ext.nt]
-    rho = _lifts(g, ext)
+    rho = np.arange(g.order, dtype=np.int32)
 
     # rho(s_i) = t_i is already the lift of its word
     for refl in sorted(g.reflections, key=lambda t: g.length(t.elem)):
@@ -454,41 +438,33 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     """Extract the z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1.
 
     phi is built one column y at a time, walking y down W's BFS tree.
-    rho(y) = lift(y) z^f(y), lift(y) the product of the t_i along y's
-    ShortLex word, so the column rho(x) lift(y) over all x is the
-    parent's column pushed through gen_perms[last letter of y], and the
-    column xy is the parent's pushed through rmult.  Then
+    rho(y) = y z^f(y), y the lift of y's ShortLex word, f(y) = [rho(y) >=
+    |W|], so the column rho(x) y over all x is the parent's column
+    pushed through gen_perms[last letter of y].  It projects to xy, and
     rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y) is f(y) plus whether
-    rho(x) lift(y) differs from rho(xy).
+    rho(x) y differs from rho(xy).
 
-    Verifies that every value lies in the kernel, the group 2-cocycle
-    identity, and the conjugation identity
+    rho(x) y lies in rho(xy) {1, z}, so phi needs no kernel check of its
+    own: build_wtilde checks that the projection pi is a homomorphism
+    with kernel {1, z} and build_section that pi rho = id, so
+    pi(rho(x) y) = x y = pi(rho(xy)), and two elements with the same
+    projection differ by an element of the kernel.
+
+    Verifies the group 2-cocycle identity and the conjugation identity
     phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W, where
-    rho(x) > rho(W) comes from the walk of _conjugates and x > W from the
-    same walk in W.  The 2-cocycle identity is checked with the middle
-    element restricted to the simple reflections, which is equivalent to
-    the full W x W x W check (see cocycle_identity_witness).  A failing
+    rho(x) > rho(W) comes from the walk of _conjugates and projects to
+    x > W.  The 2-cocycle identity is checked with the middle element
+    restricted to the simple reflections, which is equivalent to the
+    full W x W x W check (see cocycle_identity_witness).  A failing
     check reports its first (x, y) in row-major order.
     """
     n, rho = g.order, sec.rho
-    zp = ext.gen_perms[ext.nt]
-    flip = rho != _lifts(g, ext)
-    ident = np.arange(n, dtype=np.int32)
+    flip = rho >= n
     table = np.empty((n, n), dtype=np.uint8)
-    misses = []
-    products = _tree_walk(g, rho, lambda c, s: ext.gen_perms[s, c])
-    xys = _tree_walk(g, ident, lambda c, s: g.rmult[c, s])
-    for (lo, hi, prod), (_, _, xy) in zip(products, xys):
-        # prod[k, x] = rho(x) lift(y), xy[k, x] = x y for y = lo + k
-        r = rho[xy]
-        differ = prod != r
-        miss = differ & (prod != zp[r])
-        if miss.any():
-            k, x = np.nonzero(miss)
-            misses.append(min(zip(x.tolist(), (lo + k).tolist())))
+    for lo, hi, prod in _tree_walk(g, rho, lambda c, s: ext.gen_perms[s, c]):
+        # prod[k, x] = rho(x) y for y = lo + k
+        differ = prod != rho[prod % n]
         table[:, lo:hi] = (differ ^ flip[lo:hi, None]).T
-    if misses:
-        raise CertificationError("phi-kernel", list(min(misses)))
 
     # group 2-cocycle identity phi(xy, w) phi(x, y) = phi(x, yw) phi(y, w)
     left = g.inv_arr[g.rmult[g.inv_arr]]  # [w, i] = s_i w
@@ -497,14 +473,13 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
         raise CertificationError("phi-cocycle-identity", list(witness))
 
     # conjugation identity, over all of W x W
-    wconj = left[g.rmult, np.arange(g.rank)].T  # [i, y] = s_i y s_i
-    w_walk = _tree_walk(g, ident, lambda c, s: wconj[s, c])
-    for (xs, lhs), (_, _, conj_x) in zip(_conjugates(g, ext, rho), w_walk):
-        # row k: rho(x) rho(W) rho(x)^-1 and x W x^-1 for x = xs[k]
-        r = rho[conj_x]
+    misses = []
+    for xs, lhs in _conjugates(g, ext, rho):
+        # row k: rho(x) rho(W) rho(x)^-1 = rho(x W x^-1) z^e, x = xs[k]
+        conj_x = lhs % n
         at_x = np.take_along_axis(np.ascontiguousarray(table[:, xs].T),
                                   conj_x, axis=1)  # phi(x > y, x)
-        ok = np.where(table[xs] ^ at_x, lhs == zp[r], lhs == r)
+        ok = (lhs != rho[conj_x]) == (table[xs] ^ at_x)
         if not ok.all():
             k, y = np.nonzero(~ok)
             misses.append(min(zip(xs[k].tolist(), y.tolist())))

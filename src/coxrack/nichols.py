@@ -115,16 +115,10 @@ class BraidedSpace:
         if any(len(row) != d for row in self.target) or \
            any(len(row) != d for row in self.expo) or len(self.labels) != d:
             raise ValueError("braiding tables have inconsistent shapes")
-        self._inv_target = []
         for x in range(d):
-            row = self.target[x]
-            if sorted(row) != list(range(d)):
+            if sorted(self.target[x]) != list(range(d)):
                 raise ValueError(f"left translation by basis {x} not bijective")
-            inv = [0] * d
-            for y, t in enumerate(row):
-                inv[t] = y
-            self._inv_target.append(tuple(inv))
-        self._letter_cache: dict[tuple[int, int, int], MonomialOp] = {}
+        self._letter_cache: dict[tuple[int, int], MonomialOp] = {}
         self._check_braid_equation()
 
     def _check_braid_equation(self):
@@ -137,11 +131,11 @@ class BraidedSpace:
             witness = (bad // (d * d), bad // d % d, bad % d)
             raise BraidEquationError(witness)
 
-    def braid_letter(self, n: int, i: int, sign: int = 1) -> MonomialOp:
-        """The operator of sigma_i^sign on the n-fold tensor power."""
+    def braid_letter(self, n: int, i: int) -> MonomialOp:
+        """The operator of sigma_i on the n-fold tensor power."""
         if not 1 <= i <= n - 1:
             raise ValueError(f"letter {i} out of range for {n} strands")
-        key = (n, i, sign)
+        key = (n, i)
         op = self._letter_cache.get(key)
         if op is not None:
             return op
@@ -155,27 +149,17 @@ class BraidedSpace:
         base = idx - x * stride_x - y * stride_y
         tgt = np.array(self.target, dtype=np.int64)
         exp = np.array(self.expo, dtype=np.int64)
-        if sign >= 0:
-            perm = base + tgt[x, y] * stride_x + x * stride_y
-            expo = exp[x, y]
-        else:
-            inv_tgt = np.array(self._inv_target, dtype=np.int64)
-            yprime = inv_tgt[y, x]
-            perm = base + y * stride_x + yprime * stride_y
-            expo = (-exp[y, yprime]) % self.k
-        op = MonomialOp(self.k, perm, expo)
+        op = MonomialOp(self.k, base + tgt[x, y] * stride_x + x * stride_y,
+                        exp[x, y])
         self._letter_cache[key] = op
         return op
 
 
 def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
-    """Operator of a braid word (letters +-i for sigma_i^(+-1))."""
+    """Operator of a positive braid word (letter i for sigma_i)."""
     acc = MonomialOp.identity(V.dim ** n, V.k)
     for letter in word:
-        if letter == 0 or abs(letter) > n - 1:
-            raise ValueError(f"letter {letter} invalid on {n} strands")
-        acc = acc.compose_after(V.braid_letter(n, abs(letter),
-                                               1 if letter > 0 else -1))
+        acc = acc.compose_after(V.braid_letter(n, letter))
     return acc
 
 
@@ -687,25 +671,18 @@ def quadratic_relations(V: BraidedSpace):
     return p, omega, basis
 
 
-def _ideal_degree_rank(V: BraidedSpace, n: int, p: int, omega: int,
+def _ideal_degree_rank(V: BraidedSpace, n: int, p: int,
                        kernel: np.ndarray) -> int:
-    """Rank of the degree-n slice of the two-sided ideal on the kernel."""
+    """Rank of the degree-n slice of the two-sided ideal on the kernel.
+
+    The slice is spanned by the rows e_a (x) v (x) e_b, v in the kernel,
+    over every position t of v: eye(d^t) (x) kernel (x) eye(d^(n-2-t)).
+    """
     d = V.dim
-    N = d ** n
-    rows = []
-    pair_idx = np.arange(d * d)
-    for t in range(n - 1):
-        lo = d ** (n - 2 - t)
-        hi_stride = d ** (n - t)
-        for a in range(d ** t):
-            base = a * hi_stride
-            offsets = base + pair_idx * lo
-            for v in kernel:
-                for b in range(lo):
-                    row = np.zeros(N, dtype=np.int64)
-                    row[offsets + b] = v
-                    rows.append(row)
-    mat = np.array(rows, dtype=np.int64)
+    mat = np.concatenate([
+        np.kron(np.kron(np.eye(d ** t, dtype=np.int64), kernel),
+                np.eye(d ** (n - 2 - t), dtype=np.int64))
+        for t in range(n - 1)])
     _, pivots = row_reduce_mod(mat % p, p)
     return len(pivots)
 
@@ -725,7 +702,7 @@ def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
         ranks = ranks + [0] * (n + 1 - len(ranks))
         # nullity minus the dimension of the ideal slice, per degree
         slack = [V.dim ** deg - ranks[deg]
-                 - _ideal_degree_rank(V, deg, p, omega, kernel)
+                 - _ideal_degree_rank(V, deg, p, kernel)
                  for deg in range(3, n + 1)]
         if min(slack) < 0:
             raise AssertionError("ideal slice exceeds the relation space")

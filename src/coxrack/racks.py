@@ -117,10 +117,6 @@ class RackCocycle:
         return RackCocycle(self.order, tuple(
             tuple(self.table[i][j] for j in idx) for i in idx))
 
-    def to_json_dict(self) -> dict:
-        return {"schema": "cocycle_table.v1", "order": self.order,
-                "table": [list(r) for r in self.table]}
-
 
 def rack_from_class(g: GroupTable, elems) -> Rack:
     """Rack on a conjugation-closed set of group elements.

@@ -174,6 +174,30 @@ def hlt_coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
 # -- dense product tables of the extension and the checks that read them ------
 
 
+def ext_bfs_tree(ext: ExtGroup) -> list:
+    """The BFS steps (gen, elems, parents), elems = parents * gen, level by
+    level over all of the extension: a value set at the identity and
+    extended along the steps in order is its value along the BFS words."""
+    seen = np.zeros(ext.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    tree = []
+    while frontier.size:
+        level = []
+        for h in range(ext.ngens):
+            elems, first = np.unique(ext.gen_perms[h, frontier],
+                                     return_index=True)
+            new = ~seen[elems]
+            elems, parents = elems[new], frontier[first[new]]
+            seen[elems] = True
+            tree.append((h, elems, parents))
+            level.append(elems)
+        frontier = np.concatenate(level)
+    if not seen.all():
+        raise AssertionError("generators do not act transitively")
+    return tree
+
+
 def ext_mult_table(ext: ExtGroup) -> np.ndarray:
     """Dense (2|W|)^2 product table of the extension.
 
@@ -181,13 +205,14 @@ def ext_mult_table(ext: ExtGroup) -> np.ndarray:
     table row by row: (p h) b = p (h b).
     """
     n = ext.order
+    tree = ext_bfs_tree(ext)
     L = np.empty((ext.ngens, n), dtype=np.int32)
     L[:, 0] = ext.gen_perms[:, 0]
-    for h, elems, parents in ext.tree:
+    for h, elems, parents in tree:
         L[:, elems] = ext.gen_perms[h][L[:, parents]]
     M = np.empty((n, n), dtype=np.int32)
     M[0] = np.arange(n, dtype=np.int32)
-    for h, elems, parents in ext.tree:
+    for h, elems, parents in tree:
         M[elems] = M[parents[:, None], L[h]]
     return M
 
@@ -195,7 +220,7 @@ def ext_mult_table(ext: ExtGroup) -> np.ndarray:
 def ext_inv_table(ext: ExtGroup, M: np.ndarray) -> np.ndarray:
     """Inverses from M; every generator is an involution: (p h)^-1 = h p^-1."""
     inv = np.zeros(ext.order, dtype=np.int32)
-    for h, elems, parents in ext.tree:
+    for h, elems, parents in ext_bfs_tree(ext):
         inv[elems] = M[ext.gen_perms[h][0], inv[parents]]
     if M[np.arange(ext.order), inv].any():
         raise AssertionError("inverse table is wrong")

@@ -474,28 +474,99 @@ def hlt_perms(g):
 
 
 @pytest.mark.parametrize("name", BATTERY + ["I2(4)"])
-def test_cayley_table_matches_todd_coxeter(setups, monkeypatch, name):
+def test_cayley_table_matches_todd_coxeter(setups, name):
+    # Todd-Coxeter's table renumbered (w, eps) -> the lift of w's ShortLex
+    # word times z^eps is the table read off the Cayley graph.
     g, ext, _ = setups(name)
-    hlt = ExtGroup(hlt_perms(g), nt=g.rank)
+    hlt = np.array(hlt_perms(g))
+    lifts = [0] * g.order
+    for w, word in enumerate(g.words):
+        for s in word:
+            lifts[w] = int(hlt[s, lifts[w]])
+    old = np.concatenate([lifts, hlt[g.rank][lifts]])
+    assert np.array_equal(np.sort(old), np.arange(2 * g.order))
+    to_new = np.argsort(old)
+    assert np.array_equal(to_new[hlt[:, old]], ext.gen_perms)
 
-    def elements(e):
-        # (w, eps) -> the lift of w's ShortLex word times z^eps
-        lifts = extension._lifts(g, e)
-        return np.concatenate([lifts, e.gen_perms[e.nt][lifts]])
 
-    new, old = elements(ext), elements(hlt)
-    points = np.arange(2 * g.order)
-    assert np.array_equal(np.sort(new), points)
-    assert np.array_equal(np.sort(old), points)
-    to_old = np.empty_like(old)
-    to_old[new] = old
-    for gen in range(ext.ngens):
-        assert np.array_equal(to_old[ext.gen_perms[gen]],
-                              hlt.gen_perms[gen][to_old])
+def test_ext_group_refuses_other_numberings(setups):
+    g, ext, _ = setups("B3")
+    with pytest.raises(AssertionError):
+        ExtGroup(hlt_perms(g), g)
+    # the Cayley table with elements 1 and 2 of W swapped in both fibers,
+    # so z still adds |W|
+    n = g.order
+    swap = np.arange(ext.order)
+    swap[[1, 2, n + 1, n + 2]] = [2, 1, n + 2, n + 1]
+    with pytest.raises(AssertionError, match="ShortLex tree edge"):
+        ExtGroup(swap[ext.gen_perms[:, swap]], g)
+    # only the two points 1 and 2 swapped: z no longer adds |W|
+    swap = np.arange(ext.order)
+    swap[[1, 2]] = [2, 1]
+    with pytest.raises(AssertionError, match="z is not numbered"):
+        ExtGroup(swap[ext.gen_perms[:, swap]], g)
+    ExtGroup(ext.gen_perms, g)
 
-    want = certificate_json(twist_certificate(g))
-    monkeypatch.setattr(extension, "coset_enumeration", hlt_perms)
-    assert certificate_json(twist_certificate(g)) == want
+
+def test_phi_rho_walks_w_twice(setups, monkeypatch):
+    # one walk for phi, one for conjugation; no walk over W's own products
+    g, ext, sec = setups("B3")
+    calls = []
+    walk = extension._tree_walk
+    monkeypatch.setattr(extension, "_tree_walk",
+                        lambda *args: calls.append(1) or walk(*args))
+    phi_rho(g, ext, sec)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_tconj_is_dense_conjugation(setups, name):
+    g, ext, _ = setups(name)
+    M = ext_mult_table(ext)
+    for i, t in enumerate(ext.t_elems):
+        assert np.array_equal(ext.tconj[i], M[M[t], t])
+
+
+# sha256 of the dtype, shape and bytes of gen_perms, tconj, pi and rho,
+# recorded before the extension was numbered (w, eps) by contract
+EXT_SHA256 = {
+    "A1": "9e3ad78887ff3dee1c2d9a5f98755df0b9829307ab5ec52482a6ce99ebffbce5",
+    "A2": "bea75c756bf92a304186ac6c2fb25717b1787b8959f22ba7f708b759c1bd0086",
+    "A3": "87a213b1c37b9b3c7e98e0e6a7527fad53a043ea3b0f1e49e68a2300d17c7f95",
+    "A4": "606ad803272928298234baccf0c86e2100e3d272b04a5d214fba1fd43c75ed35",
+    "B2": "f756f1d5f2b67618a63ab99a91055388b34e3fe27f16a738f3915b323250291c",
+    "B3": "b181bdba5b5322f58ce831cfc750ba7f544b56fb4500afc61ccc91a166000289",
+    "I2(5)":
+        "62269810c05d8116a83b18c2028289e38bafaa249221ec206dfe5e627b1fc2f7",
+    "I2(6)":
+        "8eacc93fa4ebe41d52442a0fcf1abf668d23f417c61c951df17f1849f8280141",
+    "I2(7)":
+        "b47c49a30185ce3d5728b58d2f0416fbe70dda4d9e61f5e77c893d4788c6db44",
+    "H3": "210abcfacecebe924cc95aae4baecd192d10ae622d13fe406f63d41aa03cc4bc",
+    "D4": "27b6b54db84b140f3345a590dd58240e2dab31a519fd3eb07761dff737e2fbfa",
+    "F4": "eb38942c23623940e6c674ac3d67b0b839a20e46fef3e8fd79ee789a7de16adf",
+}
+
+
+@pytest.mark.parametrize("name", BATTERY + ["F4"])
+def test_extension_arrays_pinned(setups, name):
+    g, ext, sec = setups(name)
+    h = hashlib.sha256()
+    for a in (ext.gen_perms, ext.tconj, ext.pi, sec.rho):
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == EXT_SHA256[name]
+
+
+@pytest.mark.parametrize("name, bits", [("A2", (0, 1)), ("I2(6)", (0, 0))])
+def test_split_witness_rejects_lifts_that_meet_z(setups, name, bits):
+    # (t_0 t_1 z)^3 = z on A2, and (t_0 t_1)^6 = z on I2(6)
+    g, ext, _ = setups(name)
+    with pytest.raises(CertificationError) as err:
+        extension._verify_split_witness(g, ext, bits)
+    assert err.value.details == {"stage": "split-witness",
+                                 "witness": list(bits)}
 
 
 def first_failure(g, ext, sec, vendramin, global_, phi):
