@@ -657,20 +657,6 @@ def total_dimension(V: BraidedSpace):
 # ---------------------------------------------------------------------------
 
 
-def quadratic_relations(V: BraidedSpace):
-    """Nullspace basis of the degree-2 symmetrizer over GF(p).
-
-    Returns (prime, omega, basis) at the first prime; the dimension is
-    double-checked against the ladder's degree-2 rank at every prime.
-    """
-    runs = _ladder_runs(V, 2)
-    p, omega = runs[0][:2]
-    basis = nullspace_mod(symmetrizer_dense_mod(V, 2, p, omega), p)
-    if any(V.dim ** 2 - r != basis.shape[0] for r in _ranks_at(runs, 2)):
-        raise AssertionError("kernel dimension disagrees across primes")
-    return p, omega, basis
-
-
 def _ideal_degree_rank(V: BraidedSpace, n: int, p: int,
                        kernel: np.ndarray) -> int:
     """Rank of the degree-n slice of the two-sided ideal on the kernel.
@@ -710,11 +696,3 @@ def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
     if len(set(verdicts)) != 1:
         raise AssertionError("quadraticity verdict disagrees across primes")
     return verdicts[0]
-
-
-def reports_jsonl(reports) -> str:
-    """One JSON object per line, one line per degree report."""
-    import json
-
-    return "\n".join(json.dumps(r.to_dict(), sort_keys=True)
-                     for r in reports) + "\n"

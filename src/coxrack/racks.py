@@ -227,9 +227,9 @@ def check_equivariance(g: GroupTable, which: str) -> bool:
     q(w1 a b, x) = q(w1 a, b > x) q(b, x)
                  = q(w1, ab > x) q(a, b > x) q(b, x) = q(w1, ab > x) q(ab, x),
     the last step being the identity at b with w1 = a.  So S is closed
-    under products, as in extension.cocycle_identity_witness, and once
-    the simple reflections pass, all of W passes (the identity too:
-    s s = 1).  Also asserts q(identity, x) = 1 for all x.
+    under products, and once the simple reflections pass, all of W
+    passes (the identity too: s s = 1).  Also asserts q(identity, x) = 1
+    for all x.
     """
     table = q_plus_table(g) if which == "plus" else q_minus_table(g)
     if table[0].any():

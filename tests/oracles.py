@@ -270,7 +270,25 @@ def dense_check_global(g, ext, sec):
 
 
 def dense_cocycle_identity_witness(mult, table, middles):
-    """cocycle_identity_witness reading x y and y w from the dense mult."""
+    """First (x, y, w) with phi(xy,w) + phi(x,y) != phi(x,yw) + phi(y,w).
+
+    Checks every x and w but only the middle elements y in `middles`,
+    reading x y and y w from the dense mult, and returns None when all
+    of those triples hold.  With middles the simple reflections this
+    accepts exactly the tables that satisfy the identity on all of
+    W x W x W, normalized or not (Light's associativity test):
+
+    The identity at (x, y, w) is associativity of (x,a), (y,b), (w,c)
+    under (x,a)(y,b) = (xy, a + b + phi(x,y)) on W x Z2, whatever the
+    bits.  Let S be the set of g with (u g) v = u (g v) for all u, v.
+    For g, h in S,
+    (u (g h)) v = ((u g) h) v = (u g)(h v) = u (g (h v)) = u ((g h) v),
+    so S is closed under the product.  As the bits do not matter, S is
+    (the y that pass) x Z2, so the y that pass are closed under the
+    product of W.  Every element of W is a product of simple
+    reflections (the identity too: s s = 1), so once they pass, all
+    of W passes.
+    """
     for y in middles:
         lhs = table[mult[:, y]] ^ table[:, y][:, None]
         rhs = table[:, mult[y]] ^ table[y][None, :]
@@ -282,7 +300,8 @@ def dense_cocycle_identity_witness(mult, table, middles):
 
 def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
     """phi_rho from the dense tables: a |W|^2 array of
-    rho(xy) rho(y)^-1 rho(x)^-1, then the same three checks."""
+    rho(xy) rho(y)^-1 rho(x)^-1, checked to lie in {1, z}, then
+    dense_phi_identities."""
     MW = g.mult_table()
     ME = ext_mult_table(ext)
     inv = ext_inv_table(ext, ME)
@@ -299,6 +318,20 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
         bad = np.argwhere(~in_kernel)[0]
         raise CertificationError("phi-kernel", [int(bad[0]), int(bad[1])])
     table = (vals == z).astype(np.uint8)
+    dense_phi_identities(g, ext, sec, table)
+    return GroupCocycle2(table=table)
+
+
+def dense_phi_identities(g, ext, sec, table):
+    """Raise CertificationError unless the table satisfies the group
+    2-cocycle identity and the conjugation identity
+    phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W."""
+    MW = g.mult_table()
+    ME = ext_mult_table(ext)
+    inv = ext_inv_table(ext, ME)
+    z = ext.z_elem
+    rho = sec.rho
+    rho_inv = inv[rho]
 
     simples = [g.simple_reflection(i) for i in range(g.rank)]
     witness = dense_cocycle_identity_witness(MW, table, simples)
@@ -307,7 +340,7 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
 
     inv_w = g.inv_arr
     zmul = ME[:, z]
-    for x in range(n):
+    for x in range(g.order):
         conj_x = MW[MW[x], inv_w[x]]  # x > y for all y
         lhs = ME[ME[rho[x], rho], rho_inv[x]]
         lhs = np.where(table[x], zmul[lhs], lhs)
@@ -316,8 +349,6 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
         if not np.array_equal(lhs, rhs):
             y = int(np.nonzero(lhs != rhs)[0][0])
             raise CertificationError("phi-conjugation-identity", [int(x), y])
-
-    return GroupCocycle2(table=table)
 
 
 def dense_check_equivariance(g, table) -> bool:

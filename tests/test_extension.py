@@ -19,18 +19,25 @@ from coxrack.extension import (
     certify_twist,
     check_global,
     check_vendramin,
-    cocycle_identity_witness,
     is_split,
     phi_checksum,
     phi_rho,
     twist_certificate,
 )
-from coxrack.racks import cohomologous_solve, q_minus, q_plus, reflection_rack
+from coxrack.racks import (
+    cohomologous_solve,
+    q_minus,
+    q_plus,
+    q_plus_table,
+    reflection_rack,
+)
+import oracles
 from oracles import (
     EnumerationOverflow,
     dense_check_global,
     dense_check_vendramin,
     dense_cocycle_identity_witness,
+    dense_phi_identities,
     dense_phi_rho,
     ext_inv_table,
     ext_mult_table,
@@ -233,7 +240,7 @@ def test_cohomologous_cross_module(setups):
         assert (gamma is not None) == g.matrix.all_odd()
 
 
-# -- oracles for the cheap checks in phi_rho and phi_checksum -----------------
+# -- the cocycle identity oracle and phi_checksum -----------------------------
 
 BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
            "H3", "D4"]
@@ -296,13 +303,6 @@ def partial_cocycle_space(mult, ys):
     return basis.reshape(len(free), n, n)
 
 
-def reduced_witness(mult, table, ys):
-    """cocycle_identity_witness with its x y columns and y w rows read
-    from the dense mult."""
-    ys = list(ys)
-    return cocycle_identity_witness(table, ys, mult[:, ys], mult[ys].T)
-
-
 def identity_holds(mult, table, x, y, w):
     return (table[mult[x, y], w] ^ table[x, y]) == (table[x, mult[y, w]]
                                                     ^ table[y, w])
@@ -333,7 +333,7 @@ def test_reduced_cocycle_check_agrees_with_full(setups, name):
         tables.append(bad)
     rejected = 0
     for i, table in enumerate(tables):
-        reduced = reduced_witness(mult, table, simples(g))
+        reduced = dense_cocycle_identity_witness(mult, table, simples(g))
         full = full_cocycle_witness(mult, table)
         assert (reduced is None) == (full is None), i
         if i < len(cocycles):
@@ -344,19 +344,6 @@ def test_reduced_cocycle_check_agrees_with_full(setups, name):
             assert y in simples(g)
             assert not identity_holds(mult, table, x, y, w)
     assert rejected > 0
-
-
-def test_reduced_cocycle_check_in_row_blocks(setups, monkeypatch):
-    # one row x per block gives the same first witness as one block
-    g, ext, sec = setups("B3")
-    mult = g.mult_table()
-    table = phi_rho(g, ext, sec).table.copy()
-    table[40, 7] ^= 1
-    whole = reduced_witness(mult, table, simples(g))
-    assert whole is not None and whole[0] > 0
-    assert whole == dense_cocycle_identity_witness(mult, table, simples(g))
-    monkeypatch.setattr(extension, "BLOCK_CELLS", 1)
-    assert reduced_witness(mult, table, simples(g)) == whole
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "A3"])
@@ -376,22 +363,11 @@ def test_reduced_cocycle_check_needs_every_simple_reflection(name):
         assert len(wider) > len(cocycles)
         rejected = 0
         for table in wider:
-            reduced = reduced_witness(mult, table, simples(g))
+            reduced = dense_cocycle_identity_witness(mult, table, simples(g))
             assert (reduced is None) == (full_cocycle_witness(mult, table)
                                          is None)
             rejected += reduced is not None
         assert rejected > 0
-
-
-def test_phi_rho_checks_every_simple_reflection(setups, monkeypatch):
-    g, ext, sec = setups("B3")
-    seen = []
-    check = extension.cocycle_identity_witness
-    monkeypatch.setattr(extension, "cocycle_identity_witness",
-                        lambda table, ys, right, left: seen.append(list(ys))
-                        or check(table, ys, right, left))
-    phi_rho(g, ext, sec)
-    assert seen == [simples(g)]
 
 
 @pytest.mark.parametrize("n", [6, 120, 1152])
@@ -467,6 +443,49 @@ def test_walked_checks_agree_with_dense_oracles(setups, name):
                           dense_phi_rho(g, ext, sec).table)
 
 
+def test_dense_phi_identities_reject_broken_tables(setups):
+    g, ext, sec = setups("B3")
+    table = phi_rho(g, ext, sec).table
+    dense_phi_identities(g, ext, sec, table)
+    # one flipped cell breaks the 2-cocycle identity
+    bad = table.copy()
+    bad[5, 7] ^= 1
+    with pytest.raises(CertificationError, match="phi-cocycle-identity"):
+        dense_phi_identities(g, ext, sec, bad)
+    # a coboundary keeps it, but one that is not constant on a conjugacy
+    # class breaks the conjugation identity
+    f = np.zeros(g.order, dtype=np.uint8)
+    f[g.simple_reflection(0)] = 1
+    bad = table ^ f[:, None] ^ f[None, :] ^ f[g.mult_table()]
+    assert dense_cocycle_identity_witness(g.mult_table(), bad,
+                                          simples(g)) is None
+    with pytest.raises(CertificationError, match="phi-conjugation-identity"):
+        dense_phi_identities(g, ext, sec, bad)
+
+
+def test_check_global_reports_first_witness_across_levels(setups,
+                                                          monkeypatch):
+    # The walk visits each length level in the order of the inverses, so
+    # inside a level a larger w can come first; the witness is still the
+    # first (w, y) in row-major order, as in the dense oracle.
+    g, ext, sec = setups("B3")
+    bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
+    lo, hi = next((lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+                  if not (np.diff(g.inv_arr[lo:hi]) > 0).all())
+    xs = g.inv_arr[lo:hi].tolist()
+    k = next(k for k in range(len(xs) - 1) if xs[k] > xs[k + 1])
+    late, early = xs[k], xs[k + 1]         # the walk meets late first
+    nt = len(g.reflections)
+    qp = q_plus_table(g).copy()
+    for w, t in ((late, 0), (early, nt - 1), (g.order - 1, 0)):
+        qp[w, t] ^= 1
+    monkeypatch.setattr(extension, "q_plus_table", lambda g: qp)
+    monkeypatch.setattr(oracles, "q_plus_table", lambda g: qp)
+    want = (early, g.reflections[nt - 1].elem)
+    assert check_global(g, ext, sec) == want
+    assert dense_check_global(g, ext, sec) == want
+
+
 def hlt_perms(g):
     """The extension's generator permutations by Todd-Coxeter."""
     return hlt_coset_enumeration(Presentation.wtilde(g.matrix),
@@ -508,15 +527,15 @@ def test_ext_group_refuses_other_numberings(setups):
     ExtGroup(ext.gen_perms, g)
 
 
-def test_phi_rho_walks_w_twice(setups, monkeypatch):
-    # one walk for phi, one for conjugation; no walk over W's own products
+def test_phi_rho_walks_w_once(setups, monkeypatch):
+    # one walk for phi; the identities it satisfies are left to the oracle
     g, ext, sec = setups("B3")
     calls = []
     walk = extension._tree_walk
     monkeypatch.setattr(extension, "_tree_walk",
                         lambda *args: calls.append(1) or walk(*args))
     phi_rho(g, ext, sec)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", BATTERY)

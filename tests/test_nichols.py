@@ -17,6 +17,7 @@ from coxrack.dihedral import (
     v31_module,
 )
 from coxrack.modlin import (
+    nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
     rank_mod,
@@ -38,7 +39,6 @@ from coxrack.nichols import (
     ladder_ranks_iter,
     matsumoto_word,
     perm_operator,
-    quadratic_relations,
     reduce_zeta_array,
     symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
@@ -560,17 +560,6 @@ def test_report_serialization(spaces):
     assert len(d["primes"]) == 2 and d["agreed"]
 
 
-def test_reports_jsonl(spaces):
-    import json
-
-    from coxrack.nichols import reports_jsonl
-
-    reports = hilbert_coeffs(spaces("A2"), 3)
-    lines = reports_jsonl(reports).strip().splitlines()
-    assert len(lines) == 4
-    assert [json.loads(l)["rank"] for l in lines] == [1, 3, 4, 3]
-
-
 def test_twist_pairs_equal_ranks_battery(spaces):
     # twist-equivalent cocycles give equal low-degree rank sequences on
     # the full certificate battery (depth is covered by the A2/A3/I2
@@ -584,10 +573,13 @@ def test_twist_pairs_equal_ranks_battery(spaces):
 
 
 def test_quadratic_kernel_dimension(spaces):
+    # the degree-2 kernel is_quadratic_through builds its ideal from
     V = spaces("A2")
-    p, omega, basis = quadratic_relations(V)
-    assert basis.shape[0] == 9 - 4 == 5
+    p = primes_one_mod(V.k)[0]
+    omega = root_of_unity_mod(p, V.k)
     mat = symmetrizer_dense_mod(V, 2, p, omega)
+    basis = nullspace_mod(mat, p)
+    assert basis.shape[0] == 9 - 4 == 5
     for v in basis:
         assert not (mat @ v % p).any()
 
