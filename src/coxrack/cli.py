@@ -33,15 +33,14 @@ from .dihedral import (
     dynkin_diagram,
     exterior_coefficients,
 )
-from .extension import CertificationError, PathMismatchError, certificate_json, \
-    twist_certificate
+from .extension import CertificationError, certificate_json, twist_certificate
 from .nichols import (
     DegreeTooLargeError,
     braiding_from_rack,
     hilbert_coeffs,
     total_dimension,
 )
-from .racks import q_minus, q_plus, rack_from_class, reflection_rack
+from .racks import q_minus, q_plus, reflection_rack
 
 
 def _class_indices(g: GroupTable, name: str | None):
@@ -116,12 +115,10 @@ def cmd_hilbert(args) -> int:
     matrix = resolve_matrix(args.target)
     g = build_group(matrix)
     indices = _class_indices(g, args.subrack)
-    if indices is None:
-        rack = reflection_rack(g)
-        qp, qm = q_plus(g), q_minus(g)
-    else:
-        rack = rack_from_class(g, [g.reflections[i].elem for i in indices])
-        qp, qm = q_plus(g).restrict(indices), q_minus(g).restrict(indices)
+    rack, qp, qm = reflection_rack(g), q_plus(g), q_minus(g)
+    if indices is not None:
+        rack = rack.subrack(indices)
+        qp, qm = qp.restrict(indices), qm.restrict(indices)
     vp = braiding_from_rack(rack, qp)
     vm = braiding_from_rack(rack, qm)
     rep_p = hilbert_coeffs(vp, args.dmax, mode=args.mode)
@@ -293,7 +290,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return COMMANDS[args.command](args)
-    except (PathMismatchError, CertificationError) as exc:
+    except CertificationError as exc:
         print(json.dumps({"falsification": exc.details}, sort_keys=True),
               file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ class InvalidMatrixError(ValueError):
 
 
 class NotFiniteError(RuntimeError):
-    """Enumeration hit the element cap (group infinite or cap too small)."""
+    """The group is infinite, or finite with more elements than the cap."""
 
 
 class PreconditionFailed(ValueError):
@@ -125,6 +125,25 @@ class CoxeterMatrix:
         return tuple(
             tuple((-cos_of_pi_over(m)).embed(lev) for m in row)
             for row in self.rows)
+
+
+def require_finite(gram):
+    """Refuse the form (alpha_i, alpha_j) = -cos(pi / m_ij) of an infinite W.
+
+    W is finite iff the form is positive definite (Humphreys, Reflection
+    Groups and Coxeter Groups, 6.4), iff its leading principal minors
+    are positive (Sylvester).  The pivots of elimination without pivoting
+    are the ratios of consecutive minors, so each must be positive.
+    """
+    a = [list(row) for row in gram]
+    for k in range(len(a)):
+        if a[k][k].sign() <= 0:
+            raise NotFiniteError(
+                f"the Coxeter form is not positive definite (pivot {k} "
+                "is not positive), so the group is infinite")
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
 
 
 _PRESET_RE = re.compile(r"^([ABDEFHI])\s*(\d+)\s*(?:\(\s*(\d+)\s*\))?$", re.I)
@@ -297,13 +316,14 @@ class GroupTable:
     order of their canonical reduced words (identity = 0, s_i = 1 + i).
     """
 
-    def __init__(self, matrix: CoxeterMatrix, element_cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
         self.level = matrix.global_level
         self.rank = matrix.rank
         self._gram = matrix.gram(self.level)
-        self._build_roots(element_cap)
-        self._build_elements(element_cap)
+        require_finite(self._gram)
+        self._build_roots()
+        self._build_elements()
         self._build_reflections()
         self._build_classes()
         self._mult = None
@@ -312,7 +332,7 @@ class GroupTable:
 
     # -- construction -----------------------------------------------------
 
-    def _build_roots(self, cap: int):
+    def _build_roots(self):
         l = self.rank
         lev = self.level
         zero = CycloNumber.zero(lev)
@@ -349,10 +369,6 @@ class GroupTable:
                     pos.append(image)
                     parent.append((i, head))
                     base_simple.append(base_simple[head])
-                    if len(pos) > cap:
-                        raise NotFiniteError(
-                            "root closure exceeded the element cap; "
-                            "the group is infinite or the cap is too small")
                 row.append(index[k])
             images.append(row)
             head += 1
@@ -392,7 +408,7 @@ class GroupTable:
                 acc = acc + c * self._gram[i][k]
         return acc
 
-    def _build_elements(self, cap: int):
+    def _build_elements(self):
         """Enumerate W breadth-first, one length level at a time.
 
         An element acts linearly, so its images of the l simple roots fix
@@ -422,10 +438,10 @@ class GroupTable:
             # rows as opaque bytes: equality is all that matters here
             _, first, inverse = np.unique(keys.view(f"V{4 * l}").ravel(),
                                           return_index=True, return_inverse=True)
-            if hi + len(first) > cap:
+            if hi + len(first) > DEFAULT_ELEMENT_CAP:
                 raise NotFiniteError(
-                    "element enumeration exceeded the cap; "
-                    "the group is infinite or the cap is too small")
+                    f"element enumeration passed {DEFAULT_ELEMENT_CAP} "
+                    "elements; the group is finite but larger than the cap")
             seen = first[inverse.ravel()]  # first candidate with the same key
             first = np.sort(first)
             edges.append((lo + p, i, hi + np.searchsorted(first, seen)))
@@ -441,10 +457,6 @@ class GroupTable:
                                     [len(lev) for lev in levels])
         parent, last = np.concatenate(parents), np.concatenate(lasts)
         self._parent, self._last = parent, last
-        words: list[tuple[int, ...]] = [()]
-        for a, s in zip(parent[1:].tolist(), last[1:].tolist()):
-            words.append(words[a] + (s,))
-        self.words = words
 
         src, gens, dst = map(np.concatenate, zip(*edges))
         rmult = self.rmult = np.full((n, l), -1, dtype=np.int32)
@@ -525,9 +537,16 @@ class GroupTable:
     def simple_reflection(self, i: int) -> int:
         return int(self.rmult[0][i])
 
+    def word(self, w: int) -> tuple[int, ...]:
+        """w's ShortLex word, read up the BFS tree."""
+        word = ()
+        while w:
+            word, w = (int(self._last[w]),) + word, int(self._parent[w])
+        return word
+
     def mul(self, a: int, b: int) -> int:
         x = a
-        for i in self.words[b]:
+        for i in self.word(b):
             x = int(self.rmult[x][i])
         return x
 
@@ -609,25 +628,24 @@ class GroupTable:
         """Conjugacy classes of reflections (indices), cross-checked.
 
         Primary route: components of the odd-labeled Coxeter graph.
-        Cross-check: direct orbit closure under conjugation.
+        Cross-check: direct orbit closure under conjugation by the simple
+        reflections, s_i s_beta s_i = s_(s_i beta), on the positive roots.
         """
         orbit_partition = []
         seen: set[int] = set()
-        gens = [self.simple_reflection(i) for i in range(self.rank)]
-        elem_to_index = {t.elem: t.index for t in self.reflections}
         for refl in self.reflections:
             if refl.index in seen:
                 continue
-            orbit = {refl.elem}
-            frontier = [refl.elem]
+            orbit = {refl.root}
+            frontier = [refl.root]
             while frontier:
-                x = frontier.pop()
-                for s in gens:
-                    y = self.conj(s, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            ids = tuple(sorted(elem_to_index[x] for x in orbit))
+                r = frontier.pop()
+                for perm in self.gen_root_perm:
+                    q = perm[r] % self.nroots
+                    if q not in orbit:
+                        orbit.add(q)
+                        frontier.append(q)
+            ids = tuple(sorted(self.refl_of_root[r] for r in orbit))
             orbit_partition.append(ids)
             seen.update(ids)
         orbit_partition.sort(key=min)
@@ -810,7 +828,7 @@ class GroupTable:
         return out
 
 
-def build_group(matrix: CoxeterMatrix,
-                element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupTable:
-    """Enumerate roots and elements; fails cleanly at the cap."""
-    return GroupTable(matrix, element_cap)
+def build_group(matrix: CoxeterMatrix) -> GroupTable:
+    """Enumerate roots and elements; raises NotFiniteError up front or at
+    the element cap."""
+    return GroupTable(matrix)

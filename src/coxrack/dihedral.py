@@ -198,7 +198,7 @@ class GradedModule:
     def act(self, w: int) -> MonomialOp:
         """Action of an arbitrary element along its canonical word."""
         op = MonomialOp.identity(self.dim, self.k)
-        for i in self.g.words[w]:
+        for i in self.g.word(w):
             op = op.compose_after(self.gen_actions[i])
         return op
 

@@ -7,11 +7,11 @@ read off W's Cayley graph, one bit per edge, and checked against every
 relator.  Its elements are numbered (w, eps) = w + eps |W|: element w
 is the lift of w's ShortLex word (t_i for s_i, no z), and the
 projection to W is the number mod |W|.  The section of the projection
-is defined on reflections by walking the reflection conjugacy graph and
-certified well-defined by recomputing it along every path.  The
-resulting group 2-cocycle (the z-exponent of rho(xy) rho(y)^-1
-rho(x)^-1) is the machine certificate that the two sign cocycles on
-reflections are twist equivalent.
+is defined on reflections along the reflection conjugacy graph, and
+check_vendramin certifies that every path gives the same value (see
+build_section).  The resulting group 2-cocycle (the z-exponent of
+rho(xy) rho(y)^-1 rho(x)^-1) is the machine certificate that the two
+sign cocycles on reflections are twist equivalent.
 
 No product table is built.  Every product the certificate reads is
 walked down W's BFS tree from the generator permutations of the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coxeter import ConjGraph, CoxeterMatrix, GroupTable
+from .coxeter import CoxeterMatrix, GroupTable
 from .nichols import _memory_limit_bytes
 from .racks import (
     cohomologous_solve,
@@ -44,15 +44,6 @@ from .racks import (
     q_plus_table,
     reflection_rack,
 )
-
-
-class PathMismatchError(RuntimeError):
-    """Two graph paths produced different section values (fatal)."""
-
-    def __init__(self, reflection, word_a, word_b):
-        self.details = {"reflection": reflection, "word_a": list(word_a),
-                        "word_b": list(word_b)}
-        super().__init__(f"section value differs along paths: {self.details}")
 
 
 class CertificationError(RuntimeError):
@@ -208,13 +199,6 @@ class ExtGroup:
         left = np.concatenate([left, self.gen_perms[self.nt][left]], axis=1)
         self.tconj = np.take_along_axis(self.gen_perms[:self.nt], left, axis=1)
 
-    def lift(self, word) -> int:
-        """The product of the generators in `word`."""
-        c = 0
-        for g in word:
-            c = int(self.gen_perms[g, c])
-        return c
-
 
 def _tree_walk(g: GroupTable, start: np.ndarray, step):
     """Carry a row of values down W's BFS tree, one length level at a time.
@@ -315,39 +299,27 @@ def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
         yield g.inv_arr[lo:hi], block
 
 
-def build_section(g: GroupTable, ext: ExtGroup,
-                  graph: ConjGraph | None = None) -> Section:
-    """Section along the conjugacy graph, certified over every path.
+def build_section(g: GroupTable, ext: ExtGroup) -> Section:
+    """Section along the first edge of the reflection conjugacy graph.
 
-    rho(s_i) = t_i; for a deeper reflection the first graph edge gives
-    rho(x) = t_i rho(y) t_i z; off the reflections rho lifts the ShortLex
-    word with z-exponent zero, which is element w itself (so
-    rho(identity) = 1).
+    rho(s_i) = t_i, and the first edge x --s_i--> y of a deeper
+    reflection gives rho(x) = t_i rho(y) t_i z.  Off the reflections rho
+    lifts the ShortLex word with no z: it is element w (rho(1) = 1).
+
+    Once check_vendramin passes, every path gives rho(x).  A path's value
+    is t_j at its end s_j, and tconj[s, value of the rest] z one edge
+    x --s--> y up.  By induction on l(x): t_j = rho(s_j) is element s_j
+    (ExtGroup's numbering); one edge up, the value is tconj[s, rho(y)] z,
+    and check_vendramin at (s, y) (s != y, as l(x) = l(y) + 2) says
+    tconj[s, rho(y)] = rho(x) z.  The tests recompute every path.
     """
-    graph = graph or g.conjugacy_graph()
     zp = ext.gen_perms[ext.nt]
+    graph = g.conjugacy_graph()
     rho = np.arange(g.order, dtype=np.int32)
-
-    # rho(s_i) = t_i is already the lift of its word
     for refl in sorted(g.reflections, key=lambda t: g.length(t.elem)):
         if g.length(refl.elem) > 1:
             gen, target = graph.out_edges(refl.index)[0]
             rho[refl.elem] = zp[ext.tconj[gen, rho[g.reflections[target].elem]]]
-
-    # certification: every path (equivalently every palindromic reduced
-    # expression) must produce the same element
-    for refl in g.reflections:
-        values = []
-        for word in graph.path_words(refl.index):
-            val = ext.lift(word)
-            values.append((int(zp[val]) if len(word) // 2 % 2 else val, word))
-        baseline, base_word = values[0]
-        if baseline != rho[refl.elem]:
-            raise PathMismatchError(refl.elem, base_word, g.words[refl.elem])
-        for val, word in values[1:]:
-            if val != baseline:
-                raise PathMismatchError(refl.elem, base_word, word)
-
     if not np.array_equal(ext.pi[rho], np.arange(g.order)):
         raise AssertionError("rho is not a section of the projection")
     return Section(rho=rho)
@@ -500,8 +472,8 @@ def phi_checksum(phi: GroupCocycle2) -> str:
 def twist_certificate(g: GroupTable) -> dict:
     """Run the full pipeline and assemble the certificate dictionary.
 
-    Raises CertificationError / PathMismatchError on mathematical
-    falsification; those are never expected states.  Raises MemoryError
+    Raises CertificationError on mathematical falsification, never an
+    expected state.  Raises MemoryError
     before any work when phi and the walk that fills it would not fit
     in memory.
     """

@@ -118,29 +118,12 @@ class RackCocycle:
             tuple(self.table[i][j] for j in idx) for i in idx))
 
 
-def rack_from_class(g: GroupTable, elems) -> Rack:
-    """Rack on a conjugation-closed set of group elements.
-
-    Elements are listed in the given order; raises NotClosedError with a
-    witness (x, y, x y x^-1) when closure fails.
-    """
-    elems = list(elems)
-    pos = {e: i for i, e in enumerate(elems)}
-    act = []
-    for x in elems:
-        row = []
-        for y in elems:
-            z = g.conj(x, y)
-            if z not in pos:
-                raise NotClosedError((x, y, z))
-            row.append(pos[z])
-        act.append(tuple(row))
-    return Rack(labels=tuple(elems), act=tuple(act))
-
-
 def reflection_rack(g: GroupTable) -> Rack:
-    """The rack of all reflections, in reflection-index order."""
-    return rack_from_class(g, [t.elem for t in g.reflections])
+    """The rack of all reflections, in reflection-index order: the rows
+    of conj_refl_table at the reflections.  Subracks are Rack.subrack."""
+    refl_elems = [t.elem for t in g.reflections]
+    act = g.conj_refl_table()[refl_elems].tolist()
+    return Rack(labels=tuple(refl_elems), act=tuple(map(tuple, act)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +144,7 @@ def q_plus_table(g: GroupTable) -> np.ndarray:
     by_length = np.empty_like(by_root)
     for k, t in enumerate(g.reflections):
         wy = np.arange(g.order)
-        for i in g.words[t.elem]:
+        for i in g.word(t.elem):
             wy = g.rmult[wy, i]
         by_length[:, k] = g.length_arr[wy] < g.length_arr
     if not np.array_equal(by_root, by_length):
@@ -326,7 +309,8 @@ def dihedral_subrack(g: GroupTable, n: int) -> Rack:
         raise NotDivisorError(f"{n} does not divide {m}")
     ids = dihedral_reflection_ids(g)
     js = [j for j in range(m) if j % n == 0]
-    rack = rack_from_class(g, [ids[j] for j in js])
+    rack = reflection_rack(g).subrack(
+        int(g.refl_index_of_elem[ids[j]]) for j in js)
     # closure law: s(s's)^j > s(s's)^l = s(s's)^(2j - l)
     for a, j in enumerate(js):
         for b, l in enumerate(js):

@@ -171,6 +171,31 @@ def hlt_coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
     return perms
 
 
+# -- the section along every path of the conjugacy graph ----------------------
+
+
+def path_section_witness(g, ext, sec):
+    """The section recomputed along every path of the conjugacy graph.
+
+    A path x --s_1--> ... --s_k--> s_j reads the palindromic word
+    s_1 ... s_k j s_k ... s_1; its value is the word's lift times z^k.
+    Returns None when every value is rho(x), else (x, word) for the
+    first path whose value is not.
+    """
+    zp = ext.gen_perms[ext.nt]
+    graph = g.conjugacy_graph()
+    for refl in g.reflections:
+        for word in graph.path_words(refl.index):
+            val = 0
+            for letter in word:
+                val = int(ext.gen_perms[letter, val])
+            if len(word) // 2 % 2:
+                val = int(zp[val])
+            if val != sec(refl.elem):
+                return (refl.elem, list(word))
+    return None
+
+
 # -- dense product tables of the extension and the checks that read them ------
 
 

@@ -44,7 +44,6 @@ from coxrack.racks import (
     cohomologous_solve,
     q_minus,
     q_plus,
-    rack_from_class,
     reflection_rack,
 )
 from oracles import symmetrizer_literal_exact
@@ -112,7 +111,7 @@ def test_criterion_3_hilbert_equality(group_cache, capsys):
             qp, qm = q_plus(g), q_minus(g)
         else:
             cls = g.reflection_classes()[1]
-            rack = rack_from_class(g, [g.reflections[i].elem for i in cls])
+            rack = reflection_rack(g).subrack(cls)
             qp, qm = q_plus(g).restrict(cls), q_minus(g).restrict(cls)
         rep_p = hilbert_coeffs(braiding_from_rack(rack, qp), dmax)
         rep_m = hilbert_coeffs(braiding_from_rack(rack, qm), dmax)
@@ -139,7 +138,7 @@ def test_criterion_4_pinned_dimensions(group_cache, capsys):
     # abelian class of the rank-3 hyperoctahedral group: 1, 3, 3, 1
     g = group_cache("B3")
     cls = g.reflection_classes()[1]
-    rack = rack_from_class(g, [g.reflections[i].elem for i in cls])
+    rack = reflection_rack(g).subrack(cls)
     for q in (q_minus(g).restrict(cls), q_plus(g).restrict(cls)):
         total, reports = total_dimension(braiding_from_rack(rack, q))
         assert total == 8 == 2 ** 3

@@ -246,6 +246,24 @@ def test_matrix_file_input(tmp_path, capsys):
     assert json.loads(out)["order"] == 10
 
 
+def test_infinite_matrix_file_exits_1_at_once(tmp_path):
+    # affine A~2: refused from its form, before any root is enumerated;
+    # in a child with a timeout, so that an enumeration toward the cap
+    # fails the test instead of stalling the suite
+    path = tmp_path / "a2tilde.txt"
+    path.write_text("3\n1 3 3\n3 1 3\n3 3 1\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxrack.cli", "info", str(path)],
+        capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: the Coxeter form is not positive definite "
+                           "(pivot 2 is not positive), so the group is "
+                           "infinite\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "info", "Q9")[0] == 1
     assert run(capsys, "nonsense")[0] == 1

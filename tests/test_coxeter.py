@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from coxrack import coxeter
 from coxrack.cyclo import CycloNumber
 from coxrack.coxeter import (
     CoxeterMatrix,
@@ -25,6 +26,7 @@ from coxrack.coxeter import (
     mirror,
     parse_matrix_file,
     preset_matrix,
+    require_finite,
 )
 
 # classical orders (independent of the enumeration code)
@@ -119,19 +121,50 @@ def test_basic_counts(groups):
     assert sorted(len(c) for c in b3.classes) == [3, 6]
 
 
-def test_infinite_matrix_hits_cap():
-    # affine A~1: the (2,2) matrix with m12 large is finite, but m12 = infinity
-    # is excluded by the matrix type; instead use the affine triangle (3,3,3)
-    rows = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
-    with pytest.raises(NotFiniteError):
-        build_group(CoxeterMatrix.from_rows(rows), element_cap=500)
+def chain_matrix(*bonds):
+    """Coxeter matrix of the chain with consecutive bond orders `bonds`."""
+    n = len(bonds) + 1
+    rows = [[1 if a == b else 2 for b in range(n)] for a in range(n)]
+    for a, m in enumerate(bonds):
+        rows[a][a + 1] = rows[a + 1][a] = m
+    return CoxeterMatrix.from_rows(rows)
 
 
-def test_element_bfs_hits_cap():
-    # E6 has 36 positive roots, so the root closure passes the cap and
-    # the element enumeration is the one that stops
-    with pytest.raises(NotFiniteError, match="element enumeration"):
-        build_group(preset_matrix("E6"), element_cap=1000)
+# affine A~2, B~2 and G~2, the hyperbolic (2, 3, 7) triangle group, and
+# the hyperbolic chain 5-3-3-3 (one node past H4)
+INFINITE_MATRICES = [
+    CoxeterMatrix.from_rows([[1, 3, 3], [3, 1, 3], [3, 3, 1]]),
+    chain_matrix(4, 4),
+    chain_matrix(6, 3),
+    chain_matrix(7, 3),
+    chain_matrix(5, 3, 3, 3),
+]
+
+
+def test_infinite_matrices_refused_up_front(monkeypatch):
+    # refused from the form alone: no root is ever enumerated
+    def no_roots(self):
+        raise AssertionError("root closure started on an infinite group")
+
+    monkeypatch.setattr(GroupTable, "_build_roots", no_roots)
+    for matrix in INFINITE_MATRICES:
+        with pytest.raises(NotFiniteError, match="not positive definite"):
+            build_group(matrix)
+
+
+@pytest.mark.parametrize("name", ["A1", "A8", "B8", "D5", "D8", "E6", "E7",
+                                  "E8", "F4", "H3", "H4", "I2(200)"])
+def test_finite_forms_are_positive_definite(name):
+    require_finite(preset_matrix(name).gram())
+
+
+def test_element_bfs_hits_cap(monkeypatch):
+    # E6 is finite, so it passes the form test and the element
+    # enumeration is the one that stops
+    monkeypatch.setattr(coxeter, "DEFAULT_ELEMENT_CAP", 1000)
+    with pytest.raises(NotFiniteError,
+                       match="finite but larger than the cap"):
+        build_group(preset_matrix("E6"))
 
 
 def test_e6_order_reflections_and_classes(groups):
@@ -146,7 +179,7 @@ class LegacyGroupTable(GroupTable):
     then each generator's permutation), elements are 2R-entry tuples found
     through a perm -> id dict, inverses by inverting each permutation."""
 
-    def _build_roots(self, cap):
+    def _build_roots(self):
         l = self.rank
         zero, one = CycloNumber.zero(self.level), CycloNumber.one(self.level)
         simples = [tuple(one if k == i else zero for k in range(l))
@@ -203,7 +236,7 @@ class LegacyGroupTable(GroupTable):
             perms.append(tuple(perm))
         self.gen_root_perm = tuple(perms)
 
-    def _build_elements(self, cap):
+    def _build_elements(self):
         R = self.nroots
         ident = tuple(range(2 * R))
         perms, words, index = [ident], [()], {ident: 0}
@@ -269,10 +302,20 @@ def test_tables_match_legacy_builder(groups, name):
         new_arr, old_arr = getattr(g, attr), getattr(old, attr)
         assert new_arr.dtype == old_arr.dtype, attr
         assert np.array_equal(new_arr, old_arr), attr
-    assert g.words == old.words
+    assert [g.word(w) for w in range(g.order)] == old.words
     assert g.reflections == old.reflections
     assert g.refl_of_root == old.refl_of_root
     assert g.classes == old.classes
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "H4"])
+def test_word_reads_the_shortlex_tree(groups, name):
+    g = groups(name)
+    for w in range(g.order):
+        word = g.word(w)
+        assert g.elem_of_word(word) == w
+        assert len(word) == g.length(w)
 
 
 def test_lengths_and_det(groups):
@@ -315,7 +358,7 @@ def mult_table_by_columns(g):
     M = np.empty((n, n), dtype=np.int32)
     M[:, 0] = np.arange(n, dtype=np.int32)
     for b in range(1, n):
-        w = g.words[b]
+        w = g.word(b)
         M[:, b] = g.rmult[M[:, g.elem_of_word(w[:-1])], w[-1]]
     return M
 

@@ -42,6 +42,7 @@ from oracles import (
     ext_inv_table,
     ext_mult_table,
     hlt_coset_enumeration,
+    path_section_witness,
 )
 
 
@@ -443,6 +444,32 @@ def test_walked_checks_agree_with_dense_oracles(setups, name):
                           dense_phi_rho(g, ext, sec).table)
 
 
+@pytest.mark.parametrize("name", BATTERY + ["F4"])
+def test_section_agrees_along_every_path(setups, name):
+    g, ext, sec = setups(name)
+    assert path_section_witness(g, ext, sec) is None
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
+def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
+    # a z flipped on a reflection of length >= 3 disagrees with the path
+    # through its first graph edge; check_vendramin is what refuses it
+    g, ext, _ = setups(name)
+    x = next(t.elem for t in g.reflections if g.length(t.elem) >= 3)
+    real = extension.build_section
+
+    def flipped(g, ext):
+        rho = real(g, ext).rho.copy()
+        rho[x] = ext.gen_perms[ext.nt, rho[x]]
+        return Section(rho=rho)
+
+    assert path_section_witness(g, ext, flipped(g, ext))[0] == x
+    monkeypatch.setattr(extension, "build_section", flipped)
+    with pytest.raises(CertificationError) as exc:
+        twist_certificate(g)
+    assert exc.value.details["stage"] == "vendramin"
+
+
 def test_dense_phi_identities_reject_broken_tables(setups):
     g, ext, sec = setups("B3")
     table = phi_rho(g, ext, sec).table
@@ -499,8 +526,8 @@ def test_cayley_table_matches_todd_coxeter(setups, name):
     g, ext, _ = setups(name)
     hlt = np.array(hlt_perms(g))
     lifts = [0] * g.order
-    for w, word in enumerate(g.words):
-        for s in word:
+    for w in range(g.order):
+        for s in g.word(w):
             lifts[w] = int(hlt[s, lifts[w]])
     old = np.concatenate([lifts, hlt[g.rank][lifts]])
     assert np.array_equal(np.sort(old), np.arange(2 * g.order))

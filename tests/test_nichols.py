@@ -50,7 +50,6 @@ from coxrack.racks import (
     RackCocycle,
     q_minus,
     q_plus,
-    rack_from_class,
     reflection_rack,
 )
 from oracles import symmetrizer_literal_exact
@@ -255,7 +254,7 @@ def test_hilbert_equalities(spaces):
 def test_b3_abelian_class_exterior(spaces):
     g = build_group(preset_matrix("B3"))
     small = min(g.reflection_classes(), key=len)
-    rack = rack_from_class(g, [g.reflections[i].elem for i in small])
+    rack = reflection_rack(g).subrack(small)
     for q in (q_minus(g).restrict(small), q_plus(g).restrict(small)):
         V = braiding_from_rack(rack, q)
         total, reports = total_dimension(V)
@@ -268,7 +267,7 @@ def test_subrack_monotonicity(spaces):
     g = build_group(preset_matrix("B3"))
     amb = spaces("B3", "minus")
     small = min(g.reflection_classes(), key=len)
-    rack = rack_from_class(g, [g.reflections[i].elem for i in small])
+    rack = reflection_rack(g).subrack(small)
     sub = braiding_from_rack(rack, q_minus(g).restrict(small))
     amb_ranks = [r.rank for r in hilbert_coeffs(amb, 3)]
     sub_ranks = [r.rank for r in hilbert_coeffs(sub, 3)]
@@ -316,7 +315,7 @@ def spanning_ladder_ranks(V, p, omega, dmax):
 def b3_small_class_space(which):
     g = build_group(preset_matrix("B3"))
     small = min(g.reflection_classes(), key=len)
-    rack = rack_from_class(g, [g.reflections[i].elem for i in small])
+    rack = reflection_rack(g).subrack(small)
     q = q_plus(g) if which == "plus" else q_minus(g)
     return braiding_from_rack(rack, q.restrict(small))
 

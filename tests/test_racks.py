@@ -20,7 +20,6 @@ from coxrack.racks import (
     q_plus,
     q_minus_table,
     q_plus_table,
-    rack_from_class,
     rack_isomorphic,
     reflection_rack,
 )
@@ -45,24 +44,50 @@ def conj_table_oracle(g, elems):
     return [[pos[g.conj(x, y)] for y in elems] for x in elems]
 
 
-def test_rack_from_class_examples(groups):
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "F4", "H4"])
+def test_reflection_rack_matches_conj_oracle(groups, name):
+    g = groups(name)
+    rack = reflection_rack(g)
+    elems = [t.elem for t in g.reflections]
+    oracle = conj_table_oracle(g, elems)
+    assert rack.labels == tuple(elems)
+    assert [list(r) for r in rack.act] == oracle
+    # the reflection classes are the orbits of the conjugation action
+    orbits, seen = [], set()
+    for y in range(len(elems)):
+        if y not in seen:
+            orbit, frontier = {y}, [y]
+            while frontier:
+                z = frontier.pop()
+                new = {row[z] for row in oracle} - orbit
+                orbit |= new
+                frontier.extend(new)
+            orbits.append(tuple(sorted(orbit)))
+            seen |= orbit
+    assert tuple(orbits) == g.reflection_classes()
+
+
+def test_reflection_subrack_examples(groups):
     a2 = groups("A2")
     rack = reflection_rack(a2)
     assert rack.size == 3
     assert [rack.act[i][i] for i in range(3)] == [0, 1, 2]  # x > x = x
-    assert [list(r) for r in rack.act] == \
-        conj_table_oracle(a2, [t.elem for t in a2.reflections])
 
     b3 = groups("B3")
     small = min(b3.reflection_classes(), key=len)
-    t2 = rack_from_class(b3, [b3.reflections[i].elem for i in small])
+    t2 = reflection_rack(b3).subrack(small)
     assert t2.size == 3 and t2.is_trivial()
+    assert [list(r) for r in t2.act] == \
+        conj_table_oracle(b3, [b3.reflections[i].elem for i in small])
 
-    single = rack_from_class(a2, [a2.simple_reflection(0)])
-    assert single.size == 1
+    single = rack.subrack([0])
+    assert single.size == 1 and single.labels == (a2.reflections[0].elem,)
 
+    simple = [int(a2.refl_index_of_elem[a2.simple_reflection(i)])
+              for i in range(2)]
     with pytest.raises(NotClosedError) as exc:
-        rack_from_class(a2, [a2.simple_reflection(0), a2.simple_reflection(1)])
+        rack.subrack(simple)
     assert len(exc.value.witness) == 3
 
 
