@@ -28,7 +28,6 @@ import numpy as np
 from .cyclo import CycloNumber, cos_of_pi_over
 
 DEFAULT_ELEMENT_CAP = 2_000_000
-REDEXPR_ORDER_CAP = 10_080  # reduced-word enumeration allowed up to |S6| * 2
 MULT_BLOCK_CELLS = 1 << 22  # index cells gathered per block of mult_table rows
 
 
@@ -241,33 +240,6 @@ class ConjGraph:
 
     def out_edges(self, refl_index: int) -> tuple[tuple[int, int], ...]:
         return self.edges[refl_index]
-
-    def path_words(self, refl_index: int) -> list[tuple[int, ...]]:
-        """Palindromic words read off all maximal paths from a reflection."""
-        words: list[tuple[int, ...]] = []
-
-        def walk(r, prefix):
-            outs = self.edges[r]
-            if not outs:
-                words.append(tuple(prefix) + (self.simple_gen[r],)
-                             + tuple(reversed(prefix)))
-                return
-            for gen, target in outs:
-                prefix.append(gen)
-                walk(target, prefix)
-                prefix.pop()
-
-        walk(refl_index, [])
-        return words
-
-
-def mirror(word) -> tuple[int, ...]:
-    """Mirrored expression a_L s a_L^op of an odd-length word a_L s a_R."""
-    word = tuple(word)
-    if len(word) % 2 == 0:
-        raise ValueError("mirror is defined for odd-length words")
-    r = len(word) // 2
-    return word[:r] + (word[r],) + word[r - 1::-1] if r else word
 
 
 # ---------------------------------------------------------------------------
@@ -653,29 +625,6 @@ class GroupTable:
             raise AssertionError("odd-component classes disagree with orbits")
         return self.classes
 
-    def reduced_expressions(self, e: int) -> set[tuple[int, ...]]:
-        """All reduced words of an element (guarded for large groups)."""
-        if self.order > REDEXPR_ORDER_CAP and self.refl_index_of_elem[e] < 0:
-            raise ValueError(
-                "reduced-word enumeration is exposed only for reflections "
-                f"when |W| > {REDEXPR_ORDER_CAP}")
-        memo: dict[int, set[tuple[int, ...]]] = {0: {()}}
-
-        def rec(x: int) -> set[tuple[int, ...]]:
-            got = memo.get(x)
-            if got is not None:
-                return got
-            lx = self.length_arr[x]
-            words = set()
-            for i in range(self.rank):
-                y = int(self.rmult[x][i])
-                if self.length_arr[y] < lx:
-                    words.update(w + (i,) for w in rec(y))
-            memo[x] = words
-            return words
-
-        return rec(e)
-
     def conjugacy_graph(self) -> ConjGraph:
         if self._graph is None:
             edges = []
@@ -695,16 +644,6 @@ class GroupTable:
                 sink_gen.append(refl.elem - 1 if lx == 1 else -1)
             self._graph = ConjGraph(edges=tuple(edges), simple_gen=tuple(sink_gen))
         return self._graph
-
-    def palindromic_expressions(self, refl_index: int) -> set[tuple[int, ...]]:
-        """P(x) computed as mirrors of R(x), cross-checked against graph paths."""
-        refl = self.reflections[refl_index]
-        mirrored = {mirror(w) for w in self.reduced_expressions(refl.elem)}
-        paths = set(self.conjugacy_graph().path_words(refl_index))
-        if mirrored != paths:
-            raise AssertionError(
-                f"mirrored reduced words and graph paths disagree at {refl}")
-        return mirrored
 
     # -- length trichotomy and Chebyshev sequences ---------------------------
 

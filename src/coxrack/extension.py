@@ -546,8 +546,11 @@ def _verify_split_witness(g: GroupTable, ext: ExtGroup, bits):
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        reached = np.unique(np.concatenate([p[frontier] for p in gens]))
-        frontier = reached[~seen[reached]]
+        # sorted and deduplicated without np.unique, which imports numpy.ma
+        reached = np.sort(np.concatenate([p[frontier] for p in gens]))
+        first = np.ones(reached.size, dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        frontier = reached[first & ~seen[reached]]
         seen[frontier] = True
     if seen.sum() != g.order or seen[ext.z_elem]:
         raise CertificationError("split-witness", list(bits))

@@ -104,32 +104,28 @@ def row_reduce_mod(a: np.ndarray, p: int, full: bool = False):
     for col in range(n):
         if row == m:
             break
-        hit = row + int(np.argmax(a[row:, col] != 0))
-        if a[hit, col] == 0:
+        nonzero = a[row:, col].nonzero()[0]
+        if nonzero.size == 0:
             continue
+        hit = row + int(nonzero[0])
         if hit != row:
             a[[row, hit]] = a[[hit, row]]
         inv = pow(int(a[row, col]), p - 2, p)
         a[row, col:] = a[row, col:] * inv % p
-        below = a[row + 1:, col] != 0
-        if below.any():
-            idx = np.nonzero(below)[0] + row + 1
-            a[idx, col:] = (a[idx, col:] - np.outer(a[idx, col], a[row, col:])) % p
+        if nonzero.size > 1:
+            # after the swap the nonzero entries below the pivot sit where
+            # they did before it
+            idx = nonzero[1:] + row
+            a[idx, col:] = (a[idx, col:]
+                            - a[idx, col, None] * a[row, col:]) % p
         if full:
-            above = a[:row, col] != 0
-            if above.any():
-                idx = np.nonzero(above)[0]
+            idx = a[:row, col].nonzero()[0]
+            if idx.size:
                 a[idx, col:] = (a[idx, col:]
-                                - np.outer(a[idx, col], a[row, col:])) % p
+                                - a[idx, col, None] * a[row, col:]) % p
         pivots.append(col)
         row += 1
     return a, pivots
-
-
-def rank_mod(a: np.ndarray, p: int) -> int:
-    work = np.array(a, dtype=np.int64) % p
-    _, pivots = row_reduce_mod(work, p)
-    return len(pivots)
 
 
 def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:

@@ -9,28 +9,31 @@ never by dense matrices.
 The n-th symmetrizer is the sum over the symmetric group of the braid
 lifts of minimal words.  Its assembly uses the coset factorization: the
 sum equals (previous symmetrizer tensor identity) times the sum over
-the n minimal coset representatives, and because the column space of
-each symmetrizer sits inside (image of the previous one) tensor the
-basis, all ranks are computed in coordinates of that image, with at
-most d * rank(previous) rows.  The modular rank ladder never assembles
-the d^n columns of a degree: the columns at the words x_i w, w running
-over the pivot words of the previous degree, already span the image
-(proof in ladder_ranks_iter), so a degree costs d * rank(previous)
-columns.  The image coordinates of the other words those columns need
-are computed on demand and memoized per degree.  The only limit is the
-memory limit in bytes: a degree or a memo batch that would pass it is
-refused with DegreeTooLargeError before it is built.  Every rank query
-(hilbert_coeffs, total_dimension, the quadraticity probe) runs the
-ladder once per prime through _ladder_runs, which stops each run at the
-requested degree or its first zero rank.  Exact ranks come from the
-same ladder at enough primes (proof in hilbert_coeffs).  Tests pin
-the factorization against the literal sum, and the ladder against the
-dense d^n assembly and dense CycloNumber elimination (oracles kept here).
+the n minimal coset representatives.  Letter x acts on the basis by
+phi_x: y -> x > y, and the braid equation gives phi_x o phi_y =
+phi_(x > y) o phi_x, so every braid lift keeps the grade g(u) =
+phi_(u_1) o ... o phi_(u_n) of a word u and S_n is block diagonal in it:
+the column at u lies in block g(u).  The modular rank ladder never
+assembles the d^n columns of a degree: the columns at the words x_i w,
+w running over the pivot words of the previous degree, already span
+the image (proof in ladder_ranks_iter), and each block of them is
+eliminated on its own, in slot coordinates: slot (b, j) of a column in
+block g is the j-th pivot of the previous degree's block g o phi_b^-1.
+The slot coordinates of the other words those columns need are
+computed on demand and memoized per degree.  The only limit is the
+memory limit in bytes: a candidate block or a memo batch that would
+pass it is refused with DegreeTooLargeError before it is built.  Every
+rank query (hilbert_coeffs, total_dimension, the quadraticity probe)
+runs the ladder once per prime through _ladder_runs, which stops each
+run at the requested degree or its first zero rank.  Exact ranks come
+from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
+pin the factorization against the literal sum, and the ladder against
+the dense d^n assembly and dense CycloNumber elimination (oracles kept
+here).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import resource
@@ -187,59 +190,6 @@ class DiagonalBraidedSpace(BraidedSpace):
 
 
 # ---------------------------------------------------------------------------
-# Matsumoto section
-# ---------------------------------------------------------------------------
-
-
-def matsumoto_word(sigma) -> tuple[int, ...]:
-    """A reduced word for a permutation (one-line form), deterministic.
-
-    Letters are 1-based; the word multiplies left-to-right with the
-    rightmost letter applied first, matching word_operator.
-    """
-    s = list(sigma)
-    if sorted(s) != list(range(len(s))):
-        raise ValueError("not a permutation of 0..n-1")
-    picks = []
-    while True:
-        i = next((i for i in range(len(s) - 1) if s[i] > s[i + 1]), None)
-        if i is None:
-            break
-        s[i], s[i + 1] = s[i + 1], s[i]
-        picks.append(i + 1)
-    return tuple(reversed(picks))
-
-
-def all_reduced_words(sigma) -> set[tuple[int, ...]]:
-    """Every reduced word of a permutation (small n only)."""
-    s = tuple(sigma)
-    if s == tuple(range(len(s))):
-        return {()}
-    out = set()
-    for i in range(len(s) - 1):
-        if s[i] > s[i + 1]:
-            shorter = list(s)
-            shorter[i], shorter[i + 1] = shorter[i + 1], shorter[i]
-            for w in all_reduced_words(shorter):
-                out.add(w + (i + 1,))
-    return out
-
-
-def perm_operator(V: BraidedSpace, n: int, sigma) -> MonomialOp:
-    """Braid lift of a permutation through the length-additive section."""
-    return word_operator(V, n, matsumoto_word(sigma))
-
-
-def verify_matsumoto_invariance(V: BraidedSpace, n: int = 4) -> bool:
-    """All reduced words of every permutation induce the same operator."""
-    for sigma in itertools.permutations(range(n)):
-        ops = [word_operator(V, n, w) for w in all_reduced_words(sigma)]
-        if any(not op.equal(ops[0]) for op in ops[1:]):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Symmetrizer assembly
 # ---------------------------------------------------------------------------
 
@@ -351,74 +301,132 @@ def _memory_limit_bytes() -> int:
 
 
 class _ImageLevel:
-    """Degree m of the ladder: a basis of im S_m and memoized coordinates.
+    """Degree m of the ladder, block by block (see ladder_ranks_iter).
 
-    `basis` holds the columns of S_m at the pivot words, in coordinates
-    basis(im S_(m-1)) (x) V stored letter-major (row b * r_(m-1) + r for
-    letter b and basis vector r).  `inv` inverts its square block of rows
-    `sel`, set when degree m + 1 first needs coordinates.  `words`
-    (sorted) and `gam` are the memo: row i of `gam` is gamma_m(words[i]),
-    the coordinates of the column of S_m at that word in the pivot basis.
+    Blocks are labelled 0, 1, ... as their grades occur: `grades[l]` is
+    the grade of block l, a permutation of the basis, and `label` maps
+    its bytes back to l.  `down[l][b]` labels, at degree m - 1, the
+    block grades[l] o phi_b^-1 of the prefix of a block-l word ending in
+    letter b.  Block l keeps `pivots[l]`, its pivot words, and
+    `basis[l]`, the columns of S_m at them in slot coordinates: `rows` =
+    d * width_(m-1) of them, row b * width_(m-1) + j for letter b and
+    the j-th pivot of block down[l][b].  `sel[l]`/`inv[l]`, a square
+    block of pivot rows and its inverse, are set when degree m + 1 first
+    needs coordinates; a block that only memo words reach has no pivots.
+    `words` (sorted) and `gam` are the memo: row i of `gam` is
+    gamma_m(words[i]), the coordinates of the column of S_m at that word
+    in its block's pivot basis, padded with zeros to `width`, the largest
+    block rank.
     """
 
-    def __init__(self, pivots: np.ndarray, basis: np.ndarray):
-        self.rank = int(pivots.size)
-        self.pivots = pivots
-        self.basis = basis
-        self.sel = None
-        self.inv = None
+    def __init__(self, rows: int):
+        self.rows = rows
+        self.grades, self.label, self.down = [], {}, []
+        self.pivots, self.basis, self.sel, self.inv = [], [], [], []
+        self.width = 0
         self.words = np.empty(0, dtype=np.int64)
-        self.gam = np.empty((0, self.rank), dtype=np.int64)
+        self.gam = np.empty((0, 0), dtype=np.int64)
+
+
+def _runs(labels: np.ndarray):
+    """(label, start, stop) of each run of equal values in a sorted array."""
+    cut = np.flatnonzero(labels[1:] != labels[:-1]) + 1
+    starts = np.concatenate(([0], cut)).tolist()
+    stops = np.concatenate((cut, [labels.size])).tolist()
+    return zip(labels[starts].tolist(), starts, stops)
 
 
 class _SpanLadder:
-    """Ranks of S_2, S_3, ... over GF(p) from spanning columns (see
-    ladder_ranks_iter)."""
+    """Ranks of S_2, S_3, ... over GF(p) from spanning columns, block by
+    block (see ladder_ranks_iter)."""
 
     def __init__(self, V: BraidedSpace, p: int, omega: int):
         d = V.dim
         self.d, self.k, self.p = d, V.k, p
         self.limit = _memory_limit_bytes()
         self.tgt = np.array(V.target, dtype=np.int64).reshape(d, d)
+        self.tinv = np.argsort(self.tgt, axis=1)    # row b is phi_b^-1
         self.expo = np.array(V.expo, dtype=np.int64).reshape(d, d)
         self.zpow = np.array([pow(omega, e, p) for e in range(V.k)],
                              dtype=np.int64)
-        # degree 1: S_1 = id, every word is its own pivot
-        eye = np.eye(d, dtype=np.int64)
-        first = _ImageLevel(np.arange(d, dtype=np.int64), eye)
-        first.sel, first.inv = np.arange(d), eye
-        first.words, first.gam = first.pivots, eye
+        # degree 1: S_1 = id, letter x is a pivot of the block of phi_x
+        first = _ImageLevel(0)
+        labels = self._labels(first, self.tgt)
+        order = np.argsort(labels, kind="stable")
+        place = np.empty(d, dtype=np.int64)
+        for label, lo, hi in _runs(labels[order]):
+            first.pivots[label] = order[lo:hi]
+            place[order[lo:hi]] = np.arange(hi - lo)
+        first.width = int(place.max()) + 1
+        first.words = np.arange(d, dtype=np.int64)
+        first.gam = np.zeros((d, first.width), dtype=np.int64)
+        first.gam[first.words, place] = 1
         self.levels = [None, first]
 
     def extend(self) -> int:
-        """Rank of the next degree n, from the columns at the words x_i w."""
+        """Rank of the next degree n: the sum over its blocks of the rank
+        of the columns at the words x_i w in the block."""
         n = len(self.levels)
         if self.d ** n > INT64_MAX:
             raise DegreeTooLargeError(
                 f"degree {n} words do not fit in int64 indices")
-        prev = self.levels[-1]
-        if prev.inv is None:
-            _, sel = row_reduce_mod(prev.basis.T.copy(), self.p)
-            prev.sel = np.array(sel, dtype=np.int64)
-            prev.inv = solve_in_span_mod(prev.basis[prev.sel],
-                                         np.eye(prev.rank, dtype=np.int64),
-                                         self.p)
-        size = self.d * prev.rank
-        # the size x size int64 candidate block and the transposed copy
-        # that elimination works on must fit in memory
-        need = 16 * size * size
+        d, prev = self.d, self.levels[-1]
+        level = _ImageLevel(d * prev.width)
+        # x_i w lies in the block phi_(x_i) o g(w)
+        live = [label for label, piv in enumerate(prev.pivots) if piv.size]
+        grades = self.tgt[:, [prev.grades[label] for label in live]]
+        blocks = np.repeat(
+            self._labels(level, grades.reshape(-1, d)).reshape(d, -1),
+            [prev.pivots[label].size for label in live], axis=1).ravel()
+        cand = (np.arange(d, dtype=np.int64)[:, None] * d ** (n - 1)
+                + np.concatenate([prev.pivots[label] for label in live])
+                ).ravel()
+        order = np.argsort(blocks, kind="stable")
+        cand, blocks = cand[order], blocks[order]
+        runs = list(_runs(blocks))
+        size = max(hi - lo for _, lo, hi in runs)
+        # the largest block's size x rows int64 columns and the transposed
+        # copy that elimination works on must fit in memory
+        need = 16 * size * level.rows
         if need > self.limit:
             raise DegreeTooLargeError(
                 f"degree {n} needs {need} bytes for two copies of its "
-                f"{size} x {size} candidate block, memory limit {self.limit}")
-        cand = (np.arange(self.d, dtype=np.int64)[:, None] * self.d ** (n - 1)
-                + prev.pivots[None, :]).ravel()
-        terms = self._coset_terms(n, cand)
-        self._memoize(n - 1, np.unique(terms[0]))
-        cols = self._assemble(n, *terms)
-        _, piv = row_reduce_mod(np.ascontiguousarray(cols.T), self.p)
-        self.levels.append(_ImageLevel(cand[piv], cols[piv].T.copy()))
-        return len(piv)
+                f"largest candidate block, {size} columns of {level.rows} "
+                f"rows, memory limit {self.limit}")
+        self.levels.append(level)
+        prefix, last, expo = self._coset_terms(n, cand)
+        self._memoize(n - 1, prefix, last, blocks)
+        for label, lo, hi in runs:
+            cols = self._assemble(n, prefix[:, lo:hi], last[:, lo:hi],
+                                  expo[:, lo:hi])
+            _, piv = row_reduce_mod(np.ascontiguousarray(cols.T), self.p)
+            level.pivots[label] = cand[lo:hi][piv]
+            level.basis[label] = cols[piv].T.copy()
+        ranks = [piv.size for piv in level.pivots]
+        level.width = max(ranks)
+        level.gam = np.empty((0, level.width), dtype=np.int64)
+        return sum(ranks)
+
+    def _labels(self, level: _ImageLevel, grades) -> np.ndarray:
+        """Labels at `level` of the rows of `grades`, new grades labelled
+        in order of occurrence as blocks without pivots."""
+        out = np.empty(len(grades), dtype=np.int64)
+        for i, grade in enumerate(grades):
+            key = grade.tobytes()
+            if key not in level.label:
+                level.label[key] = len(level.grades)
+                level.grades.append(grade)
+                level.pivots.append(np.empty(0, dtype=np.int64))
+                level.basis.append(np.zeros((level.rows, 0), dtype=np.int64))
+            out[i] = level.label[key]
+        return out
+
+    def _down(self, m: int) -> np.ndarray:
+        """The table down of degree m (see _ImageLevel), completed."""
+        level, below = self.levels[m], self.levels[m - 1]
+        for grade in level.grades[len(level.down):]:
+            level.down.append(self._labels(below, grade[self.tinv]))
+        return np.array(level.down)
 
     def _coset_terms(self, m: int, words: np.ndarray):
         """(prefix, last, exponent) arrays, shape (m, len(words)), of the
@@ -445,11 +453,12 @@ class _SpanLadder:
         return prefix, digits, expo
 
     def _assemble(self, m: int, prefix, last, expo) -> np.ndarray:
-        """Columns of S_m = (S_(m-1) (x) id) sum_t T_t at the words, one row
-        per word, in the coordinates of _ImageLevel.basis."""
+        """Columns of S_m = (S_(m-1) (x) id) sum_t T_t at words of one
+        block, one row per word, in the slot coordinates of
+        _ImageLevel.basis."""
         prev = self.levels[m - 1]
         size = prefix.shape[1]
-        out = np.zeros((size, self.d, prev.rank), dtype=np.int64)
+        out = np.zeros((size, self.d, prev.width), dtype=np.int64)
         at = np.arange(size)
         for t in range(m):
             g = prev.gam[np.searchsorted(prev.words, prefix[t])]
@@ -457,38 +466,66 @@ class _SpanLadder:
         out %= self.p
         return out.reshape(size, -1)
 
-    def _memoize(self, m: int, words: np.ndarray):
-        """Add gamma_m of the sorted distinct `words` to the level-m memo.
+    def _invert(self, level: _ImageLevel):
+        """sel and inv of the blocks of `level` that have none yet."""
+        for basis in level.basis[len(level.inv):]:
+            _, sel = row_reduce_mod(basis.T.copy(), self.p)
+            level.sel.append(np.array(sel, dtype=np.int64))
+            level.inv.append(solve_in_span_mod(
+                basis[sel], np.eye(len(sel), dtype=np.int64), self.p))
 
-        gamma_m(u) = inv * column(u)[sel]; basis * gamma_m(u) must give
-        the column back, else the column is outside the pivot span and
-        ValueError is raised.
+    def _memoize(self, m: int, prefix, last, above):
+        """Add gamma_m of the degree-m words `prefix` to the level-m memo;
+        prefix[t, i] is what T_t leaves of a degree-(m+1) word of block
+        above[i] when it moves letter last[t, i] to the end, so it lies in
+        block down[above[i]][last[t, i]].
+
+        gamma_m(u) = inv * column(u)[sel] in the block of u; the block's
+        basis times gamma_m(u) must give the column back, else the column
+        is outside the pivot span and ValueError is raised.
         """
         if m == 1:
             return                      # degree 1 is complete
         level = self.levels[m]
-        new = np.setdiff1d(words, level.words, assume_unique=True)
-        if new.size == 0:
+        order = np.argsort(prefix, axis=None)
+        words = prefix.ravel()[order]
+        first = np.empty(words.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(words[1:], words[:-1], out=first[1:])
+        pick, words = order[first], words[first]
+        if level.words.size:
+            at = np.searchsorted(level.words, words)
+            new = level.words[np.minimum(at, level.words.size - 1)] != words
+            pick, words = pick[new], words[new]
+        if words.size == 0:
             return
-        step = max(1, MEMO_CHUNK_CELLS // level.basis.shape[0])
-        self._check_memory(m, new.size, min(new.size, step))
-        prefix, last, expo = self._coset_terms(m, new)
-        self._memoize(m - 1, np.unique(prefix))
-        gam = np.empty((new.size, level.rank), dtype=np.int64)
-        for lo in range(0, new.size, step):
-            part = slice(lo, lo + step)
+        labels = self._down(m + 1)[above[pick % above.size],
+                                   last.ravel()[pick]]
+        step = max(1, MEMO_CHUNK_CELLS // level.rows)
+        self._check_memory(m, words.size, min(words.size, step))
+        self._invert(level)
+        prefix, last, expo = self._coset_terms(m, words)
+        self._memoize(m - 1, prefix, last, labels)
+        gam = np.zeros((words.size, level.width), dtype=np.int64)
+        order = np.argsort(labels, kind="stable")
+        for lo in range(0, words.size, step):
+            part = order[lo:lo + step]
             cols = self._assemble(m, prefix[:, part], last[:, part],
                                   expo[:, part])
-            g = matmul_mod(cols[:, level.sel], level.inv.T, self.p)
-            bad = np.nonzero((matmul_mod(g, level.basis.T, self.p)
-                              != cols).any(axis=1))[0]
-            if bad.size:
-                raise ValueError(
-                    f"degree {m} column of word {int(new[lo + bad[0]])} is "
-                    "not in the span of the pivot columns")
-            gam[part] = g
-        at = np.searchsorted(level.words, new)
-        level.words = np.insert(level.words, at, new)
+            for label, a, b in _runs(labels[part]):
+                g = matmul_mod(cols[a:b, level.sel[label]],
+                               level.inv[label].T, self.p)
+                bad = np.flatnonzero((matmul_mod(g, level.basis[label].T,
+                                                 self.p)
+                                      != cols[a:b]).any(axis=1))
+                if bad.size:
+                    raise ValueError(
+                        f"degree {m} column of word "
+                        f"{int(words[part[a + bad[0]]])} is not in the span "
+                        "of the pivot columns")
+                gam[part[a:b], :g.shape[1]] = g
+        at = np.searchsorted(level.words, words)
+        level.words = np.insert(level.words, at, words)
         level.gam = np.insert(level.gam, at, gam, axis=0)
 
     def _check_memory(self, m: int, count: int, chunk: int):
@@ -497,17 +534,19 @@ class _SpanLadder:
         the batch's peak would pass the memory limit.
 
         The peak was measured with tracemalloc on the A3 and I2(6) ladders
-        through degrees 10 and 11: about 4m int64 per word for its digits
-        and coset terms, 2(r + 1) for its coordinates and their merged
-        copy (r the rank of degree m), 7 int64 per cell of one chunk of
-        columns in assembly and the span check, and one copy of the
-        degree-m memo while the batch is merged into it.
+        through degrees 10 and 11: about 6m int64 per word for its digits,
+        its coset terms and the sort that finds its distinct prefixes,
+        2(w + 1) for its coordinates and their merged copy (w the width of
+        degree m), 5 int64 per cell of one chunk of slot columns in
+        assembly and the span check, and one copy of the degree-m memo
+        while the batch is merged into it.  That bounds every batch above
+        1 MB by at least 13%.
         """
         level = self.levels[m]
         held = sum(lvl.words.nbytes + lvl.gam.nbytes
                    for lvl in self.levels[1:])
-        cells = chunk * level.basis.shape[0]
-        batch = (8 * (count * (4 * m + 2 * (level.rank + 1)) + 7 * cells)
+        cells = chunk * level.rows
+        batch = (8 * (count * (6 * m + 2 * (level.width + 1)) + 5 * cells)
                  + level.words.nbytes + level.gam.nbytes)
         if held + batch > self.limit:
             raise DegreeTooLargeError(
@@ -532,19 +571,36 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
     algebra is generated in degree one, so a zero rank stays zero and
     the ladder ends there.
 
-    Columns are built as before, in coordinates basis(im S_(n-1)) (x) V,
-    through S_n = (S_(n-1) (x) id) sum_t T_t with the coset operators
-    applied to word digits.  The prefixes T_t produces are degree-(n-1)
-    words, pivot or not; their coordinates gamma_(n-1)(u) = R col(u)[sel]
-    (R the inverse of a square block of pivot rows) are computed lazily,
-    recursively and in batches, memoized per degree, and each memoized
-    column is checked to lie in the pivot span (ValueError otherwise).
+    Blocks.  The braid equation on a basis triple (x, y, z) says
+    (x > y) > (x > z) = x > (y > z), that is phi_(x > y) o phi_x =
+    phi_x o phi_y, so sigma_i maps e_u to a multiple of a word of the
+    same grade g(u) = phi_(u_1) o ... o phi_(u_n).  Hence S_n maps the
+    words of each grade into their own span, the column at u lies in
+    block g(u), r_n is the sum of the block ranks, and the column at
+    x_i w lies in block phi_(x_i) o g(w): the spanning columns split by
+    block and each block is eliminated on its own.
+
+    Columns are built through S_n = (S_(n-1) (x) id) sum_t T_t with the
+    coset operators applied to word digits.  T_t e_u is a multiple of
+    e_(v b) with g(v) o phi_b = g(u), so the column at u is a sum of
+    S_(n-1) e_v (x) e_b over prefixes v in block g(u) o phi_b^-1.  Its
+    slot coordinates are those of the S_(n-1) e_v in the pivot basis of
+    that block: slot (b, j) of a column in block g is the j-th pivot of
+    the degree-(n-1) block g o phi_b^-1, stored in d * max_h r_h rows.
+    The prefixes are degree-(n-1) words, pivot or not; their coordinates
+    gamma_(n-1)(v) = R col(v)[sel] (R the inverse of a square block of
+    pivot rows of the block of v) are computed lazily, recursively and
+    in batches, memoized per degree, and each memoized column is checked
+    to lie in its block's pivot span (ValueError otherwise).  Grades are
+    labelled as the ladder's words reach them, never by enumerating the
+    group the phi_x generate.
 
     The only limit is memory, in bytes (_memory_limit_bytes, read once).
-    DegreeTooLargeError is raised before a degree whose two copies of
-    its candidate block would pass it, and before a memo batch whose
-    measured peak, added to the memo already held at every degree, would
-    pass it; the message names both byte counts and the limit.
+    DegreeTooLargeError is raised before a degree whose largest
+    candidate block, in two copies, would pass it, and before a memo
+    batch whose measured peak, added to the memo already held at every
+    degree, would pass it; the message names both byte counts and the
+    limit.
     """
     d = V.dim
     yield 0, 1, 0.0

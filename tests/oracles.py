@@ -10,8 +10,60 @@ from coxrack.extension import (
     GroupCocycle2,
     Presentation,
 )
-from coxrack.nichols import BraidedSpace, perm_operator
+from coxrack.modlin import row_reduce_mod
+from coxrack.nichols import BraidedSpace, MonomialOp, word_operator
 from coxrack.racks import q_plus_table
+
+
+# -- Matsumoto section: braid lifts of permutations ----------------------------
+
+
+def matsumoto_word(sigma) -> tuple[int, ...]:
+    """A reduced word for a permutation (one-line form), deterministic.
+
+    Letters are 1-based; the word multiplies left-to-right with the
+    rightmost letter applied first, matching word_operator.
+    """
+    s = list(sigma)
+    if sorted(s) != list(range(len(s))):
+        raise ValueError("not a permutation of 0..n-1")
+    picks = []
+    while True:
+        i = next((i for i in range(len(s) - 1) if s[i] > s[i + 1]), None)
+        if i is None:
+            break
+        s[i], s[i + 1] = s[i + 1], s[i]
+        picks.append(i + 1)
+    return tuple(reversed(picks))
+
+
+def all_reduced_words(sigma) -> set[tuple[int, ...]]:
+    """Every reduced word of a permutation (small n only)."""
+    s = tuple(sigma)
+    if s == tuple(range(len(s))):
+        return {()}
+    out = set()
+    for i in range(len(s) - 1):
+        if s[i] > s[i + 1]:
+            shorter = list(s)
+            shorter[i], shorter[i + 1] = shorter[i + 1], shorter[i]
+            for w in all_reduced_words(shorter):
+                out.add(w + (i + 1,))
+    return out
+
+
+def perm_operator(V: BraidedSpace, n: int, sigma) -> MonomialOp:
+    """Braid lift of a permutation through the length-additive section."""
+    return word_operator(V, n, matsumoto_word(sigma))
+
+
+def verify_matsumoto_invariance(V: BraidedSpace, n: int = 4) -> bool:
+    """All reduced words of every permutation induce the same operator."""
+    for sigma in itertools.permutations(range(n)):
+        ops = [word_operator(V, n, w) for w in all_reduced_words(sigma)]
+        if any(not op.equal(ops[0]) for op in ops[1:]):
+            return False
+    return True
 
 
 def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
@@ -27,6 +79,82 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
         op = perm_operator(V, n, sigma)
         np.add.at(acc, (op.perm, cols, op.expo), 1)
     return acc
+
+
+def rank_mod(a: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of a dense integer matrix."""
+    work = np.array(a, dtype=np.int64) % p
+    _, pivots = row_reduce_mod(work, p)
+    return len(pivots)
+
+
+# -- reduced and palindromic words of reflections ------------------------------
+
+REDEXPR_ORDER_CAP = 10_080  # reduced-word enumeration allowed up to |S6| * 2
+
+
+def path_words(graph, refl_index: int) -> list[tuple[int, ...]]:
+    """Palindromic words read off all maximal paths of the conjugacy
+    graph from a reflection."""
+    words: list[tuple[int, ...]] = []
+
+    def walk(r, prefix):
+        outs = graph.edges[r]
+        if not outs:
+            words.append(tuple(prefix) + (graph.simple_gen[r],)
+                         + tuple(reversed(prefix)))
+            return
+        for gen, target in outs:
+            prefix.append(gen)
+            walk(target, prefix)
+            prefix.pop()
+
+    walk(refl_index, [])
+    return words
+
+
+def mirror(word) -> tuple[int, ...]:
+    """Mirrored expression a_L s a_L^op of an odd-length word a_L s a_R."""
+    word = tuple(word)
+    if len(word) % 2 == 0:
+        raise ValueError("mirror is defined for odd-length words")
+    r = len(word) // 2
+    return word[:r] + (word[r],) + word[r - 1::-1] if r else word
+
+
+def reduced_expressions(g, e: int) -> set[tuple[int, ...]]:
+    """All reduced words of an element (guarded for large groups)."""
+    if g.order > REDEXPR_ORDER_CAP and g.refl_index_of_elem[e] < 0:
+        raise ValueError(
+            "reduced-word enumeration is exposed only for reflections "
+            f"when |W| > {REDEXPR_ORDER_CAP}")
+    memo: dict[int, set[tuple[int, ...]]] = {0: {()}}
+
+    def rec(x: int) -> set[tuple[int, ...]]:
+        got = memo.get(x)
+        if got is not None:
+            return got
+        lx = g.length_arr[x]
+        words = set()
+        for i in range(g.rank):
+            y = int(g.rmult[x][i])
+            if g.length_arr[y] < lx:
+                words.update(w + (i,) for w in rec(y))
+        memo[x] = words
+        return words
+
+    return rec(e)
+
+
+def palindromic_expressions(g, refl_index: int) -> set[tuple[int, ...]]:
+    """P(x) computed as mirrors of R(x), cross-checked against graph paths."""
+    refl = g.reflections[refl_index]
+    mirrored = {mirror(w) for w in reduced_expressions(g, refl.elem)}
+    paths = set(path_words(g.conjugacy_graph(), refl_index))
+    if mirrored != paths:
+        raise AssertionError(
+            f"mirrored reduced words and graph paths disagree at {refl}")
+    return mirrored
 
 
 # -- the extension by Todd-Coxeter enumeration ---------------------------------
@@ -185,7 +313,7 @@ def path_section_witness(g, ext, sec):
     zp = ext.gen_perms[ext.nt]
     graph = g.conjugacy_graph()
     for refl in g.reflections:
-        for word in graph.path_words(refl.index):
+        for word in path_words(graph, refl.index):
             val = 0
             for letter in word:
                 val = int(ext.gen_perms[letter, val])

@@ -36,7 +36,6 @@ from coxrack.nichols import (
     reduce_zeta_array,
     symmetrizer_factorized_exact,
     total_dimension,
-    verify_matsumoto_invariance,
 )
 from coxrack.racks import (
     check_equivariance,
@@ -46,7 +45,7 @@ from coxrack.racks import (
     q_plus,
     reflection_rack,
 )
-from oracles import symmetrizer_literal_exact
+from oracles import symmetrizer_literal_exact, verify_matsumoto_invariance
 
 BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
            "H3", "D4"]

@@ -294,22 +294,23 @@ def test_memory_error_exits_1(capsys, monkeypatch):
 
 
 def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 200_000)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_900)
     code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")
     assert code == 1
     assert out == ""
-    assert err == ("error: degree 3 needs 207936 bytes for two copies of "
-                   "its 114 x 114 candidate block, memory limit 200000\n")
+    assert err == ("error: degree 3 needs 1920 bytes for two copies of "
+                   "its largest candidate block, 10 columns of 12 rows, "
+                   "memory limit 1900\n")
 
 
 def test_memo_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_200_000)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 150_000)
     code, out, err = run(capsys, "hilbert", "A3", "--dmax", "4")
     assert code == 1
     assert out == ""
     assert err == ("error: degree 3 memo batch of 210 words needs about "
-                   "1505280 bytes on top of the 6096 bytes memoized, memory "
-                   "limit 1200000\n")
+                   "151200 bytes on top of the 960 bytes memoized, memory "
+                   "limit 150000\n")
 
 
 def test_negative_dmax_exits_1():
@@ -337,6 +338,39 @@ def test_certify_f4_does_not_import_mpmath():
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+def test_runs_do_not_import_numpy_ma():
+    # a fresh process: numpy's bare np.unique imports numpy.ma, and the
+    # ladder and the split witness deduplicate by sorting instead
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import contextlib, io, sys\n"
+            "from coxrack.cli import main\n"
+            "rcs = []\n"
+            "for argv in (['hilbert', 'A3', '--dmax', '5'], ['certify', 'A2'],\n"
+            "             ['dihedral', '5', '--summands', '5,1;5,3',\n"
+            "              '--check']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        rcs.append(main(argv))\n"
+            "print(rcs, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "[0, 0, 0] False\n", proc.stderr
+
+
+def test_hilbert_e6_degree_2_labels_grades_as_they_occur():
+    # the phi_x of E6 generate a group of 51840 elements; the ladder
+    # labels only the grades its words reach, so this takes about a second
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coxrack.cli", "hilbert", "E6", "--dmax", "2",
+         "--json"], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)["rows"]
+    assert [r["rank_plus"] for r in rows] == [1, 36, 750]
+    assert [r["rank_minus"] for r in rows] == [1, 36, 750]
 
 
 def test_dihedral_negative_v0_exits_1(capsys):

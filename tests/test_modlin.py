@@ -12,12 +12,12 @@ from coxrack.modlin import (
     nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
-    rank_mod,
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
     zeta_reduction_matrix,
 )
+from oracles import rank_mod
 
 
 def test_is_prime_small():

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,6 @@ from coxrack.modlin import (
     nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
-    rank_mod,
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
@@ -30,20 +33,16 @@ from coxrack.nichols import (
     BraidedSpace,
     DegreeTooLargeError,
     MonomialOp,
-    all_reduced_words,
     braiding_from_rack,
     coset_ops,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
     is_quadratic_through,
     ladder_ranks_iter,
-    matsumoto_word,
-    perm_operator,
     reduce_zeta_array,
     symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
     total_dimension,
-    verify_matsumoto_invariance,
     word_operator,
 )
 from coxrack.racks import (
@@ -52,7 +51,14 @@ from coxrack.racks import (
     q_plus,
     reflection_rack,
 )
-from oracles import symmetrizer_literal_exact
+from oracles import (
+    all_reduced_words,
+    matsumoto_word,
+    perm_operator,
+    rank_mod,
+    symmetrizer_literal_exact,
+    verify_matsumoto_invariance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -350,21 +356,24 @@ def test_spanning_ladder_matches_dense_oracle(spaces, name, which):
 
 
 def test_column_outside_pivot_span_raises(spaces, monkeypatch):
-    # dropping a pivot of degree 2 leaves a basis that does not span the
-    # image; the degree-3 step must refuse instead of reporting a rank
+    # dropping a pivot of a degree-2 block leaves a basis that does not
+    # span the block's image; the degree-3 step must refuse instead of
+    # reporting a rank
     calls = []
 
     def short_first_reduction(a, p, full=False):
         out, pivots = row_reduce_mod(a, p, full)
-        calls.append(len(pivots))
-        return out, pivots[:-1] if len(calls) == 1 else pivots
+        if pivots:
+            calls.append(len(pivots))
+        return out, pivots[:-1] if len(calls) == 1 and pivots else pivots
 
     monkeypatch.setattr(nichols, "row_reduce_mod", short_first_reduction)
     V = spaces("A2")
     p = primes_one_mod(V.k, count=1)[0]
     with pytest.raises(ValueError, match="not in the span"):
         spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 3)
-    assert calls[0] == 4
+    # A2 in degree 2: the identity grade has rank 0, the two 3-cycles 2
+    assert calls[:2] == [2, 2]
 
 
 def test_a3_full_series(spaces):
@@ -376,6 +385,78 @@ def test_a3_full_series(spaces):
     assert sum(ranks) == 576
 
 
+# -- the grading: S_n is block diagonal in g(u) ------------------------------
+
+
+def word_grades(V, n) -> list[tuple[int, ...]]:
+    """Oracle: g(u) = phi_(u_1) o ... o phi_(u_n) of every degree-n word
+    u, in word-index order, phi_x the left translation y -> x > y."""
+    tgt = np.array(V.target, dtype=np.int64)
+    out = []
+    for word in itertools.product(range(V.dim), repeat=n):
+        grade = np.arange(V.dim)
+        for x in reversed(word):
+            grade = tgt[x][grade]
+        out.append(tuple(grade.tolist()))
+    return out
+
+
+def graded_case_space(spaces, name, which):
+    if name.startswith("I2(6)"):
+        return i26_sum_space(which)
+    if name == "dihedral 5":
+        return dihedral_yd(5, [(5, 1), (5, 3)])
+    return spaces(name, which)
+
+
+GRADED_CASES = (
+    [(name, which) for name in ("A2", "B2", "A3", "I2(5)")
+     for which in ("plus", "minus")]
+    + [("I2(6) U(0)+V(3,1)", 0), ("I2(6) U(1)+V(3,1)", 1),
+       ("dihedral 5", None)])
+
+
+@pytest.mark.parametrize("name,which", GRADED_CASES)
+def test_symmetrizer_block_diagonal_in_grade(spaces, name, which):
+    # no entry of the dense S_n joins two grades, and the ladder's block
+    # ranks are the ranks of the dense diagonal blocks, adding up to the
+    # dense rank
+    V = graded_case_space(spaces, name, which)
+    p = primes_one_mod(V.k, count=1)[0]
+    omega = root_of_unity_mod(p, V.k)
+    ladder = nichols._SpanLadder(V, p, omega)
+    for n in range(2, 5):
+        rank = ladder.extend()
+        level = ladder.levels[n]
+        blocks = {tuple(grade.tolist()): piv.size
+                  for grade, piv in zip(level.grades, level.pivots)
+                  if piv.size}
+        dense = symmetrizer_dense_mod(V, n, p, omega)
+        grades = word_grades(V, n)
+        label = {grade: i for i, grade in enumerate(dict.fromkeys(grades))}
+        of = np.array([label[grade] for grade in grades])
+        assert not dense[of[:, None] != of[None, :]].any()
+        dense_blocks = {}
+        for grade, i in label.items():
+            idx = np.flatnonzero(of == i)
+            block_rank = rank_mod(dense[np.ix_(idx, idx)], p)
+            if block_rank:
+                dense_blocks[grade] = block_rank
+        assert dense_blocks == blocks
+        assert sum(blocks.values()) == rank == rank_mod(dense, p)
+
+
+def test_diagonal_braiding_runs_as_one_block():
+    # phi_x = id for every letter: every word has the identity grade
+    V = dihedral_yd(5, [(5, 1), (5, 3)])
+    p = primes_one_mod(V.k, count=1)[0]
+    ladder = nichols._SpanLadder(V, p, root_of_unity_mod(p, V.k))
+    ranks = [ladder.extend() for _ in range(2, 6)]
+    assert ranks == [6, 4, 1, 0]
+    for level in ladder.levels[1:]:
+        assert [grade.tolist() for grade in level.grades] == [[0, 1, 2, 3]]
+
+
 @pytest.fixture
 def memo_limit(monkeypatch):
     """Sets the memory limit to `limit` bytes and returns the memo bytes
@@ -383,8 +464,8 @@ def memo_limit(monkeypatch):
     held = []
     real = nichols._SpanLadder._memoize
 
-    def watched(self, m, words):
-        real(self, m, words)
+    def watched(self, m, *args):
+        real(self, m, *args)
         held.append(sum(level.words.nbytes + level.gam.nbytes
                         for level in self.levels[1:]))
 
@@ -404,8 +485,8 @@ def refused_memo_bytes(exc) -> tuple[int, int, int]:
 
 
 def test_memo_refused_before_it_passes_memory_limit(spaces, memo_limit):
-    # A3: the degree-6 memo batch of 3391 words is the first over 60 MB
-    limit = 60_000_000
+    # A3: the degree-6 memo batch of 3391 words is the first over 8 MB
+    limit = 8_000_000
     held = memo_limit(limit)
     V = spaces("A3")
     p = primes_one_mod(V.k, count=1)[0]
@@ -442,24 +523,25 @@ def test_total_dimension_primes_vanish_at_different_degrees(
 
 
 def test_memory_limit_guard(spaces, memo_limit):
-    held = memo_limit(20_000_000)
+    # A3 through degree 8 passes 15 MB first at its degree-7 memo batch
+    held = memo_limit(15_000_000)
     with pytest.raises(DegreeTooLargeError, match="memo batch") as exc:
         hilbert_coeffs(spaces("A3"), 8)
     batch, before, limit = refused_memo_bytes(exc)
-    assert limit == 20_000_000 and before + batch > limit
+    assert limit == 15_000_000 and before + batch > limit
     assert 0 < max(held) <= limit
 
 
 def test_exact_mode_memo_refused_before_it_passes_memory_limit(
         spaces, memo_limit):
     # exact mode runs its ladders under the same limit: A3's degree-3 memo
-    # batch of 210 words needs about 1505280 bytes
-    held = memo_limit(1_200_000)
+    # batch of 210 words needs about 151200 bytes
+    held = memo_limit(150_000)
     with pytest.raises(DegreeTooLargeError,
                        match="degree 3 memo batch of 210 words") as exc:
         hilbert_coeffs(spaces("A3"), 5, mode="exact")
     batch, before, limit = refused_memo_bytes(exc)
-    assert (batch, before, limit) == (1505280, held[-1], 1_200_000)
+    assert (batch, before, limit) == (151200, held[-1], 150_000)
     assert 0 < max(held) <= limit
 
 
@@ -541,14 +623,22 @@ def test_exact_mode_certifies_despite_undercounting_prime(
 
 
 def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
-    # A3 degree 3 has a 6 * 19 = 114 candidate block: two int64 copies
-    # need 16 * 114^2 = 207936 bytes
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 200_000)
+    # A3 degree 2: the largest block, the identity grade, has the 6
+    # candidates x x in 6 * width_1 = 6 slot rows: two int64 copies need
+    # 16 * 6 * 6 = 576 bytes, and degree 2 memoizes nothing
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 575)
     with pytest.raises(DegreeTooLargeError,
-                       match="degree 3 needs 207936 bytes"):
+                       match="degree 2 needs 576 bytes"):
+        hilbert_coeffs(spaces("A3"), 2)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 576)
+    assert [r.rank for r in hilbert_coeffs(spaces("A3"), 2)] == [1, 6, 19]
+    # degree 3: 10 candidates in 6 * 2 = 12 slot rows, 1920 bytes
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_919)
+    with pytest.raises(DegreeTooLargeError,
+                       match="degree 3 needs 1920 bytes for two copies of "
+                             "its largest candidate block, 10 columns of "
+                             "12 rows"):
         hilbert_coeffs(spaces("A3"), 3)
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 207_936)
-    assert [r.rank for r in hilbert_coeffs(spaces("A3"), 3)] == [1, 6, 19, 42]
 
 
 def test_report_serialization(spaces):
@@ -598,3 +688,28 @@ def test_quadraticity_agrees_across_cocycles(spaces):
     for name, quadratic in (("B2", False), ("I2(5)", False), ("A3", True)):
         for which in ("plus", "minus"):
             assert is_quadratic_through(spaces(name, which), 4) == quadratic
+
+
+@pytest.mark.slow
+def test_2304_ladder_reaches_degree_12_under_512_mib():
+    # U(0) + V(3,1) over I2(6) at one prime; the ladder without blocks
+    # peaked at 870 MB RSS at degree 12 and fails under this limit
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource\n"
+            "limit = 512 * 2 ** 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from coxrack import coxeter, dihedral, modlin, nichols\n"
+            "g = coxeter.build_group(coxeter.preset_matrix('I2(6)'))\n"
+            "V = dihedral.braided_from_graded(dihedral.direct_sum(\n"
+            "    dihedral.u_module(g, 0), dihedral.v31_module(g)))\n"
+            "p = modlin.primes_one_mod(V.k, count=1)[0]\n"
+            "omega = modlin.root_of_unity_mod(p, V.k)\n"
+            "for n, rank, _ in nichols.ladder_ranks_iter(V, p, omega):\n"
+            "    print(rank, end=',')\n"
+            "    if n == 12:\n"
+            "        break\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1,5,14,31,58,95,140,187,229,258,268,258,229,"
