@@ -16,12 +16,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .cyclo import CycloNumber, cos_of_pi_over
 from .coxeter import CoxeterMatrix, GroupTable, build_group, preset_matrix
 
 __all__ = [
-    "CycloNumber",
-    "cos_of_pi_over",
     "CoxeterMatrix",
     "GroupTable",
     "build_group",

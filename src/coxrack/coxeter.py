@@ -1,14 +1,21 @@
 """Finite Coxeter groups from their Coxeter matrices, with exact roots.
 
-A group is built in two passes.  First the positive roots are enumerated
-by closing the simple basis under the simple reflections, with exact
-cyclotomic coordinates so that positivity of a root is an exact sign
-decision; each (root, generator) pair is reflected once.  Then the
-elements are enumerated as permutations of the signed roots, one length
-level at a time with whole-array operations, each keyed on its images
-of the simple roots (GroupTable._build_elements).  The permutations make
-the length function, the reflection/positive-root bijection and all
-conjugation questions cheap table lookups.
+Numbers are integer vectors over Z[zeta_N], N = CoxeterMatrix.global_level
+(see cyclo).  The form enters doubled, B_ij = 2(alpha_i, alpha_j) =
+-(zeta^(N/2m_ij) + zeta^(-N/2m_ij)), which is integral, and so is every
+root coordinate: s_i beta = beta - (B beta)_i alpha_i.  require_finite
+refuses an infinite group from B alone, before any enumeration.
+
+A group is then built in two passes.  First the positive roots are
+enumerated (RootSystem, which stops there) by closing the simple basis
+under the simple reflections; each (root, generator) pair is reflected
+once, and every root is checked to have unit norm and exactly positive
+coordinates.  Then the elements are enumerated as permutations of the
+signed roots, one length level at a time with whole-array operations,
+each keyed on its images of the simple roots
+(GroupTable._build_elements).  The permutations make the length
+function, the reflection/positive-root bijection and all conjugation
+questions cheap table lookups.
 
 Everything downstream (cocycles, the central extension, symmetrizers)
 consumes the tables built here.  A GroupTable is immutable after
@@ -25,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cyclo import CycloNumber, cos_of_pi_over
+from .cyclo import euler_phi, galois, mul, reduction_matrix, regular_matrix, sign
 
 DEFAULT_ELEMENT_CAP = 2_000_000
 MULT_BLOCK_CELLS = 1 << 22  # index cells gathered per block of mult_table rows
@@ -118,31 +125,58 @@ class CoxeterMatrix:
             comps.setdefault(find(i), []).append(i)
         return sorted(comps.values())
 
-    def gram(self, level: int | None = None) -> tuple[tuple[CycloNumber, ...], ...]:
-        """Bilinear form (alpha_i, alpha_j) = -cos(pi / m_ij), exactly."""
-        lev = level or self.global_level
-        return tuple(
-            tuple((-cos_of_pi_over(m)).embed(lev) for m in row)
-            for row in self.rows)
+    def gram(self) -> np.ndarray:
+        """The doubled form B_ij = 2(alpha_i, alpha_j) = -2 cos(pi / m_ij)
+        as an (l, l, phi(N)) array over Z[zeta_N], N = global_level:
+        2 cos(pi / m) = zeta^(N/2m) + zeta^(-N/2m)."""
+        n = self.global_level
+        e = n // (2 * np.array(self.rows))
+        red = reduction_matrix(n)
+        return -(red[e] + red[-e % n])
 
 
-def require_finite(gram):
-    """Refuse the form (alpha_i, alpha_j) = -cos(pi / m_ij) of an infinite W.
+def require_finite(matrix: CoxeterMatrix):
+    """Refuse the Coxeter matrix of an infinite W, from its form alone.
 
-    W is finite iff the form is positive definite (Humphreys, Reflection
-    Groups and Coxeter Groups, 6.4), iff its leading principal minors
-    are positive (Sylvester).  The pivots of elimination without pivoting
-    are the ratios of consecutive minors, so each must be positive.
+    W is finite iff the form (alpha_i, alpha_j) = -cos(pi / m_ij) is
+    positive definite (Humphreys, Reflection Groups and Coxeter Groups,
+    6.4), iff the leading principal minors of B = 2(alpha_i, alpha_j)
+    are positive (Sylvester).  Bareiss elimination on B has them as its
+    pivots: after step k, entry (i, j) past the pivot is the minor on
+    rows 0..k, i and columns 0..k, j, and the update
+    a_ij <- (a_kk a_ij - a_ik a_kj) / b divides exactly by the previous
+    pivot b (Sylvester's identity), so every entry stays in Z[zeta_N].
+    The quotient is a b' / N(b): b' is the product of b's Galois
+    conjugates other than b itself, and the norm N(b) = b b' is a
+    rational integer, nonzero because b is a positive minor.
     """
-    a = [list(row) for row in gram]
-    for k in range(len(a)):
-        if a[k][k].sign() <= 0:
+    l, n = matrix.rank, matrix.global_level
+    a = matrix.gram().astype(object)  # Python ints: norms outgrow int64
+    units = [j for j in range(2, n) if math.gcd(j, n) == 1]
+    one = np.zeros(euler_phi(n), dtype=object)
+    one[0] = 1
+    b = None
+    for k in range(l):
+        if sign(a[k, k], n) <= 0:
             raise NotFiniteError(
                 f"the Coxeter form is not positive definite (pivot {k} "
                 "is not positive), so the group is infinite")
-        for i in range(k + 1, len(a)):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        if k == l - 1:
+            break
+        rest = slice(k + 1, l)
+        num = (mul(a[k, k], a[rest, rest], n)
+               - mul(a[rest, k, None], a[k, None, rest], n))
+        if b is not None:
+            conj = one
+            for j in units:
+                conj = mul(conj, galois(b, n, j), n)
+            norm = mul(b, conj, n)
+            num = mul(num, conj, n)
+            if norm[1:].any() or (num % norm[0]).any():
+                raise AssertionError("a Bareiss quotient left Z[zeta_N]")
+            num //= norm[0]
+        a[rest, rest] = num
+        b = a[k, k]
 
 
 _PRESET_RE = re.compile(r"^([ABDEFHI])\s*(\d+)\s*(?:\(\s*(\d+)\s*\))?$", re.I)
@@ -247,16 +281,18 @@ class ConjGraph:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_U(n: int, x: CycloNumber) -> CycloNumber:
-    """U_n(x) by the recursion U_0 = 1, U_1 = 2x, U_(n+1) = 2x U_n - U_(n-1)."""
+def chebyshev_U(n: int, y: np.ndarray, level: int) -> np.ndarray:
+    """U_n(y / 2), which is integral in y = 2 cos t: U_0 = 1, U_1 = y,
+    U_(n+1) = y U_n - U_(n-1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    u_prev = CycloNumber.one(x.level)
+    u_prev = np.zeros_like(y)
+    u_prev[0] = 1
     if n == 0:
         return u_prev
-    u = x * 2
+    u = y
     for _ in range(n - 1):
-        u_prev, u = u, x * 2 * u - u_prev
+        u_prev, u = u, mul(y, u, level) - u_prev
     return u
 
 
@@ -268,7 +304,7 @@ class ChebyshevReport:
     i: int                      # generator with (alpha_i, beta) = 0
     j: int                      # generator with (alpha_j, beta) > 0
     m: int                      # bond order m_ij
-    scalars: tuple[CycloNumber, ...]   # (beta_p, alpha_(p+1)) for p < m
+    scalars: tuple[tuple[int, ...], ...]  # 2(beta_p, alpha_(p+1)), p < m
     tag: str                    # "length-drop" | "even-shortcut"
     stall: int | None           # q with beta_q = alpha_(q+1), shortcut only
     start_length: int
@@ -276,66 +312,54 @@ class ChebyshevReport:
 
 
 # ---------------------------------------------------------------------------
-# The group table
+# Roots and the group table
 # ---------------------------------------------------------------------------
 
 
-class GroupTable:
-    """A fully enumerated finite Coxeter group.
+class RootSystem:
+    """The positive roots of a finite Coxeter group, without its elements.
 
-    Signed roots are indexed 0..2R-1: index r < R is the r-th positive
-    root, index r + R its negative.  Elements are indexed in ShortLex
-    order of their canonical reduced words (identity = 0, s_i = 1 + i).
+    Positive root r is pos_roots[r], an (l, phi) array of coordinates
+    over Z[zeta_N] in the simple roots; roots 0..l-1 are the simple
+    roots.  Signed roots are indexed 0..2R-1: index r < R is the r-th
+    positive root, index r + R its negative, and gen_root_perm[i] is
+    s_i acting on them.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
         self.matrix = matrix
         self.level = matrix.global_level
         self.rank = matrix.rank
-        self._gram = matrix.gram(self.level)
-        require_finite(self._gram)
+        require_finite(matrix)
+        self._gram = matrix.gram()
+        # B acting on (l, phi) coordinate arrays, as one integer matrix
+        self._pair = regular_matrix(self._gram, self.level)
         self._build_roots()
-        self._build_elements()
-        self._build_reflections()
-        self._build_classes()
-        self._mult = None
-        self._conj_refl = None
-        self._graph = None
-
-    # -- construction -----------------------------------------------------
 
     def _build_roots(self):
-        l = self.rank
-        lev = self.level
-        zero = CycloNumber.zero(lev)
-        one = CycloNumber.one(lev)
-        simples = [tuple(one if k == i else zero for k in range(l))
-                   for i in range(l)]
-
-        def key(vec):
-            return tuple(c.coeffs for c in vec)
-
-        pos: list[tuple[CycloNumber, ...]] = list(simples)
-        index = {key(v): i for i, v in enumerate(pos)}
+        """Close the simple roots under the simple reflections,
+        s_i beta = beta - (B beta)_i alpha_i, breadth first; then check
+        every root's unit norm and exact positivity."""
+        l, lev = self.rank, self.level
+        simples = np.zeros((l, l, euler_phi(lev)), dtype=np.int64)
+        simples[np.arange(l), np.arange(l), 0] = 1
+        pos = list(simples)
+        index = {v.tobytes(): i for i, v in enumerate(pos)}
         parent: list[tuple[int, int] | None] = [None] * l
         base_simple = list(range(l))
         images: list[list[int]] = []  # [r][i]: s_i(beta_r), ~index if negative
         head = 0
         while head < len(pos):
             beta = pos[head]
-            scal = [self.inner_simple(i, beta) for i in range(l)]
-            # (beta, beta) = sum_k beta_k (alpha_k, beta)
-            norm = sum((c * sc for c, sc in zip(beta, scal) if not c.is_zero()),
-                       CycloNumber.zero(lev))
-            if norm != 1:
-                raise AssertionError("root does not have unit norm")
+            scal = self.pairings(beta)
             row = []
             for i in range(l):
                 if head == i:  # s_i(alpha_i) = -alpha_i, the only negative image
                     row.append(~i)
                     continue
-                image = beta[:i] + (beta[i] - 2 * scal[i],) + beta[i + 1:]
-                k = key(image)
+                image = beta.copy()
+                image[i] -= scal[i]
+                k = image.tobytes()
                 if k not in index:
                     index[k] = len(pos)
                     pos.append(image)
@@ -345,16 +369,23 @@ class GroupTable:
             images.append(row)
             head += 1
 
-        # exact positivity; the sign of each distinct coordinate value once
-        distinct = {c.coeffs: c for beta in pos for c in beta}
-        sign = {k: c.sign() for k, c in distinct.items()}
-        for beta in pos:
-            signs = [sign[c.coeffs] for c in beta]
-            if any(s < 0 for s in signs) or all(s == 0 for s in signs):
-                raise AssertionError("enumerated root is not positive")
+        roots = np.array(pos)
+        R = len(pos)
+        # (beta, beta) = 1: sum_i beta_i 2(alpha_i, beta) = 2
+        norms = mul(roots, self.pairings(roots), lev).sum(axis=1)
+        if (norms[:, 0] != 2).any() or norms[:, 1:].any():
+            raise AssertionError("root does not have unit norm")
+        # exact positivity; the sign of each distinct coordinate once
+        coords = roots.reshape(R * l, -1)
+        sign_of = {}
+        for c in coords:
+            sign_of.setdefault(c.tobytes(), sign(c, lev))
+        signs = np.array([sign_of[c.tobytes()] for c in coords]).reshape(R, l)
+        if (signs < 0).any() or not (signs > 0).any(axis=1).all():
+            raise AssertionError("enumerated root is not positive")
 
-        self.pos_roots = pos
-        self.nroots = R = len(pos)
+        self.pos_roots = roots
+        self.nroots = R
         self._root_index = index
         self._root_parent = parent
         self._root_base_simple = base_simple
@@ -365,20 +396,35 @@ class GroupTable:
         perm = np.concatenate([img, (img + R) % (2 * R)], axis=1)
         self.gen_root_perm = tuple(map(tuple, perm.tolist()))
 
-    def _reflect_simple(self, i: int, vec):
-        """s_i(v) = v - 2 (v, alpha_i) alpha_i; only coordinate i moves."""
-        scal = self.inner_simple(i, vec)
-        out = list(vec)
-        out[i] = vec[i] - 2 * scal
-        return tuple(out)
+    def pairings(self, v: np.ndarray) -> np.ndarray:
+        """2(alpha_i, v) = (B v)_i for every i, as v's (..., l, phi) shape."""
+        flat = v.reshape(v.shape[:-2] + (-1,))
+        return (flat @ self._pair.T).reshape(v.shape)
 
-    def inner_simple(self, i: int, vec) -> CycloNumber:
-        """(alpha_i, v) via the Gram matrix."""
-        acc = CycloNumber.zero(self.level)
-        for k, c in enumerate(vec):
-            if not c.is_zero():
-                acc = acc + c * self._gram[i][k]
-        return acc
+    def reflect_simple(self, i: int, v: np.ndarray) -> np.ndarray:
+        """s_i(v) = v - 2(alpha_i, v) alpha_i; only coordinate i moves."""
+        out = v.copy()
+        out[i] -= self.pairings(v)[i]
+        return out
+
+
+class GroupTable(RootSystem):
+    """A fully enumerated finite Coxeter group.
+
+    Elements are indexed in ShortLex order of their canonical reduced
+    words (identity = 0, s_i = 1 + i); roots as in RootSystem.
+    """
+
+    def __init__(self, matrix: CoxeterMatrix):
+        super().__init__(matrix)
+        self._build_elements()
+        self._build_reflections()
+        self._build_classes()
+        self._mult = None
+        self._conj_refl = None
+        self._graph = None
+
+    # -- construction -----------------------------------------------------
 
     def _build_elements(self):
         """Enumerate W breadth-first, one length level at a time.
@@ -650,7 +696,7 @@ class GroupTable:
     def length_trichotomy(self, beta_root: int, alpha_gen: int) -> Trichotomy:
         """Classify l(s_a s_b s_a) - l(s_b) by the exact sign of (alpha, beta)."""
         beta = self.pos_roots[beta_root]
-        s = self.inner_simple(alpha_gen, beta).sign()
+        s = sign(self.pairings(beta)[alpha_gen], self.level)
         if beta_root == alpha_gen or s == 0:
             tag = Trichotomy.COMMUTE
         elif s < 0:
@@ -673,32 +719,29 @@ class GroupTable:
         """Root sequence of the alternating conjugations, exactly verified.
 
         Hypotheses: beta positive non-simple, (alpha_i, beta) = 0 and
-        (alpha_j, beta) > 0.  The scalar (beta_p, alpha_(p+1)) must equal
-        delta * U_p(cos pi/m_ij) for every p; positivity holds through
+        (alpha_j, beta) > 0.  With delta = 2(alpha_j, beta) and
+        y = 2 cos(pi/m_ij), the scalar 2(beta_p, alpha_(p+1)) must equal
+        delta * U_p(y / 2) for every p; positivity holds through
         p = m_ij - 2 and the scalar vanishes at p = m_ij - 1.
         """
-        l = self.rank
+        l, lev = self.rank, self.level
         if not (0 <= i < l and 0 <= j < l) or i == j:
             raise PreconditionFailed("need two distinct generator indices")
         if self._root_parent[beta_root] is None:
             raise PreconditionFailed("beta must be a non-simple positive root")
         beta = self.pos_roots[beta_root]
-        delta = self.inner_simple(j, beta)
-        if delta.sign() <= 0:
+        pair = self.pairings(beta)
+        delta = pair[j]
+        if sign(delta, lev) <= 0:
             raise PreconditionFailed("(alpha_j, beta) must be positive")
-        if self.inner_simple(i, beta).sign() != 0:
+        if pair[i].any():
             raise PreconditionFailed("(alpha_i, beta) must vanish")
         m = self.matrix.entry(i, j)
-        gamma = cos_of_pi_over(m).embed(self.level)
+        y = -self._gram[i, j]
+        simple_vec = self.pos_roots[:l]
 
         def alpha_gen(p: int) -> int:
             return i if p % 2 == 0 else j
-
-        lev = self.level
-        zero = CycloNumber.zero(lev)
-        one = CycloNumber.one(lev)
-        simple_vec = [tuple(one if k == g else zero for k in range(l))
-                      for g in range(l)]
 
         vec = beta
         scalars = []
@@ -706,17 +749,18 @@ class GroupTable:
         vecs = [vec]
         for p in range(m):
             a_next = alpha_gen(p + 1)
-            scal = self.inner_simple(a_next, vec)
-            scalars.append(scal)
-            if scal != delta * chebyshev_U(p, gamma):
+            scal = self.pairings(vec)[a_next]
+            scalars.append(tuple(scal.tolist()))
+            if not np.array_equal(scal, mul(delta, chebyshev_U(p, y, lev), lev)):
                 raise AssertionError("scalar sequence leaves the Chebyshev line")
             want_sign = 1 if p <= m - 2 else 0
-            if scal.sign() != want_sign:
+            if sign(scal, lev) != want_sign:
                 raise AssertionError("scalar sign violates the sequence lemma")
-            if stall is None and p <= m - 2 and vec == simple_vec[a_next]:
+            if (stall is None and p <= m - 2
+                    and np.array_equal(vec, simple_vec[a_next])):
                 stall = p
             if p < m - 1:
-                vec = self._reflect_simple(a_next, vec)
+                vec = self.reflect_simple(a_next, vec)
                 vecs.append(vec)
 
         start_len = self.length(self.reflections[self.refl_of_root[beta_root]].elem)
@@ -732,8 +776,7 @@ class GroupTable:
                                    end_length=None)
 
         last = vecs[m - 1]
-        last_key = tuple(c.coeffs for c in last)
-        r_last = self._root_index.get(last_key)
+        r_last = self._root_index.get(last.tobytes())
         if r_last is None:
             raise AssertionError("drop sequence left the positive roots")
         s_last = self.reflections[self.refl_of_root[r_last]].elem
@@ -743,7 +786,7 @@ class GroupTable:
         s_m = self.simple_reflection(alpha_gen(m))
         if self.mul(s_m, s_last) != self.mul(s_last, s_m):
             raise AssertionError("final reflections fail to commute")
-        if last == simple_vec[alpha_gen(m)]:
+        if np.array_equal(last, simple_vec[alpha_gen(m)]):
             raise AssertionError("drop case ended on alpha_(m)")
         return ChebyshevReport(beta=beta_root, i=i, j=j, m=m,
                                scalars=tuple(scalars), tag="length-drop",
@@ -756,8 +799,8 @@ class GroupTable:
         for r in range(self.nroots):
             if self._root_parent[r] is None:
                 continue
-            beta = self.pos_roots[r]
-            signs = [self.inner_simple(g, beta).sign() for g in range(self.rank)]
+            scal = self.pairings(self.pos_roots[r])
+            signs = [sign(c, self.level) for c in scal]
             for i in range(self.rank):
                 if signs[i] != 0:
                     continue

@@ -1,10 +1,19 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_N).
+"""Exact arithmetic in the cyclotomic integers Z[zeta_N].
 
-Root coordinates, the bilinear form values cos(pi/m) and the roots of
-unity appearing in diagonal braidings all live in cyclotomic fields.  A
-value is stored in the power basis 1, z, ..., z^(phi(N)-1) of Q(zeta_N),
-reduced modulo the N-th cyclotomic polynomial, so equality and zero
-testing are plain coefficient comparisons.
+A number is an integer vector: its coordinates in the power basis
+1, z, ..., z^(phi(N)-1) of Z[zeta_N], reduced modulo the N-th
+cyclotomic polynomial Phi_N, on the last axis of a numpy array.  The
+form is canonical, so equality and zero tests compare coefficients.
+Every exact number of the package has this form: root coordinates and
+the doubled Coxeter form 2(alpha_i, alpha_j) = -(zeta^(N/2m) +
+zeta^(-N/2m)) lie in Z[2 cos(pi/m)], a subring of Z[zeta_N] (coxeter),
+and symmetrizer entries are sums of roots of unity (nichols, modlin).
+
+reduction_matrix maps counts per power of zeta, that is Z[x]/(x^N - 1),
+to the power basis; mul and regular_matrix give products, galois the
+conjugates zeta -> zeta^j.  They broadcast over leading axes and work
+on int64 arrays and on object arrays of Python ints alike; the latter
+serve where entries outgrow int64 (norms, fraction-free elimination).
 
 Signs of real elements are decided exactly: the zero test is the
 coefficient comparison, and a nonzero value is separated from zero by
@@ -18,12 +27,10 @@ turn logic errors into loud failures.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
+import numpy as np
 
 SIGN_PREC_START = 64
 SIGN_PREC_CAP = 4096
@@ -44,10 +51,6 @@ class SignUndecidedError(RuntimeError):
     This cannot happen for a canonical nonzero element; seeing it means a
     bug upstream (e.g. a non-canonical representation slipped through).
     """
-
-
-class LevelError(ValueError):
-    """Raised when a value does not live in the requested subfield."""
 
 
 def euler_phi(n: int) -> int:
@@ -107,424 +110,134 @@ def _cos_enclosures(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(out)
 
 
-def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (remainder must be zero)."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c % den[dd] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[dd]
-        out[i - dd] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= q * dj
-    if any(num[:dd]):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of Phi_n, ascending degree, monic."""
+    """Coefficients of Phi_n, ascending degree, monic: x^n - 1 divided by
+    Phi_d for each proper divisor d of n, exactly (each Phi_d is monic)."""
     if n < 1:
         raise ValueError("level must be positive")
-    num = [0] * (n + 1)
-    num[0], num[n] = -1, 1
-    for d in _divisors(n):
-        if d < n:
-            num = _int_poly_div(num, list(cyclotomic_poly(d)))
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        den = cyclotomic_poly(d)
+        k = len(den) - 1
+        quot = [0] * (len(num) - k)
+        for i in range(len(num) - 1, k - 1, -1):
+            q = quot[i - k] = num[i]
+            for j, c in enumerate(den):
+                num[i - k + j] -= q * c
+        if any(num[:k]):
+            raise ArithmeticError("non-exact polynomial division")
+        num = quot
     return tuple(num)
 
 
-def _reduce(vec: list[Fraction], level: int) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_N modulo Phi_N; result has phi(N) coeffs."""
-    phi = cyclotomic_poly(level)
-    deg = len(phi) - 1
-    v = list(vec)
-    if len(v) < deg:
-        v.extend([_Q0] * (deg - len(v)))
-    for i in range(len(v) - 1, deg - 1, -1):
-        c = v[i]
-        if c:
-            v[i] = _Q0
-            off = i - deg
-            for j in range(deg):
-                if phi[j]:
-                    v[off + j] -= c * phi[j]
-    return tuple(v[:deg])
+@lru_cache(maxsize=None)
+def reduction_matrix(n: int) -> np.ndarray:
+    """(n, phi(n)) int64 matrix whose row e is x^e mod Phi_n.
 
-
-class CycloNumber:
-    """An element of Q(zeta_N) in canonical (reduced) power-basis form.
-
-    Immutable; all arithmetic auto-embeds operands into the field of
-    level lcm of the operand levels.  Instances are unhashable because
-    mathematically equal values can carry different levels; hot paths
-    needing dict keys use the raw ``coeffs`` tuple at a fixed level.
+    Row e is x times row e - 1, with x^phi(n) replaced by the lower
+    terms of the monic Phi_n.  A count array over Z[x]/(x^n - 1), one
+    entry per power on its last axis, maps to the power basis as
+    arr @ reduction_matrix(n).
     """
+    poly = np.array(cyclotomic_poly(n)[:-1], dtype=np.int64)
+    deg = len(poly)
+    red = np.zeros((n, deg), dtype=np.int64)
+    red[:deg] = np.eye(deg, dtype=np.int64)
+    for e in range(deg, n):
+        red[e, 1:] = red[e - 1, :-1]
+        red[e] -= red[e - 1, -1] * poly
+    red.flags.writeable = False
+    return red
 
-    __slots__ = ("level", "coeffs")
 
-    def __init__(self, level: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != euler_phi(level):
-            raise ValueError("coefficient vector has wrong length for level")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+def mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The product a b in Z[zeta_n], broadcast over leading axes."""
+    phi = a.shape[-1]
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (2 * phi - 1,)
+    raw = np.zeros(shape, dtype=np.result_type(a, b))
+    for j in range(phi):
+        raw[..., j:j + phi] += a * b[..., j, None]
+    return raw @ reduction_matrix(n)[np.arange(2 * phi - 1) % n]
 
-    def __setattr__(self, *args):
-        raise AttributeError("CycloNumber is immutable")
 
-    def __reduce__(self):
-        return (CycloNumber, (self.level, self.coeffs))
+def regular_matrix(arr: np.ndarray, n: int) -> np.ndarray:
+    """The integer (r phi, c phi) matrix of an (r, c, phi) matrix over
+    Z[zeta_n], acting on stacked power-basis coordinates: block (i, j)
+    is the matrix of multiplication by arr[i, j], whose column k is
+    arr[i, j] z^k."""
+    r, c, phi = arr.shape
+    basis = np.eye(phi, dtype=np.int64)
+    cols = mul(arr[..., None, :], basis, n)     # (r, c, k, phi)
+    return cols.transpose(0, 3, 1, 2).reshape(r * phi, c * phi)
 
-    # -- constructors ---------------------------------------------------
 
-    @classmethod
-    def from_rational(cls, value, level: int = 1) -> "CycloNumber":
-        q = Fraction(value)
-        coeffs = [q] + [_Q0] * (euler_phi(level) - 1)
-        return cls(level, coeffs)
+def galois(a: np.ndarray, n: int, j: int) -> np.ndarray:
+    """The conjugate zeta -> zeta^j of a, for j prime to n (j = -1 is
+    complex conjugation)."""
+    phi = a.shape[-1]
+    raw = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+    raw[..., (j * np.arange(phi)) % n] = a
+    return raw @ reduction_matrix(n)
 
-    @classmethod
-    def zero(cls, level: int = 1) -> "CycloNumber":
-        return cls.from_rational(0, level)
 
-    @classmethod
-    def one(cls, level: int = 1) -> "CycloNumber":
-        return cls.from_rational(1, level)
+def _enclosure(a, n: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo <= value <= hi of a real a.
 
-    @classmethod
-    def zeta(cls, level: int, power: int = 1) -> "CycloNumber":
-        """zeta_level ** power."""
-        power %= level
-        raw = [_Q0] * (power + 1)
-        raw[power] = _Q1
-        return cls(level, _reduce(raw, level))
+    The value is sum_k a_k cos(2 pi k / n); each cosine is replaced by
+    its cached enclosure, so hi - lo is about sum_k |a_k| 2^-63.
+    """
+    lo = hi = Fraction(0)
+    for c, (clo, chi) in zip(map(int, a), _cos_enclosures(n)):
+        lo += c * (clo if c > 0 else chi)
+        hi += c * (chi if c > 0 else clo)
+    return lo, hi
 
-    # -- structure ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+def _real_interval(a, n: int, prec: int):
+    """mpmath interval containing the value of a real a,
+    sum_k a_k cos(2 pi k / n), evaluated with outward rounding."""
+    from mpmath import iv   # only here: most signs never need it
 
-    def embed(self, level: int) -> "CycloNumber":
-        """Re-embed into Q(zeta_level); current level must divide level."""
-        if level == self.level:
-            return self
-        if level % self.level != 0:
-            raise LevelError(f"{self.level} does not divide {level}")
-        t = level // self.level
-        raw = [_Q0] * ((len(self.coeffs) - 1) * t + 1)
-        for k, c in enumerate(self.coeffs):
-            raw[k * t] = c
-        return CycloNumber(level, _reduce(raw, level))
+    old = iv.prec
+    try:
+        iv.prec = prec
+        total = iv.mpf(0)
+        two_pi = 2 * iv.pi
+        for k, c in enumerate(map(int, a)):
+            if c:
+                total += c * iv.cos(two_pi * k / n)
+        return total
+    finally:
+        iv.prec = old
 
-    def restrict(self, level: int) -> "CycloNumber":
-        """Express the value in Q(zeta_level) for a divisor level.
 
-        Raises LevelError when the value does not lie in the subfield.
-        """
-        if level == self.level:
-            return self
-        if self.level % level != 0:
-            raise LevelError(f"{level} does not divide {self.level}")
-        basis = [CycloNumber.zeta(level, k).embed(self.level).coeffs
-                 for k in range(euler_phi(level))]
-        sol = _solve_rational(basis, self.coeffs)
-        if sol is None:
-            raise LevelError("value does not lie in the requested subfield")
-        return CycloNumber(level, sol)
+def sign(a: np.ndarray, n: int) -> int:
+    """Exact sign in {-1, 0, +1} of a real element a of Z[zeta_n].
 
-    # -- arithmetic -----------------------------------------------------
-
-    @staticmethod
-    def _coerce(a: "CycloNumber", b) -> tuple["CycloNumber", "CycloNumber"]:
-        if not isinstance(b, CycloNumber):
-            b = CycloNumber.from_rational(b)
-        if a.level == b.level:
-            return a, b
-        lev = math.lcm(a.level, b.level)
-        return a.embed(lev), b.embed(lev)
-
-    def __add__(self, other) -> "CycloNumber":
-        a, b = self._coerce(self, other)
-        return CycloNumber(a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CycloNumber":
-        a, b = self._coerce(self, other)
-        return CycloNumber(a.level, [x - y for x, y in zip(a.coeffs, b.coeffs)])
-
-    def __rsub__(self, other) -> "CycloNumber":
-        return (-self).__add__(other)
-
-    def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.level, [-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "CycloNumber":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNumber(self.level, [c * q for c in self.coeffs])
-        a, b = self._coerce(self, other)
-        n = len(a.coeffs)
-        raw = [_Q0] * (2 * n - 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        raw[i + j] += ci * cj
-        return CycloNumber(a.level, _reduce(raw, a.level))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "CycloNumber":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CycloNumber.one(self.level)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def inverse(self) -> "CycloNumber":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.level)]
-        u = _poly_modinv(list(self.coeffs), phi)
-        return CycloNumber(self.level, _reduce(u, self.level))
-
-    def __truediv__(self, other) -> "CycloNumber":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CycloNumber(self.level, [c / q for c in self.coeffs])
-        a, b = self._coerce(self, other)
-        return a * b.inverse()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        a, b = self._coerce(self, other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # mathematically equal values may differ in level
-
-    # -- reality and signs ------------------------------------------------
-
-    def conjugate(self) -> "CycloNumber":
-        n = self.level
-        raw = [_Q0] * n
-        raw[0] = self.coeffs[0]
-        for k in range(1, len(self.coeffs)):
-            raw[(n - k) % n] += self.coeffs[k]
-        return CycloNumber(n, _reduce(raw, n))
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
-    def _real_interval(self, prec: int):
-        """Interval containing the value; requires a conjugation-fixed value.
-
-        A conjugation-fixed element equals sum_k c_k cos(2 pi k / N) at
-        the standard embedding, which is evaluated with outward rounding.
-        """
-        from mpmath import iv   # only here: most signs never need it
-
-        old = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            two_pi = 2 * iv.pi
-            n = self.level
-            for k, c in enumerate(self.coeffs):
-                if c:
-                    frac = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += frac * iv.cos(two_pi * k / n)
-            return total
-        finally:
-            iv.prec = old
-
-    def _enclosure(self) -> tuple[Fraction, Fraction]:
-        """Rationals lo <= value <= hi; requires a conjugation-fixed value.
-
-        The value is sum_k c_k cos(2 pi k / N); each cosine is replaced by
-        its cached enclosure, so hi - lo is about sum_k |c_k| 2^-63.
-        """
-        lo = hi = _Q0
-        for c, (clo, chi) in zip(self.coeffs, _cos_enclosures(self.level)):
-            lo += c * (clo if c > 0 else chi)
-            hi += c * (chi if c > 0 else clo)
-        return lo, hi
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, +1} of a real element.
-
-        Zero is decided by the canonical form.  A nonzero value is
-        decided by its rational enclosure when that excludes 0, and
-        otherwise by interval evaluation with doubling precision (start
-        64 bits, cap 4096).
-        """
-        if self.is_zero():
-            return 0
-        if not self.is_real():
-            raise NotRealError("sign requested for a non-real value")
-        lo, hi = self._enclosure()
-        if lo > 0:
+    Zero is decided by the canonical form.  A nonzero value is
+    decided by its rational enclosure when that excludes 0, and
+    otherwise by interval evaluation with doubling precision (start
+    64 bits, cap 4096).
+    """
+    a = np.asarray(a)
+    if not a.any():
+        return 0
+    if not np.array_equal(galois(a, n, -1), a):
+        raise NotRealError("sign requested for a non-real value")
+    lo, hi = _enclosure(a, n)
+    if lo > 0:
+        return 1
+    if hi < 0:
+        return -1
+    prec = SIGN_PREC_START
+    while prec <= SIGN_PREC_CAP:
+        box = _real_interval(a, n, prec)
+        if box > 0:
             return 1
-        if hi < 0:
+        if box < 0:
             return -1
-        prec = SIGN_PREC_START
-        while prec <= SIGN_PREC_CAP:
-            box = self._real_interval(prec)
-            if box > 0:
-                return 1
-            if box < 0:
-                return -1
-            prec *= 2
-        raise SignUndecidedError(
-            f"interval evaluation did not separate {self!r} from zero")
-
-    # -- text form (repr, and a round trip in the tests) ------------------
-
-    def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*z")
-            else:
-                parts.append(f"{c}*z^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body}@{self.level}"
-
-    def __repr__(self) -> str:
-        return f"CycloNumber({self})"
-
-    _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
-
-    @classmethod
-    def parse(cls, text: str) -> "CycloNumber":
-        body, _, level_s = text.rpartition("@")
-        if not level_s or not body:
-            raise ValueError(f"malformed cyclotomic literal: {text!r}")
-        level = int(level_s)
-        coeffs = [_Q0] * euler_phi(level)
-        if body.strip() != "0":
-            for term in body.split(" + "):
-                m = cls._TERM_RE.match(term.strip())
-                if not m:
-                    raise ValueError(f"malformed term {term!r} in {text!r}")
-                c = Fraction(m.group(1))
-                k = int(m.group(2)) if m.group(2) else (1 if "z" in term else 0)
-                coeffs[k] += c
-        return cls(level, coeffs)
-
-
-def _solve_rational(columns, target) -> tuple[Fraction, ...] | None:
-    """Solve sum_j x_j col_j = target exactly; None when inconsistent."""
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None
-    sol = [_Q0] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    # free columns stay zero; re-verify since that choice is arbitrary
-    for i in range(nrows):
-        acc = sum((sol[j] * columns[j][i] for j in range(ncols)), _Q0)
-        if acc != target[i]:
-            return None
-    return tuple(sol)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    while b[db] == 0:
-        db -= 1
-    q = [_Q0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i] != 0:
-            f = a[i] / b[db]
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
-def _poly_modinv(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo an irreducible polynomial, over Q."""
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [_Q0], [_Q1]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 1:
-            c = r1[0]
-            return [v / c for v in s1]
-        if not r1:
-            raise ZeroDivisionError("value is not invertible")
-        q, r = _poly_divmod(r0, r1)
-        s = _poly_sub(s0, _poly_mul(q, s1))
-        r0, r1 = r1, r
-        s0, s1 = s1, s
-
-
-def _poly_mul(a, b):
-    out = [_Q0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_Q0] * (n - len(a))
-    b = list(b) + [_Q0] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
-def cos_of_pi_over(m: int) -> CycloNumber:
-    """cos(pi/m) as (zeta_2m + zeta_2m^-1) / 2 at level 2m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    z = CycloNumber.zeta(2 * m, 1)
-    zbar = CycloNumber.zeta(2 * m, 2 * m - 1)
-    return (z + zbar) * Fraction(1, 2)
+        prec *= 2
+    raise SignUndecidedError(
+        f"interval evaluation did not separate {a.tolist()} at level {n} "
+        "from zero")

@@ -4,14 +4,15 @@ Symmetrizer ranks are computed over word-size prime fields chosen so a
 fixed primitive k-th root of unity has an exact image.  Rank over GF(p)
 can only undercount the characteristic-zero rank, never overcount;
 exact ranks come from enough such primes (nichols.hilbert_coeffs).  The
-exact cyclotomic eliminator rank_exact_cyclo is a test oracle.
+exact rank over Q(zeta_k), rank_exact_cyclo, is a test oracle: it takes
+the integer power-basis array of cyclo and eliminates over Q.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import CycloNumber
+from .cyclo import regular_matrix
 
 PRIME_LOWER = 1 << 30
 PRIME_UPPER = (1 << 31) - 1  # keeps products inside int64 during elimination
@@ -191,41 +192,33 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rank_exact_cyclo(rows, level: int) -> int:
-    """Rank over Q(zeta_level) by straightforward field elimination.
+def rank_exact_cyclo(arr: np.ndarray, level: int) -> int:
+    """Rank over Q(zeta_level) of an (m, n, phi) array of power-basis
+    coordinates (small matrices; test oracle for the exact ranks of
+    nichols.hilbert_coeffs).
 
-    Accepts a list of rows of CycloNumbers (small matrices).  Test oracle
-    for the exact ranks of nichols.hilbert_coeffs.
+    Replacing each entry by its phi x phi multiplication matrix writes
+    the same map Q(zeta)^n -> Q(zeta)^m over Q, in the power basis.
+    Its image has Q-dimension phi times its Q(zeta)-dimension, so the
+    rank over Q divided by phi is the rank over Q(zeta).  That integer
+    matrix is ranked by fraction-free (Bareiss) elimination in Python
+    ints: every entry is a minor of the input (Sylvester's identity),
+    so each division by the previous pivot is exact.
     """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows)
-                    if not work[r][col].is_zero()), None)
-        if piv is None:
+    m, n, phi = arr.shape
+    a = regular_matrix(np.asarray(arr, dtype=object), level)
+    rank, prev = 0, 1
+    for col in range(n * phi):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if nonzero.size == 0:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col].inverse()
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(rank + 1, nrows):
-            f = work[r][col]
-            if not f.is_zero():
-                work[r] = [v - f * w for v, w in zip(work[r], work[rank])]
+        hit = rank + int(nonzero[0])
+        a[[rank, hit]] = a[[hit, rank]]
+        piv = a[rank, col]
+        below = a[rank + 1:]
+        a[rank + 1:] = (piv * below - below[:, col, None] * a[rank]) // prev
+        prev = piv
         rank += 1
-        if rank == nrows:
+        if rank == m * phi:
             break
-    return rank
-
-
-def zeta_reduction_matrix(k: int) -> np.ndarray:
-    """(k, phi(k)) integer matrix expressing zeta_k^e in the power basis."""
-    cols = []
-    for e in range(k):
-        z = CycloNumber.zeta(k, e)
-        col = [int(c) for c in z.coeffs]
-        if any(c.denominator != 1 for c in z.coeffs):
-            raise AssertionError("zeta powers must reduce integrally")
-        cols.append(col)
-    return np.array(cols, dtype=np.int64)
+    return rank // phi

@@ -28,8 +28,8 @@ runs the ladder once per prime through _ladder_runs, which stops each
 run at the requested degree or its first zero rank.  Exact ranks come
 from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
 pin the factorization against the literal sum, and the ladder against
-the dense d^n assembly and dense CycloNumber elimination (oracles kept
-here).
+the dense d^n assembly and the exact rank over Q(zeta_k) of its
+integer power-basis form (oracles kept here and in modlin).
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from .modlin import (
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
-    zeta_reduction_matrix,
 )
-from .cyclo import CycloNumber, euler_phi
+from .cyclo import euler_phi, reduction_matrix
 from .racks import Rack, RackCocycle
 
 PRIME_COUNT = 2           # primes of a modular run
@@ -203,7 +202,7 @@ def coset_ops(V: BraidedSpace, n: int) -> list[MonomialOp]:
 def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
     """Counts per zeta power, as an (N, N, k) array over Z[x]/(x^k - 1),
     of the symmetrizer assembled by the coset factorization; reduce with
-    reduce_zeta_array for canonical comparisons.
+    exact_matrix_as_cyclo for canonical comparisons.
 
     Test oracle, with exact_matrix_as_cyclo and modlin.rank_exact_cyclo,
     for the exact ranks of hilbert_coeffs."""
@@ -230,11 +229,6 @@ def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
     return prev
 
 
-def reduce_zeta_array(arr: np.ndarray, k: int) -> np.ndarray:
-    """Map counts over Z[x]/(x^k - 1) to the power basis of Q(zeta_k)."""
-    return np.tensordot(arr, zeta_reduction_matrix(k), axes=([-1], [0]))
-
-
 def symmetrizer_dense_mod(V: BraidedSpace, n: int, p: int, omega: int) -> np.ndarray:
     """Dense symmetrizer matrix over GF(p) with zeta_k mapped to omega."""
     d = V.dim
@@ -254,11 +248,10 @@ def symmetrizer_dense_mod(V: BraidedSpace, n: int, p: int, omega: int) -> np.nda
     return prev
 
 
-def exact_matrix_as_cyclo(arr: np.ndarray, k: int) -> list[list[CycloNumber]]:
-    """CycloNumber rows of a count array over Z[x]/(x^k - 1) (test oracle)."""
-    reduced = reduce_zeta_array(arr, k)
-    return [[CycloNumber(k, [int(c) for c in reduced[i, j]])
-             for j in range(reduced.shape[1])] for i in range(reduced.shape[0])]
+def exact_matrix_as_cyclo(arr: np.ndarray, k: int) -> np.ndarray:
+    """Map counts over Z[x]/(x^k - 1), on the last axis, to the integer
+    power basis of Z[zeta_k] (test oracle, with modlin.rank_exact_cyclo)."""
+    return arr @ reduction_matrix(k)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
     """Sum over all n! permutations, as integer counts per zeta power.
 
     Returns an (N, N, k) array over Z[x]/(x^k - 1); reduce with
-    reduce_zeta_array for canonical comparisons.  O(n! N).
+    exact_matrix_as_cyclo for canonical comparisons.  O(n! N).
     """
     N = V.dim ** n
     acc = np.zeros((N, N, V.k), dtype=np.int64)
@@ -514,3 +514,53 @@ def dense_check_equivariance(g, table) -> bool:
         if not np.array_equal(lhs, rhs):
             return False
     return True
+
+
+# -- sign cocycles ------------------------------------------------------------
+
+
+def q_plus_table_by_length(g) -> np.ndarray:
+    """The length-drop criterion l(w y) < l(w) on W x T, the products w y
+    formed for all w at once by walking y's word through rmult.  It equals
+    the root criterion of racks.q_plus_table (Humphreys 5.7)."""
+    out = np.empty((g.order, len(g.reflections)), dtype=np.uint8)
+    for k, t in enumerate(g.reflections):
+        wy = np.arange(g.order)
+        for i in g.word(t.elem):
+            wy = g.rmult[wy, i]
+        out[:, k] = g.length_arr[wy] < g.length_arr
+    return out
+
+
+def cohomologous_solve_by_elimination(q1, q2, X):
+    """Gaussian elimination over GF(2) on bit masks: each equation
+    bit(x>y) + bit(y) = log(q1/q2)(x, y) reduced by the pivots so far,
+    the highest set bit of each reduced row its pivot, free unknowns 0.
+    Returns the bits, or None when the system is inconsistent."""
+    n = X.size
+    pivots = {}
+    for x in range(n):
+        for y in range(n):
+            mask = (1 << X.act[x][y]) ^ (1 << y)  # XOR handles x>y = y
+            b = (q1.table[x][y] - q2.table[x][y]) % 2
+            for col in sorted(pivots, reverse=True):
+                if mask >> col & 1:
+                    pmask, pb = pivots[col]
+                    mask ^= pmask
+                    b ^= pb
+            if mask == 0:
+                if b:
+                    return None
+                continue
+            pivots[mask.bit_length() - 1] = (mask, b)
+    bits = [0] * n
+    for col in sorted(pivots):  # lower bits resolve before higher pivots
+        mask, b = pivots[col]
+        acc = b
+        m = mask & ~(1 << col)
+        while m:
+            low = m & -m
+            acc ^= bits[low.bit_length() - 1]
+            m ^= low
+        bits[col] = acc
+    return tuple(bits)

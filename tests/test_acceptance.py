@@ -31,9 +31,9 @@ from coxrack.dihedral import (
 from coxrack.extension import is_split
 from coxrack.nichols import (
     braiding_from_rack,
+    exact_matrix_as_cyclo,
     hilbert_coeffs,
     is_quadratic_through,
-    reduce_zeta_array,
     symmetrizer_factorized_exact,
     total_dimension,
 )
@@ -152,8 +152,8 @@ def test_criterion_5_factorized_vs_literal(group_cache, capsys):
               dihedral_yd(5, [(5, 1), (5, 3)])]
     for V in spaces:
         for n in range(5):
-            lit = reduce_zeta_array(symmetrizer_literal_exact(V, n), V.k)
-            fac = reduce_zeta_array(symmetrizer_factorized_exact(V, n), V.k)
+            lit = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
+            fac = exact_matrix_as_cyclo(symmetrizer_factorized_exact(V, n), V.k)
             assert np.array_equal(lit, fac), (V.labels, n)
     with capsys.disabled():
         verdict(5, "factorized-equals-literal", True,

@@ -327,17 +327,19 @@ def test_negative_dmax_exits_1():
 
 
 def test_certify_f4_does_not_import_mpmath():
-    # a fresh process: the cosine enclosures decide every root sign
+    # a fresh process: the cosine enclosures decide every root sign and
+    # every leading minor of the form, also for H4 at level 60, the
+    # widest enclosures of any preset
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import contextlib, io, sys\n"
             "from coxrack.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = main(['certify', 'F4'])\n"
-            "print(rc, 'mpmath' in sys.modules)\n")
+            "    rcs = [main(['certify', 'F4']), main(['info', 'H4'])]\n"
+            "print(rcs, 'mpmath' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout == "0 False\n", proc.stderr
+    assert proc.stdout == "[0, 0] False\n", proc.stderr
 
 
 def test_runs_do_not_import_numpy_ma():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coxrack import coxeter
-from coxrack.cyclo import CycloNumber
+from coxrack.cyclo import mul, reduction_matrix, sign
 from coxrack.coxeter import (
     CoxeterMatrix,
     GroupTable,
@@ -20,6 +20,7 @@ from coxrack.coxeter import (
     NotFiniteError,
     PreconditionFailed,
     Reflection,
+    RootSystem,
     Trichotomy,
     build_group,
     chebyshev_U,
@@ -160,7 +161,36 @@ def test_infinite_matrices_refused_up_front(monkeypatch):
 @pytest.mark.parametrize("name", ["A1", "A8", "B8", "D5", "D8", "E6", "E7",
                                   "E8", "F4", "H3", "H4", "I2(200)"])
 def test_finite_forms_are_positive_definite(name):
-    require_finite(preset_matrix(name).gram())
+    require_finite(preset_matrix(name))
+
+
+# every irreducible finite type through rank 8 with its |Phi+|
+CLASSIFICATION = ([(f"A{n}", n * (n + 1) // 2) for n in range(1, 9)]
+                  + [(f"B{n}", n * n) for n in range(2, 9)]
+                  + [(f"D{n}", n * (n - 1)) for n in range(4, 9)]
+                  + [("E6", 36), ("E7", 63), ("E8", 120), ("F4", 24),
+                     ("H3", 15), ("H4", 60)]
+                  + [(f"I2({m})", m) for m in range(2, 13)])
+
+
+@pytest.mark.parametrize("name,count", CLASSIFICATION)
+def test_root_closure_across_the_classification(name, count):
+    # the closure alone, W is not enumerated
+    roots = RootSystem(preset_matrix(name))
+    R = roots.nroots
+    assert R == count == len(roots.pos_roots)
+    for i, perm in enumerate(roots.gen_root_perm):
+        perm = np.array(perm)
+        assert np.array_equal(perm[perm], np.arange(2 * R))  # an involution
+        assert perm[i] == i + R                     # s_i(alpha_i) = -alpha_i
+        assert (np.delete(perm[:R], i) < R).all()   # and no other root
+    # float oracle: unit norm under -cos(pi / m_ij), coordinates >= 0
+    n = roots.level
+    cos = np.cos(2 * np.pi * np.arange(roots.pos_roots.shape[-1]) / n)
+    coords = roots.pos_roots @ cos
+    form = -np.cos(np.pi / np.array(roots.matrix.rows))
+    assert np.allclose(np.einsum("ri,ij,rj->r", coords, form, coords), 1)
+    assert (coords > -1e-9).all()
 
 
 def test_element_bfs_hits_cap(monkeypatch):
@@ -185,20 +215,14 @@ class LegacyGroupTable(GroupTable):
     through a perm -> id dict, inverses by inverting each permutation."""
 
     def _build_roots(self):
-        l = self.rank
-        zero, one = CycloNumber.zero(self.level), CycloNumber.one(self.level)
-        simples = [tuple(one if k == i else zero for k in range(l))
-                   for i in range(l)]
+        l, lev = self.rank, self.level
+        simples = [np.zeros((l, self._gram.shape[-1]), dtype=np.int64)
+                   for _ in range(l)]
+        for i, v in enumerate(simples):
+            v[i, 0] = 1
 
         def key(vec):
-            return tuple(c.coeffs for c in vec)
-
-        def inner(u, v):
-            acc = CycloNumber.zero(self.level)
-            for i, ci in enumerate(u):
-                if not ci.is_zero():
-                    acc = acc + ci * self.inner_simple(i, v)
-            return acc
+            return vec.tobytes()
 
         pos = list(simples)
         index = {key(v): i for i, v in enumerate(pos)}
@@ -208,9 +232,9 @@ class LegacyGroupTable(GroupTable):
         while head < len(pos):
             beta = pos[head]
             for i in range(l):
-                image = self._reflect_simple(i, beta)
+                image = self.reflect_simple(i, beta)
                 k = key(image)
-                if k in index or key(tuple(-c for c in image)) in index:
+                if k in index or key(-image) in index:
                     continue
                 index[k] = len(pos)
                 pos.append(image)
@@ -218,11 +242,13 @@ class LegacyGroupTable(GroupTable):
                 base_simple.append(base_simple[head])
             head += 1
         for beta in pos:
-            signs = [c.sign() for c in beta]
+            signs = [sign(c, lev) for c in beta]
             assert not any(s < 0 for s in signs)
             assert not all(s == 0 for s in signs)
-            assert inner(beta, beta) == 1
-        self.pos_roots = pos
+            # (beta, beta) = 1, with the form doubled
+            norm = sum(mul(c, s, lev) for c, s in zip(beta, self.pairings(beta)))
+            assert norm[0] == 2 and not norm[1:].any()
+        self.pos_roots = np.array(pos)
         self.nroots = R = len(pos)
         self._root_index = index
         self._root_parent = parent
@@ -231,12 +257,12 @@ class LegacyGroupTable(GroupTable):
         for i in range(l):
             perm = [0] * (2 * R)
             for r in range(R):
-                image = self._reflect_simple(i, pos[r])
+                image = self.reflect_simple(i, pos[r])
                 k = key(image)
                 if k in index:
                     perm[r], perm[r + R] = index[k], index[k] + R
                 else:
-                    nk = key(tuple(-c for c in image))
+                    nk = key(-image)
                     perm[r], perm[r + R] = index[nk] + R, index[nk]
             perms.append(tuple(perm))
         self.gen_root_perm = tuple(perms)
@@ -520,43 +546,36 @@ def test_length_trichotomy(groups):
 
 
 def test_chebyshev_polynomials():
-    # integer-coefficient oracle for U_n
+    # closed-form oracle for U_n(y / 2) in y = 2 cos t:
+    # sum_k (-1)^k C(n - k, k) y^(n - 2k)
     def upoly(n):
-        a, b = [1], [0, 2]
-        if n == 0:
-            return a
-        for _ in range(n - 1):
-            nxt = [0] + [2 * c for c in b]
-            for k, c in enumerate(a):
-                nxt[k] -= c
-            a, b = b, nxt
-        return b
+        coeffs = [0] * (n + 1)
+        for k in range(n // 2 + 1):
+            coeffs[n - 2 * k] = (-1) ** k * math.comb(n - k, k)
+        return coeffs
 
-    assert upoly(2) == [-1, 0, 4]  # U_2 = 4x^2 - 1
-    from coxrack.cyclo import CycloNumber, cos_of_pi_over
-
+    assert upoly(2) == [-1, 0, 1]  # U_2 = 4x^2 - 1 = y^2 - 1
+    y5 = -preset_matrix("I2(5)").gram()[0, 1]   # 2 cos(pi/5), level 10
+    y7 = -preset_matrix("I2(7)").gram()[0, 1]   # 2 cos(pi/7), level 14
+    four = 4 * reduction_matrix(10)[0]          # the rational point x = 2
     for n in range(7):
-        coeffs = upoly(n)
-        for x in (cos_of_pi_over(5), cos_of_pi_over(7),
-                  CycloNumber.from_rational(2, 1)):
-            poly_val = CycloNumber.zero(x.level)
-            for k in reversed(range(len(coeffs))):
-                poly_val = poly_val * x + coeffs[k]
-            assert chebyshev_U(n, x) == poly_val
+        for y, lev in ((y5, 10), (y7, 14), (four, 10)):
+            poly_val = 0 * y
+            for c in reversed(upoly(n)):
+                poly_val = mul(poly_val, y, lev)
+                poly_val[0] += c
+            assert np.array_equal(chebyshev_U(n, y, lev), poly_val)
 
 
 def test_chebyshev_sin_relation():
     # sin(t) U_n(cos t) = sin((n+1) t), numerically at t = pi/5
-    from coxrack.cyclo import cos_of_pi_over
-
-    c5 = cos_of_pi_over(5)
+    y = -preset_matrix("I2(5)").gram()[0, 1]    # 2 cos(pi/5) at level 10
     with mpmath.workdps(40):
         t = mpmath.pi / 5
         for n in range(7):
-            u = chebyshev_U(n, c5)
-            val = sum(mpmath.mpf(c.numerator) / c.denominator *
-                      mpmath.cos(2 * mpmath.pi * k / u.level)
-                      for k, c in enumerate(u.coeffs))
+            u = chebyshev_U(n, y, 10)
+            val = sum(int(c) * mpmath.cos(2 * mpmath.pi * k / 10)
+                      for k, c in enumerate(u))
             want = mpmath.sin((n + 1) * t) / mpmath.sin(t)
             assert abs(val - want) < mpmath.mpf(10) ** -30
 

@@ -1,30 +1,48 @@
-"""Exact cyclotomic arithmetic: constructors, arithmetic, signs, text form."""
+"""Exact arithmetic in Z[zeta_N]: reduction, products, conjugates, signs."""
 
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from coxrack.coxeter import build_group, preset_matrix
 from coxrack.cyclo import (
-    CycloNumber,
-    LevelError,
     NotRealError,
     _cos_enclosures,
-    cos_of_pi_over,
+    _enclosure,
+    _real_interval,
     cyclotomic_poly,
     euler_phi,
+    galois,
+    mul,
+    reduction_matrix,
+    sign,
 )
+from coxrack import cyclo
 
 
-def numeric(x: CycloNumber, dps: int = 50) -> complex:
-    """Independent high-precision evaluation at the standard embedding."""
+def numeric(a, n: int, dps: int = 50) -> complex:
+    """Independent high-precision evaluation at zeta = e^(2 pi i / n)."""
     with mpmath.workdps(dps):
         z = mpmath.mpc(0)
-        for k, c in enumerate(x.coeffs):
-            z += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
-                mpmath.mpf(2 * k) / x.level)
+        for k, c in enumerate(a):
+            z += int(c) * mpmath.expjpi(mpmath.mpf(2 * k) / n)
         return complex(z)
+
+
+def zeta(n: int, power: int = 1) -> np.ndarray:
+    return np.array(reduction_matrix(n)[power % n])
+
+
+def rational(q: int, n: int) -> np.ndarray:
+    return q * zeta(n, 0)
+
+
+def two_cos_pi_over(m: int, n: int) -> np.ndarray:
+    """2 cos(pi/m) = zeta_n^(n/2m) + zeta_n^(-n/2m), for 2m dividing n."""
+    e = n // (2 * m)
+    return zeta(n, e) + zeta(n, -e)
 
 
 def test_euler_phi_small():
@@ -55,72 +73,85 @@ def test_cyclotomic_polys():
 
 
 def test_cos_trivial_values():
-    assert cos_of_pi_over(2).is_zero()
-    assert cos_of_pi_over(3) == Fraction(1, 2)
-    assert cos_of_pi_over(1) == -1
+    # 2 cos(pi/m) for m = 1, 2, 3 is rational: -2, 0, 1
+    assert list(two_cos_pi_over(1, 6)) == [-2, 0]
+    assert not two_cos_pi_over(2, 4).any()
+    assert list(two_cos_pi_over(3, 6)) == [1, 0]
 
 
 def test_cos_pi_over_5_minimal_relation():
     # oracle: 50-digit numeric value of cos(pi/5)
     with mpmath.workdps(50):
-        expected = complex(mpmath.cos(mpmath.pi / 5))
-    c = cos_of_pi_over(5)
-    got = numeric(c)
+        expected = complex(2 * mpmath.cos(mpmath.pi / 5))
+    y = two_cos_pi_over(5, 10)
+    got = numeric(y, 10)
     assert abs(got - expected) < 1e-40
-    assert abs(got.real - 0.80901699) < 1e-8
-    # 2cos(pi/5) is the golden ratio: x^2 - x - 1 = 0
-    u = c * 2
-    assert (u * u - u - 1).is_zero()
-    # lifted quintic relation behind "16x^4 - 20x^2 + 5": cos(5t) at t=pi/5
-    assert (c**5 * 16 - c**3 * 20 + c * 5 + 1).is_zero()
+    assert abs(got.real - 1.61803398) < 1e-8
+    # 2cos(pi/5) is the golden ratio: y^2 - y - 1 = 0
+    assert not (mul(y, y, 10) - y - rational(1, 10)).any()
+    # cos(5t) = -1 at t = pi/5: y^5 - 5y^3 + 5y = 2 cos(5t) = -2
+    y2 = mul(y, y, 10)
+    y3 = mul(y2, y, 10)
+    y5 = mul(y3, y2, 10)
+    assert not (y5 - 5 * y3 + 5 * y + rational(2, 10)).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 30, 60])
+def test_reduction_and_product_match_evaluation(n):
+    # every row of the reduction matrix, and products of random vectors,
+    # against mpmath at zeta = e^(2 pi i / n)
+    red = reduction_matrix(n)
+    assert red.shape == (n, euler_phi(n)) and red.dtype == np.int64
+    with mpmath.workdps(30):
+        for e in range(n):
+            want = complex(mpmath.expjpi(mpmath.mpf(2 * e) / n))
+            assert abs(numeric(red[e], n) - want) < 1e-20
+    rng = np.random.default_rng(n)
+    a = rng.integers(-9, 10, (4, euler_phi(n)))
+    b = rng.integers(-9, 10, (4, euler_phi(n)))
+    prod = mul(a, b, n)
+    for x, y, xy in zip(a, b, prod):
+        # complex doubles: a wrong coefficient would be off by about 1
+        assert abs(numeric(xy, n) - numeric(x, n) * numeric(y, n)) < 1e-9
+    # object arrays of Python ints give the same result
+    assert mul(a.astype(object), b, n).tolist() == prod.tolist()
 
 
 def test_arith_examples():
-    third = cos_of_pi_over(3)
-    assert third + third == 1
-    x = cos_of_pi_over(7) + CycloNumber.zeta(5)
-    assert (x * CycloNumber.zero()).is_zero()
-    u = cos_of_pi_over(5) * 2
+    half = two_cos_pi_over(3, 6)           # 2 cos(pi/3) = 1
+    assert list(half + half) == [2, 0]
+    x = two_cos_pi_over(7, 14) + zeta(14, 2)
+    assert not mul(x, 0 * x, 14).any()
+    u = two_cos_pi_over(5, 10)
     # golden-ratio identity, cross-checked at 50 digits
-    assert u * u == u + 1
+    assert np.array_equal(mul(u, u, 10), u + rational(1, 10))
     with mpmath.workdps(50):
         lhs = complex(mpmath.mpf(4) * mpmath.cos(mpmath.pi / 5) ** 2)
-        rhs = complex(2 * mpmath.cos(mpmath.pi / 5) + 1)
-    assert abs(lhs - rhs) < 1e-45
-    assert abs(numeric(u * u) - lhs) < 1e-40
-
-
-def test_mixed_level_arithmetic():
-    a = cos_of_pi_over(3)        # level 6
-    b = cos_of_pi_over(4)        # level 8
-    s = a + b
-    with mpmath.workdps(40):
-        want = complex(mpmath.cos(mpmath.pi / 3) + mpmath.cos(mpmath.pi / 4))
-    assert abs(numeric(s) - want) < 1e-30
-    assert s.level == 24
+    assert abs(numeric(mul(u, u, 10), 10) - lhs) < 1e-40
 
 
 def test_sign_examples():
-    assert CycloNumber.zero(12).sign() == 0
-    assert (cos_of_pi_over(3) - 1).sign() == -1
-    # oracle: 0.809... > 0.5
-    assert (cos_of_pi_over(5) - Fraction(1, 2)).sign() == 1
+    assert sign(np.zeros(4, dtype=np.int64), 12) == 0
+    assert sign(two_cos_pi_over(3, 6) - rational(2, 6), 6) == -1
+    # oracle: 1.618... > 1
+    assert sign(two_cos_pi_over(5, 10) - rational(1, 10), 10) == 1
     with pytest.raises(NotRealError):
-        CycloNumber.zeta(5).sign()
+        sign(zeta(5), 5)
 
 
 def test_sign_is_multiplicative():
+    n = 840  # hosts 2 cos(pi/m) for m = 4, 5, 7, 12
     values = [
-        cos_of_pi_over(5) - Fraction(1, 2),
-        cos_of_pi_over(7) - 1,
-        CycloNumber.from_rational(Fraction(-3, 7)),
-        cos_of_pi_over(4),
-        CycloNumber.zero(8),
-        cos_of_pi_over(12) * -3,
+        2 * two_cos_pi_over(5, n) - rational(1, n),
+        two_cos_pi_over(7, n) - rational(2, n),
+        rational(-3, n),
+        two_cos_pi_over(4, n),
+        rational(0, n),
+        -3 * two_cos_pi_over(12, n),
     ]
     for a in values:
         for b in values:
-            assert (a * b).sign() == a.sign() * b.sign()
+            assert sign(mul(a, b, n), n) == sign(a, n) * sign(b, n)
 
 
 @pytest.mark.parametrize("n", list(range(1, 25)) + [60])
@@ -141,96 +172,72 @@ SIGN_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4",
 def test_enclosure_decides_root_coordinates(name):
     # every distinct root coordinate and every difference of two of them
     g = build_group(preset_matrix(name))
-    coords = list({c.coeffs: c for beta in g.pos_roots for c in beta}.values())
-    values = coords + [a - b for a in coords for b in coords if a != b]
+    coords = np.unique(g.pos_roots.reshape(-1, g.pos_roots.shape[-1]), axis=0)
+    values = list(coords) + [a - b for a in coords for b in coords
+                             if not np.array_equal(a, b)]
     for v in values:
-        if v.is_zero():
+        if not v.any():
             continue
-        lo, hi = v._enclosure()
-        box = v._real_interval(256)
+        lo, hi = _enclosure(v, g.level)
+        box = _real_interval(v, g.level, 256)
         assert lo > 0 or hi < 0, v
         assert (lo > 0) == (box > 0) and (hi < 0) == (box < 0), v
 
 
 def test_sign_within_1e_25_of_zero_falls_back_to_intervals(monkeypatch):
-    cos_2pi_7 = (CycloNumber.zeta(7) + CycloNumber.zeta(7, 6)) * Fraction(1, 2)
-    close = Fraction(2738920419207, 4392887279057)
+    num, den = 2738920419207, 4392887279057
     with mpmath.workdps(80):
-        gap = mpmath.cos(2 * mpmath.pi / 7) - mpmath.mpf(close.numerator) \
-            / close.denominator
+        gap = mpmath.cos(2 * mpmath.pi / 7) - mpmath.mpf(num) / den
         assert -1e-25 < gap < 0
     calls = []
-    real_interval = CycloNumber._real_interval
+    real_interval = cyclo._real_interval
 
-    def spy(self, prec):
+    def spy(a, n, prec):
         calls.append(prec)
-        return real_interval(self, prec)
+        return real_interval(a, n, prec)
 
-    monkeypatch.setattr(CycloNumber, "_real_interval", spy)
-    v = cos_2pi_7 - close
-    lo, hi = v._enclosure()
+    monkeypatch.setattr(cyclo, "_real_interval", spy)
+    # den (zeta_7 + zeta_7^6) - 2 num = 2 den (cos(2 pi / 7) - num / den)
+    v = den * (zeta(7) + zeta(7, 6)) - rational(2 * num, 7)
+    lo, hi = _enclosure(v, 7)
     assert lo < 0 < hi
-    assert v.sign() == -1 and (-v).sign() == 1
+    assert sign(v, 7) == -1 and sign(-v, 7) == 1
     assert calls and max(calls) > 64
 
 
-def test_embed_round_trip():
-    vals = [cos_of_pi_over(5), cos_of_pi_over(3), CycloNumber.zeta(6, 5),
-            CycloNumber.from_rational(Fraction(7, 3), 4)]
-    for v in vals:
-        m = v.level * 6
-        up = v.embed(m)
-        assert up.level == m
-        back = up.restrict(v.level)
-        assert back.coeffs == v.coeffs and back.level == v.level
-    with pytest.raises(LevelError):
-        CycloNumber.zeta(5).restrict(1)
-
-
 def test_conjugation_and_reality():
-    z = CycloNumber.zeta(7)
-    assert not z.is_real()
-    real_part = (z + z.conjugate()) * Fraction(1, 2)
-    assert real_part.is_real()
-    assert (z * z.conjugate()) == 1
-
-
-def test_inverse_and_division():
-    vals = [cos_of_pi_over(5), CycloNumber.zeta(7) + 2,
-            CycloNumber.from_rational(Fraction(-5, 3), 6)]
-    for v in vals:
-        assert v * v.inverse() == 1
-        assert (v / v) == 1
-    with pytest.raises(ZeroDivisionError):
-        CycloNumber.zero(4).inverse()
+    z = zeta(7)
+    zbar = galois(z, 7, -1)
+    assert np.array_equal(zbar, zeta(7, 6))
+    with pytest.raises(NotRealError):
+        sign(z, 7)
+    assert sign(z + zbar, 7) == 1            # 2 cos(2 pi / 7) > 0
+    assert np.array_equal(mul(z, zbar, 7), rational(1, 7))
+    # the product of all conjugates is the norm, a rational integer
+    y = zeta(7) + rational(2, 7)
+    norm = y
+    for j in range(2, 7):
+        norm = mul(norm, galois(y, 7, j), 7)
+    assert not norm[1:].any() and norm[0] == 43  # Phi_7(-2) = 43
 
 
 def test_zeta_powers():
-    z = CycloNumber.zeta(12)
-    acc = CycloNumber.one(12)
+    z = zeta(12)
+    acc = rational(1, 12)
     for k in range(1, 13):
-        acc = acc * z
-        assert acc == CycloNumber.zeta(12, k)
-    assert acc == 1
-
-
-def test_text_round_trip():
-    vals = [
-        CycloNumber.zero(8),
-        cos_of_pi_over(5),
-        cos_of_pi_over(7) - Fraction(22, 7),
-        CycloNumber.zeta(12, 7) * Fraction(-3, 5) + 4,
-    ]
-    for v in vals:
-        w = CycloNumber.parse(str(v))
-        assert w.level == v.level and w.coeffs == v.coeffs
+        acc = mul(acc, z, 12)
+        assert np.array_equal(acc, zeta(12, k))
+    assert np.array_equal(acc, rational(1, 12))
 
 
 def test_cos_matches_embedding_to_requested_precision():
+    # the Coxeter form of I2(m) holds -2 cos(pi/m) at level 2m
     for m in (2, 3, 4, 5, 6, 7, 9, 12):
-        c = cos_of_pi_over(m)
+        b = preset_matrix(f"I2({m})").gram()
+        assert b.shape == (2, 2, euler_phi(2 * m))
         with mpmath.workdps(60):
-            want = complex(mpmath.cos(mpmath.pi / m))
-        got = numeric(c, dps=60)
+            want = complex(-2 * mpmath.cos(mpmath.pi / m))
+        got = numeric(b[0, 1], 2 * m, dps=60)
         assert abs(got.imag) < 1e-50
         assert abs(got.real - want.real) < 1e-50
+        assert np.array_equal(b[0, 0], rational(2, 2 * m))

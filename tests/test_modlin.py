@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coxrack import modlin
-from coxrack.cyclo import CycloNumber
+from coxrack.cyclo import mul, reduction_matrix
 from coxrack.modlin import (
     MATMUL_CHUNK,
     is_prime,
@@ -15,7 +15,6 @@ from coxrack.modlin import (
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
-    zeta_reduction_matrix,
 )
 from oracles import rank_mod
 
@@ -143,20 +142,32 @@ def test_row_reduce_full_rref():
 
 
 def test_rank_exact_cyclo():
-    one = CycloNumber.one(10)
-    z = CycloNumber.zeta(10)
-    rows = [
-        [one, z, z * z],
-        [z, z * z, z ** 3],        # zeta * row 0
+    red = reduction_matrix(10)
+    one, z = red[0], red[1]
+    z2 = mul(z, z, 10)
+    rows = np.array([
+        [one, z, z2],
+        [z, z2, mul(z2, z, 10)],        # zeta * row 0
         [one, one, one],
-    ]
+    ])
     assert rank_exact_cyclo(rows, 10) == 2
-    zero = CycloNumber.zero(10)
-    assert rank_exact_cyclo([[zero, zero]], 10) == 0
+    # over Q(i): (1, i), (i, 1) have determinant 1 - i^2 = 2, while
+    # (i, -1) is i times (1, i)
+    i = reduction_matrix(4)[1]
+    one4 = reduction_matrix(4)[0]
+    assert rank_exact_cyclo(np.array([[one4, i], [i, one4]]), 4) == 2
+    assert rank_exact_cyclo(np.array([[one4, i], [i, -one4]]), 4) == 1
+    assert rank_exact_cyclo(np.zeros((1, 2, 4), dtype=np.int64), 10) == 0
+    # a fraction-free step must divide exactly: a 6 x 6 integer matrix
+    # of rank 4 (two rows are sums of others), at level 1
+    rng = np.random.default_rng(3)
+    m = rng.integers(-50, 50, (4, 6))
+    m = np.concatenate([m, m[:1] + m[1:2], 3 * m[2:3] - m[3:]])
+    assert rank_exact_cyclo(m[:, :, None], 1) == 4
 
 
 def test_zeta_reduction_matrix():
-    red = zeta_reduction_matrix(6)
+    red = reduction_matrix(6)
     assert red.shape == (6, 2)
     # zeta_6^2 = zeta_6 - 1 under x^2 - x + 1
     assert list(red[2]) == [-1, 1]

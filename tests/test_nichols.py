@@ -39,7 +39,6 @@ from coxrack.nichols import (
     hilbert_coeffs,
     is_quadratic_through,
     ladder_ranks_iter,
-    reduce_zeta_array,
     symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
     total_dimension,
@@ -192,8 +191,8 @@ def test_factorized_equals_literal_small(spaces):
     for key in (("A2", "plus"), ("A2", "minus")):
         V = spaces(*key)
         for n in range(5):
-            lit = reduce_zeta_array(symmetrizer_literal_exact(V, n), V.k)
-            fac = reduce_zeta_array(symmetrizer_factorized_exact(V, n), V.k)
+            lit = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
+            fac = exact_matrix_as_cyclo(symmetrizer_factorized_exact(V, n), V.k)
             assert np.array_equal(lit, fac)
 
 
@@ -203,7 +202,7 @@ def test_dense_mod_matches_exact_reduction(spaces):
     omega = root_of_unity_mod(p, V.k)
     for n in (2, 3):
         dense = symmetrizer_dense_mod(V, n, p, omega)
-        exact = reduce_zeta_array(symmetrizer_literal_exact(V, n), V.k)
+        exact = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
         # k = 2: power basis is just the rational part
         assert np.array_equal(dense, exact[:, :, 0] % p)
 
@@ -572,12 +571,12 @@ def test_exact_mode_matches_modular(spaces):
 
 
 def dense_exact_rank(V, n):
-    """Oracle: rank of S_n over Q(zeta_k) by dense CycloNumber elimination,
+    """Oracle: rank of S_n over Q(zeta_k) by dense exact elimination,
     zero rows and columns dropped first (they do not change the rank)."""
-    arr = symmetrizer_factorized_exact(V, n)
-    nonzero = reduce_zeta_array(arr, V.k).any(axis=2)
+    arr = exact_matrix_as_cyclo(symmetrizer_factorized_exact(V, n), V.k)
+    nonzero = arr.any(axis=2)
     arr = arr[nonzero.any(axis=1)][:, nonzero.any(axis=0)]
-    return rank_exact_cyclo(exact_matrix_as_cyclo(arr, V.k), V.k)
+    return rank_exact_cyclo(arr, V.k)
 
 
 EXACT_CASES = [("A2", "plus"), ("A2", "minus"), ("B2", "plus"),

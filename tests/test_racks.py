@@ -23,7 +23,11 @@ from coxrack.racks import (
     rack_isomorphic,
     reflection_rack,
 )
-from oracles import dense_check_equivariance
+from oracles import (
+    cohomologous_solve_by_elimination,
+    dense_check_equivariance,
+    q_plus_table_by_length,
+)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +183,33 @@ def test_cohomologous_solver(groups):
     assert cohomologous_solve(q_plus(a3), q_minus(a3), r3) is None
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "F4"])
+def test_cohomologous_solve_matches_elimination_oracle(groups, name):
+    # q+ against q-, and q+ against a coboundary twist of itself by a
+    # random gamma (always solvable); the orbit propagation must return
+    # the eliminator's bits, or None where it does
+    g = groups(name)
+    rack = reflection_rack(g)
+    qp, qm = q_plus(g), q_minus(g)
+    rng = np.random.default_rng(g.order)
+    gamma = rng.integers(0, 2, rack.size)
+    twisted = RackCocycle(2, tuple(
+        tuple(int(qp.table[x][y] + gamma[rack.act[x][y]] + gamma[y]) % 2
+              for y in range(rack.size)) for x in range(rack.size)))
+    for q in (qm, twisted):
+        want = cohomologous_solve_by_elimination(qp, q, rack)
+        assert cohomologous_solve(qp, q, rack) == want
+    assert (cohomologous_solve(qp, qm, rack) is not None) == g.matrix.all_odd()
+    got = cohomologous_solve(qp, twisted, rack)
+    assert got is not None
+    # the solution is gamma up to a constant per orbit: it differs from
+    # gamma by gamma's bit at the orbit's smallest index
+    for cls in g.reflection_classes():
+        diff = {(got[t] - gamma[t]) % 2 for t in cls}
+        assert diff == {int(gamma[min(cls)])}
+
+
 def test_cohomologous_iff_all_odd(groups):
     for name in ("A1", "A2", "A3", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "B3"):
         g = groups(name)
@@ -237,6 +268,13 @@ def q_plus_table_by_mult(g):
     M = g.mult_table()
     return (g.length_arr[M[:, refl_elems]]
             < g.length_arr[:, None]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
+                                  "I2(6)", "I2(7)", "H3", "D4", "F4", "H4"])
+def test_q_plus_root_criterion_matches_length_drop(groups, name):
+    g = groups(name)
+    assert np.array_equal(q_plus_table(g), q_plus_table_by_length(g))
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
