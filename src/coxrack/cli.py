@@ -159,14 +159,19 @@ def cmd_dihedral(args) -> int:
               f"got r = {r}", file=sys.stderr)
         return 1
     pairs = admissible_pairs(r)
-    chosen = _parse_summands(args.summands) if args.summands else None
+    build = bool(args.summands) or args.v0 != 0  # dihedral_yd refuses v0 < 0
+    if args.check and not build:
+        print("error: --check needs --summands or a positive --v0",
+              file=sys.stderr)
+        return 1
+    chosen = _parse_summands(args.summands) if args.summands else []
     data = {
         "schema": "dihedral_report.v1",
         "r": r,
         "admissible_pairs": [list(p) for p in pairs],
         "v0": {"degree": r, "character": r},
     }
-    if chosen is not None:
+    if build:
         compat = compatible(r, chosen)
         space = dihedral_yd(r, chosen, v0_copies=args.v0)
         dd = dynkin_diagram(space)
@@ -202,7 +207,7 @@ def cmd_dihedral(args) -> int:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
         print(f"r = {r}: admissible two-dimensional summands {pairs}")
-        if chosen is not None:
+        if build:
             print(f"sum of {chosen} plus {args.v0} trivial-type lines: "
                   f"dim {data['dimension']}, compatible: {data['compatible']}")
             if data["compatible"]:

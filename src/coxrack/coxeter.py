@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +43,6 @@ class InvalidMatrixError(ValueError):
 
 class NotFiniteError(RuntimeError):
     """The group is infinite, or finite with more elements than the cap."""
-
-
-class PreconditionFailed(ValueError):
-    """An operation's stated hypotheses do not hold for the arguments."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +254,6 @@ class Reflection:
     root: int       # positive-root index
 
 
-class Trichotomy(Enum):
-    UP = "up"
-    DOWN = "down"
-    COMMUTE = "commute"
-
-
 @dataclass(frozen=True)
 class ConjGraph:
     """Reflection conjugacy graph: edge x --s--> y iff y = s>x, l(x)=l(y)+2."""
@@ -274,41 +263,6 @@ class ConjGraph:
 
     def out_edges(self, refl_index: int) -> tuple[tuple[int, int], ...]:
         return self.edges[refl_index]
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev polynomials of the second kind
-# ---------------------------------------------------------------------------
-
-
-def chebyshev_U(n: int, y: np.ndarray, level: int) -> np.ndarray:
-    """U_n(y / 2), which is integral in y = 2 cos t: U_0 = 1, U_1 = y,
-    U_(n+1) = y U_n - U_(n-1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    u_prev = np.zeros_like(y)
-    u_prev[0] = 1
-    if n == 0:
-        return u_prev
-    u = y
-    for _ in range(n - 1):
-        u_prev, u = u, mul(y, u, level) - u_prev
-    return u
-
-
-@dataclass(frozen=True)
-class ChebyshevReport:
-    """Outcome of one root sequence beta_0, beta_1 = s_(1) beta_0, ..."""
-
-    beta: int                   # starting positive-root index
-    i: int                      # generator with (alpha_i, beta) = 0
-    j: int                      # generator with (alpha_j, beta) > 0
-    m: int                      # bond order m_ij
-    scalars: tuple[tuple[int, ...], ...]  # 2(beta_p, alpha_(p+1)), p < m
-    tag: str                    # "length-drop" | "even-shortcut"
-    stall: int | None           # q with beta_q = alpha_(q+1), shortcut only
-    start_length: int
-    end_length: int | None      # length of s_beta_(m-1), drop case only
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +340,6 @@ class RootSystem:
 
         self.pos_roots = roots
         self.nroots = R
-        self._root_index = index
         self._root_parent = parent
         self._root_base_simple = base_simple
 
@@ -400,12 +353,6 @@ class RootSystem:
         """2(alpha_i, v) = (B v)_i for every i, as v's (..., l, phi) shape."""
         flat = v.reshape(v.shape[:-2] + (-1,))
         return (flat @ self._pair.T).reshape(v.shape)
-
-    def reflect_simple(self, i: int, v: np.ndarray) -> np.ndarray:
-        """s_i(v) = v - 2(alpha_i, v) alpha_i; only coordinate i moves."""
-        out = v.copy()
-        out[i] -= self.pairings(v)[i]
-        return out
 
 
 class GroupTable(RootSystem):
@@ -578,19 +525,6 @@ class GroupTable(RootSystem):
     def length(self, w: int) -> int:
         return int(self.length_arr[w])
 
-    def det(self, w: int) -> int:
-        """det of the geometric representation: (-1)^length."""
-        return -1 if self.length_arr[w] % 2 else 1
-
-    def act_root(self, w: int, signed_root: int) -> int:
-        return int(self.perms[w][signed_root])
-
-    def elem_of_word(self, word) -> int:
-        x = 0
-        for i in word:
-            x = int(self.rmult[x][i])
-        return x
-
     def mult_table(self) -> np.ndarray:
         """Dense |W| x |W| multiplication table (built on first use).
 
@@ -627,20 +561,6 @@ class GroupTable(RootSystem):
         return self._conj_refl
 
     # -- reflection-level operations ----------------------------------------
-
-    def acts_negatively(self, w: int, refl_index: int) -> bool:
-        """Whether w sends the reflection's positive root into Phi^-.
-
-        Decided two independent ways (exact root image, length drop of
-        w * y); the two must agree.
-        """
-        refl = self.reflections[refl_index]
-        by_root = self.perms[w][refl.root] >= self.nroots
-        by_length = self.length_arr[self.mul(w, refl.elem)] < self.length_arr[w]
-        if bool(by_root) != bool(by_length):
-            raise AssertionError(
-                f"root and length criteria disagree at w={w}, y={refl.elem}")
-        return bool(by_root)
 
     def reflection_classes(self) -> tuple[tuple[int, ...], ...]:
         """Conjugacy classes of reflections (indices), cross-checked.
@@ -690,124 +610,6 @@ class GroupTable(RootSystem):
                 sink_gen.append(refl.elem - 1 if lx == 1 else -1)
             self._graph = ConjGraph(edges=tuple(edges), simple_gen=tuple(sink_gen))
         return self._graph
-
-    # -- length trichotomy and Chebyshev sequences ---------------------------
-
-    def length_trichotomy(self, beta_root: int, alpha_gen: int) -> Trichotomy:
-        """Classify l(s_a s_b s_a) - l(s_b) by the exact sign of (alpha, beta)."""
-        beta = self.pos_roots[beta_root]
-        s = sign(self.pairings(beta)[alpha_gen], self.level)
-        if beta_root == alpha_gen or s == 0:
-            tag = Trichotomy.COMMUTE
-        elif s < 0:
-            tag = Trichotomy.UP
-        else:
-            tag = Trichotomy.DOWN
-        # the tag must match the actual length change
-        sb = self.reflections[self.refl_of_root[beta_root]].elem
-        sa = self.simple_reflection(alpha_gen)
-        diff = self.length(self.conj(sa, sb)) - self.length(sb)
-        want = {Trichotomy.UP: 2, Trichotomy.DOWN: -2, Trichotomy.COMMUTE: 0}[tag]
-        if diff != want:
-            raise AssertionError(
-                f"trichotomy tag {tag} does not match length change {diff}")
-        if tag is Trichotomy.COMMUTE and self.mul(sa, sb) != self.mul(sb, sa):
-            raise AssertionError("commute tag but the reflections do not commute")
-        return tag
-
-    def chebyshev_sequence(self, beta_root: int, i: int, j: int) -> ChebyshevReport:
-        """Root sequence of the alternating conjugations, exactly verified.
-
-        Hypotheses: beta positive non-simple, (alpha_i, beta) = 0 and
-        (alpha_j, beta) > 0.  With delta = 2(alpha_j, beta) and
-        y = 2 cos(pi/m_ij), the scalar 2(beta_p, alpha_(p+1)) must equal
-        delta * U_p(y / 2) for every p; positivity holds through
-        p = m_ij - 2 and the scalar vanishes at p = m_ij - 1.
-        """
-        l, lev = self.rank, self.level
-        if not (0 <= i < l and 0 <= j < l) or i == j:
-            raise PreconditionFailed("need two distinct generator indices")
-        if self._root_parent[beta_root] is None:
-            raise PreconditionFailed("beta must be a non-simple positive root")
-        beta = self.pos_roots[beta_root]
-        pair = self.pairings(beta)
-        delta = pair[j]
-        if sign(delta, lev) <= 0:
-            raise PreconditionFailed("(alpha_j, beta) must be positive")
-        if pair[i].any():
-            raise PreconditionFailed("(alpha_i, beta) must vanish")
-        m = self.matrix.entry(i, j)
-        y = -self._gram[i, j]
-        simple_vec = self.pos_roots[:l]
-
-        def alpha_gen(p: int) -> int:
-            return i if p % 2 == 0 else j
-
-        vec = beta
-        scalars = []
-        stall = None
-        vecs = [vec]
-        for p in range(m):
-            a_next = alpha_gen(p + 1)
-            scal = self.pairings(vec)[a_next]
-            scalars.append(tuple(scal.tolist()))
-            if not np.array_equal(scal, mul(delta, chebyshev_U(p, y, lev), lev)):
-                raise AssertionError("scalar sequence leaves the Chebyshev line")
-            want_sign = 1 if p <= m - 2 else 0
-            if sign(scal, lev) != want_sign:
-                raise AssertionError("scalar sign violates the sequence lemma")
-            if (stall is None and p <= m - 2
-                    and np.array_equal(vec, simple_vec[a_next])):
-                stall = p
-            if p < m - 1:
-                vec = self.reflect_simple(a_next, vec)
-                vecs.append(vec)
-
-        start_len = self.length(self.reflections[self.refl_of_root[beta_root]].elem)
-        if stall is not None:
-            if m % 2 != 0 or stall != m // 2 - 1:
-                raise AssertionError("shortcut stall at an impossible position")
-            if start_len != m - 1:
-                # the alternating word of 2*stall+1 letters is reduced
-                raise AssertionError("shortcut length differs from m_ij - 1")
-            return ChebyshevReport(beta=beta_root, i=i, j=j, m=m,
-                                   scalars=tuple(scalars), tag="even-shortcut",
-                                   stall=stall, start_length=start_len,
-                                   end_length=None)
-
-        last = vecs[m - 1]
-        r_last = self._root_index.get(last.tobytes())
-        if r_last is None:
-            raise AssertionError("drop sequence left the positive roots")
-        s_last = self.reflections[self.refl_of_root[r_last]].elem
-        end_len = self.length(s_last)
-        if end_len != start_len - 2 * m + 2:
-            raise AssertionError("drop case length bookkeeping failed")
-        s_m = self.simple_reflection(alpha_gen(m))
-        if self.mul(s_m, s_last) != self.mul(s_last, s_m):
-            raise AssertionError("final reflections fail to commute")
-        if np.array_equal(last, simple_vec[alpha_gen(m)]):
-            raise AssertionError("drop case ended on alpha_(m)")
-        return ChebyshevReport(beta=beta_root, i=i, j=j, m=m,
-                               scalars=tuple(scalars), tag="length-drop",
-                               stall=None, start_length=start_len,
-                               end_length=end_len)
-
-    def chebyshev_sweep(self) -> list[ChebyshevReport]:
-        """Reports for every (beta, i, j) satisfying the hypotheses."""
-        out = []
-        for r in range(self.nroots):
-            if self._root_parent[r] is None:
-                continue
-            scal = self.pairings(self.pos_roots[r])
-            signs = [sign(c, self.level) for c in scal]
-            for i in range(self.rank):
-                if signs[i] != 0:
-                    continue
-                for j in range(self.rank):
-                    if j != i and signs[j] > 0:
-                        out.append(self.chebyshev_sequence(r, i, j))
-        return out
 
 
 def build_group(matrix: CoxeterMatrix) -> GroupTable:

@@ -16,9 +16,8 @@ pair, in which case the Nichols algebra is a twisted tensor product of
 exterior algebras of total dimension 2^dim.
 
 The order-12 group (r = 3) additionally carries three-dimensional
-modules supported on its two reflection classes; these are constructed
-from their explicit generator action tables and compared against the
-reflection-rack braidings.
+modules supported on its two reflection classes, built from their
+explicit generator action tables.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 
 from .coxeter import GroupTable
 from .nichols import BraidedSpace, DiagonalBraidedSpace, MonomialOp
-from .racks import Rack, RackCocycle, cohomologous_solve
 
 
 class InvalidSummandError(ValueError):
@@ -309,75 +307,3 @@ def v31_module(g: GroupTable) -> GradedModule:
     return GradedModule(g=g, k=k, labels=("v(+3,1)", "v(-3,1)"),
                         degrees=(c3, c3), gen_actions=(s_act, sp_act))
 
-
-def v0_module(g: GroupTable, j: int) -> GradedModule:
-    """One-dimensional module in central degree; j picks the sign of s."""
-    _require_i26(g)
-    if j not in (0, 1):
-        raise ValueError("j must be 0 or 1")
-    k = 6
-    s = g.simple_reflection(0)
-    c = g.mul(s, g.simple_reflection(1))
-    c3 = g.mul(c, g.mul(c, c))
-    s_act = _monomial(k, [(3 * j, 0)])
-    c_act = _monomial(k, [(3, 0)])
-    sp_act = _compose_words([s_act, c_act], (0, 1))
-    return GradedModule(g=g, k=k, labels=(f"v0[{j}]",), degrees=(c3,),
-                        gen_actions=(s_act, sp_act))
-
-
-def u_module_cocycle(g: GroupTable, j: int, primed: bool = False):
-    """Extract the rack cocycle of a three-dimensional module's braiding.
-
-    Returns (class reflection indices, RackCocycle) with rows/columns in
-    class order, so it is directly comparable to the restrictions of the
-    two sign cocycles.
-    """
-    mod = u_module(g, j, primed)
-    space = braided_from_graded(mod)
-    classes = g.reflection_classes()
-    refl_of_elem = {t.elem: t.index for t in g.reflections}
-    class_of = next(c for c in classes
-                    if refl_of_elem[mod.degrees[0]] in c)
-    order = {refl_of_elem[mod.degrees[b]]: b for b in range(mod.dim)}
-    if set(order) != set(class_of):
-        raise AssertionError("module support is not one reflection class")
-    # reorder basis into class order and check scalars are +-1
-    basis = [order[t] for t in class_of]
-    table = []
-    for x in basis:
-        row = []
-        for y in basis:
-            e = space.expo[x][y]
-            if e % 3 != 0:
-                raise AssertionError("braiding scalar is not a sign")
-            row.append((e // 3) % 2)
-        table.append(tuple(row))
-    return class_of, RackCocycle(2, tuple(table))
-
-
-def identify_u_modules(g: GroupTable, qp: RackCocycle, qm: RackCocycle,
-                       rack: Rack) -> dict:
-    """Compare each three-dimensional module with the sign cocycles.
-
-    For every module the braiding is a rack braiding on one reflection
-    class; the record lists which restricted cocycle it literally equals
-    and which it is cohomologous to (basis rescalings change the cocycle
-    by a coboundary, so cohomology is the right invariant).
-    """
-    out = {}
-    for primed in (False, True):
-        for j in (0, 1):
-            class_of, qu = u_module_cocycle(g, j, primed)
-            sub = rack.subrack(class_of)
-            rec = {}
-            for name, q in (("q+", qp), ("q-", qm)):
-                qr = q.restrict(class_of)
-                rec[name] = {
-                    "equal": qr.table == qu.table,
-                    "cohomologous":
-                        cohomologous_solve(qu, qr, sub) is not None,
-                }
-            key = ("U'" if primed else "U") + str(j)
-            out[key] = rec
-    return out

@@ -353,6 +353,12 @@ def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     them.  Returns None on success, else the first witness (w, y) in
     row-major order: the levels come in order of the ids they hold, so
     it is the smallest mismatch of the first level that has one.
+
+    A pass also makes e = q+ - q- W-equivariant on W x W x T,
+    e(w1 w2, y) = e(w1, w2 > y) + e(w2, y): conjugation by rho(w1 w2) is
+    conjugation by rho(w1) rho(w2), as the two differ by the central z,
+    and the check turns both sides into z-exponents over rho(w1 w2 > y).
+    q- = det is multiplicative, so q+ is equivariant as well.
     """
     zp = ext.gen_perms[ext.nt]
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)

@@ -29,7 +29,9 @@ run at the requested degree or its first zero rank.  Exact ranks come
 from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
 pin the factorization against the literal sum, and the ladder against
 the dense d^n assembly and the exact rank over Q(zeta_k) of its
-integer power-basis form (oracles kept here and in modlin).
+integer power-basis form: symmetrizer_factorized_exact, with
+exact_matrix_as_cyclo and modlin.rank_exact_cyclo, which stay here as
+benchmark trace targets (the other oracles are in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -171,7 +173,17 @@ def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
 
 
 def braiding_from_rack(X: Rack, q: RackCocycle, labels=None) -> BraidedSpace:
-    """c(x tensor y) = q(x, y) (x > y) tensor x on the free space on X."""
+    """c(x tensor y) = q(x, y) (x > y) tensor x on the free space on X.
+
+    The braid equation that BraidedSpace checks on every basis triple is
+    then the rack cocycle identity q(x, y > z) + q(y, z) = q(x > y, x > z)
+    + q(x, z) (Andruskiewitsch-Grana, From racks to pointed Hopf algebras,
+    2003): on x tensor y tensor z, c1 c2 c1 and c2 c1 c2 reach the same
+    basis vector by self-distributivity, with the exponents
+    q(x, y) + q(x, z) + q(x > y, x > z) and q(y, z) + q(x, y > z) + q(x, y).
+    So a cocycle that is not one raises BraidEquationError, and its
+    witness is the lexicographically first triple (x, y, z) that fails.
+    """
     if q.size != X.size:
         raise ValueError("cocycle and rack sizes differ")
     return BraidedSpace(k=q.order, target=X.act, expo=q.table,
@@ -205,7 +217,8 @@ def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
     exact_matrix_as_cyclo for canonical comparisons.
 
     Test oracle, with exact_matrix_as_cyclo and modlin.rank_exact_cyclo,
-    for the exact ranks of hilbert_coeffs."""
+    for the exact ranks of hilbert_coeffs; is_quadratic_through reads its
+    degree-2 kernel off this matrix mod p."""
     d = V.dim
     k = V.k
     if n == 0:
@@ -226,25 +239,6 @@ def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
                     out[:, b[sel], sel, :] += np.roll(prev[:, a[sel], :],
                                                       e, axis=-1)
         prev = out.reshape(N, N, k)
-    return prev
-
-
-def symmetrizer_dense_mod(V: BraidedSpace, n: int, p: int, omega: int) -> np.ndarray:
-    """Dense symmetrizer matrix over GF(p) with zeta_k mapped to omega."""
-    d = V.dim
-    zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
-    prev = np.eye(d, dtype=np.int64)
-    if n == 0:
-        return np.ones((1, 1), dtype=np.int64)
-    for m in range(2, n + 1):
-        N = d ** m
-        out = np.zeros((d ** (m - 1), d, N), dtype=np.int64)
-        cols = np.arange(N)
-        for op in coset_ops(V, m):
-            a, b = op.perm // d, op.perm % d
-            out[:, b, cols] = (out[:, b, cols]
-                               + prev[:, a] * zpow[op.expo][None, :]) % p
-        prev = out.reshape(N, N)
     return prev
 
 
@@ -733,7 +727,8 @@ def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
         raise ValueError("the probe starts at degree 3")
     verdicts = []
     for p, omega, ranks, _ in _ladder_runs(V, n):
-        kernel = nullspace_mod(symmetrizer_dense_mod(V, 2, p, omega), p)
+        zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
+        kernel = nullspace_mod(symmetrizer_factorized_exact(V, 2) @ zpow % p, p)
         ranks = ranks + [0] * (n + 1 - len(ranks))
         # nullity minus the dimension of the ideal slice, per degree
         slack = [V.dim ** deg - ranks[deg]

@@ -29,14 +29,6 @@ class NotClosedError(ValueError):
         super().__init__(f"subset not closed under conjugation: {witness}")
 
 
-class NotDihedralError(ValueError):
-    pass
-
-
-class NotDivisorError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Rack:
     """Finite rack: labels plus the left-action table act[i][j] = x_i > x_j."""
@@ -62,11 +54,6 @@ class Rack:
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def is_trivial(self) -> bool:
-        """Whether every element acts as the identity (abelian rack)."""
-        n = self.size
-        return all(self.act[i][j] == j for i in range(n) for j in range(n))
 
     def subrack(self, indices) -> "Rack":
         """Restriction to a closed subset of positions."""
@@ -102,15 +89,6 @@ class RackCocycle:
     @property
     def size(self) -> int:
         return len(self.table)
-
-    def exponent(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def sign(self, i: int, j: int) -> int:
-        """The value as +-1; only meaningful for order 2."""
-        if self.order != 2:
-            raise ValueError("sign form requires coefficient order 2")
-        return -1 if self.table[i][j] else 1
 
     def restrict(self, indices) -> "RackCocycle":
         idx = list(indices)
@@ -166,55 +144,8 @@ def q_minus(g: GroupTable) -> RackCocycle:
 
 
 # ---------------------------------------------------------------------------
-# Checkers
+# Cohomology of the sign cocycles
 # ---------------------------------------------------------------------------
-
-
-def cocycle_violation(q: RackCocycle, X: Rack):
-    """First lexicographic triple violating the rack cocycle identity."""
-    n = X.size
-    k = q.order
-    t = q.table
-    act = X.act
-    for x in range(n):
-        for y in range(n):
-            xy = act[x][y]
-            for z in range(n):
-                lhs = t[x][act[y][z]] + t[y][z]
-                rhs = t[xy][act[x][z]] + t[x][z]
-                if (lhs - rhs) % k:
-                    return (x, y, z)
-    return None
-
-
-def is_cocycle(q: RackCocycle, X: Rack) -> bool:
-    return cocycle_violation(q, X) is None
-
-
-def check_equivariance(g: GroupTable, which: str) -> bool:
-    """Group-level identity q(w1 w2, x) = q(w1, w2 > x) q(w2, x) on W x W x T.
-
-    Checked at w2 = s_i only, with w1 s_i read from rmult; that proves
-    it everywhere.  Let S be the set of w2 at which it holds for every
-    w1 and x.  For a, b in S,
-    q(w1 a b, x) = q(w1 a, b > x) q(b, x)
-                 = q(w1, ab > x) q(a, b > x) q(b, x) = q(w1, ab > x) q(ab, x),
-    the last step being the identity at b with w1 = a.  So S is closed
-    under products, and once the simple reflections pass, all of W
-    passes (the identity too: s s = 1).  Also asserts q(identity, x) = 1
-    for all x.
-    """
-    table = q_plus_table(g) if which == "plus" else q_minus_table(g)
-    if table[0].any():
-        raise AssertionError("q(identity, x) != 1")
-    C = g.conj_refl_table()
-    for i in range(g.rank):
-        s = g.simple_reflection(i)
-        lhs = table[g.rmult[:, i], :]
-        rhs = table[:, C[s]] ^ table[s][None, :]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
 
 
 def cohomologous_solve(q1: RackCocycle, q2: RackCocycle, X: Rack):
@@ -259,74 +190,3 @@ def cohomologous_solve(q1: RackCocycle, q2: RackCocycle, X: Rack):
         return None
     return tuple(bits)
 
-
-# ---------------------------------------------------------------------------
-# Dihedral subracks
-# ---------------------------------------------------------------------------
-
-
-def dihedral_reflection_ids(g: GroupTable) -> list[int]:
-    """Element ids of s (s's)^j for j = 0..m-1 in a rank-2 group."""
-    if g.rank != 2:
-        raise NotDihedralError("group is not dihedral (rank != 2)")
-    m = g.matrix.entry(0, 1)
-    s = g.simple_reflection(0)
-    sp = g.simple_reflection(1)
-    step = g.mul(sp, s)
-    ids = []
-    x = s
-    for _ in range(m):
-        ids.append(x)
-        x = g.mul(x, step)
-    return ids
-
-
-def dihedral_subrack(g: GroupTable, n: int) -> Rack:
-    """Subrack {s (s's)^j : n | j} of the reflections of an odd dihedral group."""
-    if g.rank != 2:
-        raise NotDihedralError("group is not dihedral (rank != 2)")
-    m = g.matrix.entry(0, 1)
-    if m % 2 == 0:
-        raise NotDihedralError("dihedral subracks are defined for odd m")
-    if n <= 0 or m % n != 0:
-        raise NotDivisorError(f"{n} does not divide {m}")
-    ids = dihedral_reflection_ids(g)
-    js = [j for j in range(m) if j % n == 0]
-    rack = reflection_rack(g).subrack(
-        int(g.refl_index_of_elem[ids[j]]) for j in js)
-    # closure law: s(s's)^j > s(s's)^l = s(s's)^(2j - l)
-    for a, j in enumerate(js):
-        for b, l in enumerate(js):
-            want = ids[(2 * j - l) % m]
-            assert rack.labels[rack.act[a][b]] == want
-    return rack
-
-
-def rack_isomorphic(X: Rack, Y: Rack) -> bool:
-    """Backtracking isomorphism search (small racks only)."""
-    n = X.size
-    if n != Y.size:
-        return False
-
-    def extend(mapping, used):
-        i = len(mapping)
-        if i == n:
-            return all(
-                mapping[X.act[a][b]] == Y.act[mapping[a]][mapping[b]]
-                for a in range(n) for b in range(n))
-        for cand in range(n):
-            if cand in used:
-                continue
-            mapping.append(cand)
-            used.add(cand)
-            ok = all(
-                mapping[X.act[a][b]] == Y.act[mapping[a]][mapping[b]]
-                for a in range(i + 1) for b in range(i + 1)
-                if X.act[a][b] <= i)
-            if ok and extend(mapping, used):
-                return True
-            mapping.pop()
-            used.discard(cand)
-        return False
-
-    return extend([], set())

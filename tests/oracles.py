@@ -1,9 +1,14 @@
-"""Slow reference constructions shared by the tests."""
+"""Code only the tests run: slow reference constructions for the checks
+the program makes, and helpers the program itself does not need."""
 
 import itertools
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
+from coxrack.cyclo import mul, sign
+from coxrack.dihedral import GradedModule, braided_from_graded, u_module
 from coxrack.extension import (
     CertificationError,
     ExtGroup,
@@ -11,8 +16,19 @@ from coxrack.extension import (
     Presentation,
 )
 from coxrack.modlin import row_reduce_mod
-from coxrack.nichols import BraidedSpace, MonomialOp, word_operator
-from coxrack.racks import q_plus_table
+from coxrack.nichols import (
+    BraidedSpace,
+    MonomialOp,
+    symmetrizer_factorized_exact,
+    word_operator,
+)
+from coxrack.racks import (
+    Rack,
+    RackCocycle,
+    cohomologous_solve,
+    q_plus_table,
+    reflection_rack,
+)
 
 
 # -- Matsumoto section: braid lifts of permutations ----------------------------
@@ -79,6 +95,12 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
         op = perm_operator(V, n, sigma)
         np.add.at(acc, (op.perm, cols, op.expo), 1)
     return acc
+
+
+def symmetrizer_mod(V: BraidedSpace, n: int, p: int, omega: int) -> np.ndarray:
+    """The dense (d^n, d^n) symmetrizer over GF(p), zeta_k mapped to omega."""
+    zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
+    return symmetrizer_factorized_exact(V, n) @ zpow % p
 
 
 def rank_mod(a: np.ndarray, p: int) -> int:
@@ -505,7 +527,8 @@ def dense_phi_identities(g, ext, sec, table):
 
 
 def dense_check_equivariance(g, table) -> bool:
-    """check_equivariance over every w2, reading w1 w2 from the dense mult."""
+    """Whether q(w1 w2, x) = q(w1, w2 > x) + q(w2, x) on W x W x T, for an
+    exponent table of q on W x T, w1 w2 read from the dense mult."""
     M = g.mult_table()
     C = g.conj_refl_table()
     for w2 in range(g.order):
@@ -564,3 +587,289 @@ def cohomologous_solve_by_elimination(q1, q2, X):
             m ^= low
         bits[col] = acc
     return tuple(bits)
+
+
+# -- words, the length trichotomy and Chebyshev root sequences ----------------
+
+
+def elem_of_word(g, word) -> int:
+    """The element of a word, its letters applied left to right."""
+    x = 0
+    for i in word:
+        x = int(g.rmult[x][i])
+    return x
+
+
+def reflect_simple(g, i: int, v: np.ndarray) -> np.ndarray:
+    """s_i(v) = v - 2(alpha_i, v) alpha_i; only coordinate i moves."""
+    out = v.copy()
+    out[i] -= g.pairings(v)[i]
+    return out
+
+
+class Trichotomy(Enum):
+    UP = "up"
+    DOWN = "down"
+    COMMUTE = "commute"
+
+
+def length_trichotomy(g, beta_root: int, alpha_gen: int) -> Trichotomy:
+    """Classify l(s_a s_b s_a) - l(s_b) by the exact sign of (alpha, beta),
+    checked against the actual length change."""
+    s = sign(g.pairings(g.pos_roots[beta_root])[alpha_gen], g.level)
+    if beta_root == alpha_gen or s == 0:
+        tag = Trichotomy.COMMUTE
+    else:
+        tag = Trichotomy.UP if s < 0 else Trichotomy.DOWN
+    sb = g.reflections[g.refl_of_root[beta_root]].elem
+    sa = g.simple_reflection(alpha_gen)
+    diff = g.length(g.conj(sa, sb)) - g.length(sb)
+    want = {Trichotomy.UP: 2, Trichotomy.DOWN: -2, Trichotomy.COMMUTE: 0}[tag]
+    if diff != want:
+        raise AssertionError(
+            f"trichotomy tag {tag} does not match length change {diff}")
+    if tag is Trichotomy.COMMUTE and g.mul(sa, sb) != g.mul(sb, sa):
+        raise AssertionError("commute tag but the reflections do not commute")
+    return tag
+
+
+class PreconditionFailed(ValueError):
+    """An operation's stated hypotheses do not hold for the arguments."""
+
+
+def chebyshev_U(n: int, y: np.ndarray, level: int) -> np.ndarray:
+    """U_n(y / 2), which is integral in y = 2 cos t: U_0 = 1, U_1 = y,
+    U_(n+1) = y U_n - U_(n-1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    u_prev = np.zeros_like(y)
+    u_prev[0] = 1
+    if n == 0:
+        return u_prev
+    u = y
+    for _ in range(n - 1):
+        u_prev, u = u, mul(y, u, level) - u_prev
+    return u
+
+
+@dataclass(frozen=True)
+class ChebyshevReport:
+    """Outcome of one root sequence beta_0, beta_1 = s_(1) beta_0, ..."""
+
+    beta: int                   # starting positive-root index
+    i: int                      # generator with (alpha_i, beta) = 0
+    j: int                      # generator with (alpha_j, beta) > 0
+    m: int                      # bond order m_ij
+    scalars: tuple[tuple[int, ...], ...]  # 2(beta_p, alpha_(p+1)), p < m
+    tag: str                    # "length-drop" | "even-shortcut"
+    stall: int | None           # q with beta_q = alpha_(q+1), shortcut only
+    start_length: int
+    end_length: int | None      # length of s_beta_(m-1), drop case only
+
+
+def chebyshev_sequence(g, beta_root: int, i: int, j: int) -> ChebyshevReport:
+    """Root sequence of the alternating conjugations, exactly verified.
+
+    Hypotheses: beta positive non-simple, (alpha_i, beta) = 0 and
+    (alpha_j, beta) > 0.  With delta = 2(alpha_j, beta) and
+    y = 2 cos(pi/m_ij), the scalar 2(beta_p, alpha_(p+1)) must equal
+    delta * U_p(y / 2) for every p; positivity holds through
+    p = m_ij - 2 and the scalar vanishes at p = m_ij - 1.
+    """
+    l, lev = g.rank, g.level
+    if not (0 <= i < l and 0 <= j < l) or i == j:
+        raise PreconditionFailed("need two distinct generator indices")
+    if beta_root < l:
+        raise PreconditionFailed("beta must be a non-simple positive root")
+    beta = g.pos_roots[beta_root]
+    pair = g.pairings(beta)
+    delta = pair[j]
+    if sign(delta, lev) <= 0:
+        raise PreconditionFailed("(alpha_j, beta) must be positive")
+    if pair[i].any():
+        raise PreconditionFailed("(alpha_i, beta) must vanish")
+    m = g.matrix.entry(i, j)
+    y = -g.matrix.gram()[i, j]
+    simple_vec = g.pos_roots[:l]
+
+    def alpha_gen(p: int) -> int:
+        return i if p % 2 == 0 else j
+
+    vec = beta
+    scalars = []
+    stall = None
+    for p in range(m):
+        a_next = alpha_gen(p + 1)
+        scal = g.pairings(vec)[a_next]
+        scalars.append(tuple(scal.tolist()))
+        if not np.array_equal(scal, mul(delta, chebyshev_U(p, y, lev), lev)):
+            raise AssertionError("scalar sequence leaves the Chebyshev line")
+        want_sign = 1 if p <= m - 2 else 0
+        if sign(scal, lev) != want_sign:
+            raise AssertionError("scalar sign violates the sequence lemma")
+        if (stall is None and p <= m - 2
+                and np.array_equal(vec, simple_vec[a_next])):
+            stall = p
+        if p < m - 1:
+            vec = reflect_simple(g, a_next, vec)
+
+    start_len = g.length(g.reflections[g.refl_of_root[beta_root]].elem)
+    if stall is not None:
+        if m % 2 != 0 or stall != m // 2 - 1:
+            raise AssertionError("shortcut stall at an impossible position")
+        if start_len != m - 1:
+            # the alternating word of 2*stall+1 letters is reduced
+            raise AssertionError("shortcut length differs from m_ij - 1")
+        return ChebyshevReport(beta=beta_root, i=i, j=j, m=m,
+                               scalars=tuple(scalars), tag="even-shortcut",
+                               stall=stall, start_length=start_len,
+                               end_length=None)
+
+    root_index = {v.tobytes(): r for r, v in enumerate(g.pos_roots)}
+    r_last = root_index.get(vec.tobytes())  # beta_(m-1)
+    if r_last is None:
+        raise AssertionError("drop sequence left the positive roots")
+    s_last = g.reflections[g.refl_of_root[r_last]].elem
+    end_len = g.length(s_last)
+    if end_len != start_len - 2 * m + 2:
+        raise AssertionError("drop case length bookkeeping failed")
+    s_m = g.simple_reflection(alpha_gen(m))
+    if g.mul(s_m, s_last) != g.mul(s_last, s_m):
+        raise AssertionError("final reflections fail to commute")
+    if np.array_equal(vec, simple_vec[alpha_gen(m)]):
+        raise AssertionError("drop case ended on alpha_(m)")
+    return ChebyshevReport(beta=beta_root, i=i, j=j, m=m,
+                           scalars=tuple(scalars), tag="length-drop",
+                           stall=None, start_length=start_len,
+                           end_length=end_len)
+
+
+def chebyshev_sweep(g) -> list[ChebyshevReport]:
+    """Reports for every (beta, i, j) satisfying the hypotheses."""
+    out = []
+    for r in range(g.rank, g.nroots):
+        signs = [sign(c, g.level) for c in g.pairings(g.pos_roots[r])]
+        for i in range(g.rank):
+            if signs[i] != 0:
+                continue
+            for j in range(g.rank):
+                if j != i and signs[j] > 0:
+                    out.append(chebyshev_sequence(g, r, i, j))
+    return out
+
+
+# -- dihedral subracks ----------------------------------------------------------
+
+
+class NotDihedralError(ValueError):
+    pass
+
+
+class NotDivisorError(ValueError):
+    pass
+
+
+def dihedral_reflection_ids(g) -> list[int]:
+    """Element ids of s (s's)^j for j = 0..m-1 in a rank-2 group."""
+    if g.rank != 2:
+        raise NotDihedralError("group is not dihedral (rank != 2)")
+    m = g.matrix.entry(0, 1)
+    step = g.mul(g.simple_reflection(1), g.simple_reflection(0))
+    ids = [g.simple_reflection(0)]
+    for _ in range(m - 1):
+        ids.append(g.mul(ids[-1], step))
+    return ids
+
+
+def dihedral_subrack(g, n: int) -> Rack:
+    """Subrack {s (s's)^j : n | j} of the reflections of an odd dihedral group."""
+    if g.rank != 2:
+        raise NotDihedralError("group is not dihedral (rank != 2)")
+    m = g.matrix.entry(0, 1)
+    if m % 2 == 0:
+        raise NotDihedralError("dihedral subracks are defined for odd m")
+    if n <= 0 or m % n != 0:
+        raise NotDivisorError(f"{n} does not divide {m}")
+    ids = dihedral_reflection_ids(g)
+    js = [j for j in range(m) if j % n == 0]
+    rack = reflection_rack(g).subrack(
+        int(g.refl_index_of_elem[ids[j]]) for j in js)
+    # closure law: s(s's)^j > s(s's)^l = s(s's)^(2j - l)
+    for a, j in enumerate(js):
+        for b, l in enumerate(js):
+            assert rack.labels[rack.act[a][b]] == ids[(2 * j - l) % m]
+    return rack
+
+
+def rack_isomorphic(X: Rack, Y: Rack) -> bool:
+    """Whether some bijection carries X's action onto Y's (small racks)."""
+    n = X.size
+    return n == Y.size and any(
+        all(f[X.act[a][b]] == Y.act[f[a]][f[b]]
+            for a in range(n) for b in range(n))
+        for f in itertools.permutations(range(n)))
+
+
+# -- the order-12 dihedral group: modules against the sign cocycles ------------
+
+
+def v0_module(g, j: int) -> GradedModule:
+    """One-dimensional module of I2(6) in the central degree c^3, c = s s':
+    s acts by (-1)^j and c by -1."""
+    if j not in (0, 1):
+        raise ValueError("j must be 0 or 1")
+    c = g.mul(g.simple_reflection(0), g.simple_reflection(1))
+    one = np.zeros(1, dtype=np.int64)
+    s_act, sp_act = (MonomialOp(6, one, one + 3 * j % 6),
+                     MonomialOp(6, one, one + 3 * (j + 1) % 6))  # s' = s c
+    return GradedModule(g=g, k=6, labels=(f"v0[{j}]",),
+                        degrees=(g.mul(c, g.mul(c, c)),),
+                        gen_actions=(s_act, sp_act))
+
+
+def u_module_cocycle(g, j: int, primed: bool = False):
+    """The rack cocycle of a three-dimensional module's braiding.
+
+    Returns (class reflection indices, RackCocycle) with rows/columns in
+    class order, so it is directly comparable to the restrictions of the
+    two sign cocycles.
+    """
+    mod = u_module(g, j, primed)
+    space = braided_from_graded(mod)
+    refl_of_elem = {t.elem: t.index for t in g.reflections}
+    class_of = next(c for c in g.reflection_classes()
+                    if refl_of_elem[mod.degrees[0]] in c)
+    order = {refl_of_elem[mod.degrees[b]]: b for b in range(mod.dim)}
+    if set(order) != set(class_of):
+        raise AssertionError("module support is not one reflection class")
+    # the basis in class order; every scalar must be a sign, zeta_6^(0 or 3)
+    basis = [order[t] for t in class_of]
+    expo = np.array(space.expo)[np.ix_(basis, basis)]
+    if (expo % 3).any():
+        raise AssertionError("braiding scalar is not a sign")
+    return class_of, RackCocycle(2, tuple(map(tuple, (expo // 3).tolist())))
+
+
+def identify_u_modules(g, qp: RackCocycle, qm: RackCocycle, rack: Rack) -> dict:
+    """Compare each three-dimensional module with the sign cocycles.
+
+    For every module the braiding is a rack braiding on one reflection
+    class; the record lists which restricted cocycle it literally equals
+    and which it is cohomologous to (basis rescalings change the cocycle
+    by a coboundary, so cohomology is the right invariant).
+    """
+    out = {}
+    for primed in (False, True):
+        for j in (0, 1):
+            class_of, qu = u_module_cocycle(g, j, primed)
+            sub = rack.subrack(class_of)
+            rec = {}
+            for name, q in (("q+", qp), ("q-", qm)):
+                qr = q.restrict(class_of)
+                rec[name] = {
+                    "equal": qr.table == qu.table,
+                    "cohomologous":
+                        cohomologous_solve(qu, qr, sub) is not None,
+                }
+            out[("U'" if primed else "U") + str(j)] = rec
+    return out

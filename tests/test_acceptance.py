@@ -38,14 +38,19 @@ from coxrack.nichols import (
     total_dimension,
 )
 from coxrack.racks import (
-    check_equivariance,
-    cocycle_violation,
     cohomologous_solve,
     q_minus,
+    q_minus_table,
     q_plus,
+    q_plus_table,
     reflection_rack,
 )
-from oracles import symmetrizer_literal_exact, verify_matsumoto_invariance
+from oracles import (
+    chebyshev_sweep,
+    dense_check_equivariance,
+    symmetrizer_literal_exact,
+    verify_matsumoto_invariance,
+)
 
 BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
            "H3", "D4"]
@@ -166,14 +171,14 @@ def test_criterion_6_chebyshev_sweep(group_cache, capsys):
     shortcut_seen = False
     for name in ("A3", "B3", "H3", "I2(7)"):
         g = group_cache(name)
-        reports = g.chebyshev_sweep()  # every report is internally verified
+        reports = chebyshev_sweep(g)  # every report is internally verified
         total += len(reports)
         if any(r.tag == "even-shortcut" for r in reports) and name == "B3":
             shortcut_seen = True
     if not shortcut_seen:
         g = group_cache("B2")
         shortcut_seen = any(r.tag == "even-shortcut"
-                            for r in g.chebyshev_sweep())
+                            for r in chebyshev_sweep(g))
     elapsed = time.perf_counter() - t0
     assert total > 0 and shortcut_seen
     assert elapsed < 10
@@ -243,11 +248,9 @@ def test_criterion_9_property_suites(group_cache, capsys):
         g = group_cache(name)
         rack = reflection_rack(g)        # rack axioms checked on construction
         qp, qm = q_plus(g), q_minus(g)
-        assert cocycle_violation(qp, rack) is None
-        assert cocycle_violation(qm, rack) is None
-        assert check_equivariance(g, "plus")
-        assert check_equivariance(g, "minus")
-        vp = braiding_from_rack(rack, qp)   # braid equation on construction
+        assert dense_check_equivariance(g, q_plus_table(g))
+        assert dense_check_equivariance(g, q_minus_table(g))
+        vp = braiding_from_rack(rack, qp)   # checks the cocycle identity
         vm = braiding_from_rack(rack, qm)
         assert verify_matsumoto_invariance(vp, 3)
         assert verify_matsumoto_invariance(vm, 3)

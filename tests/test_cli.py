@@ -206,6 +206,15 @@ def test_dihedral_report(capsys):
     assert data["compatible"] and data["predicted_total"] == 16
     assert data["computed_total"] == 16
 
+    # one-dimensional summands alone
+    code, out, _ = run(capsys, "dihedral", "5", "--v0", "2", "--check",
+                       "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["summands"] == [] and data["v0_copies"] == 2
+    assert data["computed_total"] == data["predicted_total"] == 4
+    assert data["ranks"] == [1, 2, 1, 0]
+
 
 def test_hilbert_a3_degree_7(capsys):
     # 6^6 = 46656 words in degree 6; the spanning-column ladder builds at
@@ -376,11 +385,19 @@ def test_hilbert_e6_degree_2_labels_grades_as_they_occur():
 
 
 def test_dihedral_negative_v0_exits_1(capsys):
-    code, out, err = run(capsys, "dihedral", "5", "--summands", "5,1",
-                         "--v0", "-2", "--json")
-    assert code == 1
-    assert out == ""
-    assert err == "error: v0 copies must be at least 0, got -2\n"
+    for summands in (("--summands", "5,1"), ()):
+        code, out, err = run(capsys, "dihedral", "5", *summands,
+                             "--v0", "-2", "--json")
+        assert code == 1
+        assert out == ""
+        assert err == "error: v0 copies must be at least 0, got -2\n"
+
+
+def test_dihedral_check_without_a_space_exits_1(capsys):
+    for v0 in ((), ("--v0", "0")):
+        code, out, err = run(capsys, "dihedral", "5", *v0, "--check")
+        assert (code, out) == (1, "")
+        assert err == "error: --check needs --summands or a positive --v0\n"
 
 
 def test_certify_memory_refusal_exits_1(capsys, monkeypatch):

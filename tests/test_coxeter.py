@@ -18,21 +18,28 @@ from coxrack.coxeter import (
     GroupTable,
     InvalidMatrixError,
     NotFiniteError,
-    PreconditionFailed,
     Reflection,
     RootSystem,
-    Trichotomy,
     build_group,
-    chebyshev_U,
     parse_matrix_file,
     preset_matrix,
     require_finite,
 )
+from coxrack.racks import q_minus_table
 from oracles import (
+    PreconditionFailed,
+    Trichotomy,
+    chebyshev_sequence,
+    chebyshev_sweep,
+    chebyshev_U,
+    elem_of_word,
+    length_trichotomy,
     mirror,
     palindromic_expressions,
+    q_plus_table_by_length,
     path_words,
     reduced_expressions,
+    reflect_simple,
 )
 
 # classical orders (independent of the enumeration code)
@@ -232,7 +239,7 @@ class LegacyGroupTable(GroupTable):
         while head < len(pos):
             beta = pos[head]
             for i in range(l):
-                image = self.reflect_simple(i, beta)
+                image = reflect_simple(self, i, beta)
                 k = key(image)
                 if k in index or key(-image) in index:
                     continue
@@ -250,14 +257,13 @@ class LegacyGroupTable(GroupTable):
             assert norm[0] == 2 and not norm[1:].any()
         self.pos_roots = np.array(pos)
         self.nroots = R = len(pos)
-        self._root_index = index
         self._root_parent = parent
         self._root_base_simple = base_simple
         perms = []
         for i in range(l):
             perm = [0] * (2 * R)
             for r in range(R):
-                image = self.reflect_simple(i, pos[r])
+                image = reflect_simple(self, i, pos[r])
                 k = key(image)
                 if k in index:
                     perm[r], perm[r + R] = index[k], index[k] + R
@@ -345,18 +351,20 @@ def test_word_reads_the_shortlex_tree(groups, name):
     g = groups(name)
     for w in range(g.order):
         word = g.word(w)
-        assert g.elem_of_word(word) == w
+        assert elem_of_word(g, word) == w
         assert len(word) == g.length(w)
 
 
 def test_lengths_and_det(groups):
+    # q- reads the determinant (-1)^l(w) as the exponent l(w) mod 2
     a2 = groups("A2")
-    assert a2.length(0) == 0 and a2.det(0) == 1
+    det = q_minus_table(a2)[:, 0]
+    assert a2.length(0) == 0 and det[0] == 0
     for i in range(a2.rank):
         s = a2.simple_reflection(i)
-        assert a2.length(s) == 1 and a2.det(s) == -1
+        assert a2.length(s) == 1 and det[s] == 1
     w0 = max(range(a2.order), key=a2.length)
-    assert a2.length(w0) == 3 and a2.det(w0) == -1
+    assert a2.length(w0) == 3 and det[w0] == 1
     # length is a BFS distance: |l(ws) - l(w)| = 1 everywhere
     for w in range(a2.order):
         for i in range(a2.rank):
@@ -390,7 +398,7 @@ def mult_table_by_columns(g):
     M[:, 0] = np.arange(n, dtype=np.int32)
     for b in range(1, n):
         w = g.word(b)
-        M[:, b] = g.rmult[M[:, g.elem_of_word(w[:-1])], w[-1]]
+        M[:, b] = g.rmult[M[:, elem_of_word(g, w[:-1])], w[-1]]
     return M
 
 
@@ -422,25 +430,29 @@ def test_conj_refl_table_matches_mult_oracle(groups, name):
 
 
 def test_acts_negatively_examples_and_agreement(groups):
+    def acts_negatively(g, w, t):
+        # w sends the positive root of reflection t into the negative roots
+        return g.perms[w][g.reflections[t].root] >= g.nroots
+
     a2 = groups("A2")
     # w = y = simple reflection: s(alpha_s) = -alpha_s
     for i in range(2):
         s = a2.simple_reflection(i)
-        y = int(a2.refl_index_of_elem[s])
-        assert a2.acts_negatively(s, y)
+        assert acts_negatively(a2, s, int(a2.refl_index_of_elem[s]))
     # commuting generators fix each other's root
-    a13 = build_group(CoxeterMatrix.from_rows([[1, 2], [2, 1]]))
-    s0 = a13.simple_reflection(0)
-    y1 = int(a13.refl_index_of_elem[a13.simple_reflection(1)])
-    assert not a13.acts_negatively(s0, y1)
-    # A2: w = s1 s2, y = s2; exhaustive agreement is asserted internally
-    w = a2.elem_of_word((0, 1))
+    a11 = build_group(CoxeterMatrix.from_rows([[1, 2], [2, 1]]))
+    y1 = int(a11.refl_index_of_elem[a11.simple_reflection(1)])
+    assert not acts_negatively(a11, a11.simple_reflection(0), y1)
+    # A2: s1 s2 sends alpha_2 to -(alpha_1 + alpha_2)
+    w = elem_of_word(a2, (0, 1))
     y = int(a2.refl_index_of_elem[a2.simple_reflection(1)])
-    assert a2.acts_negatively(w, y)
+    assert acts_negatively(a2, w, y)
+    # the root criterion agrees with the length drop l(w y) < l(w)
     for g in (a2, groups("B3")):
-        for w in range(g.order):
-            for t in range(len(g.reflections)):
-                g.acts_negatively(w, t)  # raises on disagreement
+        by_root = np.array([[acts_negatively(g, w, t)
+                             for t in range(len(g.reflections))]
+                            for w in range(g.order)], dtype=np.uint8)
+        assert np.array_equal(by_root, q_plus_table_by_length(g))
 
 
 def test_reflection_classes(groups):
@@ -460,7 +472,7 @@ def test_reflection_root_bijection(groups):
         assert len(g.reflections) == g.nroots
         for refl in g.reflections:
             assert g.refl_of_root[refl.root] == refl.index
-            assert g.act_root(refl.elem, refl.root) == refl.root + g.nroots
+            assert g.perms[refl.elem][refl.root] == refl.root + g.nroots
 
 
 def test_reduced_and_palindromic_expressions(groups):
@@ -468,7 +480,7 @@ def test_reduced_and_palindromic_expressions(groups):
     s0 = a2.simple_reflection(0)
     assert reduced_expressions(a2, s0) == {(0,)}
     assert palindromic_expressions(a2, int(a2.refl_index_of_elem[s0])) == {(0,)}
-    x = a2.elem_of_word((0, 1, 0))
+    x = elem_of_word(a2, (0, 1, 0))
     assert reduced_expressions(a2, x) == {(0, 1, 0), (1, 0, 1)}
     assert palindromic_expressions(a2, int(a2.refl_index_of_elem[x])) == \
         {(0, 1, 0), (1, 0, 1)}
@@ -485,7 +497,7 @@ def test_palindromic_cross_route_battery(groups):
             words = palindromic_expressions(g, refl.index)
             for w in words:
                 assert w == tuple(reversed(w))
-                assert g.elem_of_word(w) == refl.elem
+                assert elem_of_word(g, w) == refl.elem
                 assert len(w) == g.length(refl.elem)
 
 
@@ -531,18 +543,18 @@ def test_graph_paths_have_uniform_length(groups):
 def test_length_trichotomy(groups):
     a2 = groups("A2")
     # beta = alpha: commute
-    assert a2.length_trichotomy(0, 0) is Trichotomy.COMMUTE
+    assert length_trichotomy(a2, 0, 0) is Trichotomy.COMMUTE
     # A2: beta = alpha_2, alpha = alpha_1 -> up (lengths 1 -> 3)
-    assert a2.length_trichotomy(1, 0) is Trichotomy.UP
+    assert length_trichotomy(a2, 1, 0) is Trichotomy.UP
     # beta = alpha_1 + alpha_2 (the non-simple root), alpha = alpha_1 -> down
     nonsimple = next(r for r in range(a2.nroots) if r > 1)
-    assert a2.length_trichotomy(nonsimple, 0) is Trichotomy.DOWN
+    assert length_trichotomy(a2, nonsimple, 0) is Trichotomy.DOWN
     # exhaustive internal consistency on a battery
     for name in ("A3", "B3", "I2(6)"):
         g = groups(name)
         for r in range(g.nroots):
             for i in range(g.rank):
-                g.length_trichotomy(r, i)
+                length_trichotomy(g, r, i)
 
 
 def test_chebyshev_polynomials():
@@ -582,7 +594,7 @@ def test_chebyshev_sin_relation():
 
 def test_chebyshev_sequences(groups):
     b2 = groups("B2")
-    reports = b2.chebyshev_sweep()
+    reports = chebyshev_sweep(b2)
     assert reports, "B2 admits at least one admissible (beta, i, j)"
     assert any(r.tag == "even-shortcut" for r in reports)
     for rep in reports:
@@ -595,16 +607,16 @@ def test_chebyshev_sequences(groups):
             assert rep.end_length == rep.start_length - 2 * rep.m + 2
 
     b3 = groups("B3")
-    reports = b3.chebyshev_sweep()
+    reports = chebyshev_sweep(b3)
     tags = {r.tag for r in reports}
     assert "even-shortcut" in tags and "length-drop" in tags
 
     # hypotheses rejected cleanly
     with pytest.raises(PreconditionFailed):
-        b2.chebyshev_sequence(0, 0, 1)  # beta simple
+        chebyshev_sequence(b2, 0, 0, 1)  # beta simple
     a2 = groups("A2")
     with pytest.raises(PreconditionFailed):
-        a2.chebyshev_sequence(2, 0, 1)  # no orthogonal simple root in A2
+        chebyshev_sequence(a2, 2, 0, 1)  # no orthogonal simple root in A2
 
 
 def test_odd_components():

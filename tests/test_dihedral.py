@@ -13,14 +13,12 @@ from coxrack.dihedral import (
     direct_sum,
     dynkin_diagram,
     exterior_coefficients,
-    identify_u_modules,
     u_module,
-    u_module_cocycle,
-    v0_module,
     v31_module,
 )
 from coxrack.nichols import hilbert_coeffs, total_dimension
 from coxrack.racks import q_minus, q_plus, reflection_rack
+from oracles import identify_u_modules, u_module_cocycle, v0_module
 
 
 @pytest.fixture(scope="module")

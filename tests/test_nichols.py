@@ -39,7 +39,6 @@ from coxrack.nichols import (
     hilbert_coeffs,
     is_quadratic_through,
     ladder_ranks_iter,
-    symmetrizer_dense_mod,
     symmetrizer_factorized_exact,
     total_dimension,
     word_operator,
@@ -56,6 +55,7 @@ from oracles import (
     perm_operator,
     rank_mod,
     symmetrizer_literal_exact,
+    symmetrizer_mod,
     verify_matsumoto_invariance,
 )
 
@@ -197,14 +197,16 @@ def test_factorized_equals_literal_small(spaces):
 
 
 def test_dense_mod_matches_exact_reduction(spaces):
-    V = spaces("A2")
-    p = primes_one_mod(V.k, 1)[0]
-    omega = root_of_unity_mod(p, V.k)
-    for n in (2, 3):
-        dense = symmetrizer_dense_mod(V, n, p, omega)
-        exact = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
-        # k = 2: power basis is just the rational part
-        assert np.array_equal(dense, exact[:, :, 0] % p)
+    # the dense mod-p symmetrizer (is_quadratic_through reads its degree-2
+    # kernel off it) is the literal sum's power-basis form read at omega
+    for V in (spaces("A2"), dihedral_yd(5, [(5, 1), (5, 3)])):
+        p = primes_one_mod(V.k, 1)[0]
+        omega = root_of_unity_mod(p, V.k)
+        zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
+        for n in (2, 3):
+            exact = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
+            assert np.array_equal(symmetrizer_mod(V, n, p, omega),
+                                  exact @ zpow[:exact.shape[-1]] % p)
 
 
 def test_trivial_degrees(spaces):
@@ -430,7 +432,7 @@ def test_symmetrizer_block_diagonal_in_grade(spaces, name, which):
         blocks = {tuple(grade.tolist()): piv.size
                   for grade, piv in zip(level.grades, level.pivots)
                   if piv.size}
-        dense = symmetrizer_dense_mod(V, n, p, omega)
+        dense = symmetrizer_mod(V, n, p, omega)
         grades = word_grades(V, n)
         label = {grade: i for i, grade in enumerate(dict.fromkeys(grades))}
         of = np.array([label[grade] for grade in grades])
@@ -665,7 +667,7 @@ def test_quadratic_kernel_dimension(spaces):
     V = spaces("A2")
     p = primes_one_mod(V.k)[0]
     omega = root_of_unity_mod(p, V.k)
-    mat = symmetrizer_dense_mod(V, 2, p, omega)
+    mat = symmetrizer_mod(V, 2, p, omega)
     basis = nullspace_mod(mat, p)
     assert basis.shape[0] == 9 - 4 == 5
     for v in basis:
