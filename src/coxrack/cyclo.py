@@ -17,11 +17,12 @@ serve where entries outgrow int64 (norms, fraction-free elimination).
 
 Signs of real elements are decided exactly: the zero test is the
 coefficient comparison, and a nonzero value is separated from zero by
-rational enclosures of the cosines it sums, or, when those are too wide,
-by interval arithmetic at doubling precision.  A nonzero element of the
-field cannot vanish at the standard embedding (its degree is below
-phi(N)), so the loop terminates; the hard precision cap only exists to
-turn logic errors into loud failures.
+enclosures of the cosines it sums, multiples of 2^-64 summed as integer
+numerators, or, when those are too wide, by interval arithmetic at
+doubling precision.  A nonzero element of the field cannot vanish at
+the standard embedding (its degree is below phi(N)), so the loop
+terminates; the hard precision cap only exists to turn logic errors
+into loud failures.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _cos_enclosures(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """(lo, hi) with lo <= cos(2 pi k / n) <= hi for k < phi(n), rounded
-    outward to multiples of 2^-_COS_BITS.
+def _cos_enclosures(n: int) -> tuple[tuple[int, int], ...]:
+    """Integers (lo, hi) with lo <= 2^_COS_BITS cos(2 pi k / n) <= hi for
+    k < phi(n): the cosines rounded outward to multiples of 2^-_COS_BITS,
+    as numerators.
 
     With a = min(k, n - k) / n, the angle x = 2 pi a lies in [0, pi], and
     x0 = 2 a _PI_LO is within 10^-37 of it, so |cos x - cos x0| < 10^-37.
@@ -105,8 +107,8 @@ def _cos_enclosures(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
             m = (2 * j - 1) * (2 * j) * q2
             num, den = den * m - p2 * num, den * m
         s = Fraction(num, den)
-        out.append((Fraction(math.floor((s - err) * scale), scale),
-                    Fraction(math.ceil((s + err) * scale), scale)))
+        out.append((math.floor((s - err) * scale),
+                    math.ceil((s + err) * scale)))
     return tuple(out)
 
 
@@ -181,13 +183,15 @@ def galois(a: np.ndarray, n: int, j: int) -> np.ndarray:
     return raw @ reduction_matrix(n)
 
 
-def _enclosure(a, n: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo <= value <= hi of a real a.
+def _enclosure(a, n: int) -> tuple[int, int]:
+    """Integers lo <= 2^_COS_BITS value <= hi of a real a.
 
     The value is sum_k a_k cos(2 pi k / n); each cosine is replaced by
-    its cached enclosure, so hi - lo is about sum_k |a_k| 2^-63.
+    its cached enclosure, so hi - lo is about 2 sum_k |a_k|.  The bounds
+    on the value itself are lo and hi times 2^-_COS_BITS, with the same
+    signs.
     """
-    lo = hi = Fraction(0)
+    lo = hi = 0
     for c, (clo, chi) in zip(map(int, a), _cos_enclosures(n)):
         lo += c * (clo if c > 0 else chi)
         hi += c * (chi if c > 0 else clo)

@@ -15,12 +15,18 @@ sign cocycles on reflections are twist equivalent.
 
 No product table is built.  Every product the certificate reads is
 walked down W's BFS tree from the generator permutations of the
-extension, one length level at a time (as in Casselman, "Machine
-calculations in Weyl groups", 1994), and projected to W by the
-numbering: the largest table held is phi itself, |W|^2 bytes.  The
-identities phi satisfies because the extension is a group (the
-2-cocycle and conjugation identities, see phi_rho) are not rechecked
-here; the tests check them against dense-table oracles.
+extension (as in Casselman, "Machine calculations in Weyl groups",
+1994) and projected to W by the numbering.  The checks walk one length
+level at a time, in rows of l or |T| entries.  phi_rho walks depth
+first, holding one row of |W| per element on the path to the root; it
+writes phi transposed and transposes it in place, a pair of tiles at a
+time.  phi_checksum builds its byte stream in blocks of about a
+megabyte, and a second thread hashes each block while the next is
+built.  So the largest table held is phi itself, |W|^2 bytes, and the
+rest is a few int32 rows of |W| per length.  The identities phi
+satisfies because the extension is a group (the 2-cocycle and
+conjugation identities, see phi_rho) are not rechecked here; the tests
+check them against dense-table oracles.
 
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
@@ -31,6 +37,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -376,15 +384,53 @@ def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     return None
 
 
+def _depth_first(g: GroupTable) -> list[int]:
+    """W's elements in depth-first preorder of its BFS tree.
+
+    Each element comes after its parent, and between an element and the
+    next one no longer than it come only its descendants, so a walk that
+    keeps one row per length holds the rows of the path to the root.
+    """
+    children = [[] for _ in range(g.order)]
+    for u, v in enumerate(g._parent[1:].tolist(), 1):
+        children[v].append(u)
+    order, stack = [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    return order
+
+
+def _transpose_in_place(a: np.ndarray):
+    """Transpose the square array a in place, one pair of tiles at a time.
+
+    Tiles of 128 x 128 were the fastest of sides 128 to 1024 on 1152^2
+    and 14400^2 uint8 tables; a tile and its copy stay in cache.
+    """
+    n, t = a.shape[0], 128
+    for i in range(0, n, t):
+        diag = a[i:i + t, i:i + t]
+        diag[...] = diag.T.copy()
+        for j in range(i + t, n, t):
+            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
+            tmp = upper.copy()
+            upper[...] = lower.T
+            lower[...] = tmp.T
+
+
 def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     """Extract the z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1.
 
-    phi is built one column y at a time, walking y down W's BFS tree.
-    rho(y) = y z^f(y), y the lift of y's ShortLex word, f(y) = [rho(y) >=
-    |W|], so the column rho(x) y over all x is the parent's column
-    pushed through gen_perms[last letter of y].  It projects to xy, and
-    rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y) is f(y) plus whether
-    rho(x) y differs from rho(xy).
+    phi is built one column y at a time, walking y down W's BFS tree
+    depth first (_depth_first).  rho(y) = y z^f(y), y the lift of y's
+    ShortLex word, f(y) = [rho(y) >= |W|], so the column rho(x) y over
+    all x is the parent's column pushed through gen_perms[last letter of
+    y], and only the columns on the path to the root are held.  It
+    projects to xy, and rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y)
+    is f(y) plus whether rho(x) y differs from rho(xy), read from a
+    table over the 2|W| elements.  Column y is written as row y of phi
+    transposed, and one in-place tiled transpose gives the x-major table.
 
     phi needs no check of its own; what it rests on is checked in
     O(|W|).  The relators close at every point (coset_enumeration), so
@@ -405,12 +451,23 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
     The tests check both against the dense-table oracles.
     """
     n, rho = g.order, sec.rho
-    flip = rho >= n
-    table = np.empty((n, n), dtype=np.uint8)
-    for lo, hi, prod in _tree_walk(g, rho, lambda c, s: ext.gen_perms[s, c]):
-        # prod[k, x] = rho(x) y for y = lo + k
-        differ = prod != rho[prod % n]
-        table[:, lo:hi] = (differ ^ flip[lo:hi, None]).T
+    elems = np.arange(2 * n)
+    differ = (elems != rho[elems % n]).astype(np.uint8)
+    bits = (differ, differ ^ 1)            # bits[f(y)][rho(x) y] = phi(x, y)
+    flip = (rho >= n).tolist()
+    length, last = g.length_arr.tolist(), g._last.tolist()
+    table = np.empty((n, n), dtype=np.uint8)     # phi transposed, then phi
+    path = np.empty((length[-1] + 1, n), dtype=np.int32)
+    path[0] = rho
+    # the indices are elements of the extension, all in range; "clip"
+    # only keeps np.take from buffering `out`, as its default "raise" does
+    for y in _depth_first(g):
+        d = length[y]
+        if d:
+            np.take(ext.gen_perms[last[y]], path[d - 1], out=path[d],
+                    mode="clip")
+        np.take(bits[flip[y]], path[d], out=table[y], mode="clip")
+    _transpose_in_place(table)
     return GroupCocycle2(table=table)
 
 
@@ -437,41 +494,107 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
 # ---------------------------------------------------------------------------
 
 
-CHECKSUM_BLOCK_BYTES = 1 << 22   # bytes hashed per update in phi_checksum
+CHECKSUM_BLOCK_BYTES = 1 << 20   # bytes of whole rows per block in phi_checksum
 
 
 def phi_checksum(phi: GroupCocycle2) -> str:
     """Order-independent digest: sha256 over the sorted (x, y, bit) lines.
 
     The byte stream is the concatenation of f"{x},{y},{bit}\\n" over x,
-    then y.  It is built a block of rows at a time: rows whose x has the
-    same number of digits share one template, in which only the digits
-    of x and the bits change.
+    then y, built in blocks by _checksum_blocks and hashed on a second
+    thread by _sha256_behind.
     """
-    table = phi.table
-    h = hashlib.sha256()
+    return _sha256_behind(_checksum_blocks(phi.table))
+
+
+def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
+    """Rows of the `width` decimal digits of each v, as ASCII bytes."""
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    return (v[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+
+
+def _checksum_blocks(table: np.ndarray):
+    """Yield phi_checksum's byte stream in blocks of whole rows x.
+
+    Rows whose x has dx digits are laid out alike: for each digit count
+    dy of y, a run of records "x,y,b\\n" of one record dtype, with fields
+    for the dx digits of x, ",y,", the bit and the newline.  Two buffers
+    of about CHECKSUM_BLOCK_BYTES alternate, so a block may be hashed
+    while the next is built.  They start as copies of one template row,
+    and a block only writes the x digits and the bits.
+    """
     n = table.shape[0]
-    ylen = np.array([len(str(y)) for y in range(n)], dtype=np.int64)
-    x0 = 0
-    while x0 < n:
-        dx = len(str(x0))
-        x_end = min(n, 10 ** dx)
-        template = np.frombuffer(
-            "".join(f"{'0' * dx},{y},0\n" for y in range(n)).encode(),
-            dtype=np.uint8)
-        line_len = dx + ylen + 4           # "x,y,b\n"
-        ends = np.cumsum(line_len)
-        starts = ends - line_len
-        rows = max(1, CHECKSUM_BLOCK_BYTES // len(template))
-        for b0 in range(x0, x_end, rows):
-            xs = np.arange(b0, min(b0 + rows, x_end))
-            block = np.tile(template, (len(xs), 1))
-            for k in range(dx):
-                digit = xs // 10 ** (dx - 1 - k) % 10 + ord("0")
-                block[:, starts + k] = digit[:, None]
-            block[:, ends - 2] = table[xs] + ord("0")
-            h.update(block)
-        x0 = x_end
+    runs = [(10 ** (d - 1) if d > 1 else 0, min(n, 10 ** d), d)
+            for d in range(1, len(str(n - 1)) + 1)]   # [lo, hi) with d digits
+    for x0, x1, dx in runs:
+        recs = [np.dtype([("x", "u1", dx), ("y", "u1", dy + 2), ("bit", "u1"),
+                          ("nl", "u1")]) for _, _, dy in runs]
+        offsets = np.cumsum([0] + [(hi - lo) * rec.itemsize
+                                   for (lo, hi, _), rec in zip(runs, recs)])
+        template = np.empty(offsets[-1], dtype=np.uint8)
+        for (lo, hi, dy), a, b, rec in zip(runs, offsets, offsets[1:], recs):
+            view = template[a:b].view(rec)
+            view["y"] = ord(",")
+            view["y"][:, 1:-1] = _ascii_digits(np.arange(lo, hi), dy)
+            view["nl"] = ord("\n")
+        rows = min(x1 - x0, max(1, CHECKSUM_BLOCK_BYTES // template.size))
+        buffers = []
+        for _ in range(2):
+            buf = np.broadcast_to(template, (rows, template.size)).copy()
+            buffers.append((buf, [buf[:, a:b].view(rec) for a, b, rec
+                                  in zip(offsets, offsets[1:], recs)]))
+        for k, r0 in enumerate(range(x0, x1, rows)):
+            r1 = min(r0 + rows, x1)
+            buf, views = buffers[k % 2]
+            xd = _ascii_digits(np.arange(r0, r1), dx)
+            for (lo, hi, _), view in zip(runs, views):
+                view = view[:r1 - r0]
+                for j in range(dx):     # one digit at a time: long loops
+                    view["x"][..., j] = xd[:, j, None]
+                view["bit"] = table[r0:r1, lo:hi] + ord("0")
+            yield buf[:r1 - r0]
+
+
+def _sha256_behind(blocks) -> str:
+    """The sha256 of the concatenated blocks, hashed on a second thread.
+
+    hashlib releases the GIL while it hashes, so each block is hashed
+    while `blocks` builds the next one.  A block is hashed before the
+    one after it is handed over, so `blocks` may build block k + 2 in
+    block k's buffer.  The worker is joined before this returns or
+    raises, and an error it meets is raised here after the stream ends.
+    """
+    h = hashlib.sha256()
+    slot = [None]                  # the block handed over; None stops
+    handed, idle = threading.Semaphore(0), threading.Semaphore(1)
+    errors = []
+
+    def hash_handed():
+        handed.acquire()
+        while (block := slot[0]) is not None:
+            try:
+                h.update(block)
+            except Exception as exc:    # raised again on the caller's thread
+                errors.append(exc)
+            idle.release()
+            handed.acquire()
+
+    worker = threading.Thread(target=hash_handed, name="phi_checksum-sha256",
+                              daemon=True)
+    worker.start()
+    try:
+        for block in blocks:            # built while the last one hashes
+            idle.acquire()
+            slot[0] = block
+            handed.release()
+            time.sleep(0)   # the GIL to the worker now, not a switch later
+        idle.acquire()                  # the last block is hashed
+    finally:
+        slot[0] = None
+        handed.release()
+        worker.join()
+    if errors:
+        raise errors[0]
     return h.hexdigest()
 
 
@@ -479,17 +602,19 @@ def twist_certificate(g: GroupTable) -> dict:
     """Run the full pipeline and assemble the certificate dictionary.
 
     Raises CertificationError on mathematical falsification, never an
-    expected state.  Raises MemoryError
-    before any work when phi and the walk that fills it would not fit
-    in memory.
+    expected state.  Raises MemoryError before any work when phi and the
+    working set of the stages would not fit in memory.
     """
-    # phi is a |W|^2 uint8 table; at their peak the walks hold about 32
-    # bytes per pair of an element of W and one of its largest length
-    # level (measured on H4 when phi_rho made a second, conjugation walk;
-    # with one walk the estimate is conservative, and a lower constant
-    # needs a new measurement)
+    # phi is a |W|^2 uint8 table.  Besides it, the stages hold a few int32
+    # rows of |W| per length: phi_rho's path to the root, the reflection
+    # conjugation table (|T| is the longest length L) and the extension's
+    # generator arrays; 16 bytes per element of W and per length 0..L
+    # cover them (traced peaks, beyond phi: 771 |W| bytes on H4, where
+    # this allows 976 |W|).  phi_checksum adds at most four buffers of
+    # CHECKSUM_BLOCK_BYTES.
     n = g.order
-    need = n * n + 32 * n * int(np.bincount(g.length_arr).max())
+    need = (n * n + 16 * n * (int(g.length_arr[-1]) + 1)
+            + 4 * CHECKSUM_BLOCK_BYTES)
     limit = _memory_limit_bytes()
     if need > limit:
         raise MemoryError(

@@ -405,6 +405,43 @@ def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "certify", "A3")
     assert code == 1
     assert out == ""
-    # 24^2 bytes for phi, 32 * 24 * 6 for the walks over its widest level
+    # 24^2 bytes for phi, 16 * 24 * 7 for the rows per length up to 6,
+    # 4 * 2^20 for the checksum buffers
     assert err == ("error: out of memory: certifying |W| = 24 needs about "
-                   "5184 bytes, 576 of them for phi, memory limit 2000\n")
+                   "4197568 bytes, 576 of them for phi, memory limit 2000\n")
+
+
+def certify_in_child(name, rlimit_as=None, timeout=600):
+    """`coxrack certify name` in a fresh process, optionally under an
+    address-space limit in bytes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource, sys\n"
+            f"limit = {rlimit_as!r}\n"
+            "if limit:\n"
+            "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from coxrack.cli import main\n"
+            f"sys.exit(main(['certify', {name!r}]))\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+@pytest.mark.slow
+def test_certify_h4_output_pinned():
+    proc = certify_in_child("H4")
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "eca329d516b6c715cc21141e38203fb952b690d159ef7bcb6a5a2fadb774f152")
+
+
+@pytest.mark.slow
+def test_certify_e6_under_4_gib():
+    # phi is 51840^2 bytes, 2.69 GB; the walk that held whole length
+    # levels needed about 6 GB more, and the refusal came before any work
+    proc = certify_in_child("E6", rlimit_as=4 * 2 ** 30)
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(proc.stdout)
+    assert (cert["order_w"], cert["reflections"]) == (51840, 36)
+    assert cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
+    # E6 has m_ij = 2, so the extension does not split
+    assert cert["split"] is False and cert["cohomologous"] is False

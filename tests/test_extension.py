@@ -1,6 +1,10 @@
 """Central extension: enumeration, section, certificates."""
 
+import functools
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,11 +375,21 @@ def test_reduced_cocycle_check_needs_every_simple_reflection(name):
         assert rejected > 0
 
 
-@pytest.mark.parametrize("n", [6, 120, 1152])
+@functools.lru_cache(maxsize=None)
+def random_table_and_digest(n):
+    table = np.random.default_rng(n).integers(0, 2, (n, n), dtype=np.uint8)
+    table.flags.writeable = False
+    return table, line_checksum(table)
+
+
+# x and y cross from one digit count to the next at 10, 100 and 1000
+DIGIT_BOUNDARY_SIZES = [1, 2, 9, 10, 11, 99, 100, 101, 1001]
+
+
+@pytest.mark.parametrize("n", [6, 120, 1152] + DIGIT_BOUNDARY_SIZES)
 def test_phi_checksum_matches_line_oracle(n):
-    rng = np.random.default_rng(n)
-    table = rng.integers(0, 2, (n, n), dtype=np.uint8)
-    assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
+    table, digest = random_table_and_digest(n)
+    assert phi_checksum(GroupCocycle2(table=table)) == digest
 
 
 def test_phi_checksum_one_row_blocks(monkeypatch):
@@ -383,6 +397,102 @@ def test_phi_checksum_one_row_blocks(monkeypatch):
                                               dtype=np.uint8)
     monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
     assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
+
+
+@pytest.mark.parametrize("n", DIGIT_BOUNDARY_SIZES)
+def test_phi_checksum_one_row_blocks_across_digit_boundaries(monkeypatch, n):
+    table, digest = random_table_and_digest(n)
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
+    assert phi_checksum(GroupCocycle2(table=table)) == digest
+
+
+def raised_within(seconds, f, *args):
+    """The exception that f(*args) raises on a daemon thread, or None;
+    fails when the call has not ended after `seconds`."""
+    raised = [None]
+
+    def run():
+        try:
+            f(*args)
+        except Exception as exc:
+            raised[0] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"{f.__name__} did not return"
+    return raised[0]
+
+
+def hashing_threads():
+    return [t for t in threading.enumerate()
+            if t.name == "phi_checksum-sha256"]
+
+
+def test_phi_checksum_error_mid_stream_leaves_no_thread(monkeypatch):
+    table = np.random.default_rng(3).integers(0, 2, (300, 300),
+                                              dtype=np.uint8)
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1000)
+    real = extension._checksum_blocks
+
+    def three_then_fail(table):
+        for k, block in enumerate(real(table)):
+            if k == 3:
+                raise RuntimeError("stream broke")
+            yield block
+
+    monkeypatch.setattr(extension, "_checksum_blocks", three_then_fail)
+    exc = raised_within(30, phi_checksum, GroupCocycle2(table=table))
+    assert isinstance(exc, RuntimeError) and str(exc) == "stream broke"
+    assert not hashing_threads()
+
+
+def test_phi_checksum_raises_a_hashing_error_after_the_stream(monkeypatch):
+    # sha256 refuses a str: the worker's error reaches the caller, and the
+    # worker is joined
+    table = np.random.default_rng(4).integers(0, 2, (300, 300),
+                                              dtype=np.uint8)
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1000)
+    real = extension._checksum_blocks
+
+    def one_str(table):
+        for k, block in enumerate(real(table)):
+            yield "not bytes" if k == 2 else block
+
+    monkeypatch.setattr(extension, "_checksum_blocks", one_str)
+    exc = raised_within(30, phi_checksum, GroupCocycle2(table=table))
+    assert isinstance(exc, TypeError)
+    assert not hashing_threads()
+
+
+def test_phi_checksum_threads_under_fast_switching(monkeypatch):
+    # six checksums at once, each with its own worker, with the thread
+    # switch interval cut to 10 us: a block hashed twice, lost or out of
+    # order changes the digest
+    tables = [np.random.default_rng(k).integers(0, 2, (40 + k, 40 + k),
+                                                dtype=np.uint8)
+              for k in range(6)]
+    want = [line_checksum(t) for t in tables]
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 64)
+    got = [None] * len(tables)
+
+    def digest(k):
+        got[k] = phi_checksum(GroupCocycle2(table=tables[k]))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=digest, args=(k,), daemon=True)
+                   for k in range(len(tables))]
+        for r in runners:
+            r.start()
+        for r in runners:
+            r.join(60)
+        assert not any(r.is_alive() for r in runners)
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
+    assert not hashing_threads()
 
 
 @pytest.fixture
@@ -555,14 +665,42 @@ def test_ext_group_refuses_other_numberings(setups):
 
 
 def test_phi_rho_walks_w_once(setups, monkeypatch):
-    # one walk for phi; the identities it satisfies are left to the oracle
+    # one depth-first walk for phi, visiting each element once, after its
+    # parent; no level-by-level walk besides it
     g, ext, sec = setups("B3")
-    calls = []
-    walk = extension._tree_walk
+    orders, levels = [], []
+    walk = extension._depth_first
+    monkeypatch.setattr(extension, "_depth_first",
+                        lambda g: orders.append(walk(g)) or orders[-1])
+    level_walk = extension._tree_walk
     monkeypatch.setattr(extension, "_tree_walk",
-                        lambda *args: calls.append(1) or walk(*args))
+                        lambda *args: levels.append(1) or level_walk(*args))
     phi_rho(g, ext, sec)
-    assert len(calls) == 1
+    assert len(orders) == 1 and not levels
+    order = orders[0]
+    assert sorted(order) == list(range(g.order)) and order[0] == 0
+    path = [0]                      # the path to the root, as it is walked
+    for y in order[1:]:
+        parent = int(g._parent[y])
+        assert parent in path
+        del path[path.index(parent) + 1:]
+        path.append(y)
+        assert len(path) == g.length(y) + 1
+
+
+def test_phi_rho_holds_phi_and_the_path(setups):
+    # phi plus one int32 row of |W| per length on the path to the root,
+    # with room for per-element tables: 1.92 MB on F4, where a walk that
+    # holds whole length levels peaked at 2.86 MB
+    g, ext, sec = setups("F4")
+    n, depth = g.order, int(g.length_arr[-1]) + 1
+    tracemalloc.start()
+    try:
+        phi_rho(g, ext, sec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n + 4 * n * depth + 512 * n
 
 
 @pytest.mark.parametrize("name", BATTERY)
@@ -665,8 +803,9 @@ def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
     monkeypatch.setattr(extension, "coset_enumeration", no_work)
     monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 90_000)
     g = build_group(preset_matrix("A4"))
-    # 120^2 bytes for phi, 32 * 120 * 22 for the walks over its widest
-    # length level
-    with pytest.raises(MemoryError, match="needs about 98880 bytes, 14400 of "
-                                          "them for phi, memory limit 90000"):
+    # 120^2 bytes for phi, 16 * 120 * 11 for the rows per length up to
+    # 10, 4 * 2^20 for the checksum buffers
+    with pytest.raises(MemoryError, match="needs about 4229824 bytes, 14400 "
+                                          "of them for phi, memory limit "
+                                          "90000"):
         twist_certificate(g)
