@@ -10,10 +10,10 @@ A group is then built in two passes.  First the positive roots are
 enumerated (RootSystem, which stops there) by closing the simple basis
 under the simple reflections; each (root, generator) pair is reflected
 once, and every root is checked to have unit norm and exactly positive
-coordinates.  Then the elements are enumerated as permutations of the
-signed roots, one length level at a time with whole-array operations,
+coordinates.  Then the elements are enumerated by their action on the
+positive roots, one length level at a time with whole-array operations,
 each keyed on its images of the simple roots
-(GroupTable._build_elements).  The permutations make the length
+(GroupTable._build_elements).  These root images make the length
 function, the reflection/positive-root bijection and all conjugation
 questions cheap table lookups.
 
@@ -277,7 +277,8 @@ class RootSystem:
     over Z[zeta_N] in the simple roots; roots 0..l-1 are the simple
     roots.  Signed roots are indexed 0..2R-1: index r < R is the r-th
     positive root, index r + R its negative, and gen_root_perm[i] is
-    s_i acting on them.
+    s_i acting on them.  GroupTable stores an element's images of the
+    positive roots only; w(-beta) = -w(beta) gives the rest.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -359,7 +360,16 @@ class GroupTable(RootSystem):
     """A fully enumerated finite Coxeter group.
 
     Elements are indexed in ShortLex order of their canonical reduced
-    words (identity = 0, s_i = 1 + i); roots as in RootSystem.
+    words (identity = 0, s_i = 1 + i); roots as in RootSystem.  Each
+    table with one row per element is stored at the width its values
+    need:
+      - perms[w, r] is the signed index of w(beta_r) for the R positive
+        roots only, the negatives' images implied, in the narrowest
+        unsigned dtype holding 2R - 1: uint8 for every preset up to E8,
+        uint16 for I2(m) with m > 128;
+      - conj_refl_table() follows the same rule on |T| - 1;
+      - rmult, inv_arr, length_arr and the BFS parents are int32, the
+        BFS last letters uint8.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -376,74 +386,102 @@ class GroupTable(RootSystem):
     def _build_elements(self):
         """Enumerate W breadth-first, one length level at a time.
 
-        An element acts linearly, so its images of the l simple roots fix
-        it: perms[:, :l] is its key.  Only up-moves create elements:
-        w(alpha_i) > 0 iff l(w s_i) = l(w) + 1.  A level's candidates are
-        numbered by first appearance, parent-major and generator-minor,
-        which is ShortLex order of the reduced words; each down-move is an
-        up edge reversed, (w s_i) s_i = w.  Inverses walk the reversed
-        words through rmult and are checked on the simple roots only,
-        w^-1(w(alpha_j)) = alpha_j: an element fixing every simple root is
-        the identity, so this n x l check is complete.
+        Row w of perms holds w's images of the positive roots only (see
+        the class docstring), so w s_i maps beta_r to the row's entry at
+        s_i(beta_r), which is positive except at r = i, where
+        s_i(alpha_i) = -alpha_i and the entry is negated.  An element
+        acts linearly, so its images of the l simple roots fix it:
+        perms[:, :l] is its key.  Only up-moves
+        create elements: w(alpha_i) > 0 iff l(w s_i) = l(w) + 1.  A
+        level's candidates are numbered by first appearance, parent-major
+        and generator-minor, which is ShortLex order of the reduced
+        words; each down-move is an up edge reversed, (w s_i) s_i = w.
+        Inverses walk the reversed words through rmult and are checked on
+        the simple roots only, w^-1(w(alpha_j)) = alpha_j: an element
+        fixing every simple root is the identity, so this n x l check is
+        complete.  Both checks run one length level at a time.
         """
         l, R = self.rank, self.nroots
-        gen = np.array(self.gen_root_perm, dtype=np.int32)
-        level = np.arange(2 * R, dtype=np.int32)[None, :]
-        levels = [level]
-        ident = np.zeros(1, dtype=np.int64)  # the identity's parent and letter
-        parents, lasts = [ident], [ident]
-        edges = []  # up-moves (w, i, w s_i)
+        dtype = np.min_scalar_type(2 * R - 1)
+        # s_i(beta_r) up to sign, and the sign flip v -> -v on signed roots
+        step = np.array(self.gen_root_perm, dtype=np.intp)[:, :R] % R
+        neg = np.roll(np.arange(2 * R), R).astype(dtype)
+
+        def times(rows, p, i, cols):
+            """(w s_i)(beta_r) = w(s_i beta_r) for w = rows[p], r < cols."""
+            out = rows[p[:, None], step[i, :cols]]
+            at = np.arange(len(p))
+            out[at, i] = neg[out[at, i]]
+            return out
+
+        level = np.arange(R, dtype=dtype)[None, :]
+        levels, blocks = [level], [np.full((1, l), -1, dtype=np.int32)]
+        parents = [np.zeros(1, dtype=np.int32)]  # the identity's parent
+        lasts = [np.zeros(1, dtype=np.uint8)]    # and last letter
         lo = 0
         while True:
             hi = lo + len(level)
             p, i = np.nonzero(level[:, :l] < R)
             if len(p) == 0:
                 break
-            keys = level[p[:, None], gen[i, :l]]  # w(s_i(alpha_j))
+            keys = times(level, p, i, l)  # w(s_i(alpha_j))
             # rows as opaque bytes: equality is all that matters here
-            _, first, inverse = np.unique(keys.view(f"V{4 * l}").ravel(),
-                                          return_index=True, return_inverse=True)
+            _, first, inverse = np.unique(
+                keys.view(f"V{keys.itemsize * l}").ravel(),
+                return_index=True, return_inverse=True)
             if hi + len(first) > DEFAULT_ELEMENT_CAP:
                 raise NotFiniteError(
                     f"element enumeration passed {DEFAULT_ELEMENT_CAP} "
                     "elements; the group is finite but larger than the cap")
             seen = first[inverse.ravel()]  # first candidate with the same key
             first = np.sort(first)
-            edges.append((lo + p, i, hi + np.searchsorted(first, seen)))
-            level = level[p[first, None], gen[i[first]]]
+            # the new element of each candidate, numbered from 0 at this level
+            dst = np.searchsorted(first, seen)
+            block = np.full((len(first), l), -1, dtype=np.int32)
+            blocks[-1][p, i] = hi + dst
+            block[dst, i] = lo + p
+            blocks.append(block)
+            p, i = p[first], i[first]
+            level = times(level, p, i, R)
             levels.append(level)
-            parents.append(lo + p[first])
-            lasts.append(i[first])
+            parents.append((lo + p).astype(np.int32))
+            lasts.append(i.astype(np.uint8))
             lo = hi
 
         n = self.order = hi
+        sizes = [len(lev) for lev in levels]
+        bounds = np.cumsum([0] + sizes)
+        # each per-level list is released once its table is whole
         self.perms = np.concatenate(levels)
-        self.length_arr = np.repeat(np.arange(len(levels), dtype=np.int32),
-                                    [len(lev) for lev in levels])
+        del levels
+        self.rmult = rmult = np.concatenate(blocks)
+        del blocks
+        if (rmult < 0).any():
+            raise AssertionError("a right multiple is not an up- or down-move")
+        self.length_arr = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
         parent, last = np.concatenate(parents), np.concatenate(lasts)
         self._parent, self._last = parent, last
 
-        src, gens, dst = map(np.concatenate, zip(*edges))
-        rmult = self.rmult = np.full((n, l), -1, dtype=np.int32)
-        rmult[src, gens] = dst
-        rmult[dst, gens] = src
-        if (rmult < 0).any():
-            raise AssertionError("a right multiple is not an up- or down-move")
-
-        # length via the root system must agree with the BFS word length
-        neg_counts = (self.perms[:, :R] >= R).sum(axis=1)
-        if not np.array_equal(neg_counts, self.length_arr):
-            raise AssertionError("root-counting length disagrees with BFS length")
-
         inv = np.zeros(n, dtype=np.int32)
-        cur = np.arange(n)
-        for b in np.cumsum([len(lev) for lev in levels[:-1]]):
+        cur = np.arange(n, dtype=np.int32)
+        for b in bounds[1:-1]:
             # ids from b on are longer than the steps taken: one more letter
             inv[b:] = rmult[inv[b:], last[cur[b:]]]
             cur[b:] = parent[cur[b:]]
-        if not (self.perms[inv[:, None], self.perms[:, :l]] == np.arange(l)).all():
-            raise AssertionError("inverse table fails on the simple roots")
         self.inv_arr = inv
+
+        simple = np.arange(l)
+        for d, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            rows = self.perms[a:b]
+            # length via the root system must agree with the BFS word length
+            if ((rows >= R).sum(axis=1) != d).any():
+                raise AssertionError(
+                    "root-counting length disagrees with BFS length")
+            img = rows[:, :l]
+            back = self.perms[inv[a:b, None], img % R]
+            back = np.where(img >= R, neg[back], back)
+            if (back != simple).any():
+                raise AssertionError("inverse table fails on the simple roots")
 
     def _build_reflections(self):
         R = self.nroots
@@ -549,15 +587,17 @@ class GroupTable(RootSystem):
         return self._mult
 
     def conj_refl_table(self) -> np.ndarray:
-        """(|W|, |T|) table of w > y as reflection indices.
+        """(|W|, |T|) table of w > y as reflection indices, in the
+        narrowest unsigned dtype holding |T| - 1.
 
         w s_beta w^-1 = s_(w(beta)), and s_(-gamma) = s_gamma, so column y
-        is the reflection of the root perms[w, root(y)] up to sign.
+        is the reflection of the signed root perms[w, root(y)].
         """
         if self._conj_refl is None:
-            roots = np.array([t.root for t in self.reflections], dtype=np.int64)
-            refl_of_root = np.array(self.refl_of_root, dtype=np.int32)
-            self._conj_refl = refl_of_root[self.perms[:, roots] % self.nroots]
+            roots = [t.root for t in self.reflections]
+            of_signed = np.array(2 * self.refl_of_root, dtype=np.min_scalar_type(
+                len(self.reflections) - 1))
+            self._conj_refl = of_signed[self.perms[:, roots]]
         return self._conj_refl
 
     # -- reflection-level operations ----------------------------------------

@@ -386,7 +386,7 @@ class _SpanLadder:
         for label, lo, hi in runs:
             cols = self._assemble(n, prefix[:, lo:hi], last[:, lo:hi],
                                   expo[:, lo:hi])
-            _, piv = row_reduce_mod(np.ascontiguousarray(cols.T), self.p)
+            _, piv = row_reduce_mod(cols.T.copy(), self.p)
             level.pivots[label] = cand[lo:hi][piv]
             level.basis[label] = cols[piv].T.copy()
         ranks = [piv.size for piv in level.pivots]

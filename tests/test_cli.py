@@ -411,8 +411,8 @@ def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
                    "4197568 bytes, 576 of them for phi, memory limit 2000\n")
 
 
-def certify_in_child(name, rlimit_as=None, timeout=600):
-    """`coxrack certify name` in a fresh process, optionally under an
+def cli_in_child(*argv, rlimit_as=None, timeout=600):
+    """`coxrack argv...` in a fresh process, optionally under an
     address-space limit in bytes."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import resource, sys\n"
@@ -420,7 +420,7 @@ def certify_in_child(name, rlimit_as=None, timeout=600):
             "if limit:\n"
             "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "from coxrack.cli import main\n"
-            f"sys.exit(main(['certify', {name!r}]))\n")
+            f"sys.exit(main({list(argv)!r}))\n")
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           timeout=timeout,
                           env={**os.environ, "PYTHONPATH": str(src)})
@@ -428,7 +428,7 @@ def certify_in_child(name, rlimit_as=None, timeout=600):
 
 @pytest.mark.slow
 def test_certify_h4_output_pinned():
-    proc = certify_in_child("H4")
+    proc = cli_in_child("certify", "H4")
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "eca329d516b6c715cc21141e38203fb952b690d159ef7bcb6a5a2fadb774f152")
@@ -438,10 +438,22 @@ def test_certify_h4_output_pinned():
 def test_certify_e6_under_4_gib():
     # phi is 51840^2 bytes, 2.69 GB; the walk that held whole length
     # levels needed about 6 GB more, and the refusal came before any work
-    proc = certify_in_child("E6", rlimit_as=4 * 2 ** 30)
+    proc = cli_in_child("certify", "E6", rlimit_as=4 * 2 ** 30)
     assert proc.returncode == 0, proc.stderr
     cert = json.loads(proc.stdout)
     assert (cert["order_w"], cert["reflections"]) == (51840, 36)
     assert cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
     # E6 has m_ij = 2, so the extension does not split
     assert cert["split"] is False and cert["cohomologous"] is False
+
+
+@pytest.mark.slow
+def test_info_e7_refused_under_1_gib():
+    # |W(E7)| = 2903040 passes the element cap; the int32 tables of all
+    # 2R signed roots took 1.34 GB to get there, the uint8 ones 0.33 GB
+    proc = cli_in_child("info", "E7", rlimit_as=2 ** 30)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"error: element enumeration passed 2000000 elements; the group "
+        b"is finite but larger than the cap\n")

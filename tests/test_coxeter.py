@@ -6,6 +6,7 @@ reflection matrices.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -329,13 +330,33 @@ class LegacyGroupTable(GroupTable):
             self.refl_of_root[refl.root] = refl.index
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
-                                  "I2(6)", "I2(7)", "H3", "D4", "F4", "H4"])
-def test_tables_match_legacy_builder(groups, name):
+# I2(129) has 2R - 1 = 257 signed roots, one more than uint8 holds
+LEGACY_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)",
+                  "I2(7)", "H3", "D4", "F4", "H4", "I2(129)"]
+
+
+@pytest.fixture(scope="module")
+def legacy():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = LegacyGroupTable(preset_matrix(name))
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", LEGACY_PRESETS)
+def test_tables_match_legacy_builder(groups, legacy, name):
     g = groups(name)
-    old = LegacyGroupTable(g.matrix)
+    old = legacy(name)
     assert g.gen_root_perm == old.gen_root_perm
-    for attr in ("perms", "rmult", "length_arr", "inv_arr"):
+    # perms keeps the positive-root columns at the narrowest width
+    R = g.nroots
+    assert g.perms.dtype == (np.uint8 if 2 * R <= 256 else np.uint16)
+    assert np.array_equal(g.perms, old.perms[:, :R])
+    for attr in ("rmult", "length_arr", "inv_arr"):
         new_arr, old_arr = getattr(g, attr), getattr(old, attr)
         assert new_arr.dtype == old_arr.dtype, attr
         assert np.array_equal(new_arr, old_arr), attr
@@ -343,6 +364,30 @@ def test_tables_match_legacy_builder(groups, name):
     assert g.reflections == old.reflections
     assert g.refl_of_root == old.refl_of_root
     assert g.classes == old.classes
+
+
+@pytest.mark.parametrize("name", LEGACY_PRESETS)
+def test_conj_refl_table_matches_legacy_perms(groups, legacy, name):
+    # the reflection of w(beta), read from the legacy 2R-column int32 table
+    g, old = groups(name), legacy(name)
+    roots = [t.root for t in old.reflections]
+    want = np.array(old.refl_of_root)[old.perms[:, roots] % old.nroots]
+    C = g.conj_refl_table()
+    assert C.dtype == np.min_scalar_type(len(g.reflections) - 1)
+    assert np.array_equal(C, want)
+
+
+def test_build_group_e6_holds_narrow_tables():
+    # the uint8 table of positive-root images is 1.9 MB; the int32 table of
+    # all 2R signed roots was 14.9 MB, and its build peaked at 44.5 MB
+    tracemalloc.start()
+    try:
+        g = build_group(preset_matrix("E6"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == KNOWN_ORDERS["E6"] and g.perms.dtype == np.uint8
+    assert peak <= 8 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
@@ -425,7 +470,7 @@ def conj_refl_table_by_mult(g):
 def test_conj_refl_table_matches_mult_oracle(groups, name):
     g = groups(name)
     C = g.conj_refl_table()
-    assert C.dtype == np.int32
+    assert C.dtype == np.uint8
     assert np.array_equal(C, conj_refl_table_by_mult(g))
 
 

@@ -458,6 +458,18 @@ def test_diagonal_braiding_runs_as_one_block():
         assert [grade.tolist() for grade in level.grades] == [[0, 1, 2, 3]]
 
 
+def test_ladder_basis_survives_its_elimination():
+    # one word x x, one candidate: cols.T is a contiguous view of cols, so
+    # eliminating it in place would normalise the stored basis column
+    V = nichols.DiagonalBraidedSpace(3, [[1]])
+    p = primes_one_mod(V.k, count=1)[0]
+    omega = root_of_unity_mod(p, V.k)
+    ladder = nichols._SpanLadder(V, p, omega)
+    assert ladder.extend() == 1
+    # S_2 = 1 + c and c(x x) = zeta x x
+    assert [b.tolist() for b in ladder.levels[2].basis] == [[[(1 + omega) % p]]]
+
+
 @pytest.fixture
 def memo_limit(monkeypatch):
     """Sets the memory limit to `limit` bytes and returns the memo bytes
