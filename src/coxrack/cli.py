@@ -13,7 +13,9 @@ a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,11 +50,11 @@ def _class_indices(g: GroupTable, name: str | None):
     if name is None:
         return None
     classes = g.reflection_classes()
-    try:
-        num = int(name.upper().lstrip("T"))
-    except ValueError:
+    match = re.fullmatch(r"[Tt]?([1-9][0-9]*)", name)
+    if match is None:
         raise InvalidMatrixError(f"bad subrack name {name!r}")
-    if not 1 <= num <= len(classes):
+    num = int(match[1])
+    if num > len(classes):
         raise InvalidMatrixError(
             f"subrack {name!r} out of range; group has {len(classes)} classes")
     return classes[num - 1]
@@ -293,6 +295,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    # Everything alive now (modules, functions, the parser) lives until
+    # exit, so no collection, the one at exit included, should walk it
+    # again: walking these ~21 500 objects was most of the time to exit.
+    gc.freeze()
     try:
         return COMMANDS[args.command](args)
     except CertificationError as exc:

@@ -27,8 +27,6 @@ into loud failures.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -36,8 +34,8 @@ import numpy as np
 SIGN_PREC_START = 64
 SIGN_PREC_CAP = 4096
 
-# pi cut after 37 decimals: 0 <= pi - _PI_LO < 10^-37
-_PI_LO = Fraction(31415926535897932384626433832795028841, 10 ** 37)
+# pi cut after 37 decimals: 0 <= pi - _PI_LO / 10^37 < 10^-37
+_PI_LO = 31415926535897932384626433832795028841
 _COS_BITS = 64   # cosine enclosures are rounded outward to multiples of 2^-64
 _COS_TERMS = 22  # for 0 <= x <= pi the first term left out, x^46/46!, < 2^-110
 
@@ -90,25 +88,26 @@ def _cos_enclosures(n: int) -> tuple[tuple[int, int], ...]:
     as numerators.
 
     With a = min(k, n - k) / n, the angle x = 2 pi a lies in [0, pi], and
-    x0 = 2 a _PI_LO is within 10^-37 of it, so |cos x - cos x0| < 10^-37.
-    The Taylor terms t_j = (-1)^j x0^(2j) / (2j)! alternate in sign and,
-    from j = 1 on, shrink: |t_(j+1) / t_j| = x0^2 / ((2j+1)(2j+2)) < 1.
-    So the partial sum S through j = _COS_TERMS is within 2^-110 of
-    cos x0, and cos x lies in [S - 2^-72, S + 2^-72].  S is summed
-    exactly, by Horner's rule in integers: with y = x0^2,
-    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).
+    x0 = 2 a _PI_LO / 10^37 is within 10^-37 of it, so
+    |cos x - cos x0| < 10^-37.  The Taylor terms t_j = (-1)^j x0^(2j) / (2j)!
+    alternate in sign and, from j = 1 on, shrink:
+    |t_(j+1) / t_j| = x0^2 / ((2j+1)(2j+2)) < 1.  So the partial sum S
+    through j = _COS_TERMS is within 2^-110 of cos x0, and cos x lies in
+    [S - 2^-72, S + 2^-72].  S = num / den is summed exactly, by Horner's
+    rule in integers: with y = x0^2 = p2 / q2,
+    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).  Then the bounds
+    2^64 (S -+ 2^-72) = (2^72 num -+ den) / (2^8 den) are rounded down
+    and up by integer division.
     """
-    scale, err, out = 2 ** _COS_BITS, Fraction(1, 2 ** 72), []
+    out = []
     for k in range(euler_phi(n)):
-        x0 = Fraction(2 * min(k, n - k), n) * _PI_LO
-        p2, q2 = x0.numerator ** 2, x0.denominator ** 2
+        p2, q2 = (2 * min(k, n - k) * _PI_LO) ** 2, (n * 10 ** 37) ** 2
         num = den = 1
         for j in range(_COS_TERMS, 0, -1):
             m = (2 * j - 1) * (2 * j) * q2
             num, den = den * m - p2 * num, den * m
-        s = Fraction(num, den)
-        out.append((math.floor((s - err) * scale),
-                    math.ceil((s + err) * scale)))
+        top, scale = num << (_COS_BITS + 8), den << 8
+        out.append(((top - den) // scale, -((-top - den) // scale)))
     return tuple(out)
 
 

@@ -22,7 +22,7 @@ explicit generator action tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def compatible(r: int, pairs) -> bool:
                for (h2, j2) in ps[a:])
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(NamedTuple):
     """Vertex labels q_ii and edge labels q_ij q_ji (as zeta exponents)."""
 
     k: int
@@ -147,7 +146,6 @@ def exterior_coefficients(dim: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GradedModule:
     """Module graded by group elements with monomial generator actions.
 
@@ -157,36 +155,33 @@ class GradedModule:
     the grading compatibility h V_g = V_(h g h^-1).
     """
 
-    g: GroupTable
-    k: int
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]                  # element ids
-    gen_actions: tuple[MonomialOp, ...]       # one per Coxeter generator
-
-    def __post_init__(self):
-        dim = len(self.labels)
-        if len(self.degrees) != dim:
+    def __init__(self, g: GroupTable, k: int, labels: tuple[str, ...],
+                 degrees: tuple[int, ...],             # element ids
+                 gen_actions: tuple[MonomialOp, ...]):  # one per generator
+        self.g, self.k, self.labels = g, k, labels
+        self.degrees, self.gen_actions = degrees, gen_actions
+        dim = len(labels)
+        if len(degrees) != dim:
             raise ValueError("degree list has the wrong length")
-        for op in self.gen_actions:
-            if op.perm.shape[0] != dim or op.k != self.k:
+        for op in gen_actions:
+            if op.perm.shape[0] != dim or op.k != k:
                 raise ValueError("generator action has the wrong shape")
         # defining relations of the dihedral group act trivially
-        for i, op in enumerate(self.gen_actions):
-            if not op.compose_after(op).equal(MonomialOp.identity(dim, self.k)):
+        one = MonomialOp.identity(dim, k)
+        for i, op in enumerate(gen_actions):
+            if not op.compose_after(op).equal(one):
                 raise ValueError(f"generator {i} does not act as an involution")
-        m = self.g.matrix.entry(0, 1)
-        braid = MonomialOp.identity(dim, self.k)
-        for _ in range(m):
-            braid = braid.compose_after(self.gen_actions[0])
-            braid = braid.compose_after(self.gen_actions[1])
-        if not braid.equal(MonomialOp.identity(dim, self.k)):
+        braid = one
+        for _ in range(g.matrix.entry(0, 1)):
+            braid = braid.compose_after(gen_actions[0])
+            braid = braid.compose_after(gen_actions[1])
+        if not braid.equal(one):
             raise ValueError("the braid relation does not act as the identity")
         # grading compatibility for the generators
-        for i, op in enumerate(self.gen_actions):
-            s = self.g.simple_reflection(i)
+        for i, op in enumerate(gen_actions):
+            s = g.simple_reflection(i)
             for v in range(dim):
-                want = self.g.conj(s, self.degrees[v])
-                if self.degrees[int(op.perm[v])] != want:
+                if degrees[int(op.perm[v])] != g.conj(s, degrees[v]):
                     raise ValueError("action violates the grading rule")
 
     @property

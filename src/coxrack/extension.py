@@ -35,11 +35,10 @@ a serialized counterexample instead of returning False.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +66,7 @@ class CertificationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Generators t_0..t_(l-1) plus central z, with the lifted relations.
 
     Relator words are over a signed alphabet: letter 2g is generator g,
@@ -271,8 +269,7 @@ def is_split(matrix: CoxeterMatrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     """Table of the section rho: W -> extension, as element ids."""
 
     rho: np.ndarray
@@ -281,8 +278,7 @@ class Section:
         return int(self.rho[w])
 
 
-@dataclass(frozen=True)
-class GroupCocycle2:
+class GroupCocycle2(NamedTuple):
     """Group 2-cocycle on W with values in {1, z}, stored as z-exponents."""
 
     table: np.ndarray  # (|W|, |W|) uint8
@@ -564,6 +560,10 @@ def _sha256_behind(blocks) -> str:
     block k's buffer.  The worker is joined before this returns or
     raises, and an error it meets is raised here after the stream ends.
     """
+    # only here: hashlib loads OpenSSL, about 3.6 MB and 5 ms, and only
+    # certify hashes
+    import hashlib
+
     h = hashlib.sha256()
     slot = [None]                  # the block handed over; None stops
     handed, idle = threading.Semaphore(0), threading.Semaphore(1)

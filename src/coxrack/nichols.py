@@ -40,7 +40,7 @@ import math
 import os
 import resource
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,13 +78,11 @@ class DegreeTooLargeError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class MonomialOp:
     """Operator e_j -> zeta^expo[j] e_perm[j] on a tensor basis."""
 
-    k: int
-    perm: np.ndarray
-    expo: np.ndarray
+    def __init__(self, k: int, perm: np.ndarray, expo: np.ndarray):
+        self.k, self.perm, self.expo = k, perm, expo
 
     @classmethod
     def identity(cls, size: int, k: int) -> "MonomialOp":
@@ -253,8 +251,7 @@ def exact_matrix_as_cyclo(arr: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetrizerReport:
+class SymmetrizerReport(NamedTuple):
     """Per-degree rank data of the quantum symmetrizer."""
 
     degree: int

@@ -10,8 +10,6 @@ cohomologous question becomes a linear system over GF(2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coxeter import GroupTable
@@ -29,25 +27,23 @@ class NotClosedError(ValueError):
         super().__init__(f"subset not closed under conjugation: {witness}")
 
 
-@dataclass(frozen=True)
 class Rack:
     """Finite rack: labels plus the left-action table act[i][j] = x_i > x_j."""
 
-    labels: tuple[int, ...]
-    act: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.act) != n or any(len(row) != n for row in self.act):
+    def __init__(self, labels: tuple[int, ...],
+                 act: tuple[tuple[int, ...], ...]):
+        self.labels, self.act = labels, act
+        n = len(labels)
+        if len(act) != n or any(len(row) != n for row in act):
             raise RackAxiomError("action table has the wrong shape")
-        for i, row in enumerate(self.act):
+        for i, row in enumerate(act):
             if sorted(row) != list(range(n)):
                 raise RackAxiomError(f"row {i} of the action is not a permutation")
         for i in range(n):
             for j in range(n):
-                ij = self.act[i][j]
+                ij = act[i][j]
                 for k in range(n):
-                    if self.act[i][self.act[j][k]] != self.act[ij][self.act[i][k]]:
+                    if act[i][act[j][k]] != act[ij][act[i][k]]:
                         raise RackAxiomError(
                             f"self-distributivity fails at ({i}, {j}, {k})")
 
@@ -72,18 +68,15 @@ class Rack:
         return Rack(labels=tuple(self.labels[i] for i in idx), act=tuple(act))
 
 
-@dataclass(frozen=True)
 class RackCocycle:
     """Map X x X -> Z/k, stored as exponents (the value is zeta_k^e)."""
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...]):
+        self.order, self.table = order, table
+        if order < 1:
             raise ValueError("coefficient order must be positive")
-        for row in self.table:
-            if any(not (0 <= e < self.order) for e in row):
+        for row in table:
+            if any(not (0 <= e < order) for e in row):
                 raise ValueError("exponent out of range")
 
     @property

@@ -2,12 +2,14 @@
 the program makes, and helpers the program itself does not need."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
-from coxrack.cyclo import mul, sign
+from coxrack.cyclo import euler_phi, mul, sign
 from coxrack.dihedral import GradedModule, braided_from_graded, u_module
 from coxrack.extension import (
     CertificationError,
@@ -29,6 +31,28 @@ from coxrack.racks import (
     q_plus_table,
     reflection_rack,
 )
+
+
+# -- Cosine enclosures in rational arithmetic -----------------------------------
+
+
+def cos_enclosures_by_fractions(n: int) -> tuple[tuple[int, int], ...]:
+    """cyclo._cos_enclosures(n) as first written, in Fractions: the Taylor
+    sum S of cos x0 through x0^44/44!, x0 = 2 pi min(k, n - k) / n with pi
+    cut after 37 decimals, and floor and ceil of 2^64 (S -+ 2^-72)."""
+    pi_lo = Fraction(31415926535897932384626433832795028841, 10 ** 37)
+    scale, err, out = 2 ** 64, Fraction(1, 2 ** 72), []
+    for k in range(euler_phi(n)):
+        x0 = Fraction(2 * min(k, n - k), n) * pi_lo
+        p2, q2 = x0.numerator ** 2, x0.denominator ** 2
+        num = den = 1
+        for j in range(22, 0, -1):
+            m = (2 * j - 1) * (2 * j) * q2
+            num, den = den * m - p2 * num, den * m
+        s = Fraction(num, den)
+        out.append((math.floor((s - err) * scale),
+                    math.ceil((s + err) * scale)))
+    return tuple(out)
 
 
 # -- Matsumoto section: braid lifts of permutations ----------------------------

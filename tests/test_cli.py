@@ -143,12 +143,23 @@ def test_hilbert_output_pinned(capsys, argv, sha256):
 
 
 def test_hilbert_subrack(capsys):
-    code, out, _ = run(capsys, "hilbert", "B3", "--subrack", "T2",
-                       "--dmax", "4", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert [r["rank_minus"] for r in data["rows"]] == [1, 3, 3, 1, 0]
-    assert data["total_plus"] == data["total_minus"] == 8
+    for name in ("T2", "t2", "2"):
+        code, out, _ = run(capsys, "hilbert", "B3", "--subrack", name,
+                           "--dmax", "4", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert [r["rank_minus"] for r in data["rows"]] == [1, 3, 3, 1, 0]
+        assert data["total_plus"] == data["total_minus"] == 8
+
+
+@pytest.mark.parametrize("name", ["TT1", "T 1", "T+1", "t-1", "T0", "0",
+                                  "T01", "1.0", "T", "", "T1_0", "T\u0661",
+                                  "1T"])
+def test_hilbert_subrack_name_is_strict(capsys, name):
+    # an optional T or t, then a positive decimal, and nothing else
+    code, out, err = run(capsys, "hilbert", "A3", "--subrack", name)
+    assert (code, out) == (1, "")
+    assert err == f"error: bad subrack name {name!r}\n"
 
 
 def test_hilbert_exact_mode(capsys):
@@ -335,41 +346,6 @@ def test_negative_dmax_exits_1():
     assert proc.stderr == "error: dmax must be at least 0, got -1\n"
 
 
-def test_certify_f4_does_not_import_mpmath():
-    # a fresh process: the cosine enclosures decide every root sign and
-    # every leading minor of the form, also for H4 at level 60, the
-    # widest enclosures of any preset
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import contextlib, io, sys\n"
-            "from coxrack.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rcs = [main(['certify', 'F4']), main(['info', 'H4'])]\n"
-            "print(rcs, 'mpmath' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout == "[0, 0] False\n", proc.stderr
-
-
-def test_runs_do_not_import_numpy_ma():
-    # a fresh process: numpy's bare np.unique imports numpy.ma, and the
-    # ladder and the split witness deduplicate by sorting instead
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = ("import contextlib, io, sys\n"
-            "from coxrack.cli import main\n"
-            "rcs = []\n"
-            "for argv in (['hilbert', 'A3', '--dmax', '5'], ['certify', 'A2'],\n"
-            "             ['dihedral', '5', '--summands', '5,1;5,3',\n"
-            "              '--check']):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        rcs.append(main(argv))\n"
-            "print(rcs, 'numpy.ma' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout == "[0, 0, 0] False\n", proc.stderr
-
-
 def test_hilbert_e6_degree_2_labels_grades_as_they_occur():
     # the phi_x of E6 generate a group of 51840 elements; the ladder
     # labels only the grades its words reach, so this takes about a second
@@ -411,19 +387,54 @@ def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
                    "4197568 bytes, 576 of them for phi, memory limit 2000\n")
 
 
-def cli_in_child(*argv, rlimit_as=None, timeout=600):
+def cli_in_child(*argv, rlimit_as=None, timeout=600, after=""):
     """`coxrack argv...` in a fresh process, optionally under an
-    address-space limit in bytes."""
+    address-space limit in bytes.  `after`, Python source, runs in the
+    child once main has returned."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import resource, sys\n"
             f"limit = {rlimit_as!r}\n"
             "if limit:\n"
             "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "from coxrack.cli import main\n"
-            f"sys.exit(main({list(argv)!r}))\n")
+            f"rc = main({list(argv)!r})\n"
+            f"{after}"
+            "sys.exit(rc)\n")
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           timeout=timeout,
                           env={**os.environ, "PYTHONPATH": str(src)})
+
+
+# Modules no command loads:
+#   - mpmath: the cosine enclosures decide every root sign and every leading
+#     minor of the form, also for H4 at level 60, the widest of any preset;
+#   - numpy.ma: numpy's bare np.unique imports it, and the ladder and the
+#     split witness deduplicate by sorting instead;
+#   - fractions and decimal: the enclosures are integer numerators;
+#   - dataclasses: its classes generate code at import.
+NEVER_LOADED = {"mpmath", "numpy.ma", "fractions", "decimal", "dataclasses"}
+FOOTPRINT_RUNS = [
+    ("info", "H4"),
+    ("hilbert", "A3", "--dmax", "5"),
+    ("dihedral", "5", "--summands", "5,1;5,3", "--check"),
+    ("certify", "A2"),
+    ("certify", "F4"),
+]
+
+
+@pytest.mark.parametrize("argv", FOOTPRINT_RUNS, ids=" ".join)
+def test_fresh_process_footprint(argv):
+    # only certify hashes, so only certify loads OpenSSL (_hashlib); main
+    # freezes the heap it starts with, so no collection walks it again
+    proc = cli_in_child(*argv, timeout=120, after=(
+        "import gc, json\n"
+        "print(json.dumps([sorted(sys.modules), gc.get_freeze_count()]),\n"
+        "      file=sys.stderr)\n"))
+    assert proc.returncode == 0, proc.stderr
+    modules, frozen = json.loads(proc.stderr.splitlines()[-1])
+    assert NEVER_LOADED.isdisjoint(modules), NEVER_LOADED.intersection(modules)
+    assert ("_hashlib" in modules) == (argv[0] == "certify")
+    assert frozen > 0
 
 
 @pytest.mark.slow

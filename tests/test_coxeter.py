@@ -85,13 +85,25 @@ def float_closure_order(matrix: CoxeterMatrix, cap: int = 3000) -> int:
     return len(seen)
 
 
+# inputs no preset names: nine commuting A1's, |W| = 512, whose element
+# keys (9 uint8 root images) are one byte wider than a uint64
+EXTRA_MATRICES = {
+    "9A1": CoxeterMatrix.from_rows([[1 if i == j else 2 for j in range(9)]
+                                    for i in range(9)]),
+}
+
+
+def matrix_of(name):
+    return EXTRA_MATRICES.get(name) or preset_matrix(name)
+
+
 @pytest.fixture(scope="module")
 def groups():
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = build_group(preset_matrix(name))
+            cache[name] = build_group(matrix_of(name))
         return cache[name]
 
     return get
@@ -330,9 +342,11 @@ class LegacyGroupTable(GroupTable):
             self.refl_of_root[refl.root] = refl.index
 
 
-# I2(129) has 2R - 1 = 257 signed roots, one more than uint8 holds
+# I2(129) has 2R - 1 = 257 signed roots, one more than uint8 holds.
+# _build_elements keys an element on one uint64 up to 8 key bytes and on a
+# void view beyond: E6 has 6, 9A1 has 9.
 LEGACY_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)",
-                  "I2(7)", "H3", "D4", "F4", "H4", "I2(129)"]
+                  "I2(7)", "H3", "D4", "F4", "H4", "I2(129)", "E6", "9A1"]
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +355,7 @@ def legacy():
 
     def get(name):
         if name not in cache:
-            cache[name] = LegacyGroupTable(preset_matrix(name))
+            cache[name] = LegacyGroupTable(matrix_of(name))
         return cache[name]
 
     return get

@@ -20,6 +20,7 @@ from coxrack.cyclo import (
     sign,
 )
 from coxrack import cyclo
+from oracles import cos_enclosures_by_fractions
 
 
 def numeric(a, n: int, dps: int = 50) -> complex:
@@ -167,6 +168,17 @@ def test_cos_enclosures_contain_cosines(n):
 
 SIGN_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4",
                 "E6", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(12)"]
+
+
+def test_cos_enclosures_match_fraction_formula():
+    # the same bounds as the Fraction arithmetic they replace, so every
+    # sign is decided as before: at each level below 121 and each level
+    # of a preset the tests or the benchmark build
+    names = SIGN_PRESETS + ["D5", "E7", "E8", "I2(4)", "I2(129)"]
+    levels = set(range(1, 121)) | {preset_matrix(m).global_level
+                                   for m in names}
+    for n in sorted(levels):
+        assert _cos_enclosures(n) == cos_enclosures_by_fractions(n), n
 
 
 @pytest.mark.parametrize("name", SIGN_PRESETS)
