@@ -16,7 +16,6 @@ from .cyclo import regular_matrix
 
 PRIME_LOWER = 1 << 30
 PRIME_UPPER = (1 << 31) - 1  # keeps products inside int64 during elimination
-LIMB_BITS = 8                # matmul_mod splits its right factor into these
 MATMUL_CHUNK = 1 << 13       # inner terms summed per float64 product
 
 
@@ -113,17 +112,15 @@ def row_reduce_mod(a: np.ndarray, p: int, full: bool = False):
             a[[row, hit]] = a[[hit, row]]
         inv = pow(int(a[row, col]), p - 2, p)
         a[row, col:] = a[row, col:] * inv % p
-        if nonzero.size > 1:
-            # after the swap the nonzero entries below the pivot sit where
-            # they did before it
-            idx = nonzero[1:] + row
-            a[idx, col:] = (a[idx, col:]
-                            - a[idx, col, None] * a[row, col:]) % p
+        # after the swap the nonzero entries below the pivot sit where
+        # they did before it
+        idx = nonzero[1:] + row
         if full:
-            idx = a[:row, col].nonzero()[0]
-            if idx.size:
-                a[idx, col:] = (a[idx, col:]
-                                - a[idx, col, None] * a[row, col:]) % p
+            idx = np.concatenate((a[:row, col].nonzero()[0], idx))
+        if idx.size:
+            rest = a[idx, col:]
+            rest -= rest[:, :1] * a[row, col:]
+            a[idx, col:] = rest % p
         pivots.append(col)
         row += 1
     return a, pivots
@@ -156,39 +153,41 @@ def solve_in_span_mod(d: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact a @ b mod p on float64 BLAS, for residues of a prime p < 2^31.
+    """Exact a @ b mod p for residues of a prime p < 2^31, of matrices or
+    of stacks of them as for np.matmul.
 
-    numpy's int64 product has no BLAS kernel.  Here b is split into 8-bit
-    limbs, b = sum_l b_l 2^(8l), and each a @ b_l runs in float64 over at
-    most 2^13 inner terms.  A term is below 2^31 * 2^8 = 2^39, so every
-    partial sum is an integer below 2^52 and float64 holds it exactly,
-    whatever order BLAS adds in.  The limb products are recombined in
-    int64 by Horner's rule, reducing mod p between steps, and the chunks
-    are summed mod p.
+    Unless int64 holds the inner sums, the product runs on float64 BLAS
+    in chunks of k <= 2^13 inner terms: b splits into L limbs of s bits,
+    b = sum_l b_l 2^(sl), L the least with L k (p - 1) (2^s - 1) < 2^53,
+    and a @ b = [a 2^(s(L-1)) mod p, .., a] @ [b_(L-1); ..; b_0] (mod p)
+    is one product whose partial sums are integers below 2^53, which
+    float64 holds exactly in any order of addition.
     """
     if p > PRIME_UPPER:
         raise ValueError(f"modulus {p} is above {PRIME_UPPER}")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    nlimbs = -(-(p - 1).bit_length() // LIMB_BITS)
-    mask = (1 << LIMB_BITS) - 1
-    for lo in range(0, a.shape[1], MATMUL_CHUNK):
-        af = a[:, lo:lo + MATMUL_CHUNK].astype(np.float64)
-        bc = b[lo:lo + MATMUL_CHUNK]
-        # from the top limb down: acc < p * 2^8 + 2^52 stays exact in int64
-        acc = None
-        for limb in reversed(range(nlimbs)):
-            bl = ((bc >> (LIMB_BITS * limb)) & mask).astype(np.float64)
-            part = (af @ bl).astype(np.int64)
-            if acc is None:
-                acc = part
-            else:
-                acc %= p
-                acc <<= LIMB_BITS
-                acc += part
+    if a.shape[-1] * (p - 1) ** 2 < 1 << 63:    # int64 holds every sum
+        return a @ b % p
+    out = None
+    pbits = (p - 1).bit_length()
+    for lo in range(0, a.shape[-1], MATMUL_CHUNK):
+        part_a = a[..., lo:lo + MATMUL_CHUNK]
+        part_b = b[..., lo:lo + MATMUL_CHUNK, :]
+        limbs = 1
+        while limbs * part_a.shape[-1] * (p - 1) * (
+                (1 << -(-pbits // limbs)) - 1) >= 1 << 53:
+            limbs += 1
+        bits = -(-pbits // limbs)
+        left = np.concatenate([part_a * pow(2, bits * l, p) % p
+                               for l in reversed(range(1, limbs))]
+                              + [part_a], axis=-1)
+        right = np.concatenate([part_b >> (bits * l) & ((1 << bits) - 1)
+                                for l in reversed(range(limbs))], axis=-2)
+        acc = np.matmul(left.astype(np.float64),
+                        right.astype(np.float64)).astype(np.int64)
         acc %= p
-        out = acc if lo == 0 else (out + acc) % p
+        out = acc if out is None else (out + acc) % p
     return out
 
 

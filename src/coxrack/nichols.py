@@ -14,22 +14,23 @@ phi_x: y -> x > y, and the braid equation gives phi_x o phi_y =
 phi_(x > y) o phi_x, so every braid lift keeps the grade g(u) =
 phi_(u_1) o ... o phi_(u_n) of a word u and S_n is block diagonal in it:
 the column at u lies in block g(u).  The modular rank ladder never
-assembles the d^n columns of a degree: the columns at the words x_i w,
-w running over the pivot words of the previous degree, already span
-the image (proof in ladder_ranks_iter), and each block of them is
-eliminated on its own, in slot coordinates: slot (b, j) of a column in
-block g is the j-th pivot of the previous degree's block g o phi_b^-1.
-The slot coordinates of the other words those columns need are
-computed on demand and memoized per degree.  The only limit is the
-memory limit in bytes: a candidate block or a memo batch that would
-pass it is refused with DegreeTooLargeError before it is built.  Every
-rank query (hilbert_coeffs, total_dimension, the quadraticity probe)
-runs the ladder once per prime through _ladder_runs, which stops each
-run at the requested degree or its first zero rank.  Exact ranks come
-from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
-pin the factorization against the literal sum, and the ladder against
-the dense d^n assembly and the exact rank over Q(zeta_k) of its
-integer power-basis form: symmetrizer_factorized_exact, with
+assembles the d^n columns of a degree: the columns at the candidates
+x w, w over the pivots of the previous degree, span the image, and each
+block of them is eliminated on its own, in left slot coordinates
+(proofs in ladder_ranks_iter).  The column at x w is e_x (x) [w] plus
+(Phi_x (x) L_x) of the column at w, L_x the left multiplication by x
+one degree lower, read off that degree's reduced echelon form; so the
+ladder holds one degree, its pivot columns and letter matrices.  A
+degree whose largest candidate block, the factors of its products, or
+whose pivot columns and letter matrices would pass the memory limit is
+refused with DegreeTooLargeError before it is built.  Every rank query
+(hilbert_coeffs, total_dimension, the quadraticity probe) runs the
+ladder once per prime through _ladder_runs, which stops each run at the
+requested degree or its first zero rank.  Exact ranks come from the
+same ladder at enough primes (proof in hilbert_coeffs).  Tests pin the
+factorization against the literal sum, and the ladder against the dense
+d^n assembly and the exact rank over Q(zeta_k) of its integer
+power-basis form: symmetrizer_factorized_exact, with
 exact_matrix_as_cyclo and modlin.rank_exact_cyclo, which stay here as
 benchmark trace targets (the other oracles are in tests/oracles.py).
 """
@@ -50,15 +51,12 @@ from .modlin import (
     primes_one_mod,
     root_of_unity_mod,
     row_reduce_mod,
-    solve_in_span_mod,
 )
 from .cyclo import euler_phi, reduction_matrix
 from .racks import Rack, RackCocycle
 
 PRIME_COUNT = 2           # primes of a modular run
 MAX_TOTAL_DEGREE = 64     # give up searching for the top degree here
-MEMO_CHUNK_CELLS = 1 << 20  # int64 cells of one batch of memoized columns
-INT64_MAX = (1 << 63) - 1
 
 
 class BraidEquationError(ValueError):
@@ -70,7 +68,7 @@ class BraidEquationError(ValueError):
 
 
 class DegreeTooLargeError(RuntimeError):
-    """A degree does not fit in int64 word indices or in memory."""
+    """A degree of the rank ladder would pass the memory limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -284,307 +282,250 @@ def _memory_limit_bytes() -> int:
     return phys if soft == resource.RLIM_INFINITY else min(phys, soft)
 
 
-class _ImageLevel:
-    """Degree m of the ladder, block by block (see ladder_ranks_iter).
+class _Level:
+    """One degree n of the ladder, block by block (see ladder_ranks_iter).
 
-    Blocks are labelled 0, 1, ... as their grades occur: `grades[l]` is
-    the grade of block l, a permutation of the basis, and `label` maps
-    its bytes back to l.  `down[l][b]` labels, at degree m - 1, the
-    block grades[l] o phi_b^-1 of the prefix of a block-l word ending in
-    letter b.  Block l keeps `pivots[l]`, its pivot words, and
-    `basis[l]`, the columns of S_m at them in slot coordinates: `rows` =
-    d * width_(m-1) of them, row b * width_(m-1) + j for letter b and
-    the j-th pivot of block down[l][b].  `sel[l]`/`inv[l]`, a square
-    block of pivot rows and its inverse, are set when degree m + 1 first
-    needs coordinates; a block that only memo words reach has no pivots.
-    `words` (sorted) and `gam` are the memo: row i of `gam` is
-    gamma_m(words[i]), the coordinates of the column of S_m at that word
-    in its block's pivot basis, padded with zeros to `width`, the largest
-    block rank.
+    Row l of `grades` is the grade of block l, labelled as grades occur;
+    `label` maps its bytes back to l.  down[l, a] labels, at degree n - 1,
+    the block phi_a^-1 o grades[l], or is len(rank) there, a block of rank
+    0, if no candidate reached it.  Slot (a, j), letter a and the j-th
+    pivot of block down[l, a], is row off[l, a] + j of block l, and
+    candidate (x, j), x times that pivot, is column off[l, x] + j.  In
+    flat int32 arrays, from its start in bstart, lstart and cstart, block
+    l keeps its pivot columns (basis, row-major) and the coordinates of
+    its candidates in them (letters, the letter matrices L_x side by
+    side, one row per pivot).  Pivot candidates have unit coordinates, so
+    letters keeps the other columns only: cmap maps a candidate to its
+    column there, or the i-th pivot candidate to -1 - i.
     """
 
-    def __init__(self, rows: int):
-        self.rows = rows
-        self.grades, self.label, self.down = [], {}, []
-        self.pivots, self.basis, self.sel, self.inv = [], [], [], []
-        self.width = 0
-        self.words = np.empty(0, dtype=np.int64)
-        self.gam = np.empty((0, 0), dtype=np.int64)
+    def __init__(self, grades, label, down, off):
+        self.grades, self.label, self.down, self.off = grades, label, down, off
+        self.rank = np.zeros(len(grades), dtype=np.int64)
+        self.basis = self.letters = self.cmap = np.empty(0, dtype=np.int32)
+        self.bstart, self.lstart, self.cstart = np.zeros(
+            (3, len(grades) + 1), dtype=np.int64)
 
 
-def _runs(labels: np.ndarray):
-    """(label, start, stop) of each run of equal values in a sorted array."""
-    cut = np.flatnonzero(labels[1:] != labels[:-1]) + 1
-    starts = np.concatenate(([0], cut)).tolist()
-    stops = np.concatenate((cut, [labels.size])).tolist()
-    return zip(labels[starts].tolist(), starts, stops)
+def _keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-d array."""
+    buf = np.ascontiguousarray(rows).tobytes()
+    step = rows.shape[1] * rows.itemsize
+    return [buf[at:at + step] for at in range(0, len(buf), step)]
 
 
 class _SpanLadder:
-    """Ranks of S_2, S_3, ... over GF(p) from spanning columns, block by
-    block (see ladder_ranks_iter)."""
+    """Ranks of S_1, S_2, ... over GF(p) from spanning columns, block by
+    block, holding one degree (see ladder_ranks_iter)."""
 
     def __init__(self, V: BraidedSpace, p: int, omega: int):
         d = V.dim
-        self.d, self.k, self.p = d, V.k, p
+        self.d, self.p = d, p
         self.limit = _memory_limit_bytes()
-        self.tgt = np.array(V.target, dtype=np.int64).reshape(d, d)
-        self.tinv = np.argsort(self.tgt, axis=1)    # row b is phi_b^-1
-        self.expo = np.array(V.expo, dtype=np.int64).reshape(d, d)
+        # grades are permutations in the smallest integer type of a letter
+        self.tgt = np.array(V.target, dtype=np.min_scalar_type(d))
+        self.tinv = np.argsort(self.tgt, axis=1).astype(self.tgt.dtype)
+        self.expo = np.array(V.expo, dtype=np.int64)
         self.zpow = np.array([pow(omega, e, p) for e in range(V.k)],
                              dtype=np.int64)
-        # degree 1: S_1 = id, letter x is a pivot of the block of phi_x
-        first = _ImageLevel(0)
-        labels = self._labels(first, self.tgt)
-        order = np.argsort(labels, kind="stable")
-        place = np.empty(d, dtype=np.int64)
-        for label, lo, hi in _runs(labels[order]):
-            first.pivots[label] = order[lo:hi]
-            place[order[lo:hi]] = np.arange(hi - lo)
-        first.width = int(place.max()) + 1
-        first.words = np.arange(d, dtype=np.int64)
-        first.gam = np.zeros((d, first.width), dtype=np.int64)
-        first.gam[first.words, place] = 1
-        self.levels = [None, first]
+        # degree 0: the empty word, one block of rank 1 and no slots
+        ident = np.arange(d, dtype=self.tgt.dtype)[None]
+        self.level = _Level(ident, {ident.tobytes(): 0},
+                            np.zeros((1, d), dtype=np.int64),
+                            np.zeros((1, d + 1), dtype=np.int64))
+        self.level.rank[0] = 1
+        self.degree = 0
+        self.extend()
 
     def extend(self) -> int:
         """Rank of the next degree n: the sum over its blocks of the rank
-        of the columns at the words x_i w in the block."""
-        n = len(self.levels)
-        if self.d ** n > INT64_MAX:
-            raise DegreeTooLargeError(
-                f"degree {n} words do not fit in int64 indices")
-        d, prev = self.d, self.levels[-1]
-        level = _ImageLevel(d * prev.width)
-        # x_i w lies in the block phi_(x_i) o g(w)
-        live = [label for label, piv in enumerate(prev.pivots) if piv.size]
-        grades = self.tgt[:, [prev.grades[label] for label in live]]
-        blocks = np.repeat(
-            self._labels(level, grades.reshape(-1, d)).reshape(d, -1),
-            [prev.pivots[label].size for label in live], axis=1).ravel()
-        cand = (np.arange(d, dtype=np.int64)[:, None] * d ** (n - 1)
-                + np.concatenate([prev.pivots[label] for label in live])
-                ).ravel()
-        order = np.argsort(blocks, kind="stable")
-        cand, blocks = cand[order], blocks[order]
-        runs = list(_runs(blocks))
-        size = max(hi - lo for _, lo, hi in runs)
-        # the largest block's size x rows int64 columns and the transposed
-        # copy that elimination works on must fit in memory
-        need = 16 * size * level.rows
+        of the columns at their candidates."""
+        d, prev = self.d, self.level
+        n = self.degree + 1
+        below = np.append(prev.rank, 0)     # rank of a degree n - 1 label
+        # x w lies in the block phi_x o g(w)
+        occur = self.tgt[:, prev.grades[prev.rank > 0]].reshape(-1, d)
+        label = {key: l for l, key in enumerate(dict.fromkeys(_keys(occur)))}
+        grades = np.frombuffer(b"".join(label), dtype=self.tgt.dtype).reshape(
+            -1, d)
+        down = np.array([prev.label.get(key, len(prev.rank)) for key in _keys(
+            self.tinv[:, grades].transpose(1, 0, 2).reshape(-1, d))],
+            dtype=np.int64).reshape(-1, d)
+        off = np.zeros((len(grades), d + 1), dtype=np.int64)
+        np.cumsum(below[down], axis=1, out=off[:, 1:])
+        sizes = off[:, -1]
+        # the largest block, c x c with c <= rows = d * width, and the copy
+        # that elimination works on must fit in memory
+        size, rows = int(sizes.max()), d * int(prev.rank.max())
+        need = 16 * size * rows
         if need > self.limit:
             raise DegreeTooLargeError(
                 f"degree {n} needs {need} bytes for two copies of its "
-                f"largest candidate block, {size} columns of {level.rows} "
-                f"rows, memory limit {self.limit}")
-        self.levels.append(level)
-        prefix, last, expo = self._coset_terms(n, cand)
-        self._memoize(n - 1, prefix, last, blocks)
-        for label, lo, hi in runs:
-            cols = self._assemble(n, prefix[:, lo:hi], last[:, lo:hi],
-                                  expo[:, lo:hi])
-            _, piv = row_reduce_mod(cols.T.copy(), self.p)
-            level.pivots[label] = cand[lo:hi][piv]
-            level.basis[label] = cols[piv].T.copy()
-        ranks = [piv.size for piv in level.pivots]
-        level.width = max(ranks)
-        level.gam = np.empty((0, level.width), dtype=np.int64)
-        return sum(ranks)
-
-    def _labels(self, level: _ImageLevel, grades) -> np.ndarray:
-        """Labels at `level` of the rows of `grades`, new grades labelled
-        in order of occurrence as blocks without pivots."""
-        out = np.empty(len(grades), dtype=np.int64)
-        for i, grade in enumerate(grades):
-            key = grade.tobytes()
-            if key not in level.label:
-                level.label[key] = len(level.grades)
-                level.grades.append(grade)
-                level.pivots.append(np.empty(0, dtype=np.int64))
-                level.basis.append(np.zeros((level.rows, 0), dtype=np.int64))
-            out[i] = level.label[key]
-        return out
-
-    def _down(self, m: int) -> np.ndarray:
-        """The table down of degree m (see _ImageLevel), completed."""
-        level, below = self.levels[m], self.levels[m - 1]
-        for grade in level.grades[len(level.down):]:
-            level.down.append(self._labels(below, grade[self.tinv]))
-        return np.array(level.down)
-
-    def _coset_terms(self, m: int, words: np.ndarray):
-        """(prefix, last, exponent) arrays, shape (m, len(words)), of the
-        coset operators T_t = sigma_(m-1) ... sigma_(t+1), t = 0..m-1.
-
-        T_t moves letter x = u_(t+1) of the word u to the end and acts by
-        it on the letters it passes: e_u maps to zeta^e times the word
-        (u_1 .. u_t, x > u_(t+2), .., x > u_m, x), e the sum of the
-        exponents of the crossings (x, u_j).
-        """
-        d = self.d
-        digits = np.array([words // d ** (m - 1 - j) % d for j in range(m)])
-        prefix = np.empty_like(digits)
-        expo = np.empty_like(digits)
-        for t in range(m):
-            x = digits[t]
-            acc = words // d ** (m - t)
-            e = np.zeros_like(x)
-            for y in digits[t + 1:]:
-                acc = acc * d + self.tgt[x, y]
-                e += self.expo[x, y]
-            prefix[t] = acc
-            expo[t] = e % self.k
-        return prefix, digits, expo
-
-    def _assemble(self, m: int, prefix, last, expo) -> np.ndarray:
-        """Columns of S_m = (S_(m-1) (x) id) sum_t T_t at words of one
-        block, one row per word, in the slot coordinates of
-        _ImageLevel.basis."""
-        prev = self.levels[m - 1]
-        size = prefix.shape[1]
-        out = np.zeros((size, self.d, prev.width), dtype=np.int64)
-        at = np.arange(size)
-        for t in range(m):
-            g = prev.gam[np.searchsorted(prev.words, prefix[t])]
-            out[at, last[t]] += g * self.zpow[expo[t]][:, None] % self.p
-        out %= self.p
-        return out.reshape(size, -1)
-
-    def _invert(self, level: _ImageLevel):
-        """sel and inv of the blocks of `level` that have none yet."""
-        for basis in level.basis[len(level.inv):]:
-            _, sel = row_reduce_mod(basis.T.copy(), self.p)
-            level.sel.append(np.array(sel, dtype=np.int64))
-            level.inv.append(solve_in_span_mod(
-                basis[sel], np.eye(len(sel), dtype=np.int64), self.p))
-
-    def _memoize(self, m: int, prefix, last, above):
-        """Add gamma_m of the degree-m words `prefix` to the level-m memo;
-        prefix[t, i] is what T_t leaves of a degree-(m+1) word of block
-        above[i] when it moves letter last[t, i] to the end, so it lies in
-        block down[above[i]][last[t, i]].
-
-        gamma_m(u) = inv * column(u)[sel] in the block of u; the block's
-        basis times gamma_m(u) must give the column back, else the column
-        is outside the pivot span and ValueError is raised.
-        """
-        if m == 1:
-            return                      # degree 1 is complete
-        level = self.levels[m]
-        order = np.argsort(prefix, axis=None)
-        words = prefix.ravel()[order]
-        first = np.empty(words.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(words[1:], words[:-1], out=first[1:])
-        pick, words = order[first], words[first]
-        if level.words.size:
-            at = np.searchsorted(level.words, words)
-            new = level.words[np.minimum(at, level.words.size - 1)] != words
-            pick, words = pick[new], words[new]
-        if words.size == 0:
-            return
-        labels = self._down(m + 1)[above[pick % above.size],
-                                   last.ravel()[pick]]
-        step = max(1, MEMO_CHUNK_CELLS // level.rows)
-        self._check_memory(m, words.size, min(words.size, step))
-        self._invert(level)
-        prefix, last, expo = self._coset_terms(m, words)
-        self._memoize(m - 1, prefix, last, labels)
-        gam = np.zeros((words.size, level.width), dtype=np.int64)
-        order = np.argsort(labels, kind="stable")
-        for lo in range(0, words.size, step):
-            part = order[lo:lo + step]
-            cols = self._assemble(m, prefix[:, part], last[:, part],
-                                  expo[:, part])
-            for label, a, b in _runs(labels[part]):
-                g = matmul_mod(cols[a:b, level.sel[label]],
-                               level.inv[label].T, self.p)
-                bad = np.flatnonzero((matmul_mod(g, level.basis[label].T,
-                                                 self.p)
-                                      != cols[a:b]).any(axis=1))
-                if bad.size:
-                    raise ValueError(
-                        f"degree {m} column of word "
-                        f"{int(words[part[a + bad[0]]])} is not in the span "
-                        "of the pivot columns")
-                gam[part[a:b], :g.shape[1]] = g
-        at = np.searchsorted(level.words, words)
-        level.words = np.insert(level.words, at, words)
-        level.gam = np.insert(level.gam, at, gam, axis=0)
-
-    def _check_memory(self, m: int, count: int, chunk: int):
-        """Refuse a batch of `count` new degree-m words, assembled `chunk`
-        at a time, before it is built, when the memo of every degree plus
-        the batch's peak would pass the memory limit.
-
-        The peak was measured with tracemalloc on the A3 and I2(6) ladders
-        through degrees 10 and 11: about 6m int64 per word for its digits,
-        its coset terms and the sort that finds its distinct prefixes,
-        2(w + 1) for its coordinates and their merged copy (w the width of
-        degree m), 5 int64 per cell of one chunk of slot columns in
-        assembly and the span check, and one copy of the degree-m memo
-        while the batch is merged into it.  That bounds every batch above
-        1 MB by at least 13%.
-        """
-        level = self.levels[m]
-        held = sum(lvl.words.nbytes + lvl.gam.nbytes
-                   for lvl in self.levels[1:])
-        cells = chunk * level.rows
-        batch = (8 * (count * (6 * m + 2 * (level.width + 1)) + 5 * cells)
-                 + level.words.nbytes + level.gam.nbytes)
-        if held + batch > self.limit:
+                f"largest candidate block, {size} columns of {rows} rows, "
+                f"memory limit {self.limit}")
+        pairs, cut, groups = self._pairs(prev, below, down, off)
+        # and so must the factors of a block's products: pair (x, y)
+        # multiplies r_out x inner cells of L_x by inner x r_in pivot rows
+        cells = np.cumsum(np.append(0, pairs[1] * (pairs[0] + pairs[2])))
+        need = 8 * int(np.diff(cells[cut]).max())
+        if need > self.limit:
             raise DegreeTooLargeError(
-                f"degree {m} memo batch of {count} words needs about {batch} "
-                f"bytes on top of the {held} bytes memoized, memory limit "
-                f"{self.limit}")
+                f"degree {n} needs {need} bytes for the factors of the "
+                f"products of its largest block, memory limit {self.limit}")
+        # a block of c candidates and rank r keeps c * r + r * (c - r) <=
+        # c^2 int32 cells, and degree n - 1 is held until degree n is built
+        held = prev.basis.nbytes + prev.letters.nbytes
+        bound = 4 * int((sizes ** 2).sum())
+        if held + bound > self.limit:
+            raise DegreeTooLargeError(
+                f"degree {n} keeps up to {bound} bytes of pivot columns and "
+                f"letter matrices on top of the {held} bytes of degree "
+                f"{n - 1}, memory limit {self.limit}")
+        first, cut = np.searchsorted(groups, cut).tolist(), cut.tolist()
+        level = _Level(grades, label, down, off)
+        basis, letters, cmap = [], [], []
+        for l, size in enumerate(sizes.tolist()):
+            lo, hi = cut[l], cut[l + 1]
+            cols = self._block(prev, pairs[:, lo:hi], size,
+                               groups[first[l]:first[l + 1]] - lo)
+            red, piv = row_reduce_mod(cols.copy(), self.p, full=True)
+            pivot = np.zeros(size, dtype=bool)
+            pivot[piv] = True
+            basis.append(cols[:, piv].astype(np.int32).ravel())
+            letters.append(red[:len(piv), ~pivot].astype(np.int32).ravel())
+            cmap.append(np.where(pivot, -np.cumsum(pivot),
+                                 np.cumsum(~pivot) - 1).astype(np.int32))
+            level.rank[l] = len(piv)
+        for name, parts in (("basis", basis), ("letters", letters),
+                            ("cmap", cmap)):
+            setattr(level, name, np.concatenate(parts))
+            np.cumsum([part.size for part in parts],
+                      out=getattr(level, name[0] + "start")[1:])
+        self.level, self.degree = level, n
+        return int(level.rank.sum())
+
+    def _pairs(self, prev: _Level, below, down, off):
+        """The pairs (x, y) of each block of the next degree where slot y
+        of the column at x w, w a pivot of block h = down[x], and slot
+        x > y it goes to both have rank, one column each, sorted by block
+        and by the shape of their product (rows 0-2); with the start of
+        each block and of each run of equal block and shape.  Rows: the
+        ranks of t = down[x > y], of slot y of h and of h; the starts of
+        the letter-x candidates of t in prev.cmap, of t in prev.letters,
+        its row length there, and of slot (y, 0) of h in prev.basis;
+        zeta^expo[x][y]; and the first row of slot x > y and the first
+        column of slot x in the block.
+        """
+        blk, x = np.nonzero(below[down])
+        h = down[blk, x]
+        inner = np.diff(prev.off[h], axis=1)
+        into = down[blk[:, None], self.tgt[x]]
+        pair, y = np.nonzero((inner > 0) & (below[into] > 0))
+        blk, x, h, t = blk[pair], x[pair], h[pair], into[pair, y]
+        pairs = np.array([
+            below[t], inner[pair, y], below[h],
+            prev.cstart[t] + prev.off[t, x], prev.lstart[t],
+            prev.off[t, -1] - below[t],
+            prev.bstart[h] + prev.off[h, y] * below[h],
+            self.zpow[self.expo[x, y]], off[blk, self.tgt[x, y]], off[blk, x]],
+            dtype=np.int64)
+        order = np.lexsort((pairs[2], pairs[1], pairs[0], blk))
+        blk, pairs = blk[order], pairs[:, order]
+        step = np.diff(np.vstack((blk, pairs[:3])), axis=1).any(axis=0)
+        groups = np.flatnonzero(np.concatenate(([True], step)))
+        return pairs, np.searchsorted(blk, np.arange(len(down) + 1)), groups
+
+    def _block(self, prev: _Level, pairs: np.ndarray, size: int,
+               groups) -> np.ndarray:
+        """Columns of S_n at the `size` candidates of one block of degree
+        n, in slot coordinates; `pairs` and `groups` are the block's share
+        of _pairs.
+
+        The column at x w_j is e_x (x) [w_j] plus (Phi_x (x) L_x) of the
+        column at w_j: slot y of it goes through zeta^expo[x][y] L_x, the
+        letter-x columns of block down[x > y], to slot x > y.  The pairs
+        of one shape run as one stacked product.
+        """
+        p = self.p
+        out = np.zeros((size, size), dtype=np.int64)
+        r_out, inner, r_in, cmap_at, letters_at, row, basis_at, zeta, \
+            top, left = pairs
+        # L_x, rows i and columns k, and rows k of slot y of the pivot
+        # columns of h, laid end to end pair by pair
+        lx_at = np.concatenate(([0], np.cumsum(r_out * inner)))
+        piece_at = np.concatenate(([0], np.cumsum(inner * r_in)))
+        at = np.repeat(np.arange(len(zeta)), np.diff(lx_at))
+        i, k = np.divmod(np.arange(lx_at[-1]) - lx_at[at], inner[at])
+        m = prev.cmap[cmap_at[at] + k].astype(np.int64)
+        lx = (i == -1 - m).astype(np.int64)
+        ok = m >= 0
+        lx[ok] = prev.letters[(letters_at[at] + i * row[at] + m)[ok]]
+        at = np.repeat(np.arange(len(zeta)), np.diff(piece_at))
+        piece = prev.basis[basis_at[at] + np.arange(piece_at[-1])
+                           - piece_at[at]] * zeta[at] % p
+        for lo, hi in zip(groups.tolist(), groups[1:].tolist() + [len(zeta)]):
+            rows, ks, cols = pairs[:3, lo].tolist()
+            prod = matmul_mod(
+                lx[lx_at[lo]:lx_at[hi]].reshape(-1, rows, ks),
+                piece[piece_at[lo]:piece_at[hi]].reshape(-1, ks, cols), p)
+            # row i of a product fills `cols` cells from out[top + i, left]
+            dest = ((top[lo:hi, None] + np.arange(rows)) * size
+                    + left[lo:hi, None])
+            out.ravel()[dest[:, :, None] + np.arange(cols)] = prod
+        diag = out.ravel()[::size + 1]
+        diag[:] = (diag + 1) % p
+        return out
 
 
 def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
     """Yield (degree, rank, seconds) over GF(p) for degrees 0, 1, 2, ...
     through the first degree of rank zero.
 
-    Spanning columns.  The length-additive lift factors the symmetrizer
-    as S_n = (sum_c lift(c)) (id (x) S_(n-1)), c over the minimal coset
-    representatives, so V (x) ker S_(n-1) lies in ker S_n.  If w runs
-    over the pivot words of degree n-1 (words whose columns form a basis
-    of im S_(n-1)) and S_(n-1) e_u = sum_w gamma_w S_(n-1) e_w, then
-    e_i (x) (e_u - sum_w gamma_w e_w) is in ker S_n, so the column of S_n
-    at x_i u is the same combination of its columns at the x_i w.  The
-    d * r_(n-1) columns at the words x_i w therefore span im S_n, and one
-    elimination of them gives r_n and the pivot words of degree n.  The
-    algebra is generated in degree one, so a zero rank stays zero and
-    the ladder ends there.
+    Spanning columns.  The length-additive lift factors S_n over the
+    minimal representatives of either coset space: S_n =
+    Q_n (id (x) S_(n-1)) with Q_n = sum_j sigma_j ... sigma_1, and
+    S_n = (id (x) S_(n-1)) (1 + sigma_1 + ... + sigma_1 ... sigma_(n-1)).
+    By the first, V (x) ker S_(n-1) lies in ker S_n.  If w runs over the
+    pivots of degree n-1 (words whose columns form a basis of
+    im S_(n-1)) and S_(n-1) e_u = sum_w gamma_w S_(n-1) e_w, then
+    e_x (x) (e_u - sum_w gamma_w e_w) is in ker S_n, so the d * r_(n-1)
+    columns at the candidates x w span im S_n, and one elimination of
+    them gives r_n and the pivots of degree n.  The algebra is generated
+    in degree one, so a zero rank stays zero and the ladder ends there.
 
     Blocks.  The braid equation on a basis triple (x, y, z) says
-    (x > y) > (x > z) = x > (y > z), that is phi_(x > y) o phi_x =
-    phi_x o phi_y, so sigma_i maps e_u to a multiple of a word of the
-    same grade g(u) = phi_(u_1) o ... o phi_(u_n).  Hence S_n maps the
-    words of each grade into their own span, the column at u lies in
-    block g(u), r_n is the sum of the block ranks, and the column at
-    x_i w lies in block phi_(x_i) o g(w): the spanning columns split by
-    block and each block is eliminated on its own.
+    phi_(x > y) o phi_x = phi_x o phi_y, so sigma_i maps e_u to a
+    multiple of a word of the same grade g(u) = phi_(u_1) o ... o
+    phi_(u_n).  Hence the column at u lies in block g(u), r_n is the sum
+    of the block ranks, and the candidates x w of each block
+    phi_x o g(w) are eliminated on their own.  Grades are labelled as
+    candidates reach them, never by enumerating the group the phi_x
+    generate.
 
-    Columns are built through S_n = (S_(n-1) (x) id) sum_t T_t with the
-    coset operators applied to word digits.  T_t e_u is a multiple of
-    e_(v b) with g(v) o phi_b = g(u), so the column at u is a sum of
-    S_(n-1) e_v (x) e_b over prefixes v in block g(u) o phi_b^-1.  Its
-    slot coordinates are those of the S_(n-1) e_v in the pivot basis of
-    that block: slot (b, j) of a column in block g is the j-th pivot of
-    the degree-(n-1) block g o phi_b^-1, stored in d * max_h r_h rows.
-    The prefixes are degree-(n-1) words, pivot or not; their coordinates
-    gamma_(n-1)(v) = R col(v)[sel] (R the inverse of a square block of
-    pivot rows of the block of v) are computed lazily, recursively and
-    in batches, memoized per degree, and each memoized column is checked
-    to lie in its block's pivot span (ValueError otherwise).  Grades are
-    labelled as the ladder's words reach them, never by enumerating the
-    group the phi_x generate.
+    Left slots.  By the second factorization im S_n lies in
+    V (x) im S_(n-1): a column in block G is sum_a e_a (x) z_a with z_a
+    in im S_(n-1) of grade phi_a^-1 o G, and slot (a, j) holds the
+    coordinate of z_a on the j-th pivot of that block.  As Q_n =
+    1 + (id (x) Q_(n-1)) sigma_1 and Q_(n-1) (id (x) S_(n-2)) = S_(n-1),
+    S_(n-1) e_w = sum_y e_y (x) S_(n-2) v_y gives
+        S_n e_(x w) = e_x (x) S_(n-1) e_w
+                      + sum_y zeta^expo[x][y] e_(x > y) (x) L_x S_(n-2) v_y
+    with L_x: S_(n-2) v -> S_(n-1)(e_x (x) v).  L_x is well defined, as
+    S_(n-2) v = 0 puts e_x (x) v in V (x) ker S_(n-2), inside ker S_(n-1):
+    it is left multiplication by x, B_(n-2) -> B_(n-1), and maps block K
+    to block phi_x o K.  So the column at x w is e_x (x) [w] +
+    (Phi_x (x) L_x)(column at w), Phi_x: e_y -> zeta^expo[x][y] e_(x > y),
+    and the columns of L_x are those at the candidates x v of degree
+    n-1, in the coordinates of that degree's reduced echelon form.
+    Degree n needs of degree n-1 only its pivot columns and these letter
+    matrices, and the ladder holds no more.
 
     The only limit is memory, in bytes (_memory_limit_bytes, read once).
-    DegreeTooLargeError is raised before a degree whose largest
-    candidate block, in two copies, would pass it, and before a memo
-    batch whose measured peak, added to the memo already held at every
-    degree, would pass it; the message names both byte counts and the
-    limit.
+    DegreeTooLargeError is raised before a degree whose largest candidate
+    block, in two copies, the int64 factors of the products of one block,
+    or whose pivot columns and letter matrices (at most c^2 int32 cells
+    for c candidates) on top of those of the degree before, would pass
+    it; the message names the bytes and the limit.
     """
     d = V.dim
     yield 0, 1, 0.0

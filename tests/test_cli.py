@@ -301,11 +301,11 @@ def test_hilbert_e6_degree_2(capsys):
 
 
 def test_memory_error_exits_1(capsys, monkeypatch):
-    def assemble(self, *args):
+    def block(self, *args):
         raise MemoryError("Unable to allocate 5.37 GiB for an array with "
                           "shape (27000, 36, 750) and data type int64")
 
-    monkeypatch.setattr(nichols._SpanLadder, "_assemble", assemble)
+    monkeypatch.setattr(nichols._SpanLadder, "_block", block)
     code, out, err = run(capsys, "hilbert", "A2", "--dmax", "3")
     assert code == 1
     assert out == ""
@@ -321,16 +321,6 @@ def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
     assert err == ("error: degree 3 needs 1920 bytes for two copies of "
                    "its largest candidate block, 10 columns of 12 rows, "
                    "memory limit 1900\n")
-
-
-def test_memo_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 150_000)
-    code, out, err = run(capsys, "hilbert", "A3", "--dmax", "4")
-    assert code == 1
-    assert out == ""
-    assert err == ("error: degree 3 memo batch of 210 words needs about "
-                   "151200 bytes on top of the 960 bytes memoized, memory "
-                   "limit 150000\n")
 
 
 def test_negative_dmax_exits_1():

@@ -231,8 +231,9 @@ def test_e6_order_reflections_and_classes(groups):
 
 class LegacyGroupTable(GroupTable):
     """Oracle: the per-element builder.  Roots are reflected twice (closure,
-    then each generator's permutation), elements are 2R-entry tuples found
-    through a perm -> id dict, inverses by inverting each permutation."""
+    then each generator's permutation), elements are 2R-entry permutations
+    found through a dict on their bytes, inverses by inverting each
+    permutation."""
 
     def _build_roots(self):
         l, lev = self.rank, self.level
@@ -287,37 +288,33 @@ class LegacyGroupTable(GroupTable):
         self.gen_root_perm = tuple(perms)
 
     def _build_elements(self):
-        R = self.nroots
-        ident = tuple(range(2 * R))
-        perms, words, index = [ident], [()], {ident: 0}
-        rmult_rows = [[0] * self.rank]
-        head = 0
-        while head < len(perms):
-            perm = perms[head]
-            for i in range(self.rank):
-                gen = self.gen_root_perm[i]
-                new = tuple(perm[gen[r]] for r in range(2 * R))
-                eid = index.get(new)
-                if eid is None:
-                    eid = index[new] = len(perms)
-                    perms.append(new)
-                    words.append(words[head] + (i,))
-                    rmult_rows.append([0] * self.rank)
-                rmult_rows[head][i] = eid
-            head += 1
+        # breadth first; each level is composed with every generator by one
+        # gather, row (e, i) being perm_e o gen_i, and its rows are numbered
+        # in that order through a bytes -> id dict
+        gens = np.array(self.gen_root_perm, dtype=np.intp)
+        perms = [np.arange(gens.shape[1], dtype=np.int32)]
+        index = {perms[0].tobytes(): 0}
+        words, ids = [()], []
+        level, start = perms[0][None], 0
+        while len(level):
+            found = len(perms)
+            for n, row in enumerate(level[:, gens].reshape(-1, gens.shape[1])):
+                eid = index.setdefault(row.tobytes(), len(perms))
+                if eid == len(perms):
+                    perms.append(row)
+                    words.append(words[start + n // self.rank]
+                                 + (n % self.rank,))
+                ids.append(eid)
+            level, start = np.array(perms[found:]), found
         self.order = len(perms)
         self.words = words
         self.perms = np.array(perms, dtype=np.int32)
-        self.rmult = np.array(rmult_rows, dtype=np.int32)
+        self.rmult = np.array(ids, dtype=np.int32).reshape(self.order, -1)
         self.length_arr = np.array([len(w) for w in words], dtype=np.int32)
         self._perm_index = index
-        inv = np.empty(self.order, dtype=np.int32)
-        for e in range(self.order):
-            q = [0] * (2 * R)
-            for r in range(2 * R):
-                q[perms[e][r]] = r
-            inv[e] = index[tuple(q)]
-        self.inv_arr = inv
+        inverses = np.argsort(self.perms, axis=1).astype(np.int32)
+        self.inv_arr = np.array([index[q.tobytes()] for q in inverses],
+                                dtype=np.int32)
         self._parent = self._last = None  # mult_table is not an oracle here
 
     def _build_reflections(self):
@@ -331,8 +328,9 @@ class LegacyGroupTable(GroupTable):
                 i, pr = par
                 gen = self.gen_root_perm[i]
                 base = self.perms[refl_elem_of_root[pr]]
-                conj = tuple(int(gen[base[gen[k]]]) for k in range(2 * R))
-                refl_elem_of_root[r] = self._perm_index[conj]
+                conj = np.array([gen[base[gen[k]]] for k in range(2 * R)],
+                                dtype=np.int32)
+                refl_elem_of_root[r] = self._perm_index[conj.tobytes()]
         order = sorted(range(R), key=lambda r: refl_elem_of_root[r])
         self.reflections = tuple(
             Reflection(index=k, elem=refl_elem_of_root[r], root=r)

@@ -124,6 +124,27 @@ def test_matmul_mod_exact(k, inner):
         assert np.array_equal(got, want.astype(np.int64))
 
 
+@pytest.mark.parametrize("inner", [1, 2, 31, 32, 700, MATMUL_CHUNK + 3])
+def test_matmul_mod_stacks(inner):
+    # stacks of products, as the ladder runs them, at the largest prime the
+    # engines take; inner lengths where the limb count changes, and past
+    # one chunk
+    p = (1 << 31) - 1
+    assert is_prime(p)
+    rng = np.random.default_rng(inner)
+    a = rng.integers(0, p, (3, 2, inner))
+    b = rng.integers(0, p, (3, inner, 4))
+    a[0], b[0] = p - 1, p - 1
+    got = matmul_mod(a, b, p)
+    assert got.shape == (3, 2, 4) and got.dtype == np.int64
+    for s in range(3):
+        want = (a[s].astype(object) @ b[s].astype(object)) % p
+        assert np.array_equal(got[s], want.astype(np.int64))
+    # one right factor broadcast against the stack
+    want = [(a[s].astype(object) @ b[1].astype(object)) % p for s in range(3)]
+    assert np.array_equal(matmul_mod(a, b[1], p), np.array(want, dtype=np.int64))
+
+
 def test_matmul_mod_empty_inner_dimension():
     p = primes_one_mod(2, count=1)[0]
     out = matmul_mod(np.zeros((2, 0), dtype=np.int64),

@@ -1,5 +1,6 @@
 """Braidings, Matsumoto section, symmetrizer ranks, quadraticity."""
 
+import copy
 import itertools
 import math
 import os
@@ -21,6 +22,7 @@ from coxrack.dihedral import (
     v31_module,
 )
 from coxrack.modlin import (
+    matmul_mod,
     nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
@@ -258,6 +260,25 @@ def test_hilbert_equalities(spaces):
     assert same_ranks(spaces("I2(5)"), spaces("I2(5)", "minus"), 3)
 
 
+I26_SERIES = [1, 5, 14, 31, 58, 95, 140, 187, 229, 258, 268, 258, 229, 187,
+              140, 95, 58, 31, 14, 5, 1, 0]
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_2304_dimensional_algebras(j):
+    # U(j) + V(3,1) over the dihedral group of order 12, whole, at both
+    # primes
+    total, reports = total_dimension(i26_sum_space(j))
+    assert total == 2304 == sum(I26_SERIES)
+    assert [r.rank for r in reports] == I26_SERIES
+    assert all(r.agreed and len(r.primes) == 2 for r in reports)
+
+
+def test_b2_algebras_whole(spaces):
+    for which in ("plus", "minus"):
+        assert total_dimension(spaces("B2", which))[0] == 64
+
+
 def test_b3_abelian_class_exterior(spaces):
     g = build_group(preset_matrix("B3"))
     small = min(g.reflection_classes(), key=len)
@@ -356,34 +377,113 @@ def test_spanning_ladder_matches_dense_oracle(spaces, name, which):
                 == dense_ladder_ranks(V, p, omega, 5))
 
 
-def test_column_outside_pivot_span_raises(spaces, monkeypatch):
-    # dropping a pivot of a degree-2 block leaves a basis that does not
-    # span the block's image; the degree-3 step must refuse instead of
-    # reporting a rank
-    calls = []
+def ladder_levels(V, p, omega, dmax):
+    """The ladder's degrees 0..dmax (degree 0 as None); the ladder drops a
+    degree once it has built the next, but these references keep it."""
+    ladder = nichols._SpanLadder(V, p, omega)
+    levels = [None, ladder.level]
+    for _ in range(2, dmax + 1):
+        ladder.extend()
+        levels.append(ladder.level)
+    return levels
 
-    def short_first_reduction(a, p, full=False):
-        out, pivots = row_reduce_mod(a, p, full)
-        if pivots:
-            calls.append(len(pivots))
-        return out, pivots[:-1] if len(calls) == 1 and pivots else pivots
 
-    monkeypatch.setattr(nichols, "row_reduce_mod", short_first_reduction)
-    V = spaces("A2")
+def letter_coordinates(level, l):
+    """Coordinates of block l's candidates in its pivot basis, (rank,
+    candidates), with the unit columns of the pivot candidates restored."""
+    cmap = level.cmap[level.cstart[l]:level.cstart[l + 1]].astype(np.int64)
+    out = np.zeros((int(level.rank[l]), cmap.size), dtype=np.int64)
+    piv = cmap < 0
+    out[-1 - cmap[piv], np.flatnonzero(piv)] = 1
+    out[:, ~piv] = level.letters[level.lstart[l]:level.lstart[l + 1]].reshape(
+        out.shape[0], -1)
+    return out
+
+
+def pivot_words(levels):
+    """Per degree, per block, the words of its pivot columns: the i-th
+    pivot candidate (x, k) of a block is x times the k-th pivot word of
+    block down[x] one degree lower."""
+    words = [[[()]]]
+    for level in levels[1:]:
+        words.append([])
+        for l in range(len(level.rank)):
+            cmap = level.cmap[level.cstart[l]:level.cstart[l + 1]]
+            block = []
+            for t in np.flatnonzero(cmap < 0).tolist():
+                x = int(np.searchsorted(level.off[l], t, side="right")) - 1
+                block.append((x,) + words[-2][level.down[l, x]][
+                    t - level.off[l, x]])
+            words[-1].append(block)
+    return words
+
+
+def left_product(V, levels, p, u):
+    """(block, L_(u_1) ... L_(u_n) 1) at degree n = len(u), or None where
+    a factor lands in a block of rank 0 (the class of u is then 0)."""
+    tgt = np.array(V.target)
+    grade, block = np.arange(V.dim), 0
+    vec = np.ones(1, dtype=object)
+    for m, x in enumerate(reversed(u), start=1):
+        level = levels[m]
+        grade = tgt[x][grade]
+        l = level.label.get(grade.astype(level.grades.dtype).tobytes())
+        if l is None or level.rank[l] == 0:
+            return None
+        assert level.down[l, x] == block
+        lx = letter_coordinates(level, l)[:, level.off[l, x]:level.off[l, x + 1]]
+        vec = lx.astype(object) @ vec % p
+        block = l
+    return block, vec
+
+
+LETTER_CASES = ([(name, which) for name in ("A2", "B2", "A3")
+                 for which in ("plus", "minus")]
+                + [("I2(6) U(0)+V(3,1)", 0)])
+
+
+@pytest.mark.parametrize("name,which", LETTER_CASES)
+def test_letter_matrices_multiply_on_the_left(spaces, name, which):
+    # for every word u of degree <= 4, L_(u_1) ... L_(u_n) applied to 1
+    # gives the coordinates of the column of the dense S_n at u in the
+    # ladder's pivot basis, as solve_in_span_mod finds them
+    V = i26_sum_space(which) if name.startswith("I2(6)") else spaces(name,
+                                                                     which)
     p = primes_one_mod(V.k, count=1)[0]
-    with pytest.raises(ValueError, match="not in the span"):
-        spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 3)
-    # A2 in degree 2: the identity grade has rank 0, the two 3-cycles 2
-    assert calls[:2] == [2, 2]
+    omega = root_of_unity_mod(p, V.k)
+    levels = ladder_levels(V, p, omega, 4)
+    words = pivot_words(levels)
+    d = V.dim
+    for n in range(1, 5):
+        dense = symmetrizer_mod(V, n, p, omega)
+        index = {u: i for i, u in enumerate(
+            itertools.product(range(d), repeat=n))}
+        by_block = {}
+        for u in index:
+            product = left_product(V, levels, p, u)
+            if product is None:
+                assert not dense[:, index[u]].any()
+            else:
+                by_block.setdefault(product[0], []).append((u, product[1]))
+        for l, found in by_block.items():
+            cols = [index[u] for u, _ in found]
+            pivots = [index[w] for w in words[n][l]]
+            want = solve_in_span_mod(dense[:, pivots], dense[:, cols], p)
+            got = np.array([vec for _, vec in found], dtype=np.int64).T
+            assert np.array_equal(got, want)
 
 
-def test_a3_full_series(spaces):
-    # the 576-dimensional Nichols algebra, out of reach of the d^n assembly
-    V = spaces("A3", "minus")
-    p = primes_one_mod(V.k, count=1)[0]
-    ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13)
-    assert ranks == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
-    assert sum(ranks) == 576
+def test_a3_full_series(spaces, monkeypatch):
+    # the 576-dimensional Nichols algebras, out of reach of the d^n
+    # assembly; the ladder that memoized the coordinates of every word it
+    # touched was refused at degree 6 under this limit
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 8_000_000)
+    for which in ("plus", "minus"):
+        V = spaces("A3", which)
+        p = primes_one_mod(V.k, count=1)[0]
+        ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13)
+        assert ranks == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
+        assert sum(ranks) == 576
 
 
 # -- the grading: S_n is block diagonal in g(u) ------------------------------
@@ -428,10 +528,9 @@ def test_symmetrizer_block_diagonal_in_grade(spaces, name, which):
     ladder = nichols._SpanLadder(V, p, omega)
     for n in range(2, 5):
         rank = ladder.extend()
-        level = ladder.levels[n]
-        blocks = {tuple(grade.tolist()): piv.size
-                  for grade, piv in zip(level.grades, level.pivots)
-                  if piv.size}
+        level = ladder.level
+        blocks = {tuple(grade.tolist()): int(r)
+                  for grade, r in zip(level.grades, level.rank) if r}
         dense = symmetrizer_mod(V, n, p, omega)
         grades = word_grades(V, n)
         label = {grade: i for i, grade in enumerate(dict.fromkeys(grades))}
@@ -452,66 +551,94 @@ def test_diagonal_braiding_runs_as_one_block():
     V = dihedral_yd(5, [(5, 1), (5, 3)])
     p = primes_one_mod(V.k, count=1)[0]
     ladder = nichols._SpanLadder(V, p, root_of_unity_mod(p, V.k))
-    ranks = [ladder.extend() for _ in range(2, 6)]
+    grades = [ladder.level.grades.tolist()]
+    ranks = []
+    for _ in range(2, 6):
+        ranks.append(ladder.extend())
+        grades.append(ladder.level.grades.tolist())
     assert ranks == [6, 4, 1, 0]
-    for level in ladder.levels[1:]:
-        assert [grade.tolist() for grade in level.grades] == [[0, 1, 2, 3]]
+    for grade in grades:
+        assert grade == [[0, 1, 2, 3]]
 
 
 def test_ladder_basis_survives_its_elimination():
-    # one word x x, one candidate: cols.T is a contiguous view of cols, so
-    # eliminating it in place would normalise the stored basis column
+    # one word x x, one candidate: eliminating the block's columns in
+    # place would normalise the stored pivot column to 1
     V = nichols.DiagonalBraidedSpace(3, [[1]])
     p = primes_one_mod(V.k, count=1)[0]
     omega = root_of_unity_mod(p, V.k)
     ladder = nichols._SpanLadder(V, p, omega)
     assert ladder.extend() == 1
     # S_2 = 1 + c and c(x x) = zeta x x
-    assert [b.tolist() for b in ladder.levels[2].basis] == [[[(1 + omega) % p]]]
+    level = ladder.level
+    basis = [level.basis[level.bstart[l]:level.bstart[l + 1]].reshape(
+        level.off[l, -1], level.rank[l]).tolist()
+        for l in range(len(level.rank))]
+    assert basis == [[[(1 + omega) % p]]]
 
 
-@pytest.fixture
-def memo_limit(monkeypatch):
-    """Sets the memory limit to `limit` bytes and returns the memo bytes
-    held after each memo batch."""
-    held = []
-    real = nichols._SpanLadder._memoize
-
-    def watched(self, m, *args):
-        real(self, m, *args)
-        held.append(sum(level.words.nbytes + level.gam.nbytes
-                        for level in self.levels[1:]))
-
-    def install(limit):
-        monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
-        monkeypatch.setattr(nichols._SpanLadder, "_memoize", watched)
-        return held
-
-    return install
-
-
-def refused_memo_bytes(exc) -> tuple[int, int, int]:
-    """(batch, held, limit) bytes named by a memo refusal."""
-    m = re.search(r"needs about (\d+) bytes on top of the (\d+) bytes "
-                  r"memoized, memory limit (\d+)", str(exc.value))
+def refused_degree_bytes(exc) -> tuple[int, int, int, int]:
+    """(degree, bound, held, limit) named by a degree refusal."""
+    m = re.search(r"degree (\d+) keeps up to (\d+) bytes of pivot columns "
+                  r"and letter matrices on top of the (\d+) bytes of degree "
+                  r"\d+, memory limit (\d+)", str(exc.value))
     return tuple(int(v) for v in m.groups())
 
 
-def test_memo_refused_before_it_passes_memory_limit(spaces, memo_limit):
-    # A3: the degree-6 memo batch of 3391 words is the first over 8 MB
-    limit = 8_000_000
-    held = memo_limit(limit)
+def test_degree_refused_below_its_bound(spaces, monkeypatch):
+    # degree 4 of A3 keeps at most 4 c^2 bytes per block of c candidates,
+    # while degree 3 still holds its pivot columns and letter matrices
     V = spaces("A3")
     p = primes_one_mod(V.k, count=1)[0]
-    ranks = []
-    with pytest.raises(DegreeTooLargeError, match="degree 6 memo batch") \
-            as exc:
-        for n, rank, _ in ladder_ranks_iter(V, p, root_of_unity_mod(p, V.k)):
-            ranks.append(rank)
-    assert ranks == [1, 6, 19, 42, 71, 96, 106]
-    batch, before, _ = refused_memo_bytes(exc)
-    assert before == held[-1] and before + batch > limit
-    assert 0 < max(held) <= limit
+    omega = root_of_unity_mod(p, V.k)
+    levels = ladder_levels(V, p, omega, 4)
+    bound = 4 * int((levels[4].off[:, -1] ** 2).sum())
+    held = levels[3].basis.nbytes + levels[3].letters.nbytes
+    assert held > 0
+
+    def ranks(limit):
+        monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
+        steps = itertools.islice(ladder_ranks_iter(V, p, omega), 5)
+        return [rank for _, rank, _ in steps]
+
+    with pytest.raises(DegreeTooLargeError) as exc:
+        ranks(bound + held - 1)
+    assert refused_degree_bytes(exc) == (4, bound, held, bound + held - 1)
+    assert ranks(bound + held) == [1, 6, 19, 42, 71]
+
+
+def test_product_factors_refused_at_their_size(spaces, monkeypatch):
+    # A3 degree 11: a block whose slots have unequal ranks is refused one
+    # byte below the factors its products hand matmul_mod, though two
+    # copies of the largest block fit under that limit
+    V = spaces("A3")
+    p = primes_one_mod(V.k, count=1)[0]
+    ladder = nichols._SpanLadder(V, p, root_of_unity_mod(p, V.k))
+    for _ in range(9):
+        ladder.extend()
+    before = copy.deepcopy(ladder)
+    factors = []
+    block = nichols._SpanLadder._block
+
+    def spy_block(self, *args):
+        factors.append(0)
+        return block(self, *args)
+
+    def spy_matmul(a, b, p):
+        factors[-1] += a.nbytes + b.nbytes
+        return matmul_mod(a, b, p)
+
+    monkeypatch.setattr(nichols._SpanLadder, "_block", spy_block)
+    monkeypatch.setattr(nichols, "matmul_mod", spy_matmul)
+    assert ladder.extend() == 6
+    need, l = max(factors), int(np.argmax(factors))
+    assert len(set(np.diff(ladder.level.off[l]).tolist()) - {0}) > 1
+    before.limit = need - 1
+    with pytest.raises(DegreeTooLargeError,
+                       match=f"degree 11 needs {need} bytes for the factors "
+                             f"of the products of its largest block, memory "
+                             f"limit {need - 1}"):
+        before.extend()
 
 
 def test_total_dimension_disagreeing_primes(undercounting_ladder_iter):
@@ -533,29 +660,6 @@ def test_total_dimension_primes_vanish_at_different_degrees(
     assert total == 16
     assert [r.rank for r in reports] == [1, 4, 6, 4, 1, 0]
     assert [r.agreed for r in reports] == [True] * 4 + [False, True]
-
-
-def test_memory_limit_guard(spaces, memo_limit):
-    # A3 through degree 8 passes 15 MB first at its degree-7 memo batch
-    held = memo_limit(15_000_000)
-    with pytest.raises(DegreeTooLargeError, match="memo batch") as exc:
-        hilbert_coeffs(spaces("A3"), 8)
-    batch, before, limit = refused_memo_bytes(exc)
-    assert limit == 15_000_000 and before + batch > limit
-    assert 0 < max(held) <= limit
-
-
-def test_exact_mode_memo_refused_before_it_passes_memory_limit(
-        spaces, memo_limit):
-    # exact mode runs its ladders under the same limit: A3's degree-3 memo
-    # batch of 210 words needs about 151200 bytes
-    held = memo_limit(150_000)
-    with pytest.raises(DegreeTooLargeError,
-                       match="degree 3 memo batch of 210 words") as exc:
-        hilbert_coeffs(spaces("A3"), 5, mode="exact")
-    batch, before, limit = refused_memo_bytes(exc)
-    assert (batch, before, limit) == (151200, held[-1], 150_000)
-    assert 0 < max(held) <= limit
 
 
 def test_negative_dmax_refused(spaces):
@@ -704,9 +808,9 @@ def test_quadraticity_agrees_across_cocycles(spaces):
 
 
 @pytest.mark.slow
-def test_2304_ladder_reaches_degree_12_under_512_mib():
-    # U(0) + V(3,1) over I2(6) at one prime; the ladder without blocks
-    # peaked at 870 MB RSS at degree 12 and fails under this limit
+def test_2304_ladder_whole_series_under_512_mib():
+    # U(0) + V(3,1) over I2(6) at one prime, through its first zero rank;
+    # the ladder without blocks peaked at 870 MB RSS at degree 12
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import resource\n"
             "limit = 512 * 2 ** 20\n"
@@ -718,11 +822,9 @@ def test_2304_ladder_reaches_degree_12_under_512_mib():
             "p = modlin.primes_one_mod(V.k, count=1)[0]\n"
             "omega = modlin.root_of_unity_mod(p, V.k)\n"
             "for n, rank, _ in nichols.ladder_ranks_iter(V, p, omega):\n"
-            "    print(rank, end=',')\n"
-            "    if n == 12:\n"
-            "        break\n")
+            "    print(rank, end=',')\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1,5,14,31,58,95,140,187,229,258,268,258,229,"
+    assert proc.stdout == "".join(f"{rank}," for rank in I26_SERIES)
