@@ -18,38 +18,22 @@ serve where entries outgrow int64 (norms, fraction-free elimination).
 Signs of real elements are decided exactly: the zero test is the
 coefficient comparison, and a nonzero value is separated from zero by
 enclosures of the cosines it sums, multiples of 2^-64 summed as integer
-numerators, or, when those are too wide, by interval arithmetic at
-doubling precision.  A nonzero element of the field cannot vanish at
-the standard embedding (its degree is below phi(N)), so the loop
-terminates; the hard precision cap only exists to turn logic errors
-into loud failures.
+numerators, or, when those are too wide, by the same enclosures at
+doubling bit widths.  A nonzero element of the field cannot vanish at
+the standard embedding (its degree is below phi(N)), and the width of
+an enclosure halves with each added bit, so the refinement terminates.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-SIGN_PREC_START = 64
-SIGN_PREC_CAP = 4096
-
-# pi cut after 37 decimals: 0 <= pi - _PI_LO / 10^37 < 10^-37
-_PI_LO = 31415926535897932384626433832795028841
-_COS_BITS = 64   # cosine enclosures are rounded outward to multiples of 2^-64
-_COS_TERMS = 22  # for 0 <= x <= pi the first term left out, x^46/46!, < 2^-110
-
 
 class NotRealError(ValueError):
     """Raised when a sign is requested for a non conjugation-fixed value."""
-
-
-class SignUndecidedError(RuntimeError):
-    """Raised when interval evaluation hits the precision cap.
-
-    This cannot happen for a canonical nonzero element; seeing it means a
-    bug upstream (e.g. a non-canonical representation slipped through).
-    """
 
 
 def euler_phi(n: int) -> int:
@@ -81,32 +65,61 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@lru_cache(maxsize=None)
-def _cos_enclosures(n: int) -> tuple[tuple[int, int], ...]:
-    """Integers (lo, hi) with lo <= 2^_COS_BITS cos(2 pi k / n) <= hi for
-    k < phi(n): the cosines rounded outward to multiples of 2^-_COS_BITS,
-    as numerators.
+def _machin_pi(bits: int) -> tuple[int, int]:
+    """Integers (num, den) with 0 <= pi - num / den < 2^-bits, from
+    pi = 16 arctan(1/5) - 4 arctan(1/239) in multiples of 2^-w.
 
-    With a = min(k, n - k) / n, the angle x = 2 pi a lies in [0, pi], and
-    x0 = 2 a _PI_LO / 10^37 is within 10^-37 of it, so
-    |cos x - cos x0| < 10^-37.  The Taylor terms t_j = (-1)^j x0^(2j) / (2j)!
-    alternate in sign and, from j = 1 on, shrink:
-    |t_(j+1) / t_j| = x0^2 / ((2j+1)(2j+2)) < 1.  So the partial sum S
-    through j = _COS_TERMS is within 2^-110 of cos x0, and cos x lies in
-    [S - 2^-72, S + 2^-72].  S = num / den is summed exactly, by Horner's
-    rule in integers: with y = x0^2 = p2 / q2,
-    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).  Then the bounds
-    2^64 (S -+ 2^-72) = (2^72 num -+ den) / (2^8 den) are rounded down
-    and up by integer division.
+    Each term of arctan(1/x) = sum_j (-1)^j / ((2j+1) x^(2j+1)) is floored
+    (nested floor divisions floor the whole quotient), off by less than
+    1, up to the first that floors to 0; the alternating, shrinking tail
+    is below 1 too.  So |2^w pi - mid| < err, and w grows until it fits.
     """
+    w = bits
+    while True:
+        w += 16
+        mid = err = 0
+        for x, weight in ((5, 16), (239, -4)):
+            power, j = (1 << w) // x, 0
+            while power:
+                term = power // (2 * j + 1)
+                mid += weight * (-term if j % 2 else term)
+                power //= x * x
+                j += 1
+            err += abs(weight) * (j + 1)
+        if 2 * err <= 1 << (w - bits):
+            return mid - err, 1 << w
+
+
+@lru_cache(maxsize=None)
+def _cos_enclosures(n: int, bits: int = 64
+                    ) -> tuple[tuple[int, int], ...]:
+    """Integers (lo, hi) with lo <= 2^bits cos(2 pi k / n) <= hi for
+    k < phi(n): the cosines rounded outward to multiples of 2^-bits, as
+    numerators.
+
+    With a = min(k, n - k) / n, x = 2 pi a lies in [0, pi], and
+    x0 = 2 a P / D, P / D from _machin_pi(b + 40), is within 2^-(b+40)
+    of it.  The Taylor terms of cos x0 alternate in sign and shrink from
+    x0^2 / 2 on (x0^2 < 3 * 4), so the partial sum S through the
+    first J with 4^(2J+2) / (2J+2)! < 2^-(b+40) is within 2^-(b+40) of
+    cos x0, and cos x lies in [S - 2^-(b+8), S + 2^-(b+8)].  S = num / den
+    is summed exactly by Horner's rule in integers, with y = x0^2 = p2 / q2:
+    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).  The bounds
+    2^b (S -+ 2^-(b+8)) = (2^(b+8) num -+ den) / (2^8 den) are then
+    rounded down and up by integer division.
+    """
+    pi, pi_den = _machin_pi(bits + 40)
+    terms = 1
+    while 16 ** (terms + 1) << (bits + 40) >= math.factorial(2 * terms + 2):
+        terms += 1
     out = []
     for k in range(euler_phi(n)):
-        p2, q2 = (2 * min(k, n - k) * _PI_LO) ** 2, (n * 10 ** 37) ** 2
+        p2, q2 = (2 * min(k, n - k) * pi) ** 2, (n * pi_den) ** 2
         num = den = 1
-        for j in range(_COS_TERMS, 0, -1):
+        for j in range(terms, 0, -1):
             m = (2 * j - 1) * (2 * j) * q2
             num, den = den * m - p2 * num, den * m
-        top, scale = num << (_COS_BITS + 8), den << 8
+        top, scale = num << (bits + 8), den << 8
         out.append(((top - den) // scale, -((-top - den) // scale)))
     return tuple(out)
 
@@ -182,65 +195,39 @@ def galois(a: np.ndarray, n: int, j: int) -> np.ndarray:
     return raw @ reduction_matrix(n)
 
 
-def _enclosure(a, n: int) -> tuple[int, int]:
-    """Integers lo <= 2^_COS_BITS value <= hi of a real a.
+def _enclosure(a, n: int, bits: int = 64) -> tuple[int, int]:
+    """Integers lo <= 2^bits value <= hi of a real a.
 
     The value is sum_k a_k cos(2 pi k / n); each cosine is replaced by
     its cached enclosure, so hi - lo is about 2 sum_k |a_k|.  The bounds
-    on the value itself are lo and hi times 2^-_COS_BITS, with the same
+    on the value itself are lo and hi times 2^-bits, with the same
     signs.
     """
     lo = hi = 0
-    for c, (clo, chi) in zip(map(int, a), _cos_enclosures(n)):
+    for c, (clo, chi) in zip(map(int, a), _cos_enclosures(n, bits)):
         lo += c * (clo if c > 0 else chi)
         hi += c * (chi if c > 0 else clo)
     return lo, hi
 
 
-def _real_interval(a, n: int, prec: int):
-    """mpmath interval containing the value of a real a,
-    sum_k a_k cos(2 pi k / n), evaluated with outward rounding."""
-    from mpmath import iv   # only here: most signs never need it
-
-    old = iv.prec
-    try:
-        iv.prec = prec
-        total = iv.mpf(0)
-        two_pi = 2 * iv.pi
-        for k, c in enumerate(map(int, a)):
-            if c:
-                total += c * iv.cos(two_pi * k / n)
-        return total
-    finally:
-        iv.prec = old
-
-
 def sign(a: np.ndarray, n: int) -> int:
     """Exact sign in {-1, 0, +1} of a real element a of Z[zeta_n].
 
-    Zero is decided by the canonical form.  A nonzero value is
-    decided by its rational enclosure when that excludes 0, and
-    otherwise by interval evaluation with doubling precision (start
-    64 bits, cap 4096).
+    Zero is decided by the canonical form.  A nonzero value is decided
+    by its enclosure at 64 bits when that excludes 0, and otherwise at
+    128, 256, ... bits: the value is not 0, and the enclosure's width,
+    about 2 sum_k |a_k| 2^-bits, falls below its size.
     """
     a = np.asarray(a)
     if not a.any():
         return 0
     if not np.array_equal(galois(a, n, -1), a):
         raise NotRealError("sign requested for a non-real value")
-    lo, hi = _enclosure(a, n)
-    if lo > 0:
-        return 1
-    if hi < 0:
-        return -1
-    prec = SIGN_PREC_START
-    while prec <= SIGN_PREC_CAP:
-        box = _real_interval(a, n, prec)
-        if box > 0:
+    bits = 64
+    while True:
+        lo, hi = _enclosure(a, n, bits)
+        if lo > 0:
             return 1
-        if box < 0:
+        if hi < 0:
             return -1
-        prec *= 2
-    raise SignUndecidedError(
-        f"interval evaluation did not separate {a.tolist()} at level {n} "
-        "from zero")
+        bits *= 2

@@ -598,6 +598,37 @@ def _sha256_behind(blocks) -> str:
     return h.hexdigest()
 
 
+def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
+    """The extension and its section, once check_vendramin and
+    check_global pass; raises CertificationError otherwise.
+
+    The checks certify the twist: on T x T, check_global says
+    rho(x) > rho(y) = z^(q+(x, y) + q-(x, y)) rho(x > y) (exponents mod
+    2), and phi_rho's conjugation identity gives the exponent
+    phi(x, y) + phi(x > y, x), the identity certify_twist checks.  So
+    S_n^+ = D_n S_n^- D_n, D_n(u) = (-1)^(sum_k phi(u_1 ... u_(k-1), u_k))
+    on words u of length n, and the two symmetrizers have equal ranks
+    over every field of characteristic not 2, on every subrack too.
+    Proof: sigma_i maps (..., x, y, ...) to (..., x > y, x, ...), and
+    (x > y) x = x y, so only the prefix products at the pair change.
+    With g the product before x, D_n changes by phi(g, x) + phi(g x, y)
+    + phi(g, x > y) + phi(g (x > y), x) = phi(x, y) + phi(x > y, x) by the
+    2-cocycle identity (phi_rho): the sign by which sigma_i^+ and
+    sigma_i^- differ.  This is the twisting of a Yetter-Drinfeld module
+    by a group 2-cocycle (Majid-Oeckl, 1999; Andruskiewitsch-Fantino-
+    Garcia-Vendramin, 2011), read in the word basis.
+    """
+    ext = build_wtilde(g.matrix, g)
+    sec = build_section(g, ext)
+    witness = check_vendramin(g, ext, sec)
+    if witness is not None:
+        raise CertificationError("vendramin", list(witness))
+    witness = check_global(g, ext, sec)
+    if witness is not None:
+        raise CertificationError("global", list(witness))
+    return ext, sec
+
+
 def twist_certificate(g: GroupTable) -> dict:
     """Run the full pipeline and assemble the certificate dictionary.
 
@@ -621,16 +652,7 @@ def twist_certificate(g: GroupTable) -> dict:
             f"certifying |W| = {n} needs about {need} bytes, {n * n} of "
             f"them for phi, memory limit {limit}")
     matrix = g.matrix
-    ext = build_wtilde(matrix, g)
-    sec = build_section(g, ext)
-
-    witness = check_vendramin(g, ext, sec)
-    if witness is not None:
-        raise CertificationError("vendramin", list(witness))
-    witness = check_global(g, ext, sec)
-    if witness is not None:
-        raise CertificationError("global", list(witness))
-
+    ext, sec = certified_section(g)
     phi = phi_rho(g, ext, sec)
     qp, qm = q_plus(g), q_minus(g)
     witness = certify_twist(g, phi, qp, qm)

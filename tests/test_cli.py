@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coxrack import cli, extension, nichols
+from coxrack import extension, nichols
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -112,29 +112,11 @@ def test_hilbert_stops_where_every_ladder_ends(capsys):
     assert len(json.loads(want[1])["rows"]) == 6
 
 
-def test_hilbert_pads_the_shorter_table(capsys, monkeypatch):
-    # a q- table that ends early reads rank 0 past its end, not fewer rows
-    calls = []
-
-    def short_minus(V, dmax, mode):
-        calls.append(V)
-        reports = nichols.hilbert_coeffs(V, dmax, mode)
-        return reports[:3] if len(calls) == 2 else reports
-
-    monkeypatch.setattr(cli, "hilbert_coeffs", short_minus)
-    code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "5", "--json")
-    rows = json.loads(out)["rows"]
-    assert code == 2
-    assert [r["rank_plus"] for r in rows] == [1, 3, 4, 3, 1, 0]
-    assert [r["rank_minus"] for r in rows] == [1, 3, 4, 0, 0, 0]
-    assert [r["equal"] for r in rows] == [True] * 3 + [False] * 2 + [True]
-
-
 @pytest.mark.parametrize("argv, sha256", [
     (("hilbert", "A3", "--dmax", "5", "--json"),
-     "13126228ec581eb1fd5fa3d7be92922227dc8188911beb039e1d7bbb27ecacf8"),
+     "eafa69c1f03196a34b08ad2a4be1e3bf044234ff625873a4a41c6255c21e6ff0"),
     (("hilbert", "B2", "--mode", "exact", "--dmax", "4", "--json"),
-     "a35e37cf33121b01607d8c86d6a68b309177d65e442a3dedbe3fa200d116266c"),
+     "a6ed6e41f87a2e30259665d02717deba97538473e4ebd1112c32ea6b4205dd22"),
 ])
 def test_hilbert_output_pinned(capsys, argv, sha256):
     code, out, _ = run(capsys, *argv)
@@ -194,6 +176,23 @@ def test_hilbert_b2_exact_full_series(capsys):
     assert sum(want) == 64
 
 
+def test_hilbert_refuses_a_failed_twist(capsys, monkeypatch):
+    # q-'s ranks are read off q+'s only through the certified twist: a
+    # section off by z at one non-simple reflection stops hilbert first
+    real = extension.build_section
+
+    def corrupted(g, ext):
+        rho = real(g, ext).rho.copy()
+        x = next(t.elem for t in g.reflections if g.length(t.elem) > 1)
+        rho[x] = ext.gen_perms[ext.nt][rho[x]]
+        return extension.Section(rho=rho)
+
+    monkeypatch.setattr(extension, "build_section", corrupted)
+    code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["falsification"]["stage"] == "vendramin"
+
+
 def test_hilbert_disagreeing_primes_exit_2(capsys,
                                            undercounting_ladder_iter):
     undercounting_ladder_iter(2)
@@ -236,6 +235,22 @@ def test_hilbert_a3_degree_7(capsys):
     want = [1, 6, 19, 42, 71, 96, 106, 96]
     assert [r["rank_plus"] for r in rows] == want
     assert [r["rank_minus"] for r in rows] == want
+    assert all(r["agreed"] for r in rows)
+
+
+def test_hilbert_a4_is_the_fomin_kirillov_algebra(capsys):
+    # A4 with q- is E_5, Hilbert series [4]^4 [5]^2 [6]^4 (Fomin-Kirillov,
+    # 1999), [m] = 1 + t + ... + t^(m - 1)
+    series = [1]
+    for m in (4,) * 4 + (5,) * 2 + (6,) * 4:
+        series = [sum(series[max(0, i - m + 1):i + 1])
+                  for i in range(len(series) + m - 1)]
+    assert (len(series), sum(series)) == (41, 8_294_400)
+    assert series[:7] == [1, 10, 55, 220, 711, 1960, 4761]
+    code, out, _ = run(capsys, "hilbert", "A4", "--dmax", "6", "--json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [r["rank_minus"] for r in rows] == series[:7]
     assert all(r["agreed"] for r in rows)
 
 
@@ -396,8 +411,8 @@ def cli_in_child(*argv, rlimit_as=None, timeout=600, after=""):
 
 
 # Modules no command loads:
-#   - mpmath: the cosine enclosures decide every root sign and every leading
-#     minor of the form, also for H4 at level 60, the widest of any preset;
+#   - mpmath: the package never imports it (signs are refined in integers),
+#     and only the tests use it, as an oracle;
 #   - numpy.ma: numpy's bare np.unique imports it, and the ladder and the
 #     split witness deduplicate by sorting instead;
 #   - fractions and decimal: the enclosures are integer numerators;

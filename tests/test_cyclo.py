@@ -11,7 +11,6 @@ from coxrack.cyclo import (
     NotRealError,
     _cos_enclosures,
     _enclosure,
-    _real_interval,
     cyclotomic_poly,
     euler_phi,
     galois,
@@ -157,13 +156,15 @@ def test_sign_is_multiplicative():
 
 @pytest.mark.parametrize("n", list(range(1, 25)) + [60])
 def test_cos_enclosures_contain_cosines(n):
+    # 64 bits, and the refined widths that take pi from Machin's formula
     with mpmath.workdps(100):
-        for k, (lo, hi) in enumerate(_cos_enclosures(n)):
-            # numerators over 2^64
-            assert type(lo) is type(hi) is int
-            cos = mpmath.cos(2 * mpmath.pi * k / n) * 2 ** 64
-            assert mpmath.mpf(lo) <= cos <= mpmath.mpf(hi)
-            assert 0 <= hi - lo < 4
+        for bits in (64, 128, 256):
+            for k, (lo, hi) in enumerate(_cos_enclosures(n, bits)):
+                # numerators over 2^bits
+                assert type(lo) is type(hi) is int
+                cos = mpmath.cos(2 * mpmath.pi * k / n) * 2 ** bits
+                assert mpmath.mpf(lo) <= cos <= mpmath.mpf(hi)
+                assert 0 <= hi - lo < 4
 
 
 SIGN_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "F4", "H3", "H4",
@@ -192,9 +193,11 @@ def test_enclosure_decides_root_coordinates(name):
         if not v.any():
             continue
         lo, hi = _enclosure(v, g.level)
-        box = _real_interval(v, g.level, 256)
         assert lo > 0 or hi < 0, v
-        assert (lo > 0) == (box > 0) and (hi < 0) == (box < 0), v
+        with mpmath.workdps(80):
+            value = sum(int(c) * mpmath.cos(2 * mpmath.pi * k / g.level)
+                        for k, c in enumerate(v))
+        assert (lo > 0) == (value > 0), v
 
 
 def test_sign_within_1e_25_of_zero_falls_back_to_intervals(monkeypatch):
@@ -203,13 +206,13 @@ def test_sign_within_1e_25_of_zero_falls_back_to_intervals(monkeypatch):
         gap = mpmath.cos(2 * mpmath.pi / 7) - mpmath.mpf(num) / den
         assert -1e-25 < gap < 0
     calls = []
-    real_interval = cyclo._real_interval
+    cos_enclosures = cyclo._cos_enclosures
 
-    def spy(a, n, prec):
-        calls.append(prec)
-        return real_interval(a, n, prec)
+    def spy(n, bits=64):
+        calls.append(bits)
+        return cos_enclosures(n, bits)
 
-    monkeypatch.setattr(cyclo, "_real_interval", spy)
+    monkeypatch.setattr(cyclo, "_cos_enclosures", spy)
     # den (zeta_7 + zeta_7^6) - 2 num = 2 den (cos(2 pi / 7) - num / den)
     v = den * (zeta(7) + zeta(7, 6)) - rational(2 * num, 7)
     lo, hi = _enclosure(v, 7)

@@ -28,6 +28,7 @@ from coxrack.extension import (
     phi_rho,
     twist_certificate,
 )
+from coxrack.nichols import braiding_from_rack, symmetrizer_factorized_exact
 from coxrack.racks import (
     cohomologous_solve,
     q_minus,
@@ -201,6 +202,36 @@ def test_phi_properties(setups):
     assert not phi.table[:, 0].any()    # phi(w, e) = 1
 
     assert certify_twist(g, phi, q_plus(g), q_minus(g)) is None
+
+
+def word_signs(g, phi: GroupCocycle2, n: int) -> np.ndarray:
+    """D_n(u) = (-1)^(sum_k phi(u_1 ... u_(k-1), u_k)) on the words u of n
+    reflections, numbered with the first letter most significant."""
+    mult = g.mult_table()
+    refl = np.array([t.elem for t in g.reflections])
+    prefix, expo = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        letter = np.tile(refl, prefix.size)
+        prefix = np.repeat(prefix, refl.size)
+        expo = np.repeat(expo, refl.size) ^ phi.table[prefix, letter]
+        prefix = mult[prefix, letter]
+    return 1 - 2 * expo.astype(np.int64)
+
+
+@pytest.mark.parametrize("name, nmax", [("A3", 4), ("B2", 5), ("I2(5)", 4)])
+def test_twist_conjugates_the_symmetrizers(setups, name, nmax):
+    # S_n^+ = D_n S_n^- D_n at zeta = -1, the identity certified_section
+    # proves and hilbert relies on; B2 has -1 in W
+    g, ext, sec = setups(name)
+    phi = phi_rho(g, ext, sec)
+    rack = reflection_rack(g)
+    spaces = [braiding_from_rack(rack, q(g)) for q in (q_plus, q_minus)]
+    for n in range(1, nmax + 1):
+        sp, sm = (s[..., 0] - s[..., 1] for s in
+                  (symmetrizer_factorized_exact(V, n) for V in spaces))
+        signs = word_signs(g, phi, n)
+        assert np.array_equal(sp, signs[:, None] * sm * signs), (name, n)
+        assert n < 2 or not np.array_equal(sp, sm), (name, n)
 
 
 def test_twist_certificates_and_consistency(setups):
