@@ -196,7 +196,6 @@ class ExtGroup:
                               points[1:n]):
             raise AssertionError("a ShortLex tree edge is not numbered (w, 0)")
         self.z_elem = n
-        self.t_elems = [int(e) for e in self.gen_perms[:self.nt, 0]]
         # left multiplication by each t_i: t_i (v s) = (t_i v) t_s and
         # t_i (w z) = (t_i w) z; then t_i c t_i = (t_i c) t_i
         walk = _tree_walk(g, self.gen_perms[:self.nt, 0],
@@ -273,9 +272,6 @@ class Section(NamedTuple):
     """Table of the section rho: W -> extension, as element ids."""
 
     rho: np.ndarray
-
-    def __call__(self, w: int) -> int:
-        return int(self.rho[w])
 
 
 class GroupCocycle2(NamedTuple):

@@ -20,16 +20,16 @@ block of them is eliminated on its own, in left slot coordinates
 (proofs in ladder_ranks_iter).  The column at x w is e_x (x) [w] plus
 (Phi_x (x) L_x) of the column at w, L_x the left multiplication by x
 one degree lower, read off that degree's reduced echelon form; so the
-ladder holds one degree, its pivot columns and letter matrices.  A
-degree whose largest candidate block, the factors of its products, or
-whose pivot columns and letter matrices would pass the memory limit is
-refused with DegreeTooLargeError before it is built.  Every rank query
-(hilbert_coeffs, total_dimension, the quadraticity probe) runs the
-ladder once per prime through _ladder_runs, which stops each run at the
-requested degree or its first zero rank.  Exact ranks come from the
-same ladder at enough primes (proof in hilbert_coeffs).  Tests pin the
-factorization against the literal sum, and the ladder against the dense
-d^n assembly and the exact rank over Q(zeta_k) of its integer
+ladder holds one degree, per block its pivot columns and letter
+matrices, and fills a block one product per letter and slot.  A degree
+whose held, kept and transient bytes, summed, would pass the memory
+limit is refused with DegreeTooLargeError before it is built.  Every
+rank query (hilbert_coeffs, total_dimension, the quadraticity probe)
+runs the ladder once per prime through _ladder_runs, which stops each
+run at the requested degree or its first zero rank.  Exact ranks come
+from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
+pin the factorization against the literal sum, and the ladder against
+the dense d^n assembly and the exact rank over Q(zeta_k) of its integer
 power-basis form: symmetrizer_factorized_exact, with
 exact_matrix_as_cyclo and modlin.rank_exact_cyclo, which stay here as
 benchmark trace targets (the other oracles are in tests/oracles.py).
@@ -37,6 +37,7 @@ benchmark trace targets (the other oracles are in tests/oracles.py).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 import math
 import os
 import resource
@@ -275,11 +276,25 @@ class SymmetrizerReport(NamedTuple):
         }
 
 
+def _mem_available() -> int:
+    """MemAvailable of /proc/meminfo in bytes, or physical memory where
+    the kernel does not report it."""
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _memory_limit_bytes() -> int:
-    """Physical memory, or the soft address-space limit if that is lower."""
-    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """The memory the kernel will give, or the soft address-space limit
+    if that is lower."""
+    avail = _mem_available()
     soft, _ = resource.getrlimit(resource.RLIMIT_AS)
-    return phys if soft == resource.RLIM_INFINITY else min(phys, soft)
+    return avail if soft == resource.RLIM_INFINITY else min(avail, soft)
 
 
 class _Level:
@@ -290,21 +305,16 @@ class _Level:
     the block phi_a^-1 o grades[l], or is len(rank) there, a block of rank
     0, if no candidate reached it.  Slot (a, j), letter a and the j-th
     pivot of block down[l, a], is row off[l, a] + j of block l, and
-    candidate (x, j), x times that pivot, is column off[l, x] + j.  In
-    flat int32 arrays, from its start in bstart, lstart and cstart, block
-    l keeps its pivot columns (basis, row-major) and the coordinates of
-    its candidates in them (letters, the letter matrices L_x side by
-    side, one row per pivot).  Pivot candidates have unit coordinates, so
-    letters keeps the other columns only: cmap maps a candidate to its
-    column there, or the i-th pivot candidate to -1 - i.
+    candidate (x, j), x times that pivot, is column off[l, x] + j.  Block
+    l of c candidates and rank r keeps, in int32, its pivot columns
+    basis[l] (c x r) and the non-pivot columns letters[l] (r x (c - r))
+    of its reduced echelon form, whose columns pivots[l] are units.
     """
 
     def __init__(self, grades, label, down, off):
         self.grades, self.label, self.down, self.off = grades, label, down, off
         self.rank = np.zeros(len(grades), dtype=np.int64)
-        self.basis = self.letters = self.cmap = np.empty(0, dtype=np.int32)
-        self.bstart, self.lstart, self.cstart = np.zeros(
-            (3, len(grades) + 1), dtype=np.int64)
+        self.basis, self.letters, self.pivots = [], [], []
 
 
 def _keys(rows: np.ndarray) -> list[bytes]:
@@ -325,9 +335,8 @@ class _SpanLadder:
         # grades are permutations in the smallest integer type of a letter
         self.tgt = np.array(V.target, dtype=np.min_scalar_type(d))
         self.tinv = np.argsort(self.tgt, axis=1).astype(self.tgt.dtype)
-        self.expo = np.array(V.expo, dtype=np.int64)
-        self.zpow = np.array([pow(omega, e, p) for e in range(V.k)],
-                             dtype=np.int64)
+        self.target = V.target
+        self.zeta = [[pow(omega, e, p) for e in row] for row in V.expo]
         # degree 0: the empty word, one block of rank 1 and no slots
         ident = np.arange(d, dtype=self.tgt.dtype)[None]
         self.level = _Level(ident, {ident.tobytes(): 0},
@@ -354,126 +363,89 @@ class _SpanLadder:
         off = np.zeros((len(grades), d + 1), dtype=np.int64)
         np.cumsum(below[down], axis=1, out=off[:, 1:])
         sizes = off[:, -1]
-        # the largest block, c x c with c <= rows = d * width, and the copy
-        # that elimination works on must fit in memory
-        size, rows = int(sizes.max()), d * int(prev.rank.max())
-        need = 16 * size * rows
+        # the memory of degree n: degree n - 1 is held until it is built;
+        # a block of c candidates and rank r keeps c r + r (c - r) <= c^2
+        # int32 cells and r pivots, Python ints of at most 40 bytes; the
+        # largest block is built as c x c int64 cells, which elimination
+        # copies and works on in two more copies of its rows; a product
+        # multiplies r1 x r2 cells of L_x by r2 x r1 pivot rows, r1 and r2
+        # the largest block ranks of degrees n - 1 and n - 2, copies those
+        # rows in int32 and hands them to matmul_mod, which holds both
+        # factors in int64, at most six limbs of each (p < 2^31, 2^13
+        # inner terms) in int64 and float64, and four r1 x r1 products
+        held = sum(a.nbytes for a in prev.basis + prev.letters) + 40 * int(
+            prev.rank.sum())
+        keep = 4 * int((sizes ** 2).sum()) + 40 * int(sizes.sum())
+        size = int(sizes.max())
+        block = 32 * size * size
+        r1, r2 = int(prev.rank.max()), int(np.diff(prev.off).max())
+        product = 8 * (27 * r1 * r2 + 4 * r1 * r1)
+        need = held + keep + block + product
         if need > self.limit:
             raise DegreeTooLargeError(
-                f"degree {n} needs {need} bytes for two copies of its "
-                f"largest candidate block, {size} columns of {rows} rows, "
-                f"memory limit {self.limit}")
-        pairs, cut, groups = self._pairs(prev, below, down, off)
-        # and so must the factors of a block's products: pair (x, y)
-        # multiplies r_out x inner cells of L_x by inner x r_in pivot rows
-        cells = np.cumsum(np.append(0, pairs[1] * (pairs[0] + pairs[2])))
-        need = 8 * int(np.diff(cells[cut]).max())
-        if need > self.limit:
-            raise DegreeTooLargeError(
-                f"degree {n} needs {need} bytes for the factors of the "
-                f"products of its largest block, memory limit {self.limit}")
-        # a block of c candidates and rank r keeps c * r + r * (c - r) <=
-        # c^2 int32 cells, and degree n - 1 is held until degree n is built
-        held = prev.basis.nbytes + prev.letters.nbytes
-        bound = 4 * int((sizes ** 2).sum())
-        if held + bound > self.limit:
-            raise DegreeTooLargeError(
-                f"degree {n} keeps up to {bound} bytes of pivot columns and "
-                f"letter matrices on top of the {held} bytes of degree "
-                f"{n - 1}, memory limit {self.limit}")
-        first, cut = np.searchsorted(groups, cut).tolist(), cut.tolist()
+                f"degree {n} needs {need} bytes: {held} held by degree "
+                f"{n - 1}, up to {keep} kept, {block} to build and eliminate "
+                f"its largest block, c = {size}, and {product} for one "
+                f"product, memory limit {self.limit}")
         level = _Level(grades, label, down, off)
-        basis, letters, cmap = [], [], []
+        below, prev_off = below.tolist(), prev.off.tolist()
+        slots = [[(y, o[y], o[y + 1]) for y in range(d) if o[y + 1] > o[y]]
+                 for o in prev_off]
         for l, size in enumerate(sizes.tolist()):
-            lo, hi = cut[l], cut[l + 1]
-            cols = self._block(prev, pairs[:, lo:hi], size,
-                               groups[first[l]:first[l + 1]] - lo)
+            cols = self._block(prev, below, prev_off, slots, down[l].tolist(),
+                               off[l].tolist())
             red, piv = row_reduce_mod(cols.copy(), self.p, full=True)
             pivot = np.zeros(size, dtype=bool)
             pivot[piv] = True
-            basis.append(cols[:, piv].astype(np.int32).ravel())
-            letters.append(red[:len(piv), ~pivot].astype(np.int32).ravel())
-            cmap.append(np.where(pivot, -np.cumsum(pivot),
-                                 np.cumsum(~pivot) - 1).astype(np.int32))
+            level.basis.append(cols[:, piv].astype(np.int32))
+            level.letters.append(red[:len(piv), ~pivot].astype(np.int32))
+            level.pivots.append(piv)
             level.rank[l] = len(piv)
-        for name, parts in (("basis", basis), ("letters", letters),
-                            ("cmap", cmap)):
-            setattr(level, name, np.concatenate(parts))
-            np.cumsum([part.size for part in parts],
-                      out=getattr(level, name[0] + "start")[1:])
         self.level, self.degree = level, n
         return int(level.rank.sum())
 
-    def _pairs(self, prev: _Level, below, down, off):
-        """The pairs (x, y) of each block of the next degree where slot y
-        of the column at x w, w a pivot of block h = down[x], and slot
-        x > y it goes to both have rank, one column each, sorted by block
-        and by the shape of their product (rows 0-2); with the start of
-        each block and of each run of equal block and shape.  Rows: the
-        ranks of t = down[x > y], of slot y of h and of h; the starts of
-        the letter-x candidates of t in prev.cmap, of t in prev.letters,
-        its row length there, and of slot (y, 0) of h in prev.basis;
-        zeta^expo[x][y]; and the first row of slot x > y and the first
-        column of slot x in the block.
-        """
-        blk, x = np.nonzero(below[down])
-        h = down[blk, x]
-        inner = np.diff(prev.off[h], axis=1)
-        into = down[blk[:, None], self.tgt[x]]
-        pair, y = np.nonzero((inner > 0) & (below[into] > 0))
-        blk, x, h, t = blk[pair], x[pair], h[pair], into[pair, y]
-        pairs = np.array([
-            below[t], inner[pair, y], below[h],
-            prev.cstart[t] + prev.off[t, x], prev.lstart[t],
-            prev.off[t, -1] - below[t],
-            prev.bstart[h] + prev.off[h, y] * below[h],
-            self.zpow[self.expo[x, y]], off[blk, self.tgt[x, y]], off[blk, x]],
-            dtype=np.int64)
-        order = np.lexsort((pairs[2], pairs[1], pairs[0], blk))
-        blk, pairs = blk[order], pairs[:, order]
-        step = np.diff(np.vstack((blk, pairs[:3])), axis=1).any(axis=0)
-        groups = np.flatnonzero(np.concatenate(([True], step)))
-        return pairs, np.searchsorted(blk, np.arange(len(down) + 1)), groups
-
-    def _block(self, prev: _Level, pairs: np.ndarray, size: int,
-               groups) -> np.ndarray:
-        """Columns of S_n at the `size` candidates of one block of degree
-        n, in slot coordinates; `pairs` and `groups` are the block's share
-        of _pairs.
+    def _block(self, prev: _Level, below, prev_off, slots, down,
+               off) -> np.ndarray:
+        """Columns of S_n at the candidates of the block of degree n whose
+        rows of down and off are given, in slot coordinates.
 
         The column at x w_j is e_x (x) [w_j] plus (Phi_x (x) L_x) of the
         column at w_j: slot y of it goes through zeta^expo[x][y] L_x, the
-        letter-x columns of block down[x > y], to slot x > y.  The pairs
-        of one shape run as one stacked product.
+        letter-x columns of block t = down[x > y] of degree n - 1, to slot
+        x > y.  Those columns are units where they are pivots of t, which
+        copy rows of the slot, and a slice of the letter matrices of t
+        elsewhere, which multiplies the other rows.  Entries stay below
+        2 p^2 < 2^63 until the one reduction mod p.
         """
-        p = self.p
+        p, size = self.p, off[-1]
+        letters, pivots = prev.letters, prev.pivots
         out = np.zeros((size, size), dtype=np.int64)
-        r_out, inner, r_in, cmap_at, letters_at, row, basis_at, zeta, \
-            top, left = pairs
-        # L_x, rows i and columns k, and rows k of slot y of the pivot
-        # columns of h, laid end to end pair by pair
-        lx_at = np.concatenate(([0], np.cumsum(r_out * inner)))
-        piece_at = np.concatenate(([0], np.cumsum(inner * r_in)))
-        at = np.repeat(np.arange(len(zeta)), np.diff(lx_at))
-        i, k = np.divmod(np.arange(lx_at[-1]) - lx_at[at], inner[at])
-        m = prev.cmap[cmap_at[at] + k].astype(np.int64)
-        lx = (i == -1 - m).astype(np.int64)
-        ok = m >= 0
-        lx[ok] = prev.letters[(letters_at[at] + i * row[at] + m)[ok]]
-        at = np.repeat(np.arange(len(zeta)), np.diff(piece_at))
-        piece = prev.basis[basis_at[at] + np.arange(piece_at[-1])
-                           - piece_at[at]] * zeta[at] % p
-        for lo, hi in zip(groups.tolist(), groups[1:].tolist() + [len(zeta)]):
-            rows, ks, cols = pairs[:3, lo].tolist()
-            prod = matmul_mod(
-                lx[lx_at[lo]:lx_at[hi]].reshape(-1, rows, ks),
-                piece[piece_at[lo]:piece_at[hi]].reshape(-1, ks, cols), p)
-            # row i of a product fills `cols` cells from out[top + i, left]
-            dest = ((top[lo:hi, None] + np.arange(rows)) * size
-                    + left[lo:hi, None])
-            out.ravel()[dest[:, :, None] + np.arange(cols)] = prod
-        diag = out.ravel()[::size + 1]
-        diag[:] = (diag + 1) % p
+        for x, h in enumerate(down):
+            if not below[h] or not slots[h]:
+                continue
+            tx, zx, basis = self.target[x], self.zeta[x], prev.basis[h]
+            left, right = off[x], off[x + 1]
+            for y, lo, hi in slots[h]:
+                t = down[tx[y]]
+                if not below[t]:
+                    continue
+                at, piv = prev_off[t], pivots[t]
+                a, b = at[x], at[x + 1]
+                i = bisect_left(piv, a)
+                j = bisect_left(piv, b, i)
+                top, rows = off[tx[y]], basis[lo:hi]
+                dest = out[top:top + below[t], left:right]
+                unit = [c - a for c in piv[i:j]]
+                if len(unit) < b - a:   # the letter columns multiply
+                    other = rows.take(sorted(set(range(b - a)).difference(
+                        unit)), axis=0) if unit else rows
+                    dest[:] = matmul_mod(letters[t][:, a - i:b - j], other, p)
+                if unit:        # the pivot columns are units, rows i .. j - 1
+                    dest[i:j] += rows.take(unit, axis=0)
+                if zx[y] != 1:
+                    dest *= zx[y]
+        out.ravel()[::size + 1] += 1
+        out %= p
         return out
 
 
@@ -520,12 +492,14 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
     Degree n needs of degree n-1 only its pivot columns and these letter
     matrices, and the ladder holds no more.
 
-    The only limit is memory, in bytes (_memory_limit_bytes, read once).
-    DegreeTooLargeError is raised before a degree whose largest candidate
-    block, in two copies, the int64 factors of the products of one block,
-    or whose pivot columns and letter matrices (at most c^2 int32 cells
-    for c candidates) on top of those of the degree before, would pass
-    it; the message names the bytes and the limit.
+    The only limit is memory, in bytes: the smaller of what the kernel
+    reports available and the soft address-space limit
+    (_memory_limit_bytes, read once).  DegreeTooLargeError is raised
+    before a degree if the sum would pass it of the pivot columns and
+    letter matrices of the degree before, its own (at most c^2 int32
+    cells for c candidates), its largest block with elimination's copies,
+    and one product with matmul_mod's working copies; the message names
+    each part and the limit.
     """
     d = V.dim
     yield 0, 1, 0.0

@@ -365,7 +365,7 @@ def path_section_witness(g, ext, sec):
                 val = int(ext.gen_perms[letter, val])
             if len(word) // 2 % 2:
                 val = int(zp[val])
-            if val != sec(refl.elem):
+            if val != sec.rho[refl.elem]:
                 return (refl.elem, list(word))
     return None
 
@@ -433,11 +433,11 @@ def dense_check_vendramin(g, ext, sec):
     z = ext.z_elem
     for i in range(g.rank):
         s = g.simple_reflection(i)
-        rs = sec(s)
+        rs = sec.rho[s]
         for refl in g.reflections:
             y = refl.elem
-            lhs = int(M[M[rs, sec(y)], inv[rs]])
-            rhs = sec(g.conj(s, y))
+            lhs = int(M[M[rs, sec.rho[y]], inv[rs]])
+            rhs = sec.rho[g.conj(s, y)]
             if s != y:
                 rhs = int(M[rhs, z])
             if lhs != rhs:

@@ -238,7 +238,8 @@ def test_hilbert_a3_degree_7(capsys):
     assert all(r["agreed"] for r in rows)
 
 
-def test_hilbert_a4_is_the_fomin_kirillov_algebra(capsys):
+@pytest.mark.parametrize("dmax", [6, pytest.param(8, marks=pytest.mark.slow)])
+def test_hilbert_a4_is_the_fomin_kirillov_algebra(capsys, dmax):
     # A4 with q- is E_5, Hilbert series [4]^4 [5]^2 [6]^4 (Fomin-Kirillov,
     # 1999), [m] = 1 + t + ... + t^(m - 1)
     series = [1]
@@ -246,11 +247,11 @@ def test_hilbert_a4_is_the_fomin_kirillov_algebra(capsys):
         series = [sum(series[max(0, i - m + 1):i + 1])
                   for i in range(len(series) + m - 1)]
     assert (len(series), sum(series)) == (41, 8_294_400)
-    assert series[:7] == [1, 10, 55, 220, 711, 1960, 4761]
-    code, out, _ = run(capsys, "hilbert", "A4", "--dmax", "6", "--json")
+    assert series[:9] == [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796]
+    code, out, _ = run(capsys, "hilbert", "A4", "--dmax", str(dmax), "--json")
     assert code == 0
     rows = json.loads(out)["rows"]
-    assert [r["rank_minus"] for r in rows] == series[:7]
+    assert [r["rank_minus"] for r in rows] == series[:dmax + 1]
     assert all(r["agreed"] for r in rows)
 
 
@@ -329,13 +330,14 @@ def test_memory_error_exits_1(capsys, monkeypatch):
 
 
 def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_900)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 13_715)
     code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")
     assert code == 1
     assert out == ""
-    assert err == ("error: degree 3 needs 1920 bytes for two copies of "
-                   "its largest candidate block, 10 columns of 12 rows, "
-                   "memory limit 1900\n")
+    assert err == ("error: degree 3 needs 13716 bytes: 1052 held by degree "
+                   "2, up to 8904 kept, 3200 to build and eliminate its "
+                   "largest block, c = 10, and 560 for one product, memory "
+                   "limit 13715\n")
 
 
 def test_negative_dmax_exits_1():

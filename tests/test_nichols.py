@@ -5,8 +5,10 @@ import itertools
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -390,13 +392,13 @@ def ladder_levels(V, p, omega, dmax):
 
 def letter_coordinates(level, l):
     """Coordinates of block l's candidates in its pivot basis, (rank,
-    candidates), with the unit columns of the pivot candidates restored."""
-    cmap = level.cmap[level.cstart[l]:level.cstart[l + 1]].astype(np.int64)
-    out = np.zeros((int(level.rank[l]), cmap.size), dtype=np.int64)
-    piv = cmap < 0
-    out[-1 - cmap[piv], np.flatnonzero(piv)] = 1
-    out[:, ~piv] = level.letters[level.lstart[l]:level.lstart[l + 1]].reshape(
-        out.shape[0], -1)
+    candidates): its reduced echelon form, with the unit columns of the
+    pivot candidates restored."""
+    piv = level.pivots[l]
+    size = int(level.off[l, -1])
+    out = np.zeros((len(piv), size), dtype=np.int64)
+    out[np.arange(len(piv)), piv] = 1
+    out[:, np.setdiff1d(np.arange(size), piv)] = level.letters[l]
     return out
 
 
@@ -408,9 +410,8 @@ def pivot_words(levels):
     for level in levels[1:]:
         words.append([])
         for l in range(len(level.rank)):
-            cmap = level.cmap[level.cstart[l]:level.cstart[l + 1]]
             block = []
-            for t in np.flatnonzero(cmap < 0).tolist():
+            for t in level.pivots[l]:
                 x = int(np.searchsorted(level.off[l], t, side="right")) - 1
                 block.append((x,) + words[-2][level.down[l, x]][
                     t - level.off[l, x]])
@@ -570,31 +571,47 @@ def test_ladder_basis_survives_its_elimination():
     ladder = nichols._SpanLadder(V, p, omega)
     assert ladder.extend() == 1
     # S_2 = 1 + c and c(x x) = zeta x x
-    level = ladder.level
-    basis = [level.basis[level.bstart[l]:level.bstart[l + 1]].reshape(
-        level.off[l, -1], level.rank[l]).tolist()
-        for l in range(len(level.rank))]
-    assert basis == [[[(1 + omega) % p]]]
+    assert [basis.tolist() for basis in ladder.level.basis] == [
+        [[(1 + omega) % p]]]
 
 
-def refused_degree_bytes(exc) -> tuple[int, int, int, int]:
-    """(degree, bound, held, limit) named by a degree refusal."""
-    m = re.search(r"degree (\d+) keeps up to (\d+) bytes of pivot columns "
-                  r"and letter matrices on top of the (\d+) bytes of degree "
-                  r"\d+, memory limit (\d+)", str(exc.value))
-    return tuple(int(v) for v in m.groups())
+REFUSAL = re.compile(
+    r"degree (\d+) needs (\d+) bytes: (\d+) held by degree \d+, up to (\d+) "
+    r"kept, (\d+) to build and eliminate its largest block, c = (\d+), and "
+    r"(\d+) for one product, memory limit (\d+)")
+
+
+def refusal(ladder) -> dict[str, int]:
+    """The parts that the refusal of the ladder's next degree names, read
+    off under a limit of 0 bytes (a refusal leaves the ladder as it was)."""
+    limit, ladder.limit = ladder.limit, 0
+    with pytest.raises(DegreeTooLargeError) as exc:
+        ladder.extend()
+    ladder.limit = limit
+    names = ("degree", "need", "held", "keep", "block", "size", "product",
+             "limit")
+    values = REFUSAL.fullmatch(str(exc.value)).groups()
+    return dict(zip(names, map(int, values)))
 
 
 def test_degree_refused_below_its_bound(spaces, monkeypatch):
-    # degree 4 of A3 keeps at most 4 c^2 bytes per block of c candidates,
-    # while degree 3 still holds its pivot columns and letter matrices
+    # degree 4 of A3 is refused one byte below the sum of what degree 3
+    # holds, what degree 4 keeps (at most 4 c^2 bytes and c pivots per
+    # block of c candidates), its largest block with elimination's copies,
+    # and one product of an r1 x r2 letter matrix and r2 x r1 pivot rows
     V = spaces("A3")
     p = primes_one_mod(V.k, count=1)[0]
     omega = root_of_unity_mod(p, V.k)
     levels = ladder_levels(V, p, omega, 4)
-    bound = 4 * int((levels[4].off[:, -1] ** 2).sum())
-    held = levels[3].basis.nbytes + levels[3].letters.nbytes
-    assert held > 0
+    three, sizes = levels[3], levels[4].off[:, -1]
+    held = (sum(a.nbytes for a in three.basis + three.letters)
+            + 40 * int(three.rank.sum()))
+    keep = 4 * int((sizes ** 2).sum()) + 40 * int(sizes.sum())
+    block = 32 * int(sizes.max()) ** 2
+    r1, r2 = int(three.rank.max()), int(np.diff(three.off).max())
+    product = 8 * (27 * r1 * r2 + 4 * r1 * r1)
+    need = held + keep + block + product
+    assert held > 0 and r2 > 0
 
     def ranks(limit):
         monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
@@ -602,43 +619,84 @@ def test_degree_refused_below_its_bound(spaces, monkeypatch):
         return [rank for _, rank, _ in steps]
 
     with pytest.raises(DegreeTooLargeError) as exc:
-        ranks(bound + held - 1)
-    assert refused_degree_bytes(exc) == (4, bound, held, bound + held - 1)
-    assert ranks(bound + held) == [1, 6, 19, 42, 71]
+        ranks(need - 1)
+    assert [int(v) for v in REFUSAL.fullmatch(str(exc.value)).groups()] == [
+        4, need, held, keep, block, int(sizes.max()), product, need - 1]
+    assert ranks(need) == [1, 6, 19, 42, 71]
 
 
-def test_product_factors_refused_at_their_size(spaces, monkeypatch):
-    # A3 degree 11: a block whose slots have unequal ranks is refused one
-    # byte below the factors its products hand matmul_mod, though two
-    # copies of the largest block fit under that limit
+def test_product_factors_within_their_count(spaces, monkeypatch):
+    # A3 degree 11, whose slots have unequal ranks: the factors that every
+    # product hands matmul_mod, in int64, fit in the refusal's product
+    # term, and the degree is refused one byte below the sum of the parts
     V = spaces("A3")
     p = primes_one_mod(V.k, count=1)[0]
     ladder = nichols._SpanLadder(V, p, root_of_unity_mod(p, V.k))
     for _ in range(9):
         ladder.extend()
+    parts = refusal(ladder)
     before = copy.deepcopy(ladder)
     factors = []
-    block = nichols._SpanLadder._block
-
-    def spy_block(self, *args):
-        factors.append(0)
-        return block(self, *args)
 
     def spy_matmul(a, b, p):
-        factors[-1] += a.nbytes + b.nbytes
+        factors.append(8 * (a.size + b.size))
         return matmul_mod(a, b, p)
 
-    monkeypatch.setattr(nichols._SpanLadder, "_block", spy_block)
     monkeypatch.setattr(nichols, "matmul_mod", spy_matmul)
     assert ladder.extend() == 6
-    need, l = max(factors), int(np.argmax(factors))
-    assert len(set(np.diff(ladder.level.off[l]).tolist()) - {0}) > 1
-    before.limit = need - 1
+    assert len(set(np.diff(ladder.level.off).ravel().tolist()) - {0}) > 1
+    assert 0 < max(factors) <= parts["product"]
+    before.limit = parts["need"] - 1
     with pytest.raises(DegreeTooLargeError,
-                       match=f"degree 11 needs {need} bytes for the factors "
-                             f"of the products of its largest block, memory "
-                             f"limit {need - 1}"):
+                       match=f"degree 11 needs {parts['need']} bytes"):
         before.extend()
+    before.limit = parts["need"]
+    assert before.extend() == 6
+
+
+PEAK_CASES = [("A3", "plus", 8), ("I2(6) U(0)+V(3,1)", 0, 10),
+              ("D4", "plus", 5), ("A4", "minus", 7)]
+
+
+@pytest.mark.parametrize("name,which,degree", PEAK_CASES)
+def test_extend_peak_within_its_refusal(spaces, name, which, degree):
+    # what building one degree allocates on top of the degree before it,
+    # traced, is at most what its refusal counts beyond that degree
+    V = graded_case_space(spaces, name, which)
+    p = primes_one_mod(V.k, count=1)[0]
+    ladder = nichols._SpanLadder(V, p, root_of_unity_mod(p, V.k))
+    for _ in range(2, degree):
+        ladder.extend()
+    parts = refusal(ladder)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ladder.extend()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= parts["need"] - parts["held"]
+
+
+def test_memory_limit_is_what_the_kernel_will_give(monkeypatch):
+    # the smaller of MemAvailable and the soft address-space limit
+    unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
+    monkeypatch.setattr(nichols, "_mem_available", lambda: 5 * 2 ** 30)
+    monkeypatch.setattr(nichols.resource, "getrlimit", lambda _: unlimited)
+    assert nichols._memory_limit_bytes() == 5 * 2 ** 30
+    monkeypatch.setattr(nichols.resource, "getrlimit",
+                        lambda _: (3 * 2 ** 30, resource.RLIM_INFINITY))
+    assert nichols._memory_limit_bytes() == 3 * 2 ** 30
+    monkeypatch.undo()
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert 0 < nichols._mem_available() <= phys
+
+    def no_meminfo(*args, **kwargs):
+        raise FileNotFoundError("/proc/meminfo")
+
+    # without /proc/meminfo, physical memory
+    monkeypatch.setattr(nichols, "open", no_meminfo, raising=False)
+    assert nichols._mem_available() == phys
 
 
 def test_total_dimension_disagreeing_primes(undercounting_ladder_iter):
@@ -740,21 +798,20 @@ def test_exact_mode_certifies_despite_undercounting_prime(
 
 
 def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
-    # A3 degree 2: the largest block, the identity grade, has the 6
-    # candidates x x in 6 * width_1 = 6 slot rows: two int64 copies need
-    # 16 * 6 * 6 = 576 bytes, and degree 2 memoizes nothing
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 575)
+    # A3 degree 2, whose largest block, the identity grade, has the 6
+    # candidates x x, is refused one byte below the sum of its parts
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 3_583)
     with pytest.raises(DegreeTooLargeError,
-                       match="degree 2 needs 576 bytes"):
+                       match="degree 2 needs 3584 bytes"):
         hilbert_coeffs(spaces("A3"), 2)
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 576)
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 3_584)
     assert [r.rank for r in hilbert_coeffs(spaces("A3"), 2)] == [1, 6, 19]
-    # degree 3: 10 candidates in 6 * 2 = 12 slot rows, 1920 bytes
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 1_919)
-    with pytest.raises(DegreeTooLargeError,
-                       match="degree 3 needs 1920 bytes for two copies of "
-                             "its largest candidate block, 10 columns of "
-                             "12 rows"):
+    # degree 3: a largest block of 10 candidates
+    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 13_715)
+    with pytest.raises(DegreeTooLargeError, match=re.escape(
+            "degree 3 needs 13716 bytes: 1052 held by degree 2, up to 8904 "
+            "kept, 3200 to build and eliminate its largest block, c = 10, "
+            "and 560 for one product, memory limit 13715")):
         hilbert_coeffs(spaces("A3"), 3)
 
 
@@ -805,6 +862,30 @@ def test_quadraticity_agrees_across_cocycles(spaces):
     for name, quadratic in (("B2", False), ("I2(5)", False), ("A3", True)):
         for which in ("plus", "minus"):
             assert is_quadratic_through(spaces(name, which), 4) == quadratic
+
+
+@pytest.mark.slow
+def test_2304_sum_with_u_prime_degree_9_under_3_gib():
+    # U(0) + U'(0) over I2(6) at two primes; degree 9 has one block of 6328
+    # candidates, and the ladder that built a block's factors through
+    # per-cell index arrays died there in matmul_mod with a MemoryError
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import resource\n"
+            "limit = 3 * 2 ** 30\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from coxrack import coxeter, dihedral, nichols\n"
+            "g = coxeter.build_group(coxeter.preset_matrix('I2(6)'))\n"
+            "V = dihedral.braided_from_graded(dihedral.direct_sum(\n"
+            "    dihedral.u_module(g, 0),\n"
+            "    dihedral.u_module(g, 0, primed=True)))\n"
+            "for r in nichols.hilbert_coeffs(V, 9):\n"
+            "    print(r.rank, r.agreed, len(r.primes))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=900,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    ranks = [1, 6, 21, 60, 152, 354, 772, 1596, 3164, 6054]
+    assert proc.stdout == "".join(f"{r} True 2\n" for r in ranks)
 
 
 @pytest.mark.slow

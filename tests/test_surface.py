@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     # serializes schema/symmetrizer_report.v1.json; read by the schema test
     "to_dict",
-    # the paper's corollary that q+ is quadratic iff q- is; ROADMAP item 2
+    # the paper's corollary that q+ is quadratic iff q- is; ROADMAP item 7
     # rebuilds it from the relation cover
     "is_quadratic_through",
 }
