@@ -54,7 +54,7 @@ def _class_indices(g: GroupTable, name: str | None):
     """Resolve --subrack T1/T2/... to reflection indices (None = all of T)."""
     if name is None:
         return None
-    classes = g.reflection_classes()
+    classes = g.classes
     match = re.fullmatch(r"[Tt]?([1-9][0-9]*)", name)
     if match is None:
         raise InvalidMatrixError(f"bad subrack name {name!r}")
@@ -73,7 +73,7 @@ def _class_indices(g: GroupTable, name: str | None):
 def cmd_info(args) -> int:
     matrix = resolve_matrix(args.target)
     g = build_group(matrix)
-    classes = g.reflection_classes()
+    classes = g.classes
     data = {
         "schema": "group_info.v1",
         "matrix": [list(r) for r in matrix.rows],
@@ -116,9 +116,9 @@ def cmd_hilbert(args) -> int:
     rack, qp = reflection_rack(g), q_plus(g)
     if indices is not None:
         rack, qp = rack.subrack(indices), qp.restrict(indices)
-    reports = hilbert_coeffs(braiding_from_rack(rack, qp), args.dmax,
-                             mode=args.mode)
-    rows = [{"degree": r.degree, "ambient_dim": r.ambient_dim,
+    V = braiding_from_rack(rack, qp)
+    reports = hilbert_coeffs(V, args.dmax, mode=args.mode)
+    rows = [{"degree": r.degree, "ambient_dim": V.dim ** r.degree,
              "rank_plus": r.rank, "rank_minus": r.rank, "equal": True,
              "agreed": r.agreed} for r in reports]
     total = sum(r.rank for r in reports)

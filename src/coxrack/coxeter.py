@@ -257,16 +257,6 @@ class Reflection(NamedTuple):
     root: int       # positive-root index
 
 
-class ConjGraph(NamedTuple):
-    """Reflection conjugacy graph: edge x --s--> y iff y = s>x, l(x)=l(y)+2."""
-
-    edges: tuple[tuple[tuple[int, int], ...], ...]  # per refl: (gen, target)
-    simple_gen: tuple[int, ...]                     # sink label per reflection, -1 if none
-
-    def out_edges(self, refl_index: int) -> tuple[tuple[int, int], ...]:
-        return self.edges[refl_index]
-
-
 # ---------------------------------------------------------------------------
 # Roots and the group table
 # ---------------------------------------------------------------------------
@@ -381,7 +371,6 @@ class GroupTable(RootSystem):
         self._build_classes()
         self._mult = None
         self._conj_refl = None
-        self._graph = None
 
     # -- construction -----------------------------------------------------
 
@@ -532,6 +521,10 @@ class GroupTable(RootSystem):
                 raise AssertionError("reflection does not negate its root")
 
     def _build_classes(self):
+        """Conjugacy classes of reflections (indices), one per component
+        of the odd-labeled Coxeter graph, holding the reflections whose
+        roots descend from its simple roots (tests compare them with the
+        orbits of the simple reflections on the roots)."""
         comps = self.matrix.odd_components()
         comp_of_gen = {}
         for ci, comp in enumerate(comps):
@@ -609,57 +602,6 @@ class GroupTable(RootSystem):
                 len(self.reflections) - 1))
             self._conj_refl = of_signed[self.perms[:, roots]]
         return self._conj_refl
-
-    # -- reflection-level operations ----------------------------------------
-
-    def reflection_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Conjugacy classes of reflections (indices), cross-checked.
-
-        Primary route: components of the odd-labeled Coxeter graph.
-        Cross-check: direct orbit closure under conjugation by the simple
-        reflections, s_i s_beta s_i = s_(s_i beta), on the positive roots.
-        """
-        orbit_partition = []
-        seen: set[int] = set()
-        for refl in self.reflections:
-            if refl.index in seen:
-                continue
-            orbit = {refl.root}
-            frontier = [refl.root]
-            while frontier:
-                r = frontier.pop()
-                for perm in self.gen_root_perm:
-                    q = perm[r] % self.nroots
-                    if q not in orbit:
-                        orbit.add(q)
-                        frontier.append(q)
-            ids = tuple(sorted(self.refl_of_root[r] for r in orbit))
-            orbit_partition.append(ids)
-            seen.update(ids)
-        orbit_partition.sort(key=min)
-        if tuple(orbit_partition) != self.classes:
-            raise AssertionError("odd-component classes disagree with orbits")
-        return self.classes
-
-    def conjugacy_graph(self) -> ConjGraph:
-        if self._graph is None:
-            edges = []
-            sink_gen = []
-            for refl in self.reflections:
-                lx = self.length_arr[refl.elem]
-                outs = []
-                for i in range(self.rank):
-                    s = self.simple_reflection(i)
-                    y = self.conj(s, refl.elem)
-                    if self.length_arr[y] == lx - 2:
-                        outs.append((i, int(self.refl_index_of_elem[y])))
-                if lx > 1 and not outs:
-                    raise AssertionError(
-                        "non-simple reflection with no length-decreasing edge")
-                edges.append(tuple(outs))
-                sink_gen.append(refl.elem - 1 if lx == 1 else -1)
-            self._graph = ConjGraph(edges=tuple(edges), simple_gen=tuple(sink_gen))
-        return self._graph
 
 
 def build_group(matrix: CoxeterMatrix) -> GroupTable:

@@ -70,13 +70,8 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
         raise InvalidSummandError(
             f"v0 copies must be at least 0, got {v0_copies}")
     k = 2 * r
-    degrees: list[int] = []
-    chars: list[int] = []
-    labels: list[str] = []
-    for c in range(v0_copies):
-        degrees.append(r)
-        chars.append(r)
-        labels.append(f"v0({c})" if v0_copies > 1 else "v0")
+    degrees = [r] * v0_copies
+    chars = [r] * v0_copies
     seen = set()
     for entry in pairs:
         h, j, mult = entry if len(entry) == 3 else (*entry, 1)
@@ -88,19 +83,13 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
         if (h, j) in seen:
             raise InvalidSummandError(f"duplicate summand ({h}, {j})")
         seen.add((h, j))
-        for c in range(mult):
-            tag = f";{c}" if mult > 1 else ""
-            degrees.append(h % k)
-            chars.append(j % k)
-            labels.append(f"v(+{h},{j}{tag})")
-            degrees.append((-h) % k)
-            chars.append((-j) % k)
-            labels.append(f"v(-{h},{j}{tag})")
+        degrees += [h % k, (-h) % k] * mult
+        chars += [j % k, (-j) % k] * mult
     if not degrees:
         raise InvalidSummandError("empty sum")
     d = len(degrees)
     qexp = [[degrees[x] * chars[y] % k for y in range(d)] for x in range(d)]
-    return DiagonalBraidedSpace(k, qexp, labels)
+    return DiagonalBraidedSpace(k, qexp)
 
 
 def compatible(r: int, pairs) -> bool:
@@ -231,7 +220,7 @@ def braided_from_graded(mod: GradedModule) -> BraidedSpace:
             expo[x][y] = int(op.expo[y])
             if mod.degrees[t] != mod.g.conj(mod.degrees[x], mod.degrees[y]):
                 raise ValueError("grading rule fails inside the braiding")
-    return BraidedSpace(mod.k, target, expo, mod.labels)
+    return BraidedSpace(mod.k, target, expo)
 
 
 def _require_i26(g: GroupTable):

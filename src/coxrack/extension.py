@@ -302,9 +302,12 @@ def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
 def build_section(g: GroupTable, ext: ExtGroup) -> Section:
     """Section along the first edge of the reflection conjugacy graph.
 
+    An edge x --s_i--> y joins reflections with y = s_i > x and
+    l(y) = l(x) - 2; row s_i of conj_refl_table holds s_i > x.
     rho(s_i) = t_i, and the first edge x --s_i--> y of a deeper
-    reflection gives rho(x) = t_i rho(y) t_i z.  Off the reflections rho
-    lifts the ShortLex word with no z: it is element w (rho(1) = 1).
+    reflection, smallest i first, gives rho(x) = t_i rho(y) t_i z.  Off
+    the reflections rho lifts the ShortLex word with no z: it is element
+    w (rho(1) = 1).
 
     Once check_vendramin passes, every path gives rho(x).  A path's value
     is t_j at its end s_j, and tconj[s, value of the rest] z one edge
@@ -314,12 +317,18 @@ def build_section(g: GroupTable, ext: ExtGroup) -> Section:
     tconj[s, rho(y)] = rho(x) z.  The tests recompute every path.
     """
     zp = ext.gen_perms[ext.nt]
-    graph = g.conjugacy_graph()
+    elems = np.array([t.elem for t in g.reflections])
+    length = g.length_arr[elems]
+    conj = g.conj_refl_table()[g.rmult[0]]     # [i, x]: s_i > x
+    down = length[conj] == length - 2
     rho = np.arange(g.order, dtype=np.int32)
-    for refl in sorted(g.reflections, key=lambda t: g.length(t.elem)):
-        if g.length(refl.elem) > 1:
-            gen, target = graph.out_edges(refl.index)[0]
-            rho[refl.elem] = zp[ext.tconj[gen, rho[g.reflections[target].elem]]]
+    # reflections are numbered by element id, so y comes before x
+    for x in np.flatnonzero(length > 1):
+        if not down[:, x].any():
+            raise AssertionError(
+                "non-simple reflection with no length-decreasing edge")
+        i = int(down[:, x].argmax())
+        rho[elems[x]] = zp[ext.tconj[i, rho[elems[conj[i, x]]]]]
     if not np.array_equal(ext.pi[rho], np.arange(g.order)):
         raise AssertionError("rho is not a section of the projection")
     return Section(rho=rho)

@@ -3,9 +3,12 @@
 Symmetrizer ranks are computed over word-size prime fields chosen so a
 fixed primitive k-th root of unity has an exact image.  Rank over GF(p)
 can only undercount the characteristic-zero rank, never overcount;
-exact ranks come from enough such primes (nichols.hilbert_coeffs).  The
-exact rank over Q(zeta_k), rank_exact_cyclo, is a test oracle: it takes
-the integer power-basis array of cyclo and eliminates over Q.
+exact ranks come from enough such primes (nichols.hilbert_coeffs).
+Elimination over GF(p) always ends in the reduced row echelon form,
+which the ladder reads its letter matrices from and solve_in_span_mod
+its solutions.  The exact rank over Q(zeta_k), rank_exact_cyclo, is a
+test oracle: it takes the integer power-basis array of cyclo and
+eliminates over Q.
 """
 
 from __future__ import annotations
@@ -92,12 +95,9 @@ def root_of_unity_mod(p: int, k: int) -> int:
     raise PrimeGenerationError(f"no order-{k} residue mod {p}")  # unreachable
 
 
-def row_reduce_mod(a: np.ndarray, p: int, full: bool = False):
-    """In-place row reduction mod p; returns (matrix, pivot column list).
-
-    With full=True the result is the reduced row echelon form; otherwise
-    only entries below each pivot are cleared (enough for ranks).
-    """
+def row_reduce_mod(a: np.ndarray, p: int):
+    """In-place reduction mod p to the reduced row echelon form; returns
+    (matrix, pivot column list)."""
     m, n = a.shape
     pivots: list[int] = []
     row = 0
@@ -114,9 +114,7 @@ def row_reduce_mod(a: np.ndarray, p: int, full: bool = False):
         a[row, col:] = a[row, col:] * inv % p
         # after the swap the nonzero entries below the pivot sit where
         # they did before it
-        idx = nonzero[1:] + row
-        if full:
-            idx = np.concatenate((a[:row, col].nonzero()[0], idx))
+        idx = np.concatenate((a[:row, col].nonzero()[0], nonzero[1:] + row))
         if idx.size:
             rest = a[idx, col:]
             rest -= rest[:, :1] * a[row, col:]
@@ -126,25 +124,11 @@ def row_reduce_mod(a: np.ndarray, p: int, full: bool = False):
     return a, pivots
 
 
-def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the right nullspace mod p, one vector per row."""
-    m, n = a.shape
-    work = np.array(a, dtype=np.int64) % p
-    work, pivots = row_reduce_mod(work, p, full=True)
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, fc in enumerate(free):
-        basis[bi, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[bi, pc] = (-work[r, fc]) % p
-    return basis
-
-
 def solve_in_span_mod(d: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """Solve D X = C mod p for D with full column rank; raises if outside."""
     m, r = d.shape
     aug = np.concatenate([d, c], axis=1).astype(np.int64) % p
-    aug, pivots = row_reduce_mod(aug, p, full=True)
+    aug, pivots = row_reduce_mod(aug, p)
     if len(pivots) < r or pivots[:r] != list(range(r)):
         raise ValueError("left block does not have full column rank")
     if len(pivots) > r:

@@ -23,16 +23,15 @@ one degree lower, read off that degree's reduced echelon form; so the
 ladder holds one degree, per block its pivot columns and letter
 matrices, and fills a block one product per letter and slot.  A degree
 whose held, kept and transient bytes, summed, would pass the memory
-limit is refused with DegreeTooLargeError before it is built.  Every
-rank query (hilbert_coeffs, total_dimension, the quadraticity probe)
-runs the ladder once per prime through _ladder_runs, which stops each
-run at the requested degree or its first zero rank.  Exact ranks come
-from the same ladder at enough primes (proof in hilbert_coeffs).  Tests
-pin the factorization against the literal sum, and the ladder against
-the dense d^n assembly and the exact rank over Q(zeta_k) of its integer
-power-basis form: symmetrizer_factorized_exact, with
-exact_matrix_as_cyclo and modlin.rank_exact_cyclo, which stay here as
-benchmark trace targets (the other oracles are in tests/oracles.py).
+limit is refused with DegreeTooLargeError before it is built.
+hilbert_coeffs, which total_dimension calls, runs the ladder once per
+prime and stops each run at the requested degree or its first zero
+rank.  Exact ranks come from the same ladder at enough primes (proof in
+hilbert_coeffs).  Tests pin the factorization against the literal sum,
+and the ladder against the dense d^n assembly and the exact rank over
+Q(zeta_k) of its integer power-basis form: symmetrizer_factorized_exact,
+with exact_matrix_as_cyclo and modlin.rank_exact_cyclo, which stay here
+as benchmark trace targets (the other oracles are in tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -41,14 +40,12 @@ from bisect import bisect_left
 import math
 import os
 import resource
-import time
 from typing import NamedTuple
 
 import numpy as np
 
 from .modlin import (
     matmul_mod,
-    nullspace_mod,
     primes_one_mod,
     root_of_unity_mod,
     row_reduce_mod,
@@ -105,16 +102,14 @@ class BraidedSpace:
     equation is checked exhaustively on basis triples at construction.
     """
 
-    def __init__(self, k: int, target, expo, labels=None):
+    def __init__(self, k: int, target, expo):
         self.k = k
         self.target = tuple(tuple(int(v) for v in row) for row in target)
         self.expo = tuple(tuple(int(v) % k for v in row) for row in expo)
         self.dim = len(self.target)
-        self.labels = tuple(labels) if labels is not None else tuple(
-            f"x{i}" for i in range(self.dim))
         d = self.dim
         if any(len(row) != d for row in self.target) or \
-           any(len(row) != d for row in self.expo) or len(self.labels) != d:
+           any(len(row) != d for row in self.expo):
             raise ValueError("braiding tables have inconsistent shapes")
         for x in range(d):
             if sorted(self.target[x]) != list(range(d)):
@@ -169,7 +164,7 @@ def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
 # ---------------------------------------------------------------------------
 
 
-def braiding_from_rack(X: Rack, q: RackCocycle, labels=None) -> BraidedSpace:
+def braiding_from_rack(X: Rack, q: RackCocycle) -> BraidedSpace:
     """c(x tensor y) = q(x, y) (x > y) tensor x on the free space on X.
 
     The braid equation that BraidedSpace checks on every basis triple is
@@ -183,17 +178,16 @@ def braiding_from_rack(X: Rack, q: RackCocycle, labels=None) -> BraidedSpace:
     """
     if q.size != X.size:
         raise ValueError("cocycle and rack sizes differ")
-    return BraidedSpace(k=q.order, target=X.act, expo=q.table,
-                        labels=labels or [str(l) for l in X.labels])
+    return BraidedSpace(k=q.order, target=X.act, expo=q.table)
 
 
 class DiagonalBraidedSpace(BraidedSpace):
     """Diagonal braiding: x > y = y with scalar matrix zeta^qexp[x][y]."""
 
-    def __init__(self, k: int, qexp, labels=None):
+    def __init__(self, k: int, qexp):
         d = len(qexp)
         target = [[y for y in range(d)] for _ in range(d)]
-        super().__init__(k, target, qexp, labels)
+        super().__init__(k, target, qexp)
         self.qexp = self.expo
 
 
@@ -214,8 +208,7 @@ def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
     exact_matrix_as_cyclo for canonical comparisons.
 
     Test oracle, with exact_matrix_as_cyclo and modlin.rank_exact_cyclo,
-    for the exact ranks of hilbert_coeffs; is_quadratic_through reads its
-    degree-2 kernel off this matrix mod p."""
+    for the exact ranks of hilbert_coeffs."""
     d = V.dim
     k = V.k
     if n == 0:
@@ -251,29 +244,13 @@ def exact_matrix_as_cyclo(arr: np.ndarray, k: int) -> np.ndarray:
 
 
 class SymmetrizerReport(NamedTuple):
-    """Per-degree rank data of the quantum symmetrizer."""
+    """Rank of the quantum symmetrizer in one degree, over the primes of
+    the run; `agreed` says whether they proved or agreed on it."""
 
     degree: int
-    ambient_dim: int
     rank: int
-    nullity: int
-    mode: str                 # "modular" | "exact"
     primes: tuple[int, ...]
     agreed: bool
-    seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "symmetrizer_report.v1",
-            "degree": self.degree,
-            "ambient_dim": self.ambient_dim,
-            "rank": self.rank,
-            "nullity": self.nullity,
-            "mode": self.mode,
-            "primes": list(self.primes),
-            "agreed": self.agreed,
-            "seconds": round(self.seconds, 6),
-        }
 
 
 def _mem_available() -> int:
@@ -394,7 +371,7 @@ class _SpanLadder:
         for l, size in enumerate(sizes.tolist()):
             cols = self._block(prev, below, prev_off, slots, down[l].tolist(),
                                off[l].tolist())
-            red, piv = row_reduce_mod(cols.copy(), self.p, full=True)
+            red, piv = row_reduce_mod(cols.copy(), self.p)
             pivot = np.zeros(size, dtype=bool)
             pivot[piv] = True
             level.basis.append(cols[:, piv].astype(np.int32))
@@ -450,7 +427,7 @@ class _SpanLadder:
 
 
 def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
-    """Yield (degree, rank, seconds) over GF(p) for degrees 0, 1, 2, ...
+    """Yield (degree, rank) over GF(p) for degrees 0, 1, 2, ...
     through the first degree of rank zero.
 
     Spanning columns.  The length-additive lift factors S_n over the
@@ -502,64 +479,19 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
     each part and the limit.
     """
     d = V.dim
-    yield 0, 1, 0.0
-    yield 1, d, 0.0
+    yield 0, 1
+    yield 1, d
     ladder = _SpanLadder(V, p, omega)
     n, rank = 1, d
     while rank:
         n += 1
-        t0 = time.perf_counter()
         rank = ladder.extend()
-        yield n, rank, time.perf_counter() - t0
-
-
-def _ladder_runs(V: BraidedSpace, dmax: int, exact: bool = False):
-    """Ladder runs (p, omega, ranks, seconds) at primes p = 1 (mod k), each
-    through degree dmax or its first zero rank, whichever comes first.
-
-    PRIME_COUNT primes; exact mode adds primes until their product passes
-    the Hadamard bound of hilbert_coeffs.
-    """
-    phi, runs, bound = euler_phi(V.k), [], 0
-    while len(runs) < PRIME_COUNT or exact and math.prod(
-            run[0] for run in runs) <= bound:
-        p = primes_one_mod(V.k, count=len(runs) + 1)[-1]
-        omega = root_of_unity_mod(p, V.k)
-        ranks, seconds = [], []
-        for n, rank, secs in ladder_ranks_iter(V, p, omega):
-            ranks.append(rank)
-            seconds.append(secs)
-            if n == dmax:
-                break
-        runs.append((p, omega, ranks, seconds))
-        if exact:   # Hadamard's bound on |N(D)|, r the largest rank so far
-            bound = max(
-                math.factorial(n) ** ((max(_ranks_at(runs, n)) + 1) * phi)
-                for n in range(dmax + 1))
-    return runs
+        yield n, rank
 
 
 def _ranks_at(runs, n: int) -> list[int]:
     """Degree-n rank of each run; a run that stopped at zero reads zero."""
-    return [ranks[n] if n < len(ranks) else 0 for _, _, ranks, _ in runs]
-
-
-def _reports(V: BraidedSpace, runs, mode: str):
-    """Reports of the degrees the longest run reached (its first zero
-    rank, or dmax): the largest rank over the runs (a rank mod p never
-    exceeds the rank over the field), `agreed` saying whether the runs
-    gave the same rank (always True in exact mode)."""
-    primes = tuple(run[0] for run in runs)
-    reports = []
-    for n in range(max(len(ranks) for _, _, ranks, _ in runs)):
-        vals = _ranks_at(runs, n)
-        rank = max(vals)
-        reports.append(SymmetrizerReport(
-            degree=n, ambient_dim=V.dim ** n, rank=rank,
-            nullity=V.dim ** n - rank, mode=mode, primes=primes,
-            agreed=mode == "exact" or len(set(vals)) == 1,
-            seconds=sum(secs[n] for *_, secs in runs if n < len(secs))))
-    return reports
+    return [ranks[n] if n < len(ranks) else 0 for _, ranks in runs]
 
 
 def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
@@ -567,9 +499,11 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
     """Per-degree symmetrizer ranks for degrees 0..dmax, or through the
     first degree where they are all 0 if that comes first.
 
-    Both modes run the ladder over GF(p), p = 1 (mod k), and report the
-    largest rank per degree.  Modular mode uses PRIME_COUNT primes,
-    `agreed` saying whether they gave the same ranks.
+    Both modes run the ladder over GF(p), p = 1 (mod k), once per prime,
+    each run through dmax or its first zero rank, and report per degree
+    the largest rank over the runs (a rank mod p never exceeds the rank
+    over the field).  Modular mode uses PRIME_COUNT primes, `agreed`
+    saying whether they gave the same rank.
 
     Exact mode adds primes until the ranks are proved.  In degree n each
     column of S_n is a sum of n! monomial vectors over Z[zeta_k], of
@@ -586,8 +520,29 @@ def hilbert_coeffs(V: BraidedSpace, dmax: int, mode: str = "modular"
         raise ValueError(f"dmax must be at least 0, got {dmax}")
     if mode not in ("modular", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    runs = _ladder_runs(V, dmax, exact=mode == "exact")
-    return _reports(V, runs, mode)
+    exact = mode == "exact"
+    phi, runs, bound = euler_phi(V.k), [], 0
+    while len(runs) < PRIME_COUNT or exact and math.prod(
+            p for p, _ in runs) <= bound:
+        p = primes_one_mod(V.k, count=len(runs) + 1)[-1]
+        ranks = []
+        for n, rank in ladder_ranks_iter(V, p, root_of_unity_mod(p, V.k)):
+            ranks.append(rank)
+            if n == dmax:
+                break
+        runs.append((p, ranks))
+        if exact:   # Hadamard's bound on |N(D)|, r the largest rank so far
+            bound = max(
+                math.factorial(n) ** ((max(_ranks_at(runs, n)) + 1) * phi)
+                for n in range(dmax + 1))
+    primes = tuple(p for p, _ in runs)
+    reports = []
+    for n in range(max(len(ranks) for _, ranks in runs)):
+        vals = _ranks_at(runs, n)
+        reports.append(SymmetrizerReport(
+            degree=n, rank=max(vals), primes=primes,
+            agreed=exact or len(set(vals)) == 1))
+    return reports
 
 
 def total_dimension(V: BraidedSpace):
@@ -599,56 +554,8 @@ def total_dimension(V: BraidedSpace):
     False where they differ, and a prime whose ladder vanished earlier
     counts as zero in the later degrees.
     """
-    runs = _ladder_runs(V, MAX_TOTAL_DEGREE)
-    if any(ranks[-1] for _, _, ranks, _ in runs):
+    reports = hilbert_coeffs(V, MAX_TOTAL_DEGREE)
+    if reports[-1].rank:
         raise DegreeTooLargeError(
             f"no vanishing degree found below {MAX_TOTAL_DEGREE}")
-    reports = _reports(V, runs, "modular")
     return sum(r.rank for r in reports), reports
-
-
-# ---------------------------------------------------------------------------
-# Quadraticity probe
-# ---------------------------------------------------------------------------
-
-
-def _ideal_degree_rank(V: BraidedSpace, n: int, p: int,
-                       kernel: np.ndarray) -> int:
-    """Rank of the degree-n slice of the two-sided ideal on the kernel.
-
-    The slice is spanned by the rows e_a (x) v (x) e_b, v in the kernel,
-    over every position t of v: eye(d^t) (x) kernel (x) eye(d^(n-2-t)).
-    """
-    d = V.dim
-    mat = np.concatenate([
-        np.kron(np.kron(np.eye(d ** t, dtype=np.int64), kernel),
-                np.eye(d ** (n - 2 - t), dtype=np.int64))
-        for t in range(n - 1)])
-    _, pivots = row_reduce_mod(mat % p, p)
-    return len(pivots)
-
-
-def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
-    """Whether relations up to degree n are generated in degree two.
-
-    Compares, at each prime, in each degree 3..n, the symmetrizer nullity
-    with the dimension of the degree slice of the ideal generated by the
-    degree-2 kernel; the slice can never exceed the nullity.
-    """
-    if n < 3:
-        raise ValueError("the probe starts at degree 3")
-    verdicts = []
-    for p, omega, ranks, _ in _ladder_runs(V, n):
-        zpow = np.array([pow(omega, e, p) for e in range(V.k)], dtype=np.int64)
-        kernel = nullspace_mod(symmetrizer_factorized_exact(V, 2) @ zpow % p, p)
-        ranks = ranks + [0] * (n + 1 - len(ranks))
-        # nullity minus the dimension of the ideal slice, per degree
-        slack = [V.dim ** deg - ranks[deg]
-                 - _ideal_degree_rank(V, deg, p, kernel)
-                 for deg in range(3, n + 1)]
-        if min(slack) < 0:
-            raise AssertionError("ideal slice exceeds the relation space")
-        verdicts.append(not any(slack))
-    if len(set(verdicts)) != 1:
-        raise AssertionError("quadraticity verdict disagrees across primes")
-    return verdicts[0]

@@ -26,8 +26,8 @@ def undercounting_ladder_iter(monkeypatch):
     def install(degree):
         def ladder(V, p, omega):
             short = p == min(primes_one_mod(V.k, count=2))
-            for n, rank, secs in real(V, p, omega):
-                yield n, rank - (short and n == degree), secs
+            for n, rank in real(V, p, omega):
+                yield n, rank - (short and n == degree)
 
         monkeypatch.setattr(nichols, "ladder_ranks_iter", ladder)
 

@@ -17,10 +17,12 @@ from coxrack.extension import (
     GroupCocycle2,
     Presentation,
 )
-from coxrack.modlin import row_reduce_mod
+from coxrack.modlin import primes_one_mod, root_of_unity_mod, row_reduce_mod
 from coxrack.nichols import (
+    PRIME_COUNT,
     BraidedSpace,
     MonomialOp,
+    ladder_ranks_iter,
     symmetrizer_factorized_exact,
     word_operator,
 )
@@ -134,20 +136,124 @@ def rank_mod(a: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
+def nullspace_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the right nullspace mod p, one vector per row."""
+    m, n = a.shape
+    work = np.array(a, dtype=np.int64) % p
+    work, pivots = row_reduce_mod(work, p)
+    free = [c for c in range(n) if c not in set(pivots)]
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    for bi, fc in enumerate(free):
+        basis[bi, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[bi, pc] = (-work[r, fc]) % p
+    return basis
+
+
+# -- the quadraticity probe ----------------------------------------------------
+
+
+def ideal_degree_rank(V: BraidedSpace, n: int, p: int,
+                      kernel: np.ndarray) -> int:
+    """Rank of the degree-n slice of the two-sided ideal on the kernel.
+
+    The slice is spanned by the rows e_a (x) v (x) e_b, v in the kernel,
+    over every position t of v: eye(d^t) (x) kernel (x) eye(d^(n-2-t)).
+    """
+    d = V.dim
+    return rank_mod(np.concatenate([
+        np.kron(np.kron(np.eye(d ** t, dtype=np.int64), kernel),
+                np.eye(d ** (n - 2 - t), dtype=np.int64))
+        for t in range(n - 1)]), p)
+
+
+def is_quadratic_through(V: BraidedSpace, n: int) -> bool:
+    """Whether relations up to degree n are generated in degree two.
+
+    Compares, at each of the PRIME_COUNT primes of a modular run, in each
+    degree 3..n, the symmetrizer nullity with the dimension of the degree
+    slice of the ideal generated by the degree-2 kernel; the slice can
+    never exceed the nullity.
+    """
+    if n < 3:
+        raise ValueError("the probe starts at degree 3")
+    verdicts = []
+    for p in primes_one_mod(V.k, count=PRIME_COUNT):
+        omega = root_of_unity_mod(p, V.k)
+        ranks = [rank for _, rank in itertools.islice(
+            ladder_ranks_iter(V, p, omega), n + 1)]
+        ranks += [0] * (n + 1 - len(ranks))
+        kernel = nullspace_mod(symmetrizer_mod(V, 2, p, omega), p)
+        # nullity minus the dimension of the ideal slice, per degree
+        slack = [V.dim ** deg - ranks[deg]
+                 - ideal_degree_rank(V, deg, p, kernel)
+                 for deg in range(3, n + 1)]
+        if min(slack) < 0:
+            raise AssertionError("ideal slice exceeds the relation space")
+        verdicts.append(not any(slack))
+    if len(set(verdicts)) != 1:
+        raise AssertionError("quadraticity verdict disagrees across primes")
+    return verdicts[0]
+
+
+# -- reflection classes and the conjugacy graph --------------------------------
+
+
+def reflection_classes_by_orbits(g) -> tuple[tuple[int, ...], ...]:
+    """Conjugacy classes of reflections (indices) by orbit closure under
+    the simple reflections, s_i s_beta s_i = s_(s_i beta), on the
+    positive roots; ordered by smallest index, as GroupTable.classes."""
+    orbits, seen = [], set()
+    for refl in g.reflections:
+        if refl.index in seen:
+            continue
+        orbit, frontier = {refl.root}, [refl.root]
+        while frontier:
+            r = frontier.pop()
+            for perm in g.gen_root_perm:
+                q = perm[r] % g.nroots
+                if q not in orbit:
+                    orbit.add(q)
+                    frontier.append(q)
+        ids = tuple(sorted(g.refl_of_root[r] for r in orbit))
+        orbits.append(ids)
+        seen.update(ids)
+    return tuple(sorted(orbits, key=min))
+
+
+def conjugacy_graph(g) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Out-edges (i, y) of each reflection x, by multiplying along words:
+    x --s_i--> y iff y = s_i > x and l(x) = l(y) + 2."""
+    edges = []
+    for refl in g.reflections:
+        lx = g.length(refl.elem)
+        outs = []
+        for i in range(g.rank):
+            y = g.conj(g.simple_reflection(i), refl.elem)
+            if g.length(y) == lx - 2:
+                outs.append((i, int(g.refl_index_of_elem[y])))
+        if lx > 1 and not outs:
+            raise AssertionError(
+                "non-simple reflection with no length-decreasing edge")
+        edges.append(tuple(outs))
+    return tuple(edges)
+
+
 # -- reduced and palindromic words of reflections ------------------------------
 
 REDEXPR_ORDER_CAP = 10_080  # reduced-word enumeration allowed up to |S6| * 2
 
 
-def path_words(graph, refl_index: int) -> list[tuple[int, ...]]:
+def path_words(g, graph, refl_index: int) -> list[tuple[int, ...]]:
     """Palindromic words read off all maximal paths of the conjugacy
-    graph from a reflection."""
+    graph from a reflection; a path ends at a simple reflection s_j,
+    element 1 + j."""
     words: list[tuple[int, ...]] = []
 
     def walk(r, prefix):
-        outs = graph.edges[r]
+        outs = graph[r]
         if not outs:
-            words.append(tuple(prefix) + (graph.simple_gen[r],)
+            words.append(tuple(prefix) + (g.reflections[r].elem - 1,)
                          + tuple(reversed(prefix)))
             return
         for gen, target in outs:
@@ -196,7 +302,7 @@ def palindromic_expressions(g, refl_index: int) -> set[tuple[int, ...]]:
     """P(x) computed as mirrors of R(x), cross-checked against graph paths."""
     refl = g.reflections[refl_index]
     mirrored = {mirror(w) for w in reduced_expressions(g, refl.elem)}
-    paths = set(path_words(g.conjugacy_graph(), refl_index))
+    paths = set(path_words(g, conjugacy_graph(g), refl_index))
     if mirrored != paths:
         raise AssertionError(
             f"mirrored reduced words and graph paths disagree at {refl}")
@@ -357,9 +463,9 @@ def path_section_witness(g, ext, sec):
     first path whose value is not.
     """
     zp = ext.gen_perms[ext.nt]
-    graph = g.conjugacy_graph()
+    graph = conjugacy_graph(g)
     for refl in g.reflections:
-        for word in path_words(graph, refl.index):
+        for word in path_words(g, graph, refl.index):
             val = 0
             for letter in word:
                 val = int(ext.gen_perms[letter, val])
@@ -861,7 +967,7 @@ def u_module_cocycle(g, j: int, primed: bool = False):
     mod = u_module(g, j, primed)
     space = braided_from_graded(mod)
     refl_of_elem = {t.elem: t.index for t in g.reflections}
-    class_of = next(c for c in g.reflection_classes()
+    class_of = next(c for c in g.classes
                     if refl_of_elem[mod.degrees[0]] in c)
     order = {refl_of_elem[mod.degrees[b]]: b for b in range(mod.dim)}
     if set(order) != set(class_of):

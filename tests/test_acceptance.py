@@ -34,7 +34,6 @@ from coxrack.nichols import (
     braiding_from_rack,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
-    is_quadratic_through,
     symmetrizer_factorized_exact,
     total_dimension,
 )
@@ -49,6 +48,7 @@ from coxrack.racks import (
 from oracles import (
     chebyshev_sweep,
     dense_check_equivariance,
+    is_quadratic_through,
     symmetrizer_literal_exact,
     verify_matsumoto_invariance,
 )
@@ -117,7 +117,7 @@ def test_criterion_3_hilbert_equality(group_cache, capsys):
         rack, qm = reflection_rack(g), q_minus(g)
         if subrack is not None:
             argv += ["--subrack", subrack]
-            cls = g.reflection_classes()[1]
+            cls = g.classes[1]
             rack, qm = rack.subrack(cls), qm.restrict(cls)
         assert cli_main(argv) == 0, argv
         data = json.loads(capsys.readouterr().out)
@@ -146,7 +146,7 @@ def test_criterion_4_pinned_dimensions(group_cache, capsys):
         assert total == 64
     # abelian class of the rank-3 hyperoctahedral group: 1, 3, 3, 1
     g = group_cache("B3")
-    cls = g.reflection_classes()[1]
+    cls = g.classes[1]
     rack = reflection_rack(g).subrack(cls)
     for q in (q_minus(g).restrict(cls), q_plus(g).restrict(cls)):
         total, reports = total_dimension(braiding_from_rack(rack, q))
@@ -164,7 +164,7 @@ def test_criterion_5_factorized_vs_literal(group_cache, capsys):
         for n in range(5):
             lit = exact_matrix_as_cyclo(symmetrizer_literal_exact(V, n), V.k)
             fac = exact_matrix_as_cyclo(symmetrizer_factorized_exact(V, n), V.k)
-            assert np.array_equal(lit, fac), (V.labels, n)
+            assert np.array_equal(lit, fac), (V.dim, V.k, n)
     with capsys.disabled():
         verdict(5, "factorized-equals-literal", True,
                 "3 braidings, degrees 0..4")

@@ -75,17 +75,13 @@ def test_certificate_schema(capsys):
 
 
 @pytest.mark.skipif(not HAS_JSONSCHEMA, reason="jsonschema not installed")
-def test_symmetrizer_report_schema():
-    from coxrack.coxeter import build_group, preset_matrix
-    from coxrack.nichols import braiding_from_rack, hilbert_coeffs
-    from coxrack.racks import q_plus, reflection_rack
-
-    g = build_group(preset_matrix("A2"))
-    V = braiding_from_rack(reflection_rack(g), q_plus(g))
-    rep = hilbert_coeffs(V, 2)[2]
-    schema = json.loads(
-        (SCHEMA_DIR / "symmetrizer_report.v1.json").read_text())
-    jsonschema.validate(rep.to_dict(), schema)
+def test_hilbert_table_schema(capsys):
+    schema = json.loads((SCHEMA_DIR / "hilbert_table.v1.json").read_text())
+    for argv in (("A2", "--dmax", "5"), ("B2", "--mode", "exact", "--dmax", "4"),
+                 ("B3", "--subrack", "T2", "--dmax", "4")):
+        code, out, _ = run(capsys, "hilbert", *argv, "--json")
+        assert code == 0
+        jsonschema.validate(json.loads(out), schema)
 
 
 def test_certificates_byte_identical(tmp_path, capsys):

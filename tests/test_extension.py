@@ -592,6 +592,16 @@ def test_section_agrees_along_every_path(setups, name):
     assert path_section_witness(g, ext, sec) is None
 
 
+def test_section_refuses_a_reflection_with_no_edge_down():
+    g = build_group(preset_matrix("A2"))
+    ext = build_wtilde(g.matrix, g)
+    # conjugation read as the identity: no edge leaves s_1 s_2 s_1
+    g._conj_refl = np.tile(np.arange(len(g.reflections), dtype=np.uint8),
+                           (g.order, 1))
+    with pytest.raises(AssertionError, match="no length-decreasing edge"):
+        build_section(g, ext)
+
+
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4"])
 def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
     # a z flipped on a reflection of length >= 3 disagrees with the path

@@ -9,14 +9,13 @@ from coxrack.modlin import (
     MATMUL_CHUNK,
     is_prime,
     matmul_mod,
-    nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
     root_of_unity_mod,
     row_reduce_mod,
     solve_in_span_mod,
 )
-from oracles import rank_mod
+from oracles import nullspace_mod, rank_mod
 
 
 def test_is_prime_small():
@@ -155,7 +154,7 @@ def test_matmul_mod_empty_inner_dimension():
 def test_row_reduce_full_rref():
     p = primes_one_mod(2, count=1)[0]
     a = np.array([[2, 4, 1], [1, 2, 0], [0, 0, 3]], dtype=np.int64)
-    r, pivots = row_reduce_mod(a.copy() % p, p, full=True)
+    r, pivots = row_reduce_mod(a.copy() % p, p)
     assert pivots == [0, 2]
     for row_i, col in enumerate(pivots):
         assert r[row_i, col] == 1

@@ -25,7 +25,6 @@ from coxrack.dihedral import (
 )
 from coxrack.modlin import (
     matmul_mod,
-    nullspace_mod,
     primes_one_mod,
     rank_exact_cyclo,
     root_of_unity_mod,
@@ -41,7 +40,6 @@ from coxrack.nichols import (
     coset_ops,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
-    is_quadratic_through,
     ladder_ranks_iter,
     symmetrizer_factorized_exact,
     total_dimension,
@@ -55,7 +53,9 @@ from coxrack.racks import (
 )
 from oracles import (
     all_reduced_words,
+    is_quadratic_through,
     matsumoto_word,
+    nullspace_mod,
     perm_operator,
     rank_mod,
     symmetrizer_literal_exact,
@@ -81,7 +81,7 @@ def spaces():
 
 
 def one_point_space():
-    return BraidedSpace(k=2, target=[[0]], expo=[[1]], labels=["x"])
+    return BraidedSpace(k=2, target=[[0]], expo=[[1]])
 
 
 # -- Matsumoto section -------------------------------------------------------
@@ -201,8 +201,9 @@ def test_factorized_equals_literal_small(spaces):
 
 
 def test_dense_mod_matches_exact_reduction(spaces):
-    # the dense mod-p symmetrizer (is_quadratic_through reads its degree-2
-    # kernel off it) is the literal sum's power-basis form read at omega
+    # the dense mod-p symmetrizer (the quadraticity oracle reads its
+    # degree-2 kernel off it) is the literal sum's power-basis form read
+    # at omega
     for V in (spaces("A2"), dihedral_yd(5, [(5, 1), (5, 3)])):
         p = primes_one_mod(V.k, 1)[0]
         omega = root_of_unity_mod(p, V.k)
@@ -216,8 +217,8 @@ def test_dense_mod_matches_exact_reduction(spaces):
 def test_trivial_degrees(spaces):
     V = spaces("A3")
     r0, r1 = hilbert_coeffs(V, 1)
-    assert (r0.rank, r1.rank) == (1, V.dim)
-    assert r0.ambient_dim == 1 and r1.ambient_dim == V.dim
+    assert (r0.degree, r0.rank) == (0, 1)
+    assert (r1.degree, r1.rank) == (1, V.dim)
 
 
 def test_fk3_per_degree_ranks(spaces):
@@ -238,7 +239,7 @@ def test_fk3_per_degree_ranks(spaces):
     assert oracle == [1, 3, 4, 3, 1, 0]
     # the ladder ends at its first zero rank
     steps = itertools.islice(ladder_ranks_iter(V, p, omega), len(oracle) + 1)
-    assert [rank for _, rank, _ in steps] == oracle
+    assert [rank for _, rank in steps] == oracle
     reports = hilbert_coeffs(V, 5)
     assert [r.rank for r in reports] == oracle
     assert all(r.agreed for r in reports)
@@ -283,7 +284,7 @@ def test_b2_algebras_whole(spaces):
 
 def test_b3_abelian_class_exterior(spaces):
     g = build_group(preset_matrix("B3"))
-    small = min(g.reflection_classes(), key=len)
+    small = min(g.classes, key=len)
     rack = reflection_rack(g).subrack(small)
     for q in (q_minus(g).restrict(small), q_plus(g).restrict(small)):
         V = braiding_from_rack(rack, q)
@@ -296,7 +297,7 @@ def test_subrack_monotonicity(spaces):
     # ranks of a subrack braiding never exceed the ambient ones
     g = build_group(preset_matrix("B3"))
     amb = spaces("B3", "minus")
-    small = min(g.reflection_classes(), key=len)
+    small = min(g.classes, key=len)
     rack = reflection_rack(g).subrack(small)
     sub = braiding_from_rack(rack, q_minus(g).restrict(small))
     amb_ranks = [r.rank for r in hilbert_coeffs(amb, 3)]
@@ -338,13 +339,13 @@ def dense_ladder_ranks(V, p, omega, dmax):
 def spanning_ladder_ranks(V, p, omega, dmax):
     """Ranks through dmax, zero past the degree where the ladder ends."""
     steps = itertools.islice(ladder_ranks_iter(V, p, omega), dmax + 1)
-    ranks = [rank for _, rank, _ in steps]
+    ranks = [rank for _, rank in steps]
     return ranks + [0] * (dmax + 1 - len(ranks))
 
 
 def b3_small_class_space(which):
     g = build_group(preset_matrix("B3"))
-    small = min(g.reflection_classes(), key=len)
+    small = min(g.classes, key=len)
     rack = reflection_rack(g).subrack(small)
     q = q_plus(g) if which == "plus" else q_minus(g)
     return braiding_from_rack(rack, q.restrict(small))
@@ -616,7 +617,7 @@ def test_degree_refused_below_its_bound(spaces, monkeypatch):
     def ranks(limit):
         monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
         steps = itertools.islice(ladder_ranks_iter(V, p, omega), 5)
-        return [rank for _, rank, _ in steps]
+        return [rank for _, rank in steps]
 
     with pytest.raises(DegreeTooLargeError) as exc:
         ranks(need - 1)
@@ -725,12 +726,42 @@ def test_negative_dmax_refused(spaces):
         hilbert_coeffs(spaces("A2"), -1)
 
 
+@pytest.fixture
+def built_degrees(monkeypatch):
+    """Records, per prime, each degree the ladder builds (_SpanLadder.extend
+    builds degree 1 when the ladder is made, then one degree per call)."""
+    built = {}
+    real = nichols._SpanLadder.extend
+
+    def extend(self):
+        built.setdefault(self.p, []).append(self.degree + 1)
+        return real(self)
+
+    monkeypatch.setattr(nichols._SpanLadder, "extend", extend)
+    return built
+
+
+@pytest.mark.parametrize("mode", ["modular", "exact"])
+def test_each_prime_builds_degrees_through_dmax(spaces, built_degrees, mode):
+    reports = hilbert_coeffs(spaces("A3"), 4, mode=mode)
+    assert [r.rank for r in reports] == [1, 6, 19, 42, 71]
+    assert list(built_degrees) == list(reports[0].primes)
+    assert all(degrees == [1, 2, 3, 4] for degrees in built_degrees.values())
+
+
+def test_each_prime_stops_at_its_first_zero_rank(spaces, built_degrees):
+    reports = hilbert_coeffs(spaces("A2"), 8)
+    assert [r.rank for r in reports] == [1, 3, 4, 3, 1, 0]
+    assert built_degrees == {p: [1, 2, 3, 4, 5] for p in reports[0].primes}
+
+
 def test_disagreeing_primes_report_largest_rank(spaces,
                                                 undercounting_ladder_iter):
     undercounting_ladder_iter(2)
     reports = hilbert_coeffs(spaces("A2"), 3)
     assert [r.rank for r in reports] == [1, 3, 4, 3]
-    assert [r.nullity for r in reports] == [0, 0, 5, 24]
+    V = spaces("A2")
+    assert [V.dim ** r.degree - r.rank for r in reports] == [0, 0, 5, 24]
     assert [r.agreed for r in reports] == [True, True, False, True]
 
 
@@ -740,7 +771,7 @@ def test_exact_mode_matches_modular(spaces):
         exact = hilbert_coeffs(V, 3, mode="exact")
         modular = hilbert_coeffs(V, 3)
         assert [r.rank for r in exact] == [r.rank for r in modular]
-        assert all(r.mode == "exact" for r in exact)
+        assert all(r.agreed for r in exact)
 
 
 # -- exact ranks certified on the ladder --------------------------------------
@@ -775,7 +806,7 @@ def test_exact_mode_matches_dense_cyclo_oracle(spaces, name, which):
     reports = hilbert_coeffs(V, 4, mode="exact")
     assert [r.rank for r in reports[2:]] == [dense_exact_rank(V, n)
                                             for n in range(2, 5)]
-    assert all(r.mode == "exact" and r.agreed for r in reports)
+    assert all(r.agreed for r in reports)
 
 
 @pytest.mark.parametrize("name,which", EXACT_CASES)
@@ -815,14 +846,6 @@ def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
         hilbert_coeffs(spaces("A3"), 3)
 
 
-def test_report_serialization(spaces):
-    rep = hilbert_coeffs(spaces("A2"), 2)[2]
-    d = rep.to_dict()
-    assert d["schema"] == "symmetrizer_report.v1"
-    assert d["rank"] + d["nullity"] == d["ambient_dim"] == 9
-    assert len(d["primes"]) == 2 and d["agreed"]
-
-
 def test_twist_pairs_equal_ranks_battery(spaces):
     # twist-equivalent cocycles give equal low-degree rank sequences on
     # the full certificate battery (depth is covered by the A2/A3/I2
@@ -836,7 +859,7 @@ def test_twist_pairs_equal_ranks_battery(spaces):
 
 
 def test_quadratic_kernel_dimension(spaces):
-    # the degree-2 kernel is_quadratic_through builds its ideal from
+    # the degree-2 kernel the quadraticity oracle builds its ideal from
     V = spaces("A2")
     p = primes_one_mod(V.k)[0]
     omega = root_of_unity_mod(p, V.k)
@@ -902,7 +925,7 @@ def test_2304_ladder_whole_series_under_512_mib():
             "    dihedral.u_module(g, 0), dihedral.v31_module(g)))\n"
             "p = modlin.primes_one_mod(V.k, count=1)[0]\n"
             "omega = modlin.root_of_unity_mod(p, V.k)\n"
-            "for n, rank, _ in nichols.ladder_ranks_iter(V, p, omega):\n"
+            "for n, rank in nichols.ladder_ranks_iter(V, p, omega):\n"
             "    print(rank, end=',')\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600,

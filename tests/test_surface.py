@@ -1,9 +1,15 @@
 """src/ holds only the program: each function, class and method defined
-in src/coxrack must occur as a code name (a NAME token, not a comment or
-docstring) in src/coxrack outside its own definition, or in perfbench/*.py
-as code or as a dotted string of the tracer's TARGETS and LADDER.  Code
-only tests call belongs in tests/oracles.py.  The check goes by name, so
-it cannot see a definition that shares its name with a used one.
+in src/coxrack must be reachable from what runs.
+
+The roots are cli.py, the top-level statements (imports aside) of every
+module in src/coxrack, and every name perfbench/*.py uses as code or in
+a dotted string of the tracer's TARGETS and LADDER.  A definition is
+reached when a reached body names it, as a name or an attribute; a
+reached class reaches its own statements and dunder methods, but not its
+other methods, which must be named themselves.  Dunder methods are never
+flagged.  Code only tests call belongs in tests/oracles.py.  The walk
+goes by name, so it cannot see a definition that shares its name with a
+reached one.
 """
 
 import ast
@@ -13,27 +19,41 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-ALLOWED = {
-    # serializes schema/symmetrizer_report.v1.json; read by the schema test
-    "to_dict",
-    # the paper's corollary that q+ is quadratic iff q- is; ROADMAP item 7
-    # rebuilds it from the relation cover
-    "is_quadratic_through",
-}
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _names(text: str) -> list[tuple[str, int]]:
-    """(name, line) of every NAME token of a Python source."""
-    toks = tokenize.generate_tokens(io.StringIO(text).readline)
-    return [(t.string, t.start[0]) for t in toks if t.type == tokenize.NAME]
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _named(nodes) -> set[str]:
+    """Every name and attribute name used inside the given nodes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+    return out
+
+
+def _uses(node) -> set[str]:
+    """Names a definition reaches: a function its whole subtree, a class
+    its bases, decorators and statements other than non-dunder methods."""
+    if not isinstance(node, ast.ClassDef):
+        return _named([node])
+    own = [s for s in node.body
+           if not isinstance(s, DEFS) or _is_dunder(s.name)]
+    return _named(node.bases + node.keywords + node.decorator_list + own)
 
 
 def _bench_names() -> set[str]:
     names = set()
     for path in (ROOT / "perfbench").glob("*.py"):
         text = path.read_text()
-        names.update(n for n, _ in _names(text))
+        toks = tokenize.generate_tokens(io.StringIO(text).readline)
+        names.update(t.string for t in toks if t.type == tokenize.NAME)
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Assign) and any(
                     getattr(t, "id", None) in ("TARGETS", "LADDER")
@@ -46,33 +66,32 @@ def _bench_names() -> set[str]:
 
 
 @functools.cache
-def unused_definitions() -> tuple[str, ...]:
-    sources = {p: p.read_text()
-               for p in sorted((ROOT / "src" / "coxrack").glob("*.py"))}
-    uses: dict[str, list[tuple[Path, int]]] = {}
-    for path, text in sources.items():
-        for name, line in _names(text):
-            uses.setdefault(name, []).append((path, line))
-    bench = _bench_names()
-    unused = []
-    for path, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            name, first, last = node.name, node.lineno, node.end_lineno
-            if name.startswith("__") and name.endswith("__") or name in bench:
-                continue
-            if all(other == path and first <= line <= last
-                   for other, line in uses[name]):
-                unused.append(f"{path.name}:{first} {name}")
-    return tuple(unused)
+def unreached_definitions() -> tuple[str, ...]:
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "coxrack").glob("*.py"))}
+    defs: dict[str, list] = {}
+    reached = _bench_names()
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                defs.setdefault(node.name, []).append(node)
+        if path.name == "cli.py":
+            reached |= _named([tree])
+        else:
+            reached |= _named(s for s in tree.body if not isinstance(
+                s, DEFS + (ast.Import, ast.ImportFrom)))
+    frontier = list(reached)
+    while frontier:
+        for node in defs.get(frontier.pop(), ()):
+            new = _uses(node) - reached
+            reached |= new
+            frontier.extend(new)
+    return tuple(f"{path.name}:{node.lineno} {node.name}"
+                 for path, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, DEFS) and node.name not in reached
+                 and not _is_dunder(node.name))
 
 
 def test_every_definition_in_src_is_used_by_the_program():
-    assert [u for u in unused_definitions()
-            if u.split()[-1] not in ALLOWED] == []
-
-
-def test_each_allowed_name_is_still_needed():
-    assert {u.split()[-1] for u in unused_definitions()} == ALLOWED
+    assert unreached_definitions() == ()
