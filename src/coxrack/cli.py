@@ -24,6 +24,7 @@ from .coxeter import (
     GroupTable,
     InvalidMatrixError,
     NotFiniteError,
+    RootSystem,
     build_group,
     resolve_matrix,
 )
@@ -39,6 +40,7 @@ from .extension import (
     CertificationError,
     certificate_json,
     certified_section,
+    require_certify_memory,
     twist_certificate,
 )
 from .nichols import (
@@ -72,33 +74,35 @@ def _class_indices(g: GroupTable, name: str | None):
 
 def cmd_info(args) -> int:
     matrix = resolve_matrix(args.target)
-    g = build_group(matrix)
-    classes = g.classes
+    roots = RootSystem(matrix)
+    sizes = [len(c) for c in roots.root_classes]
     data = {
         "schema": "group_info.v1",
         "matrix": [list(r) for r in matrix.rows],
-        "rank": g.rank,
-        "order": g.order,
-        "positive_roots": g.nroots,
-        "reflections": len(g.reflections),
-        "class_sizes": [len(c) for c in classes],
+        "rank": roots.rank,
+        "order": roots.order,
+        "positive_roots": roots.nroots,
+        "reflections": roots.nroots,
+        "class_sizes": sizes,
         "odd_components": matrix.odd_components(),
         "all_odd": matrix.all_odd(),
-        "cyclotomic_level": g.level,
+        "cyclotomic_level": roots.level,
     }
     if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
-        print(f"|W| = {g.order}   |Phi+| = {g.nroots}   |T| = {len(g.reflections)}")
-        print(f"reflection classes: {len(classes)} "
-              f"(sizes {', '.join(str(len(c)) for c in classes)})")
+        print(f"|W| = {roots.order}   |Phi+| = {roots.nroots}   |T| = {roots.nroots}")
+        print(f"reflection classes: {len(sizes)} "
+              f"(sizes {', '.join(map(str, sizes))})")
         print(f"odd components: {data['odd_components']}")
         print(f"all bond orders odd: {data['all_odd']}")
     return 0
 
 
 def cmd_certify(args) -> int:
-    g = build_group(resolve_matrix(args.target))
+    matrix = resolve_matrix(args.target)
+    require_certify_memory(RootSystem(matrix))
+    g = build_group(matrix)
     cert = twist_certificate(g)
     text = certificate_json(cert)
     if args.out is not None:

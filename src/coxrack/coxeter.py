@@ -10,12 +10,13 @@ A group is then built in two passes.  First the positive roots are
 enumerated (RootSystem, which stops there) by closing the simple basis
 under the simple reflections; each (root, generator) pair is reflected
 once, and every root is checked to have unit norm and exactly positive
-coordinates.  Then the elements are enumerated by their action on the
-positive roots, one length level at a time with whole-array operations,
-each keyed on its images of the simple roots
-(GroupTable._build_elements).  These root images make the length
-function, the reflection/positive-root bijection and all conjugation
-questions cheap table lookups.
+coordinates.  |W| follows from the roots (RootSystem._orbit_chain_order),
+so a group above the element cap is refused before it is enumerated.
+Then the elements are enumerated by their action on the positive roots,
+one length level at a time with whole-array operations, each keyed on
+its images of the simple roots (GroupTable._build_elements).  These root
+images make the length function, the reflection/positive-root bijection
+and all conjugation questions cheap table lookups.
 
 Everything downstream (cocycles, the central extension, symmetrizers)
 consumes the tables built here.  A GroupTable is immutable after
@@ -270,7 +271,9 @@ class RootSystem:
     roots.  Signed roots are indexed 0..2R-1: index r < R is the r-th
     positive root, index r + R its negative, and gen_root_perm[i] is
     s_i acting on them.  GroupTable stores an element's images of the
-    positive roots only; w(-beta) = -w(beta) gives the rest.
+    positive roots only; w(-beta) = -w(beta) gives the rest.  order is
+    |W| and root_classes the positive roots of each reflection class,
+    both found without enumerating W.
     """
 
     def __init__(self, matrix: CoxeterMatrix):
@@ -282,6 +285,8 @@ class RootSystem:
         # B acting on (l, phi) coordinate arrays, as one integer matrix
         self._pair = regular_matrix(self._gram, self.level)
         self._build_roots()
+        self._build_root_classes()
+        self.order = self._orbit_chain_order()
 
     def _build_roots(self):
         """Close the simple roots under the simple reflections,
@@ -342,6 +347,42 @@ class RootSystem:
         perm = np.concatenate([img, (img + R) % (2 * R)], axis=1)
         self.gen_root_perm = tuple(map(tuple, perm.tolist()))
 
+    def _build_root_classes(self):
+        """root_classes[c]: the positive roots descending from the simple
+        roots of the c-th odd component, whose reflections form a
+        conjugacy class (tests compare them with the root orbits)."""
+        self.root_classes = tuple(
+            tuple(r for r, b in enumerate(self._root_base_simple) if b in comp)
+            for comp in self.matrix.odd_components())
+
+    def _orbit_chain_order(self) -> int:
+        """|W| = |W delta| |W_J| for delta in the closed chamber
+        {v : (alpha_j, v) >= 0 for every j} and J = {j : (alpha_j, delta)
+        = 0}, |W_J| found the same way on J's submatrix (1 for J empty).
+
+        Each W-orbit meets the closed chamber in exactly one point, whose
+        stabilizer is the standard parabolic subgroup W_J (Humphreys,
+        Reflection Groups and Coxeter Groups, 1.12).  W permutes the
+        roots, so gen_root_perm on the 2R signed roots counts W delta.
+        delta, the root the closure found last, has the greatest depth,
+        and s_j deepens a positive root beta != alpha_j with (alpha_j,
+        beta) < 0 (Bjorner and Brenti, Combinatorics of Coxeter Groups,
+        4.6.2): so delta is in the closed chamber (checked exactly), and
+        as (delta, delta) > 0 with delta's coordinates >= 0, J is a
+        proper subset.  A reducible matrix needs nothing special.
+        """
+        R = self.nroots
+        pair = self.pairings(self.pos_roots[R - 1])
+        if any(sign(p, self.level) < 0 for p in pair):
+            raise AssertionError("the last root is not in the closed chamber")
+        orbit = [R - 1]
+        for r in orbit:
+            orbit += {p[r] for p in self.gen_root_perm}.difference(orbit)
+        J = [j for j in range(self.rank) if not pair[j].any()]
+        rows = self.matrix.rows
+        sub = tuple(tuple(rows[a][b] for b in J) for a in J)
+        return len(orbit) * (RootSystem(CoxeterMatrix(sub)).order if J else 1)
+
     def pairings(self, v: np.ndarray) -> np.ndarray:
         """2(alpha_i, v) = (B v)_i for every i, as v's (..., l, phi) shape."""
         flat = v.reshape(v.shape[:-2] + (-1,))
@@ -366,6 +407,9 @@ class GroupTable(RootSystem):
 
     def __init__(self, matrix: CoxeterMatrix):
         super().__init__(matrix)
+        if self.order > DEFAULT_ELEMENT_CAP:
+            raise NotFiniteError(f"|W| = {self.order} > {DEFAULT_ELEMENT_CAP}: "
+                                 "the group is finite but larger than the cap")
         self._build_elements()
         self._build_reflections()
         self._build_classes()
@@ -428,10 +472,6 @@ class GroupTable(RootSystem):
                 flat = keys.view(f"V{width}").ravel()
             _, first, inverse = np.unique(flat, return_index=True,
                                           return_inverse=True)
-            if hi + len(first) > DEFAULT_ELEMENT_CAP:
-                raise NotFiniteError(
-                    f"element enumeration passed {DEFAULT_ELEMENT_CAP} "
-                    "elements; the group is finite but larger than the cap")
             seen = first[inverse.ravel()]  # first candidate with the same key
             first = np.sort(first)
             # the new element of each candidate, numbered from 0 at this level
@@ -447,7 +487,9 @@ class GroupTable(RootSystem):
             lasts.append(i.astype(np.uint8))
             lo = hi
 
-        n = self.order = hi
+        if hi != self.order:
+            raise AssertionError("enumerated |W| differs from the orbit chain's")
+        n = hi
         sizes = [len(lev) for lev in levels]
         bounds = np.cumsum([0] + sizes)
         # each per-level list is released once its table is whole
@@ -521,22 +563,12 @@ class GroupTable(RootSystem):
                 raise AssertionError("reflection does not negate its root")
 
     def _build_classes(self):
-        """Conjugacy classes of reflections (indices), one per component
-        of the odd-labeled Coxeter graph, holding the reflections whose
-        roots descend from its simple roots (tests compare them with the
-        orbits of the simple reflections on the roots)."""
-        comps = self.matrix.odd_components()
-        comp_of_gen = {}
-        for ci, comp in enumerate(comps):
-            for i in comp:
-                comp_of_gen[i] = ci
-        buckets: dict[int, list[int]] = {}
-        for refl in self.reflections:
-            ci = comp_of_gen[self._root_base_simple[refl.root]]
-            buckets.setdefault(ci, []).append(refl.index)
-        ordered = sorted(buckets.values(), key=min)
+        """Conjugacy classes of reflections (indices), those of
+        root_classes.  Reflection i < l is s_i, so the classes come
+        ordered by their least index, as the odd components are."""
         self.classes: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(c)) for c in ordered)
+            tuple(sorted(self.refl_of_root[r] for r in c))
+            for c in self.root_classes)
 
     # -- elementary operations ---------------------------------------------
 
@@ -605,6 +637,7 @@ class GroupTable(RootSystem):
 
 
 def build_group(matrix: CoxeterMatrix) -> GroupTable:
-    """Enumerate roots and elements; raises NotFiniteError up front or at
-    the element cap."""
+    """Enumerate roots and elements.  Raises NotFiniteError before any
+    enumeration for an infinite group, and before the elements for |W|
+    above DEFAULT_ELEMENT_CAP, |W| coming from the roots' orbit chain."""
     return GroupTable(matrix)

@@ -105,7 +105,6 @@ def compatible(r: int, pairs) -> bool:
 class DynkinDiagram(NamedTuple):
     """Vertex labels q_ii and edge labels q_ij q_ji (as zeta exponents)."""
 
-    k: int
     vertices: tuple[int, ...]
     edges: dict[tuple[int, int], int]
 
@@ -120,7 +119,7 @@ def dynkin_diagram(V: DiagonalBraidedSpace) -> DynkinDiagram:
             e = (V.qexp[i][j] + V.qexp[j][i]) % V.k
             if e:
                 edges[(i, j)] = e
-    return DynkinDiagram(k=V.k, vertices=verts, edges=edges)
+    return DynkinDiagram(vertices=verts, edges=edges)
 
 
 def exterior_coefficients(dim: int) -> list[int]:

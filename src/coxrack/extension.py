@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, GroupTable
+from .coxeter import CoxeterMatrix, GroupTable, RootSystem
 from .nichols import _memory_limit_bytes
 from .racks import (
     cohomologous_solve,
@@ -634,28 +634,32 @@ def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
     return ext, sec
 
 
-def twist_certificate(g: GroupTable) -> dict:
-    """Run the full pipeline and assemble the certificate dictionary.
+def require_certify_memory(roots: RootSystem):
+    """Raise MemoryError, before W is built, when twist_certificate's phi
+    (a |W|^2 uint8 table) and its stages' working set would not fit.
 
-    Raises CertificationError on mathematical falsification, never an
-    expected state.  Raises MemoryError before any work when phi and the
-    working set of the stages would not fit in memory.
-    """
-    # phi is a |W|^2 uint8 table.  Besides it, the stages hold a few int32
-    # rows of |W| per length: phi_rho's path to the root, the reflection
-    # conjugation table (|T| is the longest length L) and the extension's
-    # generator arrays; 16 bytes per element of W and per length 0..L
-    # cover them (traced peaks, beyond phi: 771 |W| bytes on H4, where
-    # this allows 976 |W|).  phi_checksum adds at most four buffers of
-    # CHECKSUM_BLOCK_BYTES.
-    n = g.order
-    need = (n * n + 16 * n * (int(g.length_arr[-1]) + 1)
-            + 4 * CHECKSUM_BLOCK_BYTES)
+    The stages hold a few int32 rows of |W| per length: phi_rho's path
+    to the root, the reflection conjugation table (the longest length is
+    |T| = R) and the extension's generator arrays; 16 bytes per element
+    of W and per length 0..R cover them (traced peaks, beyond phi: 771
+    |W| bytes on H4, where this allows 976 |W|).  phi_checksum adds at
+    most four buffers of CHECKSUM_BLOCK_BYTES."""
+    n = roots.order
+    need = n * n + 16 * n * (roots.nroots + 1) + 4 * CHECKSUM_BLOCK_BYTES
     limit = _memory_limit_bytes()
     if need > limit:
         raise MemoryError(
             f"certifying |W| = {n} needs about {need} bytes, {n * n} of "
             f"them for phi, memory limit {limit}")
+
+
+def twist_certificate(g: GroupTable) -> dict:
+    """Run the full pipeline and assemble the certificate dictionary.
+
+    Raises CertificationError on mathematical falsification, never an
+    expected state.  The memory it needs is checked beforehand, by
+    require_certify_memory.
+    """
     matrix = g.matrix
     ext, sec = certified_section(g)
     phi = phi_rho(g, ext, sec)

@@ -108,8 +108,8 @@ class BraidedSpace:
         self.expo = tuple(tuple(int(v) % k for v in row) for row in expo)
         self.dim = len(self.target)
         d = self.dim
-        if any(len(row) != d for row in self.target) or \
-           any(len(row) != d for row in self.expo):
+        if len(self.expo) != d or \
+           any(len(row) != d for row in self.target + self.expo):
             raise ValueError("braiding tables have inconsistent shapes")
         for x in range(d):
             if sorted(self.target[x]) != list(range(d)):

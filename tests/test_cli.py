@@ -84,6 +84,15 @@ def test_hilbert_table_schema(capsys):
         jsonschema.validate(json.loads(out), schema)
 
 
+@pytest.mark.skipif(not HAS_JSONSCHEMA, reason="jsonschema not installed")
+def test_group_info_schema(capsys):
+    schema = json.loads((SCHEMA_DIR / "group_info.v1.json").read_text())
+    for name in ("A2", "B3", "I2(4)", "H4", "E6", "E7", "E8"):
+        code, out, _ = run(capsys, "info", name, "--json")
+        assert code == 0
+        jsonschema.validate(json.loads(out), schema)
+
+
 def test_certificates_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "certify", "B2", "--out", str(out1))[0] == 0
@@ -440,6 +449,41 @@ def test_fresh_process_footprint(argv):
     assert frozen > 0
 
 
+# the child's peak RSS in KiB, last on stderr: enumerating W(E7) up to
+# the element cap peaked at 333 MB, the roots alone stay near the 30 MB
+# the imports take
+PEAK_RSS = ("import resource\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+            "      file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("name,order,reflections",
+                         [("E7", 2903040, 63), ("E8", 696729600, 120)])
+def test_info_past_the_cap_under_1_gib(name, order, reflections):
+    proc = cli_in_child("info", name, "--json", rlimit_as=2 ** 30,
+                        timeout=120, after=PEAK_RSS)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert (data["order"], data["reflections"]) == (order, reflections)
+    assert data["class_sizes"] == [reflections]
+    assert int(proc.stderr) < 100 * 1024
+
+
+@pytest.mark.parametrize("argv", [("certify", "E7"),
+                                  ("hilbert", "E7", "--dmax", "2")],
+                         ids=" ".join)
+def test_e7_refused_before_enumeration(argv):
+    # certify: phi alone would be 2903040^2 bytes; hilbert: |W| passes the
+    # element cap.  Both are known from the roots, before W is built.
+    proc = cli_in_child(*argv, rlimit_as=2 ** 30, timeout=120,
+                        after=PEAK_RSS)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    err, peak = proc.stderr.decode().splitlines()
+    assert err.startswith("error: ") and "2903040" in err
+    assert int(peak) < 100 * 1024
+
+
 @pytest.mark.slow
 def test_certify_h4_output_pinned():
     proc = cli_in_child("certify", "H4")
@@ -459,15 +503,3 @@ def test_certify_e6_under_4_gib():
     assert cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
     # E6 has m_ij = 2, so the extension does not split
     assert cert["split"] is False and cert["cohomologous"] is False
-
-
-@pytest.mark.slow
-def test_info_e7_refused_under_1_gib():
-    # |W(E7)| = 2903040 passes the element cap; the int32 tables of all
-    # 2R signed roots took 1.34 GB to get there, the uint8 ones 0.33 GB
-    proc = cli_in_child("info", "E7", rlimit_as=2 ** 30)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == b""
-    assert proc.stderr == (
-        b"error: element enumeration passed 2000000 elements; the group "
-        b"is finite but larger than the cap\n")

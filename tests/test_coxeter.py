@@ -53,6 +53,8 @@ KNOWN_ORDERS = {
     "H3": 120,
     "F4": 1152, "H4": 14400, "E6": 51840,
     "I2(4)": 8, "I2(5)": 10, "I2(6)": 12, "I2(7)": 14, "I2(15)": 30,
+    "A6": 5040, "B5": 3840, "D5": 1920, "D6": 23040, "E7": 2903040,
+    "E8": 696729600, "I2(60)": 120, "I2(129)": 258,
 }
 
 
@@ -87,12 +89,31 @@ def float_closure_order(matrix: CoxeterMatrix, cap: int = 3000) -> int:
     return len(seen)
 
 
+def block_diagonal(*names) -> CoxeterMatrix:
+    """The Coxeter matrix of the product of the named groups."""
+    blocks = [preset_matrix(n).rows for n in names]
+    l = sum(len(b) for b in blocks)
+    rows = [[1 if i == j else 2 for j in range(l)] for i in range(l)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(b)] = row
+        at += len(b)
+    return CoxeterMatrix.from_rows(rows)
+
+
 # inputs no preset names: nine commuting A1's, |W| = 512, whose element
-# keys (9 uint8 root images) are one byte wider than a uint64
+# keys (9 uint8 root images) are one byte wider than a uint64; and the
+# reducible products the orbit chain is checked on
 EXTRA_MATRICES = {
-    "9A1": CoxeterMatrix.from_rows([[1 if i == j else 2 for j in range(9)]
-                                    for i in range(9)]),
+    "9A1": block_diagonal(*["A1"] * 9),
+    "A1xA1": block_diagonal("A1", "A1"),
+    "A1xA1xA1": block_diagonal("A1", "A1", "A1"),
+    "A2xA1": block_diagonal("A2", "A1"),
+    "B2xI2(5)": block_diagonal("B2", "I2(5)"),
 }
+KNOWN_ORDERS.update({"9A1": 512, "A1xA1": 4, "A1xA1xA1": 8, "A2xA1": 12,
+                     "B2xI2(5)": 80})
 
 
 def matrix_of(name):
@@ -195,12 +216,24 @@ CLASSIFICATION = ([(f"A{n}", n * (n + 1) // 2) for n in range(1, 9)]
                   + [(f"I2({m})", m) for m in range(2, 13)])
 
 
+def classical_order(name: str) -> int:
+    family, n = name[0], int(name[1])
+    if family == "I":
+        return 2 * int(name[3:-1])
+    if family in "BD":
+        return 2 ** (n - (family == "D")) * math.factorial(n)
+    if family == "A":
+        return math.factorial(n + 1)
+    return KNOWN_ORDERS[name]    # the exceptional types
+
+
 @pytest.mark.parametrize("name,count", CLASSIFICATION)
 def test_root_closure_across_the_classification(name, count):
     # the closure alone, W is not enumerated
     roots = RootSystem(preset_matrix(name))
     R = roots.nroots
     assert R == count == len(roots.pos_roots)
+    assert roots.order == classical_order(name)  # by the orbit chain
     for i, perm in enumerate(roots.gen_root_perm):
         perm = np.array(perm)
         assert np.array_equal(perm[perm], np.arange(2 * R))  # an involution
@@ -216,12 +249,28 @@ def test_root_closure_across_the_classification(name, count):
 
 
 def test_element_bfs_hits_cap(monkeypatch):
-    # E6 is finite, so it passes the form test and the element
-    # enumeration is the one that stops
+    # E6 is finite, so it passes the form test; its orbit-chain order is
+    # then refused before any element is enumerated
+    def no_work(self):
+        raise AssertionError("elements enumerated past the cap")
+
     monkeypatch.setattr(coxeter, "DEFAULT_ELEMENT_CAP", 1000)
+    monkeypatch.setattr(GroupTable, "_build_elements", no_work)
     with pytest.raises(NotFiniteError,
                        match="finite but larger than the cap"):
         build_group(preset_matrix("E6"))
+
+
+# every preset and product the suite builds, and a few more of each family
+CHAIN_CASES = sorted(KNOWN_ORDERS.keys() - {"E7", "E8"})
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_orbit_chain_order_is_the_enumerated_order(groups, name):
+    # the chain reads the roots alone; the builder enumerates W
+    roots = RootSystem(matrix_of(name))
+    g = groups(name)
+    assert roots.order == len(g.perms) == g.order == KNOWN_ORDERS[name]
 
 
 def test_e6_order_reflections_and_classes(groups):

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import re
 import sys
 import threading
 import tracemalloc
@@ -9,8 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxrack import extension
-from coxrack.coxeter import GroupTable, build_group, preset_matrix
+from coxrack import cli, extension
+from coxrack.coxeter import (
+    GroupTable,
+    RootSystem,
+    build_group,
+    preset_matrix,
+)
 from coxrack.extension import (
     CertificationError,
     ExtGroup,
@@ -26,6 +32,7 @@ from coxrack.extension import (
     is_split,
     phi_checksum,
     phi_rho,
+    require_certify_memory,
     twist_certificate,
 )
 from coxrack.nichols import braiding_from_rack, symmetrizer_factorized_exact
@@ -838,16 +845,17 @@ def test_corrupted_section_rejected_at_same_stage(setups, name):
 
 
 def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
-        monkeypatch):
+        monkeypatch, capsys):
     def no_work(*args):
-        raise AssertionError("coset enumeration ran before the memory check")
+        raise AssertionError("W was built before the memory check")
 
-    monkeypatch.setattr(extension, "coset_enumeration", no_work)
+    monkeypatch.setattr(cli, "build_group", no_work)
     monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 90_000)
-    g = build_group(preset_matrix("A4"))
     # 120^2 bytes for phi, 16 * 120 * 11 for the rows per length up to
-    # 10, 4 * 2^20 for the checksum buffers
-    with pytest.raises(MemoryError, match="needs about 4229824 bytes, 14400 "
-                                          "of them for phi, memory limit "
-                                          "90000"):
-        twist_certificate(g)
+    # l(w0) = R = 10, 4 * 2^20 for the checksum buffers
+    message = ("certifying |W| = 120 needs about 4229824 bytes, 14400 of "
+               "them for phi, memory limit 90000")
+    with pytest.raises(MemoryError, match=re.escape(message)):
+        require_certify_memory(RootSystem(preset_matrix("A4")))
+    assert cli.main(["certify", "A4"]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"

@@ -182,6 +182,14 @@ def test_braid_equation_failure_has_witness():
     assert len(exc.value.witness) == 3
 
 
+def test_braided_space_checks_row_counts():
+    # expo has one row for two basis vectors
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        BraidedSpace(2, [[0, 1], [1, 0]], [[0, 0]])
+    with pytest.raises(ValueError, match="inconsistent shapes"):
+        BraidedSpace(2, [[0, 1], [1, 0]], [[0, 0], [0, 0], [0, 0]])
+
+
 def test_braid_equation_battery(spaces):
     for name in ("A3", "A4", "B3", "D4", "H3", "I2(6)", "I2(7)"):
         spaces(name)          # construction checks the braid equation
@@ -486,6 +494,20 @@ def test_a3_full_series(spaces, monkeypatch):
         ranks = spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), 13)
         assert ranks == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1, 0]
         assert sum(ranks) == 576
+
+
+@pytest.mark.parametrize("dmax", [6, pytest.param(8, marks=pytest.mark.slow)])
+def test_fomin_kirillov_e5_from_its_own_braiding(spaces, dmax):
+    # A4 with q- is E_5, Hilbert series [4]^4 [5]^2 [6]^4, [m] = 1 + t +
+    # ... + t^(m - 1).  `hilbert A4` reads q-'s ranks off q+'s ladder by
+    # the twist (test_cli); this runs the ladder on q-'s braiding itself.
+    series = [1] + [0] * dmax
+    for m in (4,) * 4 + (5,) * 2 + (6,) * 4:
+        series = [sum(series[max(0, i - m + 1):i + 1]) for i in range(dmax + 1)]
+    assert series == [1, 10, 55, 220, 711, 1960, 4761, 10410, 20796][:dmax + 1]
+    V = spaces("A4", "minus")
+    p = primes_one_mod(V.k, count=1)[0]
+    assert spanning_ladder_ranks(V, p, root_of_unity_mod(p, V.k), dmax) == series
 
 
 # -- the grading: S_n is block diagonal in g(u) ------------------------------
