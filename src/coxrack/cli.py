@@ -101,8 +101,9 @@ def cmd_info(args) -> int:
 
 def cmd_certify(args) -> int:
     matrix = resolve_matrix(args.target)
-    require_certify_memory(RootSystem(matrix))
-    g = build_group(matrix)
+    roots = RootSystem(matrix)
+    require_certify_memory(roots)
+    g = build_group(roots)
     cert = twist_certificate(g)
     text = certificate_json(cert)
     if args.out is not None:

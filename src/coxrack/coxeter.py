@@ -405,8 +405,11 @@ class GroupTable(RootSystem):
         BFS last letters uint8.
     """
 
-    def __init__(self, matrix: CoxeterMatrix):
-        super().__init__(matrix)
+    def __init__(self, source: CoxeterMatrix | RootSystem):
+        if isinstance(source, RootSystem):
+            vars(self).update(vars(source))   # its roots, not built again
+        else:
+            super().__init__(source)
         if self.order > DEFAULT_ELEMENT_CAP:
             raise NotFiniteError(f"|W| = {self.order} > {DEFAULT_ELEMENT_CAP}: "
                                  "the group is finite but larger than the cap")
@@ -636,8 +639,9 @@ class GroupTable(RootSystem):
         return self._conj_refl
 
 
-def build_group(matrix: CoxeterMatrix) -> GroupTable:
-    """Enumerate roots and elements.  Raises NotFiniteError before any
-    enumeration for an infinite group, and before the elements for |W|
-    above DEFAULT_ELEMENT_CAP, |W| coming from the roots' orbit chain."""
-    return GroupTable(matrix)
+def build_group(source: CoxeterMatrix | RootSystem) -> GroupTable:
+    """Enumerate roots and elements; given a RootSystem, reuse its roots.
+    Raises NotFiniteError before any enumeration for an infinite group,
+    and before the elements for |W| above DEFAULT_ELEMENT_CAP, |W| coming
+    from the roots' orbit chain."""
+    return GroupTable(source)

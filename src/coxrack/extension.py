@@ -17,16 +17,16 @@ No product table is built.  Every product the certificate reads is
 walked down W's BFS tree from the generator permutations of the
 extension (as in Casselman, "Machine calculations in Weyl groups",
 1994) and projected to W by the numbering.  The checks walk one length
-level at a time, in rows of l or |T| entries.  phi_rho walks depth
-first, holding one row of |W| per element on the path to the root; it
-writes phi transposed and transposes it in place, a pair of tiles at a
-time.  phi_checksum builds its byte stream in blocks of about a
-megabyte, and a second thread hashes each block while the next is
-built.  So the largest table held is phi itself, |W|^2 bytes, and the
-rest is a few int32 rows of |W| per length.  The identities phi
-satisfies because the extension is a group (the 2-cocycle and
-conjugation identities, see phi_rho) are not rechecked here; the tests
-check them against dense-table oracles.
+level at a time, in rows of l or |T| entries.  No |W| x |W| table is
+held either: phi is a source of rows (PhiRows), computed a chunk of
+rows at a time by the same walk, one column per row.  certify_twist
+reads the |T| rows at T.  phi_checksum streams every row: one thread
+computes the next chunk, one builds the byte stream in blocks, and the
+caller hashes each block while the next is built.  So the largest
+tables held are a few int32 rows of |W| per length and two chunks of
+phi rows.  The identities phi satisfies because the extension is a
+group (the 2-cocycle and conjugation identities, see phi_rho) are not
+rechecked here; the tests check them against dense-table oracles.
 
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from typing import NamedTuple
 
 import numpy as np
@@ -198,25 +197,30 @@ class ExtGroup:
         self.z_elem = n
         # left multiplication by each t_i: t_i (v s) = (t_i v) t_s and
         # t_i (w z) = (t_i w) z; then t_i c t_i = (t_i c) t_i
-        walk = _tree_walk(g, self.gen_perms[:self.nt, 0],
-                          lambda c, s: self.gen_perms[s, c])
+        walk = _tree_walk(g, self.gen_perms[:self.nt, 0], self.gen_perms)
         left = np.concatenate([block for _, _, block in walk]).T
         left = np.concatenate([left, self.gen_perms[self.nt][left]], axis=1)
         self.tconj = np.take_along_axis(self.gen_perms[:self.nt], left, axis=1)
 
 
-def _tree_walk(g: GroupTable, start: np.ndarray, step):
+def _tree_walk(g: GroupTable, start: np.ndarray, table: np.ndarray):
     """Carry a row of values down W's BFS tree, one length level at a time.
 
     Yields (lo, hi, block) per level, block[k] the row at element lo + k:
-    `start` at the identity, then step(parent rows, last letters as a
-    column) for the elements u = parent * s_i.  Only one level is held.
+    `start` at the identity, then table[i] of the parent's row for the
+    elements u = parent * s_i.  Only one level is held, and each level
+    is a new array.
     """
+    flat, width = table.ravel(), np.int32(table.shape[1])
     bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
     block = start[None]
     yield 0, 1, block
     for prev, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
-        block = step(block[g._parent[lo:hi] - prev], g._last[lo:hi, None])
+        block = np.take(block, g._parent[lo:hi] - prev, axis=0)
+        block += g._last[lo:hi, None] * width    # into row i of table
+        # the indices are in range; "clip" only keeps np.take from
+        # buffering `out`, which is the index array, as "raise" does
+        np.take(flat, block, out=block, mode="clip")
         yield lo, hi, block
 
 
@@ -275,9 +279,14 @@ class Section(NamedTuple):
 
 
 class GroupCocycle2(NamedTuple):
-    """Group 2-cocycle on W with values in {1, z}, stored as z-exponents."""
+    """Group 2-cocycle on W with values in {1, z}, as z-exponents.
 
-    table: np.ndarray  # (|W|, |W|) uint8
+    `table` is a |W| x |W| source of rows: `shape`, `size`, `chunk` and
+    rows(xs), the (len(xs), |W|) uint8 rows at xs.  phi_checksum reads
+    it `chunk` rows at a time.
+    """
+
+    table: PhiRows
 
 
 def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
@@ -294,8 +303,7 @@ def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
     section.  Element ids increase with length and x^-1 has x's length,
     so the level of length L yields exactly the x of length L.
     """
-    for lo, hi, block in _tree_walk(g, values,
-                                    lambda c, s: ext.tconj[s, c]):
+    for lo, hi, block in _tree_walk(g, values, ext.tconj):
         yield g.inv_arr[lo:hi], block
 
 
@@ -385,53 +393,50 @@ def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     return None
 
 
-def _depth_first(g: GroupTable) -> list[int]:
-    """W's elements in depth-first preorder of its BFS tree.
+PHI_LEVEL_BYTES = 1 << 18   # int32 bytes of the widest level of a phi chunk
 
-    Each element comes after its parent, and between an element and the
-    next one no longer than it come only its descendants, so a walk that
-    keeps one row per length holds the rows of the path to the root.
+
+class PhiRows:
+    """phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1 as a |W| x |W| row source.
+
+    No table of phi is held: rows(xs) computes the rows at xs by walking
+    y down W's BFS tree (_tree_walk) with one column per x.  rho(y) =
+    y z^f(y), y the lift of y's ShortLex word, f(y) = [rho(y) >= |W|],
+    so the entry rho(x) y at y is gen_perms[last letter of y] of the
+    parent's entry, starting from rho(x) at the identity.  It projects
+    to xy, and rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y) is f(y)
+    plus whether rho(x) y differs from rho(xy), read from a table over
+    the 2|W| elements.  A chunk of `chunk` rows keeps its widest level
+    near PHI_LEVEL_BYTES of int32 entries: gathers from blocks of that
+    size were the fastest on F4 and H4 (larger blocks leave the cache,
+    smaller ones pay numpy's per-call cost).  It is also at most an
+    eighth of W, so phi_checksum's threads overlap on small groups too.
     """
-    children = [[] for _ in range(g.order)]
-    for u, v in enumerate(g._parent[1:].tolist(), 1):
-        children[v].append(u)
-    order, stack = [], [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    return order
 
+    def __init__(self, g: GroupTable, ext: ExtGroup, sec: Section):
+        n, rho = g.order, sec.rho
+        self.g, self.gen_perms, self.rho = g, ext.gen_perms, rho
+        elems = np.arange(2 * n)
+        self.differ = (elems != rho[elems % n]).astype(np.uint8)
+        self.flip = (rho >= n).astype(np.uint8)[:, None]
+        self.shape, self.size = (n, n), n * n
+        widest = int(np.bincount(g.length_arr).max())
+        self.chunk = max(1, min(-(-n // 8), PHI_LEVEL_BYTES // (4 * widest)))
 
-def _transpose_in_place(a: np.ndarray):
-    """Transpose the square array a in place, one pair of tiles at a time.
-
-    Tiles of 128 x 128 were the fastest of sides 128 to 1024 on 1152^2
-    and 14400^2 uint8 tables; a tile and its copy stay in cache.
-    """
-    n, t = a.shape[0], 128
-    for i in range(0, n, t):
-        diag = a[i:i + t, i:i + t]
-        diag[...] = diag.T.copy()
-        for j in range(i + t, n, t):
-            upper, lower = a[i:i + t, j:j + t], a[j:j + t, i:i + t]
-            tmp = upper.copy()
-            upper[...] = lower.T
-            lower[...] = tmp.T
+    def rows(self, xs) -> np.ndarray:
+        """phi(x, y) for x in xs (rows) and every y (columns), uint8; a
+        transposed view of the y-major array the walk fills."""
+        out = np.empty((self.shape[0], len(xs)), dtype=np.uint8)
+        for lo, hi, block in _tree_walk(self.g, self.rho[xs],
+                                        self.gen_perms):
+            np.take(self.differ, block, out=out[lo:hi], mode="clip")
+            out[lo:hi] ^= self.flip[lo:hi]
+        return out.T
 
 
 def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
-    """Extract the z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1.
-
-    phi is built one column y at a time, walking y down W's BFS tree
-    depth first (_depth_first).  rho(y) = y z^f(y), y the lift of y's
-    ShortLex word, f(y) = [rho(y) >= |W|], so the column rho(x) y over
-    all x is the parent's column pushed through gen_perms[last letter of
-    y], and only the columns on the path to the root are held.  It
-    projects to xy, and rho(x) rho(y) = rho(xy) z^phi(x, y): phi(x, y)
-    is f(y) plus whether rho(x) y differs from rho(xy), read from a
-    table over the 2|W| elements.  Column y is written as row y of phi
-    transposed, and one in-place tiled transpose gives the x-major table.
+    """The z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1, as
+    rows computed on demand (PhiRows); nothing of |W|^2 is built here.
 
     phi needs no check of its own; what it rests on is checked in
     O(|W|).  The relators close at every point (coset_enumeration), so
@@ -451,42 +456,24 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
         and rho(x) rho(y) rho(x)^-1 = rho(xy) z^phi(x, y) rho(x)^-1.
     The tests check both against the dense-table oracles.
     """
-    n, rho = g.order, sec.rho
-    elems = np.arange(2 * n)
-    differ = (elems != rho[elems % n]).astype(np.uint8)
-    bits = (differ, differ ^ 1)            # bits[f(y)][rho(x) y] = phi(x, y)
-    flip = (rho >= n).tolist()
-    length, last = g.length_arr.tolist(), g._last.tolist()
-    table = np.empty((n, n), dtype=np.uint8)     # phi transposed, then phi
-    path = np.empty((length[-1] + 1, n), dtype=np.int32)
-    path[0] = rho
-    # the indices are elements of the extension, all in range; "clip"
-    # only keeps np.take from buffering `out`, as its default "raise" does
-    for y in _depth_first(g):
-        d = length[y]
-        if d:
-            np.take(ext.gen_perms[last[y]], path[d - 1], out=path[d],
-                    mode="clip")
-        np.take(bits[flip[y]], path[d], out=table[y], mode="clip")
-    _transpose_in_place(table)
-    return GroupCocycle2(table=table)
+    return GroupCocycle2(table=PhiRows(g, ext, sec))
 
 
 def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
-    """Verify q+(x,y) = phi(x,y) phi(x>y,x)^-1 q-(x,y) on T x T."""
+    """Verify q+(x,y) = phi(x,y) phi(x>y,x)^-1 q-(x,y) on T x T.
+
+    Reads only the |T| rows of phi at T: x > y is a reflection.  Returns
+    None on success, else the first witness (x, y) in row-major order.
+    """
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
-    conj_refl = g.conj_refl_table()
-    nt = len(refl_elems)
-    qp_t = np.array(qp.table, dtype=np.uint8)
-    qm_t = np.array(qm.table, dtype=np.uint8)
-    phi_tt = phi.table[np.ix_(refl_elems, refl_elems)]
-    for a in range(nt):
-        x = refl_elems[a]
-        xy = refl_elems[conj_refl[x]]
-        want = phi_tt[a] ^ phi.table[xy, x] ^ qm_t[a]
-        if not np.array_equal(qp_t[a], want):
-            b = int(np.nonzero(qp_t[a] != want)[0][0])
-            return (int(x), int(refl_elems[b]))
+    conj_refl = g.conj_refl_table()[refl_elems]      # [a, b]: x_a > x_b
+    rows = phi.table.rows(refl_elems)
+    want = (rows[:, refl_elems] ^ rows[conj_refl, refl_elems[:, None]]
+            ^ np.array(qm.table, dtype=np.uint8))
+    bad = np.argwhere(np.array(qp.table, dtype=np.uint8) != want)
+    if len(bad):
+        a, b = bad[0]
+        return (int(refl_elems[a]), int(refl_elems[b]))
     return None
 
 
@@ -495,17 +482,32 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
 # ---------------------------------------------------------------------------
 
 
-CHECKSUM_BLOCK_BYTES = 1 << 20   # bytes of whole rows per block in phi_checksum
+CHECKSUM_BLOCK_BYTES = 1 << 17   # bytes of whole rows per block in phi_checksum
+CHECKSUM_BUFFERS = 3             # blocks built or hashed at once
 
 
 def phi_checksum(phi: GroupCocycle2) -> str:
     """Order-independent digest: sha256 over the sorted (x, y, bit) lines.
 
     The byte stream is the concatenation of f"{x},{y},{bit}\\n" over x,
-    then y, built in blocks by _checksum_blocks and hashed on a second
-    thread by _sha256_behind.
+    then y.  Three threads share the work: one computes phi's rows a
+    chunk ahead, one builds the stream from them in blocks
+    (_checksum_blocks), and this one hashes each block while the next is
+    built (_ahead).  hashlib and numpy's gathers release the GIL.
     """
-    return _sha256_behind(_checksum_blocks(phi.table))
+    # only here: hashlib loads OpenSSL, about 3.6 MB and 5 ms, and only
+    # certify hashes
+    import hashlib
+
+    h = hashlib.sha256()
+    blocks = _ahead(_checksum_blocks(phi.table), CHECKSUM_BUFFERS - 1,
+                    "phi_checksum-text")
+    try:
+        for block in blocks:
+            h.update(block)
+    finally:
+        blocks.close()
+    return h.hexdigest()
 
 
 def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
@@ -514,93 +516,115 @@ def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
     return (v[:, None] // powers % 10 + ord("0")).astype(np.uint8)
 
 
-def _checksum_blocks(table: np.ndarray):
+def _checksum_blocks(table):
     """Yield phi_checksum's byte stream in blocks of whole rows x.
 
-    Rows whose x has dx digits are laid out alike: for each digit count
-    dy of y, a run of records "x,y,b\\n" of one record dtype, with fields
-    for the dx digits of x, ",y,", the bit and the newline.  Two buffers
-    of about CHECKSUM_BLOCK_BYTES alternate, so a block may be hashed
-    while the next is built.  They start as copies of one template row,
-    and a block only writes the x digits and the bits.
+    The rows come from table.rows, table.chunk consecutive rows at a
+    time, the next chunk computed on a thread of its own while this one
+    is used; a block ends where a chunk does.  Rows whose x has dx digits
+    are laid out alike: for each digit count dy of y, a run of records
+    "x,y,b\\n" of one record dtype, with fields for the dx digits of x,
+    ",y,", the bit and the newline.  CHECKSUM_BUFFERS buffers of about
+    CHECKSUM_BLOCK_BYTES, and at least four rows, take turns, so a block
+    may be hashed while the next is built.  They start as copies of one
+    template row, and a block only writes the x digits and the bits.
     """
     n = table.shape[0]
     runs = [(10 ** (d - 1) if d > 1 else 0, min(n, 10 ** d), d)
             for d in range(1, len(str(n - 1)) + 1)]   # [lo, hi) with d digits
-    for x0, x1, dx in runs:
-        recs = [np.dtype([("x", "u1", dx), ("y", "u1", dy + 2), ("bit", "u1"),
-                          ("nl", "u1")]) for _, _, dy in runs]
-        offsets = np.cumsum([0] + [(hi - lo) * rec.itemsize
-                                   for (lo, hi, _), rec in zip(runs, recs)])
-        template = np.empty(offsets[-1], dtype=np.uint8)
-        for (lo, hi, dy), a, b, rec in zip(runs, offsets, offsets[1:], recs):
-            view = template[a:b].view(rec)
-            view["y"] = ord(",")
-            view["y"][:, 1:-1] = _ascii_digits(np.arange(lo, hi), dy)
-            view["nl"] = ord("\n")
-        rows = min(x1 - x0, max(1, CHECKSUM_BLOCK_BYTES // template.size))
-        buffers = []
-        for _ in range(2):
-            buf = np.broadcast_to(template, (rows, template.size)).copy()
-            buffers.append((buf, [buf[:, a:b].view(rec) for a, b, rec
-                                  in zip(offsets, offsets[1:], recs)]))
-        for k, r0 in enumerate(range(x0, x1, rows)):
-            r1 = min(r0 + rows, x1)
-            buf, views = buffers[k % 2]
-            xd = _ascii_digits(np.arange(r0, r1), dx)
-            for (lo, hi, _), view in zip(runs, views):
-                view = view[:r1 - r0]
-                for j in range(dx):     # one digit at a time: long loops
-                    view["x"][..., j] = xd[:, j, None]
-                view["bit"] = table[r0:r1, lo:hi] + ord("0")
-            yield buf[:r1 - r0]
+    chunks = _ahead(((c0, table.rows(np.arange(c0, min(n, c0 + table.chunk))))
+                     for c0 in range(0, n, table.chunk)), 1, "phi_checksum-rows")
+    c0 = c1 = k = 0             # the chunk holds rows c0 .. c1 - 1
+    try:
+        for x0, x1, dx in runs:
+            recs = [np.dtype([("x", "u1", dx), ("y", "u1", dy + 2),
+                              ("bit", "u1"), ("nl", "u1")])
+                    for _, _, dy in runs]
+            offsets = np.cumsum([0] + [(hi - lo) * rec.itemsize for
+                                       (lo, hi, _), rec in zip(runs, recs)])
+            template = np.empty(offsets[-1], dtype=np.uint8)
+            for (lo, hi, dy), a, b, rec in zip(runs, offsets, offsets[1:],
+                                               recs):
+                view = template[a:b].view(rec)
+                view["y"] = ord(",")
+                view["y"][:, 1:-1] = _ascii_digits(np.arange(lo, hi), dy)
+                view["nl"] = ord("\n")
+            # at least four rows, as a block costs about 30 numpy calls,
+            # and no more than a chunk, where a block ends anyway
+            rows = min(x1 - x0, table.chunk,
+                       max(4, CHECKSUM_BLOCK_BYTES // template.size))
+            buffers = []
+            for _ in range(CHECKSUM_BUFFERS):
+                buf = np.broadcast_to(template, (rows, template.size)).copy()
+                buffers.append((buf, [buf[:, a:b].view(rec) for a, b, rec
+                                      in zip(offsets, offsets[1:], recs)]))
+            del template
+            r0 = x0
+            while r0 < x1:
+                if r0 == c1:
+                    chunk = None        # not held while the next is taken
+                    c0, chunk = next(chunks)
+                    c1 = c0 + len(chunk)
+                r1 = min(r0 + rows, x1, c1)
+                buf, views = buffers[k % CHECKSUM_BUFFERS]
+                k += 1
+                xd = _ascii_digits(np.arange(r0, r1), dx)
+                bits = chunk[r0 - c0:r1 - c0]
+                for (lo, hi, _), view in zip(runs, views):
+                    view = view[:r1 - r0]
+                    for j in range(dx):     # one digit at a time: long loops
+                        view["x"][..., j] = xd[:, j, None]
+                    np.add(bits[:, lo:hi], ord("0"), out=view["bit"])
+                yield buf[:r1 - r0]
+                r0 = r1
+    finally:
+        chunks.close()
 
 
-def _sha256_behind(blocks) -> str:
-    """The sha256 of the concatenated blocks, hashed on a second thread.
+def _ahead(items, depth: int, name: str):
+    """Yield what the generator `items` yields, produced on a thread
+    named `name` up to `depth` items ahead of the caller.
 
-    hashlib releases the GIL while it hashes, so each block is hashed
-    while `blocks` builds the next one.  A block is hashed before the
-    one after it is handed over, so `blocks` may build block k + 2 in
-    block k's buffer.  The worker is joined before this returns or
-    raises, and an error it meets is raised here after the stream ends.
+    An item is held from when it is produced until the caller asks for
+    the one after it, and at most `depth` are held, so `items` may build
+    item k + depth + 1 in item k's storage.  An error `items` raises is
+    raised here, in order.  On return, error or close the thread is
+    stopped, after at most `depth` more items, and joined, and `items`
+    is closed.
     """
-    # only here: hashlib loads OpenSSL, about 3.6 MB and 5 ms, and only
-    # certify hashes
-    import hashlib
+    # only certify runs threads; the C class queue.SimpleQueue re-exports,
+    # without the 0.6 ms and 120 KB of importing queue itself
+    from _queue import SimpleQueue
 
-    h = hashlib.sha256()
-    slot = [None]                  # the block handed over; None stops
-    handed, idle = threading.Semaphore(0), threading.Semaphore(1)
-    errors = []
+    handed, room = SimpleQueue(), SimpleQueue()    # room: a token per item
+    for _ in range(depth):
+        room.put(True)
 
-    def hash_handed():
-        handed.acquire()
-        while (block := slot[0]) is not None:
-            try:
-                h.update(block)
-            except Exception as exc:    # raised again on the caller's thread
-                errors.append(exc)
-            idle.release()
-            handed.acquire()
+    def produce():
+        try:
+            for item in items:
+                if not room.get():      # False: the caller has stopped
+                    return
+                handed.put((item, None))
+            handed.put((None, None))
+        except BaseException as exc:    # raised again on the caller's thread
+            handed.put((None, exc))
 
-    worker = threading.Thread(target=hash_handed, name="phi_checksum-sha256",
-                              daemon=True)
+    worker = threading.Thread(target=produce, name=name, daemon=True)
     worker.start()
     try:
-        for block in blocks:            # built while the last one hashes
-            idle.acquire()
-            slot[0] = block
-            handed.release()
-            time.sleep(0)   # the GIL to the worker now, not a switch later
-        idle.acquire()                  # the last block is hashed
+        while True:
+            item, error = handed.get()
+            if error is not None:
+                raise error
+            if item is None:
+                return
+            yield item
+            room.put(True)
     finally:
-        slot[0] = None
-        handed.release()
+        room.put(False)
         worker.join()
-    if errors:
-        raise errors[0]
-    return h.hexdigest()
+        items.close()
 
 
 def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
@@ -634,23 +658,34 @@ def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
     return ext, sec
 
 
-def require_certify_memory(roots: RootSystem):
-    """Raise MemoryError, before W is built, when twist_certificate's phi
-    (a |W|^2 uint8 table) and its stages' working set would not fit.
+def require_certify_memory(roots: RootSystem) -> int:
+    """Raise MemoryError, before W is built, when twist_certificate's
+    working set would not fit; return the bytes it counts.
 
-    The stages hold a few int32 rows of |W| per length: phi_rho's path
-    to the root, the reflection conjugation table (the longest length is
-    |T| = R) and the extension's generator arrays; 16 bytes per element
-    of W and per length 0..R cover them (traced peaks, beyond phi: 771
-    |W| bytes on H4, where this allows 976 |W|).  phi_checksum adds at
-    most four buffers of CHECKSUM_BLOCK_BYTES."""
-    n = roots.order
-    need = n * n + 16 * n * (roots.nroots + 1) + 4 * CHECKSUM_BLOCK_BYTES
+    The stages hold a few int32 rows of |W| per length: the reflection
+    conjugation table (the longest length is |T| = R), the checks' level
+    blocks and the extension's generator arrays; 16 bytes per element of
+    W and per length 0..R cover them.  phi is never held.  phi_checksum
+    holds two chunks of m rows of it (one read, the next computed), m |W|
+    bytes each, and the walk of a chunk two int32 level blocks of m
+    times the widest level w.  m w is at most PHI_LEVEL_BYTES / 4 unless
+    m = 1, and w >= |W| / (R + 1), so a chunk is at most |W| +
+    PHI_LEVEL_BYTES (R + 1) / 4 bytes and a level block PHI_LEVEL_BYTES
+    + 4 |W|.
+    The text adds CHECKSUM_BUFFERS buffers and a template row, each of
+    CHECKSUM_BLOCK_BYTES or four rows of at most |W| (2 d + 4) bytes,
+    d the digits of |W| - 1."""
+    n, R = roots.order, roots.nroots
+    chunks = 2 * (n + PHI_LEVEL_BYTES * (R + 1) // 4)
+    levels = 2 * (4 * n + PHI_LEVEL_BYTES)
+    row = n * (2 * len(str(n - 1)) + 4)
+    text = (CHECKSUM_BUFFERS + 1) * max(CHECKSUM_BLOCK_BYTES, 4 * row)
+    need = 16 * n * (R + 1) + chunks + levels + text
     limit = _memory_limit_bytes()
     if need > limit:
-        raise MemoryError(
-            f"certifying |W| = {n} needs about {need} bytes, {n * n} of "
-            f"them for phi, memory limit {limit}")
+        raise MemoryError(f"certifying |W| = {n} needs about {need} bytes, "
+                          f"memory limit {limit}")
+    return need
 
 
 def twist_certificate(g: GroupTable) -> dict:

@@ -624,7 +624,25 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
         raise CertificationError("phi-kernel", [int(bad[0]), int(bad[1])])
     table = (vals == z).astype(np.uint8)
     dense_phi_identities(g, ext, sec, table)
-    return GroupCocycle2(table=table)
+    return GroupCocycle2(table=DenseRows(table))
+
+
+class DenseRows:
+    """A dense |W| x |W| table as the row source that phi_checksum and
+    certify_twist read, `chunk` rows at a time (all of them by default)."""
+
+    def __init__(self, table: np.ndarray, chunk: int | None = None):
+        self.table = table
+        self.shape, self.size = table.shape, table.size
+        self.chunk = chunk or table.shape[0]
+
+    def rows(self, xs) -> np.ndarray:
+        return self.table[xs]
+
+
+def dense_table(phi: GroupCocycle2) -> np.ndarray:
+    """Every row of phi's row source, as one |W| x |W| array."""
+    return np.asarray(phi.table.rows(np.arange(phi.table.shape[0])))
 
 
 def dense_phi_identities(g, ext, sec, table):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from coxrack import extension, nichols
+from coxrack.coxeter import RootSystem, preset_matrix
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -388,26 +389,44 @@ def test_dihedral_check_without_a_space_exits_1(capsys):
         assert err == "error: --check needs --summands or a positive --v0\n"
 
 
+def test_certify_builds_the_root_system_once(capsys, monkeypatch):
+    # the memory check and the group share one RootSystem; the parabolic
+    # subsystems of the orbit chain are other matrices
+    built = []
+    real = RootSystem._build_roots
+
+    def counted(self):
+        built.append(self.matrix.rows)
+        real(self)
+
+    monkeypatch.setattr(RootSystem, "_build_roots", counted)
+    code, out, _ = run(capsys, "certify", "A3")
+    assert code == 0 and json.loads(out)["order_w"] == 24
+    assert built.count(preset_matrix("A3").rows) == 1
+
+
 def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 2_000)
     code, out, err = run(capsys, "certify", "A3")
     assert code == 1
     assert out == ""
-    # 24^2 bytes for phi, 16 * 24 * 7 for the rows per length up to 6,
-    # 4 * 2^20 for the checksum buffers
+    # 16 * 24 * 7 for the rows per length up to 6; two chunks of phi
+    # rows, 2 * (24 + 2^18 * 7 / 4); two level blocks, 2 * (4 * 24 + 2^18);
+    # four text buffers of 2^17 bytes
     assert err == ("error: out of memory: certifying |W| = 24 needs about "
-                   "4197568 bytes, 576 of them for phi, memory limit 2000\n")
+                   "1969008 bytes, memory limit 2000\n")
 
 
-def cli_in_child(*argv, rlimit_as=None, timeout=600, after=""):
+def cli_in_child(*argv, rlimit_as=None, timeout=600, after="", before=""):
     """`coxrack argv...` in a fresh process, optionally under an
-    address-space limit in bytes.  `after`, Python source, runs in the
-    child once main has returned."""
+    address-space limit in bytes.  `before` and `after`, Python source,
+    run in the child before main is called and once it has returned."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import resource, sys\n"
             f"limit = {rlimit_as!r}\n"
             "if limit:\n"
             "    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            f"{before}"
             "from coxrack.cli import main\n"
             f"rc = main({list(argv)!r})\n"
             f"{after}"
@@ -473,8 +492,9 @@ def test_info_past_the_cap_under_1_gib(name, order, reflections):
                                   ("hilbert", "E7", "--dmax", "2")],
                          ids=" ".join)
 def test_e7_refused_before_enumeration(argv):
-    # certify: phi alone would be 2903040^2 bytes; hilbert: |W| passes the
-    # element cap.  Both are known from the roots, before W is built.
+    # certify: 16 bytes per element and length, 16 * 2903040 * 64, pass
+    # 1 GiB; hilbert: |W| passes the element cap.  Both are known from
+    # the roots, before W is built.
     proc = cli_in_child(*argv, rlimit_as=2 ** 30, timeout=120,
                         after=PEAK_RSS)
     assert proc.returncode == 1
@@ -484,22 +504,62 @@ def test_e7_refused_before_enumeration(argv):
     assert int(peak) < 100 * 1024
 
 
+# the child's own peak RSS in KiB, last on stderr: ru_maxrss would also
+# count the peak of the process that spawned it, as exec keeps that
+# high-water mark, and a session running the slow tests passes 128 MB
+OWN_PEAK_RSS = ("import re\n"
+                "status = open('/proc/self/status').read()\n"
+                "print(re.search(r'VmHWM:\\s+(\\d+)', status)[1],\n"
+                "      file=sys.stderr)\n")
+
+
 @pytest.mark.slow
 def test_certify_h4_output_pinned():
-    proc = cli_in_child("certify", "H4")
+    # phi (14400^2 bytes) is streamed, never held whole; holding it put
+    # the peak at 242 MB
+    proc = cli_in_child("certify", "H4", after=OWN_PEAK_RSS)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == (
         "eca329d516b6c715cc21141e38203fb952b690d159ef7bcb6a5a2fadb774f152")
+    assert int(proc.stderr) < 64 * 1024
 
 
 @pytest.mark.slow
-def test_certify_e6_under_4_gib():
-    # phi is 51840^2 bytes, 2.69 GB; the walk that held whole length
-    # levels needed about 6 GB more, and the refusal came before any work
-    proc = cli_in_child("certify", "E6", rlimit_as=4 * 2 ** 30)
+def test_certify_e6_under_1_gib():
+    # phi is 51840^2 bytes, 2.69 GB, and is streamed a chunk of rows at a
+    # time; holding it whole peaked at 2.6 GB
+    proc = cli_in_child("certify", "E6", rlimit_as=2 ** 30,
+                        after=OWN_PEAK_RSS)
     assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "16024909e7a136f991b6d5aa399a2577d7a3859f65bd2fb5eb40c75fe91efb90")
+    assert int(proc.stderr) < 128 * 1024
     cert = json.loads(proc.stdout)
     assert (cert["order_w"], cert["reflections"]) == (51840, 36)
     assert cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
     # E6 has m_ij = 2, so the extension does not split
     assert cert["split"] is False and cert["cohomologous"] is False
+
+
+def test_perfbench_tracer_covers_certify():
+    # perfbench/tracing.py wraps coxrack functions by name and counts
+    # phi_checksum's lines as phi.table.size: a renamed stage or a phi
+    # without a size breaks every traced benchmark run
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    proc = cli_in_child("certify", "A3", timeout=120, after=(
+        "import json\n"
+        "print(json.dumps(tracer.spans), file=sys.stderr)\n"),
+        before=(f"sys.path.insert(0, {str(bench)!r})\n"
+                "import coxrack.cli\n"
+                "from tracing import Tracer\n"
+                "tracer = Tracer.install('certify A3')\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "ca22c68d2ba190a7e347ad103cbc4db9013ab7424bf5e37d80bfcc947ffeb5a7")
+    spans = json.loads(proc.stderr.splitlines()[-1])
+    names = {span["name"] for span in spans}
+    assert {"coxeter.build_group", "extension.phi_rho",
+            "extension.certify_twist", "extension.phi_checksum"} <= names
+    [checksum] = [span for span in spans
+                  if span["name"] == "extension.phi_checksum"]
+    assert checksum["lines"] == 24 * 24

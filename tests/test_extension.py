@@ -45,12 +45,14 @@ from coxrack.racks import (
 )
 import oracles
 from oracles import (
+    DenseRows,
     EnumerationOverflow,
     dense_check_global,
     dense_check_vendramin,
     dense_cocycle_identity_witness,
     dense_phi_identities,
     dense_phi_rho,
+    dense_table,
     ext_inv_table,
     ext_mult_table,
     hlt_coset_enumeration,
@@ -206,8 +208,9 @@ def test_phi_properties(setups):
     g, ext, sec = setups("A2")
     phi = phi_rho(g, ext, sec)
     assert phi.table.shape == (6, 6)
-    assert not phi.table[0].any()       # phi(e, w) = 1
-    assert not phi.table[:, 0].any()    # phi(w, e) = 1
+    table = dense_table(phi)
+    assert not table[0].any()       # phi(e, w) = 1
+    assert not table[:, 0].any()    # phi(w, e) = 1
 
     assert certify_twist(g, phi, q_plus(g), q_minus(g)) is None
 
@@ -215,13 +218,13 @@ def test_phi_properties(setups):
 def word_signs(g, phi: GroupCocycle2, n: int) -> np.ndarray:
     """D_n(u) = (-1)^(sum_k phi(u_1 ... u_(k-1), u_k)) on the words u of n
     reflections, numbered with the first letter most significant."""
-    mult = g.mult_table()
+    mult, table = g.mult_table(), dense_table(phi)
     refl = np.array([t.elem for t in g.reflections])
     prefix, expo = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         letter = np.tile(refl, prefix.size)
         prefix = np.repeat(prefix, refl.size)
-        expo = np.repeat(expo, refl.size) ^ phi.table[prefix, letter]
+        expo = np.repeat(expo, refl.size) ^ table[prefix, letter]
         prefix = mult[prefix, letter]
     return 1 - 2 * expo.astype(np.int64)
 
@@ -355,15 +358,15 @@ def identity_holds(mult, table, x, y, w):
 def test_phi_passes_full_cocycle_oracle_on_battery(setups):
     for name in BATTERY:
         g, ext, sec = setups(name)
-        phi = phi_rho(g, ext, sec)
-        assert full_cocycle_witness(g.mult_table(), phi.table) is None, name
+        phi = dense_table(phi_rho(g, ext, sec))
+        assert full_cocycle_witness(g.mult_table(), phi) is None, name
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
 def test_reduced_cocycle_check_agrees_with_full(setups, name):
     g, ext, sec = setups(name)
     mult = g.mult_table()
-    true = phi_rho(g, ext, sec).table
+    true = dense_table(phi_rho(g, ext, sec))
     rng = np.random.default_rng(20240712)
     f = rng.integers(0, 2, g.order, dtype=np.uint8)
     coboundary = true ^ f[:, None] ^ f[None, :] ^ f[mult]
@@ -428,21 +431,53 @@ DIGIT_BOUNDARY_SIZES = [1, 2, 9, 10, 11, 99, 100, 101, 1001]
 @pytest.mark.parametrize("n", [6, 120, 1152] + DIGIT_BOUNDARY_SIZES)
 def test_phi_checksum_matches_line_oracle(n):
     table, digest = random_table_and_digest(n)
-    assert phi_checksum(GroupCocycle2(table=table)) == digest
+    assert phi_checksum(GroupCocycle2(table=DenseRows(table))) == digest
 
 
 def test_phi_checksum_one_row_blocks(monkeypatch):
+    # a block ends where a chunk does: one-row chunks give one-row blocks
     table = np.random.default_rng(7).integers(0, 2, (120, 120),
                                               dtype=np.uint8)
     monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
-    assert phi_checksum(GroupCocycle2(table=table)) == line_checksum(table)
+    phi = GroupCocycle2(table=DenseRows(table, chunk=1))
+    assert phi_checksum(phi) == line_checksum(table)
 
 
 @pytest.mark.parametrize("n", DIGIT_BOUNDARY_SIZES)
 def test_phi_checksum_one_row_blocks_across_digit_boundaries(monkeypatch, n):
     table, digest = random_table_and_digest(n)
     monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
-    assert phi_checksum(GroupCocycle2(table=table)) == digest
+    assert phi_checksum(GroupCocycle2(table=DenseRows(table, chunk=1))) == digest
+
+
+@pytest.mark.parametrize("n", [120] + DIGIT_BOUNDARY_SIZES)
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_phi_checksum_chunks_and_blocks_out_of_step(monkeypatch, n, chunk):
+    # blocks of four rows (the least a block holds) against chunks of 3
+    # or 7 rows, which also straddle x = 10, 100 and 1000
+    table, digest = random_table_and_digest(n)
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1)
+    blocks = list(extension._checksum_blocks(DenseRows(table, chunk=chunk)))
+    assert max(len(b) for b in blocks) == min(4, chunk, n)
+    assert phi_checksum(GroupCocycle2(table=DenseRows(table, chunk))) == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("name", BATTERY)
+def test_phi_rows_match_dense_oracle(setups, name, chunk):
+    # the rows phi_checksum reads, chunk by chunk, and rows at any xs,
+    # as certify_twist reads them at T
+    g, ext, sec = setups(name)
+    n = g.order
+    want = dense_table(dense_phi_rho(g, ext, sec))
+    rows = phi_rho(g, ext, sec).table
+    rows.chunk = chunk or n
+    got = np.concatenate([rows.rows(np.arange(c, min(n, c + rows.chunk)))
+                          for c in range(0, n, rows.chunk)])
+    assert np.array_equal(got, want)
+    xs = np.random.default_rng(n).permutation(n)[:min(n, 13)]
+    assert np.array_equal(rows.rows(xs), want[xs])
+    assert phi_checksum(GroupCocycle2(table=rows)) == line_checksum(want)
 
 
 def raised_within(seconds, f, *args):
@@ -463,9 +498,9 @@ def raised_within(seconds, f, *args):
     return raised[0]
 
 
-def hashing_threads():
+def checksum_threads():
     return [t for t in threading.enumerate()
-            if t.name == "phi_checksum-sha256"]
+            if t.name.startswith("phi_checksum-")]
 
 
 def test_phi_checksum_error_mid_stream_leaves_no_thread(monkeypatch):
@@ -475,39 +510,68 @@ def test_phi_checksum_error_mid_stream_leaves_no_thread(monkeypatch):
     real = extension._checksum_blocks
 
     def three_then_fail(table):
-        for k, block in enumerate(real(table)):
-            if k == 3:
-                raise RuntimeError("stream broke")
-            yield block
+        blocks = real(table)
+        try:
+            for k, block in enumerate(blocks):
+                if k == 3:
+                    raise RuntimeError("stream broke")
+                yield block
+        finally:
+            blocks.close()
 
     monkeypatch.setattr(extension, "_checksum_blocks", three_then_fail)
-    exc = raised_within(30, phi_checksum, GroupCocycle2(table=table))
+    phi = GroupCocycle2(table=DenseRows(table, chunk=10))
+    exc = raised_within(30, phi_checksum, phi)
     assert isinstance(exc, RuntimeError) and str(exc) == "stream broke"
-    assert not hashing_threads()
+    assert not checksum_threads()
 
 
 def test_phi_checksum_raises_a_hashing_error_after_the_stream(monkeypatch):
-    # sha256 refuses a str: the worker's error reaches the caller, and the
-    # worker is joined
+    # sha256 refuses a str: the error reaches the caller, and the threads
+    # that build the stream are stopped and joined
     table = np.random.default_rng(4).integers(0, 2, (300, 300),
                                               dtype=np.uint8)
     monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1000)
     real = extension._checksum_blocks
 
     def one_str(table):
-        for k, block in enumerate(real(table)):
-            yield "not bytes" if k == 2 else block
+        blocks = real(table)
+        try:
+            for k, block in enumerate(blocks):
+                yield "not bytes" if k == 2 else block
+        finally:
+            blocks.close()
 
     monkeypatch.setattr(extension, "_checksum_blocks", one_str)
-    exc = raised_within(30, phi_checksum, GroupCocycle2(table=table))
+    phi = GroupCocycle2(table=DenseRows(table, chunk=10))
+    exc = raised_within(30, phi_checksum, phi)
     assert isinstance(exc, TypeError)
-    assert not hashing_threads()
+    assert not checksum_threads()
+
+
+def test_phi_rows_error_reaches_the_caller(monkeypatch):
+    # an error computing a chunk, on its own thread, is raised by
+    # phi_checksum, and no thread is left
+    table = np.random.default_rng(5).integers(0, 2, (300, 300),
+                                              dtype=np.uint8)
+
+    class Failing(DenseRows):
+        def rows(self, xs):
+            if xs[0] >= 100:
+                raise RuntimeError("rows broke")
+            return super().rows(xs)
+
+    monkeypatch.setattr(extension, "CHECKSUM_BLOCK_BYTES", 1000)
+    exc = raised_within(30, phi_checksum,
+                        GroupCocycle2(table=Failing(table, chunk=25)))
+    assert isinstance(exc, RuntimeError) and str(exc) == "rows broke"
+    assert not checksum_threads()
 
 
 def test_phi_checksum_threads_under_fast_switching(monkeypatch):
-    # six checksums at once, each with its own worker, with the thread
+    # six checksums at once, each with its own threads, with the thread
     # switch interval cut to 10 us: a block hashed twice, lost or out of
-    # order changes the digest
+    # order, or a buffer refilled before it is hashed, changes the digest
     tables = [np.random.default_rng(k).integers(0, 2, (40 + k, 40 + k),
                                                 dtype=np.uint8)
               for k in range(6)]
@@ -516,7 +580,8 @@ def test_phi_checksum_threads_under_fast_switching(monkeypatch):
     got = [None] * len(tables)
 
     def digest(k):
-        got[k] = phi_checksum(GroupCocycle2(table=tables[k]))
+        phi = GroupCocycle2(table=DenseRows(tables[k], chunk=5 + k))
+        got[k] = phi_checksum(phi)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -531,7 +596,7 @@ def test_phi_checksum_threads_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert got == want
-    assert not hashing_threads()
+    assert not checksum_threads()
 
 
 @pytest.fixture
@@ -589,8 +654,8 @@ def test_walked_checks_agree_with_dense_oracles(setups, name):
     assert dense_check_vendramin(g, ext, sec) is None
     assert check_global(g, ext, sec) is None
     assert dense_check_global(g, ext, sec) is None
-    assert np.array_equal(phi_rho(g, ext, sec).table,
-                          dense_phi_rho(g, ext, sec).table)
+    assert np.array_equal(dense_table(phi_rho(g, ext, sec)),
+                          dense_table(dense_phi_rho(g, ext, sec)))
 
 
 @pytest.mark.parametrize("name", BATTERY + ["F4"])
@@ -631,7 +696,7 @@ def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
 
 def test_dense_phi_identities_reject_broken_tables(setups):
     g, ext, sec = setups("B3")
-    table = phi_rho(g, ext, sec).table
+    table = dense_table(phi_rho(g, ext, sec))
     dense_phi_identities(g, ext, sec, table)
     # one flipped cell breaks the 2-cocycle identity
     bad = table.copy()
@@ -713,43 +778,20 @@ def test_ext_group_refuses_other_numberings(setups):
     ExtGroup(ext.gen_perms, g)
 
 
-def test_phi_rho_walks_w_once(setups, monkeypatch):
-    # one depth-first walk for phi, visiting each element once, after its
-    # parent; no level-by-level walk besides it
-    g, ext, sec = setups("B3")
-    orders, levels = [], []
-    walk = extension._depth_first
-    monkeypatch.setattr(extension, "_depth_first",
-                        lambda g: orders.append(walk(g)) or orders[-1])
-    level_walk = extension._tree_walk
-    monkeypatch.setattr(extension, "_tree_walk",
-                        lambda *args: levels.append(1) or level_walk(*args))
-    phi_rho(g, ext, sec)
-    assert len(orders) == 1 and not levels
-    order = orders[0]
-    assert sorted(order) == list(range(g.order)) and order[0] == 0
-    path = [0]                      # the path to the root, as it is walked
-    for y in order[1:]:
-        parent = int(g._parent[y])
-        assert parent in path
-        del path[path.index(parent) + 1:]
-        path.append(y)
-        assert len(path) == g.length(y) + 1
-
-
-def test_phi_rho_holds_phi_and_the_path(setups):
-    # phi plus one int32 row of |W| per length on the path to the root,
-    # with room for per-element tables: 1.92 MB on F4, where a walk that
-    # holds whole length levels peaked at 2.86 MB
-    g, ext, sec = setups("F4")
-    n, depth = g.order, int(g.length_arr[-1]) + 1
+@pytest.mark.parametrize("name", ["D4", "F4"])
+def test_twist_certificate_peak_within_its_refusal(name):
+    # what certifying allocates once W is built, traced across its
+    # threads, is at most what require_certify_memory counts
+    g = build_group(preset_matrix(name))
+    need = require_certify_memory(g)
     tracemalloc.start()
     try:
-        phi_rho(g, ext, sec)
-        _, peak = tracemalloc.get_traced_memory()
+        base = tracemalloc.get_traced_memory()[0]
+        twist_certificate(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= n * n + 4 * n * depth + 512 * n
+    assert 0 < peak <= need
 
 
 @pytest.mark.parametrize("name", BATTERY)
@@ -811,11 +853,11 @@ def first_failure(g, ext, sec, vendramin, global_, phi):
     if witness is not None:
         return "global", witness, None
     try:
-        table = phi(g, ext, sec).table
+        table = dense_table(phi(g, ext, sec))
     except CertificationError as exc:
         return exc.details["stage"], exc.details["witness"], None
-    witness = certify_twist(g, GroupCocycle2(table=table), q_plus(g),
-                            q_minus(g))
+    witness = certify_twist(g, GroupCocycle2(table=DenseRows(table)),
+                            q_plus(g), q_minus(g))
     return ("twist" if witness else None), witness, table
 
 
@@ -841,7 +883,8 @@ def test_corrupted_section_rejected_at_same_stage(setups, name):
         assert (new[0] is not None) == rejected, (name, w, new)
         if not rejected:
             assert np.array_equal(new[2], old[2])
-            assert not np.array_equal(new[2], phi_rho(g, ext, sec).table)
+            assert not np.array_equal(new[2],
+                                      dense_table(phi_rho(g, ext, sec)))
 
 
 def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
@@ -851,10 +894,11 @@ def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
 
     monkeypatch.setattr(cli, "build_group", no_work)
     monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 90_000)
-    # 120^2 bytes for phi, 16 * 120 * 11 for the rows per length up to
-    # l(w0) = R = 10, 4 * 2^20 for the checksum buffers
-    message = ("certifying |W| = 120 needs about 4229824 bytes, 14400 of "
-               "them for phi, memory limit 90000")
+    # 16 * 120 * 11 for the rows per length up to l(w0) = R = 10; two
+    # chunks of phi rows, 2 * (120 + 2^18 * 11 / 4); two level blocks,
+    # 2 * (4 * 120 + 2^18); four text buffers of 2^17 bytes
+    message = ("certifying |W| = 120 needs about 2512688 bytes, memory "
+               "limit 90000")
     with pytest.raises(MemoryError, match=re.escape(message)):
         require_certify_memory(RootSystem(preset_matrix("A4")))
     assert cli.main(["certify", "A4"]) == 1
