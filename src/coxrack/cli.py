@@ -120,7 +120,8 @@ def cmd_hilbert(args) -> int:
     certified_section(g)    # q-'s ranks are q+'s; its tables are dropped
     rack, qp = reflection_rack(g), q_plus(g)
     if indices is not None:
-        rack, qp = rack.subrack(indices), qp.restrict(indices)
+        idx = list(indices)
+        rack, qp = rack.subrack(idx), qp[idx][:, idx]
     V = braiding_from_rack(rack, qp)
     reports = hilbert_coeffs(V, args.dmax, mode=args.mode)
     rows = [{"degree": r.degree, "ambient_dim": V.dim ** r.degree,

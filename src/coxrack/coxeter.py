@@ -551,11 +551,6 @@ class GroupTable(RootSystem):
         for refl in self.reflections:
             self.refl_of_root[refl.root] = refl.index
 
-        refl_index_of_elem = np.full(self.order, -1, dtype=np.int32)
-        for refl in self.reflections:
-            refl_index_of_elem[refl.elem] = refl.index
-        self.refl_index_of_elem = refl_index_of_elem
-
         for refl in self.reflections:
             e = refl.elem
             if self.length_arr[e] % 2 != 1:
@@ -597,9 +592,6 @@ class GroupTable(RootSystem):
     def conj(self, w: int, x: int) -> int:
         """w > x = w x w^-1."""
         return self.mul(self.mul(w, x), self.inv(w))
-
-    def length(self, w: int) -> int:
-        return int(self.length_arr[w])
 
     def mult_table(self) -> np.ndarray:
         """Dense |W| x |W| multiplication table (built on first use).

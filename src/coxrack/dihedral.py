@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable
-from .nichols import BraidedSpace, DiagonalBraidedSpace, MonomialOp
+from .nichols import BraidedSpace, MonomialOp, compose
 
 
 class InvalidSummandError(ValueError):
@@ -58,8 +58,9 @@ def validate_summand(r: int, h: int, j: int):
         raise InvalidSummandError(f"r = {r} must divide h j = {h * j}")
 
 
-def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
-    """Diagonal braided space of a sum of admissible summands.
+def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> BraidedSpace:
+    """Diagonal braided space of a sum of admissible summands: x > y = y,
+    with the scalar zeta^(deg_x * char_y).
 
     pairs is a list of (h, j) or (h, j, multiplicity); v0_copies adds
     one-dimensional summands.  Scalars live in the 2r-th roots of unity.
@@ -88,8 +89,8 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> DiagonalBraidedSpace:
     if not degrees:
         raise InvalidSummandError("empty sum")
     d = len(degrees)
-    qexp = [[degrees[x] * chars[y] % k for y in range(d)] for x in range(d)]
-    return DiagonalBraidedSpace(k, qexp)
+    return BraidedSpace(k, np.tile(np.arange(d), (d, 1)),
+                        np.outer(degrees, chars) % k)
 
 
 def compatible(r: int, pairs) -> bool:
@@ -109,17 +110,17 @@ class DynkinDiagram(NamedTuple):
     edges: dict[tuple[int, int], int]
 
 
-def dynkin_diagram(V: DiagonalBraidedSpace) -> DynkinDiagram:
-    """Generalized Dynkin diagram of a diagonal braiding."""
-    d = V.dim
-    verts = tuple(V.qexp[i][i] for i in range(d))
+def dynkin_diagram(V: BraidedSpace) -> DynkinDiagram:
+    """Generalized Dynkin diagram of a diagonal braiding, in Python ints."""
+    d, q = V.dim, V.expo.tolist()
     edges = {}
     for i in range(d):
         for j in range(i + 1, d):
-            e = (V.qexp[i][j] + V.qexp[j][i]) % V.k
+            e = (q[i][j] + q[j][i]) % V.k
             if e:
                 edges[(i, j)] = e
-    return DynkinDiagram(vertices=verts, edges=edges)
+    return DynkinDiagram(vertices=tuple(q[i][i] for i in range(d)),
+                         edges=edges)
 
 
 def exterior_coefficients(dim: int) -> list[int]:
@@ -159,10 +160,7 @@ class GradedModule:
         for i, op in enumerate(gen_actions):
             if not op.compose_after(op).equal(one):
                 raise ValueError(f"generator {i} does not act as an involution")
-        braid = one
-        for _ in range(g.matrix.entry(0, 1)):
-            braid = braid.compose_after(gen_actions[0])
-            braid = braid.compose_after(gen_actions[1])
+        braid = compose(dim, k, gen_actions[:2] * g.matrix.entry(0, 1))
         if not braid.equal(one):
             raise ValueError("the braid relation does not act as the identity")
         # grading compatibility for the generators
@@ -178,10 +176,8 @@ class GradedModule:
 
     def act(self, w: int) -> MonomialOp:
         """Action of an arbitrary element along its canonical word."""
-        op = MonomialOp.identity(self.dim, self.k)
-        for i in self.g.word(w):
-            op = op.compose_after(self.gen_actions[i])
-        return op
+        return compose(self.dim, self.k,
+                       [self.gen_actions[i] for i in self.g.word(w)])
 
 
 def direct_sum(*modules: GradedModule) -> GradedModule:
@@ -208,18 +204,13 @@ def direct_sum(*modules: GradedModule) -> GradedModule:
 
 def braided_from_graded(mod: GradedModule) -> BraidedSpace:
     """Braiding c(x tensor y) = (deg x . y) tensor x of a graded module."""
-    d = mod.dim
-    target = [[0] * d for _ in range(d)]
-    expo = [[0] * d for _ in range(d)]
-    for x in range(d):
-        op = mod.act(mod.degrees[x])
-        for y in range(d):
-            t = int(op.perm[y])
-            target[x][y] = t
-            expo[x][y] = int(op.expo[y])
+    ops = [mod.act(deg) for deg in mod.degrees]
+    for x, op in enumerate(ops):
+        for y, t in enumerate(op.perm.tolist()):
             if mod.degrees[t] != mod.g.conj(mod.degrees[x], mod.degrees[y]):
                 raise ValueError("grading rule fails inside the braiding")
-    return BraidedSpace(mod.k, target, expo)
+    return BraidedSpace(mod.k, [op.perm for op in ops],
+                        [op.expo for op in ops])
 
 
 def _require_i26(g: GroupTable):
@@ -232,13 +223,6 @@ def _monomial(k, entries) -> MonomialOp:
     perm = np.array([t for _, t in entries], dtype=np.int64)
     expo = np.array([e % k for e, _ in entries], dtype=np.int64)
     return MonomialOp(k, perm, expo)
-
-
-def _compose_words(ops: list[MonomialOp], word) -> MonomialOp:
-    acc = MonomialOp.identity(ops[0].perm.shape[0], ops[0].k)
-    for i in word:
-        acc = acc.compose_after(ops[i])
-    return acc
 
 
 def u_module(g: GroupTable, j: int, primed: bool = False) -> GradedModule:
@@ -272,7 +256,7 @@ def u_module(g: GroupTable, j: int, primed: bool = False) -> GradedModule:
         labels = ("e[s']", "e[ss's]", "e[s'ss'ss']")
         s_act = _monomial(k, [(3, 1), (3, 0), (3 * (j + 1), 2)])
         c_act = _monomial(k, [(0, 1), (0, 2), (3 * j, 0)])
-    sp_act = _compose_words([s_act, c_act], (0, 1))  # s' = s c
+    sp_act = compose(3, k, [s_act, c_act])  # s' = s c
     return GradedModule(g=g, k=k, labels=labels, degrees=degrees,
                         gen_actions=(s_act, sp_act))
 
@@ -286,7 +270,7 @@ def v31_module(g: GroupTable) -> GradedModule:
     c3 = g.mul(c, g.mul(c, c))
     s_act = _monomial(k, [(0, 1), (0, 0)])       # swap the weight vectors
     c_act = _monomial(k, [(1, 0), (5, 1)])
-    sp_act = _compose_words([s_act, c_act], (0, 1))
+    sp_act = compose(2, k, [s_act, c_act])
     return GradedModule(g=g, k=k, labels=("v(+3,1)", "v(-3,1)"),
                         degrees=(c3, c3), gen_actions=(s_act, sp_act))
 

@@ -460,7 +460,8 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
 
 
 def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
-    """Verify q+(x,y) = phi(x,y) phi(x>y,x)^-1 q-(x,y) on T x T.
+    """Verify q+(x,y) = phi(x,y) phi(x>y,x)^-1 q-(x,y) on T x T, qp and
+    qm the |T| x |T| exponent tables of racks.q_plus and racks.q_minus.
 
     Reads only the |T| rows of phi at T: x > y is a reflection.  Returns
     None on success, else the first witness (x, y) in row-major order.
@@ -468,9 +469,8 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
     conj_refl = g.conj_refl_table()[refl_elems]      # [a, b]: x_a > x_b
     rows = phi.table.rows(refl_elems)
-    want = (rows[:, refl_elems] ^ rows[conj_refl, refl_elems[:, None]]
-            ^ np.array(qm.table, dtype=np.uint8))
-    bad = np.argwhere(np.array(qp.table, dtype=np.uint8) != want)
+    want = rows[:, refl_elems] ^ rows[conj_refl, refl_elems[:, None]] ^ qm
+    bad = np.argwhere(qp != want)
     if len(bad):
         a, b = bad[0]
         return (int(refl_elems[a]), int(refl_elems[b]))

@@ -51,7 +51,7 @@ from .modlin import (
     row_reduce_mod,
 )
 from .cyclo import euler_phi, reduction_matrix
-from .racks import Rack, RackCocycle
+from .racks import Rack
 
 PRIME_COUNT = 2           # primes of a modular run
 MAX_TOTAL_DEGREE = 64     # give up searching for the top degree here
@@ -96,67 +96,64 @@ class MonomialOp:
 
 
 class BraidedSpace:
-    """Monomial braided vector space.
+    """Monomial braided vector space: c(x (x) y) = zeta_k^expo[x, y]
+    (target[x, y] (x) x), target a d x d intp array and expo one of
+    int64 exponents mod k.
 
-    c(x tensor y) = zeta_k^expo[x][y] (target[x][y] tensor x).  The braid
-    equation is checked exhaustively on basis triples at construction.
+    Construction checks that each row of target is a bijection, else
+    raises ValueError, and that the braid equation holds on every basis
+    triple, else raises BraidEquationError with the lexicographically
+    first triple (x, y, z) that fails.  For a rack braiding the two are
+    the rack axioms and the cocycle identity (see racks), which nothing
+    else checks.
     """
 
     def __init__(self, k: int, target, expo):
         self.k = k
-        self.target = tuple(tuple(int(v) for v in row) for row in target)
-        self.expo = tuple(tuple(int(v) % k for v in row) for row in expo)
-        self.dim = len(self.target)
-        d = self.dim
-        if len(self.expo) != d or \
-           any(len(row) != d for row in self.target + self.expo):
+        self.target = np.array(target, dtype=np.intp)
+        self.expo = np.array(expo, dtype=np.int64) % k
+        d = self.dim = len(self.target)
+        if self.target.shape != (d, d) or self.expo.shape != (d, d):
             raise ValueError("braiding tables have inconsistent shapes")
-        for x in range(d):
-            if sorted(self.target[x]) != list(range(d)):
-                raise ValueError(f"left translation by basis {x} not bijective")
-        self._letter_cache: dict[tuple[int, int], MonomialOp] = {}
-        self._check_braid_equation()
-
-    def _check_braid_equation(self):
+        bad = np.flatnonzero(
+            (np.sort(self.target, axis=1) != np.arange(d)).any(axis=1))
+        if len(bad):
+            raise ValueError(
+                f"left translation by basis {bad[0]} not bijective")
         left = word_operator(self, 3, (1, 2, 1))
         right = word_operator(self, 3, (2, 1, 2))
         if not left.equal(right):
             bad = int(np.nonzero((left.perm != right.perm)
                                  | (left.expo != right.expo))[0][0])
-            d = self.dim
-            witness = (bad // (d * d), bad // d % d, bad % d)
-            raise BraidEquationError(witness)
+            raise BraidEquationError((bad // (d * d), bad // d % d, bad % d))
 
     def braid_letter(self, n: int, i: int) -> MonomialOp:
         """The operator of sigma_i on the n-fold tensor power."""
         if not 1 <= i <= n - 1:
             raise ValueError(f"letter {i} out of range for {n} strands")
-        key = (n, i)
-        op = self._letter_cache.get(key)
-        if op is not None:
-            return op
         d = self.dim
-        size = d ** n
-        idx = np.arange(size, dtype=np.int64)
+        idx = np.arange(d ** n, dtype=np.int64)
         stride_x = d ** (n - i)
         stride_y = d ** (n - i - 1)
         x = idx // stride_x % d
         y = idx // stride_y % d
         base = idx - x * stride_x - y * stride_y
-        tgt = np.array(self.target, dtype=np.int64)
-        exp = np.array(self.expo, dtype=np.int64)
-        op = MonomialOp(self.k, base + tgt[x, y] * stride_x + x * stride_y,
-                        exp[x, y])
-        self._letter_cache[key] = op
-        return op
+        return MonomialOp(self.k, base + self.target[x, y] * stride_x
+                          + x * stride_y, self.expo[x, y])
+
+
+def compose(size: int, k: int, ops) -> MonomialOp:
+    """The product ops[0] ops[1] ... of monomial operators on a basis of
+    `size` vectors, the last applied first."""
+    acc = MonomialOp.identity(size, k)
+    for op in ops:
+        acc = acc.compose_after(op)
+    return acc
 
 
 def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
     """Operator of a positive braid word (letter i for sigma_i)."""
-    acc = MonomialOp.identity(V.dim ** n, V.k)
-    for letter in word:
-        acc = acc.compose_after(V.braid_letter(n, letter))
-    return acc
+    return compose(V.dim ** n, V.k, [V.braid_letter(n, i) for i in word])
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +161,21 @@ def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
 # ---------------------------------------------------------------------------
 
 
-def braiding_from_rack(X: Rack, q: RackCocycle) -> BraidedSpace:
-    """c(x tensor y) = q(x, y) (x > y) tensor x on the free space on X.
+def braiding_from_rack(X: Rack, q: np.ndarray) -> BraidedSpace:
+    """c(x (x) y) = (-1)^q[x, y] (x > y) (x) x on the free space on X.
 
     The braid equation that BraidedSpace checks on every basis triple is
-    then the rack cocycle identity q(x, y > z) + q(y, z) = q(x > y, x > z)
-    + q(x, z) (Andruskiewitsch-Grana, From racks to pointed Hopf algebras,
-    2003): on x tensor y tensor z, c1 c2 c1 and c2 c1 c2 reach the same
-    basis vector by self-distributivity, with the exponents
+    then self-distributivity of X and the rack cocycle identity
+    q(x, y > z) + q(y, z) = q(x > y, x > z) + q(x, z) (Andruskiewitsch-
+    Grana, From racks to pointed Hopf algebras, 2003): on x (x) y (x) z,
+    c1 c2 c1 and c2 c1 c2 reach (x > (y > z)) (x) (x > y) (x) x and
+    ((x > y) > (x > z)) (x) (x > y) (x) x, with the exponents
     q(x, y) + q(x, z) + q(x > y, x > z) and q(y, z) + q(x, y > z) + q(x, y).
-    So a cocycle that is not one raises BraidEquationError, and its
-    witness is the lexicographically first triple (x, y, z) that fails.
+    So a table that is not a rack, or a q that is not a cocycle on it,
+    raises BraidEquationError, and its witness is the lexicographically
+    first triple (x, y, z) that fails.
     """
-    if q.size != X.size:
-        raise ValueError("cocycle and rack sizes differ")
-    return BraidedSpace(k=q.order, target=X.act, expo=q.table)
-
-
-class DiagonalBraidedSpace(BraidedSpace):
-    """Diagonal braiding: x > y = y with scalar matrix zeta^qexp[x][y]."""
-
-    def __init__(self, k: int, qexp):
-        d = len(qexp)
-        target = [[y for y in range(d)] for _ in range(d)]
-        super().__init__(k, target, qexp)
-        self.qexp = self.expo
+    return BraidedSpace(2, X.act, q)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +297,11 @@ class _SpanLadder:
         self.d, self.p = d, p
         self.limit = _memory_limit_bytes()
         # grades are permutations in the smallest integer type of a letter
-        self.tgt = np.array(V.target, dtype=np.min_scalar_type(d))
+        self.tgt = V.target.astype(np.min_scalar_type(d))
         self.tinv = np.argsort(self.tgt, axis=1).astype(self.tgt.dtype)
-        self.target = V.target
-        self.zeta = [[pow(omega, e, p) for e in row] for row in V.expo]
+        self.target = V.target.tolist()
+        self.zeta = [[pow(omega, e, p) for e in row]
+                     for row in V.expo.tolist()]
         # degree 0: the empty word, one block of rank 1 and no slots
         ident = np.arange(d, dtype=self.tgt.dtype)[None]
         self.level = _Level(ident, {ident.tobytes(): 0},

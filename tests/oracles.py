@@ -28,7 +28,6 @@ from coxrack.nichols import (
 )
 from coxrack.racks import (
     Rack,
-    RackCocycle,
     cohomologous_solve,
     q_plus_table,
     reflection_rack,
@@ -224,14 +223,14 @@ def reflection_classes_by_orbits(g) -> tuple[tuple[int, ...], ...]:
 def conjugacy_graph(g) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Out-edges (i, y) of each reflection x, by multiplying along words:
     x --s_i--> y iff y = s_i > x and l(x) = l(y) + 2."""
-    edges = []
+    edges, index = [], refl_index_of_elem(g)
     for refl in g.reflections:
-        lx = g.length(refl.elem)
+        lx = g.length_arr[refl.elem]
         outs = []
         for i in range(g.rank):
             y = g.conj(g.simple_reflection(i), refl.elem)
-            if g.length(y) == lx - 2:
-                outs.append((i, int(g.refl_index_of_elem[y])))
+            if g.length_arr[y] == lx - 2:
+                outs.append((i, int(index[y])))
         if lx > 1 and not outs:
             raise AssertionError(
                 "non-simple reflection with no length-decreasing edge")
@@ -276,7 +275,7 @@ def mirror(word) -> tuple[int, ...]:
 
 def reduced_expressions(g, e: int) -> set[tuple[int, ...]]:
     """All reduced words of an element (guarded for large groups)."""
-    if g.order > REDEXPR_ORDER_CAP and g.refl_index_of_elem[e] < 0:
+    if g.order > REDEXPR_ORDER_CAP and refl_index_of_elem(g)[e] < 0:
         raise ValueError(
             "reduced-word enumeration is exposed only for reflections "
             f"when |W| > {REDEXPR_ORDER_CAP}")
@@ -690,6 +689,20 @@ def dense_check_equivariance(g, table) -> bool:
 # -- sign cocycles ------------------------------------------------------------
 
 
+def refl_index_of_elem(g) -> np.ndarray:
+    """(|W|,) reflection index of each element, -1 off the reflections."""
+    out = np.full(g.order, -1, dtype=np.int64)
+    out[[t.elem for t in g.reflections]] = [t.index for t in g.reflections]
+    return out
+
+
+def q_minus_table(g) -> np.ndarray:
+    """(|W|, |T|) exponent table of the determinant function on W x T:
+    the parity of l(w) in every column."""
+    col = (g.length_arr % 2).astype(np.uint8)
+    return np.repeat(col[:, None], len(g.reflections), axis=1)
+
+
 def q_plus_table_by_length(g) -> np.ndarray:
     """The length-drop criterion l(w y) < l(w) on W x T, the products w y
     formed for all w at once by walking y's word through rmult.  It equals
@@ -712,8 +725,8 @@ def cohomologous_solve_by_elimination(q1, q2, X):
     pivots = {}
     for x in range(n):
         for y in range(n):
-            mask = (1 << X.act[x][y]) ^ (1 << y)  # XOR handles x>y = y
-            b = (q1.table[x][y] - q2.table[x][y]) % 2
+            mask = (1 << int(X.act[x, y])) ^ (1 << y)  # XOR handles x>y = y
+            b = int(q1[x, y] ^ q2[x, y]) & 1
             for col in sorted(pivots, reverse=True):
                 if mask >> col & 1:
                     pmask, pb = pivots[col]
@@ -771,7 +784,7 @@ def length_trichotomy(g, beta_root: int, alpha_gen: int) -> Trichotomy:
         tag = Trichotomy.UP if s < 0 else Trichotomy.DOWN
     sb = g.reflections[g.refl_of_root[beta_root]].elem
     sa = g.simple_reflection(alpha_gen)
-    diff = g.length(g.conj(sa, sb)) - g.length(sb)
+    diff = g.length_arr[g.conj(sa, sb)] - g.length_arr[sb]
     want = {Trichotomy.UP: 2, Trichotomy.DOWN: -2, Trichotomy.COMMUTE: 0}[tag]
     if diff != want:
         raise AssertionError(
@@ -861,7 +874,8 @@ def chebyshev_sequence(g, beta_root: int, i: int, j: int) -> ChebyshevReport:
         if p < m - 1:
             vec = reflect_simple(g, a_next, vec)
 
-    start_len = g.length(g.reflections[g.refl_of_root[beta_root]].elem)
+    start_len = int(
+        g.length_arr[g.reflections[g.refl_of_root[beta_root]].elem])
     if stall is not None:
         if m % 2 != 0 or stall != m // 2 - 1:
             raise AssertionError("shortcut stall at an impossible position")
@@ -878,7 +892,7 @@ def chebyshev_sequence(g, beta_root: int, i: int, j: int) -> ChebyshevReport:
     if r_last is None:
         raise AssertionError("drop sequence left the positive roots")
     s_last = g.reflections[g.refl_of_root[r_last]].elem
-    end_len = g.length(s_last)
+    end_len = int(g.length_arr[s_last])
     if end_len != start_len - 2 * m + 2:
         raise AssertionError("drop case length bookkeeping failed")
     s_m = g.simple_reflection(alpha_gen(m))
@@ -941,21 +955,28 @@ def dihedral_subrack(g, n: int) -> Rack:
     ids = dihedral_reflection_ids(g)
     js = [j for j in range(m) if j % n == 0]
     rack = reflection_rack(g).subrack(
-        int(g.refl_index_of_elem[ids[j]]) for j in js)
+        refl_index_of_elem(g)[[ids[j] for j in js]])
     # closure law: s(s's)^j > s(s's)^l = s(s's)^(2j - l)
     for a, j in enumerate(js):
         for b, l in enumerate(js):
-            assert rack.labels[rack.act[a][b]] == ids[(2 * j - l) % m]
+            assert rack.labels[rack.act[a, b]] == ids[(2 * j - l) % m]
     return rack
 
 
 def rack_isomorphic(X: Rack, Y: Rack) -> bool:
     """Whether some bijection carries X's action onto Y's (small racks)."""
-    n = X.size
-    return n == Y.size and any(
-        all(f[X.act[a][b]] == Y.act[f[a]][f[b]]
-            for a in range(n) for b in range(n))
-        for f in itertools.permutations(range(n)))
+    return X.size == Y.size and any(
+        np.array_equal(f[X.act], Y.act[np.ix_(f, f)])
+        for f in map(np.array, itertools.permutations(range(X.size))))
+
+
+def rack_axioms_hold(act: np.ndarray) -> bool:
+    """Whether each row of the action table is a permutation and
+    x > (y > z) = (x > y) > (x > z) on every triple."""
+    rows = np.tile(np.arange(len(act)), (len(act), 1))
+    return (np.array_equal(np.sort(act, axis=1), rows)
+            and np.array_equal(act[:, act],
+                               act[act[:, :, None], act[:, None]]))
 
 
 # -- the order-12 dihedral group: modules against the sign cocycles ------------
@@ -978,9 +999,9 @@ def v0_module(g, j: int) -> GradedModule:
 def u_module_cocycle(g, j: int, primed: bool = False):
     """The rack cocycle of a three-dimensional module's braiding.
 
-    Returns (class reflection indices, RackCocycle) with rows/columns in
-    class order, so it is directly comparable to the restrictions of the
-    two sign cocycles.
+    Returns (class reflection indices, exponent table mod 2) with rows
+    and columns in class order, so it is directly comparable to the
+    restrictions of the two sign cocycles.
     """
     mod = u_module(g, j, primed)
     space = braided_from_graded(mod)
@@ -992,13 +1013,13 @@ def u_module_cocycle(g, j: int, primed: bool = False):
         raise AssertionError("module support is not one reflection class")
     # the basis in class order; every scalar must be a sign, zeta_6^(0 or 3)
     basis = [order[t] for t in class_of]
-    expo = np.array(space.expo)[np.ix_(basis, basis)]
+    expo = space.expo[np.ix_(basis, basis)]
     if (expo % 3).any():
         raise AssertionError("braiding scalar is not a sign")
-    return class_of, RackCocycle(2, tuple(map(tuple, (expo // 3).tolist())))
+    return class_of, (expo // 3).astype(np.uint8)
 
 
-def identify_u_modules(g, qp: RackCocycle, qm: RackCocycle, rack: Rack) -> dict:
+def identify_u_modules(g, qp, qm, rack: Rack) -> dict:
     """Compare each three-dimensional module with the sign cocycles.
 
     For every module the braiding is a rack braiding on one reflection
@@ -1013,9 +1034,9 @@ def identify_u_modules(g, qp: RackCocycle, qm: RackCocycle, rack: Rack) -> dict:
             sub = rack.subrack(class_of)
             rec = {}
             for name, q in (("q+", qp), ("q-", qm)):
-                qr = q.restrict(class_of)
+                qr = q[np.ix_(class_of, class_of)]
                 rec[name] = {
-                    "equal": qr.table == qu.table,
+                    "equal": np.array_equal(qr, qu),
                     "cohomologous":
                         cohomologous_solve(qu, qr, sub) is not None,
                 }

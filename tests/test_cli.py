@@ -94,6 +94,20 @@ def test_group_info_schema(capsys):
         jsonschema.validate(json.loads(out), schema)
 
 
+@pytest.mark.skipif(not HAS_JSONSCHEMA, reason="jsonschema not installed")
+def test_dihedral_report_schema(capsys):
+    # the three shapes: pairs only, a built sum, and a checked sum; the
+    # last sum is incompatible, so its diagram has edges
+    schema = json.loads((SCHEMA_DIR / "dihedral_report.v1.json").read_text())
+    for argv in (("5",), ("5", "--summands", "5,1;5,3", "--check"),
+                 ("5", "--v0", "2", "--check"),
+                 ("15", "--summands", "5,3;3,5")):
+        code, out, _ = run(capsys, "dihedral", *argv, "--json")
+        assert code == 0
+        jsonschema.validate(json.loads(out), schema)
+    assert json.loads(out)["dynkin"]["edges"]
+
+
 def test_certificates_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "certify", "B2", "--out", str(out1))[0] == 0
@@ -189,7 +203,7 @@ def test_hilbert_refuses_a_failed_twist(capsys, monkeypatch):
 
     def corrupted(g, ext):
         rho = real(g, ext).rho.copy()
-        x = next(t.elem for t in g.reflections if g.length(t.elem) > 1)
+        x = next(t.elem for t in g.reflections if g.length_arr[t.elem] > 1)
         rho[x] = ext.gen_perms[ext.nt][rho[x]]
         return extension.Section(rho=rho)
 
@@ -468,19 +482,22 @@ def test_fresh_process_footprint(argv):
     assert frozen > 0
 
 
-# the child's peak RSS in KiB, last on stderr: enumerating W(E7) up to
-# the element cap peaked at 333 MB, the roots alone stay near the 30 MB
-# the imports take
-PEAK_RSS = ("import resource\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
-            "      file=sys.stderr)\n")
+# the child's own peak RSS in KiB, last on stderr: ru_maxrss would also
+# count the peak of the process that spawned it, as exec keeps that
+# high-water mark, and a session running the slow tests passes 128 MB
+OWN_PEAK_RSS = ("import re\n"
+                "status = open('/proc/self/status').read()\n"
+                "print(re.search(r'VmHWM:\\s+(\\d+)', status)[1],\n"
+                "      file=sys.stderr)\n")
 
 
 @pytest.mark.parametrize("name,order,reflections",
                          [("E7", 2903040, 63), ("E8", 696729600, 120)])
 def test_info_past_the_cap_under_1_gib(name, order, reflections):
+    # enumerating W(E7) up to the element cap peaked at 333 MB; the roots
+    # alone stay near the 30 MB the imports take
     proc = cli_in_child("info", name, "--json", rlimit_as=2 ** 30,
-                        timeout=120, after=PEAK_RSS)
+                        timeout=120, after=OWN_PEAK_RSS)
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert (data["order"], data["reflections"]) == (order, reflections)
@@ -496,21 +513,12 @@ def test_e7_refused_before_enumeration(argv):
     # 1 GiB; hilbert: |W| passes the element cap.  Both are known from
     # the roots, before W is built.
     proc = cli_in_child(*argv, rlimit_as=2 ** 30, timeout=120,
-                        after=PEAK_RSS)
+                        after=OWN_PEAK_RSS)
     assert proc.returncode == 1
     assert proc.stdout == b""
     err, peak = proc.stderr.decode().splitlines()
     assert err.startswith("error: ") and "2903040" in err
     assert int(peak) < 100 * 1024
-
-
-# the child's own peak RSS in KiB, last on stderr: ru_maxrss would also
-# count the peak of the process that spawned it, as exec keeps that
-# high-water mark, and a session running the slow tests passes 128 MB
-OWN_PEAK_RSS = ("import re\n"
-                "status = open('/proc/self/status').read()\n"
-                "print(re.search(r'VmHWM:\\s+(\\d+)', status)[1],\n"
-                "      file=sys.stderr)\n")
 
 
 @pytest.mark.slow
@@ -543,8 +551,9 @@ def test_certify_e6_under_1_gib():
 
 def test_perfbench_tracer_covers_certify():
     # perfbench/tracing.py wraps coxrack functions by name and counts
-    # phi_checksum's lines as phi.table.size: a renamed stage or a phi
-    # without a size breaks every traced benchmark run
+    # phi_checksum's lines as phi.table.size and cohomologous_solve's
+    # equations as X.size ** 2: a renamed stage or argument, or a phi or
+    # rack without a size, breaks every traced benchmark run
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     proc = cli_in_child("certify", "A3", timeout=120, after=(
         "import json\n"
@@ -559,7 +568,12 @@ def test_perfbench_tracer_covers_certify():
     spans = json.loads(proc.stderr.splitlines()[-1])
     names = {span["name"] for span in spans}
     assert {"coxeter.build_group", "extension.phi_rho",
-            "extension.certify_twist", "extension.phi_checksum"} <= names
+            "extension.certify_twist", "extension.phi_checksum",
+            "racks.q_plus", "racks.q_minus", "racks.reflection_rack"} <= names
     [checksum] = [span for span in spans
                   if span["name"] == "extension.phi_checksum"]
     assert checksum["lines"] == 24 * 24
+    # the tracer counts the solver's equations as X.size ** 2, |T| = 6
+    [solve] = [span for span in spans
+               if span["name"] == "racks.cohomologous_solve"]
+    assert solve["equations"] == 6 ** 2

@@ -77,8 +77,8 @@ def test_single_summand_is_exterior():
     V = dihedral_yd(5, [(5, 1)])
     assert V.dim == 2
     # both diagonal entries are -1 and the off-diagonal product is 1
-    assert V.qexp[0][0] == V.qexp[1][1] == 5  # zeta_10^5 = -1
-    assert (V.qexp[0][1] + V.qexp[1][0]) % 10 == 0
+    assert V.expo[0, 0] == V.expo[1, 1] == 5  # zeta_10^5 = -1
+    assert (V.expo[0, 1] + V.expo[1, 0]) % 10 == 0
     total, reports = total_dimension(V)
     assert total == 4
     assert [r.rank for r in reports] == exterior_coefficients(2)

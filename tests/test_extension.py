@@ -679,7 +679,7 @@ def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
     # a z flipped on a reflection of length >= 3 disagrees with the path
     # through its first graph edge; check_vendramin is what refuses it
     g, ext, _ = setups(name)
-    x = next(t.elem for t in g.reflections if g.length(t.elem) >= 3)
+    x = next(t.elem for t in g.reflections if g.length_arr[t.elem] >= 3)
     real = extension.build_section
 
     def flipped(g, ext):

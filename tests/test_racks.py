@@ -6,13 +6,10 @@ import pytest
 from coxrack.coxeter import build_group, preset_matrix
 from coxrack.nichols import BraidEquationError, braiding_from_rack
 from coxrack.racks import (
-    NotClosedError,
     Rack,
-    RackCocycle,
     cohomologous_solve,
     q_minus,
     q_plus,
-    q_minus_table,
     q_plus_table,
     reflection_rack,
 )
@@ -22,8 +19,11 @@ from oracles import (
     cohomologous_solve_by_elimination,
     dense_check_equivariance,
     dihedral_subrack,
+    q_minus_table,
     q_plus_table_by_length,
+    rack_axioms_hold,
     rack_isomorphic,
+    refl_index_of_elem,
 )
 
 BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
@@ -55,8 +55,8 @@ def test_reflection_rack_matches_conj_oracle(groups, name):
     rack = reflection_rack(g)
     elems = [t.elem for t in g.reflections]
     oracle = conj_table_oracle(g, elems)
-    assert rack.labels == tuple(elems)
-    assert [list(r) for r in rack.act] == oracle
+    assert rack.labels.tolist() == elems
+    assert rack.act.tolist() == oracle
     # the reflection classes are the orbits of the conjugation action
     orbits, seen = [], set()
     for y in range(len(elems)):
@@ -81,23 +81,33 @@ def test_reflection_subrack_examples(groups):
     b3 = groups("B3")
     small = min(b3.classes, key=len)
     t2 = reflection_rack(b3).subrack(small)
-    assert t2.size == 3 and t2.act == ((0, 1, 2),) * 3  # trivial rack
-    assert [list(r) for r in t2.act] == \
+    assert t2.size == 3 and t2.act.tolist() == [[0, 1, 2]] * 3  # trivial
+    assert t2.act.tolist() == \
         conj_table_oracle(b3, [b3.reflections[i].elem for i in small])
 
     single = rack.subrack([0])
-    assert single.size == 1 and single.labels == (a2.reflections[0].elem,)
+    assert single.size == 1 and single.labels.tolist() == [
+        a2.reflections[0].elem]
 
-    simple = [int(a2.refl_index_of_elem[a2.simple_reflection(i)])
-              for i in range(2)]
-    with pytest.raises(NotClosedError) as exc:
+    # s1 > s2 is the third reflection; without the check its position,
+    # -1, would wrap round to the last one
+    simple = refl_index_of_elem(a2)[[a2.simple_reflection(i)
+                                     for i in range(2)]]
+    with pytest.raises(ValueError, match="not closed"):
         rack.subrack(simple)
-    assert len(exc.value.witness) == 3
 
 
 def test_rack_axioms_battery(groups):
-    for name in ("A2", "A3", "I2(4)", "I2(5)", "B3", "D4", "H3"):
-        reflection_rack(groups(name))  # constructor validates the axioms
+    # nothing in src/ checks the axioms on T: hilbert's braid equation
+    # implies them, and certify's check_global proves the table is
+    # conjugation (the proof is in the racks docstring)
+    for name in BATTERY + ["I2(4)", "F4", "H4"]:
+        act = reflection_rack(groups(name)).act
+        assert rack_axioms_hold(act), name
+        if len(act) > 1:    # the oracle sees two entries of a row swapped
+            bad = act.copy()
+            bad[1, [0, 1]] = bad[1, [1, 0]]
+            assert not rack_axioms_hold(bad), name
 
 
 def test_q_cocycle_values(groups):
@@ -115,12 +125,12 @@ def test_q_cocycle_values(groups):
     assert qp[a2.mul(a2.simple_reflection(0), s2), refl[s2]] == 1
     # commuting generators fix each other's root: +1
     a11 = groups("I2(2)")
-    t1 = int(a11.refl_index_of_elem[a11.simple_reflection(1)])
+    t1 = int(refl_index_of_elem(a11)[a11.simple_reflection(1)])
     assert q_plus_table(a11)[a11.simple_reflection(0), t1] == 0
 
 
 def constant_cocycle(n):
-    return RackCocycle(2, ((1,) * n,) * n)
+    return np.ones((n, n), dtype=np.uint8)
 
 
 def cocycle_violations(table, rack):
@@ -145,11 +155,11 @@ def test_is_cocycle(groups):
     for name in ("A2", "A3", "B3", "I2(5)"):
         g = groups(name)
         rack = reflection_rack(g)
-        table = np.array(q_plus(g).table)
+        table = q_plus(g).astype(np.int64)
         x, y = np.random.default_rng(g.order).integers(rack.size, size=2)
         table[x, y] ^= 1
         with pytest.raises(BraidEquationError) as exc:
-            braiding_from_rack(rack, RackCocycle(2, tuple(map(tuple, table))))
+            braiding_from_rack(rack, table)
         x, y, z = exc.value.witness
         lhs = table[x][rack.act[y][z]] + table[y][z]
         rhs = table[rack.act[x][y]][rack.act[x][z]] + table[x][z]
@@ -200,9 +210,7 @@ def test_cohomologous_solve_matches_elimination_oracle(groups, name):
     qp, qm = q_plus(g), q_minus(g)
     rng = np.random.default_rng(g.order)
     gamma = rng.integers(0, 2, rack.size)
-    twisted = RackCocycle(2, tuple(
-        tuple(int(qp.table[x][y] + gamma[rack.act[x][y]] + gamma[y]) % 2
-              for y in range(rack.size)) for x in range(rack.size)))
+    twisted = (qp + gamma[rack.act] + gamma[None, :]) % 2
     for q in (qm, twisted):
         want = cohomologous_solve_by_elimination(qp, q, rack)
         assert cohomologous_solve(qp, q, rack) == want
@@ -230,7 +238,7 @@ def test_subrack_restriction_is_cocycle(groups):
     for cls in b3.classes:
         sub = rack.subrack(cls)
         for q in (q_plus(b3), q_minus(b3), constant_cocycle(rack.size)):
-            braiding_from_rack(sub, q.restrict(cls))  # the braid equation
+            braiding_from_rack(sub, q[np.ix_(cls, cls)])  # braid equation
 
 
 def test_dihedral_subracks():
@@ -260,8 +268,7 @@ def test_dihedral_subracks():
 def test_rack_isomorphic_negative():
     i25 = build_group(preset_matrix("I2(5)"))
     r5 = reflection_rack(i25)
-    trivial5 = Rack(labels=tuple(range(5)),
-                    act=tuple(tuple(range(5)) for _ in range(5)))
+    trivial5 = Rack(np.arange(5), np.tile(np.arange(5), (5, 1)))
     assert not rack_isomorphic(r5, trivial5)
     assert rack_isomorphic(r5, r5)
 
