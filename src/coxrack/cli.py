@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .coxeter import (
-    GroupTable,
+    CoxeterMatrix,
     InvalidMatrixError,
     NotFiniteError,
     RootSystem,
@@ -52,19 +52,19 @@ from .nichols import (
 from .racks import q_plus, reflection_rack
 
 
-def _class_indices(g: GroupTable, name: str | None):
-    """Resolve --subrack T1/T2/... to reflection indices (None = all of T)."""
+def _class_number(matrix: CoxeterMatrix, name: str | None):
+    """--subrack T1/T2/... as a class number (None = all of T), checked
+    against the odd graph's components, which are the classes of T."""
     if name is None:
         return None
-    classes = g.classes
     match = re.fullmatch(r"[Tt]?([1-9][0-9]*)", name)
     if match is None:
         raise InvalidMatrixError(f"bad subrack name {name!r}")
-    num = int(match[1])
-    if num > len(classes):
+    num, count = int(match[1]), len(matrix.odd_components())
+    if num > count:
         raise InvalidMatrixError(
-            f"subrack {name!r} out of range; group has {len(classes)} classes")
-    return classes[num - 1]
+            f"subrack {name!r} out of range; group has {count} classes")
+    return num
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +115,14 @@ def cmd_certify(args) -> int:
 
 def cmd_hilbert(args) -> int:
     matrix = resolve_matrix(args.target)
+    if args.dmax < 0:
+        raise ValueError(f"dmax must be at least 0, got {args.dmax}")
+    num = _class_number(matrix, args.subrack)
     g = build_group(matrix)
-    indices = _class_indices(g, args.subrack)
     certified_section(g)    # q-'s ranks are q+'s; its tables are dropped
     rack, qp = reflection_rack(g), q_plus(g)
-    if indices is not None:
-        idx = list(indices)
+    if num is not None:
+        idx = list(g.classes[num - 1])
         rack, qp = rack.subrack(idx), qp[idx][:, idx]
     V = braiding_from_rack(rack, qp)
     reports = hilbert_coeffs(V, args.dmax, mode=args.mode)

@@ -3,15 +3,21 @@
 The extension is presented on generators t_1..t_l, z with relations
 z^2 = (t_i z)^2 = 1 and (t_i t_j)^m_ij = z^(m_ij + 1).  Its regular
 permutation representation, the coset table of the trivial subgroup, is
-read off W's Cayley graph, one bit per edge, and checked against every
-relator.  Its elements are numbered (w, eps) = w + eps |W|: element w
-is the lift of w's ShortLex word (t_i for s_i, no z), and the
-projection to W is the number mod |W|.  The section of the projection
-is defined on reflections along the reflection conjugacy graph, and
-check_vendramin certifies that every path gives the same value (see
-build_section).  The resulting group 2-cocycle (the z-exponent of
-rho(xy) rho(y)^-1 rho(x)^-1) is the machine certificate that the two
-sign cocycles on reflections are twist equivalent.
+read off W's Cayley graph, one bit per edge.  Its elements are numbered
+(w, eps) = w + eps |W|: element w is the lift of w's ShortLex word (t_i
+for s_i, no z), and the projection pi to W is the number mod |W|.  The
+section of pi is defined on reflections along the reflection conjugacy
+graph (see build_section).  The resulting group 2-cocycle (the
+z-exponent of rho(xy) rho(y)^-1 rho(x)^-1) is the machine certificate
+that the two sign cocycles on reflections are twist equivalent.
+
+Checked at run time: the relators at every point (coset_enumeration),
+the numbering of z and of the tree edges (ExtGroup), the section
+(build_section), check_vendramin, check_global, the twist and, on the
+all-odd groups, the split by the edge bits (twist_certificate).  The
+rest is proved where it is used: the group laws (build_wtilde), every
+path's value (build_section), phi's identities (phi_rho) and when the
+extension splits (twist_certificate); tests/oracles.py checks each.
 
 No product table is built.  Every product the certificate reads is
 walked down W's BFS tree from the generator permutations of the
@@ -24,9 +30,7 @@ reads the |T| rows at T.  phi_checksum streams every row: one thread
 computes the next chunk, one builds the byte stream in blocks, and the
 caller hashes each block while the next is built.  So the largest
 tables held are a few int32 rows of |W| per length and two chunks of
-phi rows.  The identities phi satisfies because the extension is a
-group (the 2-cocycle and conjugation identities, see phi_rho) are not
-rechecked here; the tests check them against dense-table oracles.
+phi rows.
 
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
@@ -41,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coxeter import CoxeterMatrix, GroupTable, RootSystem
+from .coxeter import GroupTable, RootSystem
 from .nichols import _memory_limit_bytes
 from .racks import (
     cohomologous_solve,
@@ -61,40 +65,8 @@ class CertificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Presentation and coset table
+# The coset table
 # ---------------------------------------------------------------------------
-
-
-class Presentation(NamedTuple):
-    """Generators t_0..t_(l-1) plus central z, with the lifted relations.
-
-    Relator words are over a signed alphabet: letter 2g is generator g,
-    letter 2g + 1 its inverse.
-    """
-
-    ngens: int
-    relators: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def wtilde(cls, matrix: CoxeterMatrix) -> "Presentation":
-        l = matrix.rank
-        z = l
-
-        def gen(g):
-            return 2 * g
-
-        def inv(g):
-            return 2 * g + 1
-
-        relators = [(gen(z), gen(z))]
-        for i in range(l):
-            relators.append((gen(i), gen(z), gen(i), gen(z)))
-        for i in range(l):
-            for j in range(i, l):
-                m = matrix.entry(i, j)
-                word = (gen(i), gen(j)) * m + (inv(z),) * (m + 1)
-                relators.append(word)
-        return cls(ngens=l + 1, relators=tuple(relators))
 
 
 def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
@@ -152,12 +124,15 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
         img = np.where(c[:, i], rmult[:, i] + n, rmult[:, i])
         perms[i] = np.concatenate([img, (img + n) % (2 * n)])
     perms[l] = np.roll(np.arange(2 * n, dtype=np.int32), -n)
-    letter_act = [a for pm in perms for a in (pm, np.argsort(pm))]
+    # z^2 first, so that z^-1 = z in the relators after it
+    words = [(l, l)] + [(i, l, i, l) for i in range(l)] + [
+        (i, j) * m + (l,) * (m + 1) for i in range(l) for j in range(i, l)
+        for m in [g.matrix.entry(i, j)]]
     points = np.arange(2 * n)
-    for word in Presentation.wtilde(g.matrix).relators:
+    for word in words:
         x = points
-        for letter in word:
-            x = letter_act[letter][x]
+        for h in word:
+            x = perms[h][x]
         if not np.array_equal(x, points):
             raise AssertionError("relator does not close on the coset table")
     return list(perms)
@@ -177,7 +152,6 @@ class ExtGroup:
     w + |W| is w z.  The constructor checks that numbering: the order is
     2|W|, z adds |W| mod 2|W|, and every ShortLex tree edge u = v s_i
     of W maps v to u by t_i, with no z.  tconj[i, c] = t_i c t_i.
-    build_wtilde adds `pi`, the projection to W.
     """
 
     def __init__(self, gen_perms: list[list[int]], g: GroupTable):
@@ -194,7 +168,6 @@ class ExtGroup:
         if not np.array_equal(self.gen_perms[g._last[1:], g._parent[1:]],
                               points[1:n]):
             raise AssertionError("a ShortLex tree edge is not numbered (w, 0)")
-        self.z_elem = n
         # left multiplication by each t_i: t_i (v s) = (t_i v) t_s and
         # t_i (w z) = (t_i w) z; then t_i c t_i = (t_i c) t_i
         walk = _tree_walk(g, self.gen_perms[:self.nt, 0], self.gen_perms)
@@ -224,58 +197,24 @@ def _tree_walk(g: GroupTable, start: np.ndarray, table: np.ndarray):
         yield lo, hi, block
 
 
-def build_wtilde(matrix: CoxeterMatrix, g: GroupTable) -> ExtGroup:
-    """Enumerate the extension and verify its structural contract.
+def build_wtilde(g: GroupTable) -> ExtGroup:
+    """The extension in its regular representation, numbered (w, eps).
 
-    ExtGroup checks the order 2|W| and the (w, eps) numbering, so
-    z = |W| is not the identity and pi: w + eps |W| -> w is onto W with
-    kernel {1, z}.  Asserts every generator an involution, z central,
-    and that pi is a homomorphism: t_i -> s_i, z -> 1.
+    The relators and ExtGroup's numbering force the group laws, so
+    nothing rechecks them.  z = |W| is not the identity (ExtGroup).
+    z^2 = 1, and then (t_i t_i)^1 z^2 = 1 makes each t_i an involution,
+    so (t_i z)^2 = 1 says t_i z = z t_i: z is central.  pi: w + eps |W|
+    -> w is a homomorphism, t_i -> s_i and z -> 1, by construction: t_i
+    maps (w, eps) to (w s_i, eps + c[w, i]) and z to (w, eps + 1), so
+    pi(x h) = pi(x) pi(h) for a generator h, and for all h by induction
+    on words.  Its kernel is {1, z}.
     """
-    ext = ExtGroup(coset_enumeration(g), g)
-
-    gp = ext.gen_perms
-    if gp[np.arange(ext.ngens), gp[:, 0]].any():
-        raise AssertionError("a generator is not an involution")
-    zp = gp[ext.nt]
-    for i in range(ext.nt):
-        if not np.array_equal(gp[i][zp], zp[gp[i]]):
-            raise AssertionError("z fails to commute with a generator")
-
-    pi = np.arange(ext.order, dtype=np.int32) % g.order
-    for gen in range(ext.ngens):
-        want = g.rmult[pi, gen] if gen < ext.nt else pi
-        if not np.array_equal(pi[gp[gen]], want):
-            raise AssertionError("projection to W is not a homomorphism")
-    ext.pi = pi
-    return ext
-
-
-def is_split(matrix: CoxeterMatrix):
-    """Lift bits for s_i -> t_i z^eps_i, or None when no lift exists.
-
-    The braid relation for the lifted generators reduces over GF(2) to
-    m_ij + 1 + m_ij (eps_i + eps_j) = 0, which is unsatisfiable as soon
-    as one m_ij is even and otherwise forces eps to be constant on the
-    components of the odd graph; the all-zero vector is then a witness.
-    """
-    l = matrix.rank
-    for i in range(l):
-        for j in range(i + 1, l):
-            if matrix.entry(i, j) % 2 == 0:
-                return None
-    return (0,) * l
+    return ExtGroup(coset_enumeration(g), g)
 
 
 # ---------------------------------------------------------------------------
 # The section and its certificates
 # ---------------------------------------------------------------------------
-
-
-class Section(NamedTuple):
-    """Table of the section rho: W -> extension, as element ids."""
-
-    rho: np.ndarray
 
 
 class GroupCocycle2(NamedTuple):
@@ -289,26 +228,8 @@ class GroupCocycle2(NamedTuple):
     table: PhiRows
 
 
-def _conjugates(g: GroupTable, ext: ExtGroup, values: np.ndarray):
-    """Yield (xs, block), block[k] = rho(x) values rho(x)^-1 for x = xs[k],
-    one length level of x^-1 at a time, for any section rho.
-
-    Conjugation by e depends only on pi(e): e' = e k with k in
-    ker pi = {1, z}, and z is central, so e' c e'^-1 = e c e^-1.  The
-    walk visits u = u' s_i, so x = u^-1 = s_i x' with x' = u'^-1, and
-    t_i rho(x') projects to x: conjugation by rho(x) is t_i (conjugation
-    by rho(x')) t_i^-1 = tconj[i] of the parent's block.  The kernel is
-    {1, z} by ExtGroup's numbering, build_wtilde verifies that z is
-    central and that t_i = t_i^-1, and build_section that rho is a
-    section.  Element ids increase with length and x^-1 has x's length,
-    so the level of length L yields exactly the x of length L.
-    """
-    for lo, hi, block in _tree_walk(g, values, ext.tconj):
-        yield g.inv_arr[lo:hi], block
-
-
-def build_section(g: GroupTable, ext: ExtGroup) -> Section:
-    """Section along the first edge of the reflection conjugacy graph.
+def build_section(g: GroupTable, ext: ExtGroup) -> np.ndarray:
+    """The section along the first edge of the reflection conjugacy graph.
 
     An edge x --s_i--> y joins reflections with y = s_i > x and
     l(y) = l(x) - 2; row s_i of conj_refl_table holds s_i > x.
@@ -337,16 +258,16 @@ def build_section(g: GroupTable, ext: ExtGroup) -> Section:
                 "non-simple reflection with no length-decreasing edge")
         i = int(down[:, x].argmax())
         rho[elems[x]] = zp[ext.tconj[i, rho[elems[conj[i, x]]]]]
-    if not np.array_equal(ext.pi[rho], np.arange(g.order)):
+    if not np.array_equal(rho % g.order, np.arange(g.order)):
         raise AssertionError("rho is not a section of the projection")
-    return Section(rho=rho)
+    return rho
 
 
-def check_vendramin(g: GroupTable, ext: ExtGroup, sec: Section):
+def check_vendramin(g: GroupTable, ext: ExtGroup, rho: np.ndarray):
     """Verify rho(s) > rho(y) = rho(s > y) z^[s != y] over S x T.
 
     rho(s_i) and t_i both project to s_i, so conjugating by either is
-    the same (see _conjugates): one gather of tconj[i] per generator.
+    the same (see check_global): one gather of tconj[i] per generator.
     Returns None on success, else the witness pair (s, y) as element ids.
     """
     zp = ext.gen_perms[ext.nt]
@@ -354,8 +275,8 @@ def check_vendramin(g: GroupTable, ext: ExtGroup, sec: Section):
     conj_refl = g.conj_refl_table()
     for i in range(g.rank):
         s = g.simple_reflection(i)
-        lhs = ext.tconj[i, sec.rho[refl_elems]]
-        rhs = sec.rho[refl_elems[conj_refl[s]]]
+        lhs = ext.tconj[i, rho[refl_elems]]
+        rhs = rho[refl_elems[conj_refl[s]]]
         rhs = np.where(refl_elems != s, zp[rhs], rhs)
         if not np.array_equal(lhs, rhs):
             t = int(np.nonzero(lhs != rhs)[0][0])
@@ -363,13 +284,19 @@ def check_vendramin(g: GroupTable, ext: ExtGroup, sec: Section):
     return None
 
 
-def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
+def check_global(g: GroupTable, ext: ExtGroup, rho: np.ndarray):
     """Verify rho(w) > rho(y) = (q+/q-)(w, y) rho(w > y) over all W x T.
 
-    Compared one length level of w at a time, as _conjugates yields
-    them.  Returns None on success, else the first witness (w, y) in
-    row-major order: the levels come in order of the ids they hold, so
-    it is the smallest mismatch of the first level that has one.
+    Conjugation by e depends only on pi(e): the kernel is {1, z} and z
+    is central (see build_wtilde).  The walk down W's BFS tree visits
+    u = u' s_i, so w = u^-1 = s_i w' with w' = u'^-1, and t_i rho(w')
+    projects to w: conjugation by rho(w) is tconj[i] of the parent's
+    block, which starts from rho at the identity.  Element ids increase
+    with length and w^-1 has w's length, so the level of length L holds
+    exactly the w of length L.  Returns None on success, else the first
+    witness (w, y) in row-major order: the levels come in order of the
+    ids they hold, so it is the smallest mismatch of the first level
+    that has one.
 
     A pass also makes e = q+ - q- W-equivariant on W x W x T,
     e(w1 w2, y) = e(w1, w2 > y) + e(w2, y): conjugation by rho(w1 w2) is
@@ -379,11 +306,11 @@ def check_global(g: GroupTable, ext: ExtGroup, sec: Section):
     """
     zp = ext.gen_perms[ext.nt]
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
-    rho = sec.rho
     conj_refl = g.conj_refl_table()
     qp = q_plus_table(g)
     parity = (g.length_arr % 2).astype(np.uint8)
-    for xs, lhs in _conjugates(g, ext, rho[refl_elems]):
+    for lo, hi, lhs in _tree_walk(g, rho[refl_elems], ext.tconj):
+        xs = g.inv_arr[lo:hi]
         rhs = rho[refl_elems[conj_refl[xs]]]
         rhs = np.where(qp[xs] ^ parity[xs, None], zp[rhs], rhs)
         if not np.array_equal(lhs, rhs):
@@ -413,8 +340,8 @@ class PhiRows:
     eighth of W, so phi_checksum's threads overlap on small groups too.
     """
 
-    def __init__(self, g: GroupTable, ext: ExtGroup, sec: Section):
-        n, rho = g.order, sec.rho
+    def __init__(self, g: GroupTable, ext: ExtGroup, rho: np.ndarray):
+        n = g.order
         self.g, self.gen_perms, self.rho = g, ext.gen_perms, rho
         elems = np.arange(2 * n)
         self.differ = (elems != rho[elems % n]).astype(np.uint8)
@@ -434,7 +361,7 @@ class PhiRows:
         return out.T
 
 
-def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
+def phi_rho(g: GroupTable, ext: ExtGroup, rho: np.ndarray) -> GroupCocycle2:
     """The z-exponent cocycle phi(x, y) = rho(xy) rho(y)^-1 rho(x)^-1, as
     rows computed on demand (PhiRows); nothing of |W|^2 is built here.
 
@@ -456,7 +383,7 @@ def phi_rho(g: GroupTable, ext: ExtGroup, sec: Section) -> GroupCocycle2:
         and rho(x) rho(y) rho(x)^-1 = rho(xy) z^phi(x, y) rho(x)^-1.
     The tests check both against the dense-table oracles.
     """
-    return GroupCocycle2(table=PhiRows(g, ext, sec))
+    return GroupCocycle2(table=PhiRows(g, ext, rho))
 
 
 def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
@@ -627,7 +554,7 @@ def _ahead(items, depth: int, name: str):
         items.close()
 
 
-def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
+def certified_section(g: GroupTable) -> tuple[ExtGroup, np.ndarray]:
     """The extension and its section, once check_vendramin and
     check_global pass; raises CertificationError otherwise.
 
@@ -647,15 +574,15 @@ def certified_section(g: GroupTable) -> tuple[ExtGroup, Section]:
     by a group 2-cocycle (Majid-Oeckl, 1999; Andruskiewitsch-Fantino-
     Garcia-Vendramin, 2011), read in the word basis.
     """
-    ext = build_wtilde(g.matrix, g)
-    sec = build_section(g, ext)
-    witness = check_vendramin(g, ext, sec)
+    ext = build_wtilde(g)
+    rho = build_section(g, ext)
+    witness = check_vendramin(g, ext, rho)
     if witness is not None:
         raise CertificationError("vendramin", list(witness))
-    witness = check_global(g, ext, sec)
+    witness = check_global(g, ext, rho)
     if witness is not None:
         raise CertificationError("global", list(witness))
-    return ext, sec
+    return ext, rho
 
 
 def require_certify_memory(roots: RootSystem) -> int:
@@ -694,10 +621,20 @@ def twist_certificate(g: GroupTable) -> dict:
     Raises CertificationError on mathematical falsification, never an
     expected state.  The memory it needs is checked beforehand, by
     require_certify_memory.
+
+    The lifts s_i -> t_i z^eps_i split exactly when every bond order is
+    odd: their braid relation reduces over GF(2) to m_ij + 1 +
+    m_ij (eps_i + eps_j) = 0, unsatisfiable once one m_ij is even, and
+    otherwise eps is constant on the components of the odd graph, so
+    eps = 0, the split bits, is a witness.  It is checked by one
+    comparison, no edge bit c[w, i] set: the t_i reach every (w, 0)
+    along the tree edges, which carry bit 0 (ExtGroup), so with no bit
+    set they generate |W| elements, not z.  A set bit c[w, i] puts
+    (w, 0) t_i = (w s_i, 1) in that subgroup, and with (w s_i, 0) z.
     """
     matrix = g.matrix
-    ext, sec = certified_section(g)
-    phi = phi_rho(g, ext, sec)
+    ext, rho = certified_section(g)
+    phi = phi_rho(g, ext, rho)
     qp, qm = q_plus(g), q_minus(g)
     witness = certify_twist(g, phi, qp, qm)
     if witness is not None:
@@ -705,15 +642,14 @@ def twist_certificate(g: GroupTable) -> dict:
 
     rack = reflection_rack(g)
     gamma = cohomologous_solve(qp, qm, rack)
-    split_bits = is_split(matrix)
     all_odd = matrix.all_odd()
-    if (split_bits is not None) != all_odd or (gamma is not None) != all_odd:
+    split_bits = [0] * g.rank if all_odd else None
+    if (gamma is not None) != all_odd:
         raise CertificationError(
             "split-cohomologous-consistency",
-            {"all_odd": all_odd, "split": split_bits is not None,
-             "cohomologous": gamma is not None})
-    if split_bits is not None:
-        _verify_split_witness(g, ext, split_bits)
+            {"all_odd": all_odd, "cohomologous": gamma is not None})
+    if all_odd and not (ext.gen_perms[:g.rank, :g.order] < g.order).all():
+        raise CertificationError("split-witness", split_bits)
 
     return {
         "schema": "twist_certificate.v1",
@@ -722,8 +658,8 @@ def twist_certificate(g: GroupTable) -> dict:
         "order_wtilde": ext.order,
         "reflections": len(g.reflections),
         "all_odd": all_odd,
-        "split": split_bits is not None,
-        "split_bits": list(split_bits) if split_bits is not None else None,
+        "split": all_odd,
+        "split_bits": split_bits,
         "cohomologous": gamma is not None,
         "gamma_bits": list(gamma) if gamma is not None else None,
         "vendramin": "pass",
@@ -731,26 +667,6 @@ def twist_certificate(g: GroupTable) -> dict:
         "twist": "pass",
         "phi_checksum": phi_checksum(phi),
     }
-
-
-def _verify_split_witness(g: GroupTable, ext: ExtGroup, bits):
-    """The lifted generators generate a complement of the kernel."""
-    zp = ext.gen_perms[ext.nt]
-    # right multiplication by the lifts t_i z^b_i
-    gens = [zp[ext.gen_perms[i]] if b else ext.gen_perms[i]
-            for i, b in enumerate(bits)]
-    seen = np.zeros(ext.order, dtype=bool)
-    seen[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        # sorted and deduplicated without np.unique, which imports numpy.ma
-        reached = np.sort(np.concatenate([p[frontier] for p in gens]))
-        first = np.ones(reached.size, dtype=bool)
-        np.not_equal(reached[1:], reached[:-1], out=first[1:])
-        frontier = reached[first & ~seen[reached]]
-        seen[frontier] = True
-    if seen.sum() != g.order or seen[ext.z_elem]:
-        raise CertificationError("split-witness", list(bits))
 
 
 def certificate_json(cert: dict) -> str:

@@ -5,18 +5,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from fractions import Fraction
 
 import numpy as np
 
 from coxrack.cyclo import euler_phi, mul, sign
 from coxrack.dihedral import GradedModule, braided_from_graded, u_module
-from coxrack.extension import (
-    CertificationError,
-    ExtGroup,
-    GroupCocycle2,
-    Presentation,
-)
+from coxrack.extension import CertificationError, ExtGroup, GroupCocycle2
 from coxrack.modlin import primes_one_mod, root_of_unity_mod, row_reduce_mod
 from coxrack.nichols import (
     PRIME_COUNT,
@@ -311,6 +307,54 @@ def palindromic_expressions(g, refl_index: int) -> set[tuple[int, ...]]:
 # -- the extension by Todd-Coxeter enumeration ---------------------------------
 
 
+class Presentation(NamedTuple):
+    """Generators t_0..t_(l-1) plus central z, with the lifted relations.
+
+    Relator words are over a signed alphabet: letter 2g is generator g,
+    letter 2g + 1 its inverse.
+    """
+
+    ngens: int
+    relators: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def wtilde(cls, matrix) -> "Presentation":
+        l = matrix.rank
+        z = l
+
+        def gen(g):
+            return 2 * g
+
+        def inv(g):
+            return 2 * g + 1
+
+        relators = [(gen(z), gen(z))]
+        for i in range(l):
+            relators.append((gen(i), gen(z), gen(i), gen(z)))
+        for i in range(l):
+            for j in range(i, l):
+                m = matrix.entry(i, j)
+                word = (gen(i), gen(j)) * m + (inv(z),) * (m + 1)
+                relators.append(word)
+        return cls(ngens=l + 1, relators=tuple(relators))
+
+
+def relator_witness(pres: Presentation, perms) -> tuple[int, ...] | None:
+    """The first relator that does not close at every point of the
+    permutations `perms` (one per generator), or None; inverse letters
+    act by the inverse permutations."""
+    letter_act = [a for pm in np.asarray(perms)
+                  for a in (pm, np.argsort(pm))]
+    points = np.arange(len(letter_act[0]))
+    for word in pres.relators:
+        x = points
+        for letter in word:
+            x = letter_act[letter][x]
+        if not np.array_equal(x, points):
+            return word
+    return None
+
+
 class EnumerationOverflow(RuntimeError):
     """Coset enumeration exceeded its live-coset cap."""
 
@@ -439,21 +483,15 @@ def hlt_coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
             raise AssertionError("generator action is not a permutation")
         perms.append(perm)
     # final verification: every relator closes at every live coset
-    letter_act = [a for pm in np.array(perms) for a in (pm, np.argsort(pm))]
-    cosets = np.arange(len(alive))
-    for w in pres.relators:
-        x = cosets
-        for letter in w:
-            x = letter_act[letter][x]
-        if not np.array_equal(x, cosets):
-            raise AssertionError("relator does not close on the coset table")
+    if relator_witness(pres, perms) is not None:
+        raise AssertionError("relator does not close on the coset table")
     return perms
 
 
 # -- the section along every path of the conjugacy graph ----------------------
 
 
-def path_section_witness(g, ext, sec):
+def path_section_witness(g, ext, rho):
     """The section recomputed along every path of the conjugacy graph.
 
     A path x --s_1--> ... --s_k--> s_j reads the palindromic word
@@ -470,9 +508,61 @@ def path_section_witness(g, ext, sec):
                 val = int(ext.gen_perms[letter, val])
             if len(word) // 2 % 2:
                 val = int(zp[val])
-            if val != sec.rho[refl.elem]:
+            if val != rho[refl.elem]:
                 return (refl.elem, list(word))
     return None
+
+
+# -- the group laws and the split witness, checked on the table ---------------
+
+
+def check_extension_laws(g, ext: ExtGroup):
+    """What build_wtilde proves from the relators, checked on the table:
+    every generator an involution, z central, and pi: w + eps |W| -> w a
+    homomorphism, t_i -> s_i and z -> 1.  Raises AssertionError."""
+    gp = ext.gen_perms
+    if gp[np.arange(ext.ngens), gp[:, 0]].any():
+        raise AssertionError("a generator is not an involution")
+    zp = gp[ext.nt]
+    for i in range(ext.nt):
+        if not np.array_equal(gp[i][zp], zp[gp[i]]):
+            raise AssertionError("z fails to commute with a generator")
+    pi = np.arange(ext.order, dtype=np.int32) % g.order
+    for gen in range(ext.ngens):
+        want = g.rmult[pi, gen] if gen < ext.nt else pi
+        if not np.array_equal(pi[gp[gen]], want):
+            raise AssertionError("projection to W is not a homomorphism")
+
+
+def verify_split_witness(g, ext: ExtGroup, bits):
+    """The lifts t_i z^b_i generate a complement of {1, z}: a BFS over
+    the extension from the identity reaches |W| elements and not z.
+    Raises CertificationError at stage split-witness otherwise."""
+    zp = ext.gen_perms[ext.nt]
+    gens = [zp[ext.gen_perms[i]] if b else ext.gen_perms[i]
+            for i, b in enumerate(bits)]
+    seen = np.zeros(ext.order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = np.unique(np.concatenate([p[frontier] for p in gens]))
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    if seen.sum() != g.order or seen[g.order]:
+        raise CertificationError("split-witness", list(bits))
+
+
+def split_lifts(g, ext: ExtGroup) -> list[tuple[int, ...]]:
+    """Every bit vector b, of all 2^l, whose lifts t_i z^b_i pass
+    verify_split_witness."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=g.rank):
+        try:
+            verify_split_witness(g, ext, bits)
+        except CertificationError:
+            continue
+        out.append(bits)
+    return out
 
 
 # -- dense product tables of the extension and the checks that read them ------
@@ -531,18 +621,18 @@ def ext_inv_table(ext: ExtGroup, M: np.ndarray) -> np.ndarray:
     return inv
 
 
-def dense_check_vendramin(g, ext, sec):
+def dense_check_vendramin(g, ext, rho):
     """check_vendramin, conjugating by rho(s) through the dense tables."""
     M = ext_mult_table(ext)
     inv = ext_inv_table(ext, M)
-    z = ext.z_elem
+    z = g.order
     for i in range(g.rank):
         s = g.simple_reflection(i)
-        rs = sec.rho[s]
+        rs = rho[s]
         for refl in g.reflections:
             y = refl.elem
-            lhs = int(M[M[rs, sec.rho[y]], inv[rs]])
-            rhs = sec.rho[g.conj(s, y)]
+            lhs = int(M[M[rs, rho[y]], inv[rs]])
+            rhs = rho[g.conj(s, y)]
             if s != y:
                 rhs = int(M[rhs, z])
             if lhs != rhs:
@@ -550,16 +640,15 @@ def dense_check_vendramin(g, ext, sec):
     return None
 
 
-def dense_check_global(g, ext, sec):
+def dense_check_global(g, ext, rho):
     """check_global, conjugating by rho(w) through the dense tables."""
     M = ext_mult_table(ext)
     inv = ext_inv_table(ext, M)
-    z = ext.z_elem
+    z = g.order
     eplus = q_plus_table(g)
     parity = (g.length_arr % 2).astype(np.uint8)
     conj_refl = g.conj_refl_table()
     refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
-    rho = sec.rho
     zmul = M[:, z]
     for w in range(g.order):
         rw = int(rho[w])
@@ -602,15 +691,14 @@ def dense_cocycle_identity_witness(mult, table, middles):
     return None
 
 
-def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
+def dense_phi_rho(g, ext, rho) -> GroupCocycle2:
     """phi_rho from the dense tables: a |W|^2 array of
     rho(xy) rho(y)^-1 rho(x)^-1, checked to lie in {1, z}, then
     dense_phi_identities."""
     MW = g.mult_table()
     ME = ext_mult_table(ext)
     inv = ext_inv_table(ext, ME)
-    z = ext.z_elem
-    rho = sec.rho
+    z = g.order
     rho_inv = inv[rho]
 
     n = g.order
@@ -622,7 +710,7 @@ def dense_phi_rho(g, ext, sec) -> GroupCocycle2:
         bad = np.argwhere(~in_kernel)[0]
         raise CertificationError("phi-kernel", [int(bad[0]), int(bad[1])])
     table = (vals == z).astype(np.uint8)
-    dense_phi_identities(g, ext, sec, table)
+    dense_phi_identities(g, ext, rho, table)
     return GroupCocycle2(table=DenseRows(table))
 
 
@@ -644,15 +732,14 @@ def dense_table(phi: GroupCocycle2) -> np.ndarray:
     return np.asarray(phi.table.rows(np.arange(phi.table.shape[0])))
 
 
-def dense_phi_identities(g, ext, sec, table):
+def dense_phi_identities(g, ext, rho, table):
     """Raise CertificationError unless the table satisfies the group
     2-cocycle identity and the conjugation identity
     phi(x,y) (rho(x) > rho(y)) = phi(x>y, x) rho(x>y) over W x W."""
     MW = g.mult_table()
     ME = ext_mult_table(ext)
     inv = ext_inv_table(ext, ME)
-    z = ext.z_elem
-    rho = sec.rho
+    z = g.order
     rho_inv = inv[rho]
 
     simples = [g.simple_reflection(i) for i in range(g.rank)]
@@ -991,8 +1078,7 @@ def v0_module(g, j: int) -> GradedModule:
     one = np.zeros(1, dtype=np.int64)
     s_act, sp_act = (MonomialOp(6, one, one + 3 * j % 6),
                      MonomialOp(6, one, one + 3 * (j + 1) % 6))  # s' = s c
-    return GradedModule(g=g, k=6, labels=(f"v0[{j}]",),
-                        degrees=(g.mul(c, g.mul(c, c)),),
+    return GradedModule(g=g, k=6, degrees=(g.mul(c, g.mul(c, c)),),
                         gen_actions=(s_act, sp_act))
 
 

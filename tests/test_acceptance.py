@@ -29,7 +29,7 @@ from coxrack.dihedral import (
     u_module,
     v31_module,
 )
-from coxrack.extension import is_split
+from coxrack.extension import build_wtilde
 from coxrack.nichols import (
     braiding_from_rack,
     exact_matrix_as_cyclo,
@@ -50,6 +50,7 @@ from oracles import (
     is_quadratic_through,
     q_minus_table,
     rack_axioms_hold,
+    split_lifts,
     symmetrizer_literal_exact,
     verify_matsumoto_invariance,
 )
@@ -96,10 +97,10 @@ def test_criterion_2_cohomologous_iff_all_odd_iff_split(group_cache, capsys):
     for name in BATTERY:
         g = group_cache(name)
         gamma = cohomologous_solve(q_plus(g), q_minus(g), reflection_rack(g))
-        split_bits = is_split(g.matrix)
+        split = bool(split_lifts(g, build_wtilde(g)))
         expect = name in COHOMOLOGOUS_PRESETS
         assert (gamma is not None) == expect, name
-        assert (split_bits is not None) == expect, name
+        assert split == expect, name
         assert (gamma is not None) == g.matrix.all_odd(), name
     with capsys.disabled():
         verdict(2, "cohomologous-iff-all-odd-iff-split", True,

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from coxrack import extension, nichols
-from coxrack.coxeter import RootSystem, preset_matrix
+from coxrack import cli, extension, nichols
+from coxrack.coxeter import RootSystem, build_group, preset_matrix
 from coxrack.cli import main
 
 HAS_JSONSCHEMA = True
@@ -164,6 +164,35 @@ def test_hilbert_subrack_name_is_strict(capsys, name):
     assert err == f"error: bad subrack name {name!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("E6", "--dmax", "-1"), "dmax must be at least 0, got -1"),
+    (("B3", "--subrack", "T3"),
+     "subrack 'T3' out of range; group has 2 classes"),
+    (("E6", "--subrack", "T2"),
+     "subrack 'T2' out of range; group has 1 classes"),
+    (("A3", "--subrack", "T0"), "bad subrack name 'T0'"),
+])
+def test_hilbert_refuses_bad_arguments_before_building_w(capsys, monkeypatch,
+                                                         argv, message):
+    def no_work(*args):
+        raise AssertionError("W was built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "build_group", no_work)
+    assert run(capsys, "hilbert", *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B2", "B3", "I2(4)", "I2(6)",
+                                  "H3", "D4", "F4"])
+def test_odd_components_count_the_reflection_classes(name):
+    # hilbert refuses --subrack by the odd graph's components, before W
+    # is built; --subrack T<k> then reads the group's k-th class, the one
+    # holding the simple reflections of the k-th component
+    matrix = preset_matrix(name)
+    g = build_group(matrix)
+    simples = [[i for i in range(g.rank) if i in c] for c in g.classes]
+    assert simples == matrix.odd_components()
+
+
 def test_hilbert_exact_mode(capsys):
     code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "3",
                        "--mode", "exact", "--json")
@@ -202,10 +231,10 @@ def test_hilbert_refuses_a_failed_twist(capsys, monkeypatch):
     real = extension.build_section
 
     def corrupted(g, ext):
-        rho = real(g, ext).rho.copy()
+        rho = real(g, ext).copy()
         x = next(t.elem for t in g.reflections if g.length_arr[t.elem] > 1)
         rho[x] = ext.gen_perms[ext.nt][rho[x]]
-        return extension.Section(rho=rho)
+        return rho
 
     monkeypatch.setattr(extension, "build_section", corrupted)
     code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")

@@ -222,5 +222,14 @@ def test_graded_module_validation(i26):
     bad_s = MonomialOp(6, good.gen_actions[0].perm.copy(),
                        (good.gen_actions[0].expo + np.array([1, 0, 0])) % 6)
     with pytest.raises(ValueError):
-        GradedModule(g=i26, k=6, labels=good.labels, degrees=good.degrees,
+        GradedModule(g=i26, k=6, degrees=good.degrees,
                      gen_actions=(bad_s, good.gen_actions[1]))
+    # degrees in another order break the grading rule on the generators,
+    # the only place it is checked (see braided_from_graded)
+    with pytest.raises(ValueError, match="grading rule"):
+        GradedModule(g=i26, k=6, degrees=good.degrees[::-1],
+                     gen_actions=good.gen_actions)
+    # one degree fewer than the actions' size
+    with pytest.raises(ValueError, match="wrong shape"):
+        GradedModule(g=i26, k=6, degrees=good.degrees[:2],
+                     gen_actions=good.gen_actions)

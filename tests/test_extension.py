@@ -12,6 +12,7 @@ import pytest
 
 from coxrack import cli, extension
 from coxrack.coxeter import (
+    CoxeterMatrix,
     GroupTable,
     RootSystem,
     build_group,
@@ -21,15 +22,13 @@ from coxrack.extension import (
     CertificationError,
     ExtGroup,
     GroupCocycle2,
-    Presentation,
-    Section,
     build_section,
     build_wtilde,
     certificate_json,
     certify_twist,
     check_global,
     check_vendramin,
-    is_split,
+    coset_enumeration,
     phi_checksum,
     phi_rho,
     require_certify_memory,
@@ -47,6 +46,8 @@ import oracles
 from oracles import (
     DenseRows,
     EnumerationOverflow,
+    Presentation,
+    check_extension_laws,
     dense_check_global,
     dense_check_vendramin,
     dense_cocycle_identity_witness,
@@ -57,6 +58,9 @@ from oracles import (
     ext_mult_table,
     hlt_coset_enumeration,
     path_section_witness,
+    relator_witness,
+    split_lifts,
+    verify_split_witness,
 )
 
 
@@ -67,9 +71,8 @@ def setups():
     def get(name):
         if name not in cache:
             g = build_group(preset_matrix(name))
-            ext = build_wtilde(g.matrix, g)
-            sec = build_section(g, ext)
-            cache[name] = (g, ext, sec)
+            ext = build_wtilde(g)
+            cache[name] = (g, ext, build_section(g, ext))
         return cache[name]
 
     return get
@@ -92,7 +95,7 @@ def test_extension_orders(setups):
     # I2(4): order 16, non-split
     g, ext, _ = setups("I2(4)")
     assert ext.order == 16
-    assert is_split(g.matrix) is None
+    assert split_lifts(g, ext) == []
     for name in ("A3", "B3", "I2(5)"):
         g, ext, _ = setups(name)
         assert ext.order == 2 * g.order
@@ -107,20 +110,27 @@ def test_enumeration_overflow():
 @pytest.mark.parametrize("name, order", [("H4", 28800), ("E6", 103680)])
 def test_big_extensions_close_every_relator(name, order):
     g = build_group(preset_matrix(name))
-    ext = build_wtilde(g.matrix, g)
+    ext = build_wtilde(g)
     assert ext.order == order
-    letters = [a for pm in ext.gen_perms for a in (pm, np.argsort(pm))]
-    points = np.arange(order)
-    for word in Presentation.wtilde(g.matrix).relators:
-        x = points
-        for letter in word:
-            x = letters[letter][x]
-        assert np.array_equal(x, points), word
+    assert relator_witness(Presentation.wtilde(g.matrix), ext.gen_perms) is None
+    check_extension_laws(g, ext)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_coset_table_refuses_a_relator_that_does_not_close(m):
+    # the relators are the one check of the group laws: B3's table read
+    # with m_01 != 3 leaves (t_0 t_1)^m z^(m + 1) open, as (s_0 s_1)^m != 1
+    g = build_group(preset_matrix("B3"))
+    rows = [list(r) for r in g.matrix.rows]
+    rows[0][1] = rows[1][0] = m
+    g.matrix = CoxeterMatrix.from_rows(rows)
+    with pytest.raises(AssertionError, match="relator does not close"):
+        coset_enumeration(g)
 
 
 def test_z_is_central_involution(setups):
     g, ext, _ = setups("B3")
-    z = ext.z_elem
+    z = g.order                      # z is element |W|
     assert z != 0
     M = ext_mult_table(ext)
     assert M[z, z] == 0
@@ -129,20 +139,25 @@ def test_z_is_central_involution(setups):
 
 
 def test_projection_kernel(setups):
+    # pi: w + eps |W| -> w is a homomorphism on the dense product table,
+    # with kernel {1, z}
     g, ext, _ = setups("A3")
-    pi = ext.pi
-    assert sorted(np.nonzero(pi == 0)[0].tolist()) == sorted({0, ext.z_elem})
-    # fibers all have size two
-    counts = np.bincount(pi, minlength=g.order)
-    assert (counts == 2).all()
+    pi = np.arange(ext.order) % g.order
+    assert np.nonzero(pi == 0)[0].tolist() == [0, g.order]
+    assert np.array_equal(pi[ext_mult_table(ext)],
+                          g.mult_table()[pi[:, None], pi[None, :]])
 
 
-def test_is_split_matches_all_odd():
-    assert is_split(preset_matrix("I2(7)")) == (0, 0)
-    assert is_split(preset_matrix("A1")) == (0,)
-    assert is_split(preset_matrix("A3")) is None
-    assert is_split(preset_matrix("H3")) is None
-    assert is_split(preset_matrix("I2(6)")) is None
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "H3", "I2(5)",
+                                  "I2(6)", "I2(7)", "D4"])
+def test_split_lifts_exist_exactly_when_all_odd(setups, name):
+    # all 2^l lift vectors through the BFS oracle: on an all-odd matrix
+    # the lifts split exactly when eps is constant on the (connected) odd
+    # graph, and otherwise never, as twist_certificate's GF(2) proof says
+    g, ext, _ = setups(name)
+    l = g.rank
+    want = [(0,) * l, (1,) * l] if g.matrix.all_odd() else []
+    assert split_lifts(g, ext) == want
 
 
 def test_split_group_is_direct_product(setups):
@@ -162,51 +177,51 @@ def test_split_group_is_direct_product(setups):
                     nxt.append(d)
         frontier = nxt
     assert len(seen) == g.order
-    assert ext.z_elem not in seen
+    assert g.order not in seen       # z is element |W|
 
 
 def test_section_on_simples_and_depth_one(setups):
-    g, ext, sec = setups("A2")
+    g, ext, rho = setups("A2")
     for i in range(g.rank):
-        assert sec.rho[g.simple_reflection(i)] == ext.gen_perms[i, 0]
+        assert rho[g.simple_reflection(i)] == ext.gen_perms[i, 0]
     # A2: rho(s1 > s2) = t1 t2 t1 z
     x = g.conj(g.simple_reflection(0), g.simple_reflection(1))
     t0, t1 = ext.gen_perms[:ext.nt, 0]
     M = ext_mult_table(ext)
-    expect = M[M[M[t0, t1], t0], ext.z_elem]
-    assert sec.rho[x] == expect
+    expect = M[M[M[t0, t1], t0], g.order]
+    assert rho[x] == expect
     # rho(identity) = identity, by the ShortLex lift convention
-    assert sec.rho[0] == 0
+    assert rho[0] == 0
 
 
 def test_section_is_section(setups):
     for name in ("A2", "B2", "A3", "I2(5)"):
-        g, ext, sec = setups(name)
+        g, ext, rho = setups(name)
         for w in range(g.order):
-            assert ext.pi[sec.rho[w]] == w
+            assert rho[w] % g.order == w
 
 
 def test_vendramin_and_global(setups):
     for name in ("A1", "A2", "B2", "A3", "B3", "I2(5)", "I2(6)"):
-        g, ext, sec = setups(name)
-        assert check_vendramin(g, ext, sec) is None
-        assert check_global(g, ext, sec) is None
+        g, ext, rho = setups(name)
+        assert check_vendramin(g, ext, rho) is None
+        assert check_global(g, ext, rho) is None
 
 
 def test_vendramin_fixed_point_case(setups):
-    g, ext, sec = setups("B3")
+    g, ext, rho = setups("B3")
     M = ext_mult_table(ext)
     inv = ext_inv_table(ext, M)
     for i in range(g.rank):
         s = g.simple_reflection(i)
-        rs = sec.rho[s]
+        rs = rho[s]
         # rho(s) > rho(s) = rho(s)
-        assert M[M[rs, sec.rho[s]], inv[rs]] == sec.rho[s]
+        assert M[M[rs, rho[s]], inv[rs]] == rho[s]
 
 
 def test_phi_properties(setups):
-    g, ext, sec = setups("A2")
-    phi = phi_rho(g, ext, sec)
+    g, ext, rho = setups("A2")
+    phi = phi_rho(g, ext, rho)
     assert phi.table.shape == (6, 6)
     table = dense_table(phi)
     assert not table[0].any()       # phi(e, w) = 1
@@ -233,8 +248,8 @@ def word_signs(g, phi: GroupCocycle2, n: int) -> np.ndarray:
 def test_twist_conjugates_the_symmetrizers(setups, name, nmax):
     # S_n^+ = D_n S_n^- D_n at zeta = -1, the identity certified_section
     # proves and hilbert relies on; B2 has -1 in W
-    g, ext, sec = setups(name)
-    phi = phi_rho(g, ext, sec)
+    g, ext, rho = setups(name)
+    phi = phi_rho(g, ext, rho)
     rack = reflection_rack(g)
     spaces = [braiding_from_rack(rack, q(g)) for q in (q_plus, q_minus)]
     for n in range(1, nmax + 1):
@@ -249,7 +264,7 @@ def test_twist_certificates_and_consistency(setups):
     # split and cohomologous on the all-odd matrix, twist everywhere
     for name, odd in (("A2", True), ("A3", False), ("I2(5)", True),
                       ("I2(6)", False)):
-        g, ext, sec = setups(name)
+        g, ext, rho = setups(name)
         cert = twist_certificate(g)
         assert cert["vendramin"] == cert["global"] == cert["twist"] == "pass"
         assert cert["all_odd"] == cert["split"] == cert["cohomologous"] == odd
@@ -268,22 +283,22 @@ def test_certificate_deterministic(setups):
 
 
 def test_phi_checksum_stability(setups):
-    g, ext, sec = setups("A2")
-    h1 = phi_checksum(phi_rho(g, ext, sec))
+    g, ext, rho = setups("A2")
+    h1 = phi_checksum(phi_rho(g, ext, rho))
     g2 = build_group(preset_matrix("A2"))
-    ext2 = build_wtilde(g2.matrix, g2)
-    sec2 = build_section(g2, ext2)
-    h2 = phi_checksum(phi_rho(g2, ext2, sec2))
+    ext2 = build_wtilde(g2)
+    rho2 = build_section(g2, ext2)
+    h2 = phi_checksum(phi_rho(g2, ext2, rho2))
     assert h1 == h2 and len(h1) == 64
 
 
 def test_cohomologous_cross_module(setups):
     # the paper-level equivalence: split <=> cohomologous <=> all odd
     for name in ("A1", "A2", "A3", "B2", "B3", "I2(5)", "I2(6)", "I2(7)"):
-        g, _, _ = setups(name)
+        g, ext, _ = setups(name)
         rack = reflection_rack(g)
         gamma = cohomologous_solve(q_plus(g), q_minus(g), rack)
-        assert (gamma is not None) == (is_split(g.matrix) is not None)
+        assert (gamma is not None) == bool(split_lifts(g, ext))
         assert (gamma is not None) == g.matrix.all_odd()
 
 
@@ -357,16 +372,16 @@ def identity_holds(mult, table, x, y, w):
 
 def test_phi_passes_full_cocycle_oracle_on_battery(setups):
     for name in BATTERY:
-        g, ext, sec = setups(name)
-        phi = dense_table(phi_rho(g, ext, sec))
+        g, ext, rho = setups(name)
+        phi = dense_table(phi_rho(g, ext, rho))
         assert full_cocycle_witness(g.mult_table(), phi) is None, name
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
 def test_reduced_cocycle_check_agrees_with_full(setups, name):
-    g, ext, sec = setups(name)
+    g, ext, rho = setups(name)
     mult = g.mult_table()
-    true = dense_table(phi_rho(g, ext, sec))
+    true = dense_table(phi_rho(g, ext, rho))
     rng = np.random.default_rng(20240712)
     f = rng.integers(0, 2, g.order, dtype=np.uint8)
     coboundary = true ^ f[:, None] ^ f[None, :] ^ f[mult]
@@ -467,10 +482,10 @@ def test_phi_checksum_chunks_and_blocks_out_of_step(monkeypatch, n, chunk):
 def test_phi_rows_match_dense_oracle(setups, name, chunk):
     # the rows phi_checksum reads, chunk by chunk, and rows at any xs,
     # as certify_twist reads them at T
-    g, ext, sec = setups(name)
+    g, ext, rho = setups(name)
     n = g.order
-    want = dense_table(dense_phi_rho(g, ext, sec))
-    rows = phi_rho(g, ext, sec).table
+    want = dense_table(dense_phi_rho(g, ext, rho))
+    rows = phi_rho(g, ext, rho).table
     rows.chunk = chunk or n
     got = np.concatenate([rows.rows(np.arange(c, min(n, c + rows.chunk)))
                           for c in range(0, n, rows.chunk)])
@@ -649,24 +664,24 @@ def test_battery_certificate_pinned(name, no_dense_tables):
 
 @pytest.mark.parametrize("name", BATTERY + ["F4"])
 def test_walked_checks_agree_with_dense_oracles(setups, name):
-    g, ext, sec = setups(name)
-    assert check_vendramin(g, ext, sec) is None
-    assert dense_check_vendramin(g, ext, sec) is None
-    assert check_global(g, ext, sec) is None
-    assert dense_check_global(g, ext, sec) is None
-    assert np.array_equal(dense_table(phi_rho(g, ext, sec)),
-                          dense_table(dense_phi_rho(g, ext, sec)))
+    g, ext, rho = setups(name)
+    assert check_vendramin(g, ext, rho) is None
+    assert dense_check_vendramin(g, ext, rho) is None
+    assert check_global(g, ext, rho) is None
+    assert dense_check_global(g, ext, rho) is None
+    assert np.array_equal(dense_table(phi_rho(g, ext, rho)),
+                          dense_table(dense_phi_rho(g, ext, rho)))
 
 
 @pytest.mark.parametrize("name", BATTERY + ["F4"])
 def test_section_agrees_along_every_path(setups, name):
-    g, ext, sec = setups(name)
-    assert path_section_witness(g, ext, sec) is None
+    g, ext, rho = setups(name)
+    assert path_section_witness(g, ext, rho) is None
 
 
 def test_section_refuses_a_reflection_with_no_edge_down():
     g = build_group(preset_matrix("A2"))
-    ext = build_wtilde(g.matrix, g)
+    ext = build_wtilde(g)
     # conjugation read as the identity: no edge leaves s_1 s_2 s_1
     g._conj_refl = np.tile(np.arange(len(g.reflections), dtype=np.uint8),
                            (g.order, 1))
@@ -683,9 +698,9 @@ def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
     real = extension.build_section
 
     def flipped(g, ext):
-        rho = real(g, ext).rho.copy()
+        rho = real(g, ext).copy()
         rho[x] = ext.gen_perms[ext.nt, rho[x]]
-        return Section(rho=rho)
+        return rho
 
     assert path_section_witness(g, ext, flipped(g, ext))[0] == x
     monkeypatch.setattr(extension, "build_section", flipped)
@@ -695,14 +710,14 @@ def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
 
 
 def test_dense_phi_identities_reject_broken_tables(setups):
-    g, ext, sec = setups("B3")
-    table = dense_table(phi_rho(g, ext, sec))
-    dense_phi_identities(g, ext, sec, table)
+    g, ext, rho = setups("B3")
+    table = dense_table(phi_rho(g, ext, rho))
+    dense_phi_identities(g, ext, rho, table)
     # one flipped cell breaks the 2-cocycle identity
     bad = table.copy()
     bad[5, 7] ^= 1
     with pytest.raises(CertificationError, match="phi-cocycle-identity"):
-        dense_phi_identities(g, ext, sec, bad)
+        dense_phi_identities(g, ext, rho, bad)
     # a coboundary keeps it, but one that is not constant on a conjugacy
     # class breaks the conjugation identity
     f = np.zeros(g.order, dtype=np.uint8)
@@ -711,7 +726,7 @@ def test_dense_phi_identities_reject_broken_tables(setups):
     assert dense_cocycle_identity_witness(g.mult_table(), bad,
                                           simples(g)) is None
     with pytest.raises(CertificationError, match="phi-conjugation-identity"):
-        dense_phi_identities(g, ext, sec, bad)
+        dense_phi_identities(g, ext, rho, bad)
 
 
 def test_check_global_reports_first_witness_across_levels(setups,
@@ -719,7 +734,7 @@ def test_check_global_reports_first_witness_across_levels(setups,
     # The walk visits each length level in the order of the inverses, so
     # inside a level a larger w can come first; the witness is still the
     # first (w, y) in row-major order, as in the dense oracle.
-    g, ext, sec = setups("B3")
+    g, ext, rho = setups("B3")
     bounds = np.searchsorted(g.length_arr, np.arange(g.length_arr[-1] + 2))
     lo, hi = next((lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
                   if not (np.diff(g.inv_arr[lo:hi]) > 0).all())
@@ -733,8 +748,8 @@ def test_check_global_reports_first_witness_across_levels(setups,
     monkeypatch.setattr(extension, "q_plus_table", lambda g: qp)
     monkeypatch.setattr(oracles, "q_plus_table", lambda g: qp)
     want = (early, g.reflections[nt - 1].elem)
-    assert check_global(g, ext, sec) == want
-    assert dense_check_global(g, ext, sec) == want
+    assert check_global(g, ext, rho) == want
+    assert dense_check_global(g, ext, rho) == want
 
 
 def hlt_perms(g):
@@ -746,8 +761,10 @@ def hlt_perms(g):
 @pytest.mark.parametrize("name", BATTERY + ["I2(4)"])
 def test_cayley_table_matches_todd_coxeter(setups, name):
     # Todd-Coxeter's table renumbered (w, eps) -> the lift of w's ShortLex
-    # word times z^eps is the table read off the Cayley graph.
+    # word times z^eps is the table read off the Cayley graph, and it
+    # keeps the group laws build_wtilde proves
     g, ext, _ = setups(name)
+    check_extension_laws(g, ext)
     hlt = np.array(hlt_perms(g))
     lifts = [0] * g.order
     for w in range(g.order):
@@ -803,7 +820,8 @@ def test_tconj_is_dense_conjugation(setups, name):
 
 
 # sha256 of the dtype, shape and bytes of gen_perms, tconj, pi and rho,
-# recorded before the extension was numbered (w, eps) by contract
+# recorded before the extension was numbered (w, eps) by contract; pi is
+# the number mod |W|
 EXT_SHA256 = {
     "A1": "9e3ad78887ff3dee1c2d9a5f98755df0b9829307ab5ec52482a6ce99ebffbce5",
     "A2": "bea75c756bf92a304186ac6c2fb25717b1787b8959f22ba7f708b759c1bd0086",
@@ -825,13 +843,29 @@ EXT_SHA256 = {
 
 @pytest.mark.parametrize("name", BATTERY + ["F4"])
 def test_extension_arrays_pinned(setups, name):
-    g, ext, sec = setups(name)
+    g, ext, rho = setups(name)
+    pi = np.arange(ext.order, dtype=np.int32) % g.order
     h = hashlib.sha256()
-    for a in (ext.gen_perms, ext.tconj, ext.pi, sec.rho):
+    for a in (ext.gen_perms, ext.tconj, pi, rho):
         h.update(str(a.dtype).encode())
         h.update(str(a.shape).encode())
         h.update(np.ascontiguousarray(a).tobytes())
     assert h.hexdigest() == EXT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", BATTERY + ["F4", "I2(4)"])
+def test_edge_bits_decide_the_split_witness(setups, name):
+    # twist_certificate's one comparison, no t_i takes a (w, 0) to a
+    # (w', 1), against the BFS over the extension; both hold exactly on
+    # the all-odd presets
+    g, ext, _ = setups(name)
+    no_bit = bool((ext.gen_perms[:g.rank, :g.order] < g.order).all())
+    try:
+        verify_split_witness(g, ext, (0,) * g.rank)
+        bfs = True
+    except CertificationError:
+        bfs = False
+    assert no_bit == bfs == g.matrix.all_odd()
 
 
 @pytest.mark.parametrize("name, bits", [("A2", (0, 1)), ("I2(6)", (0, 0))])
@@ -839,21 +873,21 @@ def test_split_witness_rejects_lifts_that_meet_z(setups, name, bits):
     # (t_0 t_1 z)^3 = z on A2, and (t_0 t_1)^6 = z on I2(6)
     g, ext, _ = setups(name)
     with pytest.raises(CertificationError) as err:
-        extension._verify_split_witness(g, ext, bits)
+        verify_split_witness(g, ext, bits)
     assert err.value.details == {"stage": "split-witness",
                                  "witness": list(bits)}
 
 
-def first_failure(g, ext, sec, vendramin, global_, phi):
-    """(stage, witness, phi table) of the first check that rejects sec."""
-    witness = vendramin(g, ext, sec)
+def first_failure(g, ext, rho, vendramin, global_, phi):
+    """(stage, witness, phi table) of the first check that rejects rho."""
+    witness = vendramin(g, ext, rho)
     if witness is not None:
         return "vendramin", witness, None
-    witness = global_(g, ext, sec)
+    witness = global_(g, ext, rho)
     if witness is not None:
         return "global", witness, None
     try:
-        table = dense_table(phi(g, ext, sec))
+        table = dense_table(phi(g, ext, rho))
     except CertificationError as exc:
         return exc.details["stage"], exc.details["witness"], None
     witness = certify_twist(g, GroupCocycle2(table=DenseRows(table)),
@@ -866,15 +900,14 @@ def test_corrupted_section_rejected_at_same_stage(setups, name):
     # A z flipped on a reflection breaks the section's conjugation rule.
     # Off the reflections the section is free: the flip changes phi by a
     # coboundary, and every check holds in both versions.
-    g, ext, sec = setups(name)
+    g, ext, rho = setups(name)
     zp = ext.gen_perms[ext.nt]
     rng = np.random.default_rng(20240712)
     refl = [t.elem for t in g.reflections]
     other = sorted(set(range(g.order)) - set(refl))
     for w, rejected in ((rng.choice(refl), True), (rng.choice(other), False)):
-        rho = sec.rho.copy()
-        rho[w] = zp[rho[w]]
-        bad = Section(rho=rho)
+        bad = rho.copy()
+        bad[w] = zp[bad[w]]
         new = first_failure(g, ext, bad, check_vendramin, check_global,
                             phi_rho)
         old = first_failure(g, ext, bad, dense_check_vendramin,
@@ -884,7 +917,7 @@ def test_corrupted_section_rejected_at_same_stage(setups, name):
         if not rejected:
             assert np.array_equal(new[2], old[2])
             assert not np.array_equal(new[2],
-                                      dense_table(phi_rho(g, ext, sec)))
+                                      dense_table(phi_rho(g, ext, rho)))
 
 
 def test_certify_refuses_before_enumeration_when_phi_does_not_fit(

@@ -1,15 +1,19 @@
-"""src/ holds only the program: each function, class and method defined
-in src/coxrack must be reachable from what runs.
+"""src/ holds only the program, and tests/oracles.py only what the tests
+use: each function, class and method defined in src/coxrack must be
+reachable from what runs, and each one in tests/oracles.py from the
+tests.
 
-The roots are cli.py, the top-level statements (imports aside) of every
-module in src/coxrack, and every name perfbench/*.py uses as code or in
-a dotted string of the tracer's TARGETS and LADDER.  A definition is
-reached when a reached body names it, as a name or an attribute; a
-reached class reaches its own statements and dunder methods, but not its
-other methods, which must be named themselves.  Dunder methods are never
-flagged.  Code only tests call belongs in tests/oracles.py.  The walk
-goes by name, so it cannot see a definition that shares its name with a
-reached one.
+For src/ the roots are cli.py, the top-level statements (imports aside)
+of every module in src/coxrack, and every name perfbench/*.py uses as
+code or in a dotted string of the tracer's TARGETS and LADDER.  For
+tests/oracles.py they are every name used in tests/test_*.py and the
+oracles' own top-level statements.  A definition is reached when a
+reached body names it, as a name or an attribute; a reached class
+reaches its own statements and dunder methods, but not its other
+methods, which must be named themselves.  Dunder methods are never
+flagged.  Code only tests call belongs in tests/oracles.py, and a check
+moved there cannot rot unseen.  The walk goes by name, so it cannot see
+a definition that shares its name with a reached one.
 """
 
 import ast
@@ -65,21 +69,20 @@ def _bench_names() -> set[str]:
     return names
 
 
-@functools.cache
-def unreached_definitions() -> tuple[str, ...]:
-    trees = {p: ast.parse(p.read_text())
-             for p in sorted((ROOT / "src" / "coxrack").glob("*.py"))}
+def _top_level(tree) -> set[str]:
+    """Names a module's top-level statements use, imports aside."""
+    return _named(s for s in tree.body if not isinstance(
+        s, DEFS + (ast.Import, ast.ImportFrom)))
+
+
+def _unreached(trees: dict, reached: set[str]) -> tuple[str, ...]:
+    """The definitions in `trees` that no name in `reached` leads to."""
     defs: dict[str, list] = {}
-    reached = _bench_names()
-    for path, tree in trees.items():
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, DEFS):
                 defs.setdefault(node.name, []).append(node)
-        if path.name == "cli.py":
-            reached |= _named([tree])
-        else:
-            reached |= _named(s for s in tree.body if not isinstance(
-                s, DEFS + (ast.Import, ast.ImportFrom)))
+    reached = set(reached)
     frontier = list(reached)
     while frontier:
         for node in defs.get(frontier.pop(), ()):
@@ -93,5 +96,29 @@ def unreached_definitions() -> tuple[str, ...]:
                  and not _is_dunder(node.name))
 
 
+@functools.cache
+def unreached_definitions() -> tuple[str, ...]:
+    trees = {p: ast.parse(p.read_text())
+             for p in sorted((ROOT / "src" / "coxrack").glob("*.py"))}
+    reached = _bench_names()
+    for path, tree in trees.items():
+        reached |= (_named([tree]) if path.name == "cli.py"
+                    else _top_level(tree))
+    return _unreached(trees, reached)
+
+
+def unreached_oracles() -> tuple[str, ...]:
+    path = ROOT / "tests" / "oracles.py"
+    tree = ast.parse(path.read_text())
+    reached = _top_level(tree)
+    for test in (ROOT / "tests").glob("test_*.py"):
+        reached |= _named([ast.parse(test.read_text())])
+    return _unreached({path: tree}, reached)
+
+
 def test_every_definition_in_src_is_used_by_the_program():
     assert unreached_definitions() == ()
+
+
+def test_every_oracle_is_used_by_a_test():
+    assert unreached_oracles() == ()
