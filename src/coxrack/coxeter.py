@@ -8,15 +8,22 @@ refuses an infinite group from B alone, before any enumeration.
 
 A group is then built in two passes.  First the positive roots are
 enumerated (RootSystem, which stops there) by closing the simple basis
-under the simple reflections; each (root, generator) pair is reflected
-once, and every root is checked to have unit norm and exactly positive
-coordinates.  |W| follows from the roots (RootSystem._orbit_chain_order),
-so a group above the element cap is refused before it is enumerated.
-Then the elements are enumerated by their action on the positive roots,
-one length level at a time with whole-array operations, each keyed on
-its images of the simple roots (GroupTable._build_elements).  These root
-images make the length function, the reflection/positive-root bijection
-and all conjugation questions cheap table lookups.
+under the simple reflections, each (root, generator) pair reflected
+once; |W| follows from the roots (RootSystem._orbit_chain_order), so a
+group above the element cap is refused before it is enumerated.  Then
+the elements are enumerated by their action on the positive roots, one
+length level at a time, each keyed on its images of the simple roots
+(GroupTable._build_elements).  A GroupTable is its arrays: root images,
+right multiples, inverses, lengths, the BFS tree and the reflections;
+word and element convert between an element and its ShortLex word.
+
+Checked at run time: the finiteness of W (require_finite), the exact
+positivity of every root, the deepest root in the closed chamber and
+|W| by enumeration equal to |W| by the orbit chain.  Each compares the
+exact arithmetic with the theory, or two independent counts.  The rest
+is proved where it is built: unit root norms (_build_roots), a total
+rmult, the lengths and the inverses (_build_elements), and the
+reflections (_build_reflections); tests/oracles.py checks each.
 
 Everything downstream (cocycles, the central extension, symmetrizers)
 consumes the tables built here.  A GroupTable is immutable after
@@ -28,7 +35,6 @@ from __future__ import annotations
 import math
 import re
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,25 +111,18 @@ class CoxeterMatrix:
                    for i in range(n) for j in range(i + 1, n))
 
     def odd_components(self) -> list[list[int]]:
-        """Components of the Coxeter graph after dropping even-labeled edges."""
-        n = self.rank
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                m = self.rows[i][j]
-                if m >= 3 and m % 2 == 1:
-                    parent[find(i)] = find(j)
-        comps: dict[int, list[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        return sorted(comps.values())
+        """Components of the Coxeter graph after dropping even-labeled
+        edges, each sorted, ordered by their least node."""
+        comps: list[list[int]] = []
+        for start in range(self.rank):
+            if any(start in c for c in comps):
+                continue
+            comp = [start]
+            for a in comp:      # grows while it is read: breadth first
+                comp += [b for b, m in enumerate(self.rows[a])
+                         if m % 2 and b not in comp]
+            comps.append(sorted(comp))
+        return comps
 
     def gram(self) -> np.ndarray:
         """The doubled form B_ij = 2(alpha_i, alpha_j) = -2 cos(pi / m_ij)
@@ -246,19 +245,6 @@ def resolve_matrix(spec: str) -> CoxeterMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Reflection views
-# ---------------------------------------------------------------------------
-
-
-class Reflection(NamedTuple):
-    """A reflection together with its unique positive root."""
-
-    index: int      # position in the reflection enumeration
-    elem: int       # element id
-    root: int       # positive-root index
-
-
-# ---------------------------------------------------------------------------
 # Roots and the group table
 # ---------------------------------------------------------------------------
 
@@ -285,13 +271,26 @@ class RootSystem:
         # B acting on (l, phi) coordinate arrays, as one integer matrix
         self._pair = regular_matrix(self._gram, self.level)
         self._build_roots()
-        self._build_root_classes()
+        # the positive roots descending from the simple roots of each odd
+        # component, whose reflections form a conjugacy class (tests
+        # compare them with the root orbits)
+        self.root_classes = tuple(
+            tuple(r for r, b in enumerate(self._root_base_simple) if b in comp)
+            for comp in self.matrix.odd_components())
         self.order = self._orbit_chain_order()
 
     def _build_roots(self):
         """Close the simple roots under the simple reflections,
         s_i beta = beta - (B beta)_i alpha_i, breadth first; then check
-        every root's unit norm and exact positivity."""
+        every root's exact positivity, signing each distinct coordinate
+        once.
+
+        Every root has unit norm, (beta, beta) = 1, exactly: s_i keeps
+        the doubled form, as with u' = s_i u and v' = s_i v
+        B(u', v') = B(u, v) + (B u)_i (B v)_i (B_ii - 2) and B_ii = 2, in
+        integer arithmetic over Z[zeta_N]; and every root is s_i of an
+        earlier one, back to a simple root, where B(alpha_i, alpha_i) = 2.
+        """
         l, lev = self.rank, self.level
         simples = np.zeros((l, l, euler_phi(lev)), dtype=np.int64)
         simples[np.arange(l), np.arange(l), 0] = 1
@@ -323,37 +322,20 @@ class RootSystem:
 
         roots = np.array(pos)
         R = len(pos)
-        # (beta, beta) = 1: sum_i beta_i 2(alpha_i, beta) = 2
-        norms = mul(roots, self.pairings(roots), lev).sum(axis=1)
-        if (norms[:, 0] != 2).any() or norms[:, 1:].any():
-            raise AssertionError("root does not have unit norm")
-        # exact positivity; the sign of each distinct coordinate once
-        coords = roots.reshape(R * l, -1)
-        sign_of = {}
-        for c in coords:
-            sign_of.setdefault(c.tobytes(), sign(c, lev))
-        signs = np.array([sign_of[c.tobytes()] for c in coords]).reshape(R, l)
+        coords, at = np.unique(roots.reshape(R * l, -1), axis=0,
+                               return_inverse=True)
+        signs = np.array([sign(c, lev) for c in coords])[at].reshape(R, l)
         if (signs < 0).any() or not (signs > 0).any(axis=1).all():
             raise AssertionError("enumerated root is not positive")
 
-        self.pos_roots = roots
-        self.nroots = R
-        self._root_parent = parent
-        self._root_base_simple = base_simple
+        self.pos_roots, self.nroots = roots, R
+        self._root_parent, self._root_base_simple = parent, base_simple
 
         # generator action on signed roots: r -> s_i(r), r + R -> -s_i(r)
         img = np.array(images, dtype=np.int64).T
         img = np.where(img < 0, ~img + R, img)
         perm = np.concatenate([img, (img + R) % (2 * R)], axis=1)
         self.gen_root_perm = tuple(map(tuple, perm.tolist()))
-
-    def _build_root_classes(self):
-        """root_classes[c]: the positive roots descending from the simple
-        roots of the c-th odd component, whose reflections form a
-        conjugacy class (tests compare them with the root orbits)."""
-        self.root_classes = tuple(
-            tuple(r for r, b in enumerate(self._root_base_simple) if b in comp)
-            for comp in self.matrix.odd_components())
 
     def _orbit_chain_order(self) -> int:
         """|W| = |W delta| |W_J| for delta in the closed chamber
@@ -401,8 +383,11 @@ class GroupTable(RootSystem):
         unsigned dtype holding 2R - 1: uint8 for every preset up to E8,
         uint16 for I2(m) with m > 128;
       - conj_refl_table() follows the same rule on |T| - 1;
-      - rmult, inv_arr, length_arr and the BFS parents are int32, the
-        BFS last letters uint8.
+      - rmult[w, i] = w s_i, inv_arr, length_arr and the BFS parents
+        are int32, the BFS last letters uint8.
+    Reflection k is element refl_elems[k], in ascending order, with
+    positive root refl_roots[k]; refl_of_root inverts refl_roots.  All
+    three are intp, one entry per positive root.
     """
 
     def __init__(self, source: CoxeterMatrix | RootSystem):
@@ -415,7 +400,11 @@ class GroupTable(RootSystem):
                                  "the group is finite but larger than the cap")
         self._build_elements()
         self._build_reflections()
-        self._build_classes()
+        # reflection i < l is s_i, so the classes, those of root_classes,
+        # come ordered by their least index, as the odd components are
+        self.classes: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sorted(self.refl_of_root[list(c)].tolist()))
+            for c in self.root_classes)
         self._mult = None
         self._conj_refl = None
 
@@ -429,15 +418,21 @@ class GroupTable(RootSystem):
         s_i(beta_r), which is positive except at r = i, where
         s_i(alpha_i) = -alpha_i and the entry is negated.  An element
         acts linearly, so its images of the l simple roots fix it:
-        perms[:, :l] is its key.  Only up-moves
-        create elements: w(alpha_i) > 0 iff l(w s_i) = l(w) + 1.  A
-        level's candidates are numbered by first appearance, parent-major
-        and generator-minor, which is ShortLex order of the reduced
-        words; each down-move is an up edge reversed, (w s_i) s_i = w.
-        Inverses walk the reversed words through rmult and are checked on
-        the simple roots only, w^-1(w(alpha_j)) = alpha_j: an element
-        fixing every simple root is the identity, so this n x l check is
-        complete.  Both checks run one length level at a time.
+        perms[:, :l] is its key.  Only up-moves create elements:
+        w(alpha_i) > 0 iff l(w s_i) = l(w) + 1 (Humphreys, Reflection
+        Groups and Coxeter Groups, 5.4).  A level's candidates are
+        numbered by first appearance, parent-major and generator-minor,
+        which is ShortLex order of the reduced words.
+
+        rmult is total: every candidate (w, i), not only the first of
+        its element, writes w s_i into row w and its reverse
+        (w s_i) s_i = w into row w s_i.  A pair (v, i) that is no up-move
+        has l(v s_i) = l(v) - 1, so (v s_i, i) is an up-move of the level
+        before, a candidate, and wrote row v.  length_arr is the BFS
+        level, and the number of positive roots w makes negative is
+        l(w) (Humphreys 5.6).  Inverses read each word backwards through
+        rmult: w = s_a ... s_b gives w^-1 = s_b ... s_a, as each s_i is
+        an involution.
         """
         l, R = self.rank, self.nroots
         dtype = np.min_scalar_type(2 * R - 1)
@@ -492,106 +487,67 @@ class GroupTable(RootSystem):
 
         if hi != self.order:
             raise AssertionError("enumerated |W| differs from the orbit chain's")
-        n = hi
         sizes = [len(lev) for lev in levels]
-        bounds = np.cumsum([0] + sizes)
         # each per-level list is released once its table is whole
         self.perms = np.concatenate(levels)
         del levels
         self.rmult = rmult = np.concatenate(blocks)
         del blocks
-        if (rmult < 0).any():
-            raise AssertionError("a right multiple is not an up- or down-move")
         self.length_arr = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
-        parent, last = np.concatenate(parents), np.concatenate(lasts)
-        self._parent, self._last = parent, last
+        self.parent = parent = np.concatenate(parents)
+        self.last = last = np.concatenate(lasts)
 
-        inv = np.zeros(n, dtype=np.int32)
-        cur = np.arange(n, dtype=np.int32)
-        for b in bounds[1:-1]:
+        inv = np.zeros(hi, dtype=np.int32)
+        cur = np.arange(hi, dtype=np.int32)
+        for b in np.cumsum(sizes[:-1]):
             # ids from b on are longer than the steps taken: one more letter
             inv[b:] = rmult[inv[b:], last[cur[b:]]]
             cur[b:] = parent[cur[b:]]
         self.inv_arr = inv
 
-        simple = np.arange(l)
-        for d, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-            rows = self.perms[a:b]
-            # length via the root system must agree with the BFS word length
-            if ((rows >= R).sum(axis=1) != d).any():
-                raise AssertionError(
-                    "root-counting length disagrees with BFS length")
-            img = rows[:, :l]
-            back = self.perms[inv[a:b, None], img % R]
-            back = np.where(img >= R, neg[back], back)
-            if (back != simple).any():
-                raise AssertionError("inverse table fails on the simple roots")
-
     def _build_reflections(self):
-        R = self.nroots
+        """The reflection s_beta of each positive root, along the root
+        closure: s_alpha_i = s_i, and beta = s_i beta' gives s_beta =
+        s_i s_beta' s_i (Humphreys 5.7, w s_beta w^-1 = s_w(beta)), the
+        left factor by s_i y = (y^-1 s_i)^-1.
+
+        So each refl_elems[k] is a reflection, an involution negating its
+        root refl_roots[k], and distinct roots give distinct reflections
+        (Humphreys 5.7), so sorting by element id is a bijection.  Every
+        reflection has odd length: l(s_i x s_i) has the parity of l(x),
+        as each letter changes the length by one, and l(s_i) = 1.
+        """
         rmult, inv = self.rmult, self.inv_arr
-        refl_elem_of_root = [0] * R
-        for r in range(R):
-            par = self._root_parent[r]
+        elem = np.zeros(self.nroots, dtype=np.intp)
+        for r, par in enumerate(self._root_parent):
             if par is None:
-                refl_elem_of_root[r] = 1 + r  # generator ids are 1..l
+                elem[r] = 1 + r          # generator ids are 1..l
             else:
-                # s_beta = s_i s_beta' s_i, left factor by s_i y = (y^-1 s_i)^-1
                 i, pr = par
-                y = rmult[refl_elem_of_root[pr], i]
-                refl_elem_of_root[r] = int(inv[rmult[inv[y], i]])
-        if len(set(refl_elem_of_root)) != R:
-            raise AssertionError("reflection/positive-root map is not injective")
+                elem[r] = inv[rmult[inv[rmult[elem[pr], i]], i]]
+        self.refl_roots = np.argsort(elem)
+        self.refl_elems = elem[self.refl_roots]
+        self.refl_of_root = np.argsort(self.refl_roots)
 
-        order = sorted(range(R), key=lambda r: refl_elem_of_root[r])
-        self.reflections: tuple[Reflection, ...] = tuple(
-            Reflection(index=k, elem=refl_elem_of_root[r], root=r)
-            for k, r in enumerate(order))
-        self.refl_of_root = [0] * R
-        for refl in self.reflections:
-            self.refl_of_root[refl.root] = refl.index
-
-        for refl in self.reflections:
-            e = refl.elem
-            if self.length_arr[e] % 2 != 1:
-                raise AssertionError("reflection of even length")
-            if self.mul(e, e) != 0:
-                raise AssertionError("reflection is not an involution")
-            if self.perms[e][refl.root] != refl.root + R:
-                raise AssertionError("reflection does not negate its root")
-
-    def _build_classes(self):
-        """Conjugacy classes of reflections (indices), those of
-        root_classes.  Reflection i < l is s_i, so the classes come
-        ordered by their least index, as the odd components are."""
-        self.classes: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(self.refl_of_root[r] for r in c))
-            for c in self.root_classes)
-
-    # -- elementary operations ---------------------------------------------
-
-    def simple_reflection(self, i: int) -> int:
-        return int(self.rmult[0][i])
+    # -- words ---------------------------------------------------------------
 
     def word(self, w: int) -> tuple[int, ...]:
         """w's ShortLex word, read up the BFS tree."""
         word = ()
         while w:
-            word, w = (int(self._last[w]),) + word, int(self._parent[w])
+            word, w = (int(self.last[w]),) + word, int(self.parent[w])
         return word
 
-    def mul(self, a: int, b: int) -> int:
-        x = a
-        for i in self.word(b):
-            x = int(self.rmult[x][i])
-        return x
+    def element(self, word) -> int:
+        """The element of a word, its letters applied left to right
+        through rmult from the identity: element(word(w)) = w.  The word
+        need not be reduced."""
+        w = 0
+        for i in word:
+            w = int(self.rmult[w, i])
+        return w
 
-    def inv(self, a: int) -> int:
-        return int(self.inv_arr[a])
-
-    def conj(self, w: int, x: int) -> int:
-        """w > x = w x w^-1."""
-        return self.mul(self.mul(w, x), self.inv(w))
+    # -- tables built on first use -------------------------------------------
 
     def mult_table(self) -> np.ndarray:
         """Dense |W| x |W| multiplication table (built on first use).
@@ -602,7 +558,7 @@ class GroupTable(RootSystem):
         """
         if self._mult is None:
             n = self.order
-            parent, last = self._parent, self._last
+            parent, last = self.parent, self.last
             left = self.inv_arr[self.rmult[self.inv_arr]].T  # [s, b]: s b
             M = np.empty((n, n), dtype=np.int32)
             M[0] = np.arange(n, dtype=np.int32)
@@ -621,13 +577,12 @@ class GroupTable(RootSystem):
         narrowest unsigned dtype holding |T| - 1.
 
         w s_beta w^-1 = s_(w(beta)), and s_(-gamma) = s_gamma, so column y
-        is the reflection of the signed root perms[w, root(y)].
+        is the reflection of the signed root perms[w, refl_roots[y]].
         """
         if self._conj_refl is None:
-            roots = [t.root for t in self.reflections]
-            of_signed = np.array(2 * self.refl_of_root, dtype=np.min_scalar_type(
-                len(self.reflections) - 1))
-            self._conj_refl = of_signed[self.perms[:, roots]]
+            of_signed = np.tile(self.refl_of_root, 2).astype(
+                np.min_scalar_type(self.nroots - 1))
+            self._conj_refl = of_signed[self.perms[:, self.refl_roots]]
         return self._conj_refl
 
 

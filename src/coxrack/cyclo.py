@@ -188,11 +188,9 @@ def regular_matrix(arr: np.ndarray, n: int) -> np.ndarray:
 
 def galois(a: np.ndarray, n: int, j: int) -> np.ndarray:
     """The conjugate zeta -> zeta^j of a, for j prime to n (j = -1 is
-    complex conjugation)."""
-    phi = a.shape[-1]
-    raw = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
-    raw[..., (j * np.arange(phi)) % n] = a
-    return raw @ reduction_matrix(n)
+    complex conjugation): zeta^k goes to zeta^(jk), the row jk mod n of
+    reduction_matrix(n), for the phi(n) powers k of the basis."""
+    return a @ reduction_matrix(n)[(j * np.arange(a.shape[-1])) % n]
 
 
 def _enclosure(a, n: int, bits: int = 64) -> tuple[int, int]:

@@ -161,12 +161,13 @@ class GradedModule:
         braid = compose(dim, k, gen_actions[:2] * g.matrix.entry(0, 1))
         if not braid.equal(one):
             raise ValueError("the braid relation does not act as the identity")
-        # grading compatibility for the generators
+        # grading compatibility for the generators: s_i d s_i, the left
+        # factor by s_i y = (y^-1 s_i)^-1
+        deg = np.array(degrees, dtype=np.intp)
         for i, op in enumerate(gen_actions):
-            s = g.simple_reflection(i)
-            for v in range(dim):
-                if degrees[int(op.perm[v])] != g.conj(s, degrees[v]):
-                    raise ValueError("action violates the grading rule")
+            conj = g.inv_arr[g.rmult[g.inv_arr[g.rmult[deg, i]], i]]
+            if not np.array_equal(deg[op.perm], conj):
+                raise ValueError("action violates the grading rule")
 
     @property
     def dim(self) -> int:
@@ -235,23 +236,19 @@ def u_module(g: GroupTable, j: int, primed: bool = False) -> GradedModule:
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
     k = 6
-    s = g.simple_reflection(0)
-    c = g.mul(s, g.simple_reflection(1))      # the rotation s s'
 
-    def power(base, e):
-        acc = 0
-        for _ in range(e):
-            acc = g.mul(acc, base)
-        return acc
+    def s_c(e):
+        """The element s c^e, c = s s' the rotation."""
+        return g.element((0,) + (0, 1) * e)
 
     if not primed:
         # basis e_s, e_(s c^2), e_(s c^4); exponents of -1 are 3 mod 6
-        degrees = (s, g.mul(s, power(c, 2)), g.mul(s, power(c, 4)))
+        degrees = (s_c(0), s_c(2), s_c(4))
         s_act = _monomial(k, [(3, 0), (3 * (j + 1), 2), (3 * (j + 1), 1)])
         c_act = _monomial(k, [(0, 2), (3 * j, 0), (0, 1)])
     else:
         # basis e_(s c), e_(s c^5), e_(s c^3)
-        degrees = (g.mul(s, c), g.mul(s, power(c, 5)), g.mul(s, power(c, 3)))
+        degrees = (s_c(1), s_c(5), s_c(3))
         s_act = _monomial(k, [(3, 1), (3, 0), (3 * (j + 1), 2)])
         c_act = _monomial(k, [(0, 1), (0, 2), (3 * j, 0)])
     sp_act = compose(3, k, [s_act, c_act])  # s' = s c
@@ -263,9 +260,7 @@ def v31_module(g: GroupTable) -> GradedModule:
     """Two-dimensional module in central degree: rotation acts by zeta^(+-1)."""
     _require_i26(g)
     k = 6
-    s = g.simple_reflection(0)
-    c = g.mul(s, g.simple_reflection(1))
-    c3 = g.mul(c, g.mul(c, c))
+    c3 = g.element((0, 1) * 3)                   # c^3, c = s s'
     s_act = _monomial(k, [(0, 1), (0, 0)])       # swap the weight vectors
     c_act = _monomial(k, [(1, 0), (5, 1)])
     sp_act = compose(2, k, [s_act, c_act])

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable, RootSystem
-from .nichols import _memory_limit_bytes
+from .nichols import memory_limit_bytes
 from .racks import (
     cohomologous_solve,
     q_minus,
@@ -109,7 +109,7 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
             for i in range(l):
                 if i == j:
                     continue
-                top = tops[(g._last[lo:hi] == j) & descent[lo:hi, i]]
+                top = tops[(g.last[lo:hi] == j) & descent[lo:hi, i]]
                 m = g.matrix.entry(i, j)
                 bit = np.full(top.size, (m + 1) % 2, dtype=np.uint8)
                 x = rmult[top, i]
@@ -165,7 +165,7 @@ class ExtGroup:
         points = np.arange(2 * n)
         if not np.array_equal(self.gen_perms[self.nt], (points + n) % (2 * n)):
             raise AssertionError("z is not numbered (w, eps) -> (w, eps + 1)")
-        if not np.array_equal(self.gen_perms[g._last[1:], g._parent[1:]],
+        if not np.array_equal(self.gen_perms[g.last[1:], g.parent[1:]],
                               points[1:n]):
             raise AssertionError("a ShortLex tree edge is not numbered (w, 0)")
         # left multiplication by each t_i: t_i (v s) = (t_i v) t_s and
@@ -189,8 +189,8 @@ def _tree_walk(g: GroupTable, start: np.ndarray, table: np.ndarray):
     block = start[None]
     yield 0, 1, block
     for prev, lo, hi in zip(bounds[:-2], bounds[1:-1], bounds[2:]):
-        block = np.take(block, g._parent[lo:hi] - prev, axis=0)
-        block += g._last[lo:hi, None] * width    # into row i of table
+        block = np.take(block, g.parent[lo:hi] - prev, axis=0)
+        block += g.last[lo:hi, None] * width    # into row i of table
         # the indices are in range; "clip" only keeps np.take from
         # buffering `out`, which is the index array, as "raise" does
         np.take(flat, block, out=block, mode="clip")
@@ -246,7 +246,7 @@ def build_section(g: GroupTable, ext: ExtGroup) -> np.ndarray:
     tconj[s, rho(y)] = rho(x) z.  The tests recompute every path.
     """
     zp = ext.gen_perms[ext.nt]
-    elems = np.array([t.elem for t in g.reflections])
+    elems = g.refl_elems
     length = g.length_arr[elems]
     conj = g.conj_refl_table()[g.rmult[0]]     # [i, x]: s_i > x
     down = length[conj] == length - 2
@@ -271,10 +271,10 @@ def check_vendramin(g: GroupTable, ext: ExtGroup, rho: np.ndarray):
     Returns None on success, else the witness pair (s, y) as element ids.
     """
     zp = ext.gen_perms[ext.nt]
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    refl_elems = g.refl_elems
     conj_refl = g.conj_refl_table()
     for i in range(g.rank):
-        s = g.simple_reflection(i)
+        s = 1 + i                        # s_i's element id
         lhs = ext.tconj[i, rho[refl_elems]]
         rhs = rho[refl_elems[conj_refl[s]]]
         rhs = np.where(refl_elems != s, zp[rhs], rhs)
@@ -305,7 +305,7 @@ def check_global(g: GroupTable, ext: ExtGroup, rho: np.ndarray):
     q- = det is multiplicative, so q+ is equivariant as well.
     """
     zp = ext.gen_perms[ext.nt]
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    refl_elems = g.refl_elems
     conj_refl = g.conj_refl_table()
     qp = q_plus_table(g)
     parity = (g.length_arr % 2).astype(np.uint8)
@@ -393,7 +393,7 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
     Reads only the |T| rows of phi at T: x > y is a reflection.  Returns
     None on success, else the first witness (x, y) in row-major order.
     """
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    refl_elems = g.refl_elems
     conj_refl = g.conj_refl_table()[refl_elems]      # [a, b]: x_a > x_b
     rows = phi.table.rows(refl_elems)
     want = rows[:, refl_elems] ^ rows[conj_refl, refl_elems[:, None]] ^ qm
@@ -608,7 +608,7 @@ def require_certify_memory(roots: RootSystem) -> int:
     row = n * (2 * len(str(n - 1)) + 4)
     text = (CHECKSUM_BUFFERS + 1) * max(CHECKSUM_BLOCK_BYTES, 4 * row)
     need = 16 * n * (R + 1) + chunks + levels + text
-    limit = _memory_limit_bytes()
+    limit = memory_limit_bytes()
     if need > limit:
         raise MemoryError(f"certifying |W| = {n} needs about {need} bytes, "
                           f"memory limit {limit}")
@@ -656,7 +656,7 @@ def twist_certificate(g: GroupTable) -> dict:
         "matrix": [list(r) for r in matrix.rows],
         "order_w": g.order,
         "order_wtilde": ext.order,
-        "reflections": len(g.reflections),
+        "reflections": g.nroots,
         "all_odd": all_odd,
         "split": all_odd,
         "split_bits": split_bits,

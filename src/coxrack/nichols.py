@@ -253,7 +253,7 @@ def _mem_available() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _memory_limit_bytes() -> int:
+def memory_limit_bytes() -> int:
     """The memory the kernel will give, or the soft address-space limit
     if that is lower."""
     avail = _mem_available()
@@ -295,7 +295,7 @@ class _SpanLadder:
     def __init__(self, V: BraidedSpace, p: int, omega: int):
         d = V.dim
         self.d, self.p = d, p
-        self.limit = _memory_limit_bytes()
+        self.limit = memory_limit_bytes()
         # grades are permutations in the smallest integer type of a letter
         self.tgt = V.target.astype(np.min_scalar_type(d))
         self.tinv = np.argsort(self.tgt, axis=1).astype(self.tgt.dtype)
@@ -459,7 +459,7 @@ def ladder_ranks_iter(V: BraidedSpace, p: int, omega: int):
 
     The only limit is memory, in bytes: the smaller of what the kernel
     reports available and the soft address-space limit
-    (_memory_limit_bytes, read once).  DegreeTooLargeError is raised
+    (memory_limit_bytes, read once).  DegreeTooLargeError is raised
     before a degree if the sum would pass it of the pivot columns and
     letter matrices of the degree before, its own (at most c^2 int32
     cells for c candidates), its largest block with elimination's copies,

@@ -6,7 +6,10 @@ q+ (+1/-1 according to where the acting element sends the positive
 root) and the determinant cocycle q-.  Each is one |T| x |T| table:
 Rack.act holds x_i > x_j as reflection indices (intp), and a cocycle
 holds exponents mod 2 (uint8), the value being (-1)^e, so the
-cohomologous question is a linear system over GF(2).
+cohomologous question is a linear system over GF(2).  q- is constantly
+-1 on T, since every reflection has odd length: s_beta = s_i s_beta' s_i
+with beta = s_i beta', each letter changes the length by one, so
+conjugating by s_i keeps its parity, and l(s_i) = 1.
 
 Nothing here checks the rack axioms or the cocycle identity, because
 every command that reads these tables has checked them already:
@@ -61,8 +64,8 @@ class Rack(NamedTuple):
 def reflection_rack(g: GroupTable) -> Rack:
     """The rack of all reflections, in reflection-index order: the rows
     of conj_refl_table at the reflections.  Subracks are Rack.subrack."""
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.intp)
-    return Rack(refl_elems, g.conj_refl_table()[refl_elems].astype(np.intp))
+    return Rack(g.refl_elems,
+                g.conj_refl_table()[g.refl_elems].astype(np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -77,19 +80,18 @@ def q_plus_table(g: GroupTable) -> np.ndarray:
     the negative roots.  (That this is the length drop l(w y) < l(w),
     Humphreys 5.7, is checked by a test oracle.)
     """
-    roots = np.array([t.root for t in g.reflections], dtype=np.int64)
-    return (g.perms[:, roots] >= g.nroots).astype(np.uint8)
+    return (g.perms[:, g.refl_roots] >= g.nroots).astype(np.uint8)
 
 
 def q_plus(g: GroupTable) -> np.ndarray:
     """Root-sign cocycle on T x T (exponents mod 2)."""
-    return q_plus_table(g)[[t.elem for t in g.reflections]]
+    return q_plus_table(g)[g.refl_elems]
 
 
 def q_minus(g: GroupTable) -> np.ndarray:
     """Determinant cocycle on T x T: constantly -1, as every reflection
-    has odd length (GroupTable checks it when it builds T)."""
-    n = len(g.reflections)
+    has odd length (the parity argument in the module docstring)."""
+    n = g.nroots
     return np.ones((n, n), dtype=np.uint8)
 
 

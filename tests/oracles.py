@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from coxrack.cyclo import euler_phi, mul, sign
+from coxrack.cyclo import euler_phi, mul, reduction_matrix, sign
 from coxrack.dihedral import GradedModule, braided_from_graded, u_module
 from coxrack.extension import CertificationError, ExtGroup, GroupCocycle2
 from coxrack.modlin import primes_one_mod, root_of_unity_mod, row_reduce_mod
@@ -50,6 +50,14 @@ def cos_enclosures_by_fractions(n: int) -> tuple[tuple[int, int], ...]:
         out.append((math.floor((s - err) * scale),
                     math.ceil((s + err) * scale)))
     return tuple(out)
+
+
+def galois_by_scatter(a: np.ndarray, n: int, j: int) -> np.ndarray:
+    """cyclo.galois as first written: the coefficients scattered to the
+    powers jk mod n of an n-wide count array, then reduced."""
+    raw = np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
+    raw[..., (j * np.arange(a.shape[-1])) % n] = a
+    return raw @ reduction_matrix(n)
 
 
 # -- Matsumoto section: braid lifts of permutations ----------------------------
@@ -199,10 +207,10 @@ def reflection_classes_by_orbits(g) -> tuple[tuple[int, ...], ...]:
     the simple reflections, s_i s_beta s_i = s_(s_i beta), on the
     positive roots; ordered by smallest index, as GroupTable.classes."""
     orbits, seen = [], set()
-    for refl in g.reflections:
-        if refl.index in seen:
+    for index, root in enumerate(g.refl_roots.tolist()):
+        if index in seen:
             continue
-        orbit, frontier = {refl.root}, [refl.root]
+        orbit, frontier = {root}, [root]
         while frontier:
             r = frontier.pop()
             for perm in g.gen_root_perm:
@@ -210,7 +218,7 @@ def reflection_classes_by_orbits(g) -> tuple[tuple[int, ...], ...]:
                 if q not in orbit:
                     orbit.add(q)
                     frontier.append(q)
-        ids = tuple(sorted(g.refl_of_root[r] for r in orbit))
+        ids = tuple(sorted(int(g.refl_of_root[r]) for r in orbit))
         orbits.append(ids)
         seen.update(ids)
     return tuple(sorted(orbits, key=min))
@@ -220,11 +228,11 @@ def conjugacy_graph(g) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Out-edges (i, y) of each reflection x, by multiplying along words:
     x --s_i--> y iff y = s_i > x and l(x) = l(y) + 2."""
     edges, index = [], refl_index_of_elem(g)
-    for refl in g.reflections:
-        lx = g.length_arr[refl.elem]
+    for x in g.refl_elems.tolist():
+        lx = g.length_arr[x]
         outs = []
         for i in range(g.rank):
-            y = g.conj(g.simple_reflection(i), refl.elem)
+            y = g.element((i,) + g.word(x) + (i,))
             if g.length_arr[y] == lx - 2:
                 outs.append((i, int(index[y])))
         if lx > 1 and not outs:
@@ -248,7 +256,7 @@ def path_words(g, graph, refl_index: int) -> list[tuple[int, ...]]:
     def walk(r, prefix):
         outs = graph[r]
         if not outs:
-            words.append(tuple(prefix) + (g.reflections[r].elem - 1,)
+            words.append(tuple(prefix) + (int(g.refl_elems[r]) - 1,)
                          + tuple(reversed(prefix)))
             return
         for gen, target in outs:
@@ -295,13 +303,81 @@ def reduced_expressions(g, e: int) -> set[tuple[int, ...]]:
 
 def palindromic_expressions(g, refl_index: int) -> set[tuple[int, ...]]:
     """P(x) computed as mirrors of R(x), cross-checked against graph paths."""
-    refl = g.reflections[refl_index]
-    mirrored = {mirror(w) for w in reduced_expressions(g, refl.elem)}
+    x = int(g.refl_elems[refl_index])
+    mirrored = {mirror(w) for w in reduced_expressions(g, x)}
     paths = set(path_words(g, conjugacy_graph(g), refl_index))
     if mirrored != paths:
         raise AssertionError(
-            f"mirrored reduced words and graph paths disagree at {refl}")
+            f"mirrored reduced words and graph paths disagree at {x}")
     return mirrored
+
+
+# -- what the group build proves, checked on its tables -----------------------
+
+
+def check_root_norms(roots):
+    """(beta, beta) = 1 for every positive root, with the form doubled:
+    sum_i beta_i 2(alpha_i, beta) = 2.  Raises AssertionError."""
+    norms = mul(roots.pos_roots, roots.pairings(roots.pos_roots),
+                roots.level).sum(axis=1)
+    if (norms[:, 0] != 2).any() or norms[:, 1:].any():
+        raise AssertionError("root does not have unit norm")
+
+
+def act_on_signed(g, w, x):
+    """w(x) on signed root indices, read from w's positive-root images:
+    w(-beta) = -w(beta).  Broadcasts over w and x."""
+    R = g.nroots
+    img = g.perms[w, x % R].astype(np.intp)
+    return np.where(x >= R, (img + R) % (2 * R), img)
+
+
+def check_right_multiples(g):
+    """Every entry of rmult is an element, and (w s_i)(beta) =
+    w(s_i beta) on every positive root: an element is fixed by its root
+    images, so this pins all of rmult.  Raises AssertionError."""
+    R, rmult = g.nroots, g.rmult
+    if rmult.min() < 0 or rmult.max() >= g.order:
+        raise AssertionError("a right multiple is not an up- or down-move")
+    w = np.arange(g.order)[:, None]
+    for i, perm in enumerate(g.gen_root_perm):
+        want = act_on_signed(g, w, np.array(perm[:R]))
+        if not np.array_equal(g.perms[rmult[:, i]], want):
+            raise AssertionError("a right multiple has the wrong root images")
+
+
+def check_lengths(g):
+    """l(w), the BFS level, is the number of positive roots w sends to
+    negative roots (Humphreys 5.6).  Raises AssertionError."""
+    if not np.array_equal((g.perms >= g.nroots).sum(axis=1), g.length_arr):
+        raise AssertionError("root-counting length disagrees with BFS length")
+
+
+def check_inverses(g):
+    """w^-1(w(alpha_j)) = alpha_j for every w and simple root: an element
+    fixing every simple root is the identity.  Raises AssertionError."""
+    back = act_on_signed(g, g.inv_arr[:, None], g.perms[:, :g.rank])
+    if (back != np.arange(g.rank)).any():
+        raise AssertionError("inverse table fails on the simple roots")
+
+
+def check_reflections(g):
+    """The reflections: refl_elems ascending, so the map from roots is
+    injective, refl_of_root the inverse of refl_roots, and each element
+    of odd length, an involution and negating its root.  Raises
+    AssertionError."""
+    R, elems, roots = g.nroots, g.refl_elems, g.refl_roots
+    if not (np.diff(elems) > 0).all():
+        raise AssertionError("reflection/positive-root map is not injective")
+    if not np.array_equal(g.refl_of_root[roots], np.arange(R)):
+        raise AssertionError("refl_of_root does not invert refl_roots")
+    if not (g.length_arr[elems] % 2).all():
+        raise AssertionError("reflection of even length")
+    if not np.array_equal(act_on_signed(g, elems[:, None], g.perms[elems]),
+                          np.broadcast_to(np.arange(R), (R, R))):
+        raise AssertionError("reflection is not an involution")
+    if not np.array_equal(g.perms[elems, roots], roots + R):
+        raise AssertionError("reflection does not negate its root")
 
 
 # -- the extension by Todd-Coxeter enumeration ---------------------------------
@@ -501,15 +577,15 @@ def path_section_witness(g, ext, rho):
     """
     zp = ext.gen_perms[ext.nt]
     graph = conjugacy_graph(g)
-    for refl in g.reflections:
-        for word in path_words(g, graph, refl.index):
+    for index, x in enumerate(g.refl_elems.tolist()):
+        for word in path_words(g, graph, index):
             val = 0
             for letter in word:
                 val = int(ext.gen_perms[letter, val])
             if len(word) // 2 % 2:
                 val = int(zp[val])
-            if val != rho[refl.elem]:
-                return (refl.elem, list(word))
+            if val != rho[x]:
+                return (x, list(word))
     return None
 
 
@@ -627,12 +703,11 @@ def dense_check_vendramin(g, ext, rho):
     inv = ext_inv_table(ext, M)
     z = g.order
     for i in range(g.rank):
-        s = g.simple_reflection(i)
+        s = 1 + i
         rs = rho[s]
-        for refl in g.reflections:
-            y = refl.elem
+        for y in g.refl_elems.tolist():
             lhs = int(M[M[rs, rho[y]], inv[rs]])
-            rhs = rho[g.conj(s, y)]
+            rhs = rho[product(g, s, y, s)]
             if s != y:
                 rhs = int(M[rhs, z])
             if lhs != rhs:
@@ -648,7 +723,7 @@ def dense_check_global(g, ext, rho):
     eplus = q_plus_table(g)
     parity = (g.length_arr % 2).astype(np.uint8)
     conj_refl = g.conj_refl_table()
-    refl_elems = np.array([t.elem for t in g.reflections], dtype=np.int64)
+    refl_elems = g.refl_elems
     zmul = M[:, z]
     for w in range(g.order):
         rw = int(rho[w])
@@ -742,7 +817,7 @@ def dense_phi_identities(g, ext, rho, table):
     z = g.order
     rho_inv = inv[rho]
 
-    simples = [g.simple_reflection(i) for i in range(g.rank)]
+    simples = range(1, g.rank + 1)
     witness = dense_cocycle_identity_witness(MW, table, simples)
     if witness is not None:
         raise CertificationError("phi-cocycle-identity", list(witness))
@@ -779,7 +854,7 @@ def dense_check_equivariance(g, table) -> bool:
 def refl_index_of_elem(g) -> np.ndarray:
     """(|W|,) reflection index of each element, -1 off the reflections."""
     out = np.full(g.order, -1, dtype=np.int64)
-    out[[t.elem for t in g.reflections]] = [t.index for t in g.reflections]
+    out[g.refl_elems] = np.arange(g.nroots)
     return out
 
 
@@ -787,17 +862,17 @@ def q_minus_table(g) -> np.ndarray:
     """(|W|, |T|) exponent table of the determinant function on W x T:
     the parity of l(w) in every column."""
     col = (g.length_arr % 2).astype(np.uint8)
-    return np.repeat(col[:, None], len(g.reflections), axis=1)
+    return np.repeat(col[:, None], g.nroots, axis=1)
 
 
 def q_plus_table_by_length(g) -> np.ndarray:
     """The length-drop criterion l(w y) < l(w) on W x T, the products w y
     formed for all w at once by walking y's word through rmult.  It equals
     the root criterion of racks.q_plus_table (Humphreys 5.7)."""
-    out = np.empty((g.order, len(g.reflections)), dtype=np.uint8)
-    for k, t in enumerate(g.reflections):
+    out = np.empty((g.order, g.nroots), dtype=np.uint8)
+    for k, y in enumerate(g.refl_elems.tolist()):
         wy = np.arange(g.order)
-        for i in g.word(t.elem):
+        for i in g.word(y):
             wy = g.rmult[wy, i]
         out[:, k] = g.length_arr[wy] < g.length_arr
     return out
@@ -840,12 +915,9 @@ def cohomologous_solve_by_elimination(q1, q2, X):
 # -- words, the length trichotomy and Chebyshev root sequences ----------------
 
 
-def elem_of_word(g, word) -> int:
-    """The element of a word, its letters applied left to right."""
-    x = 0
-    for i in word:
-        x = int(g.rmult[x][i])
-    return x
+def product(g, *elems) -> int:
+    """The product of elements of W, their ShortLex words concatenated."""
+    return g.element(sum((g.word(e) for e in elems), ()))
 
 
 def reflect_simple(g, i: int, v: np.ndarray) -> np.ndarray:
@@ -869,14 +941,14 @@ def length_trichotomy(g, beta_root: int, alpha_gen: int) -> Trichotomy:
         tag = Trichotomy.COMMUTE
     else:
         tag = Trichotomy.UP if s < 0 else Trichotomy.DOWN
-    sb = g.reflections[g.refl_of_root[beta_root]].elem
-    sa = g.simple_reflection(alpha_gen)
-    diff = g.length_arr[g.conj(sa, sb)] - g.length_arr[sb]
+    sb = int(g.refl_elems[g.refl_of_root[beta_root]])
+    sa = 1 + alpha_gen
+    diff = g.length_arr[product(g, sa, sb, sa)] - g.length_arr[sb]
     want = {Trichotomy.UP: 2, Trichotomy.DOWN: -2, Trichotomy.COMMUTE: 0}[tag]
     if diff != want:
         raise AssertionError(
             f"trichotomy tag {tag} does not match length change {diff}")
-    if tag is Trichotomy.COMMUTE and g.mul(sa, sb) != g.mul(sb, sa):
+    if tag is Trichotomy.COMMUTE and product(g, sa, sb) != product(g, sb, sa):
         raise AssertionError("commute tag but the reflections do not commute")
     return tag
 
@@ -961,8 +1033,7 @@ def chebyshev_sequence(g, beta_root: int, i: int, j: int) -> ChebyshevReport:
         if p < m - 1:
             vec = reflect_simple(g, a_next, vec)
 
-    start_len = int(
-        g.length_arr[g.reflections[g.refl_of_root[beta_root]].elem])
+    start_len = int(g.length_arr[g.refl_elems[g.refl_of_root[beta_root]]])
     if stall is not None:
         if m % 2 != 0 or stall != m // 2 - 1:
             raise AssertionError("shortcut stall at an impossible position")
@@ -978,12 +1049,12 @@ def chebyshev_sequence(g, beta_root: int, i: int, j: int) -> ChebyshevReport:
     r_last = root_index.get(vec.tobytes())  # beta_(m-1)
     if r_last is None:
         raise AssertionError("drop sequence left the positive roots")
-    s_last = g.reflections[g.refl_of_root[r_last]].elem
+    s_last = int(g.refl_elems[g.refl_of_root[r_last]])
     end_len = int(g.length_arr[s_last])
     if end_len != start_len - 2 * m + 2:
         raise AssertionError("drop case length bookkeeping failed")
-    s_m = g.simple_reflection(alpha_gen(m))
-    if g.mul(s_m, s_last) != g.mul(s_last, s_m):
+    s_m = 1 + alpha_gen(m)
+    if product(g, s_m, s_last) != product(g, s_last, s_m):
         raise AssertionError("final reflections fail to commute")
     if np.array_equal(vec, simple_vec[alpha_gen(m)]):
         raise AssertionError("drop case ended on alpha_(m)")
@@ -1023,11 +1094,7 @@ def dihedral_reflection_ids(g) -> list[int]:
     if g.rank != 2:
         raise NotDihedralError("group is not dihedral (rank != 2)")
     m = g.matrix.entry(0, 1)
-    step = g.mul(g.simple_reflection(1), g.simple_reflection(0))
-    ids = [g.simple_reflection(0)]
-    for _ in range(m - 1):
-        ids.append(g.mul(ids[-1], step))
-    return ids
+    return [g.element((0,) + (1, 0) * j) for j in range(m)]
 
 
 def dihedral_subrack(g, n: int) -> Rack:
@@ -1074,11 +1141,10 @@ def v0_module(g, j: int) -> GradedModule:
     s acts by (-1)^j and c by -1."""
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
-    c = g.mul(g.simple_reflection(0), g.simple_reflection(1))
     one = np.zeros(1, dtype=np.int64)
     s_act, sp_act = (MonomialOp(6, one, one + 3 * j % 6),
                      MonomialOp(6, one, one + 3 * (j + 1) % 6))  # s' = s c
-    return GradedModule(g=g, k=6, degrees=(g.mul(c, g.mul(c, c)),),
+    return GradedModule(g=g, k=6, degrees=(g.element((0, 1) * 3),),
                         gen_actions=(s_act, sp_act))
 
 
@@ -1091,7 +1157,7 @@ def u_module_cocycle(g, j: int, primed: bool = False):
     """
     mod = u_module(g, j, primed)
     space = braided_from_graded(mod)
-    refl_of_elem = {t.elem: t.index for t in g.reflections}
+    refl_of_elem = refl_index_of_elem(g).tolist()
     class_of = next(c for c in g.classes
                     if refl_of_elem[mod.degrees[0]] in c)
     order = {refl_of_elem[mod.degrees[b]]: b for b in range(mod.dim)}

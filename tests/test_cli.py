@@ -232,7 +232,7 @@ def test_hilbert_refuses_a_failed_twist(capsys, monkeypatch):
 
     def corrupted(g, ext):
         rho = real(g, ext).copy()
-        x = next(t.elem for t in g.reflections if g.length_arr[t.elem] > 1)
+        x = next(x for x in g.refl_elems if g.length_arr[x] > 1)
         rho[x] = ext.gen_perms[ext.nt][rho[x]]
         return rho
 
@@ -379,7 +379,7 @@ def test_memory_error_exits_1(capsys, monkeypatch):
 
 
 def test_memory_limit_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 13_715)
+    monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: 13_715)
     code, out, err = run(capsys, "hilbert", "A3", "--dmax", "3")
     assert code == 1
     assert out == ""
@@ -449,7 +449,7 @@ def test_certify_builds_the_root_system_once(capsys, monkeypatch):
 
 
 def test_certify_memory_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 2_000)
+    monkeypatch.setattr(extension, "memory_limit_bytes", lambda: 2_000)
     code, out, err = run(capsys, "certify", "A3")
     assert code == 1
     assert out == ""

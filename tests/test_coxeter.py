@@ -5,6 +5,7 @@ the builder: classical order formulas, and closure of floating-point
 reflection matrices.
 """
 
+import copy
 import math
 import tracemalloc
 
@@ -19,7 +20,6 @@ from coxrack.coxeter import (
     GroupTable,
     InvalidMatrixError,
     NotFiniteError,
-    Reflection,
     RootSystem,
     build_group,
     parse_matrix_file,
@@ -32,11 +32,16 @@ from oracles import (
     chebyshev_sequence,
     chebyshev_sweep,
     chebyshev_U,
+    check_inverses,
+    check_lengths,
+    check_reflections,
+    check_right_multiples,
+    check_root_norms,
     conjugacy_graph,
-    elem_of_word,
     length_trichotomy,
     mirror,
     palindromic_expressions,
+    product,
     q_minus_table,
     q_plus_table_by_length,
     path_words,
@@ -157,7 +162,7 @@ def test_orders_against_both_oracles(groups, name):
     g = groups(name)
     assert g.order == KNOWN_ORDERS[name]
     assert g.order == float_closure_order(g.matrix)
-    assert g.nroots == len(g.reflections)
+    assert g.nroots == len(g.refl_elems)
     assert g.order % 2 == 0
 
 
@@ -277,7 +282,7 @@ def test_orbit_chain_order_is_the_enumerated_order(groups, name):
 def test_e6_order_reflections_and_classes(groups):
     g = groups("E6")
     assert g.order == KNOWN_ORDERS["E6"]
-    assert len(g.reflections) == g.nroots == 36
+    assert len(g.refl_elems) == g.nroots == 36
     assert [len(c) for c in g.classes] == [36]
 
 
@@ -367,7 +372,7 @@ class LegacyGroupTable(GroupTable):
         inverses = np.argsort(self.perms, axis=1).astype(np.int32)
         self.inv_arr = np.array([index[q.tobytes()] for q in inverses],
                                 dtype=np.int32)
-        self._parent = self._last = None  # mult_table is not an oracle here
+        self.parent = self.last = None  # mult_table is not an oracle here
 
     def _build_reflections(self):
         R = self.nroots
@@ -384,12 +389,11 @@ class LegacyGroupTable(GroupTable):
                                 dtype=np.int32)
                 refl_elem_of_root[r] = self._perm_index[conj.tobytes()]
         order = sorted(range(R), key=lambda r: refl_elem_of_root[r])
-        self.reflections = tuple(
-            Reflection(index=k, elem=refl_elem_of_root[r], root=r)
-            for k, r in enumerate(order))
-        self.refl_of_root = [0] * R
-        for refl in self.reflections:
-            self.refl_of_root[refl.root] = refl.index
+        self.refl_roots = np.array(order, dtype=np.intp)
+        self.refl_elems = np.array([refl_elem_of_root[r] for r in order],
+                                   dtype=np.intp)
+        self.refl_of_root = np.empty(R, dtype=np.intp)
+        self.refl_of_root[order] = np.arange(R)
 
 
 # I2(129) has 2R - 1 = 257 signed roots, one more than uint8 holds.
@@ -425,8 +429,10 @@ def test_tables_match_legacy_builder(groups, legacy, name):
         assert new_arr.dtype == old_arr.dtype, attr
         assert np.array_equal(new_arr, old_arr), attr
     assert [g.word(w) for w in range(g.order)] == old.words
-    assert g.reflections == old.reflections
-    assert g.refl_of_root == old.refl_of_root
+    for attr in ("refl_elems", "refl_roots", "refl_of_root"):
+        new_arr, old_arr = getattr(g, attr), getattr(old, attr)
+        assert new_arr.dtype == old_arr.dtype == np.intp, attr
+        assert np.array_equal(new_arr, old_arr), attr
     assert g.classes == old.classes
 
 
@@ -440,10 +446,9 @@ def test_classes_are_the_orbits(groups, name):
 def test_conj_refl_table_matches_legacy_perms(groups, legacy, name):
     # the reflection of w(beta), read from the legacy 2R-column int32 table
     g, old = groups(name), legacy(name)
-    roots = [t.root for t in old.reflections]
-    want = np.array(old.refl_of_root)[old.perms[:, roots] % old.nroots]
+    want = old.refl_of_root[old.perms[:, old.refl_roots] % old.nroots]
     C = g.conj_refl_table()
-    assert C.dtype == np.min_scalar_type(len(g.reflections) - 1)
+    assert C.dtype == np.min_scalar_type(g.nroots - 1)
     assert np.array_equal(C, want)
 
 
@@ -466,8 +471,10 @@ def test_word_reads_the_shortlex_tree(groups, name):
     g = groups(name)
     for w in range(g.order):
         word = g.word(w)
-        assert elem_of_word(g, word) == w
+        assert g.element(word) == w
         assert len(word) == g.length_arr[w]
+    for i in range(g.rank):     # s_i is element 1 + i
+        assert g.word(1 + i) == (i,)
 
 
 def test_lengths_and_det(groups):
@@ -475,8 +482,7 @@ def test_lengths_and_det(groups):
     a2 = groups("A2")
     det = q_minus_table(a2)[:, 0]
     assert a2.length_arr[0] == 0 and det[0] == 0
-    for i in range(a2.rank):
-        s = a2.simple_reflection(i)
+    for s in (1, 2):
         assert a2.length_arr[s] == 1 and det[s] == 1
     w0 = int(np.argmax(a2.length_arr))
     assert a2.length_arr[w0] == 3 and det[w0] == 1
@@ -489,11 +495,12 @@ def test_lengths_and_det(groups):
 def test_group_axioms_small(groups):
     g = groups("A2")
     for a in range(g.order):
-        assert g.mul(0, a) == a == g.mul(a, 0)
-        assert g.mul(a, g.inv(a)) == 0
+        assert product(g, 0, a) == a == product(g, a, 0)
+        assert product(g, a, g.inv_arr[a]) == 0
         for b in range(g.order):
             for c in range(g.order):
-                assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
+                assert (product(g, product(g, a, b), c)
+                        == product(g, a, product(g, b, c)))
 
 
 def test_mult_table_matches_mul(groups):
@@ -502,7 +509,7 @@ def test_mult_table_matches_mul(groups):
     rng = np.random.default_rng(7)
     for _ in range(200):
         a, b = rng.integers(0, g.order, 2)
-        assert M[a, b] == g.mul(int(a), int(b))
+        assert M[a, b] == product(g, a, b)
 
 
 def mult_table_by_columns(g):
@@ -513,7 +520,7 @@ def mult_table_by_columns(g):
     M[:, 0] = np.arange(n, dtype=np.int32)
     for b in range(1, n):
         w = g.word(b)
-        M[:, b] = g.rmult[M[:, elem_of_word(g, w[:-1])], w[-1]]
+        M[:, b] = g.rmult[M[:, g.element(w[:-1])], w[-1]]
     return M
 
 
@@ -529,8 +536,7 @@ def test_mult_table_matches_column_oracle(groups, name):
 def conj_refl_table_by_mult(g):
     """Oracle: w > y = w y w^-1 read off the |W| x |W| table."""
     M = g.mult_table()
-    refl_elems = np.array([t.elem for t in g.reflections])
-    out = refl_index_of_elem(g)[M[M[:, refl_elems], g.inv_arr[:, None]]]
+    out = refl_index_of_elem(g)[M[M[:, g.refl_elems], g.inv_arr[:, None]]]
     assert (out >= 0).all(), "conjugate of a reflection is not a reflection"
     return out
 
@@ -547,25 +553,24 @@ def test_conj_refl_table_matches_mult_oracle(groups, name):
 def test_acts_negatively_examples_and_agreement(groups):
     def acts_negatively(g, w, t):
         # w sends the positive root of reflection t into the negative roots
-        return g.perms[w][g.reflections[t].root] >= g.nroots
+        return g.perms[w][g.refl_roots[t]] >= g.nroots
 
     a2 = groups("A2")
     # w = y = simple reflection: s(alpha_s) = -alpha_s
-    for i in range(2):
-        s = a2.simple_reflection(i)
+    for s in (1, 2):
         assert acts_negatively(a2, s, int(refl_index_of_elem(a2)[s]))
     # commuting generators fix each other's root
     a11 = build_group(CoxeterMatrix.from_rows([[1, 2], [2, 1]]))
-    y1 = int(refl_index_of_elem(a11)[a11.simple_reflection(1)])
-    assert not acts_negatively(a11, a11.simple_reflection(0), y1)
+    y1 = int(refl_index_of_elem(a11)[2])
+    assert not acts_negatively(a11, 1, y1)
     # A2: s1 s2 sends alpha_2 to -(alpha_1 + alpha_2)
-    w = elem_of_word(a2, (0, 1))
-    y = int(refl_index_of_elem(a2)[a2.simple_reflection(1)])
+    w = a2.element((0, 1))
+    y = int(refl_index_of_elem(a2)[2])
     assert acts_negatively(a2, w, y)
     # the root criterion agrees with the length drop l(w y) < l(w)
     for g in (a2, groups("B3")):
         by_root = np.array([[acts_negatively(g, w, t)
-                             for t in range(len(g.reflections))]
+                             for t in range(g.nroots)]
                             for w in range(g.order)], dtype=np.uint8)
         assert np.array_equal(by_root, q_plus_table_by_length(g))
 
@@ -584,19 +589,104 @@ def test_reflection_classes(groups):
 def test_reflection_root_bijection(groups):
     for name in ("A2", "B3", "I2(5)"):
         g = groups(name)
-        assert len(g.reflections) == g.nroots
-        for refl in g.reflections:
-            assert g.refl_of_root[refl.root] == refl.index
-            assert g.perms[refl.elem][refl.root] == refl.root + g.nroots
+        assert len(g.refl_elems) == len(g.refl_roots) == g.nroots
+        for index, (x, root) in enumerate(zip(g.refl_elems, g.refl_roots)):
+            assert g.refl_of_root[root] == index
+            assert g.perms[x][root] == root + g.nroots
+
+
+# what the build proves rather than checks (see the coxeter docstring)
+PROOF_PRESETS = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
+                 "H3", "D4", "F4", "H4", "E6"]
+
+
+@pytest.mark.parametrize("name", PROOF_PRESETS + ["E7", "E8"])
+def test_roots_have_unit_norm(name):
+    check_root_norms(RootSystem(preset_matrix(name)))
+
+
+@pytest.mark.parametrize("name", PROOF_PRESETS)
+def test_group_tables_hold_what_the_build_proves(groups, name):
+    g = groups(name)
+    check_right_multiples(g)
+    check_lengths(g)
+    check_inverses(g)
+    check_reflections(g)
+
+
+def planted(g, attr, fault):
+    """A shallow copy of g whose array `attr` is a copy with `fault`
+    applied to it."""
+    bad = copy.copy(g)
+    arr = getattr(g, attr).copy()
+    fault(arr)
+    setattr(bad, attr, arr)
+    return bad
+
+
+def test_build_oracles_catch_planted_faults(groups):
+    g = groups("B3")
+    w = int(np.argmax(g.length_arr == 4))
+
+    def flip(arr):              # w s_0 read as w s_1
+        arr[w, 0] = arr[w, 1]
+
+    def wrong(arr):
+        arr[w] = arr[w + 1]
+
+    def swap(arr):
+        arr[[2, 5]] = arr[[5, 2]]
+
+    def bump(arr):
+        arr[w] += 1
+
+    def unwritten(arr):         # -1, as the BFS leaves an unwritten entry
+        arr[w, 0] = -1
+
+    for check, attr, fault, match in (
+            (check_right_multiples, "rmult", flip, "wrong root images"),
+            (check_right_multiples, "rmult", unwritten, "up- or down-move"),
+            (check_inverses, "inv_arr", wrong, "simple roots"),
+            (check_reflections, "refl_elems", swap, "not injective"),
+            (check_lengths, "length_arr", bump, "BFS length")):
+        check(g)
+        with pytest.raises(AssertionError, match=match):
+            check(planted(g, attr, fault))
+    # the deepest root delta is in the closed chamber, so delta + alpha_0
+    # has norm 1 + 2 (alpha_0, delta) + 1 >= 2
+    roots = RootSystem(preset_matrix("B3"))
+    check_root_norms(roots)
+
+    def perturb(arr):
+        arr[-1, 0, 0] += 1
+
+    with pytest.raises(AssertionError, match="unit norm"):
+        check_root_norms(planted(roots, "pos_roots", perturb))
+
+
+@pytest.mark.parametrize("name,distinct", [("E6", 4), ("H4", 12)])
+def test_positivity_signs_each_distinct_coordinate_once(monkeypatch, name,
+                                                         distinct):
+    # E6 has 216 root coordinates and H4 240, of 4 and 12 values
+    roots = RootSystem(preset_matrix(name))
+    calls = []
+    real = coxeter.sign
+
+    def spy(a, n):
+        calls.append(a.tobytes())
+        return real(a, n)
+
+    monkeypatch.setattr(coxeter, "sign", spy)
+    roots._build_roots()
+    assert len(calls) == len(set(calls)) == distinct
 
 
 def test_reduced_and_palindromic_expressions(groups):
     a2 = groups("A2")
-    s0 = a2.simple_reflection(0)
-    assert reduced_expressions(a2, s0) == {(0,)}
+    assert reduced_expressions(a2, 1) == {(0,)}
     index = refl_index_of_elem(a2)
-    assert palindromic_expressions(a2, int(index[s0])) == {(0,)}
-    x = elem_of_word(a2, (0, 1, 0))
+    assert palindromic_expressions(a2, int(index[1])) == {(0,)}
+    x = a2.element((0, 1, 0))
     assert reduced_expressions(a2, x) == {(0, 1, 0), (1, 0, 1)}
     assert palindromic_expressions(a2, int(index[x])) == \
         {(0, 1, 0), (1, 0, 1)}
@@ -609,12 +699,12 @@ def test_reduced_and_palindromic_expressions(groups):
 def test_palindromic_cross_route_battery(groups):
     for name in ("B2", "A3", "B3", "I2(7)"):
         g = groups(name)
-        for refl in g.reflections:
-            words = palindromic_expressions(g, refl.index)
+        for index, x in enumerate(g.refl_elems):
+            words = palindromic_expressions(g, index)
             for w in words:
                 assert w == tuple(reversed(w))
-                assert elem_of_word(g, w) == refl.elem
-                assert len(w) == g.length_arr[refl.elem]
+                assert g.element(w) == x
+                assert len(w) == g.length_arr[x]
 
 
 def test_mirror():
@@ -631,29 +721,27 @@ def test_conjugacy_graph(groups):
     assert conjugacy_graph(a1) == ((),)
     a2 = groups("A2")
     graph = conjugacy_graph(a2)
-    long_refl = next(t for t in a2.reflections if a2.length_arr[t.elem] == 3)
-    outs = dict(graph[long_refl.index])
+    lengths = a2.length_arr[a2.refl_elems]
+    outs = dict(graph[int(np.argmax(lengths == 3))])
     # s1 s2 s1 drops to s2 via conjugation by s1, and to s1 via s2
     assert set(outs) == {0, 1}
-    for t in a2.reflections:
-        if a2.length_arr[t.elem] == 1:
-            assert graph[t.index] == ()
+    for index in np.flatnonzero(lengths == 1):
+        assert graph[index] == ()
     # I2(4): each length-3 reflection has exactly one outgoing edge
     i24 = groups("I2(4)")
     gr = conjugacy_graph(i24)
-    for t in i24.reflections:
-        if i24.length_arr[t.elem] == 3:
-            assert len(gr[t.index]) == 1
+    for index in np.flatnonzero(i24.length_arr[i24.refl_elems] == 3):
+        assert len(gr[index]) == 1
 
 
 def test_graph_paths_have_uniform_length(groups):
     for name in ("A3", "B3", "H3"):
         g = groups(name)
         graph = conjugacy_graph(g)
-        for refl in g.reflections:
-            words = path_words(g, graph, refl.index)
+        for index, x in enumerate(g.refl_elems):
+            words = path_words(g, graph, index)
             lens = {len(w) for w in words}
-            assert lens == {g.length_arr[refl.elem]}
+            assert lens == {g.length_arr[x]}
 
 
 def test_length_trichotomy(groups):

@@ -1,5 +1,6 @@
 """Exact arithmetic in Z[zeta_N]: reduction, products, conjugates, signs."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +20,7 @@ from coxrack.cyclo import (
     sign,
 )
 from coxrack import cyclo
-from oracles import cos_enclosures_by_fractions
+from oracles import cos_enclosures_by_fractions, galois_by_scatter
 
 
 def numeric(a, n: int, dps: int = 50) -> complex:
@@ -235,6 +236,22 @@ def test_conjugation_and_reality():
     for j in range(2, 7):
         norm = mul(norm, galois(y, 7, j), 7)
     assert not norm[1:].any() and norm[0] == 43  # Phi_7(-2) = 43
+
+
+def test_galois_gather_matches_scatter():
+    # the phi(n) gathered rows of reduction_matrix give what the n-wide
+    # scatter and the n x phi product gave: on every level 1-60, for six
+    # units each, -1 first, on int64 and on Python-int object arrays
+    rng = np.random.default_rng(20241020)
+    for n in range(1, 61):
+        units = [j for j in range(-1, 3 * n) if math.gcd(j, n) == 1][:6]
+        a = rng.integers(-50, 50, size=(3, euler_phi(n)))
+        for j in units:
+            want = galois_by_scatter(a, n, j)
+            assert np.array_equal(galois(a, n, j), want), (n, j)
+            big = a.astype(object) * 10 ** 20
+            assert np.array_equal(galois(big, n, j), want.astype(object)
+                                  * 10 ** 20), (n, j)
 
 
 def test_zeta_powers():

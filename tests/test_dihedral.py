@@ -182,7 +182,7 @@ def test_u_identification_record(i26):
 
 
 def test_u_modules_support_classes(i26):
-    refl_elems = {t.elem for t in i26.reflections}
+    refl_elems = set(i26.refl_elems.tolist())
     for primed in (False, True):
         mod = u_module(i26, 0, primed)
         assert set(mod.degrees) <= refl_elems

@@ -183,9 +183,9 @@ def test_split_group_is_direct_product(setups):
 def test_section_on_simples_and_depth_one(setups):
     g, ext, rho = setups("A2")
     for i in range(g.rank):
-        assert rho[g.simple_reflection(i)] == ext.gen_perms[i, 0]
+        assert rho[1 + i] == ext.gen_perms[i, 0]
     # A2: rho(s1 > s2) = t1 t2 t1 z
-    x = g.conj(g.simple_reflection(0), g.simple_reflection(1))
+    x = g.element((0, 1, 0))
     t0, t1 = ext.gen_perms[:ext.nt, 0]
     M = ext_mult_table(ext)
     expect = M[M[M[t0, t1], t0], g.order]
@@ -212,8 +212,7 @@ def test_vendramin_fixed_point_case(setups):
     g, ext, rho = setups("B3")
     M = ext_mult_table(ext)
     inv = ext_inv_table(ext, M)
-    for i in range(g.rank):
-        s = g.simple_reflection(i)
+    for s in range(1, g.rank + 1):
         rs = rho[s]
         # rho(s) > rho(s) = rho(s)
         assert M[M[rs, rho[s]], inv[rs]] == rho[s]
@@ -234,7 +233,7 @@ def word_signs(g, phi: GroupCocycle2, n: int) -> np.ndarray:
     """D_n(u) = (-1)^(sum_k phi(u_1 ... u_(k-1), u_k)) on the words u of n
     reflections, numbered with the first letter most significant."""
     mult, table = g.mult_table(), dense_table(phi)
-    refl = np.array([t.elem for t in g.reflections])
+    refl = g.refl_elems
     prefix, expo = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint8)
     for _ in range(n):
         letter = np.tile(refl, prefix.size)
@@ -330,7 +329,7 @@ def line_checksum(table):
 
 
 def simples(g):
-    return [g.simple_reflection(i) for i in range(g.rank)]
+    return list(range(1, g.rank + 1))
 
 
 def partial_cocycle_space(mult, ys):
@@ -683,7 +682,7 @@ def test_section_refuses_a_reflection_with_no_edge_down():
     g = build_group(preset_matrix("A2"))
     ext = build_wtilde(g)
     # conjugation read as the identity: no edge leaves s_1 s_2 s_1
-    g._conj_refl = np.tile(np.arange(len(g.reflections), dtype=np.uint8),
+    g._conj_refl = np.tile(np.arange(g.nroots, dtype=np.uint8),
                            (g.order, 1))
     with pytest.raises(AssertionError, match="no length-decreasing edge"):
         build_section(g, ext)
@@ -694,7 +693,7 @@ def test_path_mismatch_fails_vendramin(setups, monkeypatch, name):
     # a z flipped on a reflection of length >= 3 disagrees with the path
     # through its first graph edge; check_vendramin is what refuses it
     g, ext, _ = setups(name)
-    x = next(t.elem for t in g.reflections if g.length_arr[t.elem] >= 3)
+    x = next(x for x in g.refl_elems if g.length_arr[x] >= 3)
     real = extension.build_section
 
     def flipped(g, ext):
@@ -721,7 +720,7 @@ def test_dense_phi_identities_reject_broken_tables(setups):
     # a coboundary keeps it, but one that is not constant on a conjugacy
     # class breaks the conjugation identity
     f = np.zeros(g.order, dtype=np.uint8)
-    f[g.simple_reflection(0)] = 1
+    f[1] = 1                        # at s_0
     bad = table ^ f[:, None] ^ f[None, :] ^ f[g.mult_table()]
     assert dense_cocycle_identity_witness(g.mult_table(), bad,
                                           simples(g)) is None
@@ -741,13 +740,13 @@ def test_check_global_reports_first_witness_across_levels(setups,
     xs = g.inv_arr[lo:hi].tolist()
     k = next(k for k in range(len(xs) - 1) if xs[k] > xs[k + 1])
     late, early = xs[k], xs[k + 1]         # the walk meets late first
-    nt = len(g.reflections)
+    nt = g.nroots
     qp = q_plus_table(g).copy()
     for w, t in ((late, 0), (early, nt - 1), (g.order - 1, 0)):
         qp[w, t] ^= 1
     monkeypatch.setattr(extension, "q_plus_table", lambda g: qp)
     monkeypatch.setattr(oracles, "q_plus_table", lambda g: qp)
-    want = (early, g.reflections[nt - 1].elem)
+    want = (early, g.refl_elems[nt - 1])
     assert check_global(g, ext, rho) == want
     assert dense_check_global(g, ext, rho) == want
 
@@ -903,7 +902,7 @@ def test_corrupted_section_rejected_at_same_stage(setups, name):
     g, ext, rho = setups(name)
     zp = ext.gen_perms[ext.nt]
     rng = np.random.default_rng(20240712)
-    refl = [t.elem for t in g.reflections]
+    refl = g.refl_elems.tolist()
     other = sorted(set(range(g.order)) - set(refl))
     for w, rejected in ((rng.choice(refl), True), (rng.choice(other), False)):
         bad = rho.copy()
@@ -926,7 +925,7 @@ def test_certify_refuses_before_enumeration_when_phi_does_not_fit(
         raise AssertionError("W was built before the memory check")
 
     monkeypatch.setattr(cli, "build_group", no_work)
-    monkeypatch.setattr(extension, "_memory_limit_bytes", lambda: 90_000)
+    monkeypatch.setattr(extension, "memory_limit_bytes", lambda: 90_000)
     # 16 * 120 * 11 for the rows per length up to l(w0) = R = 10; two
     # chunks of phi rows, 2 * (120 + 2^18 * 11 / 4); two level blocks,
     # 2 * (4 * 120 + 2^18); four text buffers of 2^17 bytes

@@ -498,7 +498,7 @@ def test_a3_full_series(spaces, monkeypatch):
     # the 576-dimensional Nichols algebras, out of reach of the d^n
     # assembly; the ladder that memoized the coordinates of every word it
     # touched was refused at degree 6 under this limit
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 8_000_000)
+    monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: 8_000_000)
     for which in ("plus", "minus"):
         V = spaces("A3", which)
         p = primes_one_mod(V.k, count=1)[0]
@@ -648,7 +648,7 @@ def test_degree_refused_below_its_bound(spaces, monkeypatch):
     assert held > 0 and r2 > 0
 
     def ranks(limit):
-        monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: limit)
+        monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: limit)
         steps = itertools.islice(ladder_ranks_iter(V, p, omega), 5)
         return [rank for _, rank in steps]
 
@@ -717,10 +717,10 @@ def test_memory_limit_is_what_the_kernel_will_give(monkeypatch):
     unlimited = (resource.RLIM_INFINITY, resource.RLIM_INFINITY)
     monkeypatch.setattr(nichols, "_mem_available", lambda: 5 * 2 ** 30)
     monkeypatch.setattr(nichols.resource, "getrlimit", lambda _: unlimited)
-    assert nichols._memory_limit_bytes() == 5 * 2 ** 30
+    assert nichols.memory_limit_bytes() == 5 * 2 ** 30
     monkeypatch.setattr(nichols.resource, "getrlimit",
                         lambda _: (3 * 2 ** 30, resource.RLIM_INFINITY))
-    assert nichols._memory_limit_bytes() == 3 * 2 ** 30
+    assert nichols.memory_limit_bytes() == 3 * 2 ** 30
     monkeypatch.undo()
     phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     assert 0 < nichols._mem_available() <= phys
@@ -864,14 +864,14 @@ def test_exact_mode_certifies_despite_undercounting_prime(
 def test_modular_degree_refused_over_memory_limit(spaces, monkeypatch):
     # A3 degree 2, whose largest block, the identity grade, has the 6
     # candidates x x, is refused one byte below the sum of its parts
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 3_583)
+    monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: 3_583)
     with pytest.raises(DegreeTooLargeError,
                        match="degree 2 needs 3584 bytes"):
         hilbert_coeffs(spaces("A3"), 2)
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 3_584)
+    monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: 3_584)
     assert [r.rank for r in hilbert_coeffs(spaces("A3"), 2)] == [1, 6, 19]
     # degree 3: a largest block of 10 candidates
-    monkeypatch.setattr(nichols, "_memory_limit_bytes", lambda: 13_715)
+    monkeypatch.setattr(nichols, "memory_limit_bytes", lambda: 13_715)
     with pytest.raises(DegreeTooLargeError, match=re.escape(
             "degree 3 needs 13716 bytes: 1052 held by degree 2, up to 8904 "
             "kept, 3200 to build and eliminate its largest block, c = 10, "

@@ -20,6 +20,7 @@ from oracles import (
     dense_check_equivariance,
     dihedral_subrack,
     q_minus_table,
+    product,
     q_plus_table_by_length,
     rack_axioms_hold,
     rack_isomorphic,
@@ -45,7 +46,8 @@ def groups():
 def conj_table_oracle(g, elems):
     """Direct conjugation-table oracle, bypassing the Rack constructor."""
     pos = {e: i for i, e in enumerate(elems)}
-    return [[pos[g.conj(x, y)] for y in elems] for x in elems]
+    return [[pos[product(g, x, y, g.inv_arr[x])] for y in elems]
+            for x in elems]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)",
@@ -53,7 +55,7 @@ def conj_table_oracle(g, elems):
 def test_reflection_rack_matches_conj_oracle(groups, name):
     g = groups(name)
     rack = reflection_rack(g)
-    elems = [t.elem for t in g.reflections]
+    elems = g.refl_elems.tolist()
     oracle = conj_table_oracle(g, elems)
     assert rack.labels.tolist() == elems
     assert rack.act.tolist() == oracle
@@ -83,16 +85,15 @@ def test_reflection_subrack_examples(groups):
     t2 = reflection_rack(b3).subrack(small)
     assert t2.size == 3 and t2.act.tolist() == [[0, 1, 2]] * 3  # trivial
     assert t2.act.tolist() == \
-        conj_table_oracle(b3, [b3.reflections[i].elem for i in small])
+        conj_table_oracle(b3, b3.refl_elems[list(small)].tolist())
 
     single = rack.subrack([0])
     assert single.size == 1 and single.labels.tolist() == [
-        a2.reflections[0].elem]
+        a2.refl_elems[0]]
 
     # s1 > s2 is the third reflection; without the check its position,
     # -1, would wrap round to the last one
-    simple = refl_index_of_elem(a2)[[a2.simple_reflection(i)
-                                     for i in range(2)]]
+    simple = refl_index_of_elem(a2)[[1, 2]]
     with pytest.raises(ValueError, match="not closed"):
         rack.subrack(simple)
 
@@ -113,20 +114,18 @@ def test_rack_axioms_battery(groups):
 def test_q_cocycle_values(groups):
     a2 = groups("A2")
     qp, qm = q_plus_table(a2), q_minus_table(a2)
-    refl = {t.elem: t.index for t in a2.reflections}
+    refl = refl_index_of_elem(a2)
     # q-minus is constantly -1 on reflections
-    assert qm[list(refl)].all()
+    assert qm[a2.refl_elems].all()
     # q-plus is -1 at (s, s): s(alpha_s) = -alpha_s
-    for i in range(a2.rank):
-        s = a2.simple_reflection(i)
+    for s in (1, 2):
         assert qp[s, refl[s]] == 1
     # s1 s2 sends alpha_2 to -(alpha_1 + alpha_2)
-    s2 = a2.simple_reflection(1)
-    assert qp[a2.mul(a2.simple_reflection(0), s2), refl[s2]] == 1
+    assert qp[a2.element((0, 1)), refl[2]] == 1
     # commuting generators fix each other's root: +1
     a11 = groups("I2(2)")
-    t1 = int(refl_index_of_elem(a11)[a11.simple_reflection(1)])
-    assert q_plus_table(a11)[a11.simple_reflection(0), t1] == 0
+    t1 = int(refl_index_of_elem(a11)[2])
+    assert q_plus_table(a11)[1, t1] == 0
 
 
 def constant_cocycle(n):
@@ -179,7 +178,7 @@ def test_equivariance_agrees_with_dense_oracle(groups, name):
         # one bit flipped at (w, x), w != 1: with rank >= 2 some s_j != w,
         # and the identity at (w1, w2, x) = (w s_j, s_j, x) fails
         bad = table.copy()
-        bad[rng.integers(1, g.order), rng.integers(len(g.reflections))] ^= 1
+        bad[rng.integers(1, g.order), rng.integers(g.nroots)] ^= 1
         assert dense_check_equivariance(g, bad) == (g.rank == 1)
 
 
@@ -276,9 +275,8 @@ def test_rack_isomorphic_negative():
 def q_plus_table_by_mult(g):
     """Oracle: the length-drop criterion l(w y) < l(w) with the products
     w y read off the |W| x |W| table."""
-    refl_elems = np.array([t.elem for t in g.reflections])
     M = g.mult_table()
-    return (g.length_arr[M[:, refl_elems]]
+    return (g.length_arr[M[:, g.refl_elems]]
             < g.length_arr[:, None]).astype(np.uint8)
 
 

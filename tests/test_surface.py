@@ -14,6 +14,10 @@ methods, which must be named themselves.  Dunder methods are never
 flagged.  Code only tests call belongs in tests/oracles.py, and a check
 moved there cannot rot unseen.  The walk goes by name, so it cannot see
 a definition that shares its name with a reached one.
+
+A module in src/coxrack also reads no other module's underscore names:
+no attribute x._y whose _y it does not define or assign itself, and no
+`from .m import _y`.  What one module reads of another is public.
 """
 
 import ast
@@ -122,3 +126,51 @@ def test_every_definition_in_src_is_used_by_the_program():
 
 def test_every_oracle_is_used_by_a_test():
     assert unreached_oracles() == ()
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not _is_dunder(name)
+
+
+def foreign_private_reads(sources: dict[str, str]) -> tuple[str, ...]:
+    """Each underscore name a module of `sources` (module name to text)
+    reads from another: an attribute it neither defines nor assigns, or
+    one imported from the package."""
+    out = []
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        own = set()
+        for node in ast.walk(tree):
+            if isinstance(node, DEFS):
+                own.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Store):
+                own.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                own.add(node.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("coxrack")):
+                out += [f"{name}:{node.lineno} import {a.name}"
+                        for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and node.attr not in own):
+                out.append(f"{name}:{node.lineno} .{node.attr}")
+    return tuple(out)
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    sources = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "coxrack").glob("*.py"))}
+    assert foreign_private_reads(sources) == ()
+
+
+def test_foreign_underscore_reads_are_caught():
+    sources = {
+        "a.py": "class T:\n    def __init__(self):\n        self._x = 1\n"
+                "def _helper():\n    return T()._x\n",
+        "b.py": "from .a import _helper\nfrom . import __version__\n"
+                "def f(t):\n    return t._x + _helper()\n",
+    }
+    assert foreign_private_reads(sources) == (
+        "b.py:1 import _helper", "b.py:4 ._x")
