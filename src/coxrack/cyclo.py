@@ -179,10 +179,18 @@ def regular_matrix(arr: np.ndarray, n: int) -> np.ndarray:
     """The integer (r phi, c phi) matrix of an (r, c, phi) matrix over
     Z[zeta_n], acting on stacked power-basis coordinates: block (i, j)
     is the matrix of multiplication by arr[i, j], whose column k is
-    arr[i, j] z^k."""
+    arr[i, j] z^k.  Column k + 1 is z times column k, a shift with
+    z^phi replaced by the lower terms of the monic Phi_n, as in
+    reduction_matrix: O(r c phi^2) work."""
     r, c, phi = arr.shape
-    basis = np.eye(phi, dtype=np.int64)
-    cols = mul(arr[..., None, :], basis, n)     # (r, c, k, phi)
+    poly = np.array(cyclotomic_poly(n)[:-1], dtype=np.int64)
+    cols = np.empty((r, c, phi, phi), dtype=np.result_type(arr, poly))
+    cols[:, :, 0] = arr                         # (r, c, k, phi)
+    for k in range(1, phi):
+        prev = cols[:, :, k - 1]
+        cols[:, :, k, 0] = 0
+        cols[:, :, k, 1:] = prev[..., :-1]
+        cols[:, :, k] -= prev[..., -1:] * poly
     return cols.transpose(0, 3, 1, 2).reshape(r * phi, c * phi)
 
 

@@ -30,7 +30,9 @@ reads the |T| rows at T.  phi_checksum streams every row: one thread
 computes the next chunk, one builds the byte stream in blocks, and the
 caller hashes each block while the next is built.  So the largest
 tables held are a few int32 rows of |W| per length and two chunks of
-phi rows.
+phi rows.  The stream's length is known from |W| (checksum_bytes); below
+1 MiB it is hashed by the interpreter's built-in sha256, so small
+certificates do not load OpenSSL.
 
 Certification failures here are never expected states: they would
 falsify either the construction or the mathematics, so they raise with
@@ -86,7 +88,9 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
     the top of its (i, j) coset, and every edge of that 2m-gon but
     (v, v s_i) is the tree edge (v s_j, v) or lies below v's level.  So,
     one length level at a time, c[v, i] is set to the bit that closes
-    the 2m-gon.
+    the 2m-gon.  A level's bits read only lower levels, so all its
+    (v, i) are set in one pass: the walks run in step up to the level's
+    largest m, each pair counting only its own 2m - 2 edges.
 
     Every relator is then checked at every point.  That makes this the
     regular representation of the presented group P, the table that
@@ -100,24 +104,25 @@ def coset_enumeration(g: GroupTable) -> list[np.ndarray]:
     """
     n, l = g.order, g.rank
     rmult, length = g.rmult, g.length_arr
-    descent = length[rmult] < length[:, None]    # [v, i]: l(v s_i) < l(v)
+    matrix = np.array(g.matrix.rows)
+    # [v, i]: l(v s_i) < l(v) and s_i is not v's last letter
+    off_tree = (length[rmult] < length[:, None]) & (
+        np.arange(l) != g.last[:, None])
     c = np.zeros((n, l), dtype=np.uint8)
     bounds = np.searchsorted(length, np.arange(length[-1] + 2))
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
-        tops = np.arange(lo, hi)
-        for j in range(l):
-            for i in range(l):
-                if i == j:
-                    continue
-                top = tops[(g.last[lo:hi] == j) & descent[lo:hi, i]]
-                m = g.matrix.entry(i, j)
-                bit = np.full(top.size, (m + 1) % 2, dtype=np.uint8)
-                x = rmult[top, i]
-                for k in range(2 * m - 2):     # v s_i around to v s_j
-                    s = (j, i)[k % 2]
-                    bit ^= c[x, s]
-                    x = rmult[x, s]
-                c[top, i] = c[rmult[top, i], i] = bit
+        top, i = np.nonzero(off_tree[lo:hi])
+        top += lo
+        j = g.last[top]
+        m = matrix[i, j]
+        bit = ((m + 1) % 2).astype(np.uint8)
+        steps = 2 * m - 2
+        x = rmult[top, i]
+        for k in range(steps.max(initial=0)):     # v s_i around to v s_j
+            s = j if k % 2 == 0 else i
+            bit ^= c[x, s] & (k < steps)
+            x = rmult[x, s]
+        c[top, i] = c[rmult[top, i], i] = bit
 
     perms = np.empty((l + 1, 2 * n), dtype=np.int32)
     for i in range(l):
@@ -411,22 +416,31 @@ def certify_twist(g: GroupTable, phi: GroupCocycle2, qp, qm):
 
 CHECKSUM_BLOCK_BYTES = 1 << 17   # bytes of whole rows per block in phi_checksum
 CHECKSUM_BUFFERS = 3             # blocks built or hashed at once
+# Streams shorter than this are hashed by the interpreter's built-in
+# sha256, longer ones by OpenSSL's.  Loading OpenSSL (hashlib) costs
+# about 3.5 MB of RSS and 2.5-5 ms, the built-in module 0.03 MB, and
+# OpenSSL then hashes about 4 times faster.  Load included, in fresh
+# processes on a 2-vCPU Xeon (medians of 9), built-in against OpenSSL:
+# 0.52 MB 2.7 and 3.6 ms, 1 MiB 5.0 and 4.3 ms, 1.5 MB 9.9 and 5.7 ms,
+# 13.4 MB (F4) 59 and 15 ms.  Time breaks even below 0.8 MB; up to 1 MiB
+# the built-in costs under a millisecond more and saves the 3.5 MB.
+OPENSSL_CHECKSUM_BYTES = 1 << 20
 
 
 def phi_checksum(phi: GroupCocycle2) -> str:
     """Order-independent digest: sha256 over the sorted (x, y, bit) lines.
 
     The byte stream is the concatenation of f"{x},{y},{bit}\\n" over x,
-    then y.  Three threads share the work: one computes phi's rows a
-    chunk ahead, one builds the stream from them in blocks
+    then y, checksum_bytes(|W|) bytes long.  A stream shorter than
+    OPENSSL_CHECKSUM_BYTES is hashed by the interpreter's built-in
+    sha256, a longer one by OpenSSL's (_sha256_for); both compute the
+    same function.  Three threads share the work: one computes phi's
+    rows a chunk ahead, one builds the stream from them in blocks
     (_checksum_blocks), and this one hashes each block while the next is
-    built (_ahead).  hashlib and numpy's gathers release the GIL.
+    built (_ahead).  OpenSSL's sha256 and numpy's gathers release the
+    GIL.
     """
-    # only here: hashlib loads OpenSSL, about 3.6 MB and 5 ms, and only
-    # certify hashes
-    import hashlib
-
-    h = hashlib.sha256()
+    h = _sha256_for(checksum_bytes(phi.table.shape[0]))
     blocks = _ahead(_checksum_blocks(phi.table), CHECKSUM_BUFFERS - 1,
                     "phi_checksum-text")
     try:
@@ -435,6 +449,38 @@ def phi_checksum(phi: GroupCocycle2) -> str:
     finally:
         blocks.close()
     return h.hexdigest()
+
+
+def _sha256_for(nbytes: int):
+    """A new sha256 for a stream of nbytes: the built-in one (_sha2 from
+    Python 3.12, _sha256 before) below OPENSSL_CHECKSUM_BYTES, else, or
+    when neither imports, hashlib's, which loads OpenSSL."""
+    # imported here, as only certify hashes
+    if nbytes < OPENSSL_CHECKSUM_BYTES:
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
+    else:
+        from hashlib import sha256
+    return sha256()
+
+
+def _digit_runs(n: int) -> list[tuple[int, int, int]]:
+    """(lo, hi, d): the numbers lo <= v < hi below n have d digits."""
+    return [(10 ** (d - 1) if d > 1 else 0, min(n, 10 ** d), d)
+            for d in range(1, len(str(n - 1)) + 1)]
+
+
+def checksum_bytes(n: int) -> int:
+    """The length of phi_checksum's stream for |W| = n: each of the n^2
+    lines "x,y,b\\n" has the digits of x and y and 4 more bytes, so
+    2 n D + 4 n^2 with D the digits of 0 .. n - 1."""
+    digits = sum((hi - lo) * d for lo, hi, d in _digit_runs(n))
+    return 2 * n * digits + 4 * n * n
 
 
 def _ascii_digits(v: np.ndarray, width: int) -> np.ndarray:
@@ -457,8 +503,7 @@ def _checksum_blocks(table):
     template row, and a block only writes the x digits and the bits.
     """
     n = table.shape[0]
-    runs = [(10 ** (d - 1) if d > 1 else 0, min(n, 10 ** d), d)
-            for d in range(1, len(str(n - 1)) + 1)]   # [lo, hi) with d digits
+    runs = _digit_runs(n)
     chunks = _ahead(((c0, table.rows(np.arange(c0, min(n, c0 + table.chunk))))
                      for c0 in range(0, n, table.chunk)), 1, "phi_checksum-rows")
     c0 = c1 = k = 0             # the chunk holds rows c0 .. c1 - 1

@@ -60,6 +60,14 @@ def galois_by_scatter(a: np.ndarray, n: int, j: int) -> np.ndarray:
     return raw @ reduction_matrix(n)
 
 
+def regular_matrix_by_mul(arr: np.ndarray, n: int) -> np.ndarray:
+    """cyclo.regular_matrix as first written: column k of block (i, j)
+    is the product arr[i, j] z^k, by mul with each basis vector."""
+    r, c, phi = arr.shape
+    cols = mul(arr[..., None, :], np.eye(phi, dtype=np.int64), n)
+    return cols.transpose(0, 3, 1, 2).reshape(r * phi, c * phi)
+
+
 # -- Matsumoto section: braid lifts of permutations ----------------------------
 
 
@@ -562,6 +570,34 @@ def hlt_coset_enumeration(pres: Presentation, live_cap: int) -> list[list[int]]:
     if relator_witness(pres, perms) is not None:
         raise AssertionError("relator does not close on the coset table")
     return perms
+
+
+def edge_bits_by_pair(g) -> np.ndarray:
+    """extension.coset_enumeration's edge bits c[w, i] as first written:
+    per length level, one pass per ordered pair (j, i), j the last
+    ShortLex letter of the tops v and i another descent of v, walking
+    the 2m-gon of v<s_i, s_j> from v s_i around to v s_j."""
+    n, l = g.order, g.rank
+    rmult, length = g.rmult, g.length_arr
+    descent = length[rmult] < length[:, None]    # [v, i]: l(v s_i) < l(v)
+    c = np.zeros((n, l), dtype=np.uint8)
+    bounds = np.searchsorted(length, np.arange(length[-1] + 2))
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        tops = np.arange(lo, hi)
+        for j in range(l):
+            for i in range(l):
+                if i == j:
+                    continue
+                top = tops[(g.last[lo:hi] == j) & descent[lo:hi, i]]
+                m = g.matrix.entry(i, j)
+                bit = np.full(top.size, (m + 1) % 2, dtype=np.uint8)
+                x = rmult[top, i]
+                for k in range(2 * m - 2):
+                    s = (j, i)[k % 2]
+                    bit ^= c[x, s]
+                    x = rmult[x, s]
+                c[top, i] = c[rmult[top, i], i] = bit
+    return c
 
 
 # -- the section along every path of the conjugacy graph ----------------------

@@ -17,10 +17,15 @@ from coxrack.cyclo import (
     galois,
     mul,
     reduction_matrix,
+    regular_matrix,
     sign,
 )
 from coxrack import cyclo
-from oracles import cos_enclosures_by_fractions, galois_by_scatter
+from oracles import (
+    cos_enclosures_by_fractions,
+    galois_by_scatter,
+    regular_matrix_by_mul,
+)
 
 
 def numeric(a, n: int, dps: int = 50) -> complex:
@@ -252,6 +257,22 @@ def test_galois_gather_matches_scatter():
             big = a.astype(object) * 10 ** 20
             assert np.array_equal(galois(big, n, j), want.astype(object)
                                   * 10 ** 20), (n, j)
+
+
+def test_regular_matrix_shift_matches_mul():
+    # the companion shift gives the matrices the products by each basis
+    # vector gave: on every level 1-60, on int64 and on object arrays of
+    # Python ints past int64
+    rng = np.random.default_rng(20261020)
+    for n in range(1, 61):
+        a = rng.integers(-50, 50, size=(2, 3, euler_phi(n)))
+        want = regular_matrix_by_mul(a, n)
+        got = regular_matrix(a, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
+        big = a.astype(object) * 10 ** 20
+        got = regular_matrix(big, n)
+        assert got.dtype == object, n
+        assert got.tolist() == regular_matrix_by_mul(big, n).tolist(), n
 
 
 def test_zeta_powers():

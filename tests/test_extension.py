@@ -54,6 +54,7 @@ from oracles import (
     dense_phi_identities,
     dense_phi_rho,
     dense_table,
+    edge_bits_by_pair,
     ext_inv_table,
     ext_mult_table,
     hlt_coset_enumeration,
@@ -62,6 +63,10 @@ from oracles import (
     split_lifts,
     verify_split_witness,
 )
+
+
+BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
+           "H3", "D4"]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,15 @@ def test_coset_table_refuses_a_relator_that_does_not_close(m):
     g.matrix = CoxeterMatrix.from_rows(rows)
     with pytest.raises(AssertionError, match="relator does not close"):
         coset_enumeration(g)
+
+
+@pytest.mark.parametrize("name", BATTERY + ["F4", "H4", "E6"])
+def test_edge_bits_match_the_per_pair_oracle(group_cache, name):
+    # one pass per length level sets the bits the loop over (j, i) set
+    g = group_cache(name)
+    perms = np.array(coset_enumeration(g))
+    bits = perms[:g.rank, :g.order].T >= g.order     # (w, 0) t_i = (w s_i, 1)
+    assert np.array_equal(bits, edge_bits_by_pair(g).astype(bool))
 
 
 def test_z_is_central_involution(setups):
@@ -303,9 +317,6 @@ def test_cohomologous_cross_module(setups):
 
 # -- the cocycle identity oracle and phi_checksum -----------------------------
 
-BATTERY = ["A1", "A2", "A3", "A4", "B2", "B3", "I2(5)", "I2(6)", "I2(7)",
-           "H3", "D4"]
-
 
 def full_cocycle_witness(mult, table):
     """Oracle: the 2-cocycle identity over all of W x W x W."""
@@ -476,6 +487,24 @@ def test_phi_checksum_chunks_and_blocks_out_of_step(monkeypatch, n, chunk):
     assert phi_checksum(GroupCocycle2(table=DenseRows(table, chunk))) == digest
 
 
+def stream_length(table):
+    return sum(block.nbytes for block in extension._checksum_blocks(table))
+
+
+@pytest.mark.parametrize("n", sorted({999, 1000, *DIGIT_BOUNDARY_SIZES}))
+def test_checksum_bytes_is_the_stream_length(n):
+    # phi_checksum picks its sha256 by this count, before the first row
+    table = np.zeros((n, n), dtype=np.uint8)
+    assert extension.checksum_bytes(n) == stream_length(DenseRows(table))
+
+
+@pytest.mark.parametrize("name", BATTERY + ["F4"])
+def test_checksum_bytes_of_each_preset(setups, name):
+    g, ext, rho = setups(name)
+    assert extension.checksum_bytes(g.order) == stream_length(
+        phi_rho(g, ext, rho).table)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, None])
 @pytest.mark.parametrize("name", BATTERY)
 def test_phi_rows_match_dense_oracle(setups, name, chunk):
@@ -629,8 +658,7 @@ def test_extension_keeps_no_product_table():
 def test_f4_certificate_pinned(no_dense_tables):
     g = build_group(preset_matrix("F4"))
     text = certificate_json(twist_certificate(g))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2f67bec673a9205e2bee27e71f0dc7a5d4de501c6e548360454c7fb9eaa3f55d")
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256["F4"]
 
 
 CERT_SHA256 = {
@@ -648,12 +676,35 @@ CERT_SHA256 = {
         "ab408a24682daa7c43ecd407c3352b7deff56631316f60e957d8c5743a69ef86",
     "H3": "01fb09b6063ef70dd25864fe9a349d0e67cb72097d1603e5ebe02462155e0036",
     "D4": "2a3510c2862df5ea51450c14a1ab8323f1b23ff49e29d148171a65703db515a7",
+    "F4": "2f67bec673a9205e2bee27e71f0dc7a5d4de501c6e548360454c7fb9eaa3f55d",
 }
 
 
 @pytest.mark.parametrize("name", BATTERY)
 def test_battery_certificate_pinned(name, no_dense_tables):
     g = build_group(preset_matrix(name))
+    text = certificate_json(twist_certificate(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[name]
+
+
+@pytest.mark.parametrize("backend", ["built-in", "openssl", "fallback"])
+@pytest.mark.parametrize("name", BATTERY + ["F4"])
+def test_both_sha256_back_ends_give_the_pinned_certificates(
+        monkeypatch, group_cache, name, backend):
+    # the stream's length picks the back-end; forced either way, or with
+    # the built-in modules failing to import, so that hashlib's is used,
+    # every certificate is the pinned one
+    cutoff = 0 if backend == "openssl" else 1 << 62
+    monkeypatch.setattr(extension, "OPENSSL_CHECKSUM_BYTES", cutoff)
+    if backend == "fallback":
+        for module in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, module, None)
+    g = group_cache(name)
+    used = type(extension._sha256_for(extension.checksum_bytes(g.order)))
+    if backend == "built-in":
+        assert used.__module__ in ("_sha2", "_sha256")
+    else:
+        assert used is type(hashlib.sha256())
     text = certificate_json(twist_certificate(g))
     assert hashlib.sha256(text.encode()).hexdigest() == CERT_SHA256[name]
 
