@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -101,14 +102,18 @@ def cmd_info(args) -> int:
 
 def cmd_certify(args) -> int:
     matrix = resolve_matrix(args.target)
+    out = args.out      # refused before any work if it cannot be written
+    if out is not None and (out.is_dir() or not (
+            out.parent.is_dir() and os.access(out.parent, os.W_OK))):
+        raise OSError(f"--out {out} is not a file in a writable directory")
     roots = RootSystem(matrix)
     require_certify_memory(roots)
     g = build_group(roots)
     cert = twist_certificate(g)
     text = certificate_json(cert)
-    if args.out is not None:
-        args.out.write_text(text)
-    if args.json or args.out is None:
+    if out is not None:
+        out.write_text(text)
+    if args.json or out is None:
         sys.stdout.write(text)
     return 0    # twist_certificate raises CertificationError on a failure
 
@@ -225,10 +230,12 @@ def _parse_summands(text: str) -> list[tuple[int, int]]:
         part = part.strip()
         if not part:
             continue
-        bits = [int(v) for v in part.split(",")]
-        if len(bits) != 2:
-            raise InvalidSummandError(f"summand {part!r} must be 'h,j'")
-        out.append((bits[0], bits[1]))
+        try:
+            h, j = map(int, part.split(","))
+        except ValueError:
+            raise InvalidSummandError(
+                f"summand {part!r} must be 'h,j'") from None
+        out.append((h, j))
     return out
 
 

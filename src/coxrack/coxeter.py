@@ -78,12 +78,6 @@ class CoxeterMatrix:
                 if i != j and m < 2:
                     raise InvalidMatrixError("off-diagonal entries must be >= 2")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CoxeterMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
     @classmethod
     def from_rows(cls, rows) -> "CoxeterMatrix":
         return cls(tuple(tuple(int(m) for m in row) for row in rows))

@@ -17,7 +17,9 @@ exterior algebras of total dimension 2^dim.
 
 The order-12 group (r = 3) additionally carries three-dimensional
 modules supported on its two reflection classes, built from their
-explicit generator action tables.
+explicit generator action tables.  A generator acts by a monomial
+operator, the pair (perm, expo) of int64 arrays of e_j ->
+zeta^expo[j] e_perm[j] (see nichols.compose).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coxeter import GroupTable
-from .nichols import BraidedSpace, MonomialOp, compose
+from .nichols import BraidedSpace, compose
 
 
 class InvalidSummandError(ValueError):
@@ -138,42 +140,43 @@ def exterior_coefficients(dim: int) -> list[int]:
 class GradedModule:
     """Module graded by group elements with monomial generator actions.
 
-    Scalars are powers of a fixed primitive k-th root of unity; the
-    action of the two Coxeter generators determines everything else via
-    canonical words.  Construction verifies the defining relations and
-    the grading compatibility h V_g = V_(h g h^-1).
+    Scalars are powers of a fixed primitive k-th root of unity.
+    gen_actions holds one (perm, expo) pair of int64 arrays per Coxeter
+    generator, e_j -> zeta^expo[j] e_perm[j]; they determine everything
+    else via canonical words.  Construction verifies the defining
+    relations and the grading compatibility h V_g = V_(h g h^-1).
     """
 
     def __init__(self, g: GroupTable, k: int,
-                 degrees: tuple[int, ...],             # element ids
-                 gen_actions: tuple[MonomialOp, ...]):  # one per generator
+                 degrees: tuple[int, ...],     # element ids
+                 gen_actions: tuple):          # one (perm, expo) per generator
         self.g, self.k = g, k
         self.degrees, self.gen_actions = degrees, gen_actions
         dim = len(degrees)
-        for op in gen_actions:
-            if op.perm.shape[0] != dim or op.k != k:
-                raise ValueError("generator action has the wrong shape")
+        if any(len(perm) != dim for perm, _ in gen_actions):
+            raise ValueError("generator action has the wrong shape")
         # defining relations of the dihedral group act trivially
-        one = MonomialOp.identity(dim, k)
+        one = np.arange(dim)
         for i, op in enumerate(gen_actions):
-            if not op.compose_after(op).equal(one):
+            perm, expo = compose(dim, k, (op, op))
+            if (perm != one).any() or expo.any():
                 raise ValueError(f"generator {i} does not act as an involution")
-        braid = compose(dim, k, gen_actions[:2] * g.matrix.entry(0, 1))
-        if not braid.equal(one):
+        perm, expo = compose(dim, k, gen_actions[:2] * g.matrix.entry(0, 1))
+        if (perm != one).any() or expo.any():
             raise ValueError("the braid relation does not act as the identity")
         # grading compatibility for the generators: s_i d s_i, the left
         # factor by s_i y = (y^-1 s_i)^-1
         deg = np.array(degrees, dtype=np.intp)
-        for i, op in enumerate(gen_actions):
+        for i, (perm, _) in enumerate(gen_actions):
             conj = g.inv_arr[g.rmult[g.inv_arr[g.rmult[deg, i]], i]]
-            if not np.array_equal(deg[op.perm], conj):
+            if not np.array_equal(deg[perm], conj):
                 raise ValueError("action violates the grading rule")
 
     @property
     def dim(self) -> int:
         return len(self.degrees)
 
-    def act(self, w: int) -> MonomialOp:
+    def act(self, w: int) -> tuple[np.ndarray, np.ndarray]:
         """Action of an arbitrary element along its canonical word."""
         return compose(self.dim, self.k,
                        [self.gen_actions[i] for i in self.g.word(w)])
@@ -185,19 +188,13 @@ def direct_sum(*modules: GradedModule) -> GradedModule:
     if any(m.g is not g or m.k != k for m in modules):
         raise ValueError("summands live over different groups or scalar orders")
     degrees = tuple(d for m in modules for d in m.degrees)
-    gen_actions = []
-    for i in range(g.rank):
-        offs = 0
-        perm = np.empty(len(degrees), dtype=np.int64)
-        expo = np.empty(len(degrees), dtype=np.int64)
-        for m in modules:
-            op = m.gen_actions[i]
-            perm[offs:offs + m.dim] = op.perm + offs
-            expo[offs:offs + m.dim] = op.expo
-            offs += m.dim
-        gen_actions.append(MonomialOp(k, perm, expo))
-    return GradedModule(g=g, k=k, degrees=degrees,
-                        gen_actions=tuple(gen_actions))
+    offs = np.cumsum([0] + [m.dim for m in modules[:-1]])
+    gen_actions = tuple(
+        (np.concatenate([m.gen_actions[i][0] + o
+                         for m, o in zip(modules, offs)]),
+         np.concatenate([m.gen_actions[i][1] for m in modules]))
+        for i in range(g.rank))
+    return GradedModule(g=g, k=k, degrees=degrees, gen_actions=gen_actions)
 
 
 def braided_from_graded(mod: GradedModule) -> BraidedSpace:
@@ -209,9 +206,8 @@ def braided_from_graded(mod: GradedModule) -> BraidedSpace:
     for h = h' s, s its last letter, deg(h . y) = deg(h' . (s . y)) =
     h' (s deg(y) s) h'^-1 = h deg(y) h^-1 by induction on the word.
     """
-    ops = [mod.act(deg) for deg in mod.degrees]
-    return BraidedSpace(mod.k, [op.perm for op in ops],
-                        [op.expo for op in ops])
+    perms, expos = zip(*(mod.act(deg) for deg in mod.degrees))
+    return BraidedSpace(mod.k, perms, expos)
 
 
 def _require_i26(g: GroupTable):
@@ -219,11 +215,11 @@ def _require_i26(g: GroupTable):
         raise ValueError("these modules live over the dihedral group of order 12")
 
 
-def _monomial(k, entries) -> MonomialOp:
-    """entries: per basis index, (exponent, target index)."""
-    perm = np.array([t for _, t in entries], dtype=np.int64)
-    expo = np.array([e % k for e, _ in entries], dtype=np.int64)
-    return MonomialOp(k, perm, expo)
+def _monomial(k, entries) -> tuple[np.ndarray, np.ndarray]:
+    """The (perm, expo) pair of entries: per basis index, (exponent,
+    target index)."""
+    return (np.array([t for _, t in entries], dtype=np.int64),
+            np.array([e % k for e, _ in entries], dtype=np.int64))
 
 
 def u_module(g: GroupTable, j: int, primed: bool = False) -> GradedModule:

@@ -70,29 +70,8 @@ class DegreeTooLargeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Monomial operators on tensor powers
+# Braided spaces and monomial operators on tensor powers
 # ---------------------------------------------------------------------------
-
-
-class MonomialOp:
-    """Operator e_j -> zeta^expo[j] e_perm[j] on a tensor basis."""
-
-    def __init__(self, k: int, perm: np.ndarray, expo: np.ndarray):
-        self.k, self.perm, self.expo = k, perm, expo
-
-    @classmethod
-    def identity(cls, size: int, k: int) -> "MonomialOp":
-        return cls(k, np.arange(size, dtype=np.int64),
-                   np.zeros(size, dtype=np.int64))
-
-    def compose_after(self, first: "MonomialOp") -> "MonomialOp":
-        """self applied after `first` (matrix product self * first)."""
-        return MonomialOp(self.k, self.perm[first.perm],
-                          (first.expo + self.expo[first.perm]) % self.k)
-
-    def equal(self, other: "MonomialOp") -> bool:
-        return (np.array_equal(self.perm, other.perm)
-                and np.array_equal(self.expo, other.expo))
 
 
 class BraidedSpace:
@@ -120,14 +99,14 @@ class BraidedSpace:
         if len(bad):
             raise ValueError(
                 f"left translation by basis {bad[0]} not bijective")
-        left = word_operator(self, 3, (1, 2, 1))
-        right = word_operator(self, 3, (2, 1, 2))
-        if not left.equal(right):
-            bad = int(np.nonzero((left.perm != right.perm)
-                                 | (left.expo != right.expo))[0][0])
+        lperm, lexpo = word_operator(self, 3, (1, 2, 1))
+        rperm, rexpo = word_operator(self, 3, (2, 1, 2))
+        bad = np.flatnonzero((lperm != rperm) | (lexpo != rexpo))
+        if len(bad):
+            bad = int(bad[0])
             raise BraidEquationError((bad // (d * d), bad // d % d, bad % d))
 
-    def braid_letter(self, n: int, i: int) -> MonomialOp:
+    def braid_letter(self, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The operator of sigma_i on the n-fold tensor power."""
         if not 1 <= i <= n - 1:
             raise ValueError(f"letter {i} out of range for {n} strands")
@@ -138,20 +117,23 @@ class BraidedSpace:
         x = idx // stride_x % d
         y = idx // stride_y % d
         base = idx - x * stride_x - y * stride_y
-        return MonomialOp(self.k, base + self.target[x, y] * stride_x
-                          + x * stride_y, self.expo[x, y])
+        return (base + self.target[x, y] * stride_x + x * stride_y,
+                self.expo[x, y])
 
 
-def compose(size: int, k: int, ops) -> MonomialOp:
+def compose(size: int, k: int, ops) -> tuple[np.ndarray, np.ndarray]:
     """The product ops[0] ops[1] ... of monomial operators on a basis of
-    `size` vectors, the last applied first."""
-    acc = MonomialOp.identity(size, k)
-    for op in ops:
-        acc = acc.compose_after(op)
-    return acc
+    `size` vectors, the last applied first.  An operator is the pair
+    (perm, expo) of int64 arrays of e_j -> zeta_k^expo[j] e_perm[j]."""
+    perm = np.arange(size, dtype=np.int64)
+    expo = np.zeros(size, dtype=np.int64)
+    for p, e in ops:
+        perm, expo = perm[p], (e + expo[p]) % k
+    return perm, expo
 
 
-def word_operator(V: BraidedSpace, n: int, word) -> MonomialOp:
+def word_operator(V: BraidedSpace, n: int, word
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Operator of a positive braid word (letter i for sigma_i)."""
     return compose(V.dim ** n, V.k, [V.braid_letter(n, i) for i in word])
 
@@ -183,12 +165,6 @@ def braiding_from_rack(X: Rack, q: np.ndarray) -> BraidedSpace:
 # ---------------------------------------------------------------------------
 
 
-def coset_ops(V: BraidedSpace, n: int) -> list[MonomialOp]:
-    """Lifts of the minimal coset representatives: words (n-1, ..., t+1)."""
-    return [word_operator(V, n, tuple(range(n - 1, t, -1)))
-            for t in range(n)]
-
-
 def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
     """Counts per zeta power, as an (N, N, k) array over Z[x]/(x^k - 1),
     of the symmetrizer assembled by the coset factorization; reduce with
@@ -208,10 +184,11 @@ def symmetrizer_factorized_exact(V: BraidedSpace, n: int) -> np.ndarray:
         N = d ** m
         out = np.zeros((d ** (m - 1), d, N, k), dtype=np.int64)
         cols = np.arange(N)
-        for op in coset_ops(V, m):
-            a, b = op.perm // d, op.perm % d
+        for t in range(m):  # lifts of the coset minima (m-1, ..., t+1)
+            perm, expo = word_operator(V, m, tuple(range(m - 1, t, -1)))
+            a, b = perm // d, perm % d
             for e in range(k):
-                sel = cols[op.expo == e]
+                sel = cols[expo == e]
                 if sel.size:
                     out[:, b[sel], sel, :] += np.roll(prev[:, a[sel], :],
                                                       e, axis=-1)

@@ -17,7 +17,6 @@ from coxrack.modlin import primes_one_mod, root_of_unity_mod, row_reduce_mod
 from coxrack.nichols import (
     PRIME_COUNT,
     BraidedSpace,
-    MonomialOp,
     ladder_ranks_iter,
     symmetrizer_factorized_exact,
     word_operator,
@@ -105,7 +104,8 @@ def all_reduced_words(sigma) -> set[tuple[int, ...]]:
     return out
 
 
-def perm_operator(V: BraidedSpace, n: int, sigma) -> MonomialOp:
+def perm_operator(V: BraidedSpace, n: int, sigma
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Braid lift of a permutation through the length-additive section."""
     return word_operator(V, n, matsumoto_word(sigma))
 
@@ -113,8 +113,10 @@ def perm_operator(V: BraidedSpace, n: int, sigma) -> MonomialOp:
 def verify_matsumoto_invariance(V: BraidedSpace, n: int = 4) -> bool:
     """All reduced words of every permutation induce the same operator."""
     for sigma in itertools.permutations(range(n)):
-        ops = [word_operator(V, n, w) for w in all_reduced_words(sigma)]
-        if any(not op.equal(ops[0]) for op in ops[1:]):
+        (perm, expo), *rest = [word_operator(V, n, w)
+                               for w in all_reduced_words(sigma)]
+        if any(not (np.array_equal(p, perm) and np.array_equal(e, expo))
+               for p, e in rest):
             return False
     return True
 
@@ -129,8 +131,8 @@ def symmetrizer_literal_exact(V: BraidedSpace, n: int) -> np.ndarray:
     acc = np.zeros((N, N, V.k), dtype=np.int64)
     cols = np.arange(N)
     for sigma in itertools.permutations(range(n)):
-        op = perm_operator(V, n, sigma)
-        np.add.at(acc, (op.perm, cols, op.expo), 1)
+        perm, expo = perm_operator(V, n, sigma)
+        np.add.at(acc, (perm, cols, expo), 1)
     return acc
 
 
@@ -1178,8 +1180,8 @@ def v0_module(g, j: int) -> GradedModule:
     if j not in (0, 1):
         raise ValueError("j must be 0 or 1")
     one = np.zeros(1, dtype=np.int64)
-    s_act, sp_act = (MonomialOp(6, one, one + 3 * j % 6),
-                     MonomialOp(6, one, one + 3 * (j + 1) % 6))  # s' = s c
+    s_act, sp_act = ((one, one + 3 * j % 6),
+                     (one, one + 3 * (j + 1) % 6))  # s' = s c
     return GradedModule(g=g, k=6, degrees=(g.element((0, 1) * 3),),
                         gen_actions=(s_act, sp_act))
 

@@ -115,6 +115,22 @@ def test_certificates_byte_identical(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_certify_refuses_an_unwritable_out_before_building_w(
+        capsys, monkeypatch, tmp_path):
+    def no_work(*args):
+        raise AssertionError("W was built before --out was checked")
+
+    monkeypatch.setattr(cli, "RootSystem", no_work)
+    missing, plain = tmp_path / "missing", tmp_path / "plain"
+    plain.write_text("")
+    # no parent directory, a regular file as parent, a directory itself
+    for out in (missing / "cert.json", plain / "cert.json", tmp_path):
+        assert run(capsys, "certify", "H4", "--out", str(out)) == (
+            1, "", f"error: --out {out} is not a file in a writable "
+                   f"directory\n")
+    assert not missing.exists() and plain.read_text() == ""
+
+
 def test_hilbert_table(capsys):
     code, out, _ = run(capsys, "hilbert", "A2", "--dmax", "5", "--json")
     assert code == 0
@@ -423,6 +439,12 @@ def test_dihedral_negative_v0_exits_1(capsys):
         assert code == 1
         assert out == ""
         assert err == "error: v0 copies must be at least 0, got -2\n"
+
+
+@pytest.mark.parametrize("summand", ["x", "5,a", "5,"])
+def test_dihedral_refuses_a_malformed_summand(capsys, summand):
+    assert run(capsys, "dihedral", "5", "--summands", summand) == (
+        1, "", f"error: summand {summand!r} must be 'h,j'\n")
 
 
 def test_dihedral_check_without_a_space_exits_1(capsys):

@@ -154,7 +154,7 @@ def test_matrix_file_round_trip(tmp_path):
     path = tmp_path / "b3.txt"
     path.write_text("3\n" + "\n".join(" ".join(str(v) for v in row)
                                       for row in m.rows) + "\n")
-    assert parse_matrix_file(path) == m
+    assert parse_matrix_file(path).rows == m.rows
 
 
 @pytest.mark.parametrize("name", ["A2", "I2(5)", "B3", "A3", "D4", "H3"])

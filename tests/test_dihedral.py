@@ -1,5 +1,6 @@
 """Diagonal dihedral braidings and the order-12 graded modules."""
 
+import numpy as np
 import pytest
 
 from coxrack.coxeter import build_group, preset_matrix
@@ -214,13 +215,10 @@ def test_v0_u_mixed_sum(i26):
 
 
 def test_graded_module_validation(i26):
-    import numpy as np
-    from coxrack.nichols import MonomialOp
-
     good = u_module(i26, 0)
     # breaking an exponent violates the involution/braid relations
-    bad_s = MonomialOp(6, good.gen_actions[0].perm.copy(),
-                       (good.gen_actions[0].expo + np.array([1, 0, 0])) % 6)
+    perm, expo = good.gen_actions[0]
+    bad_s = (perm.copy(), (expo + np.array([1, 0, 0])) % 6)
     with pytest.raises(ValueError):
         GradedModule(g=i26, k=6, degrees=good.degrees,
                      gen_actions=(bad_s, good.gen_actions[1]))
@@ -233,3 +231,13 @@ def test_graded_module_validation(i26):
     with pytest.raises(ValueError, match="wrong shape"):
         GradedModule(g=i26, k=6, degrees=good.degrees[:2],
                      gen_actions=good.gen_actions)
+
+
+def test_act_of_the_empty_word_is_the_identity_pair(i26):
+    assert i26.word(0) == ()
+    for mod in (u_module(i26, 0), u_module(i26, 1, primed=True),
+                v31_module(i26), direct_sum(u_module(i26, 0), v31_module(i26))):
+        perm, expo = mod.act(0)
+        assert perm.tolist() == list(range(mod.dim))
+        assert expo.tolist() == [0] * mod.dim
+

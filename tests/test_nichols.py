@@ -35,9 +35,8 @@ from coxrack.nichols import (
     BraidEquationError,
     BraidedSpace,
     DegreeTooLargeError,
-    MonomialOp,
     braiding_from_rack,
-    coset_ops,
+    compose,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
     ladder_ranks_iter,
@@ -120,7 +119,7 @@ def test_longest_s3_words_give_equal_operators(spaces):
     V = spaces("A2")
     a = word_operator(V, 3, (1, 2, 1))
     b = word_operator(V, 3, (2, 1, 2))
-    assert a.equal(b)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_matsumoto_invariance_battery(spaces):
@@ -139,10 +138,11 @@ def test_word_operator_refuses_out_of_range_letters(spaces):
 
 def test_identity_and_adjacent_transposition(spaces):
     V = spaces("A2")
-    ident = perm_operator(V, 3, (0, 1, 2))
-    assert ident.equal(MonomialOp.identity(27, V.k))
+    perm, expo = perm_operator(V, 3, (0, 1, 2))
+    assert np.array_equal(perm, np.arange(27)) and not expo.any()
     swap = perm_operator(V, 3, (1, 0, 2))
-    assert swap.equal(V.braid_letter(3, 1))
+    assert all(np.array_equal(x, y)
+               for x, y in zip(swap, V.braid_letter(3, 1)))
 
 
 # -- braided spaces ----------------------------------------------------------
@@ -162,8 +162,8 @@ def test_braiding_from_rack_validates(spaces):
     # q-minus braiding has c^2 != id on some pair (non-commuting targets)
     Vm = spaces("A2", "minus")
     c = Vm.braid_letter(2, 1)
-    c2 = c.compose_after(c)
-    assert not c2.equal(MonomialOp.identity(9, Vm.k))
+    perm, expo = compose(9, Vm.k, (c, c))
+    assert not (np.array_equal(perm, np.arange(9)) and not expo.any())
 
 
 def test_braid_equation_failure_has_witness():
@@ -251,8 +251,8 @@ def test_fk3_per_degree_ranks(spaces):
         acc = np.zeros((N, N), dtype=np.int64)
         cols = np.arange(N)
         for sigma in itertools.permutations(range(n)):
-            op = perm_operator(V, n, sigma)
-            acc[op.perm, cols] = (acc[op.perm, cols] + zpow[op.expo]) % p
+            perm, expo = perm_operator(V, n, sigma)
+            acc[perm, cols] = (acc[perm, cols] + zpow[expo]) % p
         oracle.append(rank_mod(acc, p))
     assert oracle == [1, 3, 4, 3, 1, 0]
     # the ladder ends at its first zero rank
@@ -343,10 +343,11 @@ def dense_ladder_ranks(V, p, omega, dmax):
         C = np.zeros((r_prev * d, N), dtype=np.int64)
         Cr = C.reshape(r_prev, d, N)
         cols = np.arange(N)
-        for op in coset_ops(V, n):
-            a, b = op.perm // d, op.perm % d
+        for t in range(n):  # lifts of the coset minima (n-1, ..., t+1)
+            perm, expo = word_operator(V, n, tuple(range(n - 1, t, -1)))
+            a, b = perm // d, perm % d
             Cr[:, b, cols] = (Cr[:, b, cols]
-                              + gamma[:, a] * zpow[op.expo][None, :]) % p
+                              + gamma[:, a] * zpow[expo][None, :]) % p
         _, pivots = row_reduce_mod(C.copy(), p)
         r_prev = len(pivots)
         if r_prev > 0:
