@@ -9,8 +9,10 @@ refuses an infinite group from B alone, before any enumeration.
 A group is then built in two passes.  First the positive roots are
 enumerated (RootSystem, which stops there) by closing the simple basis
 under the simple reflections, each (root, generator) pair reflected
-once; |W| follows from the roots (RootSystem._orbit_chain_order), so a
-group above the element cap is refused before it is enumerated.  Then
+once.  |W| follows from these roots alone, each parabolic W_J of the
+orbit chain read off its J-supported roots with no finiteness proof of
+its own (RootSystem._orbit_chain_order), so a group above the element
+cap is refused before it is enumerated.  Then
 the elements are enumerated by their action on the positive roots, one
 length level at a time, each keyed on its images of the simple roots
 (GroupTable._build_elements).  A GroupTable is its arrays: root images,
@@ -219,8 +221,10 @@ def parse_matrix_file(path) -> CoxeterMatrix:
     tokens = text.split()
     if not tokens:
         raise InvalidMatrixError(f"empty matrix file {path}")
-    l = int(tokens[0])
-    vals = [int(t) for t in tokens[1:]]
+    bad = [t for t in tokens if not re.fullmatch(r"[+-]?\d+", t)]
+    if bad:
+        raise InvalidMatrixError(f"matrix file {path}: {bad[0]!r} is not an integer")
+    l, *vals = map(int, tokens)
     if len(vals) != l * l:
         raise InvalidMatrixError(
             f"expected {l * l} entries after the rank line, found {len(vals)}")
@@ -332,32 +336,33 @@ class RootSystem:
         self.gen_root_perm = tuple(map(tuple, perm.tolist()))
 
     def _orbit_chain_order(self) -> int:
-        """|W| = |W delta| |W_J| for delta in the closed chamber
-        {v : (alpha_j, v) >= 0 for every j} and J = {j : (alpha_j, delta)
-        = 0}, |W_J| found the same way on J's submatrix (1 for J empty).
+        """|W_J| = |W_J delta| |W_J'| for delta in W_J's closed chamber
+        {v : (alpha_j, v) >= 0, j in J} and J' = {j in J : (alpha_j, delta)
+        = 0}, from J = all down to J empty, on the roots already closed.
 
-        Each W-orbit meets the closed chamber in exactly one point, whose
-        stabilizer is the standard parabolic subgroup W_J (Humphreys,
-        Reflection Groups and Coxeter Groups, 1.12).  W permutes the
-        roots, so gen_root_perm on the 2R signed roots counts W delta.
-        delta, the root the closure found last, has the greatest depth,
-        and s_j deepens a positive root beta != alpha_j with (alpha_j,
-        beta) < 0 (Bjorner and Brenti, Combinatorics of Coxeter Groups,
-        4.6.2): so delta is in the closed chamber (checked exactly), and
-        as (delta, delta) > 0 with delta's coordinates >= 0, J is a
-        proper subset.  A reducible matrix needs nothing special.
+        Each W_J-orbit meets that chamber in one point, whose stabilizer
+        is W_J' (Humphreys, Reflection Groups and Coxeter Groups, 1.12).
+        W_J permutes its positive roots, the J-supported ones (5.5), so
+        gen_root_perm[j], j in J, counts W_J delta.  s_j deepens a positive
+        beta != alpha_j with (alpha_j, beta) < 0 (Bjorner and Brenti,
+        Combinatorics of Coxeter Groups, 4.6.2), s_k, k not in J, never
+        lowers a J-supported beta ((alpha_k, beta) <= 0), and the closure
+        lists roots by depth: so delta, the last J-supported root, is in
+        the chamber (checked exactly).  J' is proper: (delta, delta) > 0.
         """
-        R = self.nroots
-        pair = self.pairings(self.pos_roots[R - 1])
-        if any(sign(p, self.level) < 0 for p in pair):
-            raise AssertionError("the last root is not in the closed chamber")
-        orbit = [R - 1]
-        for r in orbit:
-            orbit += {p[r] for p in self.gen_root_perm}.difference(orbit)
-        J = [j for j in range(self.rank) if not pair[j].any()]
-        rows = self.matrix.rows
-        sub = tuple(tuple(rows[a][b] for b in J) for a in J)
-        return len(orbit) * (RootSystem(CoxeterMatrix(sub)).order if J else 1)
+        J, order = list(range(self.rank)), 1
+        while J:
+            off = [k for k in range(self.rank) if k not in J]
+            delta = np.flatnonzero(~self.pos_roots[:, off].any(axis=(1, 2)))[-1]
+            pair = self.pairings(self.pos_roots[delta])
+            if any(sign(pair[j], self.level) < 0 for j in J):
+                raise AssertionError("the last root is not in the closed chamber")
+            orbit = [int(delta)]
+            for r in orbit:
+                orbit += {self.gen_root_perm[j][r] for j in J}.difference(orbit)
+            order *= len(orbit)
+            J = [j for j in J if not pair[j].any()]
+        return order
 
     def pairings(self, v: np.ndarray) -> np.ndarray:
         """2(alpha_i, v) = (B v)_i for every i, as v's (..., l, phi) shape."""

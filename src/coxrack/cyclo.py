@@ -36,21 +36,26 @@ class NotRealError(ValueError):
     """Raised when a sign is requested for a non conjugation-fixed value."""
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("level must be positive")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in prime_factors(n):
+        n -= n // p
+    return n
 
 
 def _divisors(n: int) -> list[int]:
@@ -102,25 +107,33 @@ def _cos_enclosures(n: int, bits: int = 64
     of it.  The Taylor terms of cos x0 alternate in sign and shrink from
     x0^2 / 2 on (x0^2 < 3 * 4), so the partial sum S through the
     first J with 4^(2J+2) / (2J+2)! < 2^-(b+40) is within 2^-(b+40) of
-    cos x0, and cos x lies in [S - 2^-(b+8), S + 2^-(b+8)].  S = num / den
-    is summed exactly by Horner's rule in integers, with y = x0^2 = p2 / q2:
-    S = 1 - y/(1 2) (1 - y/(3 4) (1 - ...)).  The bounds
-    2^b (S -+ 2^-(b+8)) = (2^(b+8) num -+ den) / (2^8 den) are then
-    rounded down and up by integer division.
+    cos x0, and cos x lies in [S - 2^-(b+8), S + 2^-(b+8)].
+
+    S = 1 - y/m_1 (1 - y/m_2 (1 - ...)), y = x0^2, m_j = (2j - 1) 2j, is
+    summed by Horner's rule in multiples of 2^-F, F = b + 40, one floor
+    a step: Y = floor(2^F y), U_J = 2^F, U_(j-1) = 2^F -
+    floor(Y U_j / (m_j 2^F)).  The exact inner sums t_j (t_J = 1) lie
+    in (0, 1] for j >= 1, as y < pi^2 < 12 <= m_(j+1), so the error of
+    U_(j-1), in units of 2^-F, is below the step's factor bound
+    Y / (m_j 2^F) times U_j's, plus 1/m_j <= 1/2 (from Y) plus 1 (the
+    floor): err counts it up from U_J's 0, the floored product plus 3.
+    lo and hi round (U_0 -+ (err + 2^32)) / 2^40 down and up.
     """
-    pi, pi_den = _machin_pi(bits + 40)
+    F = bits + 40
+    pi, pi_den = _machin_pi(F)
     terms = 1
-    while 16 ** (terms + 1) << (bits + 40) >= math.factorial(2 * terms + 2):
+    while 16 ** (terms + 1) << F >= math.factorial(2 * terms + 2):
         terms += 1
+    one, q2 = 1 << F, (n * pi_den) ** 2
     out = []
     for k in range(euler_phi(n)):
-        p2, q2 = (2 * min(k, n - k) * pi) ** 2, (n * pi_den) ** 2
-        num = den = 1
+        y = ((2 * min(k, n - k) * pi) ** 2 << F) // q2
+        u, err = one, 0
         for j in range(terms, 0, -1):
-            m = (2 * j - 1) * (2 * j) * q2
-            num, den = den * m - p2 * num, den * m
-        top, scale = num << (bits + 8), den << 8
-        out.append(((top - den) // scale, -((-top - den) // scale)))
+            m = (2 * j - 1) * (2 * j) << F
+            u, err = one - y * u // m, y * err // m + 3
+        err += 1 << 32
+        out.append(((u - err) >> 40, -((-u - err) >> 40)))
     return tuple(out)
 
 

@@ -64,8 +64,8 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> BraidedSpace:
     """Diagonal braided space of a sum of admissible summands: x > y = y,
     with the scalar zeta^(deg_x * char_y).
 
-    pairs is a list of (h, j) or (h, j, multiplicity); v0_copies adds
-    one-dimensional summands.  Scalars live in the 2r-th roots of unity.
+    pairs is a list of distinct (h, j); v0_copies adds one-dimensional
+    summands.  Scalars live in the 2r-th roots of unity.
     """
     if r < 3 or r % 2 == 0:
         raise InvalidSummandError("r must be odd and at least 3")
@@ -76,18 +76,13 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> BraidedSpace:
     degrees = [r] * v0_copies
     chars = [r] * v0_copies
     seen = set()
-    for entry in pairs:
-        h, j, mult = entry if len(entry) == 3 else (*entry, 1)
+    for h, j in pairs:
         validate_summand(r, h, j)
-        if mult < 1:
-            raise InvalidSummandError(
-                f"summand ({h}, {j}) multiplicity must be at least 1, "
-                f"got {mult}")
         if (h, j) in seen:
             raise InvalidSummandError(f"duplicate summand ({h}, {j})")
         seen.add((h, j))
-        degrees += [h % k, (-h) % k] * mult
-        chars += [j % k, (-j) % k] * mult
+        degrees += [h % k, (-h) % k]
+        chars += [j % k, (-j) % k]
     if not degrees:
         raise InvalidSummandError("empty sum")
     d = len(degrees)
@@ -97,12 +92,11 @@ def dihedral_yd(r: int, pairs=(), v0_copies: int = 0) -> BraidedSpace:
 
 def compatible(r: int, pairs) -> bool:
     """Whether r divides h j' + h' j for every pair of summands."""
-    ps = [p[:2] for p in pairs]
-    for h, j in ps:
+    for h, j in pairs:
         validate_summand(r, h, j)
     return all((h * j2 + h2 * j) % r == 0
-               for a, (h, j) in enumerate(ps)
-               for (h2, j2) in ps[a:])
+               for a, (h, j) in enumerate(pairs)
+               for (h2, j2) in pairs[a:])
 
 
 class DynkinDiagram(NamedTuple):

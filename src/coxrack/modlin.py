@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cyclo import regular_matrix
+from .cyclo import prime_factors, regular_matrix
 
 PRIME_LOWER = 1 << 30
 PRIME_UPPER = (1 << 31) - 1  # keeps products inside int64 during elimination
@@ -67,27 +67,13 @@ def primes_one_mod(k: int, count: int = 2, lower: int = PRIME_LOWER) -> tuple[in
     return tuple(out)
 
 
-def _factorize(k: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            out.append(d)
-            while k % d == 0:
-                k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out
-
-
 def root_of_unity_mod(p: int, k: int) -> int:
     """Smallest residue of multiplicative order exactly k modulo p."""
     if (p - 1) % k != 0:
         raise ValueError(f"{k} does not divide {p} - 1")
     if k == 1:
         return 1
-    primes = _factorize(k)
+    primes = prime_factors(k)
     for g in range(2, p):
         x = pow(g, (p - 1) // k, p)
         if x != 1 and all(pow(x, k // q, p) != 1 for q in primes):

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from coxrack.cyclo import euler_phi, mul, reduction_matrix, sign
+from coxrack.coxeter import CoxeterMatrix, RootSystem
+from coxrack.cyclo import _machin_pi, euler_phi, mul, reduction_matrix, sign
 from coxrack.dihedral import GradedModule, braided_from_graded, u_module
 from coxrack.extension import CertificationError, ExtGroup, GroupCocycle2
 from coxrack.modlin import primes_one_mod, root_of_unity_mod, row_reduce_mod
@@ -48,6 +49,27 @@ def cos_enclosures_by_fractions(n: int) -> tuple[tuple[int, int], ...]:
         s = Fraction(num, den)
         out.append((math.floor((s - err) * scale),
                     math.ceil((s + err) * scale)))
+    return tuple(out)
+
+
+def cos_enclosures_exact(n: int, bits: int) -> tuple[tuple[int, int], ...]:
+    """cyclo._cos_enclosures(n, bits) before it summed in fixed point: the
+    same Taylor sum S of cos x0, x0 = 2 pi min(k, n - k) / n with pi from
+    _machin_pi(bits + 40), as one exact fraction num / den by Horner's
+    rule, and floor and ceil of 2^bits (S -+ 2^-(bits+8))."""
+    pi, pi_den = _machin_pi(bits + 40)
+    terms = 1
+    while 16 ** (terms + 1) << (bits + 40) >= math.factorial(2 * terms + 2):
+        terms += 1
+    out = []
+    for k in range(euler_phi(n)):
+        p2, q2 = (2 * min(k, n - k) * pi) ** 2, (n * pi_den) ** 2
+        num = den = 1
+        for j in range(terms, 0, -1):
+            m = (2 * j - 1) * (2 * j) * q2
+            num, den = den * m - p2 * num, den * m
+        top, scale = num << (bits + 8), den << 8
+        out.append(((top - den) // scale, -((-top - den) // scale)))
     return tuple(out)
 
 
@@ -323,6 +345,25 @@ def palindromic_expressions(g, refl_index: int) -> set[tuple[int, ...]]:
 
 
 # -- what the group build proves, checked on its tables -----------------------
+
+
+def orbit_chain_order_by_parabolics(matrix: CoxeterMatrix) -> int:
+    """|W| by the orbit chain as first written: |W delta| for delta the
+    last root of the closure, times |W_J| from a new RootSystem on J's
+    submatrix, J = {j : (alpha_j, delta) = 0} (1 for J empty)."""
+    roots = RootSystem(matrix)
+    R = roots.nroots
+    pair = roots.pairings(roots.pos_roots[R - 1])
+    if any(sign(p, roots.level) < 0 for p in pair):
+        raise AssertionError("the last root is not in the closed chamber")
+    orbit = [R - 1]
+    for r in orbit:
+        orbit += {p[r] for p in roots.gen_root_perm}.difference(orbit)
+    J = [j for j in range(roots.rank) if not pair[j].any()]
+    if not J:
+        return len(orbit)
+    sub = CoxeterMatrix(tuple(tuple(matrix.rows[a][b] for b in J) for a in J))
+    return len(orbit) * orbit_chain_order_by_parabolics(sub)
 
 
 def check_root_norms(roots):

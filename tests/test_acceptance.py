@@ -31,6 +31,7 @@ from coxrack.dihedral import (
 )
 from coxrack.extension import build_wtilde
 from coxrack.nichols import (
+    BraidedSpace,
     braiding_from_rack,
     exact_matrix_as_cyclo,
     hilbert_coeffs,
@@ -217,10 +218,17 @@ def test_criterion_8_dihedral_diagonal(group_cache, capsys):
                        pairs, take)
                    if 1 <= v0 + 2 * take <= 4]
         for v0, chosen in options:
-            mults = [(h, j, chosen.count((h, j))) for (h, j) in set(chosen)]
-            if not compatible(r, [c[:2] for c in mults] or [(r, 1)]):
+            distinct = sorted(set(chosen))
+            if not compatible(r, distinct or [(r, 1)]):
                 continue
-            V = dihedral_yd(r, mults, v0_copies=v0)
+            V = dihedral_yd(r, distinct, v0_copies=v0)
+            # a summand chosen twice: its two basis vectors, repeated
+            at = list(range(v0)) + [v0 + 2 * a + b
+                                    for a, pair in enumerate(distinct)
+                                    for _ in range(chosen.count(pair))
+                                    for b in (0, 1)]
+            V = BraidedSpace(V.k, np.tile(np.arange(len(at)), (len(at), 1)),
+                             V.expo[np.ix_(at, at)])
             total, reports = total_dimension(V)
             assert total == 2 ** V.dim, (r, v0, chosen)
             assert [x.rank for x in reports] == exterior_coefficients(V.dim)

@@ -347,6 +347,16 @@ def test_matrix_file_input(tmp_path, capsys):
     assert json.loads(out)["order"] == 10
 
 
+@pytest.mark.parametrize("text,token", [("2\n1 x\n3 1\n", "x"),
+                                        ("two\n1 3\n3 1\n", "two")])
+def test_matrix_file_with_a_non_integer_exits_1(tmp_path, capsys, text,
+                                                 token):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert run(capsys, "info", str(path)) == (
+        1, "", f"error: matrix file {path}: {token!r} is not an integer\n")
+
+
 def test_infinite_matrix_file_exits_1_at_once(tmp_path):
     # affine A~2: refused from its form, before any root is enumerated;
     # in a child with a timeout, so that an enumeration toward the cap

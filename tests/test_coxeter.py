@@ -40,6 +40,7 @@ from oracles import (
     conjugacy_graph,
     length_trichotomy,
     mirror,
+    orbit_chain_order_by_parabolics,
     palindromic_expressions,
     product,
     q_minus_table,
@@ -117,6 +118,7 @@ EXTRA_MATRICES = {
     "A1xA1xA1": block_diagonal("A1", "A1", "A1"),
     "A2xA1": block_diagonal("A2", "A1"),
     "B2xI2(5)": block_diagonal("B2", "I2(5)"),
+    "A2xB3xI2(5)": block_diagonal("A2", "B3", "I2(5)"),
 }
 KNOWN_ORDERS.update({"9A1": 512, "A1xA1": 4, "A1xA1xA1": 8, "A2xA1": 12,
                      "B2xI2(5)": 80})
@@ -277,6 +279,37 @@ def test_orbit_chain_order_is_the_enumerated_order(groups, name):
     roots = RootSystem(matrix_of(name))
     g = groups(name)
     assert roots.order == len(g.perms) == g.order == KNOWN_ORDERS[name]
+
+
+ORBIT_CHAIN_GROUPS = ([f"A{n}" for n in range(1, 9)]
+                      + [f"B{n}" for n in range(2, 9)]
+                      + [f"D{n}" for n in range(4, 9)]
+                      + ["E6", "E7", "E8", "F4", "H3", "H4"]
+                      + [f"I2({m})" for m in (2, 3, 5, 6, 7, 12, 129)]
+                      + ["A2xB3xI2(5)"])
+
+
+@pytest.mark.parametrize("name", ORBIT_CHAIN_GROUPS)
+def test_orbit_chain_matches_a_root_system_per_parabolic(name):
+    # one root system walking its parabolics against a new RootSystem for
+    # each parabolic of the chain
+    matrix = matrix_of(name)
+    assert RootSystem(matrix).order == orbit_chain_order_by_parabolics(matrix)
+
+
+@pytest.mark.parametrize("name", ["E8", "H4", "F4", "A2xB3xI2(5)"])
+def test_root_system_proves_finiteness_once(monkeypatch, name):
+    # the parabolics of the chain are read off the one closure: no further
+    # RootSystem, so no further finiteness proof
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.rank)
+        return require_finite(matrix)
+
+    monkeypatch.setattr(coxeter, "require_finite", counted)
+    RootSystem(matrix_of(name))
+    assert calls == [matrix_of(name).rank]
 
 
 def test_e6_order_reflections_and_classes(groups):

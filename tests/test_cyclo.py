@@ -23,6 +23,7 @@ from coxrack.cyclo import (
 from coxrack import cyclo
 from oracles import (
     cos_enclosures_by_fractions,
+    cos_enclosures_exact,
     galois_by_scatter,
     regular_matrix_by_mul,
 )
@@ -186,6 +187,23 @@ def test_cos_enclosures_match_fraction_formula():
                                    for m in names}
     for n in sorted(levels):
         assert _cos_enclosures(n) == cos_enclosures_by_fractions(n), n
+
+
+ALL_LEVELS = tuple(range(1, 61))
+
+
+@pytest.mark.parametrize("bits,levels", [
+    (64, ALL_LEVELS), (128, ALL_LEVELS), (256, (7, 23, 60)), (1024, (23,)),
+    pytest.param(256, ALL_LEVELS, marks=pytest.mark.slow),
+    pytest.param(1024, ALL_LEVELS, marks=pytest.mark.slow),
+], ids=["64", "128", "256-some", "1024-some", "256-all", "1024-all"])
+def test_fixed_point_enclosures_hold_the_exact_sums(bits, levels):
+    # the exact-fraction sum's enclosure at 64 more bits, rescaled, lies
+    # inside the fixed-point one: its counted rounding bound holds
+    for n in levels:
+        exact = cos_enclosures_exact(n, bits + 64)
+        for (lo, hi), (elo, ehi) in zip(_cos_enclosures(n, bits), exact):
+            assert lo << 64 <= elo <= ehi <= hi << 64, (n, bits)
 
 
 @pytest.mark.parametrize("name", SIGN_PRESETS)

@@ -53,7 +53,7 @@ def test_root_of_unity_mod_order_one(monkeypatch):
     def no_scan(k):
         raise AssertionError("root_of_unity_mod scanned for k = 1")
 
-    monkeypatch.setattr(modlin, "_factorize", no_scan)
+    monkeypatch.setattr(modlin, "prime_factors", no_scan)
     (p,) = primes_one_mod(1, count=1)
     assert root_of_unity_mod(p, 1) == 1
 
